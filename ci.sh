@@ -1,5 +1,6 @@
 #!/bin/sh
-# Full local CI: release build, every test in the workspace, a compile
+# Full local CI: release build, every test in the workspace, the
+# benchmark harness's own tests against the crates as they are, a compile
 # check of the benchmarks, the kernel property tests re-run with the
 # native instruction set (exercising the AVX2 dispatch tier where the
 # host has it), the server's end-to-end suites (wire-protocol clients
@@ -11,6 +12,10 @@ set -eux
 
 cargo build --release
 cargo test -q
+# The benchmark is a package of its own that this repository's manifests
+# do not reach: its smoke run and unit tests are what notices a change to
+# StorageBackend, SliceFile or the stats structs that breaks the harness.
+cargo test --release --manifest-path benchmark/Cargo.toml
 cargo bench --no-run
 RUSTFLAGS="-C target-cpu=native" cargo test -q -p bbs-bitslice --test kernel_props
 # Kernel-dispatch smoke matrix: the same property tests under every

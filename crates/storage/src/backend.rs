@@ -135,8 +135,9 @@ impl StorageBackend for FileBackend {
     }
 }
 
-/// An in-memory backend (tests; no filesystem dependence).
-#[derive(Debug, Default)]
+/// An in-memory backend (tests; no filesystem dependence).  Two are equal
+/// when they hold the same bytes.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct MemBackend {
     bytes: Vec<u8>,
 }
@@ -183,6 +184,35 @@ impl StorageBackend for MemBackend {
 
     fn sync(&mut self) -> io::Result<()> {
         Ok(())
+    }
+}
+
+/// Test double: an in-memory file that counts the `write_at` calls it
+/// receives — how the write-back tests see run coalescing.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct CountingBackend {
+    pub mem: MemBackend,
+    pub writes: u64,
+}
+
+#[cfg(test)]
+impl StorageBackend for CountingBackend {
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        self.mem.read_at(offset, buf)
+    }
+    fn write_at(&mut self, offset: u64, data: &[u8]) -> io::Result<()> {
+        self.writes += 1;
+        self.mem.write_at(offset, data)
+    }
+    fn len(&mut self) -> io::Result<u64> {
+        self.mem.len()
+    }
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        self.mem.set_len(len)
+    }
+    fn sync(&mut self) -> io::Result<()> {
+        self.mem.sync()
     }
 }
 

@@ -8,6 +8,14 @@
 //! dat_digest u64 | idx_digest u64 | slices_digest u64 | fnv1a(first 56 B) u64
 //! ```
 //!
+//! The magic names the format of the *whole deployment*.  `BBSCMT02` is
+//! the current one: the paged files' checksum pages and the three digests
+//! below are [`crate::pager::page_digest`] values.  `BBSCMT01` deployments
+//! digested pages with FNV-1a; every one of their pages would fail
+//! verification here, so a valid v1 slot is answered with the typed
+//! [`FormatV1`] error — never mistaken for "no commit yet", which would
+//! roll a populated deployment back to empty.
+//!
 //! The three digests pin down the committed content of the **boundary
 //! pages** — the pages that later appends modify in place (the heap tail
 //! page, the last positional-index entry page, and the slice pages of the
@@ -28,9 +36,32 @@
 use crate::backend::{FileBackend, StorageBackend};
 use crate::pager::fnv1a64;
 use std::io;
+use std::path::Path;
 
-const COMMIT_MAGIC: u64 = 0x4242_5343_4d54_3031; // "BBSCMT01"
+const COMMIT_MAGIC: u64 = 0x4242_5343_4d54_3032; // "BBSCMT02"
+/// The magic of format v1 (FNV-1a page digests): recognised, refused.
+const COMMIT_MAGIC_V1: u64 = 0x4242_5343_4d54_3031; // "BBSCMT01"
 const SLOT_SIZE: u64 = 64;
+
+/// The deployment was written in format v1, whose page digests this
+/// version cannot verify.  Wrapped inside an [`io::Error`] of kind
+/// [`io::ErrorKind::InvalidData`]; retrieve it with [`format_v1`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FormatV1;
+
+impl std::fmt::Display for FormatV1 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("deployment is format v1 (FNV-1a page digests); rebuild with `bbs ingest`")
+    }
+}
+
+impl std::error::Error for FormatV1 {}
+
+/// Extracts the typed [`FormatV1`] from an I/O error, if that is what it
+/// carries.
+pub fn format_v1(e: &io::Error) -> Option<&FormatV1> {
+    e.get_ref().and_then(|inner| inner.downcast_ref())
+}
 
 /// One decoded commit record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,32 +96,50 @@ fn encode_slot(c: Commit) -> [u8; SLOT_SIZE as usize] {
     buf
 }
 
-fn parse_slot(buf: &[u8]) -> Option<Commit> {
+/// Decodes one slot: `Ok(None)` for anything that does not validate (a
+/// torn or never-written slot), [`FormatV1`] for a valid slot of the old
+/// format.
+fn parse_slot(buf: &[u8]) -> io::Result<Option<Commit>> {
     if buf.len() < SLOT_SIZE as usize {
-        return None;
+        return Ok(None);
     }
     let word = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"));
-    if word(0) != COMMIT_MAGIC || word(56) != fnv1a64(&buf[0..56]) {
-        return None;
+    if word(56) != fnv1a64(&buf[0..56]) {
+        return Ok(None);
     }
-    Some(Commit {
-        seq: word(8),
-        rows: word(16),
-        heap_tail: word(24),
-        dat_digest: word(32),
-        idx_digest: word(40),
-        slices_digest: word(48),
-    })
+    match word(0) {
+        COMMIT_MAGIC => Ok(Some(Commit {
+            seq: word(8),
+            rows: word(16),
+            heap_tail: word(24),
+            dat_digest: word(32),
+            idx_digest: word(40),
+            slices_digest: word(48),
+        })),
+        COMMIT_MAGIC_V1 => Err(io::Error::new(io::ErrorKind::InvalidData, FormatV1)),
+        _ => Ok(None),
+    }
 }
 
 /// Decodes the winning (highest-sequence valid) commit from raw file
 /// bytes.  Used by both `CommitFile` and the read-only verifier.
-pub(crate) fn latest_commit(bytes: &[u8]) -> Option<Commit> {
-    let a = parse_slot(bytes);
-    let b = parse_slot(&bytes[bytes.len().min(SLOT_SIZE as usize)..]);
-    match (a, b) {
+pub(crate) fn latest_commit(bytes: &[u8]) -> io::Result<Option<Commit>> {
+    let a = parse_slot(bytes)?;
+    let b = parse_slot(&bytes[bytes.len().min(SLOT_SIZE as usize)..])?;
+    Ok(match (a, b) {
         (Some(a), Some(b)) => Some(if a.seq >= b.seq { a } else { b }),
         (a, b) => a.or(b),
+    })
+}
+
+/// Refuses a format-v1 deployment by looking at its commit file alone,
+/// read-only — for the open paths, which create and repair files and so
+/// must check *before* they touch anything.  An absent file passes.
+pub(crate) fn refuse_format_v1(commit_path: &Path) -> io::Result<()> {
+    match std::fs::read(commit_path) {
+        Ok(bytes) => latest_commit(&bytes).map(|_| ()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(e),
     }
 }
 
@@ -115,7 +164,7 @@ impl<B: StorageBackend> CommitFile<B> {
         let len = backend.len()?.min(2 * SLOT_SIZE);
         let mut bytes = vec![0u8; len as usize];
         backend.read_at(0, &mut bytes)?;
-        let last = latest_commit(&bytes);
+        let last = latest_commit(&bytes)?;
         Ok(CommitFile { backend, last })
     }
 

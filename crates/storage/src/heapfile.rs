@@ -97,7 +97,7 @@ fn restore_boundary_page<B: StorageBackend>(
 ) -> io::Result<()> {
     let mut page = pager.read_page_raw(last)?;
     page[keep..].fill(0);
-    let actual = crate::pager::fnv1a64(&page[..]);
+    let actual = crate::pager::page_digest(&page);
     if actual != committed_digest {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -328,14 +328,14 @@ impl<B: StorageBackend> HeapFile<B> {
             0
         } else {
             let last = PageId((self.tail - 1) / PAGE_SIZE as u64);
-            self.data.with_page(last, |p| crate::pager::fnv1a64(p))?
+            self.data.with_page(last, crate::pager::page_digest)?
         };
         let idx = if self.count == 0 {
             0
         } else {
             let entry_end = IDX_ENTRIES + self.count * 8;
             let last = PageId((entry_end - 1) / PAGE_SIZE as u64);
-            self.idx.with_page(last, |p| crate::pager::fnv1a64(p))?
+            self.idx.with_page(last, crate::pager::page_digest)?
         };
         Ok((dat, idx))
     }

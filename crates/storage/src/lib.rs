@@ -26,7 +26,8 @@
 //!
 //! # Crash safety
 //!
-//! Every page carries an FNV-1a checksum verified on read ([`pager`]), a
+//! Every page carries a word-parallel digest verified on read
+//! ([`pager::page_digest`]), a
 //! deployment's durability boundary is a checksummed commit record written
 //! last ([`diskbbs`]), and opening a deployment rolls every file back to
 //! exactly the committed state — torn or interrupted writes heal, flipped
@@ -63,6 +64,7 @@ pub use backend::{
     FileBackend, MemBackend, SharedFaultPlan, StorageBackend, WriteFault,
 };
 pub use cache::{CacheStats, PageCache};
+pub use commit::{format_v1, FormatV1};
 pub use dedup::{DedupLog, DedupReceipt};
 pub use del::{read_deletions, DeadMask, DelLog};
 pub use diskbbs::{
@@ -76,7 +78,8 @@ pub use maintain::{
 };
 pub use mine::{mine_in_place, DiskMineStats};
 pub use pager::{
-    checksum_mismatch, fnv1a64, ChecksumMismatch, PageId, Pager, PagerStats, PAGE_SIZE,
+    checksum_mismatch, fnv1a64, page_digest, ChecksumMismatch, PageId, Pager, PagerStats,
+    PAGE_SIZE,
 };
 pub use replog::{read_entries, ReplEntry, ReplLog, ReplRead};
 pub use slicefile::{HotStats, SliceFile, CHUNK_ROWS};

@@ -50,7 +50,7 @@ use crate::commit::{self, Commit};
 use crate::dedup::DedupReceipt;
 use crate::del::DeadMask;
 use crate::diskbbs::{deployment_paths, DeploymentPaths, DiskDeployment};
-use crate::pager::{fnv1a64, fnv1a64_extend, PageId, Pager, FNV_OFFSET};
+use crate::pager::{chain_digest, fnv1a64, page_digest, PageId, Pager, CHAIN_SEED};
 use crate::slicefile::{self, clear_uncommitted_bits, CHUNK_ROWS};
 use bbs_hash::ItemHasher;
 use bbs_tdb::Transaction;
@@ -468,7 +468,7 @@ pub fn fold_deployment_hooked(
     let boundary_chunk = (within != 0).then(|| rows / CHUNK_ROWS as u64);
     // Boundary digest of the folded file, chained in slice order exactly
     // as recovery recomputes it; zero when the row count is chunk-aligned.
-    let mut slices_digest = if boundary_chunk.is_some() { FNV_OFFSET } else { 0 };
+    let mut slices_digest = if boundary_chunk.is_some() { CHAIN_SEED } else { 0 };
     for c in 0..chunks {
         for j in 0..half {
             let mut lo = src.read_page(PageId(1 + c * width as u64 + j as u64))?;
@@ -478,7 +478,7 @@ pub fn fold_deployment_hooked(
             }
             if boundary_chunk == Some(c) {
                 clear_uncommitted_bits(&mut lo, within);
-                slices_digest = fnv1a64_extend(slices_digest, &lo[..]);
+                slices_digest = chain_digest(slices_digest, page_digest(&lo));
             }
             dst.write_page(PageId(1 + c * half as u64 + j as u64), &lo)?;
         }

@@ -37,8 +37,8 @@ use crate::backend::{FileBackend, StorageBackend};
 use crate::cache::{CacheStats, PageCache};
 use crate::del::DeadMask;
 use crate::pager::{
-    fnv1a64_extend, zeroed_page, ChecksumMismatch, PageId, Pager, PagerStats, FNV_OFFSET,
-    PAGE_SIZE,
+    chain_digest, page_digest, zeroed_page, ChecksumMismatch, PageId, Pager, PagerStats,
+    CHAIN_SEED, PAGE_SIZE,
 };
 use bbs_bitslice::{ops, BitVec};
 use std::collections::HashMap;
@@ -683,7 +683,7 @@ pub(crate) fn clear_uncommitted_bits(page: &mut [u8; PAGE_SIZE], within: u64) {
 }
 
 /// Rolls a slice file back to exactly `rows` committed rows, whose
-/// boundary-chunk content must chain-digest to `slices_digest` (from the
+/// boundary-chunk pages' digests must chain to `slices_digest` (from the
 /// commit record).
 ///
 /// Pages of whole uncommitted chunks are dropped.  In the boundary chunk,
@@ -708,7 +708,7 @@ fn recover<B: StorageBackend>(
     let within = rows % CHUNK_ROWS as u64;
     if within != 0 {
         let chunk = rows / CHUNK_ROWS as u64;
-        let mut digest = FNV_OFFSET;
+        let mut digest = CHAIN_SEED;
         let mut repaired = Vec::with_capacity(width);
         for slice in 0..width as u64 {
             let id = PageId(1 + chunk * width as u64 + slice);
@@ -716,7 +716,7 @@ fn recover<B: StorageBackend>(
             // reconstruction.
             let mut page = pager.read_page_raw(id)?;
             clear_uncommitted_bits(&mut page, within);
-            digest = fnv1a64_extend(digest, &page[..]);
+            digest = chain_digest(digest, page_digest(&page));
             repaired.push((id, page));
         }
         if digest != slices_digest {
@@ -882,14 +882,15 @@ impl<B: StorageBackend> SliceFile<B> {
         state.hot.invalidate();
         for &p in positions {
             assert!(p < width, "position {p} out of range");
-            let page = page_of(width, chunk, p);
-            let mut b = [0u8; 1];
-            state.cache.read_at(page, byte, &mut b)?;
-            b[0] |= 1 << bit;
-            state.cache.write_at(page, byte, &b)?;
+            state
+                .cache
+                .update(page_of(width, chunk, p), |page| page[byte] |= 1 << bit)?;
         }
         self.rows += 1;
-        crate::bytes::write_u64(&mut state.cache, 16, self.rows)?;
+        let rows = self.rows.to_le_bytes();
+        state
+            .cache
+            .update(PageId(0), |header| header[16..24].copy_from_slice(&rows))?;
         Ok(row)
     }
 
@@ -1025,10 +1026,10 @@ impl<B: StorageBackend> SliceFile<B> {
         let chunk = self.rows / CHUNK_ROWS as u64;
         let width = self.width;
         let state = self.read.get_mut().unwrap_or_else(|e| e.into_inner());
-        let mut digest = FNV_OFFSET;
+        let mut digest = CHAIN_SEED;
         for slice in 0..width {
             let page = page_of(width, chunk, slice);
-            digest = state.cache.with_page(page, |p| fnv1a64_extend(digest, p))?;
+            digest = chain_digest(digest, state.cache.with_page(page, page_digest)?);
         }
         Ok(digest)
     }

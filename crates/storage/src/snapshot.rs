@@ -875,6 +875,8 @@ fn open_writer(
     dedup_window: usize,
 ) -> io::Result<DiskDeployment<DynBackend>> {
     let paths = deployment_paths(base);
+    // Before the factory below creates any missing file.
+    crate::commit::refuse_format_v1(&paths.commit)?;
     let has_data = [&paths.dat, &paths.idx, &paths.slices]
         .iter()
         .any(|p| std::fs::metadata(p).map(|m| m.len() > 0).unwrap_or(false));

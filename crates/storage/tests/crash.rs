@@ -5,13 +5,16 @@
 //! that never crashed.
 
 use bbs_storage::diskbbs::{deployment_paths, DeploymentBackends, DiskDeployment};
-use bbs_storage::{checksum_mismatch, CrashMode, FaultPlan, FileBackend, SharedFaultPlan};
+use bbs_storage::{
+    checksum_mismatch, CrashMode, FaultInjector, FaultPlan, FileBackend, SharedFaultPlan,
+    StorageBackend, PAGE_SIZE,
+};
 use bbs_core::{BbsMiner, Scheme};
 use bbs_hash::{ItemHasher, Md5BloomHasher};
 use bbs_tdb::{FrequentPatternMiner, Itemset, NaiveMiner, SupportThreshold, Transaction};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const WIDTH: usize = 32;
 const CACHE: usize = 64;
@@ -72,16 +75,26 @@ fn sample_queries() -> Vec<Itemset> {
 
 /// Runs the append/flush workload through fault-injected backends.
 fn run_workload(plan: &SharedFaultPlan, base: &Path, source: &[Transaction]) -> io::Result<()> {
+    run_workload_over(|tag, file| plan.wrap(tag, file), base, source)
+}
+
+/// Runs the append/flush workload with every file's backend built by
+/// `wrap(tag, file)`.
+fn run_workload_over<B: StorageBackend>(
+    wrap: impl Fn(&'static str, FileBackend) -> B,
+    base: &Path,
+    source: &[Transaction],
+) -> io::Result<()> {
     let paths = deployment_paths(base);
     let backends = DeploymentBackends {
-        commit: plan.wrap("commit", FileBackend::open(&paths.commit)?),
-        dat: plan.wrap("dat", FileBackend::open(&paths.dat)?),
-        idx: plan.wrap("idx", FileBackend::open(&paths.idx)?),
-        slices: plan.wrap("slices", FileBackend::open(&paths.slices)?),
-        counts: plan.wrap("counts", FileBackend::open(&paths.counts)?),
-        dedup: plan.wrap("dedup", FileBackend::open(&paths.dedup)?),
-        log: plan.wrap("log", FileBackend::open(&paths.log)?),
-        del: plan.wrap("del", FileBackend::open(&paths.del)?),
+        commit: wrap("commit", FileBackend::open(&paths.commit)?),
+        dat: wrap("dat", FileBackend::open(&paths.dat)?),
+        idx: wrap("idx", FileBackend::open(&paths.idx)?),
+        slices: wrap("slices", FileBackend::open(&paths.slices)?),
+        counts: wrap("counts", FileBackend::open(&paths.counts)?),
+        dedup: wrap("dedup", FileBackend::open(&paths.dedup)?),
+        log: wrap("log", FileBackend::open(&paths.log)?),
+        del: wrap("del", FileBackend::open(&paths.del)?),
     };
     let mut dep = DiskDeployment::open_with(backends, WIDTH, hasher(), CACHE)?;
     for batch in source.chunks(BATCH) {
@@ -184,6 +197,43 @@ fn assert_mining_agrees(dep: &mut DiskDeployment, source: &[Transaction], rows: 
     }
 }
 
+/// After a crash at `what`: the deployment at `b` must reopen as a
+/// committed clean prefix, finish the workload to the never-crashed end
+/// state, and then pass fsck.
+fn assert_recovers_and_finishes(
+    b: &Path,
+    source: &[Transaction],
+    answers: &[Vec<u64>],
+    what: &str,
+) {
+    // 1. Reopen with clean backends: recovery must yield a committed
+    //    clean prefix, bit-for-bit.
+    let mut dep = DiskDeployment::open(b, WIDTH, hasher(), CACHE)
+        .unwrap_or_else(|e| panic!("reopen after crash at {what}: {e}"));
+    let rows = assert_clean_prefix(&mut dep, source, answers);
+    assert_mining_agrees(&mut dep, source, rows);
+
+    // 2. The deployment keeps working: finish the workload and the
+    //    end state is indistinguishable from a run that never crashed.
+    for t in &source[rows as usize..] {
+        dep.append(t).expect("append after recovery");
+    }
+    dep.flush().expect("flush after recovery");
+    let final_answers = answers.last().expect("final");
+    for (q, want) in sample_queries().iter().zip(final_answers) {
+        assert_eq!(
+            dep.index.count_itemset(q).expect("count"),
+            *want,
+            "final query {q:?} after crash at {what}"
+        );
+    }
+    drop(dep);
+
+    // 3. After recovery + a real commit, fsck is clean.
+    let report = DiskDeployment::verify(b).expect("verify");
+    assert!(report.is_clean(), "fsck after crash at {what}:\n{report}");
+}
+
 fn crash_at_every_op(mode: CrashMode, name: &str) {
     let b = base(name);
     let _g = Cleanup(b.clone());
@@ -191,7 +241,6 @@ fn crash_at_every_op(mode: CrashMode, name: &str) {
     let _gr = Cleanup(refbase.clone());
     let source = source_txns();
     let answers = reference_answers(&refbase, &source);
-    let final_answers = answers.last().expect("final").clone();
 
     let mut n = 0u64;
     loop {
@@ -204,35 +253,7 @@ fn crash_at_every_op(mode: CrashMode, name: &str) {
         }
         // The crash fired mid-workload (a late crash during drop-time
         // cleanup can leave `outcome` Ok; the commit record still rules).
-
-        // 1. Reopen with clean backends: recovery must yield a committed
-        //    clean prefix, bit-for-bit.
-        let mut dep = DiskDeployment::open(&b, WIDTH, hasher(), CACHE)
-            .unwrap_or_else(|e| panic!("reopen after crash at op {n} ({mode:?}): {e}"));
-        let rows = assert_clean_prefix(&mut dep, &source, &answers);
-        assert_mining_agrees(&mut dep, &source, rows);
-
-        // 2. The deployment keeps working: finish the workload and the
-        //    end state is indistinguishable from a run that never crashed.
-        for t in &source[rows as usize..] {
-            dep.append(t).expect("append after recovery");
-        }
-        dep.flush().expect("flush after recovery");
-        for (q, want) in sample_queries().iter().zip(&final_answers) {
-            assert_eq!(
-                dep.index.count_itemset(q).expect("count"),
-                *want,
-                "final query {q:?} after crash at op {n}"
-            );
-        }
-        drop(dep);
-
-        // 3. After recovery + a real commit, fsck is clean.
-        let report = DiskDeployment::verify(&b).expect("verify");
-        assert!(
-            report.is_clean(),
-            "fsck after crash at op {n} ({mode:?}):\n{report}"
-        );
+        assert_recovers_and_finishes(&b, &source, &answers, &format!("op {n} ({mode:?})"));
 
         n += 1;
     }
@@ -252,6 +273,117 @@ fn crash_short_write_at_every_io_point_recovers_a_committed_prefix() {
 #[test]
 fn crash_torn_write_at_every_io_point_recovers_a_committed_prefix() {
     crash_at_every_op(CrashMode::TornWrite, "torn");
+}
+
+/// One write on its way into the fault injector: the plan's operation
+/// index when it was issued, and its length in bytes.
+type WriteLog = Arc<Mutex<Vec<(u64, usize)>>>;
+
+/// Sits *above* a file's fault injector and logs every write of one of
+/// the paged files — a write-back run is a write of several whole pages.
+struct RunWatch {
+    inner: FaultInjector<FileBackend>,
+    plan: SharedFaultPlan,
+    log: Option<WriteLog>,
+}
+
+impl StorageBackend for RunWatch {
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        self.inner.read_at(offset, buf)
+    }
+    fn write_at(&mut self, offset: u64, data: &[u8]) -> io::Result<()> {
+        if let Some(log) = &self.log {
+            log.lock().expect("log").push((self.plan.ops(), data.len()));
+        }
+        self.inner.write_at(offset, data)
+    }
+    fn len(&mut self) -> io::Result<u64> {
+        self.inner.len()
+    }
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        self.inner.set_len(len)
+    }
+    fn sync(&mut self) -> io::Result<()> {
+        self.inner.sync()
+    }
+}
+
+fn run_watched(
+    plan: &SharedFaultPlan,
+    log: &WriteLog,
+    base: &Path,
+    source: &[Transaction],
+) -> io::Result<()> {
+    run_workload_over(
+        |tag, file| RunWatch {
+            inner: plan.wrap(tag, file),
+            plan: plan.clone(),
+            log: ["dat", "idx", "slices"].contains(&tag).then(|| log.clone()),
+        },
+        base,
+        source,
+    )
+}
+
+/// Write-back coalesces adjacent dirty pages into one backend write, so a
+/// torn or short write can now stop anywhere inside a run: some pages
+/// whole, one cut mid-page, the rest never written.  Crash at every such
+/// write, both ways.
+#[test]
+fn crash_inside_a_multi_page_run_recovers_a_committed_prefix() {
+    let b = base("runs");
+    let _g = Cleanup(b.clone());
+    let refbase = base("runs_ref");
+    let _gr = Cleanup(refbase.clone());
+    let source = source_txns();
+    let answers = reference_answers(&refbase, &source);
+
+    // A clean pass finds the operation index of every multi-page write.
+    let log = WriteLog::default();
+    run_watched(&FaultPlan::counting(), &log, &b, &source).expect("clean run");
+    let runs: Vec<(u64, usize)> = log
+        .lock()
+        .expect("log")
+        .iter()
+        .copied()
+        .filter(|&(_, len)| len > PAGE_SIZE)
+        .collect();
+    assert!(runs.len() >= BATCHES, "every flush writes a run: {runs:?}");
+    assert!(runs.iter().all(|&(_, len)| len % PAGE_SIZE == 0));
+
+    let mut torn_mid_page = 0;
+    for mode in [CrashMode::TornWrite, CrashMode::ShortWrite] {
+        for &(op, len) in &runs {
+            DiskDeployment::remove_files(&b).ok();
+            let plan = FaultPlan::crash_at(op, mode);
+            let log = WriteLog::default();
+            let _ = run_watched(&plan, &log, &b, &source);
+            assert!(plan.crashed(), "op {op} was reached");
+            assert!(
+                log.lock().expect("log").contains(&(op, len)),
+                "the crash hit the same run as in the clean pass"
+            );
+            let landed = match mode {
+                CrashMode::TornWrite => len / 2,
+                _ => 512,
+            };
+            // Mid-run and mid-page: part of the run reached the file, and
+            // the cut is inside a page, not between two.
+            if landed % PAGE_SIZE != 0 {
+                torn_mid_page += 1;
+            }
+            assert_recovers_and_finishes(
+                &b,
+                &source,
+                &answers,
+                &format!("op {op} ({mode:?}, {landed} of {len} bytes landed)"),
+            );
+        }
+    }
+    assert!(
+        torn_mid_page > runs.len(),
+        "both modes must cut a run mid-page: {torn_mid_page} of {runs:?}"
+    );
 }
 
 #[test]
