@@ -25,19 +25,9 @@ for tier in portable scalar avx2 avx512; do
   BBS_KERNEL_TIER="${tier}" \
     RUSTFLAGS="-C target-cpu=native" cargo test -q -p bbs-bitslice --test kernel_props
 done
-# Bench smoke: the batched-counting benchmark end to end (in-process
-# server + storage + kernel tiers), leaving BENCH_7.json in the root.
-./target/release/bench_count_many BENCH_7.json
-# Sharded-deployment smoke: ingest txns/s and count_many latency at 1
-# and 4 shards through the shard router, leaving BENCH_8.json.
-./target/release/bench_shard BENCH_8.json
-# Distributed smoke: local sharded vs coordinator-over-TCP count_many
-# and fan-out latency at 1 and 4 shards, leaving BENCH_9.json.
-./target/release/bench_distributed BENCH_9.json
-# Dynamic-workload smoke: weblog churn into a narrow index, then count/
-# mine latency and measured FPR before vs after the widening compaction
-# and the fold, leaving BENCH_10.json.
-./target/release/bench_dynamic BENCH_10.json
+# Benchmark smoke: every workload, phase and answer check of the one
+# harness at toy scale (never gated), leaving target/bench-smoke.json.
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- run --scale smoke --runs 1 --out target/bench-smoke.json
 # The server suites run as part of `cargo test -q` above; run them again
 # by name so a failure here is unambiguous in CI logs.
 cargo test -q -p bbs-server --test integration
@@ -46,6 +36,7 @@ cargo test -q -p bbs-server --test replication
 cargo test -q -p bbs-cli --test server_proc
 cargo test -q -p bbs-cli --test shard_proc
 cargo test -q -p bbs-server --test sharded
+cargo test -q -p bbs-server --test router
 # The randomized chaos harnesses run on a fixed seed in CI so failures
 # reproduce; export CHAOS_SEED to try a different schedule.
 CHAOS_SEED="${CHAOS_SEED:-2964703749}"
@@ -60,6 +51,7 @@ CHAOS_SEED="${CHAOS_SEED}" cargo test -q -p bbs-server --test dynamic -- --nocap
 # sockets (equivalence, typed SHARD_UNAVAILABLE, failover), then the
 # SIGKILL-a-shard-primary chaos run on the pinned seed.
 cargo test -q -p bbs-remote --test distributed
+cargo test -q -p bbs-remote --test router
 CHAOS_SEED="${CHAOS_SEED}" cargo test -q -p bbs-cli --test distributed_chaos -- --nocapture
 # Shard oracle suites: proptest equivalence against the unsharded
 # deployment, and SIGKILL-mid-ingest crash recovery, on the pinned seed.

@@ -14,7 +14,9 @@
 
 use crate::bbs::Bbs;
 use bbs_bitslice::BitVec;
-use bbs_tdb::{BufferPool, IoStats, ItemId, Itemset, MineStats, PatternSet, TransactionDb};
+use bbs_tdb::{
+    BufferPool, IoStats, ItemId, Itemset, MineResult, MineStats, PatternSet, TransactionDb,
+};
 use std::collections::HashMap;
 use std::io;
 
@@ -72,6 +74,49 @@ impl FilterOutput {
     /// Total candidates that are certainly frequent.
     pub fn certain_len(&self) -> usize {
         self.frequent.len() + self.approx.len()
+    }
+
+    /// Settles a run into the mining result — the step every out-of-core
+    /// miner ends on.  Certain patterns carry over (the `approx` ones
+    /// marked as carrying estimates), and each uncertain candidate is
+    /// kept iff its exact support reaches `tau`; the rest are false drops.
+    /// `exact_supports` is asked for all of them at once, in order, and
+    /// only when there are any: it is the caller's one refinement scan.
+    pub fn settle(
+        self,
+        tau: u64,
+        exact_supports: impl FnOnce(&[Itemset]) -> io::Result<Vec<u64>>,
+    ) -> io::Result<MineResult> {
+        let mut result = MineResult {
+            patterns: self.frequent,
+            stats: self.stats,
+            ..MineResult::default()
+        };
+        for (items, count) in self.approx.iter() {
+            result.patterns.insert(items.clone(), count);
+            result.approx_supports.insert(items.clone());
+        }
+        if !self.uncertain.is_empty() {
+            let cands: Vec<Itemset> = self.uncertain.into_iter().map(|(items, _)| items).collect();
+            let supports = exact_supports(&cands)?;
+            for (items, count) in cands.into_iter().zip(supports) {
+                if count >= tau {
+                    result.patterns.insert(items, count);
+                } else {
+                    result.stats.false_drops += 1;
+                }
+            }
+        }
+        Ok(result)
+    }
+}
+
+/// One refinement step: bumps the count of every candidate `items` holds.
+pub fn tally_subsets(cands: &[Itemset], counts: &mut [u64], items: &Itemset) {
+    for (cand, count) in cands.iter().zip(counts) {
+        if cand.is_subset_of(items) {
+            *count += 1;
+        }
     }
 }
 
@@ -481,6 +526,11 @@ pub fn run_filter_threaded(
 /// uses it in CheckCount, which it reaches only when the value is `≥ tau`
 /// and therefore exact — so the accept/prune/certify decisions are
 /// identical to those made with exact estimates.
+///
+/// This is the one τ convention at every counting seam — memory, disk,
+/// shard, wire: [`EXACT`] (`τ = 0`) asks for the exact estimate, because
+/// no value is below zero and so the "upper bound below `tau`" case
+/// cannot arise.
 pub trait CountSource {
     /// Estimated support of `itemset` (`CountItemSet`), fallible.
     fn count_itemset(&mut self, itemset: &Itemset, tau: u64) -> io::Result<u64>;
@@ -505,6 +555,17 @@ pub trait CountSource {
             .iter()
             .map(|&item| self.count_itemset(&prefix.with_item(item), tau))
             .collect()
+    }
+}
+
+/// The τ that requests an exact estimate from any [`CountSource`].
+pub const EXACT: u64 = 0;
+
+/// The memory-resident index as a [`CountSource`]: every answer is the
+/// exact estimate, which satisfies any τ budget.
+impl CountSource for &Bbs {
+    fn count_itemset(&mut self, itemset: &Itemset, _tau: u64) -> io::Result<u64> {
+        Ok(self.est_count(itemset, &mut IoStats::new()))
     }
 }
 
@@ -988,14 +1049,25 @@ mod tests {
         assert_eq!(par.certain_len(), 11);
     }
 
-    /// A [`CountSource`] over the in-memory index: counts whole itemsets,
-    /// which for the incremental engine's AND chain is the same value.
-    struct MemSource<'a>(&'a Bbs);
-
-    impl CountSource for MemSource<'_> {
-        fn count_itemset(&mut self, itemset: &Itemset, _tau: u64) -> io::Result<u64> {
-            let mut io = IoStats::new();
-            Ok(self.0.est_count(itemset, &mut io))
+    /// The `&Bbs` source answers `est_count` whatever τ it is handed, one
+    /// itemset at a time or as a batch of sibling extensions.
+    #[test]
+    fn bbs_count_source_is_est_count() {
+        let (bbs, _) = paper_fixture();
+        let vocab = bbs.vocabulary();
+        let mut src = &bbs;
+        for &a in &vocab {
+            let prefix = Itemset::from_items(vec![a]);
+            let want: Vec<u64> = vocab
+                .iter()
+                .map(|&b| bbs.est_count(&prefix.with_item(b), &mut IoStats::new()))
+                .collect();
+            for tau in [EXACT, 1, 3, u64::MAX] {
+                let got = src.count_extensions(&prefix, &vocab, tau).expect("batch");
+                assert_eq!(got, want, "prefix {a:?} τ={tau}");
+                let solo = src.count_itemset(&prefix, tau).expect("solo");
+                assert_eq!(solo, bbs.est_count(&prefix, &mut IoStats::new()));
+            }
         }
     }
 
@@ -1013,7 +1085,7 @@ mod tests {
         let actuals = fixture_actuals(&bbs);
         for kind in [FilterKind::Single, FilterKind::Dual] {
             let mem = run_filter(&bbs, kind, None, 3);
-            let mut src = MemSource(&bbs);
+            let mut src = &bbs;
             let out = run_filter_source(&mut src, &vocab, &actuals, bbs.rows() as u64, kind, 3)
                 .expect("source run");
             assert_eq!(out.frequent, mem.frequent, "{kind:?}");
@@ -1035,12 +1107,12 @@ mod tests {
         let vocab = bbs.vocabulary();
         let actuals = fixture_actuals(&bbs);
         for kind in [FilterKind::Single, FilterKind::Dual] {
-            let mut src = MemSource(&bbs);
+            let mut src = &bbs;
             let serial = run_filter_source(&mut src, &vocab, &actuals, bbs.rows() as u64, kind, 3)
                 .expect("serial");
             for threads in [1usize, 2, 4, 9] {
                 let par = run_filter_source_threaded(
-                    || Ok(MemSource(&bbs)),
+                    || Ok(&bbs),
                     &vocab,
                     &actuals,
                     bbs.rows() as u64,

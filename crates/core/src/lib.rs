@@ -54,8 +54,8 @@ pub use adhoc::AdhocEngine;
 pub use approx::{mine_approximate, ApproxPattern, ApproxResult};
 pub use bbs::Bbs;
 pub use filter::{
-    run_filter, run_filter_source, run_filter_source_threaded, run_filter_threaded, CountSource,
-    FilterKind, FilterOutput, Flag,
+    run_filter, run_filter_source, run_filter_source_threaded, run_filter_threaded, tally_subsets,
+    CountSource, FilterKind, FilterOutput, Flag, EXACT,
 };
 pub use miners::{BbsMiner, RefineKind, Scheme};
 pub use persist::{load_from_path, save_to_path, PersistError};

@@ -1,55 +1,40 @@
 //! [`CoordinatorEngine`]: the request engine of a distributed deployment.
 //!
-//! A coordinator is a shard router whose shards live in other processes:
-//! it speaks the same wire protocol as every other server (it implements
-//! `bbs_server::RequestHandler`, so the same listeners, framing and
-//! drain logic serve it), and routes each request over
-//! [`RemoteShardHandle`]s:
+//! A coordinator is the shard router with its shards in other processes:
+//! a `bbs_server::Router` over [`RemoteShardHandle`]s.  It speaks the
+//! same wire protocol as every other server (the same listeners, framing
+//! and drain logic serve it) and everything it does per request is the
+//! router's — inserts and deletes partitioned by TID residue and
+//! forwarded **reusing the client's request ID** so exactly-once composes
+//! end-to-end, counts scattered through the gather layer's scaled-τ
+//! scheme over one pinned snapshot per shard, mining over the pinned rows
+//! pulled from every shard — so the answers are bit-for-bit what the
+//! local router (and therefore one unsharded engine) returns.
 //!
-//! * **insert** partitions the batch by TID residue and forwards each
-//!   sub-batch to its owning shard **reusing the client's request ID**,
-//!   so exactly-once composes end-to-end: a client retry re-sends the
-//!   same ID, every shard that already committed answers from its
-//!   exactly-once window, and only the remainder appends — the same
-//!   convergence argument as the local shard router, with the coordinator
-//!   adding no state of its own.
-//! * **count / count_many** pin a snapshot on every shard, scatter the
-//!   batch through the gather layer's scaled-τ scheme, and sum — exact,
-//!   because per-shard BBS estimates are additive over the TID partition
-//!   when every shard serves the same width and hash family (checked at
-//!   connect).
-//! * **mine** pins every shard, pulls each shard's pinned rows over
-//!   chunked `rows` frames, rebuilds the per-shard index in memory, and
-//!   runs the identical sharded mining path a local router runs — so the
-//!   patterns, supports and approx markers are bit-for-bit what the
-//!   local (and therefore unsharded) run returns.
+//! What is particular to a coordinator lives here and in
+//! [`crate::handle`]: shards are found through a [`Topology`] and refused
+//! at connect unless they serve the width and hasher it pins; a scatter
+//! that cannot reach a shard — after retries, and after failover to the
+//! shard's follower if the topology names one — answers with a typed
+//! `SHARD_UNAVAILABLE` response naming the shard, never a silently-wrong
+//! partial total; and draining a coordinator stops *it* from admitting
+//! requests while the shard servers keep running (other coordinators or
+//! operators may still be using them).
 //!
-//! A scatter that cannot reach a shard — after retries, and after
-//! failover to the shard's follower if the topology names one — answers
-//! with a typed `SHARD_UNAVAILABLE` response naming the shard, never a
-//! silently-wrong partial total.
+//! Widened compactions and folds fanned out through a coordinator change
+//! a shard's width while the topology's stays what it was at connect.
+//! Counting and mining remain correct — per-shard estimates are served by
+//! each shard's own live files and mining re-indexes raw rows — but a
+//! *new* coordinator connecting against the stale topology width is
+//! refused until the topology file is updated.
 
 use crate::handle::{RemoteOptions, RemoteShardHandle};
 use crate::topology::Topology;
-use bbs_core::Scheme;
-use bbs_hash::{ItemHasher, Md5BloomHasher, ModuloHasher};
-use bbs_server::{
-    ClientError, DeleteReply, MaintainReply, PinReply, Reply, Request, RequestHandler, Response,
-    ScatterMetrics, ServerMetrics, ShardFaults,
-};
-use bbs_shard::{count_many_sharded, route, scatter, ShardedCounter};
-use bbs_tdb::{
-    IoStats, ItemId, Itemset, MineResult, SupportThreshold, Transaction, TransactionDb,
-};
-use std::collections::HashMap;
+use bbs_server::{Request, RequestHandler, Response, Router, ServerMetrics, ShardFaults};
+use bbs_shard::scatter;
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::ops::Deref;
 use std::sync::Arc;
-use std::time::Instant;
-
-/// How many count_many work units (Σ per-itemset lengths) one request
-/// may carry — the same admission bound the single-node engine applies.
-const COUNT_MANY_MAX_WORK: usize = 1 << 16;
 
 /// Coordinator construction knobs.
 #[derive(Debug, Clone, Default)]
@@ -60,27 +45,10 @@ pub struct CoordinatorOptions {
     pub mine_threads: usize,
 }
 
-/// Reconstructs the hash family a topology names (`md5/K`, `mod/1`).
-///
-/// The coordinator needs the actual functions — not just the identity
-/// string — to rebuild per-shard indexes for distributed mining.
-pub fn hasher_for_id(id: &str) -> Option<Arc<dyn ItemHasher>> {
-    if id == "mod/1" {
-        return Some(Arc::new(ModuloHasher));
-    }
-    let k: usize = id.strip_prefix("md5/")?.parse().ok()?;
-    (k > 0).then(|| Arc::new(Md5BloomHasher::new(k)) as Arc<dyn ItemHasher>)
-}
-
 /// The scatter-gather engine over a topology of remote shards.
 pub struct CoordinatorEngine {
+    router: Router<RemoteShardHandle>,
     topology: Topology,
-    handles: Vec<RemoteShardHandle>,
-    faults: Vec<Arc<ShardFaults>>,
-    metrics: Arc<ServerMetrics>,
-    scatter: ScatterMetrics,
-    draining: AtomicBool,
-    mine_threads: usize,
 }
 
 impl std::fmt::Debug for CoordinatorEngine {
@@ -93,18 +61,26 @@ impl std::fmt::Debug for CoordinatorEngine {
     }
 }
 
+impl Deref for CoordinatorEngine {
+    type Target = Router<RemoteShardHandle>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.router
+    }
+}
+
 impl CoordinatorEngine {
     /// Connects to every shard in the topology, pins a snapshot on each,
     /// and validates the pinned width/hasher identity against the
     /// topology — a shard whose deployment disagrees is refused with an
     /// error naming both values.
     pub fn connect(topology: Topology, opts: CoordinatorOptions) -> io::Result<Arc<Self>> {
-        let faults: Vec<Arc<ShardFaults>> = (0..topology.shards)
+        let faults: Vec<Arc<ShardFaults>> = topology
+            .nodes
+            .iter()
             .map(|_| Arc::new(ShardFaults::default()))
             .collect();
-        let nodes: Vec<usize> = (0..topology.shards).collect();
-        let handles = scatter(&nodes, |_, &i| {
-            let node = &topology.nodes[i];
+        let handles = scatter(&topology.nodes, |i, node| {
             let handle = RemoteShardHandle::connect(
                 node.id,
                 &node.primary,
@@ -113,34 +89,32 @@ impl CoordinatorEngine {
                 Arc::clone(&faults[i]),
             )?;
             let pin = handle.pin().expect("connect always pins");
-            if pin.width as usize != topology.width {
-                return Err(io::Error::new(
+            let refuse = |what: &str,
+                          serves: &dyn std::fmt::Display,
+                          pins: &dyn std::fmt::Display| {
+                Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!(
-                        "shard {} at {}: serves width {} but the topology pins width {}",
-                        node.id, node.primary, pin.width, topology.width
+                        "shard {} at {}: serves {what} {serves} but the topology pins {what} {pins}",
+                        node.id, node.primary
                     ),
-                ));
+                ))
+            };
+            if pin.width as usize != topology.width {
+                return refuse("width", &pin.width, &topology.width);
             }
             if pin.hasher != topology.hasher {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "shard {} at {}: serves hasher {} but the topology pins hasher {}",
-                        node.id, node.primary, pin.hasher, topology.hasher
-                    ),
-                ));
+                return refuse("hasher", &pin.hasher, &topology.hasher);
             }
             Ok(handle)
         })?;
+        let stats_extra = vec![
+            "\"coordinator\":true".to_string(),
+            format!("\"topology_version\":{}", topology.version),
+        ];
         Ok(Arc::new(CoordinatorEngine {
+            router: Router::new(handles, faults, opts.mine_threads, stats_extra),
             topology,
-            handles,
-            faults,
-            metrics: Arc::new(ServerMetrics::new()),
-            scatter: ScatterMetrics::default(),
-            draining: AtomicBool::new(false),
-            mine_threads: opts.mine_threads,
         }))
     }
 
@@ -151,642 +125,28 @@ impl CoordinatorEngine {
 
     /// The per-shard handles, in shard order.
     pub fn handles(&self) -> &[RemoteShardHandle] {
-        &self.handles
-    }
-
-    /// The per-shard fault counters, in shard order.
-    pub fn shard_faults(&self) -> &[Arc<ShardFaults>] {
-        &self.faults
-    }
-
-    /// Re-pins every shard's latest snapshot (in parallel) so a request
-    /// reads one consistent cut; returns the pins in shard order.
-    fn refresh_pins(&self) -> io::Result<Vec<PinReply>> {
-        scatter(&self.handles, |_, h| {
-            h.repin().map_err(|e| match e {
-                ClientError::Io(io) => io,
-                other => io::Error::other(other.to_string()),
-            })
-        })
-    }
-
-    /// Wraps an `io::Result` dispatch arm: a shard marked unavailable
-    /// turns into the typed `SHARD_UNAVAILABLE` response naming it; any
-    /// other error stays a plain server error.
-    fn fail(&self, what: &str, e: io::Error) -> Response {
-        for handle in &self.handles {
-            if let Some(msg) = handle.unavailable() {
-                return Response::ShardUnavailable(handle.shard(), msg);
-            }
-        }
-        Response::Err(format!("{what} failed: {e}"))
-    }
-
-    /// Scatter-gather batched counting over one fresh pin per shard.
-    /// Returns `(supports, epoch, rows)` like the local router: epoch is
-    /// the per-shard sum (monotonic under any shard commit), rows the
-    /// total across shards.
-    pub fn count_many(&self, itemsets: &[Vec<u32>]) -> io::Result<(Vec<u64>, u64, u64)> {
-        let start = Instant::now();
-        let pins = self.refresh_pins()?;
-        let epoch: u64 = pins.iter().map(|p| p.epoch).sum();
-        let rows: u64 = pins.iter().map(|p| p.rows).sum();
-        let sets: Vec<Itemset> = itemsets
-            .iter()
-            .map(|items| Itemset::from_values(items))
-            .collect();
-        let supports = count_many_sharded(&self.handles, &sets, None)?;
-        let hist = if itemsets.len() == 1 {
-            &self.scatter.count
-        } else {
-            &self.scatter.count_many
-        };
-        hist.record(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-        Ok((supports, epoch, rows))
-    }
-
-    /// Routes a batch: partition by TID residue, forward each sub-batch
-    /// with the client's request ID, merge per-shard receipts (any
-    /// failure wins by severity).
-    fn insert(&self, req_id: u64, txns: &[(u64, Vec<u32>)]) -> Response {
-        let start = Instant::now();
-        if self.is_draining() {
-            self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
-            return Response::Overloaded;
-        }
-        if txns.is_empty() {
-            return match self.refresh_pins() {
-                Ok(pins) => Response::Ok(Reply::Insert {
-                    first_row: pins.iter().map(|p| p.rows).sum(),
-                    appended: 0,
-                    epoch: pins.iter().map(|p| p.epoch).sum(),
-                    deduped: false,
-                }),
-                Err(e) => self.fail("insert", e),
-            };
-        }
-        let n = self.topology.shards;
-        let mut parts: Vec<Vec<(u64, Vec<u32>)>> = vec![Vec::new(); n];
-        for (tid, items) in txns {
-            parts[route(*tid, n)].push((*tid, items.clone()));
-        }
-        type Batch = Vec<(u64, Vec<u32>)>;
-        let jobs: Vec<(usize, Batch)> = parts
-            .into_iter()
-            .enumerate()
-            .filter(|(_, p)| !p.is_empty())
-            .collect();
-        let outcomes = scatter(&jobs, |_, (shard, part)| {
-            Ok((*shard, self.handles[*shard].insert_with_id(req_id, part)))
-        })
-        .expect("insert scatter is infallible");
-        let resp = self.merge_inserts(outcomes);
-        self.scatter
-            .insert
-            .record(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-        resp
-    }
-
-    /// Merges per-shard insert results into one receipt.  Mirrors the
-    /// local router: all-committed sums rows (deduped only when every
-    /// sub-batch deduped); otherwise the worst failure wins, ranked
-    /// `unreachable > server error > disk full > not-primary >
-    /// overloaded`, with an unreachable shard surfacing as the typed
-    /// `SHARD_UNAVAILABLE` response.
-    fn merge_inserts(
-        &self,
-        outcomes: Vec<(usize, Result<bbs_server::InsertReply, ClientError>)>,
-    ) -> Response {
-        let mut first_row = None;
-        let mut appended = 0u64;
-        let mut epoch = 0u64;
-        let mut deduped = true;
-        let mut worst: Option<(u8, Response)> = None;
-        let bump = |rank: u8, resp: Response, worst: &mut Option<(u8, Response)>| {
-            if worst.as_ref().is_none_or(|(r, _)| rank > *r) {
-                *worst = Some((rank, resp));
-            }
-        };
-        for (shard, outcome) in outcomes {
-            match outcome {
-                Ok(reply) => {
-                    if first_row.is_none() {
-                        first_row = Some(reply.first_row);
-                    }
-                    appended += reply.appended;
-                    epoch = epoch.max(reply.epoch);
-                    deduped &= reply.deduped;
-                }
-                Err(ClientError::Overloaded) => bump(1, Response::Overloaded, &mut worst),
-                Err(ClientError::NotPrimary(addr)) => {
-                    bump(2, Response::NotPrimary(addr), &mut worst)
-                }
-                Err(ClientError::DiskFull) => bump(3, Response::DiskFull, &mut worst),
-                Err(e @ (ClientError::Server(_) | ClientError::Protocol(_))) => bump(
-                    4,
-                    Response::Err(format!("shard {shard}: {e}")),
-                    &mut worst,
-                ),
-                Err(e) => bump(
-                    5,
-                    Response::ShardUnavailable(shard as u32, format!("shard {shard}: {e}")),
-                    &mut worst,
-                ),
-            }
-        }
-        if let Some((_, resp)) = worst {
-            return resp;
-        }
-        Response::Ok(Reply::Insert {
-            first_row: first_row.unwrap_or(0),
-            appended,
-            epoch,
-            deduped,
-        })
-    }
-
-    /// Routes a tombstone delete: partition the TIDs by residue, forward
-    /// each partition with the client's request ID, merge per-shard
-    /// receipts exactly like inserts (any failure wins by severity, an
-    /// unreachable shard surfaces as `SHARD_UNAVAILABLE`).
-    fn delete(&self, req_id: u64, tids: &[u64]) -> Response {
-        let start = Instant::now();
-        if self.is_draining() {
-            self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
-            return Response::Overloaded;
-        }
-        if tids.is_empty() {
-            return match self.refresh_pins() {
-                Ok(pins) => Response::Ok(Reply::Delete {
-                    deleted: 0,
-                    epoch: pins.iter().map(|p| p.epoch).sum(),
-                    deduped: false,
-                }),
-                Err(e) => self.fail("delete", e),
-            };
-        }
-        let n = self.topology.shards;
-        let mut parts: Vec<Vec<u64>> = vec![Vec::new(); n];
-        for &tid in tids {
-            parts[route(tid, n)].push(tid);
-        }
-        let jobs: Vec<(usize, Vec<u64>)> = parts
-            .into_iter()
-            .enumerate()
-            .filter(|(_, p)| !p.is_empty())
-            .collect();
-        let outcomes = scatter(&jobs, |_, (shard, part)| {
-            Ok((*shard, self.handles[*shard].delete_with_id(req_id, part)))
-        })
-        .expect("delete scatter is infallible");
-        let resp = self.merge_deletes(outcomes);
-        self.scatter
-            .insert
-            .record(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-        resp
-    }
-
-    /// Merges per-shard delete receipts — the same severity ladder as
-    /// [`CoordinatorEngine::merge_inserts`], with tombstone counts summed
-    /// and `deduped` only when every shard answered from its window.
-    fn merge_deletes(&self, outcomes: Vec<(usize, Result<DeleteReply, ClientError>)>) -> Response {
-        let mut deleted = 0u64;
-        let mut epoch = 0u64;
-        let mut deduped = true;
-        let mut worst: Option<(u8, Response)> = None;
-        let bump = |rank: u8, resp: Response, worst: &mut Option<(u8, Response)>| {
-            if worst.as_ref().is_none_or(|(r, _)| rank > *r) {
-                *worst = Some((rank, resp));
-            }
-        };
-        for (shard, outcome) in outcomes {
-            match outcome {
-                Ok(reply) => {
-                    deleted += reply.deleted;
-                    epoch = epoch.max(reply.epoch);
-                    deduped &= reply.deduped;
-                }
-                Err(ClientError::Overloaded) => bump(1, Response::Overloaded, &mut worst),
-                Err(ClientError::NotPrimary(addr)) => {
-                    bump(2, Response::NotPrimary(addr), &mut worst)
-                }
-                Err(ClientError::DiskFull) => bump(3, Response::DiskFull, &mut worst),
-                Err(e @ (ClientError::Server(_) | ClientError::Protocol(_))) => bump(
-                    4,
-                    Response::Err(format!("shard {shard}: {e}")),
-                    &mut worst,
-                ),
-                Err(e) => bump(
-                    5,
-                    Response::ShardUnavailable(shard as u32, format!("shard {shard}: {e}")),
-                    &mut worst,
-                ),
-            }
-        }
-        if let Some((_, resp)) = worst {
-            return resp;
-        }
-        Response::Ok(Reply::Delete {
-            deleted,
-            epoch,
-            deduped,
-        })
-    }
-
-    /// Fans one maintenance action out to every shard and merges the
-    /// health reports: row counts sum, the reported width and FPR are
-    /// the worst shard's, and the action echoed is the most consequential
-    /// any shard took.  Note that widened compactions and folds change a
-    /// shard's width: the topology's `width` stays what it was at
-    /// connect, but counting and mining remain correct because per-shard
-    /// estimates are served by each shard's own live files and the mine
-    /// path rebuilds indexes from raw rows — only a *new* coordinator
-    /// connecting against the stale topology width will be refused until
-    /// the topology file is updated.
-    fn maintain(&self, action: u8, arg: u64) -> Response {
-        let outcomes = scatter(&self.handles, |shard, h| {
-            Ok((shard, h.maintain(action, arg)))
-        })
-        .expect("maintain scatter is infallible");
-        let mut merged: Option<MaintainReply> = None;
-        for (shard, outcome) in outcomes {
-            match outcome {
-                Ok(reply) => {
-                    let m = merged.get_or_insert(MaintainReply {
-                        action_taken: 0,
-                        width: 0,
-                        live_rows: 0,
-                        deleted_rows: 0,
-                        fpr: 0.0,
-                    });
-                    m.action_taken = m.action_taken.max(reply.action_taken);
-                    m.width = m.width.max(reply.width);
-                    m.live_rows += reply.live_rows;
-                    m.deleted_rows += reply.deleted_rows;
-                    if reply.fpr > m.fpr {
-                        m.fpr = reply.fpr;
-                    }
-                }
-                Err(e) if matches!(e, ClientError::Server(_) | ClientError::Protocol(_)) => {
-                    return Response::Err(format!("shard {shard}: {e}"));
-                }
-                Err(ClientError::NotPrimary(addr)) => return Response::NotPrimary(addr),
-                Err(e) => {
-                    self.faults[shard].scatter_errors.fetch_add(1, Ordering::Relaxed);
-                    return Response::ShardUnavailable(
-                        shard as u32,
-                        format!("shard {shard}: {e}"),
-                    );
-                }
-            }
-        }
-        match merged {
-            Some(m) => Response::Ok(Reply::Maintain {
-                action_taken: m.action_taken,
-                width: m.width,
-                live_rows: m.live_rows,
-                deleted_rows: m.deleted_rows,
-                fpr_bits: m.fpr.to_bits(),
-            }),
-            None => Response::Err("maintain: topology has no shards".into()),
-        }
-    }
-
-    /// Distributed mining: pin every shard, pull each shard's pinned
-    /// rows, rebuild the per-shard index locally, and run the same
-    /// global-support-merge path the local shard router runs — candidate
-    /// subtrees dealt across workers, per-candidate supports merged
-    /// across shards before any prune decision, uncertain candidates
-    /// refined with one scan per shard.
-    pub fn mine(
-        &self,
-        scheme: Scheme,
-        threshold: SupportThreshold,
-        threads: usize,
-    ) -> io::Result<(MineResult, u64, u64)> {
-        let start = Instant::now();
-        let threads = if threads == 0 {
-            bbs_server::resolve_threads(self.mine_threads)
-        } else {
-            threads
-        };
-        let hasher = hasher_for_id(&self.topology.hasher).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "cannot mine through hasher {:?}: no local construction for this identity",
-                    self.topology.hasher
-                ),
-            )
-        })?;
-        let pins = self.refresh_pins()?;
-        let epoch: u64 = pins.iter().map(|p| p.epoch).sum();
-
-        // Pull every shard's pinned rows (in parallel) and rebuild its
-        // transaction store + index locally.
-        let loaded: Vec<(TransactionDb, bbs_core::Bbs)> = scatter(&self.handles, |_, h| {
-            let rows = h.pull_rows().map_err(|e| match e {
-                ClientError::Io(io) => io,
-                other => io::Error::other(other.to_string()),
-            })?;
-            let mut db = TransactionDb::new();
-            let mut bbs = bbs_core::Bbs::new(self.topology.width, Arc::clone(&hasher));
-            let mut stats = IoStats::new();
-            for (tid, items) in rows {
-                let txn = Transaction::new(tid, Itemset::from_values(&items));
-                bbs.insert(&txn, &mut stats);
-                db.push(txn);
-            }
-            Ok((db, bbs))
-        })?;
-        let shard_rows: Vec<u64> = loaded.iter().map(|(db, _)| db.len() as u64).collect();
-        let rows: u64 = shard_rows.iter().sum();
-        let tau = threshold.resolve(rows as usize);
-
-        // Global vocabulary and exact singleton supports: per-shard sums
-        // over the disjoint TID partition equal the unsharded values.
-        let mut actuals: HashMap<ItemId, u64> = HashMap::new();
-        for (_, bbs) in &loaded {
-            for item in bbs.vocabulary() {
-                *actuals.entry(item).or_insert(0) += bbs.actual_singleton_count(item);
-            }
-        }
-        let mut vocab: Vec<ItemId> = actuals.keys().copied().collect();
-        vocab.sort_unstable();
-
-        let make_source = || {
-            Ok(ShardedCounter::new(
-                loaded.iter().map(|(_, bbs)| MemShard { bbs }).collect(),
-                shard_rows.clone(),
-            ))
-        };
-        let filter_out = bbs_core::run_filter_source_threaded(
-            make_source,
-            &vocab,
-            &actuals,
-            rows,
-            scheme.filter(),
-            tau,
-            threads,
-        )?;
-
-        let mut result = MineResult::default();
-        result.stats.candidates = filter_out.stats.candidates;
-        result.stats.false_drops = filter_out.stats.false_drops;
-        result.stats.certified = filter_out.stats.certified;
-        result.stats.bbs_counts = filter_out.stats.bbs_counts;
-        result.stats.io.merge(&filter_out.stats.io);
-        result.patterns.extend_from(&filter_out.frequent);
-        for (items, count) in filter_out.approx.iter() {
-            result.patterns.insert(items.clone(), count);
-            result.approx_supports.insert(items.clone());
-        }
-
-        if !filter_out.uncertain.is_empty() {
-            let cands: Vec<Itemset> = filter_out
-                .uncertain
-                .iter()
-                .map(|(items, _)| items.clone())
-                .collect();
-            let per_shard = scatter(&loaded, |_, (db, _)| {
-                let mut counts = vec![0u64; cands.len()];
-                for txn in db.transactions() {
-                    for (items, count) in cands.iter().zip(counts.iter_mut()) {
-                        if items.is_subset_of(&txn.items) {
-                            *count += 1;
-                        }
-                    }
-                }
-                Ok(counts)
-            })?;
-            for (k, items) in cands.into_iter().enumerate() {
-                let count: u64 = per_shard.iter().map(|c| c[k]).sum();
-                if count >= tau {
-                    result.patterns.insert(items, count);
-                } else {
-                    result.stats.false_drops += 1;
-                }
-            }
-        }
-        self.scatter
-            .mine
-            .record(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-        Ok((result, epoch, rows))
-    }
-
-    /// Probes one row of the concatenated row space (shard 0's pinned
-    /// rows first, then shard 1's, …), like the local router.
-    pub fn probe(&self, row: u64) -> io::Result<Option<(u64, Vec<u32>)>> {
-        let start = Instant::now();
-        let pins = self.refresh_pins()?;
-        let mut local = row;
-        let mut found = Ok(None);
-        for (handle, pin) in self.handles.iter().zip(&pins) {
-            if local < pin.rows {
-                found = handle
-                    .pull_row_at(pin.epoch, local)
-                    .map_err(|e| match e {
-                        ClientError::Io(io) => io,
-                        other => io::Error::other(other.to_string()),
-                    });
-                break;
-            }
-            local -= pin.rows;
-        }
-        self.scatter
-            .probe
-            .record(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-        found
-    }
-
-    /// Renders the stats document: wire metrics plus distributed
-    /// topology — shard count, per-shard rows and addresses, the
-    /// scatter-gather latency histograms, and the per-shard fault
-    /// counters (`scatter_errors` / `timeouts` / `failovers`).
-    pub fn stats_json(&self) -> String {
-        let pins: Vec<PinReply> = self
-            .handles
-            .iter()
-            .map(|h| {
-                h.pin().unwrap_or(PinReply {
-                    epoch: 0,
-                    rows: 0,
-                    width: 0,
-                    hasher: String::new(),
-                })
-            })
-            .collect();
-        let shard_rows: Vec<String> = pins.iter().map(|p| p.rows.to_string()).collect();
-        let shard_width: Vec<String> = pins.iter().map(|p| p.width.to_string()).collect();
-        let shard_addrs: Vec<String> = self
-            .handles
-            .iter()
-            .map(|h| format!("\"{}\"", h.addr()))
-            .collect();
-        let mut extra = vec![
-            "\"coordinator\":true".to_string(),
-            format!("\"topology_version\":{}", self.topology.version),
-            format!("\"shards\":{}", self.topology.shards),
-            format!("\"width\":{}", self.topology.width),
-            format!("\"rows\":{}", pins.iter().map(|p| p.rows).sum::<u64>()),
-            format!("\"epoch\":{}", pins.iter().map(|p| p.epoch).sum::<u64>()),
-            format!("\"shard_rows\":[{}]", shard_rows.join(",")),
-            format!("\"shard_addrs\":[{}]", shard_addrs.join(",")),
-            format!("\"shard_width\":[{}]", shard_width.join(",")),
-            format!("\"scatter_us\":{}", self.scatter.to_json()),
-            format!("\"draining\":{}", self.is_draining()),
-        ];
-        extra.extend(ShardFaults::to_json_arrays(&self.faults));
-        self.metrics.to_json(&extra)
-    }
-
-    fn dispatch(&self, req: &Request) -> Response {
-        match req {
-            Request::Ping => Response::Ok(Reply::Pong),
-            Request::Count { items } => {
-                match self.count_many(std::slice::from_ref(items)) {
-                    Ok((supports, epoch, rows)) => Response::Ok(Reply::Count {
-                        support: supports[0],
-                        epoch,
-                        rows,
-                    }),
-                    Err(e) => self.fail("count", e),
-                }
-            }
-            Request::CountMany { itemsets } => {
-                let work: usize = itemsets.iter().map(|s| s.len().max(1)).sum();
-                if work > COUNT_MANY_MAX_WORK {
-                    self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
-                    return Response::Overloaded;
-                }
-                self.metrics
-                    .count_many_batch
-                    .record(itemsets.len() as u64);
-                match self.count_many(itemsets) {
-                    Ok((supports, epoch, rows)) => Response::Ok(Reply::CountMany {
-                        supports,
-                        epoch,
-                        rows,
-                    }),
-                    Err(e) => self.fail("count_many", e),
-                }
-            }
-            Request::Insert { req_id, txns } => self.insert(*req_id, txns),
-            Request::Delete { req_id, tids } => self.delete(*req_id, tids),
-            Request::Maintain { action, arg } => self.maintain(*action, *arg),
-            Request::Mine {
-                scheme,
-                threshold,
-                threads,
-            } => match self.mine(*scheme, *threshold, usize::from(*threads)) {
-                Ok((result, epoch, rows)) => {
-                    let mut patterns: Vec<(Vec<u32>, u64, bool)> = result
-                        .patterns
-                        .sorted()
-                        .into_iter()
-                        .map(|p| {
-                            let approx = result.approx_supports.contains(&p.items);
-                            let items = p.items.items().iter().map(|i| i.0).collect();
-                            (items, p.support, approx)
-                        })
-                        .collect();
-                    patterns.sort();
-                    Response::Ok(Reply::Mine {
-                        epoch,
-                        rows,
-                        patterns,
-                    })
-                }
-                Err(e) => self.fail("mine", e),
-            },
-            Request::Probe { row } => match self.probe(*row) {
-                Ok(txn) => Response::Ok(Reply::Probe { txn }),
-                Err(e) => self.fail("probe", e),
-            },
-            Request::Stats => Response::Ok(Reply::Stats {
-                json: self.stats_json(),
-            }),
-            Request::Shutdown => {
-                self.begin_drain();
-                Response::Ok(Reply::ShuttingDown)
-            }
-            Request::Replicate { .. } | Request::Promote => Response::Err(
-                "replication endpoints are not served by a coordinator; address the shard \
-                 servers directly"
-                    .into(),
-            ),
-            Request::SnapshotPin | Request::CountManyAt { .. } | Request::Rows { .. } => {
-                Response::Err(
-                    "snapshot pins are not served by a coordinator; pin each shard server \
-                     individually"
-                        .into(),
-                )
-            }
-        }
+        self.router.nodes()
     }
 }
 
 impl RequestHandler for CoordinatorEngine {
-    fn handle(&self, req: &Request) -> Response {
-        let start = Instant::now();
-        let opcode = req.opcode();
-        if let Some(ep) = self.metrics.endpoint(opcode) {
-            ep.requests.fetch_add(1, Ordering::Relaxed);
-        }
-        let resp = self.dispatch(req);
-        if let Some(ep) = self.metrics.endpoint(opcode) {
-            ep.latency_us
-                .record(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-            if matches!(resp, Response::Err(_) | Response::ShardUnavailable(_, _)) {
-                ep.errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        resp
+    fn dispatch(&self, req: &Request) -> Response {
+        self.router.dispatch(req)
     }
 
     fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
+        self.router.is_draining()
     }
 
     fn begin_drain(&self) {
-        // Draining a coordinator stops *it* from admitting requests; the
-        // shard servers keep running (other coordinators or operators
-        // may still be using them).
-        self.draining.store(true, Ordering::Release);
+        self.router.begin_drain()
     }
 
     fn join(&self) {
-        self.begin_drain();
+        self.router.join()
     }
 
     fn metrics(&self) -> &Arc<ServerMetrics> {
-        &self.metrics
-    }
-}
-
-/// An in-memory per-shard counter for the distributed mine path: exact
-/// per-shard BBS estimates (an exact answer satisfies every τ budget),
-/// so cross-shard sums are exactly the global estimates.
-struct MemShard<'a> {
-    bbs: &'a bbs_core::Bbs,
-}
-
-impl bbs_shard::ShardCounter for MemShard<'_> {
-    fn count(&mut self, itemset: &Itemset, _tau: Option<u64>) -> io::Result<u64> {
-        let mut io = IoStats::new();
-        Ok(self.bbs.est_count(itemset, &mut io))
-    }
-
-    fn count_extensions(
-        &mut self,
-        prefix: &Itemset,
-        extensions: &[ItemId],
-        _tau: Option<u64>,
-    ) -> io::Result<Vec<u64>> {
-        let mut io = IoStats::new();
-        Ok(extensions
-            .iter()
-            .map(|&e| self.bbs.est_count(&prefix.with_item(e), &mut io))
-            .collect())
+        self.router.metrics()
     }
 }

@@ -1,14 +1,14 @@
 //! [`RemoteShardHandle`]: one shard of a distributed deployment, reached
 //! over the wire protocol.
 //!
-//! The handle implements the same [`ShardHandle`]/[`ShardCounter`] seam a
-//! local shard does, so the gather layer (`bbs_shard::gather`, with its
-//! scaled-τ cross-shard scheme) runs unchanged over remote nodes.  Under
-//! the hood every call goes through a [`RetryClient`] — per-request
-//! timeouts, capped exponential backoff with jitter, reconnect after
-//! transport failures — and counting runs against a **pinned epoch** so
-//! the τ scheme's re-queries patch the same snapshot the first pass
-//! scattered over.
+//! The handle is a `bbs_server` [`Node`] — the same seam a local shard
+//! engine fills — so the one [`bbs_server::Router`] and the gather layer
+//! (`bbs_shard::gather`, with its scaled-τ cross-shard scheme) run
+//! unchanged over remote nodes.  Under the hood every call goes through a
+//! [`RetryClient`] — per-request timeouts, capped exponential backoff
+//! with jitter, reconnect after transport failures — and counting runs
+//! against a **pinned epoch** so the τ scheme's re-queries patch the same
+//! snapshot the first pass scattered over.
 //!
 //! # Failure model
 //!
@@ -27,20 +27,33 @@
 //!    the handle promotes the follower, re-points itself at it, re-pins,
 //!    and retries the call once.  Without a follower — or if the follower
 //!    is also unreachable — the handle records itself *unavailable* with
-//!    a message naming the shard, which the coordinator surfaces as a
-//!    typed `SHARD_UNAVAILABLE` response instead of a silently-wrong
-//!    partial total.
+//!    a message naming the shard, which the router surfaces as a typed
+//!    `SHARD_UNAVAILABLE` response instead of a silently-wrong partial
+//!    total.
 
+use bbs_core::Bbs;
+use bbs_hash::{ItemHasher, Md5BloomHasher, ModuloHasher};
 use bbs_server::{
-    maintain_action, ClientError, ClientResult, DeleteReply, InsertReply, MaintainReply, PinReply,
-    RetryClient, RetryPolicy, ServerAddr, ShardFaults,
+    json_column, maintain_action, ClientError, ClientResult, Gauge, Node, PinReply, Request,
+    Response, RetryClient, RetryPolicy, ServerAddr, ShardFaults,
 };
-use bbs_shard::{ShardCounter, ShardHandle};
-use bbs_tdb::{ItemId, Itemset};
+use bbs_shard::{scatter, ShardHandle};
+use bbs_tdb::{IoStats, Itemset, Transaction, TransactionDb};
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Reconstructs the hash family an identity string names (`md5/K`,
+/// `mod/1`): re-indexing a shard's rows for mining needs the actual
+/// functions, not just their name.
+pub fn hasher_for_id(id: &str) -> Option<Arc<dyn ItemHasher>> {
+    if id == "mod/1" {
+        return Some(Arc::new(ModuloHasher));
+    }
+    let k: usize = id.strip_prefix("md5/")?.parse().ok()?;
+    (k > 0).then(|| Arc::new(Md5BloomHasher::new(k)) as Arc<dyn ItemHasher>)
+}
 
 /// Connection knobs for one remote shard.
 #[derive(Debug, Clone)]
@@ -78,6 +91,10 @@ impl Inner {
 /// One shard of a distributed deployment, addressed over TCP.
 pub struct RemoteShardHandle {
     shard: u32,
+    /// The slice width and hasher identity the shard served at connect —
+    /// what a coordinator validated against its topology, and therefore
+    /// the shape every shard's rows are re-indexed in for mining.
+    shape: (usize, String),
     opts: RemoteOptions,
     faults: Arc<ShardFaults>,
     inner: Mutex<Inner>,
@@ -95,8 +112,9 @@ impl RemoteShardHandle {
         opts: RemoteOptions,
         faults: Arc<ShardFaults>,
     ) -> io::Result<RemoteShardHandle> {
-        let handle = RemoteShardHandle {
+        let mut handle = RemoteShardHandle {
             shard,
+            shape: (0, String::new()),
             opts: opts.clone(),
             faults,
             inner: Mutex::new(Inner {
@@ -107,12 +125,13 @@ impl RemoteShardHandle {
             }),
             unavailable: Mutex::new(None),
         };
-        handle.repin().map_err(|e| {
+        let pin = handle.repin().map_err(|e| {
             io::Error::new(
                 io::ErrorKind::ConnectionRefused,
                 format!("shard {shard} at {primary}: {e}"),
             )
         })?;
+        handle.shape = (pin.width as usize, pin.hasher);
         Ok(handle)
     }
 
@@ -251,37 +270,12 @@ impl RemoteShardHandle {
         })
     }
 
-    /// Inserts this shard's partition of a batch, reusing the caller's
-    /// request ID so exactly-once composes end-to-end: a coordinator
-    /// retry re-sends the same ID and the shard's window answers with
-    /// the original receipt.
-    pub fn insert_with_id(
-        &self,
-        req_id: u64,
-        txns: &[(u64, Vec<u32>)],
-    ) -> ClientResult<InsertReply> {
-        self.call(|c| c.insert_with_id(req_id, txns))
-    }
-
-    /// Tombstones this shard's partition of a delete batch, reusing the
-    /// caller's request ID — the same exactly-once composition as
-    /// inserts: a coordinator retry re-sends the same ID and the shard's
-    /// window answers with the original receipt.
-    pub fn delete_with_id(&self, req_id: u64, tids: &[u64]) -> ClientResult<DeleteReply> {
-        self.call(|c| c.delete_with_id(req_id, tids))
-    }
-
-    /// Runs one maintenance action on the shard and returns its health
-    /// report.  Compaction and folds swap the shard's snapshot (the
-    /// server evicts every pin), so any action that may rewrite files
-    /// drops the local pin — the next pinned read re-pins the post-swap
-    /// snapshot instead of burning its one stale-pin retry.
-    pub fn maintain(&self, action: u8, arg: u64) -> ClientResult<MaintainReply> {
-        let out = self.call(|c| c.maintain(action, arg));
-        if out.is_ok() && action != maintain_action::PROBE_FPR {
-            self.lock().pin = None;
+    /// The epoch pinned reads run against, pinning one if none is held.
+    fn pinned_epoch(&self) -> ClientResult<u64> {
+        match self.pin() {
+            Some(pin) => Ok(pin.epoch),
+            None => Ok(self.repin()?.epoch),
         }
-        out
     }
 
     /// Batched counting against the current pin, re-pinning once if the
@@ -292,10 +286,7 @@ impl RemoteShardHandle {
         tau: Option<u64>,
     ) -> ClientResult<Vec<u64>> {
         for _ in 0..2 {
-            let epoch = match self.pin() {
-                Some(pin) => pin.epoch,
-                None => self.repin()?.epoch,
-            };
+            let epoch = self.pinned_epoch()?;
             match self.call(|c| c.count_many_at(epoch, itemsets, tau)) {
                 Ok(reply) => return Ok(reply.supports),
                 Err(ClientError::Server(msg)) if msg.starts_with("stale pin") => {
@@ -311,23 +302,13 @@ impl RemoteShardHandle {
         )))
     }
 
-    /// Pulls one row of the pinned snapshot (`None` past the end) — the
-    /// remote leg of a coordinator probe.
-    pub fn pull_row_at(&self, epoch: u64, row: u64) -> ClientResult<Option<(u64, Vec<u32>)>> {
-        let reply = self.call(|c| c.rows(epoch, row, 1))?;
-        Ok(reply.txns.into_iter().next())
-    }
-
     /// Pulls every transaction of the current pin, in row order, chunked
     /// under the server's per-reply row and byte budgets.
     pub fn pull_rows(&self) -> ClientResult<Vec<(u64, Vec<u32>)>> {
         const CHUNK: u32 = 8192;
         let mut txns: Vec<(u64, Vec<u32>)> = Vec::new();
         loop {
-            let epoch = match self.pin() {
-                Some(pin) => pin.epoch,
-                None => self.repin()?.epoch,
-            };
+            let epoch = self.pinned_epoch()?;
             let from = txns.len() as u64;
             match self.call(|c| c.rows(epoch, from, CHUNK)) {
                 Ok(reply) => {
@@ -367,9 +348,16 @@ fn to_io(e: ClientError) -> io::Error {
     }
 }
 
-impl ShardHandle for RemoteShardHandle {
+/// One pin of a remote shard: the handle plus the epoch and row count
+/// the shard reported when this request pinned it.
+pub struct RemotePin<'a> {
+    handle: &'a RemoteShardHandle,
+    pin: PinReply,
+}
+
+impl ShardHandle for RemotePin<'_> {
     fn rows(&self) -> u64 {
-        self.pin().map(|p| p.rows).unwrap_or(0)
+        self.pin.rows
     }
 
     fn count_many(&self, itemsets: &[Itemset], tau: Option<u64>) -> io::Result<Vec<u64>> {
@@ -377,23 +365,103 @@ impl ShardHandle for RemoteShardHandle {
             .iter()
             .map(|s| s.items().iter().map(|i| i.0).collect())
             .collect();
-        self.count_many_pinned(&sets, tau).map_err(to_io)
+        self.handle.count_many_pinned(&sets, tau).map_err(to_io)
     }
 }
 
-impl ShardCounter for &RemoteShardHandle {
-    fn count(&mut self, itemset: &Itemset, tau: Option<u64>) -> io::Result<u64> {
-        let counts = ShardHandle::count_many(*self, std::slice::from_ref(itemset), tau)?;
-        Ok(counts[0])
+impl Node for RemoteShardHandle {
+    type Pin<'a> = RemotePin<'a>;
+
+    fn pin<'a>(&'a self, _faults: &'a ShardFaults) -> io::Result<RemotePin<'a>> {
+        let pin = self.repin().map_err(to_io)?;
+        Ok(RemotePin { handle: self, pin })
     }
 
-    fn count_extensions(
-        &mut self,
-        prefix: &Itemset,
-        extensions: &[ItemId],
-        tau: Option<u64>,
-    ) -> io::Result<Vec<u64>> {
-        let sets: Vec<Itemset> = extensions.iter().map(|&e| prefix.with_item(e)).collect();
-        ShardHandle::count_many(*self, &sets, tau)
+    /// Every pin is a round trip, so a cut of N shards costs one.
+    fn pin_all<'a>(
+        nodes: &'a [Self],
+        faults: &'a [Arc<ShardFaults>],
+    ) -> io::Result<Vec<RemotePin<'a>>> {
+        scatter(nodes, |i, node| Node::pin(node, &faults[i]))
+    }
+
+    fn epoch(pin: &RemotePin<'_>) -> u64 {
+        pin.pin.epoch
+    }
+
+    /// Pulls the pinned rows over chunked `rows` frames and re-indexes
+    /// them at the shape the shard served at connect.
+    fn load(pin: &RemotePin<'_>) -> io::Result<(TransactionDb, Bbs)> {
+        let (width, hasher_id) = &pin.handle.shape;
+        let hasher = hasher_for_id(hasher_id).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "cannot mine through hasher {hasher_id:?}: no local construction for this \
+                     identity"
+                ),
+            )
+        })?;
+        let mut db = TransactionDb::new();
+        let mut bbs = Bbs::new(*width, hasher);
+        let mut stats = IoStats::new();
+        for (tid, items) in pin.handle.pull_rows().map_err(to_io)? {
+            let txn = Transaction::new(tid, Itemset::from_values(&items));
+            bbs.insert(&txn, &mut stats);
+            db.push(txn);
+        }
+        Ok((db, bbs))
+    }
+
+    fn row(pin: &RemotePin<'_>, row: u64) -> io::Result<Option<(u64, Vec<u32>)>> {
+        let reply = pin.handle.call(|c| c.rows(pin.pin.epoch, row, 1)).map_err(to_io)?;
+        Ok(reply.txns.into_iter().next())
+    }
+
+    /// Forwards the leg over the wire — re-sending is safe, because
+    /// inserts and deletes carry the client's request ID into the shard's
+    /// exactly-once window and maintenance is idempotent at its fixpoint —
+    /// and maps a failure back onto the response the shard (or the loss of
+    /// it) amounts to.  Compaction and folds swap the shard's snapshot
+    /// (the server evicts every pin), so a maintenance action that may
+    /// have rewritten files drops the local pin: the next pinned read
+    /// re-pins the post-swap snapshot instead of burning its one
+    /// stale-pin retry.
+    fn leg(&self, req: &Request) -> Response {
+        match self.call(|c| c.request(req)) {
+            Ok(reply) => {
+                if matches!(req, Request::Maintain { action, .. } if *action != maintain_action::PROBE_FPR)
+                {
+                    self.lock().pin = None;
+                }
+                Response::Ok(reply)
+            }
+            Err(ClientError::Overloaded) => Response::Overloaded,
+            Err(ClientError::NotPrimary(primary)) => Response::NotPrimary(primary),
+            Err(ClientError::DiskFull) => Response::DiskFull,
+            Err(e @ (ClientError::Server(_) | ClientError::Protocol(_))) => {
+                Response::Err(e.to_string())
+            }
+            Err(e) => Response::ShardUnavailable(self.shard, format!("shard {}: {e}", self.shard)),
+        }
+    }
+
+    fn unavailable(&self) -> Option<String> {
+        RemoteShardHandle::unavailable(self)
+    }
+
+    /// The last pin, not a fresh one: rendering stats never waits on a
+    /// shard (all zeros while no pin is held).
+    fn gauge(&self) -> Gauge {
+        self.pin().map_or_else(Gauge::default, |pin| Gauge {
+            rows: pin.rows,
+            epoch: pin.epoch,
+            width: pin.width as usize,
+        })
+    }
+
+    fn stats_columns(nodes: &[Self]) -> Vec<String> {
+        let addrs = nodes.iter().map(|h| format!("\"{}\"", h.addr()));
+        vec![json_column("shard_addrs", addrs)]
     }
 }

@@ -320,7 +320,10 @@ impl Client {
         Ok(())
     }
 
-    fn call(&mut self, req: &Request) -> ClientResult<Reply> {
+    /// Sends one request and returns its OK body; every other response
+    /// status comes back as the matching [`ClientError`].  The typed
+    /// methods below are this plus a check that the body fits the request.
+    pub fn request(&mut self, req: &Request) -> ClientResult<Reply> {
         proto::write_frame(&mut self.stream, &req.encode())?;
         let payload = proto::read_frame(&mut self.stream)?.ok_or_else(|| {
             ClientError::Io(io::Error::new(
@@ -349,7 +352,7 @@ impl Client {
 
     /// Liveness check.
     pub fn ping(&mut self) -> ClientResult<()> {
-        match self.call(&Request::Ping)? {
+        match self.request(&Request::Ping)? {
             Reply::Pong => Ok(()),
             other => Self::mismatch(other),
         }
@@ -360,7 +363,7 @@ impl Client {
         let req = Request::Count {
             items: items.to_vec(),
         };
-        match self.call(&req)? {
+        match self.request(&req)? {
             Reply::Count {
                 support,
                 epoch,
@@ -382,7 +385,7 @@ impl Client {
         let req = Request::CountMany {
             itemsets: itemsets.iter().map(|s| s.to_vec()).collect(),
         };
-        match self.call(&req)? {
+        match self.request(&req)? {
             Reply::CountMany {
                 supports,
                 epoch,
@@ -414,7 +417,7 @@ impl Client {
             req_id,
             txns: txns.to_vec(),
         };
-        match self.call(&req)? {
+        match self.request(&req)? {
             Reply::Insert {
                 first_row,
                 appended,
@@ -442,7 +445,7 @@ impl Client {
             threshold,
             threads,
         };
-        match self.call(&req)? {
+        match self.request(&req)? {
             Reply::Mine {
                 epoch,
                 rows,
@@ -458,7 +461,7 @@ impl Client {
 
     /// Fetches the transaction at `row` (`None` past the snapshot's end).
     pub fn probe(&mut self, row: u64) -> ClientResult<Option<(u64, Vec<u32>)>> {
-        match self.call(&Request::Probe { row })? {
+        match self.request(&Request::Probe { row })? {
             Reply::Probe { txn } => Ok(txn),
             other => Self::mismatch(other),
         }
@@ -466,7 +469,7 @@ impl Client {
 
     /// Fetches the server's metrics document (JSON).
     pub fn stats(&mut self) -> ClientResult<String> {
-        match self.call(&Request::Stats)? {
+        match self.request(&Request::Stats)? {
             Reply::Stats { json } => Ok(json),
             other => Self::mismatch(other),
         }
@@ -488,7 +491,7 @@ impl Client {
             from_dseq,
             max_entries,
         };
-        match self.call(&req)? {
+        match self.request(&req)? {
             Reply::LogEntries { rows, entries } => Ok(ReplicateReply { rows, entries }),
             other => Self::mismatch(other),
         }
@@ -503,7 +506,7 @@ impl Client {
             req_id,
             tids: tids.to_vec(),
         };
-        match self.call(&req)? {
+        match self.request(&req)? {
             Reply::Delete {
                 deleted,
                 epoch,
@@ -527,7 +530,7 @@ impl Client {
     /// re-hashing at `arg` bits), fold the width in half, or let the
     /// server's policy decide.
     pub fn maintain(&mut self, action: u8, arg: u64) -> ClientResult<MaintainReply> {
-        match self.call(&Request::Maintain { action, arg })? {
+        match self.request(&Request::Maintain { action, arg })? {
             Reply::Maintain {
                 action_taken,
                 width,
@@ -547,7 +550,7 @@ impl Client {
 
     /// Promotes the server to primary (idempotent on a primary).
     pub fn promote(&mut self) -> ClientResult<PromoteReply> {
-        match self.call(&Request::Promote)? {
+        match self.request(&Request::Promote)? {
             Reply::Promoted { epoch, rows } => Ok(PromoteReply { epoch, rows }),
             other => Self::mismatch(other),
         }
@@ -558,7 +561,7 @@ impl Client {
     /// The pin keeps that snapshot answerable by `count_many_at` and
     /// `rows` until it is evicted by newer pins.
     pub fn snapshot_pin(&mut self) -> ClientResult<PinReply> {
-        match self.call(&Request::SnapshotPin)? {
+        match self.request(&Request::SnapshotPin)? {
             Reply::SnapshotPinned {
                 epoch,
                 rows,
@@ -594,7 +597,7 @@ impl Client {
             itemsets: itemsets.to_vec(),
             tau,
         };
-        match self.call(&req)? {
+        match self.request(&req)? {
             Reply::CountsAt { epoch, supports } => Ok(CountsAtReply { epoch, supports }),
             other => Self::mismatch(other),
         }
@@ -604,7 +607,7 @@ impl Client {
     /// row `from`.  The server may return fewer than `limit` (byte
     /// budget); keep pulling until `from + txns.len() == total`.
     pub fn rows(&mut self, epoch: u64, from: u64, limit: u32) -> ClientResult<RowsReply> {
-        match self.call(&Request::Rows { epoch, from, limit })? {
+        match self.request(&Request::Rows { epoch, from, limit })? {
             Reply::Rows { total, txns } => Ok(RowsReply { total, txns }),
             other => Self::mismatch(other),
         }
@@ -612,7 +615,7 @@ impl Client {
 
     /// Asks the server to drain and exit.
     pub fn shutdown_server(&mut self) -> ClientResult<()> {
-        match self.call(&Request::Shutdown)? {
+        match self.request(&Request::Shutdown)? {
             Reply::ShuttingDown => Ok(()),
             other => Self::mismatch(other),
         }
@@ -805,6 +808,12 @@ impl RetryClient {
         Err(last.unwrap_or_else(|| {
             ClientError::Protocol("retry budget exhausted before any attempt".into())
         }))
+    }
+
+    /// [`Client::request`] with retries.  The caller vouches that `req` is
+    /// safe to re-send: a read, or a write that carries a request ID.
+    pub fn request(&mut self, req: &Request) -> ClientResult<Reply> {
+        self.retry(|c| c.request(req))
     }
 
     /// Inserts with retries: one request ID is minted up front and

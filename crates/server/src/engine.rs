@@ -39,14 +39,15 @@
 //! and unit-testable without a socket.
 
 use crate::client::Client;
-use crate::metrics::ServerMetrics;
+use crate::metrics::{micros_since, ServerMetrics};
+use crate::net::RequestHandler;
 use crate::proto::{maintain_action, LogEntry, Reply, Request, Response};
 use bbs_core::Scheme;
 use bbs_hash::{ItemHasher, Md5BloomHasher};
 use bbs_storage::snapshot::{SharedDeployment, Snapshot};
 use bbs_storage::{deployment_paths, is_disk_full, read_entries};
 use bbs_storage::DEFAULT_DEDUP_WINDOW;
-use bbs_tdb::{FrequentPatternMiner, Itemset, SupportThreshold, Transaction};
+use bbs_tdb::{FrequentPatternMiner, Itemset, MineResult, SupportThreshold, Transaction};
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
@@ -71,7 +72,47 @@ const REPLICATE_MAX_BYTES: usize = 8 << 20;
 /// not its frame count: a batch of K itemsets costs what K independent
 /// counts would, so it must be charged as K counts' worth of work — one
 /// giant frame cannot sneak unbounded scanning past admission control.
-pub(crate) const COUNT_MANY_MAX_WORK: usize = 1 << 16;
+const COUNT_MANY_MAX_WORK: usize = 1 << 16;
+
+/// Admission control for one `count_many` batch, shared by every engine:
+/// charges the batch by its total item count (an empty itemset charges
+/// one unit), rejecting — and counting as overloaded — anything past
+/// [`COUNT_MANY_MAX_WORK`]; an admitted batch's size is recorded.
+pub(crate) fn admit_count_many(metrics: &ServerMetrics, itemsets: &[Vec<u32>]) -> bool {
+    let work: usize = itemsets.iter().map(|s| s.len().max(1)).sum();
+    if work > COUNT_MANY_MAX_WORK {
+        metrics.overloaded.fetch_add(1, Ordering::Relaxed);
+        return false;
+    }
+    metrics.count_many_batch.record(itemsets.len() as u64);
+    true
+}
+
+/// Shapes a mining result as the wire reply: `(items, support, approx)`
+/// per pattern, sorted.
+pub(crate) fn mine_reply(result: &MineResult, epoch: u64, rows: u64) -> Reply {
+    let mut patterns: Vec<(Vec<u32>, u64, bool)> = result
+        .patterns
+        .sorted()
+        .into_iter()
+        .map(|p| {
+            let approx = result.approx_supports.contains(&p.items);
+            let items = p.items.items().iter().map(|i| i.0).collect();
+            (items, p.support, approx)
+        })
+        .collect();
+    patterns.sort();
+    Reply::Mine {
+        epoch,
+        rows,
+        patterns,
+    }
+}
+
+/// A transaction as the wire carries it: `(tid, item values)`.
+pub(crate) fn wire_txn(txn: &Transaction) -> (u64, Vec<u32>) {
+    (txn.tid.0, txn.items.items().iter().map(|i| i.0).collect())
+}
 
 /// How many distinct epochs the snapshot pin table holds.  Pinning a
 /// fifth epoch evicts the oldest; a coordinator that then asks for the
@@ -453,31 +494,10 @@ impl Engine {
     pub fn join(&self) {
         self.begin_drain();
         self.maintain_stop.store(true, Ordering::Release);
-        let handle = self
-            .maintainer
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        if let Some(h) = handle {
-            h.join().ok();
-        }
+        reap(&self.maintainer);
         self.applier_stop.store(true, Ordering::Release);
-        let handle = self
-            .applier
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        if let Some(h) = handle {
-            h.join().ok();
-        }
-        let handle = self
-            .committer
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        if let Some(h) = handle {
-            h.join().ok();
-        }
+        reap(&self.applier);
+        reap(&self.committer);
     }
 
     /// This server's current replication role.
@@ -505,16 +525,21 @@ impl Engine {
             self.metrics.promotions.fetch_add(1, Ordering::Relaxed);
         }
         // Join outside the role lock: the applier may be mid-poll.
-        let handle = self
-            .applier
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        if let Some(h) = handle {
-            h.join().ok();
-        }
+        reap(&self.applier);
         let snap = self.shared.snapshot();
         (snap.epoch(), snap.rows())
+    }
+
+    /// On a follower, counts a rejected write and names the primary it
+    /// belongs to; `None` on a primary.
+    fn primary_elsewhere(&self) -> Option<String> {
+        match &*self.role.read().unwrap_or_else(|e| e.into_inner()) {
+            Role::Follower { primary } => {
+                self.metrics.not_primary.fetch_add(1, Ordering::Relaxed);
+                Some(primary.clone())
+            }
+            Role::Primary => None,
+        }
     }
 
     /// [`Engine::insert_with_id`] without a request ID (no dedup).
@@ -537,9 +562,8 @@ impl Engine {
                 deduped: false,
             };
         }
-        if let Role::Follower { primary } = &*self.role.read().unwrap_or_else(|e| e.into_inner()) {
-            self.metrics.not_primary.fetch_add(1, Ordering::Relaxed);
-            return InsertOutcome::NotPrimary(primary.clone());
+        if let Some(primary) = self.primary_elsewhere() {
+            return InsertOutcome::NotPrimary(primary);
         }
         if self.is_draining() {
             self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
@@ -620,9 +644,8 @@ impl Engine {
     /// `req_id` whose delete already committed is answered from the
     /// dedup window (`deduped = true`) without re-resolving.
     pub fn delete_tids(&self, req_id: u64, tids: &[u64]) -> Response {
-        if let Role::Follower { primary } = &*self.role.read().unwrap_or_else(|e| e.into_inner()) {
-            self.metrics.not_primary.fetch_add(1, Ordering::Relaxed);
-            return Response::NotPrimary(primary.clone());
+        if let Some(primary) = self.primary_elsewhere() {
+            return Response::NotPrimary(primary);
         }
         if self.is_draining() {
             self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
@@ -679,57 +702,28 @@ impl Engine {
     /// primary's); probing and `AUTO` (which degrades to a probe on a
     /// follower) are always allowed.
     fn serve_maintain(&self, action: u8, arg: u64) -> Response {
-        let is_follower_reject = |engine: &Engine| -> Option<Response> {
-            if let Role::Follower { primary } =
-                &*engine.role.read().unwrap_or_else(|e| e.into_inner())
-            {
-                engine.metrics.not_primary.fetch_add(1, Ordering::Relaxed);
-                return Some(Response::NotPrimary(primary.clone()));
-            }
-            None
-        };
         match action {
             maintain_action::PROBE_FPR => match self.probe_fpr(arg as usize) {
                 Ok(fpr) => self.maintain_reply(maintain_action::PROBE_FPR, fpr),
                 Err(e) => Response::Err(format!("fpr probe failed: {e}")),
             },
-            maintain_action::COMPACT => {
-                if let Some(reject) = is_follower_reject(self) {
-                    return reject;
+            maintain_action::COMPACT | maintain_action::FOLD => {
+                if let Some(primary) = self.primary_elsewhere() {
+                    return Response::NotPrimary(primary);
                 }
                 let fpr = match self.probe_fpr(0) {
                     Ok(fpr) => fpr,
                     Err(e) => return Response::Err(format!("fpr probe failed: {e}")),
                 };
-                let target = if arg == 0 { None } else { Some(arg as usize) };
-                match self.shared.compact(target) {
-                    Ok(_) => {
-                        self.metrics
-                            .maintenance_compactions
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.invalidate_pins();
-                        self.maintain_reply(maintain_action::COMPACT, fpr)
-                    }
-                    Err(e) => Response::Err(format!("compaction failed: {e}")),
-                }
-            }
-            maintain_action::FOLD => {
-                if let Some(reject) = is_follower_reject(self) {
-                    return reject;
-                }
-                let fpr = match self.probe_fpr(0) {
-                    Ok(fpr) => fpr,
-                    Err(e) => return Response::Err(format!("fpr probe failed: {e}")),
+                let (what, rewritten) = if action == maintain_action::FOLD {
+                    ("fold", self.fold())
+                } else {
+                    let target = if arg == 0 { None } else { Some(arg as usize) };
+                    ("compaction", self.compact(target))
                 };
-                match self.shared.fold() {
-                    Ok(_) => {
-                        self.metrics
-                            .maintenance_folds
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.invalidate_pins();
-                        self.maintain_reply(maintain_action::FOLD, fpr)
-                    }
-                    Err(e) => Response::Err(format!("fold failed: {e}")),
+                match rewritten {
+                    Ok(()) => self.maintain_reply(action, fpr),
+                    Err(e) => Response::Err(format!("{what} failed: {e}")),
                 }
             }
             maintain_action::AUTO => match self.maintain_auto(arg as usize) {
@@ -738,6 +732,27 @@ impl Engine {
             },
             k => Response::Err(format!("unknown maintenance action {k}")),
         }
+    }
+
+    /// Compacts the deployment (re-hashing at `target` bits when given),
+    /// counts it, and drops the pins the file swap made unservable.
+    fn compact(&self, target: Option<usize>) -> io::Result<()> {
+        self.shared.compact(target)?;
+        self.metrics
+            .maintenance_compactions
+            .fetch_add(1, Ordering::Relaxed);
+        self.invalidate_pins();
+        Ok(())
+    }
+
+    /// Folds the width in half, with the bookkeeping of [`Engine::compact`].
+    fn fold(&self) -> io::Result<()> {
+        self.shared.fold()?;
+        self.metrics
+            .maintenance_folds
+            .fetch_add(1, Ordering::Relaxed);
+        self.invalidate_pins();
+        Ok(())
     }
 
     fn maintain_reply(&self, action_taken: u8, fpr: f64) -> Response {
@@ -775,20 +790,12 @@ impl Engine {
         let snap = self.shared.snapshot();
         let width = self.shared.width();
         if fpr > self.cfg.fpr_hi && snap.live_rows() > 0 {
-            self.shared.compact(Some(width * 2))?;
-            self.metrics
-                .maintenance_compactions
-                .fetch_add(1, Ordering::Relaxed);
-            self.invalidate_pins();
+            self.compact(Some(width * 2))?;
             return Ok((maintain_action::COMPACT, fpr));
         }
         let rows = snap.rows();
         if rows > 0 && snap.deleted_rows() as f64 / rows as f64 >= self.cfg.dead_fraction_hi {
-            self.shared.compact(None)?;
-            self.metrics
-                .maintenance_compactions
-                .fetch_add(1, Ordering::Relaxed);
-            self.invalidate_pins();
+            self.compact(None)?;
             return Ok((maintain_action::COMPACT, fpr));
         }
         if fpr < self.cfg.fpr_lo
@@ -796,11 +803,7 @@ impl Engine {
             && width / 2 >= self.cfg.min_width
             && snap.live_rows() > 0
         {
-            self.shared.fold()?;
-            self.metrics
-                .maintenance_folds
-                .fetch_add(1, Ordering::Relaxed);
-            self.invalidate_pins();
+            self.fold()?;
             return Ok((maintain_action::FOLD, fpr));
         }
         Ok((maintain_action::PROBE_FPR, fpr))
@@ -861,23 +864,10 @@ impl Engine {
     /// draining — the transport layer watches [`Engine::is_draining`] and
     /// owns socket teardown.
     pub fn handle(&self, req: &Request) -> Response {
-        let start = Instant::now();
-        let opcode = req.opcode();
-        if let Some(ep) = self.metrics.endpoint(opcode) {
-            ep.requests.fetch_add(1, Ordering::Relaxed);
-        }
-        let resp = self.dispatch(req);
-        if let Some(ep) = self.metrics.endpoint(opcode) {
-            ep.latency_us
-                .record(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-            if matches!(resp, Response::Err(_)) {
-                ep.errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        resp
+        RequestHandler::handle(self, req)
     }
 
-    fn dispatch(&self, req: &Request) -> Response {
+    pub(crate) fn dispatch(&self, req: &Request) -> Response {
         match req {
             Request::Ping => Response::Ok(Reply::Pong),
             Request::Count { items } => match self.count(items) {
@@ -917,28 +907,13 @@ impl Engine {
                 threads,
             } => match self.mine(*scheme, *threshold, usize::from(*threads)) {
                 Ok((result, snap)) => {
-                    let mut patterns: Vec<(Vec<u32>, u64, bool)> = result
-                        .patterns
-                        .sorted()
-                        .into_iter()
-                        .map(|p| {
-                            let approx = result.approx_supports.contains(&p.items);
-                            let items = p.items.items().iter().map(|i| i.0).collect();
-                            (items, p.support, approx)
-                        })
-                        .collect();
-                    patterns.sort();
-                    Response::Ok(Reply::Mine {
-                        epoch: snap.epoch(),
-                        rows: snap.rows(),
-                        patterns,
-                    })
+                    Response::Ok(mine_reply(&result, snap.epoch(), snap.rows()))
                 }
                 Err(e) => Response::Err(format!("mine failed: {e}")),
             },
             Request::Probe { row } => match self.probe(*row) {
                 Ok(txn) => Response::Ok(Reply::Probe {
-                    txn: txn.map(|t| (t.tid.0, t.items.items().iter().map(|i| i.0).collect())),
+                    txn: txn.as_ref().map(wire_txn),
                 }),
                 Err(e) => Response::Err(format!("probe failed: {e}")),
             },
@@ -961,16 +936,9 @@ impl Engine {
                 Response::Ok(Reply::ShuttingDown)
             }
             Request::CountMany { itemsets } => {
-                // Admission by total work, not by frame: each itemset
-                // charges its item count (empty ones charge 1 unit).
-                let work: usize = itemsets.iter().map(|s| s.len().max(1)).sum();
-                if work > COUNT_MANY_MAX_WORK {
-                    self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
+                if !admit_count_many(&self.metrics, itemsets) {
                     return Response::Overloaded;
                 }
-                self.metrics
-                    .count_many_batch
-                    .record(itemsets.len() as u64);
                 match self.count_many(itemsets) {
                     Ok((supports, snap)) => Response::Ok(Reply::CountMany {
                         supports,
@@ -996,17 +964,12 @@ impl Engine {
                 itemsets,
                 tau,
             } => {
-                let work: usize = itemsets.iter().map(|s| s.len().max(1)).sum();
-                if work > COUNT_MANY_MAX_WORK {
-                    self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
+                if !admit_count_many(&self.metrics, itemsets) {
                     return Response::Overloaded;
                 }
                 let Some(snap) = self.pinned(*epoch) else {
                     return self.stale_pin(*epoch);
                 };
-                self.metrics
-                    .count_many_batch
-                    .record(itemsets.len() as u64);
                 let sets: Vec<Itemset> = itemsets
                     .iter()
                     .map(|items| Itemset::from_values(items))
@@ -1030,9 +993,8 @@ impl Engine {
                 while txns.len() < cap && bytes < ROWS_MAX_BYTES {
                     match snap.probe(row) {
                         Ok(Some(t)) => {
-                            let items: Vec<u32> = t.items.items().iter().map(|i| i.0).collect();
-                            bytes += 10 + 4 * items.len();
-                            txns.push((t.tid.0, items));
+                            bytes += 10 + 4 * t.items.len();
+                            txns.push(wire_txn(&t));
                             row += 1;
                         }
                         Ok(None) => break,
@@ -1104,11 +1066,7 @@ impl Engine {
             .entries
             .into_iter()
             .map(|e| {
-                let txns = e
-                    .txns
-                    .iter()
-                    .map(|t| (t.tid.0, t.items.items().iter().map(|i| i.0).collect()))
-                    .collect();
+                let txns = e.txns.iter().map(wire_txn).collect();
                 (e.first_row, txns, e.receipts, e.deletes)
             })
             .collect();
@@ -1119,6 +1077,15 @@ impl Engine {
 impl Drop for Engine {
     fn drop(&mut self) {
         self.join();
+    }
+}
+
+/// Takes a background thread's handle out of its slot and joins it (a
+/// no-op once taken, so joining twice is harmless).
+fn reap(slot: &Mutex<Option<JoinHandle<()>>>) {
+    let handle = slot.lock().unwrap_or_else(|e| e.into_inner()).take();
+    if let Some(h) = handle {
+        h.join().ok();
     }
 }
 
@@ -1243,7 +1210,7 @@ fn committer_loop(
         let start = Instant::now();
         match shared.commit_with(&txns, &receipts) {
             Ok(receipt) => {
-                let us = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+                let us = micros_since(start);
                 metrics.commit_us.record(us);
                 metrics.batch_size.record(txns.len() as u64);
                 for (job, disp) in jobs.into_iter().zip(dispositions) {
@@ -1389,9 +1356,7 @@ fn follower_loop(
                     };
                     match applied {
                         Ok(n) => {
-                            metrics
-                                .follower_apply_us
-                                .record(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+                            metrics.follower_apply_us.record(micros_since(t0));
                             metrics
                                 .follower_applied_batches
                                 .fetch_add(1, Ordering::Relaxed);

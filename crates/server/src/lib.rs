@@ -16,9 +16,10 @@
 //!   drain (in-flight requests answered, queued ingest committed).
 //! * [`metrics`] — lock-free per-endpoint counters and log2 latency
 //!   histograms, served as JSON by the `stats` endpoint.
-//! * [`sharded`] — the shard router: one [`ShardedEngine`] over N
-//!   TID-range shards, each a complete engine with its own committer
-//!   (inserts route by TID, reads scatter-gather and sum).
+//! * [`router`] — the scatter-gather [`Router`] over any N [`Node`]s
+//!   (inserts route by TID, reads scatter-gather and sum), and
+//!   [`sharded`] — [`ShardedEngine`], the router over the N engines of a
+//!   local shard directory, each with its own committer.
 //! * [`client`] — the matching client library ([`Client`]), one typed
 //!   method per endpoint, plus [`RetryClient`]: reconnect + exponential
 //!   backoff with jitter, and exactly-once inserts via stable request
@@ -40,6 +41,7 @@ pub mod engine;
 pub mod metrics;
 pub mod net;
 pub mod proto;
+pub mod router;
 pub mod sharded;
 
 pub use client::{
@@ -51,4 +53,7 @@ pub use engine::{resolve_threads, Engine, InsertOutcome, Role, ServerConfig};
 pub use metrics::{Endpoint, Histogram, ServerMetrics};
 pub use net::{serve, Bind, RequestHandler, ServerHandle};
 pub use proto::{maintain_action, LogEntry, Reply, Request, Response};
-pub use sharded::{ScatterMetrics, ShardFaults, ShardedEngine};
+pub use router::{
+    json_column, merge_receipts, Gauge, Node, Router, ScatterMetrics, ShardFaults,
+};
+pub use sharded::ShardedEngine;

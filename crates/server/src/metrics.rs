@@ -9,8 +9,14 @@
 //! batch sizes alike.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 const BUCKETS: usize = 64;
+
+/// Microseconds elapsed since `start`, as a histogram sample.
+pub(crate) fn micros_since(start: Instant) -> u64 {
+    start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
+}
 
 /// A log2-bucketed histogram of `u64` samples (latencies in µs, batch
 /// sizes, queue depths — anything positive and heavy-tailed).
@@ -157,6 +163,13 @@ pub struct ServerMetrics {
     pub delete: Endpoint,
     /// `maintain` endpoint (FPR probes, compactions, folds).
     pub maintain: Endpoint,
+    /// `snapshot_pin` endpoint (a coordinator pinning this shard's epoch).
+    pub snapshot_pin: Endpoint,
+    /// `count_many_at` endpoint (batched counting against a pinned epoch —
+    /// the shard-side leg of every coordinator count).
+    pub count_many_at: Endpoint,
+    /// `rows` endpoint (bulk row pulls for distributed mining and probes).
+    pub rows: Endpoint,
     /// Itemsets per `count_many` batch.
     pub count_many_batch: Histogram,
     /// Requests rejected by admission control.
@@ -218,23 +231,35 @@ impl ServerMetrics {
         ServerMetrics::default()
     }
 
+    /// Every tracked endpoint: its opcode, its name in the stats document,
+    /// and its counters.
+    fn endpoints(&self) -> [(u8, &'static str, &Endpoint); 14] {
+        use crate::proto::op;
+        [
+            (op::PING, "ping", &self.ping),
+            (op::COUNT, "count", &self.count),
+            (op::INSERT, "insert", &self.insert),
+            (op::MINE, "mine", &self.mine),
+            (op::PROBE, "probe", &self.probe),
+            (op::STATS, "stats", &self.stats),
+            (op::REPLICATE, "replicate", &self.replicate),
+            (op::PROMOTE, "promote", &self.promote),
+            (op::COUNT_MANY, "count_many", &self.count_many),
+            (op::DELETE, "delete", &self.delete),
+            (op::MAINTAIN, "maintain", &self.maintain),
+            (op::SNAPSHOT_PIN, "snapshot_pin", &self.snapshot_pin),
+            (op::COUNT_MANY_AT, "count_many_at", &self.count_many_at),
+            // Not "rows": that key is the engines' committed row count.
+            (op::ROWS, "rows_pull", &self.rows),
+        ]
+    }
+
     /// The endpoint slot for `opcode`, if it is a tracked endpoint.
     pub fn endpoint(&self, opcode: u8) -> Option<&Endpoint> {
-        use crate::proto::op;
-        match opcode {
-            op::PING => Some(&self.ping),
-            op::COUNT => Some(&self.count),
-            op::INSERT => Some(&self.insert),
-            op::MINE => Some(&self.mine),
-            op::PROBE => Some(&self.probe),
-            op::STATS => Some(&self.stats),
-            op::REPLICATE => Some(&self.replicate),
-            op::PROMOTE => Some(&self.promote),
-            op::COUNT_MANY => Some(&self.count_many),
-            op::DELETE => Some(&self.delete),
-            op::MAINTAIN => Some(&self.maintain),
-            _ => None,
-        }
+        self.endpoints()
+            .into_iter()
+            .find(|(op, ..)| *op == opcode)
+            .map(|(.., ep)| ep)
     }
 
     /// Renders the metrics (plus caller-supplied engine fields) as JSON.
@@ -242,86 +267,40 @@ impl ServerMetrics {
     /// `extra` is a list of already-rendered `"key":value` fragments the
     /// engine contributes (epoch, rows, storage counters).
     pub fn to_json(&self, extra: &[String]) -> String {
-        let mut fields = vec![
-            format!("\"ping\":{}", self.ping.to_json()),
-            format!("\"count\":{}", self.count.to_json()),
-            format!("\"insert\":{}", self.insert.to_json()),
-            format!("\"mine\":{}", self.mine.to_json()),
-            format!("\"probe\":{}", self.probe.to_json()),
-            format!("\"stats\":{}", self.stats.to_json()),
-            format!("\"replicate\":{}", self.replicate.to_json()),
-            format!("\"promote\":{}", self.promote.to_json()),
-            format!("\"count_many\":{}", self.count_many.to_json()),
-            format!("\"delete\":{}", self.delete.to_json()),
-            format!("\"maintain\":{}", self.maintain.to_json()),
-            format!(
-                "\"count_many_batch\":{}",
-                self.count_many_batch.to_json()
-            ),
-            format!("\"overloaded\":{}", self.overloaded.load(Ordering::Relaxed)),
-            format!("\"dedup_hits\":{}", self.dedup_hits.load(Ordering::Relaxed)),
-            format!("\"disk_full\":{}", self.disk_full.load(Ordering::Relaxed)),
-            format!(
-                "\"frame_errors\":{}",
-                self.frame_errors.load(Ordering::Relaxed)
-            ),
-            format!(
-                "\"connections\":{}",
-                self.connections.load(Ordering::Relaxed)
-            ),
-            format!(
-                "\"queue_depth\":{}",
-                self.queue_depth.load(Ordering::Relaxed)
-            ),
-            format!("\"batch_size\":{}", self.batch_size.to_json()),
-            format!("\"commit_us\":{}", self.commit_us.to_json()),
-            format!(
-                "\"not_primary\":{}",
-                self.not_primary.load(Ordering::Relaxed)
-            ),
-            format!("\"promotions\":{}", self.promotions.load(Ordering::Relaxed)),
-            format!(
-                "\"replication_lag_rows\":{}",
-                self.replication_lag_rows.load(Ordering::Relaxed)
-            ),
-            format!(
-                "\"follower_applied_batches\":{}",
-                self.follower_applied_batches.load(Ordering::Relaxed)
-            ),
-            format!(
-                "\"follower_apply_us\":{}",
-                self.follower_apply_us.to_json()
-            ),
-            format!(
-                "\"follower_pull_rows\":{}",
-                self.follower_pull_rows.to_json()
-            ),
-            format!(
-                "\"follower_resyncs\":{}",
-                self.follower_resyncs.load(Ordering::Relaxed)
-            ),
-            format!(
-                "\"pin_evictions\":{}",
-                self.pin_evictions.load(Ordering::Relaxed)
-            ),
-            format!("\"stale_pins\":{}", self.stale_pins.load(Ordering::Relaxed)),
-            format!(
-                "\"maintenance_runs\":{}",
-                self.maintenance_runs.load(Ordering::Relaxed)
-            ),
-            format!(
-                "\"maintenance_compactions\":{}",
-                self.maintenance_compactions.load(Ordering::Relaxed)
-            ),
-            format!(
-                "\"maintenance_folds\":{}",
-                self.maintenance_folds.load(Ordering::Relaxed)
-            ),
+        let mut fields: Vec<String> = self
+            .endpoints()
+            .into_iter()
+            .map(|(_, name, ep)| format!("\"{name}\":{}", ep.to_json()))
+            .collect();
+        let counter = |name: &str, c: &AtomicU64| format!("\"{name}\":{}", c.load(Ordering::Relaxed));
+        let hist = |name: &str, h: &Histogram| format!("\"{name}\":{}", h.to_json());
+        fields.extend([
+            hist("count_many_batch", &self.count_many_batch),
+            counter("overloaded", &self.overloaded),
+            counter("dedup_hits", &self.dedup_hits),
+            counter("disk_full", &self.disk_full),
+            counter("frame_errors", &self.frame_errors),
+            counter("connections", &self.connections),
+            counter("queue_depth", &self.queue_depth),
+            hist("batch_size", &self.batch_size),
+            hist("commit_us", &self.commit_us),
+            counter("not_primary", &self.not_primary),
+            counter("promotions", &self.promotions),
+            counter("replication_lag_rows", &self.replication_lag_rows),
+            counter("follower_applied_batches", &self.follower_applied_batches),
+            hist("follower_apply_us", &self.follower_apply_us),
+            hist("follower_pull_rows", &self.follower_pull_rows),
+            counter("follower_resyncs", &self.follower_resyncs),
+            counter("pin_evictions", &self.pin_evictions),
+            counter("stale_pins", &self.stale_pins),
+            counter("maintenance_runs", &self.maintenance_runs),
+            counter("maintenance_compactions", &self.maintenance_compactions),
+            counter("maintenance_folds", &self.maintenance_folds),
             format!(
                 "\"last_measured_fpr\":{:.6}",
                 f64::from_bits(self.last_measured_fpr_bits.load(Ordering::Relaxed))
             ),
-        ];
+        ]);
         fields.extend(extra.iter().cloned());
         format!("{{{}}}", fields.join(","))
     }
@@ -392,6 +371,9 @@ mod tests {
             op::COUNT_MANY,
             op::DELETE,
             op::MAINTAIN,
+            op::SNAPSHOT_PIN,
+            op::COUNT_MANY_AT,
+            op::ROWS,
         ] {
             assert!(m.endpoint(opc).is_some());
         }

@@ -1,5 +1,5 @@
 //! The transport layer: TCP and Unix-socket listeners over any
-//! [`RequestHandler`] — a single [`Engine`] or a sharded router.
+//! [`RequestHandler`] — a single [`Engine`] or a router over many shards.
 //!
 //! Accept loops run non-blocking and poll a shutdown flag between accept
 //! attempts; connection handlers run blocking with a short read timeout
@@ -25,7 +25,7 @@
 //! its connection closes.
 
 use crate::engine::Engine;
-use crate::metrics::ServerMetrics;
+use crate::metrics::{micros_since, ServerMetrics};
 use crate::proto::{self, Request, Response};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -44,12 +44,35 @@ const POLL_TICK: Duration = Duration::from_millis(50);
 /// client cannot pin a handler thread forever).
 const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
 
+/// How far ahead of the received bytes a payload buffer may grow.
+const PAYLOAD_STEP: usize = 64 << 10;
+
 /// What the transport needs from the thing it fronts — the seam that
 /// lets the same listeners, framing, drain and metrics accounting serve
-/// a single [`Engine`] or a sharded router of many engines.
+/// a single [`Engine`] or a router over many shards.  An engine supplies
+/// [`RequestHandler::dispatch`]; the endpoint accounting around it is
+/// written once, here.
 pub trait RequestHandler: Send + Sync + 'static {
-    /// Serves one decoded request (recording its endpoint metrics).
-    fn handle(&self, req: &Request) -> Response;
+    /// Executes one decoded request.
+    fn dispatch(&self, req: &Request) -> Response;
+
+    /// Serves one decoded request, recording its endpoint metrics: the
+    /// request count, the handler latency, and whether it failed.
+    fn handle(&self, req: &Request) -> Response {
+        let start = Instant::now();
+        let endpoint = self.metrics().endpoint(req.opcode());
+        if let Some(ep) = endpoint {
+            ep.requests.fetch_add(1, Ordering::Relaxed);
+        }
+        let resp = self.dispatch(req);
+        if let Some(ep) = endpoint {
+            ep.latency_us.record(micros_since(start));
+            if matches!(resp, Response::Err(_) | Response::ShardUnavailable(..)) {
+                ep.errors.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        resp
+    }
 
     /// True once a drain has begun: accept loops stop admitting and
     /// handlers close after their in-flight response.
@@ -62,13 +85,14 @@ pub trait RequestHandler: Send + Sync + 'static {
     /// Idempotent; called once by [`ServerHandle::join`].
     fn join(&self);
 
-    /// The transport-level metrics sink (connections, frame errors).
+    /// The metrics sink: per-endpoint counters plus the transport's own
+    /// (connections, frame errors).
     fn metrics(&self) -> &Arc<ServerMetrics>;
 }
 
 impl RequestHandler for Engine {
-    fn handle(&self, req: &Request) -> Response {
-        Engine::handle(self, req)
+    fn dispatch(&self, req: &Request) -> Response {
+        Engine::dispatch(self, req)
     }
 
     fn is_draining(&self) -> bool {
@@ -326,87 +350,51 @@ fn accept_loop<H: RequestHandler>(
 
 /// Reads exactly `buf.len()` bytes, tolerating read-timeout ticks.
 ///
-/// Returns `Ok(false)` on clean EOF *before the first byte*; an EOF or a
-/// blown deadline mid-buffer is an error.  `give_up` is consulted at
-/// every tick — but only **between** frames (`deadline == None`); once a
-/// frame has started we finish reading it regardless, so a shutdown never
-/// truncates a request mid-parse.
+/// `started` is when the frame these bytes belong to began arriving:
+/// `None` between frames, where a clean EOF before the first byte returns
+/// `Ok(false)` and `give_up` is consulted at every idle tick.  Once a
+/// frame has started — from its first byte, or from the caller's
+/// `started` — its remainder must land within [`REQUEST_DEADLINE`]; EOF
+/// or a blown deadline mid-frame is an error, and `give_up` is no longer
+/// asked, so a shutdown never truncates a request mid-parse.
 fn read_full(
-    conn: &mut Conn,
+    conn: &mut impl Read,
     buf: &mut [u8],
     give_up: &dyn Fn() -> bool,
-    started: Option<Instant>,
+    mut started: Option<Instant>,
 ) -> io::Result<bool> {
     let mut filled = 0;
     while filled < buf.len() {
         match conn.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 && started.is_none() {
-                    return Ok(false);
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ));
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                match started {
-                    // Between frames: idle tick — bail if shutting down.
-                    None if filled == 0 => {
-                        if give_up() {
-                            return Err(io::Error::new(
-                                io::ErrorKind::ConnectionAborted,
-                                "server shutting down",
-                            ));
-                        }
-                    }
-                    // Mid-frame: enforce the per-request deadline.
-                    _ => {
-                        let t0 = started.unwrap_or_else(Instant::now);
-                        if t0.elapsed() > REQUEST_DEADLINE {
-                            return Err(io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                "request frame did not arrive within the deadline",
-                            ));
-                        }
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-        if filled > 0 && started.is_none() {
-            // The frame has started; switch to deadline accounting.
-            return read_full_rest(conn, buf, filled);
-        }
-    }
-    Ok(true)
-}
-
-fn read_full_rest(conn: &mut Conn, buf: &mut [u8], mut filled: usize) -> io::Result<bool> {
-    let started = Instant::now();
-    while filled < buf.len() {
-        match conn.read(&mut buf[filled..]) {
+            Ok(0) if started.is_none() => return Ok(false),
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "connection closed mid-frame",
                 ))
             }
-            Ok(n) => filled += n,
+            Ok(n) => {
+                filled += n;
+                started.get_or_insert_with(Instant::now);
+            }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if started.elapsed() > REQUEST_DEADLINE {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "request frame did not arrive within the deadline",
-                    ));
+                match started {
+                    None if give_up() => {
+                        return Err(io::Error::new(
+                            io::ErrorKind::ConnectionAborted,
+                            "server shutting down",
+                        ))
+                    }
+                    Some(t0) if t0.elapsed() > REQUEST_DEADLINE => {
+                        return Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "request frame did not arrive within the deadline",
+                        ))
+                    }
+                    _ => {}
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -414,6 +402,26 @@ fn read_full_rest(conn: &mut Conn, buf: &mut [u8], mut filled: usize) -> io::Res
         }
     }
     Ok(true)
+}
+
+/// Reads an `n`-byte payload whose frame began arriving at `started`,
+/// growing the buffer at most [`PAYLOAD_STEP`] ahead of the bytes that
+/// have actually arrived: a length prefix is a claim, and a peer that
+/// makes a large one and then stalls holds one step of memory — not the
+/// [`proto::MAX_FRAME`] it announced — until the deadline closes it.
+fn read_payload(
+    conn: &mut impl Read,
+    n: usize,
+    give_up: &dyn Fn() -> bool,
+    started: Instant,
+) -> io::Result<Vec<u8>> {
+    let mut payload = Vec::new();
+    while payload.len() < n {
+        let have = payload.len();
+        payload.resize(n.min(have + PAYLOAD_STEP), 0);
+        read_full(conn, &mut payload[have..], give_up, Some(started))?;
+    }
+    Ok(payload)
 }
 
 /// Serves one connection until EOF, error, or shutdown.
@@ -447,10 +455,9 @@ fn handle_connection<H: RequestHandler>(
             proto::write_frame(&mut conn, &resp.encode()).ok();
             return;
         }
-        let mut payload = vec![0u8; n];
-        if read_full(&mut conn, &mut payload, &give_up, Some(Instant::now())).is_err() {
+        let Ok(payload) = read_payload(&mut conn, n, &give_up, Instant::now()) else {
             return;
-        }
+        };
         let req = match Request::decode(&payload) {
             Ok(req) => req,
             Err(e) => {
@@ -479,5 +486,33 @@ fn handle_connection<H: RequestHandler>(
             // requests are read on this connection.
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A peer that has gone quiet: every read times out.
+    struct Stalled;
+
+    impl Read for Stalled {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::WouldBlock.into())
+        }
+    }
+
+    /// A frame that started arriving longer ago than the deadline allows
+    /// is abandoned at the next tick — whatever its prefix announced — and
+    /// between frames the same silence is only a reason to ask `give_up`.
+    #[test]
+    fn a_stalled_payload_is_closed_at_the_deadline() {
+        let Some(long_ago) = Instant::now().checked_sub(REQUEST_DEADLINE + POLL_TICK) else {
+            return; // the clock has not been running that long
+        };
+        let err = read_payload(&mut Stalled, proto::MAX_FRAME, &|| false, long_ago).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        let err = read_full(&mut Stalled, &mut [0u8; 4], &|| true, None).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionAborted);
     }
 }

@@ -1,174 +1,132 @@
-//! The shard router: one [`ShardedEngine`] fronting N per-shard
-//! [`Engine`]s over a `bbs_shard` directory.
+//! The local shard router: [`ShardedEngine`], a [`Router`] whose nodes
+//! are N complete [`Engine`]s over a `bbs_shard` directory.
 //!
 //! Every shard owns its full stack — pager, commit record, dedup window,
 //! replication log, **and its own committer thread** — so the router's
-//! write path is N independent group-commit pipelines: an insert batch is
-//! partitioned by TID residue ([`bbs_shard::route`]) and the per-shard
-//! sub-batches commit concurrently.  That concurrency is the ingest win;
-//! correctness is unchanged because a request ID deduplicates *per
-//! shard*: a retry after a partial failure (some shards committed, some
-//! overloaded) re-sends the same partition, the committed shards answer
-//! from their exactly-once windows, and the remainder appends — the
-//! deployment converges to exactly-once without any cross-shard
-//! coordination.
-//!
-//! Reads scatter-gather.  `count`/`count_many` dispatch the whole batch
-//! to every shard's shared-scan executor in parallel and sum the
-//! per-shard supports — exact, because a BBS count is a sum over rows
-//! and the shards partition the rows.  `mine` loads every shard's
-//! snapshot, deals candidate subtrees across workers, and merges
-//! supports across shards inside every `CountItemSet` (via
-//! [`bbs_shard::ShardedCounter`], with its scaled-τ budgets and
-//! cross-shard running-total exit), then refines uncertain candidates
-//! with one scan per shard — the result is bit-for-bit what the
-//! unsharded engine would return.  `probe` addresses the concatenated
-//! row space (shard 0's rows first, then shard 1's, …).
-//!
-//! The router implements [`crate::net::RequestHandler`], so the same
-//! listeners, framing and drain logic serve it; replication endpoints
-//! are rejected with a typed error (shards replicate individually, not
-//! through the router).
+//! write path is N independent group-commit pipelines, and that
+//! concurrency is the ingest win.  Everything the router does with those
+//! shards is [`crate::router`]; this module is what is particular to
+//! shards that live in this process: a pin is the engine's published
+//! [`Snapshot`], a write leg is a call, a drain reaches the engines, and
+//! the directory's `MANIFEST` follows the shards' width.
 
-use crate::engine::{resolve_threads, Engine, InsertOutcome, ServerConfig, COUNT_MANY_MAX_WORK};
-use crate::metrics::{Histogram, ServerMetrics};
+use crate::engine::{wire_txn, Engine, InsertOutcome, ServerConfig};
+use crate::metrics::ServerMetrics;
 use crate::net::RequestHandler;
-use crate::proto::{Reply, Request, Response};
-use bbs_core::Scheme;
+use crate::proto::{maintain_action, Reply, Request, Response};
+use crate::router::{json_column, Gauge, Node, Router, ShardFaults};
+use bbs_core::Bbs;
 use bbs_hash::{ItemHasher, Md5BloomHasher};
-use bbs_shard::{count_many_sharded, route, scatter, shard_base, Manifest, ShardHandle};
+use bbs_shard::{scatter, shard_base, Manifest, ShardHandle};
 use bbs_storage::snapshot::Snapshot;
-use bbs_tdb::{IoStats, ItemId, Itemset, MineResult, SupportThreshold, Transaction};
-use std::collections::HashMap;
+use bbs_tdb::{Itemset, Transaction, TransactionDb};
 use std::io;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Scatter-gather latency (µs) per fan-out endpoint: the time from
-/// dispatching a request to every shard until the gathered answer is
-/// assembled.  Rendered in the stats document as `"scatter_us"`.
-#[derive(Default)]
-pub struct ScatterMetrics {
-    /// Insert fan-out: partition + N parallel group commits + merge.
-    pub insert: Histogram,
-    /// Single-count fan-out.
-    pub count: Histogram,
-    /// Batched-count fan-out (whole batch to every shard).
-    pub count_many: Histogram,
-    /// Mine fan-out: snapshot loads + filter + cross-shard refinement.
-    pub mine: Histogram,
-    /// Probe routing (single-shard, but addressed globally).
-    pub probe: Histogram,
-}
-
-impl ScatterMetrics {
-    /// Renders the histograms as the stats document's `scatter_us` value.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"insert\":{},\"count\":{},\"count_many\":{},\"mine\":{},\"probe\":{}}}",
-            self.insert.to_json(),
-            self.count.to_json(),
-            self.count_many.to_json(),
-            self.mine.to_json(),
-            self.probe.to_json()
-        )
-    }
-}
-
-/// Per-shard fault counters, rendered next to the `scatter_us`
-/// histograms in the stats document.  A local router only ever bumps
-/// `scatter_errors` (there is no wire to time out on and no follower to
-/// fail over to); a distributed coordinator bumps all three.
-#[derive(Default)]
-pub struct ShardFaults {
-    /// Scatter legs that returned an error for this shard.
-    pub scatter_errors: AtomicU64,
-    /// Scatter legs that exhausted their per-request timeout waiting on
-    /// this shard.
-    pub timeouts: AtomicU64,
-    /// Times this shard's handle was re-pointed at its replication
-    /// follower after the primary went silent.
-    pub failovers: AtomicU64,
-}
-
-impl ShardFaults {
-    /// Renders the three per-shard arrays as stats-document fragments:
-    /// `"scatter_errors":[..]`, `"timeouts":[..]`, `"failovers":[..]`.
-    pub fn to_json_arrays(faults: &[Arc<ShardFaults>]) -> Vec<String> {
-        let render = |pick: fn(&ShardFaults) -> &AtomicU64| -> String {
-            faults
-                .iter()
-                .map(|f| pick(f).load(Ordering::Relaxed).to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        vec![
-            format!("\"scatter_errors\":[{}]", render(|f| &f.scatter_errors)),
-            format!("\"timeouts\":[{}]", render(|f| &f.timeouts)),
-            format!("\"failovers\":[{}]", render(|f| &f.failovers)),
-        ]
-    }
-}
-
-/// A shard handle over one shard's published snapshot: the gather layer
-/// counts through the shard's shared-scan executor.
-struct SnapshotShard {
+/// A local shard's pin: the snapshot its engine had published.
+pub struct SnapshotPin<'a> {
     snap: Arc<Snapshot>,
-    faults: Arc<ShardFaults>,
+    faults: &'a ShardFaults,
 }
 
-impl ShardHandle for SnapshotShard {
-    fn rows(&self) -> u64 {
-        self.snap.rows()
-    }
-
-    fn count_many(&self, itemsets: &[Itemset], tau: Option<u64>) -> io::Result<Vec<u64>> {
-        self.snap.count_many_bounded(itemsets, tau).inspect_err(|_| {
+impl SnapshotPin<'_> {
+    fn tally<T>(&self, result: io::Result<T>) -> io::Result<T> {
+        result.inspect_err(|_| {
             self.faults.scatter_errors.fetch_add(1, Ordering::Relaxed);
         })
     }
 }
 
-/// An in-memory per-shard counter for the mine path: answers are the
-/// shard's exact BBS estimates (an exact answer satisfies every τ
-/// budget), so the cross-shard sums are exactly the global estimates.
-struct MemShard<'a> {
-    bbs: &'a bbs_core::Bbs,
-}
-
-impl bbs_shard::ShardCounter for MemShard<'_> {
-    fn count(&mut self, itemset: &Itemset, _tau: Option<u64>) -> io::Result<u64> {
-        let mut io = IoStats::new();
-        Ok(self.bbs.est_count(itemset, &mut io))
+impl ShardHandle for SnapshotPin<'_> {
+    fn rows(&self) -> u64 {
+        self.snap.rows()
     }
 
-    fn count_extensions(
-        &mut self,
-        prefix: &Itemset,
-        extensions: &[ItemId],
-        _tau: Option<u64>,
-    ) -> io::Result<Vec<u64>> {
-        let mut io = IoStats::new();
-        Ok(extensions
-            .iter()
-            .map(|&e| self.bbs.est_count(&prefix.with_item(e), &mut io))
-            .collect())
+    fn count_many(&self, itemsets: &[Itemset], tau: Option<u64>) -> io::Result<Vec<u64>> {
+        self.tally(self.snap.count_many_bounded(itemsets, tau))
     }
 }
 
-/// One logical server over N TID-range shards: a router in front of N
-/// complete [`Engine`]s, each with its own committer pipeline.
+impl Node for Arc<Engine> {
+    type Pin<'a> = SnapshotPin<'a>;
+
+    fn pin<'a>(&'a self, faults: &'a ShardFaults) -> io::Result<SnapshotPin<'a>> {
+        Ok(SnapshotPin {
+            snap: self.snapshot(),
+            faults,
+        })
+    }
+
+    fn epoch(pin: &SnapshotPin<'_>) -> u64 {
+        pin.snap.epoch()
+    }
+
+    fn load(pin: &SnapshotPin<'_>) -> io::Result<(TransactionDb, Bbs)> {
+        pin.tally(pin.snap.load())
+    }
+
+    fn row(pin: &SnapshotPin<'_>, row: u64) -> io::Result<Option<(u64, Vec<u32>)>> {
+        Ok(pin.snap.probe(row)?.as_ref().map(wire_txn))
+    }
+
+    fn leg(&self, req: &Request) -> Response {
+        self.handle(req)
+    }
+
+    fn gauge(&self) -> Gauge {
+        let snap = self.snapshot();
+        Gauge {
+            rows: snap.rows(),
+            epoch: snap.epoch(),
+            width: self.width(),
+        }
+    }
+
+    fn stats_columns(nodes: &[Self]) -> Vec<String> {
+        let snaps: Vec<Arc<Snapshot>> = nodes.iter().map(|e| e.snapshot()).collect();
+        let gauge = |pick: fn(&ServerMetrics) -> &AtomicU64| {
+            nodes
+                .iter()
+                .map(move |e| pick(e.metrics()).load(Ordering::Relaxed))
+        };
+        let deleted = || snaps.iter().map(|s| s.deleted_rows());
+        let live: u64 = snaps.iter().map(|s| s.live_rows()).sum();
+        let fpr = gauge(|m| &m.last_measured_fpr_bits).map(|b| format!("{:.6}", f64::from_bits(b)));
+        vec![
+            json_column("shard_lag", gauge(|m| &m.replication_lag_rows)),
+            json_column("shard_queue_depth", gauge(|m| &m.queue_depth)),
+            json_column("shard_deleted_rows", deleted()),
+            json_column("shard_fpr", fpr),
+            format!("\"deleted_rows\":{}", deleted().sum::<u64>()),
+            format!("\"live_rows\":{live}"),
+        ]
+    }
+
+    fn begin_drain(&self) {
+        Engine::begin_drain(self)
+    }
+
+    fn join(&self) {
+        Engine::join(self)
+    }
+}
+
+/// One logical server over the N TID-range shards of a shard directory,
+/// each a complete [`Engine`] with its own committer pipeline.
 pub struct ShardedEngine {
-    engines: Vec<Arc<Engine>>,
+    router: Router<Arc<Engine>>,
     dir: PathBuf,
-    manifest: Manifest,
-    metrics: Arc<ServerMetrics>,
-    scatter: ScatterMetrics,
-    faults: Vec<Arc<ShardFaults>>,
-    draining: AtomicBool,
-    mine_threads: usize,
+}
+
+impl Deref for ShardedEngine {
+    type Target = Router<Arc<Engine>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.router
+    }
 }
 
 impl ShardedEngine {
@@ -204,202 +162,38 @@ impl ShardedEngine {
             .map(|_| Arc::new(ShardFaults::default()))
             .collect();
         Ok(Arc::new(ShardedEngine {
-            engines,
+            router: Router::new(engines, faults, cfg.mine_threads, Vec::new()),
             dir: dir.to_path_buf(),
-            manifest,
-            metrics: Arc::new(ServerMetrics::new()),
-            scatter: ScatterMetrics::default(),
-            faults,
-            draining: AtomicBool::new(false),
-            mine_threads: cfg.mine_threads,
         }))
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.manifest.shards
     }
 
     /// The per-shard engines, in shard order.
     pub fn engines(&self) -> &[Arc<Engine>] {
-        &self.engines
+        self.router.nodes()
     }
 
-    /// The router's scatter-gather latency histograms.
-    pub fn scatter_metrics(&self) -> &ScatterMetrics {
-        &self.scatter
-    }
-
-    /// The per-shard fault counters, in shard order.
-    pub fn shard_faults(&self) -> &[Arc<ShardFaults>] {
-        &self.faults
-    }
-
-    fn snapshots(&self) -> Vec<Arc<Snapshot>> {
-        self.engines.iter().map(|e| e.snapshot()).collect()
-    }
-
-    /// Partitions a batch by TID residue and commits every sub-batch on
-    /// its owning shard's pipeline, concurrently.  `req_id` enrolls each
-    /// sub-batch in its shard's exactly-once window, so retrying after a
-    /// partial failure converges instead of duplicating.
+    /// [`Router::insert`] for in-process callers that hold transactions
+    /// and want the engine-level outcome rather than a wire response.
     pub fn insert_with_id(&self, req_id: u64, txns: Vec<Transaction>) -> InsertOutcome {
-        let start = Instant::now();
-        if self.is_draining() {
-            self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
-            return InsertOutcome::Overloaded;
+        let txns: Vec<(u64, Vec<u32>)> = txns.iter().map(wire_txn).collect();
+        match self.router.insert(req_id, &txns) {
+            Response::Ok(Reply::Insert {
+                first_row,
+                appended,
+                epoch,
+                deduped,
+            }) => InsertOutcome::Committed {
+                first_row,
+                appended,
+                epoch,
+                deduped,
+            },
+            Response::Overloaded => InsertOutcome::Overloaded,
+            Response::DiskFull => InsertOutcome::DiskFull,
+            Response::NotPrimary(primary) => InsertOutcome::NotPrimary(primary),
+            Response::Err(msg) => InsertOutcome::Failed(msg),
+            other => InsertOutcome::Failed(format!("unexpected insert response {other:?}")),
         }
-        if txns.is_empty() {
-            let snaps = self.snapshots();
-            return InsertOutcome::Committed {
-                first_row: snaps.iter().map(|s| s.rows()).sum(),
-                appended: 0,
-                epoch: snaps.iter().map(|s| s.epoch()).sum(),
-                deduped: false,
-            };
-        }
-        let mut parts: Vec<Vec<Transaction>> = vec![Vec::new(); self.manifest.shards];
-        for txn in txns {
-            let shard = route(txn.tid.0, self.manifest.shards);
-            parts[shard].push(txn);
-        }
-        let jobs: Vec<(usize, Vec<Transaction>)> = parts
-            .into_iter()
-            .enumerate()
-            .filter(|(_, p)| !p.is_empty())
-            .collect();
-        let outcomes = scatter(&jobs, |_, (shard, part)| {
-            Ok((
-                *shard,
-                self.engines[*shard].insert_with_id(req_id, part.clone()),
-            ))
-        })
-        .expect("shard insert scatter is infallible");
-        let merged = merge_insert_outcomes(outcomes);
-        self.scatter
-            .insert
-            .record(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-        merged
-    }
-
-    /// Scatter-gather batched counting: the whole batch goes to every
-    /// shard's shared-scan executor in parallel and per-shard supports
-    /// are summed.  Returns `(supports, epoch, rows)` where `epoch` is
-    /// the sum of per-shard epochs (monotonic: any shard commit bumps
-    /// it) and `rows` the total row count, both from the same per-shard
-    /// snapshots the counts ran against.
-    pub fn count_many(&self, itemsets: &[Vec<u32>]) -> io::Result<(Vec<u64>, u64, u64)> {
-        let start = Instant::now();
-        let sets: Vec<Itemset> = itemsets
-            .iter()
-            .map(|items| Itemset::from_values(items))
-            .collect();
-        let snaps = self.snapshots();
-        let epoch: u64 = snaps.iter().map(|s| s.epoch()).sum();
-        let rows: u64 = snaps.iter().map(|s| s.rows()).sum();
-        let handles: Vec<SnapshotShard> = snaps
-            .into_iter()
-            .zip(self.faults.iter())
-            .map(|(snap, faults)| SnapshotShard {
-                snap,
-                faults: Arc::clone(faults),
-            })
-            .collect();
-        let supports = count_many_sharded(&handles, &sets, None)?;
-        let hist = if itemsets.len() == 1 {
-            &self.scatter.count
-        } else {
-            &self.scatter.count_many
-        };
-        hist.record(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-        Ok((supports, epoch, rows))
-    }
-
-    /// Scatters a tombstone delete across the shards that own the named
-    /// TIDs (same residue routing as inserts), reusing `req_id` on every
-    /// shard: each shard deduplicates independently, so a retry after a
-    /// partial failure re-sends the same partition and the shards that
-    /// already committed answer from their exactly-once windows.
-    pub fn delete_tids(&self, req_id: u64, tids: &[u64]) -> Response {
-        if self.is_draining() {
-            self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
-            return Response::Overloaded;
-        }
-        let mut parts: Vec<Vec<u64>> = vec![Vec::new(); self.manifest.shards];
-        for &tid in tids {
-            parts[route(tid, self.manifest.shards)].push(tid);
-        }
-        let jobs: Vec<(usize, Vec<u64>)> = parts
-            .into_iter()
-            .enumerate()
-            .filter(|(_, p)| !p.is_empty())
-            .collect();
-        if jobs.is_empty() {
-            return Response::Ok(Reply::Delete {
-                deleted: 0,
-                epoch: self.snapshots().iter().map(|s| s.epoch()).sum(),
-                deduped: false,
-            });
-        }
-        let responses = scatter(&jobs, |_, (shard, part)| {
-            Ok((*shard, self.engines[*shard].delete_tids(req_id, part)))
-        })
-        .expect("shard delete scatter is infallible");
-        merge_delete_responses(responses)
-    }
-
-    /// Fans one maintenance action out to every shard and merges the
-    /// replies into one health report: row counts sum, the reported
-    /// width and FPR are the **worst** shard's (maintenance health is
-    /// gated by the weakest member), and the action reported is the most
-    /// consequential any shard took.
-    fn serve_maintain(&self, req: &Request) -> Response {
-        let results = scatter(&self.engines, |i, engine| {
-            match engine.handle(req) {
-                Response::Ok(Reply::Maintain {
-                    action_taken,
-                    width,
-                    live_rows,
-                    deleted_rows,
-                    fpr_bits,
-                }) => Ok(Ok((action_taken, width, live_rows, deleted_rows, fpr_bits))),
-                Response::Ok(other) => Ok(Err(Response::Err(format!(
-                    "shard {i}: unexpected maintain reply {other:?}"
-                )))),
-                other => {
-                    self.faults[i].scatter_errors.fetch_add(1, Ordering::Relaxed);
-                    Ok(Err(other))
-                }
-            }
-        })
-        .expect("shard maintain scatter is infallible");
-        let mut merged = (0u8, 0u32, 0u64, 0u64, 0f64);
-        for result in results {
-            match result {
-                Ok((taken, width, live, dead, fpr_bits)) => {
-                    merged.0 = merged.0.max(taken);
-                    merged.1 = merged.1.max(width);
-                    merged.2 += live;
-                    merged.3 += dead;
-                    merged.4 = merged.4.max(f64::from_bits(fpr_bits));
-                }
-                Err(resp) => return resp,
-            }
-        }
-        if merged.0 != crate::proto::maintain_action::PROBE_FPR {
-            if let Err(e) = self.sync_manifest_width() {
-                return Response::Err(format!(
-                    "maintenance applied but manifest update failed: {e}"
-                ));
-            }
-        }
-        Response::Ok(Reply::Maintain {
-            action_taken: merged.0,
-            width: merged.1,
-            live_rows: merged.2,
-            deleted_rows: merged.3,
-            fpr_bits: merged.4.to_bits(),
-        })
     }
 
     /// Re-pins the on-disk `MANIFEST` width to the shards' live slice
@@ -408,8 +202,9 @@ impl ShardedEngine {
     /// agree with what is actually on disk.  A no-op while the shards
     /// disagree (a fan-out that failed partway leaves the old pin).
     fn sync_manifest_width(&self) -> io::Result<()> {
-        let width = self.engines[0].width();
-        if self.engines.iter().any(|e| e.width() != width) {
+        let engines = self.engines();
+        let width = engines[0].width();
+        if engines.iter().any(|e| e.width() != width) {
             return Ok(());
         }
         let mut manifest = Manifest::read(&self.dir)?;
@@ -419,462 +214,36 @@ impl ShardedEngine {
         }
         Ok(())
     }
-
-    /// Probes one row of the concatenated row space: rows `0..r0` live on
-    /// shard 0, `r0..r0+r1` on shard 1, and so on, against the same set
-    /// of per-shard snapshots.
-    pub fn probe(&self, row: u64) -> io::Result<Option<Transaction>> {
-        let start = Instant::now();
-        let mut local = row;
-        let mut found = Ok(None);
-        for snap in self.snapshots() {
-            if local < snap.rows() {
-                found = snap.probe(local);
-                break;
-            }
-            local -= snap.rows();
-        }
-        self.scatter
-            .probe
-            .record(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-        found
-    }
-
-    /// Mines the union of all shard snapshots offline.  Candidate
-    /// subtrees are dealt across `threads` workers and each worker merges
-    /// supports across every shard before any prune decision, so the
-    /// patterns, supports and approx markers are bit-for-bit what the
-    /// unsharded engine returns over the same transactions.
-    pub fn mine(
-        &self,
-        scheme: Scheme,
-        threshold: SupportThreshold,
-        threads: usize,
-    ) -> io::Result<(MineResult, u64, u64)> {
-        let start = Instant::now();
-        let threads = if threads == 0 {
-            resolve_threads(self.mine_threads)
-        } else {
-            threads
-        };
-        let snaps = self.snapshots();
-        let epoch: u64 = snaps.iter().map(|s| s.epoch()).sum();
-        // Parallel per-shard snapshot loads: the only part that contends
-        // with commits is each shard's own page reads.
-        let loaded = scatter(&snaps, |i, snap| {
-            snap.load().inspect_err(|_| {
-                self.faults[i].scatter_errors.fetch_add(1, Ordering::Relaxed);
-            })
-        })?;
-        let shard_rows: Vec<u64> = loaded.iter().map(|(db, _)| db.len() as u64).collect();
-        let rows: u64 = shard_rows.iter().sum();
-        let tau = threshold.resolve(rows as usize);
-
-        // Global vocabulary and exact singleton supports: sums over the
-        // disjoint TID partition equal the unsharded values exactly.
-        let mut actuals: HashMap<ItemId, u64> = HashMap::new();
-        for (_, bbs) in &loaded {
-            for item in bbs.vocabulary() {
-                *actuals.entry(item).or_insert(0) += bbs.actual_singleton_count(item);
-            }
-        }
-        let mut vocab: Vec<ItemId> = actuals.keys().copied().collect();
-        vocab.sort_unstable();
-
-        let make_source = || {
-            Ok(bbs_shard::ShardedCounter::new(
-                loaded.iter().map(|(_, bbs)| MemShard { bbs }).collect(),
-                shard_rows.clone(),
-            ))
-        };
-        let filter_out = bbs_core::run_filter_source_threaded(
-            make_source,
-            &vocab,
-            &actuals,
-            rows,
-            scheme.filter(),
-            tau,
-            threads,
-        )?;
-
-        let mut result = MineResult::default();
-        result.stats.candidates = filter_out.stats.candidates;
-        result.stats.false_drops = filter_out.stats.false_drops;
-        result.stats.certified = filter_out.stats.certified;
-        result.stats.bbs_counts = filter_out.stats.bbs_counts;
-        result.stats.io.merge(&filter_out.stats.io);
-        result.patterns.extend_from(&filter_out.frequent);
-        for (items, count) in filter_out.approx.iter() {
-            result.patterns.insert(items.clone(), count);
-            result.approx_supports.insert(items.clone());
-        }
-
-        if !filter_out.uncertain.is_empty() {
-            // Global support merge before refinement verdicts: one scan
-            // per shard (in parallel), then column sums decide.
-            let cands: Vec<Itemset> = filter_out
-                .uncertain
-                .iter()
-                .map(|(items, _)| items.clone())
-                .collect();
-            let per_shard = scatter(&loaded, |_, (db, _)| {
-                let mut counts = vec![0u64; cands.len()];
-                for txn in db.transactions() {
-                    for (items, count) in cands.iter().zip(counts.iter_mut()) {
-                        if items.is_subset_of(&txn.items) {
-                            *count += 1;
-                        }
-                    }
-                }
-                Ok(counts)
-            })?;
-            for (k, items) in cands.into_iter().enumerate() {
-                let count: u64 = per_shard.iter().map(|c| c[k]).sum();
-                if count >= tau {
-                    result.patterns.insert(items, count);
-                } else {
-                    result.stats.false_drops += 1;
-                }
-            }
-        }
-        self.scatter
-            .mine
-            .record(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-        Ok((result, epoch, rows))
-    }
-
-    /// Renders the stats document: router wire metrics plus shard
-    /// topology — shard count, per-shard rows, per-shard replication lag
-    /// — and the scatter-gather latency histograms.
-    pub fn stats_json(&self) -> String {
-        let snaps = self.snapshots();
-        let shard_rows: Vec<String> = snaps.iter().map(|s| s.rows().to_string()).collect();
-        let shard_lag: Vec<String> = self
-            .engines
-            .iter()
-            .map(|e| {
-                e.metrics()
-                    .replication_lag_rows
-                    .load(Ordering::Relaxed)
-                    .to_string()
-            })
-            .collect();
-        let shard_queue_depth: Vec<String> = self
-            .engines
-            .iter()
-            .map(|e| e.metrics().queue_depth.load(Ordering::Relaxed).to_string())
-            .collect();
-        let shard_deleted_rows: Vec<String> = snaps
-            .iter()
-            .map(|s| s.deleted_rows().to_string())
-            .collect();
-        let shard_fpr: Vec<String> = self
-            .engines
-            .iter()
-            .map(|e| {
-                format!(
-                    "{:.6}",
-                    f64::from_bits(
-                        e.metrics()
-                            .last_measured_fpr_bits
-                            .load(Ordering::Relaxed)
-                    )
-                )
-            })
-            .collect();
-        let shard_width: Vec<String> = self
-            .engines
-            .iter()
-            .map(|e| e.width().to_string())
-            .collect();
-        let mut extra = vec![
-            format!("\"shards\":{}", self.manifest.shards),
-            format!(
-                "\"width\":{}",
-                self.engines.iter().map(|e| e.width()).max().unwrap_or(0)
-            ),
-            format!("\"rows\":{}", snaps.iter().map(|s| s.rows()).sum::<u64>()),
-            format!("\"epoch\":{}", snaps.iter().map(|s| s.epoch()).sum::<u64>()),
-            format!("\"shard_rows\":[{}]", shard_rows.join(",")),
-            format!("\"shard_lag\":[{}]", shard_lag.join(",")),
-            format!("\"shard_queue_depth\":[{}]", shard_queue_depth.join(",")),
-            format!("\"shard_deleted_rows\":[{}]", shard_deleted_rows.join(",")),
-            format!("\"shard_fpr\":[{}]", shard_fpr.join(",")),
-            format!("\"shard_width\":[{}]", shard_width.join(",")),
-            format!(
-                "\"deleted_rows\":{}",
-                snaps.iter().map(|s| s.deleted_rows()).sum::<u64>()
-            ),
-            format!(
-                "\"live_rows\":{}",
-                snaps.iter().map(|s| s.live_rows()).sum::<u64>()
-            ),
-            format!("\"scatter_us\":{}", self.scatter.to_json()),
-            format!("\"draining\":{}", self.is_draining()),
-        ];
-        extra.extend(ShardFaults::to_json_arrays(&self.faults));
-        self.metrics.to_json(&extra)
-    }
-
-    fn dispatch(&self, req: &Request) -> Response {
-        match req {
-            Request::Ping => Response::Ok(Reply::Pong),
-            Request::Count { items } => {
-                match self.count_many(std::slice::from_ref(items)) {
-                    Ok((supports, epoch, rows)) => Response::Ok(Reply::Count {
-                        support: supports[0],
-                        epoch,
-                        rows,
-                    }),
-                    Err(e) => Response::Err(format!("count failed: {e}")),
-                }
-            }
-            Request::CountMany { itemsets } => {
-                let work: usize = itemsets.iter().map(|s| s.len().max(1)).sum();
-                if work > COUNT_MANY_MAX_WORK {
-                    self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
-                    return Response::Overloaded;
-                }
-                self.metrics
-                    .count_many_batch
-                    .record(itemsets.len() as u64);
-                match self.count_many(itemsets) {
-                    Ok((supports, epoch, rows)) => Response::Ok(Reply::CountMany {
-                        supports,
-                        epoch,
-                        rows,
-                    }),
-                    Err(e) => Response::Err(format!("count_many failed: {e}")),
-                }
-            }
-            Request::Insert { req_id, txns } => {
-                let txns: Vec<Transaction> = txns
-                    .iter()
-                    .map(|(tid, items)| Transaction::new(*tid, Itemset::from_values(items)))
-                    .collect();
-                match self.insert_with_id(*req_id, txns) {
-                    InsertOutcome::Committed {
-                        first_row,
-                        appended,
-                        epoch,
-                        deduped,
-                    } => Response::Ok(Reply::Insert {
-                        first_row,
-                        appended,
-                        epoch,
-                        deduped,
-                    }),
-                    InsertOutcome::Overloaded => Response::Overloaded,
-                    InsertOutcome::DiskFull => Response::DiskFull,
-                    InsertOutcome::NotPrimary(primary) => Response::NotPrimary(primary),
-                    InsertOutcome::Failed(msg) => Response::Err(msg),
-                }
-            }
-            Request::Mine {
-                scheme,
-                threshold,
-                threads,
-            } => match self.mine(*scheme, *threshold, usize::from(*threads)) {
-                Ok((result, epoch, rows)) => {
-                    let mut patterns: Vec<(Vec<u32>, u64, bool)> = result
-                        .patterns
-                        .sorted()
-                        .into_iter()
-                        .map(|p| {
-                            let approx = result.approx_supports.contains(&p.items);
-                            let items = p.items.items().iter().map(|i| i.0).collect();
-                            (items, p.support, approx)
-                        })
-                        .collect();
-                    patterns.sort();
-                    Response::Ok(Reply::Mine {
-                        epoch,
-                        rows,
-                        patterns,
-                    })
-                }
-                Err(e) => Response::Err(format!("mine failed: {e}")),
-            },
-            Request::Probe { row } => match self.probe(*row) {
-                Ok(txn) => Response::Ok(Reply::Probe {
-                    txn: txn.map(|t| (t.tid.0, t.items.items().iter().map(|i| i.0).collect())),
-                }),
-                Err(e) => Response::Err(format!("probe failed: {e}")),
-            },
-            Request::Stats => Response::Ok(Reply::Stats {
-                json: self.stats_json(),
-            }),
-            Request::Shutdown => {
-                self.begin_drain();
-                Response::Ok(Reply::ShuttingDown)
-            }
-            Request::Delete { req_id, tids } => self.delete_tids(*req_id, tids),
-            Request::Maintain { .. } => self.serve_maintain(req),
-            Request::Replicate { .. } => Response::Err(
-                "replicate is not served by a shard router; replicate each shard individually"
-                    .into(),
-            ),
-            Request::Promote => Response::Err(
-                "promote is not served by a shard router; promote each shard individually".into(),
-            ),
-            Request::SnapshotPin | Request::CountManyAt { .. } | Request::Rows { .. } => {
-                Response::Err(
-                    "snapshot pins are not served by a shard router; pin each shard server \
-                     individually"
-                        .into(),
-                )
-            }
-        }
-    }
 }
 
 impl RequestHandler for ShardedEngine {
-    fn handle(&self, req: &Request) -> Response {
-        let start = Instant::now();
-        let opcode = req.opcode();
-        if let Some(ep) = self.metrics.endpoint(opcode) {
-            ep.requests.fetch_add(1, Ordering::Relaxed);
-        }
-        let resp = self.dispatch(req);
-        if let Some(ep) = self.metrics.endpoint(opcode) {
-            ep.latency_us
-                .record(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-            if matches!(resp, Response::Err(_)) {
-                ep.errors.fetch_add(1, Ordering::Relaxed);
+    fn dispatch(&self, req: &Request) -> Response {
+        let resp = self.router.dispatch(req);
+        if let Response::Ok(Reply::Maintain { action_taken, .. }) = &resp {
+            if *action_taken != maintain_action::PROBE_FPR {
+                if let Err(e) = self.sync_manifest_width() {
+                    return Response::Err(format!(
+                        "maintenance applied but manifest update failed: {e}"
+                    ));
+                }
             }
         }
         resp
     }
 
     fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
+        self.router.is_draining()
     }
 
     fn begin_drain(&self) {
-        self.draining.store(true, Ordering::Release);
-        for engine in &self.engines {
-            engine.begin_drain();
-        }
+        self.router.begin_drain()
     }
 
     fn join(&self) {
-        self.begin_drain();
-        for engine in &self.engines {
-            engine.join();
-        }
+        self.router.join()
     }
 
     fn metrics(&self) -> &Arc<ServerMetrics> {
-        &self.metrics
+        self.router.metrics()
     }
-}
-
-/// Merges per-shard insert outcomes into the client's single receipt:
-/// any failure wins by severity (`Failed` > `DiskFull` > `NotPrimary` >
-/// `Overloaded`); an all-committed batch reports the summed row count,
-/// the highest participating shard epoch, `deduped` only when
-/// *every* sub-batch was answered from a window, and the lowest
-/// participating shard's `first_row` (receipts are per-shard row
-/// addresses).
-fn merge_insert_outcomes(outcomes: Vec<(usize, InsertOutcome)>) -> InsertOutcome {
-    let mut first_row = None;
-    let mut appended = 0u64;
-    let mut epoch = 0u64;
-    let mut deduped = true;
-    let mut worst: Option<(u8, InsertOutcome)> = None;
-    for (shard, outcome) in outcomes {
-        let rank = match &outcome {
-            InsertOutcome::Committed { .. } => 0u8,
-            InsertOutcome::Overloaded => 1,
-            InsertOutcome::NotPrimary(_) => 2,
-            InsertOutcome::DiskFull => 3,
-            InsertOutcome::Failed(_) => 4,
-        };
-        match outcome {
-            InsertOutcome::Committed {
-                first_row: fr,
-                appended: n,
-                epoch: e,
-                deduped: d,
-            } => {
-                if first_row.is_none() {
-                    first_row = Some(fr);
-                }
-                appended += n;
-                epoch = epoch.max(e);
-                deduped &= d;
-            }
-            InsertOutcome::Failed(msg) => {
-                let tagged = InsertOutcome::Failed(format!("shard {shard}: {msg}"));
-                if worst.as_ref().is_none_or(|(r, _)| rank > *r) {
-                    worst = Some((rank, tagged));
-                }
-            }
-            other => {
-                if worst.as_ref().is_none_or(|(r, _)| rank > *r) {
-                    worst = Some((rank, other));
-                }
-            }
-        }
-    }
-    if let Some((_, outcome)) = worst {
-        return outcome;
-    }
-    InsertOutcome::Committed {
-        first_row: first_row.unwrap_or(0),
-        appended,
-        epoch,
-        deduped,
-    }
-}
-
-/// Merges per-shard delete responses into the client's single receipt:
-/// any failure wins by severity (`Err` > `DiskFull` > `NotPrimary` >
-/// `Overloaded`); an all-committed delete reports the summed tombstone
-/// count, the highest participating epoch, and `deduped` only when
-/// *every* shard answered from its window.
-fn merge_delete_responses(responses: Vec<(usize, Response)>) -> Response {
-    let mut deleted = 0u64;
-    let mut epoch = 0u64;
-    let mut deduped = true;
-    let mut worst: Option<(u8, Response)> = None;
-    for (shard, resp) in responses {
-        let rank = match &resp {
-            Response::Ok(_) => 0u8,
-            Response::Overloaded => 1,
-            Response::NotPrimary(_) => 2,
-            Response::DiskFull => 3,
-            _ => 4,
-        };
-        match resp {
-            Response::Ok(Reply::Delete {
-                deleted: n,
-                epoch: e,
-                deduped: d,
-            }) => {
-                deleted += n;
-                epoch = epoch.max(e);
-                deduped &= d;
-            }
-            Response::Err(msg) => {
-                let tagged = Response::Err(format!("shard {shard}: {msg}"));
-                if worst.as_ref().is_none_or(|(r, _)| rank > *r) {
-                    worst = Some((rank, tagged));
-                }
-            }
-            other => {
-                if worst.as_ref().is_none_or(|(r, _)| rank > *r) {
-                    worst = Some((rank, other));
-                }
-            }
-        }
-    }
-    if let Some((_, resp)) = worst {
-        return resp;
-    }
-    Response::Ok(Reply::Delete {
-        deleted,
-        epoch,
-        deduped,
-    })
 }

@@ -10,10 +10,40 @@
 use bbs_server::proto::{self, Reply, Request, Response, MAX_FRAME};
 use bbs_server::{serve, Bind, Client, ClientError, Engine, ServerConfig, ServerHandle};
 use bbs_storage::DiskDeployment;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
+
+/// The system allocator, counting the bytes currently allocated: what a
+/// connection costs the server is read off this, in-process.
+struct CountingAlloc;
+
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is bookkeeping on the side.
+// `realloc` and `alloc_zeroed` keep their default bodies, which go
+// through `alloc`/`dealloc` and are therefore counted too.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` came from `alloc` above, i.e. from `System`, with
+        // this same `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 fn temp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -249,5 +279,87 @@ fn client_typed_error_for_bad_frame_is_retryable() {
         other => panic!("expected BadFrame, got {other:?}"),
     };
     assert!(err.is_retryable());
+    handle.join();
+}
+
+/// A length prefix is only a claim.  Peers that announce the largest
+/// frame the protocol allows and then go quiet each hold a handler
+/// thread until the request deadline — but not the 64 MiB they
+/// announced: the payload buffer grows only as bytes arrive, one bounded
+/// step ahead.
+#[test]
+fn a_lying_length_prefix_costs_one_step_of_buffer() {
+    const LIARS: usize = 16;
+    let (handle, addr, _g) = start("liars");
+    assert_still_serving(&addr);
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let mut liars: Vec<TcpStream> = (0..LIARS)
+        .map(|_| {
+            let mut s = TcpStream::connect(&addr).expect("connect");
+            s.write_all(&(MAX_FRAME as u32).to_le_bytes()).expect("header");
+            s
+        })
+        .collect();
+    // Long enough for every handler to have read its header and be
+    // waiting on the payload (the server polls at 50 ms).
+    std::thread::sleep(Duration::from_millis(400));
+    let held = LIVE_BYTES.load(Ordering::Relaxed).saturating_sub(before);
+    // One 64 KiB step each is 1 MiB in all; the other tests of this
+    // binary allocate alongside, so allow them 32 MiB — still a thirtieth
+    // of what buffering the announced lengths up front would hold.
+    assert!(
+        held < 32 << 20,
+        "{LIARS} stalled peers hold {held} bytes (they announced {})",
+        LIARS * MAX_FRAME
+    );
+    // The stall is tolerated, not punished early: the connections are
+    // still open (a read times out, it does not see EOF), and everyone
+    // else is still served.
+    for s in &mut liars {
+        s.set_read_timeout(Some(Duration::from_millis(20))).ok();
+        let mut probe = [0u8; 1];
+        assert!(s.read(&mut probe).is_err(), "stalled connection closed early");
+    }
+    assert_still_serving(&addr);
+    drop(liars);
+    handle.join();
+}
+
+/// A legitimate frame several buffer steps long still round-trips, also
+/// when it arrives in pieces with pauses between them.
+#[test]
+fn a_frame_of_many_buffer_steps_round_trips() {
+    let (handle, addr, _g) = start("bigframe");
+    let mut c = Client::connect_tcp(&addr).expect("connect");
+    c.set_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    let txns: Vec<(u64, Vec<u32>)> = (0..40).map(|t| (t, vec![t as u32 % 8, 100])).collect();
+    c.insert(&txns).expect("insert");
+    // 60 000 one-item queries (just under the admission cap): a payload
+    // several steps of buffer long.
+    let itemsets: Vec<Vec<u32>> = (0..60_000u32).map(|i| vec![i % 8]).collect();
+    let queries: Vec<&[u32]> = itemsets.iter().map(Vec::as_slice).collect();
+    let reply = c.count_many(&queries).expect("count_many");
+    assert_eq!(reply.supports.len(), queries.len());
+    assert!(reply.supports.iter().all(|&s| s == 5), "5 of 40 TIDs per residue");
+
+    let payload = Request::CountMany { itemsets }.encode();
+    assert!(payload.len() > 4 * (64 << 10));
+    let mut s = TcpStream::connect(&addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(30))).ok();
+    s.write_all(&(payload.len() as u32).to_le_bytes()).expect("header");
+    for piece in payload.chunks(100_000) {
+        s.write_all(piece).expect("piece");
+        std::thread::sleep(Duration::from_millis(70));
+    }
+    let resp = proto::read_frame(&mut s)
+        .ok()
+        .flatten()
+        .and_then(|p| Response::decode(&p).ok());
+    match resp {
+        Some(Response::Ok(Reply::CountMany { supports, .. })) => {
+            assert_eq!(supports, reply.supports)
+        }
+        other => panic!("trickled frame: {other:?}"),
+    }
     handle.join();
 }

@@ -17,20 +17,19 @@
 //! unsharded estimates and the mined patterns are identical.
 
 use crate::gather::scaled_tau;
-use crate::handle::ShardCounter;
-use bbs_core::CountSource;
+use bbs_core::{CountSource, EXACT};
 use bbs_tdb::{ItemId, Itemset};
 use std::io;
 
-/// Per-worker cross-shard counter: one [`ShardCounter`] per shard plus
+/// Per-worker cross-shard counter: one per-shard [`CountSource`] plus
 /// each shard's committed row count (the running-total bound).
-pub struct ShardedCounter<C: ShardCounter> {
+pub struct ShardedCounter<C: CountSource> {
     shards: Vec<C>,
     rows: Vec<u64>,
     total_rows: u64,
 }
 
-impl<C: ShardCounter> ShardedCounter<C> {
+impl<C: CountSource> ShardedCounter<C> {
     /// Builds the counter from per-shard readers and row counts
     /// (`shards[i]` covers `rows[i]` committed rows).
     pub fn new(shards: Vec<C>, rows: Vec<u64>) -> Self {
@@ -50,7 +49,7 @@ impl<C: ShardCounter> ShardedCounter<C> {
     }
 }
 
-impl<C: ShardCounter> CountSource for ShardedCounter<C> {
+impl<C: CountSource> CountSource for ShardedCounter<C> {
     fn count_itemset(&mut self, itemset: &Itemset, tau: u64) -> io::Result<u64> {
         let n = self.shards.len();
         let t_i = scaled_tau(tau, n);
@@ -59,7 +58,7 @@ impl<C: ShardCounter> CountSource for ShardedCounter<C> {
         let mut after = self.total_rows;
         for (shard, &rows) in self.shards.iter_mut().zip(&self.rows) {
             after -= rows;
-            let r = shard.count(itemset, Some(t_i))?;
+            let r = shard.count_itemset(itemset, t_i)?;
             per.push(r);
             acc += r;
             // Cross-shard running total: even if every remaining row
@@ -80,7 +79,7 @@ impl<C: ShardCounter> CountSource for ShardedCounter<C> {
                 break;
             }
             if r > 0 && r < t_i {
-                let exact = shard.count(itemset, None)?;
+                let exact = shard.count_itemset(itemset, EXACT)?;
                 acc = acc - r + exact;
             }
         }
@@ -100,7 +99,7 @@ impl<C: ShardCounter> CountSource for ShardedCounter<C> {
         let mut after = self.total_rows;
         for (shard, &rows) in self.shards.iter_mut().zip(&self.rows) {
             after -= rows;
-            let r = shard.count_extensions(prefix, extensions, Some(t_i))?;
+            let r = shard.count_extensions(prefix, extensions, t_i)?;
             for (acc, &v) in accs.iter_mut().zip(&r) {
                 *acc += v;
             }
@@ -122,7 +121,7 @@ impl<C: ShardCounter> CountSource for ShardedCounter<C> {
                 continue;
             }
             let subset: Vec<ItemId> = need.iter().map(|&e| extensions[e]).collect();
-            let exact = shard.count_extensions(prefix, &subset, None)?;
+            let exact = shard.count_extensions(prefix, &subset, EXACT)?;
             for (k, &e) in need.iter().enumerate() {
                 accs[e] = accs[e] - pi[e] + exact[k];
                 pi[e] = exact[k];
@@ -154,32 +153,15 @@ mod tests {
         }
     }
 
-    impl ShardCounter for AdversarialShard {
-        fn count(&mut self, itemset: &Itemset, tau: Option<u64>) -> io::Result<u64> {
+    impl CountSource for AdversarialShard {
+        fn count_itemset(&mut self, itemset: &Itemset, tau: u64) -> io::Result<u64> {
             let exact = self.exact(itemset);
-            Ok(match tau {
-                None => exact,
-                Some(t) => {
-                    let worst = (self.rows.len() as u64).min(t.saturating_sub(1));
-                    if exact < t && exact > 0 {
-                        worst.max(exact)
-                    } else {
-                        exact
-                    }
-                }
+            let worst = (self.rows.len() as u64).min(tau.saturating_sub(1));
+            Ok(if exact < tau && exact > 0 {
+                worst.max(exact)
+            } else {
+                exact
             })
-        }
-
-        fn count_extensions(
-            &mut self,
-            prefix: &Itemset,
-            extensions: &[ItemId],
-            tau: Option<u64>,
-        ) -> io::Result<Vec<u64>> {
-            extensions
-                .iter()
-                .map(|&e| self.count(&prefix.with_item(e), tau))
-                .collect()
         }
     }
 

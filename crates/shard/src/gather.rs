@@ -49,12 +49,13 @@ pub fn scaled_tau(tau: u64, shards: usize) -> u64 {
 }
 
 /// Runs `f` once per shard, concurrently, and collects the results in
-/// shard order.  A single shard runs inline (no thread overhead).
-pub fn scatter<H, T, F>(shards: &[H], f: F) -> io::Result<Vec<T>>
+/// shard order.  A single shard runs inline (no thread overhead).  The
+/// results may borrow from the shards they were computed over.
+pub fn scatter<'a, H, T, F>(shards: &'a [H], f: F) -> io::Result<Vec<T>>
 where
     H: Sync,
     T: Send,
-    F: Fn(usize, &H) -> io::Result<T> + Sync,
+    F: Fn(usize, &'a H) -> io::Result<T> + Sync,
 {
     if shards.len() <= 1 {
         return shards.iter().enumerate().map(|(i, s)| f(i, s)).collect();
@@ -136,7 +137,7 @@ pub fn count_many_sharded<H: ShardHandle>(
 }
 
 /// Column-wise sum of per-shard answer vectors.
-fn sum_columns(per: &[Vec<u64>], queries: usize) -> Vec<u64> {
+pub fn sum_columns(per: &[Vec<u64>], queries: usize) -> Vec<u64> {
     let mut out = vec![0u64; queries];
     for row in per {
         debug_assert_eq!(row.len(), queries);

@@ -1,11 +1,12 @@
 //! The shard boundary: a handle a router can scatter queries through.
 //!
 //! [`ShardHandle`] is the batch/query seam (what `count`/`count_many`
-//! scatter over) and [`ShardCounter`] the mining-worker seam (what one
-//! filter worker walks the enumeration tree through).  Both are defined
-//! over plain itemsets and `io::Result` so an implementation can be a
-//! local file stack, a live engine snapshot, or — later — a remote node:
-//! nothing in the gather layer assumes the bits are on this machine.
+//! scatter over); the mining-worker seam is plain
+//! [`bbs_core::CountSource`], one per shard inside a
+//! [`crate::ShardedCounter`].  Both are defined over plain itemsets and
+//! `io::Result` so an implementation can be a local file stack, a live
+//! engine snapshot, or a remote node: nothing in the gather layer assumes
+//! the bits are on this machine.
 //!
 //! # The per-shard τ contract
 //!
@@ -17,8 +18,8 @@
 //! an upper bound of a non-negative count).  The gather layer leans on
 //! exactly this contract to keep cross-shard sums τ-consistent.
 
-use bbs_storage::diskbbs::{DiskBbs, DiskCounter};
-use bbs_tdb::{ItemId, Itemset};
+use bbs_storage::diskbbs::DiskBbs;
+use bbs_tdb::Itemset;
 use std::io;
 
 /// One shard of a deployment, as seen by the scatter-gather router.
@@ -29,24 +30,6 @@ pub trait ShardHandle: Sync {
     /// Batched `CountItemSet` over this shard's rows, under the per-shard
     /// τ contract (see the module docs).
     fn count_many(&self, itemsets: &[Itemset], tau: Option<u64>) -> io::Result<Vec<u64>>;
-}
-
-/// One shard of a deployment, as seen by a single mining worker walking
-/// the candidate tree.  Methods take `&mut self` so an implementation can
-/// own per-worker caches (the disk reader keeps its own page cache and
-/// hot-slice cache, exactly like an unsharded in-place run).
-pub trait ShardCounter {
-    /// `CountItemSet` over this shard's rows, under the τ contract.
-    fn count(&mut self, itemset: &Itemset, tau: Option<u64>) -> io::Result<u64>;
-
-    /// Batched sibling extensions `prefix ∪ {e}`, each under the τ
-    /// contract, identical to counting the unions one at a time.
-    fn count_extensions(
-        &mut self,
-        prefix: &Itemset,
-        extensions: &[ItemId],
-        tau: Option<u64>,
-    ) -> io::Result<Vec<u64>>;
 }
 
 /// The local-files [`ShardHandle`]: a borrowed view of one shard's index.
@@ -72,20 +55,5 @@ impl ShardHandle for DiskShardHandle<'_> {
 
     fn count_many(&self, itemsets: &[Itemset], tau: Option<u64>) -> io::Result<Vec<u64>> {
         self.index.count_itemsets(itemsets, tau)
-    }
-}
-
-impl ShardCounter for DiskCounter {
-    fn count(&mut self, itemset: &Itemset, tau: Option<u64>) -> io::Result<u64> {
-        DiskCounter::count(self, itemset, tau)
-    }
-
-    fn count_extensions(
-        &mut self,
-        prefix: &Itemset,
-        extensions: &[ItemId],
-        tau: Option<u64>,
-    ) -> io::Result<Vec<u64>> {
-        self.count_extensions_projected(prefix, extensions, tau)
     }
 }

@@ -11,13 +11,13 @@
 //! while every worker merges supports across all shards before
 //! refinement.
 //!
-//! The shard boundary is the [`ShardHandle`]/[`ShardCounter`] trait
+//! The shard boundary is the [`ShardHandle`] trait
 //! seam: the gather layer never assumes a shard is local, so a handle
 //! could later be a remote node.
 //!
 //! * [`manifest`] — the shard directory layout (`MANIFEST` + `shard-NNN`
 //!   bases) and TID routing;
-//! * [`handle`] — the shard-boundary traits and the local-files handle;
+//! * [`handle`] — the shard-boundary trait and the local-files handle;
 //! * [`gather`] — scatter-gather counting with the scaled-τ cross-shard
 //!   running-total scheme;
 //! * [`counter`] — the per-worker cross-shard [`bbs_core::CountSource`];
@@ -37,7 +37,7 @@ pub mod mine;
 
 pub use counter::ShardedCounter;
 pub use deployment::{ShardVerify, ShardedDeployment};
-pub use gather::{count_many_sharded, scaled_tau, scatter};
-pub use handle::{DiskShardHandle, ShardCounter, ShardHandle};
+pub use gather::{count_many_sharded, scaled_tau, scatter, sum_columns};
+pub use handle::{DiskShardHandle, ShardHandle};
 pub use manifest::{route, shard_base, Manifest, MANIFEST_FILE, MANIFEST_VERSION, MAX_SHARDS};
 pub use mine::mine_sharded;

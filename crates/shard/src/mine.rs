@@ -11,7 +11,8 @@
 
 use crate::counter::ShardedCounter;
 use crate::deployment::ShardedDeployment;
-use bbs_core::{run_filter_source_threaded, Scheme};
+use crate::gather::sum_columns;
+use bbs_core::{run_filter_source_threaded, tally_subsets, Scheme};
 use bbs_storage::diskbbs::DiskCounter;
 use bbs_storage::mine::DiskMineStats;
 use bbs_tdb::{ItemId, Itemset, MineResult, SupportThreshold};
@@ -119,43 +120,20 @@ pub fn mine_sharded(
         threads,
     )?;
 
-    let mut result = MineResult::default();
-    result.stats.candidates = filter_out.stats.candidates;
-    result.stats.false_drops = filter_out.stats.false_drops;
-    result.stats.certified = filter_out.stats.certified;
-    result.stats.bbs_counts = filter_out.stats.bbs_counts;
-    result.stats.io.merge(&filter_out.stats.io);
-
-    result.patterns.extend_from(&filter_out.frequent);
-    for (items, count) in filter_out.approx.iter() {
-        result.patterns.insert(items.clone(), count);
-        result.approx_supports.insert(items.clone());
-    }
-
-    if !filter_out.uncertain.is_empty() {
-        // Streaming refinement, one sequential heap scan per shard in
-        // parallel; per-shard exact supports of a disjoint partition sum
-        // to the global exact support.
-        let cands: Vec<Itemset> = filter_out
-            .uncertain
-            .iter()
-            .map(|(items, _)| items.clone())
-            .collect();
+    // Streaming refinement, one sequential heap scan per shard in
+    // parallel; per-shard exact supports of a disjoint partition sum to
+    // the global exact support.
+    let result = filter_out.settle(tau, |cands| {
         let per_shard: Vec<Vec<u64>> = std::thread::scope(|scope| {
             let handles: Vec<_> = dep
                 .shards_mut()
                 .iter_mut()
                 .map(|shard| {
-                    let cands = &cands;
                     scope.spawn(move || -> io::Result<Vec<u64>> {
                         let mut counts = vec![0u64; cands.len()];
-                        shard.db.for_each(|_, txn| {
-                            for (items, count) in cands.iter().zip(counts.iter_mut()) {
-                                if items.is_subset_of(&txn.items) {
-                                    *count += 1;
-                                }
-                            }
-                        })?;
+                        shard
+                            .db
+                            .for_each(|_, txn| tally_subsets(cands, &mut counts, &txn.items))?;
                         Ok(counts)
                     })
                 })
@@ -163,17 +141,10 @@ pub fn mine_sharded(
             handles
                 .into_iter()
                 .map(|h| h.join().expect("shard refinement worker panicked"))
-                .collect::<io::Result<Vec<Vec<u64>>>>()
+                .collect::<io::Result<_>>()
         })?;
-        for (k, items) in cands.into_iter().enumerate() {
-            let count: u64 = per_shard.iter().map(|c| c[k]).sum();
-            if count >= tau {
-                result.patterns.insert(items, count);
-            } else {
-                result.stats.false_drops += 1;
-            }
-        }
-    }
+        Ok(sum_columns(&per_shard, cands.len()))
+    })?;
 
     let stats = *sink.lock().unwrap_or_else(|e| e.into_inner());
     Ok((result, stats))

@@ -16,7 +16,7 @@ use crate::cache::CacheStats;
 use crate::diskbbs::{DiskCounter, DiskDeployment};
 use crate::pager::PagerStats;
 use crate::slicefile::HotStats;
-use bbs_core::{run_filter_source_threaded, CountSource, Scheme};
+use bbs_core::{run_filter_source_threaded, tally_subsets, CountSource, Scheme};
 use bbs_tdb::{Itemset, MineResult, SupportThreshold};
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -130,42 +130,14 @@ pub fn mine_in_place(
         threads,
     )?;
 
-    let mut result = MineResult::default();
-    result.stats.candidates = filter_out.stats.candidates;
-    result.stats.false_drops = filter_out.stats.false_drops;
-    result.stats.certified = filter_out.stats.certified;
-    result.stats.bbs_counts = filter_out.stats.bbs_counts;
-    result.stats.io.merge(&filter_out.stats.io);
-
-    result.patterns.extend_from(&filter_out.frequent);
-    for (items, count) in filter_out.approx.iter() {
-        result.patterns.insert(items.clone(), count);
-        result.approx_supports.insert(items.clone());
-    }
-
-    if !filter_out.uncertain.is_empty() {
-        // Streaming refinement: one pass over the heap file, counting every
-        // uncertain candidate's exact support by subset test.
-        let mut cands: Vec<(Itemset, u64)> = filter_out
-            .uncertain
-            .iter()
-            .map(|(items, _)| (items.clone(), 0))
-            .collect();
-        dep.db.for_each(|_, txn| {
-            for (items, count) in cands.iter_mut() {
-                if items.is_subset_of(&txn.items) {
-                    *count += 1;
-                }
-            }
-        })?;
-        for (items, count) in cands {
-            if count >= tau {
-                result.patterns.insert(items, count);
-            } else {
-                result.stats.false_drops += 1;
-            }
-        }
-    }
+    // Streaming refinement: one pass over the heap file, counting every
+    // uncertain candidate's exact support by subset test.
+    let result = filter_out.settle(tau, |cands| {
+        let mut counts = vec![0u64; cands.len()];
+        dep.db
+            .for_each(|_, txn| tally_subsets(cands, &mut counts, &txn.items))?;
+        Ok(counts)
+    })?;
 
     let stats = *sink.lock().unwrap_or_else(|e| e.into_inner());
     Ok((result, stats))

@@ -18,14 +18,15 @@
 //!
 //! # Counting path
 //!
-//! `count_selected` walks the selected slices chunk-by-chunk in row order:
-//! each chunk's cold pages are prefetched as a batch, ANDed **in place**
+//! `count_selected_bounded_masked` walks the selected slices chunk-by-chunk
+//! in row order: each chunk's cold pages are prefetched as a batch, ANDed
+//! **in place**
 //! (64-bit words decoded straight out of the cache-resident page bytes
 //! into a reused one-page accumulator — no per-slice `BitVec` is ever
 //! materialised), and popcounted with the tiered kernels of
 //! `bbs_bitslice::ops`.  Slices that keep being selected are promoted into
 //! a pinned **hot-slice cache** of decoded `u64` words (invalidated on
-//! append), and `count_selected_bounded` stops early once the running
+//! append), and a `tau` budget stops the walk early once the running
 //! upper bound drops below the caller's threshold.
 //!
 //! All read-side state (page cache, hot slices, scratch buffers) lives
@@ -372,8 +373,9 @@ impl<B: StorageBackend> ReadState<B> {
         Ok(total)
     }
 
-    /// Shared-scan batched counting (see [`SliceFile::count_selected_many`]
-    /// and [`SliceFile::count_selected_many_shared`]).
+    /// Shared-scan batched counting (see
+    /// [`SliceFile::count_selected_many_masked`] and
+    /// [`SliceFile::count_selected_many_shared_masked`]).
     ///
     /// The per-chunk loop decodes each distinct selected slice **once** —
     /// from the pinned hot words or from its cache-resident page — and then
@@ -902,24 +904,16 @@ impl<B: StorageBackend> SliceFile<B> {
     }
 
     /// ANDs the selected slices together and popcounts, reading only those
-    /// slices' pages — `CountItemSet` straight off the disk layout.
-    pub fn count_selected(&self, slices: &[usize]) -> io::Result<u64> {
-        self.count_selected_bounded(slices, None)
-    }
-
-    /// [`SliceFile::count_selected`] with an early exit: with
-    /// `tau = Some(τ)` the result is exact whenever it is `≥ τ`, and an
-    /// upper bound on the exact count when it is `< τ` (counting stops as
-    /// soon as even all-ones remaining chunks could not reach `τ`).
-    pub fn count_selected_bounded(&self, slices: &[usize], tau: Option<u64>) -> io::Result<u64> {
-        self.state()
-            .count_selected(self.width, self.rows, slices, tau, None)
-    }
-
-    /// [`SliceFile::count_selected_bounded`] restricted to live rows: rows
-    /// set in `dead` are AND-NOTed out of every chunk (§3.4's constraint-
-    /// slice trick, pointed at tombstones).  The result is bit-for-bit what
-    /// counting a compacted rewrite of only the surviving rows would give.
+    /// slices' pages — `CountItemSet` straight off the disk layout (an
+    /// empty selection counts every row).  With `tau = Some(τ)` the
+    /// result is exact whenever it is `≥ τ`, and an upper bound on the
+    /// exact count when it is `< τ` (counting stops as soon as even
+    /// all-ones remaining chunks could not reach `τ`).
+    ///
+    /// Rows set in `dead` are AND-NOTed out of every chunk (§3.4's
+    /// constraint-slice trick, pointed at tombstones): the result is
+    /// bit-for-bit what counting a compacted rewrite of only the surviving
+    /// rows would give.
     pub fn count_selected_bounded_masked(
         &self,
         slices: &[usize],
@@ -939,25 +933,14 @@ impl<B: StorageBackend> SliceFile<B> {
     /// Shared-scan batched counting: walks each selected slice chunk once
     /// for the *whole batch*, feeding every query's accumulator from the
     /// same decoded segment, with an independent τ-consistent early exit
-    /// per query (`tau` semantics as in
-    /// [`SliceFile::count_selected_bounded`]; an empty selection counts
-    /// every row, as in [`SliceFile::count_selected`]).
+    /// per query and the same `tau` / `dead` semantics as
+    /// [`SliceFile::count_selected_bounded_masked`].  The mask rides the
+    /// shared-scan prefix accumulator, so the whole batch pays one masked
+    /// seed per chunk.
     ///
     /// Results are bit-for-bit identical to issuing the queries one at a
     /// time — the batch only changes how often shared pages are fetched
     /// and decoded.
-    pub fn count_selected_many(
-        &self,
-        queries: &[(Vec<usize>, Option<u64>)],
-    ) -> io::Result<Vec<u64>> {
-        self.state()
-            .count_selected_many(self.width, self.rows, &[], queries, None)
-    }
-
-    /// [`SliceFile::count_selected_many`] restricted to live rows (see
-    /// [`SliceFile::count_selected_bounded_masked`]).  The mask rides the
-    /// shared-scan prefix accumulator, so the whole batch pays one masked
-    /// seed per chunk.
     pub fn count_selected_many_masked(
         &self,
         queries: &[(Vec<usize>, Option<u64>)],
@@ -973,27 +956,14 @@ impl<B: StorageBackend> SliceFile<B> {
         )
     }
 
-    /// [`SliceFile::count_selected_many`] with a shared slice prefix: every
-    /// query counts rows matching `prefix ∪ slices`, but the prefix AND is
-    /// materialised once per chunk and reused across the batch (Ramp-style
-    /// bit-vector projection).  Because AND is idempotent, slices listed in
-    /// both `prefix` and a query's own selection are harmless, and the
-    /// results are bit-for-bit identical to per-op counting of each union.
-    ///
-    /// With an empty `prefix` this is exactly
-    /// [`SliceFile::count_selected_many`]; a query whose union is empty
-    /// counts every row.
-    pub fn count_selected_many_shared(
-        &self,
-        prefix: &[usize],
-        queries: &[(Vec<usize>, Option<u64>)],
-    ) -> io::Result<Vec<u64>> {
-        self.state()
-            .count_selected_many(self.width, self.rows, prefix, queries, None)
-    }
-
-    /// [`SliceFile::count_selected_many_shared`] restricted to live rows
-    /// (see [`SliceFile::count_selected_bounded_masked`]).
+    /// [`SliceFile::count_selected_many_masked`] with a shared slice prefix:
+    /// every query counts rows matching `prefix ∪ slices`, but the prefix
+    /// AND is materialised once per chunk and reused across the batch
+    /// (Ramp-style bit-vector projection).  Because AND is idempotent,
+    /// slices listed in both `prefix` and a query's own selection are
+    /// harmless, and the results are bit-for-bit identical to per-op
+    /// counting of each union; a query whose union is empty counts every
+    /// row.
     pub fn count_selected_many_shared_masked(
         &self,
         prefix: &[usize],
@@ -1084,12 +1054,12 @@ mod tests {
         f.append_row(&[0, 1]).expect("append");
         f.append_row(&[1]).expect("append");
         f.append_row(&[0, 1, 2]).expect("append");
-        assert_eq!(f.count_selected(&[]).expect("count"), 3);
-        assert_eq!(f.count_selected(&[1]).expect("count"), 3);
-        assert_eq!(f.count_selected(&[0]).expect("count"), 2);
-        assert_eq!(f.count_selected(&[0, 1]).expect("count"), 2);
-        assert_eq!(f.count_selected(&[0, 2]).expect("count"), 1);
-        assert_eq!(f.count_selected(&[0, 1, 2]).expect("count"), 1);
+        assert_eq!(f.count_selected_bounded_masked(&[], None, None).expect("count"), 3);
+        assert_eq!(f.count_selected_bounded_masked(&[1], None, None).expect("count"), 3);
+        assert_eq!(f.count_selected_bounded_masked(&[0], None, None).expect("count"), 2);
+        assert_eq!(f.count_selected_bounded_masked(&[0, 1], None, None).expect("count"), 2);
+        assert_eq!(f.count_selected_bounded_masked(&[0, 2], None, None).expect("count"), 1);
+        assert_eq!(f.count_selected_bounded_masked(&[0, 1, 2], None, None).expect("count"), 1);
     }
 
     #[test]
@@ -1123,8 +1093,8 @@ mod tests {
         }
         assert_eq!(f.rows(), n as u64);
         assert_eq!(f.load_slice(2).expect("slice").count_ones(), n);
-        assert_eq!(f.count_selected(&[2]).expect("count"), n as u64);
-        assert_eq!(f.count_selected(&[1, 2]).expect("count"), 0);
+        assert_eq!(f.count_selected_bounded_masked(&[2], None, None).expect("count"), n as u64);
+        assert_eq!(f.count_selected_bounded_masked(&[1, 2], None, None).expect("count"), 0);
     }
 
     #[test]
@@ -1159,14 +1129,14 @@ mod tests {
                 f.append_row(&[i % 2]).expect("append");
             }
         }
-        let exact = f.count_selected(&[0, 1]).expect("exact");
+        let exact = f.count_selected_bounded_masked(&[0, 1], None, None).expect("exact");
         assert_eq!(exact, 10);
         // tau below the count: result must be exact.
-        assert_eq!(f.count_selected_bounded(&[0, 1], Some(5)).expect("b"), 10);
+        assert_eq!(f.count_selected_bounded_masked(&[0, 1], Some(5), None).expect("b"), 10);
         // tau far above: an early exit may fire, but never undercounts and
         // never crosses tau from below.
         let big_tau = 2 * CHUNK_ROWS as u64;
-        let est = f.count_selected_bounded(&[0, 1], Some(big_tau)).expect("b");
+        let est = f.count_selected_bounded_masked(&[0, 1], Some(big_tau), None).expect("b");
         assert!(est >= exact);
         assert!(est < big_tau);
         // Unbounded agrees with the naive per-slice AND.
@@ -1184,17 +1154,17 @@ mod tests {
             f.append_row(&[(i % 8) as usize]).expect("append");
         }
         for _ in 0..5 {
-            f.count_selected(&[0, 1]).expect("count");
+            f.count_selected_bounded_masked(&[0, 1], None, None).expect("count");
         }
         let hs = f.hot_stats();
         assert!(hs.pinned >= 2, "repeatedly selected slices get pinned: {hs:?}");
         assert!(hs.hits > 0);
-        let before = f.count_selected(&[0]).expect("count");
+        let before = f.count_selected_bounded_masked(&[0], None, None).expect("count");
         // Append invalidates the pinned words; counting still agrees.
         f.append_row(&[0]).expect("append");
         assert_eq!(f.hot_stats().pinned, 0);
         assert!(f.hot_stats().invalidations >= 1);
-        assert_eq!(f.count_selected(&[0]).expect("count"), before + 1);
+        assert_eq!(f.count_selected_bounded_masked(&[0], None, None).expect("count"), before + 1);
     }
 
     #[test]
@@ -1208,7 +1178,7 @@ mod tests {
         // Nothing pinned yet: those 100 appends cost zero invalidations.
         assert_eq!(f.hot_stats().invalidations, 0);
         for _ in 0..PROMOTE_AFTER {
-            f.count_selected(&[0, 1]).expect("count");
+            f.count_selected_bounded_masked(&[0, 1], None, None).expect("count");
         }
         assert!(f.hot_stats().pinned >= 2);
         // One append over a pinned set: exactly one invalidation.
@@ -1221,7 +1191,7 @@ mod tests {
         assert_eq!(f.hot_stats().invalidations, 1);
         // Counting re-promotes (selection counts survived), and the next
         // append invalidates exactly once again.
-        f.count_selected(&[0, 1]).expect("count");
+        f.count_selected_bounded_masked(&[0, 1], None, None).expect("count");
         assert!(f.hot_stats().pinned >= 2, "{:?}", f.hot_stats());
         f.append_row(&[3]).expect("append");
         assert_eq!(f.hot_stats().invalidations, 2);
@@ -1245,20 +1215,20 @@ mod tests {
             writer.append_row(&[0, 1]).expect("append");
         }
         writer.flush().expect("flush");
-        assert_eq!(reader.count_selected(&[0]).expect("count"), 100);
-        assert_eq!(reader.count_selected(&[0, 1]).expect("count"), 100);
+        assert_eq!(reader.count_selected_bounded_masked(&[0], None, None).expect("count"), 100);
+        assert_eq!(reader.count_selected_bounded_masked(&[0, 1], None, None).expect("count"), 100);
         assert_eq!(reader.load_slice(1).expect("slice").count_ones(), 100);
         // Repeat counting so the reader pins hot slices (decoded from pages
         // that now contain newer bits) — the clamp must hold there too.
         for _ in 0..5 {
-            assert_eq!(reader.count_selected(&[0, 1]).expect("count"), 100);
+            assert_eq!(reader.count_selected_bounded_masked(&[0, 1], None, None).expect("count"), 100);
         }
         assert!(reader.hot_stats().pinned > 0);
-        assert_eq!(reader.count_selected(&[0, 1]).expect("count"), 100);
+        assert_eq!(reader.count_selected_bounded_masked(&[0, 1], None, None).expect("count"), 100);
         // A freshly opened reader sees the newer flushed state.
         let fresh = SliceFile::open(&p, 8, 64).expect("fresh");
         assert_eq!(fresh.rows(), 150);
-        assert_eq!(fresh.count_selected(&[0, 1]).expect("count"), 150);
+        assert_eq!(fresh.count_selected_bounded_masked(&[0, 1], None, None).expect("count"), 150);
     }
 
     #[test]
@@ -1280,17 +1250,17 @@ mod tests {
             (vec![3], Some(u64::MAX)),
             (vec![1, 2, 3, 4, 5, 6, 7], Some(1)),
         ];
-        let batched = f.count_selected_many(&queries).expect("batched");
+        let batched = f.count_selected_many_masked(&queries, None).expect("batched");
         for (i, (slices, tau)) in queries.iter().enumerate() {
-            let solo = f.count_selected_bounded(slices, *tau).expect("solo");
+            let solo = f.count_selected_bounded_masked(slices, *tau, None).expect("solo");
             assert_eq!(batched[i], solo, "query {i} {slices:?} tau {tau:?}");
         }
         // Repeat after hot promotion: pinned-slice segments agree too.
         for _ in 0..5 {
-            f.count_selected(&[0, 1]).expect("promote");
+            f.count_selected_bounded_masked(&[0, 1], None, None).expect("promote");
         }
         assert!(f.hot_stats().pinned > 0);
-        let batched2 = f.count_selected_many(&queries).expect("batched hot");
+        let batched2 = f.count_selected_many_masked(&queries, None).expect("batched hot");
         assert_eq!(batched, batched2);
         // Shared-prefix projection agrees with per-op counting of each
         // prefix ∪ extension union, including a query overlapping the
@@ -1303,13 +1273,13 @@ mod tests {
             (vec![7], Some(u64::MAX)),
         ];
         let shared = f
-            .count_selected_many_shared(&prefix, &exts)
+            .count_selected_many_shared_masked(&prefix, &exts, None)
             .expect("shared");
         for (i, (slices, tau)) in exts.iter().enumerate() {
             let mut union: Vec<usize> = prefix.iter().chain(slices).copied().collect();
             union.sort_unstable();
             union.dedup();
-            let solo = f.count_selected_bounded(&union, *tau).expect("solo");
+            let solo = f.count_selected_bounded_masked(&union, *tau, None).expect("solo");
             assert_eq!(shared[i], solo, "shared query {i} {slices:?} tau {tau:?}");
         }
     }
@@ -1358,7 +1328,7 @@ mod tests {
             assert_eq!(
                 f.count_selected_bounded_masked(slices, None, Some(&dead))
                     .expect("masked"),
-                g.count_selected(slices).expect("rebuilt"),
+                g.count_selected_bounded_masked(slices, None, None).expect("rebuilt"),
                 "per-op {slices:?}"
             );
         }
@@ -1379,7 +1349,7 @@ mod tests {
             let mut union: Vec<usize> = [1usize, 2].iter().chain(slices).copied().collect();
             union.sort_unstable();
             union.dedup();
-            let exact = g.count_selected(&union).expect("rebuilt union");
+            let exact = g.count_selected_bounded_masked(&union, None, None).expect("rebuilt union");
             match tau {
                 // No early exit: the masked count must be exact.
                 None => assert_eq!(shared[i], exact, "shared {slices:?}"),
@@ -1398,7 +1368,7 @@ mod tests {
         assert_eq!(
             f.count_selected_bounded_masked(&[0], None, Some(&DeadMask::default()))
                 .expect("empty mask"),
-            f.count_selected(&[0]).expect("plain")
+            f.count_selected_bounded_masked(&[0], None, None).expect("plain")
         );
     }
 
@@ -1412,16 +1382,16 @@ mod tests {
                 .expect("append");
         }
         let shared = &f;
-        let a = shared.count_selected(&[0]).expect("a");
-        let b = shared.count_selected(&[0]).expect("b");
+        let a = shared.count_selected_bounded_masked(&[0], None, None).expect("a");
+        let b = shared.count_selected_bounded_masked(&[0], None, None).expect("b");
         assert_eq!(a, b);
         // And across scoped threads on the same shared reference.
         let (x, y) = std::thread::scope(|s| {
-            let h1 = s.spawn(|| shared.count_selected(&[0, 1]).expect("t1"));
-            let h2 = s.spawn(|| shared.count_selected(&[0, 1]).expect("t2"));
+            let h1 = s.spawn(|| shared.count_selected_bounded_masked(&[0, 1], None, None).expect("t1"));
+            let h2 = s.spawn(|| shared.count_selected_bounded_masked(&[0, 1], None, None).expect("t2"));
             (h1.join().expect("join1"), h2.join().expect("join2"))
         });
         assert_eq!(x, y);
-        assert_eq!(x, shared.count_selected(&[0, 1]).expect("serial"));
+        assert_eq!(x, shared.count_selected_bounded_masked(&[0, 1], None, None).expect("serial"));
     }
 }
