@@ -354,7 +354,7 @@ fn ingest_sharded(
 }
 
 /// Parses `--threads`: absent or `0` resolve to all available cores, any
-/// other value is taken literally.  Rejects junk with a clear message.
+/// other value is capped at them.  Rejects junk with a clear message.
 pub fn parse_threads(flags: &Flags) -> Result<usize, Box<dyn Error>> {
     let requested: usize = match flags.get("threads") {
         Some(raw) => raw.parse().map_err(|e| {
@@ -362,7 +362,7 @@ pub fn parse_threads(flags: &Flags) -> Result<usize, Box<dyn Error>> {
         })?,
         None => 0,
     };
-    Ok(bbs_server::resolve_threads(requested))
+    Ok(bbs_server::resolve_threads(requested, 0))
 }
 
 /// `bbs mine-deployment` — mine a durable deployment directly from its

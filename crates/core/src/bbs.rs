@@ -166,6 +166,12 @@ impl Bbs {
         self.item_counts.get(&item).copied().unwrap_or(0)
     }
 
+    /// Exact supports of every 1-itemset ever inserted; its keys are the
+    /// mining vocabulary.
+    pub fn item_counts(&self) -> &HashMap<ItemId, u64> {
+        &self.item_counts
+    }
+
     /// Every distinct item ever inserted, sorted ascending.
     pub fn vocabulary(&self) -> Vec<ItemId> {
         let mut v: Vec<ItemId> = self.item_counts.keys().copied().collect();

@@ -1,22 +1,31 @@
 //! The filtering phase: SingleFilter, DualFilter and CheckCount (§3.1).
 //!
-//! One recursive engine implements all four of the paper's algorithms:
+//! There is **one** depth-first enumerator ([`run_filter_source_threaded`])
+//! and it counts through a [`CountSource`] — whatever answers the paper's
+//! `CountItemSet`: the memory-resident index ([`crate::BbsCursor`]), a disk
+//! reader, a cross-shard sum.  It implements all four of the paper's
+//! algorithms:
 //!
 //! * **SingleFilter** (Fig. 2) — depth-first enumeration; a candidate is any
 //!   itemset whose `CountItemSet` estimate reaches the threshold.
 //! * **DualFilter** (Fig. 4) — additionally consults [`check_count`]
 //!   (Fig. 3), which uses the exact 1-itemset counts the index maintains to
 //!   certify candidates through Lemma 5 and Corollary 1.
-//! * **Integrated probing** (§3.3, SFP/DFP) — when a database handle is
-//!   supplied, every still-uncertain candidate is verified against the
-//!   database *the moment it is generated*, so false drops never trigger
-//!   chains of further false drops.
+//! * **Integrated probing** (§3.3, SFP/DFP) — a source that can reach the
+//!   database answers [`CountSource::probe`], and every still-uncertain
+//!   candidate is then verified *the moment it is generated*, so false
+//!   drops never trigger chains of further false drops.  Sources that
+//!   cannot leave the candidate uncertain for the caller's refinement scan.
+//!
+//! Who keeps the AND-result of the enumeration prefix is a property of the
+//! source, not of the walk: the walk hands every node's sibling extensions
+//! to the source in one call, prefix first, in depth-first order.
+//! [`run_filter`] and [`run_filter_threaded`] are that runner over the
+//! memory-resident cursor.
 
 use crate::bbs::Bbs;
-use bbs_bitslice::BitVec;
-use bbs_tdb::{
-    BufferPool, IoStats, ItemId, Itemset, MineResult, MineStats, PatternSet, TransactionDb,
-};
+use crate::cursor::BbsCursor;
+use bbs_tdb::{IoStats, ItemId, Itemset, MineResult, MineStats, PatternSet, TransactionDb};
 use std::collections::HashMap;
 use std::io;
 
@@ -76,6 +85,19 @@ impl FilterOutput {
         self.frequent.len() + self.approx.len()
     }
 
+    /// Folds another worker's output into this one.  Workers own disjoint
+    /// subtrees, so the buckets are disjoint and the counters add.
+    fn absorb(&mut self, other: FilterOutput) {
+        self.frequent.extend_from(&other.frequent);
+        self.approx.extend_from(&other.approx);
+        self.uncertain.extend(other.uncertain);
+        self.stats.candidates += other.stats.candidates;
+        self.stats.false_drops += other.stats.false_drops;
+        self.stats.certified += other.stats.certified;
+        self.stats.bbs_counts += other.stats.bbs_counts;
+        self.stats.io.merge(&other.stats.io);
+    }
+
     /// Settles a run into the mining result — the step every out-of-core
     /// miner ends on.  Certain patterns carry over (the `approx` ones
     /// marked as carrying estimates), and each uncertain candidate is
@@ -122,28 +144,28 @@ pub fn tally_subsets(cands: &[Itemset], counts: &mut [u64], items: &Itemset) {
 
 /// `CheckCount` (Fig. 3), expressed over the node states.
 ///
-/// `item` is the paper's `I1 = {i}`; `parent` describes `I2` (its flag and
-/// count) together with its cached estimate `parent_est`; `union_est` is
-/// `estCount(I1 ∪ I2)`; `act1`/`est1` are the exact and estimated supports
-/// of the single item; `tau` the threshold.
+/// The candidate is `I1 ∪ I2` with `I1 = {i}` the item being added:
+/// `parent` describes `I2` (its flag, count and cached estimate), `None`
+/// when `I2` is empty and the candidate is the 1-itemset itself;
+/// `union_est` is `estCount(I1 ∪ I2)`; `act1`/`est1` are the exact and
+/// estimated supports of the single item; `tau` the threshold.
 ///
 /// Returns the flag and count for `I1 ∪ I2`.
 fn check_count(
-    parent_items_is_empty: bool,
-    parent: NodeState,
+    parent: Option<NodeState>,
     act1: u64,
     est1: u64,
     union_est: u64,
     tau: u64,
 ) -> (Flag, u64) {
-    if parent_items_is_empty {
+    let Some(parent) = parent else {
         // Lines 1–3: a 1-itemset's actual count is maintained directly.
         return if act1 < tau {
             (Flag::Infrequent, act1)
         } else {
             (Flag::CertainExact, act1)
         };
-    }
+    };
     if parent.flag == Flag::CertainExact {
         // Lines 5–12: parent count is actual.
         let act2 = parent.count;
@@ -164,359 +186,8 @@ fn check_count(
     (Flag::Uncertain, union_est)
 }
 
-/// A single filtering run.  See [`run_filter`].
-struct FilterRun<'a> {
-    bbs: &'a Bbs,
-    db: Option<&'a TransactionDb>,
-    kind: FilterKind,
-    tau: u64,
-    /// AND-result buffers, one per recursion depth.
-    levels: Vec<BitVec>,
-    /// Estimated singleton supports, filled during level-1 enumeration.
-    est_singleton: HashMap<ItemId, u64>,
-    out: FilterOutput,
-    /// Scratch buffer of row indices for probing.
-    probe_rows: Vec<usize>,
-    /// Buffer pool for the integrated probe: pages are charged on first
-    /// touch only, modelling a run whose working set stays cached.
-    pool: BufferPool,
-}
-
-/// Runs a filtering pass over `bbs`.
-///
-/// * `kind` selects SingleFilter or DualFilter.
-/// * `db: Some(..)` selects the integrated probe (§3.3 SFP/DFP): every
-///   uncertain candidate is verified immediately and its actual count feeds
-///   the recursion; `FilterOutput::uncertain` comes back empty.
-/// * `db: None` is the pure two-phase filter (SFS/DFS before refinement).
-///
-/// `tau` is the absolute support threshold.
-pub fn run_filter(
-    bbs: &Bbs,
-    kind: FilterKind,
-    db: Option<&TransactionDb>,
-    tau: u64,
-) -> FilterOutput {
-    if let Some(db) = db {
-        assert_eq!(
-            db.len(),
-            bbs.rows(),
-            "BBS rows must correspond 1:1 to database rows"
-        );
-    }
-    let mut run = FilterRun {
-        bbs,
-        db,
-        kind,
-        tau,
-        levels: vec![bbs.all_rows_vector()],
-        est_singleton: HashMap::new(),
-        out: FilterOutput::default(),
-        probe_rows: Vec::new(),
-        pool: BufferPool::new(),
-    };
-    let vocab = bbs.vocabulary();
-    // Precompute every singleton estimate up front: the recursion consults
-    // est({i}) for items it has not yet reached in its own level-1 loop
-    // (CheckCount at depth ≥ 1 needs est(I1) for the item being added).
-    for &item in &vocab {
-        let mut io = IoStats::new();
-        let est = run.bbs.est_count_extend(&run.levels[0], item, &mut io);
-        run.out.stats.io.merge(&io);
-        run.out.stats.bbs_counts += 1;
-        run.est_singleton.insert(item, est);
-    }
-    // Anti-monotonicity (Lemma 2 applied per item): est({i} ∪ X) ≤ est({i}),
-    // so an item whose singleton estimate is already below τ can never
-    // appear in a candidate.  Restricting the enumeration alphabet to the
-    // "live" items cuts every level's inner loop from |V| to the frequent
-    // vocabulary — the filter-side analogue of Apriori's L1 restriction.
-    let live: Vec<ItemId> = vocab
-        .iter()
-        .copied()
-        .filter(|item| run.est_singleton[item] >= tau)
-        .collect();
-    // The root: the empty itemset, whose count |D| is trivially exact.
-    let root = NodeState {
-        est: bbs.rows() as u64,
-        count: bbs.rows() as u64,
-        flag: Flag::CertainExact,
-    };
-    run.recurse(&live, 0, &Itemset::empty(), 0, root);
-    run.out
-}
-
-impl FilterRun<'_> {
-    fn recurse(
-        &mut self,
-        items: &[ItemId],
-        start: usize,
-        itemset: &Itemset,
-        depth: usize,
-        state: NodeState,
-    ) {
-        for idx in start..items.len() {
-            self.visit(items, idx, itemset, depth, state);
-        }
-    }
-
-    /// Processes one extension `itemset ∪ {items[idx]}` (filter test,
-    /// CheckCount / probe, and recursion into its subtree).
-    fn visit(
-        &mut self,
-        items: &[ItemId],
-        idx: usize,
-        itemset: &Itemset,
-        depth: usize,
-        state: NodeState,
-    ) {
-        {
-            let item = items[idx];
-            // CountItemSet({i} ∪ itemset) via the incremental AND.  Depth 0
-            // reuses the precomputed singleton estimates.
-            let union_est = if depth == 0 {
-                *self
-                    .est_singleton
-                    .get(&item)
-                    .expect("precomputed in run_filter")
-            } else {
-                let mut io = IoStats::new();
-                let e = self.bbs.est_count_extend(&self.levels[depth], item, &mut io);
-                self.out.stats.io.merge(&io);
-                self.out.stats.bbs_counts += 1;
-                e
-            };
-            if union_est < self.tau {
-                return; // rejected outright by the filter
-            }
-            self.out.stats.candidates += 1;
-            let candidate = itemset.with_item(item);
-
-            let (flag, count) = match self.kind {
-                FilterKind::Single => (Flag::Uncertain, union_est),
-                FilterKind::Dual => {
-                    let act1 = self.bbs.actual_singleton_count(item);
-                    let est1 = *self
-                        .est_singleton
-                        .get(&item)
-                        .expect("level-1 pass caches every singleton estimate");
-                    check_count(itemset.is_empty(), state, act1, est1, union_est, self.tau)
-                }
-            };
-
-            match flag {
-                Flag::Infrequent => {
-                    // A filter-time false drop, discovered for free.
-                    self.out.stats.false_drops += 1;
-                }
-                Flag::CertainExact => {
-                    self.out.stats.certified += 1;
-                    self.out.frequent.insert(candidate.clone(), count);
-                    self.descend(items, idx + 1, &candidate, depth, NodeState {
-                        est: union_est,
-                        count,
-                        flag,
-                    });
-                }
-                Flag::CertainEstimated => {
-                    self.out.stats.certified += 1;
-                    self.out.approx.insert(candidate.clone(), count);
-                    self.descend(items, idx + 1, &candidate, depth, NodeState {
-                        est: union_est,
-                        count,
-                        flag,
-                    });
-                }
-                Flag::Uncertain => {
-                    if self.db.is_some() {
-                        // Integrated probe: resolve immediately.
-                        let actual = self.probe_candidate(&candidate, item, depth);
-                        if actual >= self.tau {
-                            self.out.frequent.insert(candidate.clone(), actual);
-                            self.descend(items, idx + 1, &candidate, depth, NodeState {
-                                est: union_est,
-                                count: actual,
-                                flag: Flag::CertainExact,
-                            });
-                        } else {
-                            self.out.stats.false_drops += 1;
-                            // No recursion: the chain of false drops is cut.
-                        }
-                    } else {
-                        self.out.uncertain.push((candidate.clone(), union_est));
-                        self.descend(items, idx + 1, &candidate, depth, NodeState {
-                            est: union_est,
-                            count: union_est,
-                            flag,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Materialises the child AND-result into `levels[depth + 1]` and
-    /// recurses.
-    fn descend(
-        &mut self,
-        items: &[ItemId],
-        start: usize,
-        candidate: &Itemset,
-        depth: usize,
-        state: NodeState,
-    ) {
-        if start >= items.len() {
-            return;
-        }
-        self.materialize_child(candidate, depth);
-        self.recurse(items, start, candidate, depth + 1, state);
-    }
-
-    /// Writes the AND-result of `candidate` (parent at `depth` extended by
-    /// its last item) into the `depth + 1` buffer.
-    fn materialize_child(&mut self, candidate: &Itemset, depth: usize) {
-        if self.levels.len() <= depth + 1 {
-            self.levels.push(BitVec::new());
-        }
-        let last = *candidate
-            .items()
-            .last()
-            .expect("candidate itemsets are non-empty");
-        let (parents, children) = self.levels.split_at_mut(depth + 1);
-        self.bbs
-            .extend_result(&parents[depth], last, &mut children[0]);
-    }
-
-    /// Probes the database for the candidate's actual support: the child
-    /// AND-result names the candidate rows; fetch and verify each.
-    fn probe_candidate(&mut self, candidate: &Itemset, item: ItemId, depth: usize) -> u64 {
-        let db = self.db.expect("probe requires a database handle");
-        // Materialise the candidate rows (reuses the child-level buffer,
-        // which descend() will overwrite identically if we recurse).
-        if self.levels.len() <= depth + 1 {
-            self.levels.push(BitVec::new());
-        }
-        let (parents, children) = self.levels.split_at_mut(depth + 1);
-        self.bbs.extend_result(&parents[depth], item, &mut children[0]);
-
-        self.probe_rows.clear();
-        self.probe_rows.extend(children[0].iter_ones());
-        let mut io = IoStats::new();
-        let txns = db.probe_cached(&self.probe_rows, &mut self.pool, &mut io);
-        self.out.stats.io.merge(&io);
-        txns.iter()
-            .filter(|t| candidate.is_subset_of(&t.items))
-            .count() as u64
-    }
-}
-
-
-/// Multi-threaded variant of [`run_filter`]: the top-level live items are
-/// dealt round-robin to `threads` workers, each of which enumerates its
-/// subtrees independently (a top-level item's subtree never touches another
-/// top-level item's, so the partition is exact, not heuristic).
-///
-/// Results are identical to the serial engine's — same pattern buckets,
-/// same candidate/false-drop/certified counts — except that `uncertain`
-/// ordering differs and probe page charges are per-worker (each worker has
-/// its own buffer pool, so shared pages may be charged up to `threads`
-/// times).
-pub fn run_filter_threaded(
-    bbs: &Bbs,
-    kind: FilterKind,
-    db: Option<&TransactionDb>,
-    tau: u64,
-    threads: usize,
-) -> FilterOutput {
-    if threads <= 1 {
-        return run_filter(bbs, kind, db, tau);
-    }
-    if let Some(db) = db {
-        assert_eq!(
-            db.len(),
-            bbs.rows(),
-            "BBS rows must correspond 1:1 to database rows"
-        );
-    }
-
-    // Shared preparation: singleton estimates and the live alphabet.
-    let all_rows = bbs.all_rows_vector();
-    let vocab = bbs.vocabulary();
-    let mut est_singleton = HashMap::with_capacity(vocab.len());
-    let mut prep_stats = MineStats::default();
-    for &item in &vocab {
-        let mut io = IoStats::new();
-        let est = bbs.est_count_extend(&all_rows, item, &mut io);
-        prep_stats.io.merge(&io);
-        prep_stats.bbs_counts += 1;
-        est_singleton.insert(item, est);
-    }
-    let live: Vec<ItemId> = vocab
-        .iter()
-        .copied()
-        .filter(|item| est_singleton[item] >= tau)
-        .collect();
-    let root = NodeState {
-        est: bbs.rows() as u64,
-        count: bbs.rows() as u64,
-        flag: Flag::CertainExact,
-    };
-
-    let workers = threads.min(live.len().max(1));
-    let outputs: Vec<FilterOutput> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for t in 0..workers {
-            let live = &live;
-            let est_singleton = &est_singleton;
-            handles.push(scope.spawn(move || {
-                let mut run = FilterRun {
-                    bbs,
-                    db,
-                    kind,
-                    tau,
-                    levels: vec![bbs.all_rows_vector()],
-                    est_singleton: est_singleton.clone(),
-                    out: FilterOutput::default(),
-                    probe_rows: Vec::new(),
-                    pool: BufferPool::new(),
-                };
-                // Round-robin deal balances the skew of early (deep) vs
-                // late (shallow) subtrees.
-                let empty = Itemset::empty();
-                let mut idx = t;
-                while idx < live.len() {
-                    run.visit(live, idx, &empty, 0, root);
-                    idx += workers;
-                }
-                run.out
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("filter worker panicked"))
-            .collect()
-    });
-
-    let mut merged = FilterOutput {
-        stats: prep_stats,
-        ..FilterOutput::default()
-    };
-    for out in outputs {
-        merged.frequent.extend_from(&out.frequent);
-        merged.approx.extend_from(&out.approx);
-        merged.uncertain.extend(out.uncertain);
-        merged.stats.candidates += out.stats.candidates;
-        merged.stats.false_drops += out.stats.false_drops;
-        merged.stats.certified += out.stats.certified;
-        merged.stats.bbs_counts += out.stats.bbs_counts;
-        merged.stats.io.merge(&out.stats.io);
-    }
-    merged
-}
-
-/// A fallible `CountItemSet` provider for the source-generic filter engine
-/// — how the enumeration of Figs. 2/4 runs against an index that is not
-/// memory-resident (e.g. a disk-backed BBS counting cached pages in place).
+/// A fallible `CountItemSet` provider: what the enumeration of Figs. 2/4
+/// counts through, whether or not the index is memory-resident.
 ///
 /// Implementations may exploit the early-exit contract of
 /// [`bbs_bitslice::ops::and_count_many`]: the returned value must be exact
@@ -541,10 +212,11 @@ pub trait CountSource {
     /// contract as [`CountSource::count_itemset`], and the results must be
     /// identical to counting the extensions one at a time.
     ///
-    /// The default implementation is that per-item loop; batched backends
-    /// (e.g. the shared-scan disk executor) override it to walk the shared
-    /// slice pages once per batch and to AND the common prefix once
-    /// instead of once per sibling.
+    /// The default implementation is that per-item loop; sources that keep
+    /// the prefix's AND-result (the memory cursor, the shared-scan disk
+    /// executor) override it to AND the common prefix once instead of once
+    /// per sibling.  The enumeration calls it in depth-first order, so
+    /// consecutive prefixes differ by one item below their common ancestor.
     fn count_extensions(
         &mut self,
         prefix: &Itemset,
@@ -556,18 +228,18 @@ pub trait CountSource {
             .map(|&item| self.count_itemset(&prefix.with_item(item), tau))
             .collect()
     }
+
+    /// The integrated probe of §3.3: the **exact** support of `candidate`
+    /// right now, if this source can reach the database (charging the
+    /// fetches to `io`).  `None` — the default — leaves the candidate
+    /// uncertain, to be refined by the caller's scan after the run.
+    fn probe(&mut self, _candidate: &Itemset, _io: &mut IoStats) -> io::Result<Option<u64>> {
+        Ok(None)
+    }
 }
 
 /// The τ that requests an exact estimate from any [`CountSource`].
 pub const EXACT: u64 = 0;
-
-/// The memory-resident index as a [`CountSource`]: every answer is the
-/// exact estimate, which satisfies any τ budget.
-impl CountSource for &Bbs {
-    fn count_itemset(&mut self, itemset: &Itemset, _tau: u64) -> io::Result<u64> {
-        Ok(self.est_count(itemset, &mut IoStats::new()))
-    }
-}
 
 /// Upper bound on the number of sibling candidates submitted to
 /// [`CountSource::count_extensions`] in one call.  The number of
@@ -577,290 +249,249 @@ impl CountSource for &Bbs {
 /// accumulator scratch, so outsized alphabets are split.
 const MAX_COUNT_BATCH: usize = 256;
 
-/// One worker's walk over the enumeration tree, counting through a
-/// [`CountSource`].  Unlike [`FilterRun`] there are no per-depth AND-result
-/// buffers: the source counts whole itemsets, so the recursion threads only
-/// the candidate itemset and the parent's [`NodeState`].
-struct SourceRun<'a, C: CountSource> {
-    src: &'a mut C,
+/// The enumeration alphabet: every item whose singleton estimate reaches
+/// τ, ascending, with the two per-item inputs of CheckCount alongside.
+///
+/// Anti-monotonicity (Lemma 2 applied per item) gives
+/// `est({i} ∪ X) ≤ est({i})`, so an item below τ on its own can never
+/// appear in a candidate; dropping it cuts every node's sibling loop from
+/// the vocabulary to the frequent vocabulary — the filter-side analogue
+/// of Apriori's L1 restriction.
+#[derive(Default)]
+struct Live {
+    items: Vec<ItemId>,
+    /// `est({item})`, exact (it is `≥ τ`).
+    est: Vec<u64>,
+    /// The maintained exact support of `{item}`.
+    act: Vec<u64>,
+}
+
+impl Live {
+    /// The level-1 pass: one `CountItemSet` per vocabulary item.
+    fn survey<C: CountSource>(
+        src: &mut C,
+        actuals: &HashMap<ItemId, u64>,
+        tau: u64,
+    ) -> io::Result<Live> {
+        let mut vocab: Vec<(ItemId, u64)> = actuals.iter().map(|(&i, &c)| (i, c)).collect();
+        vocab.sort_unstable();
+        let mut live = Live::default();
+        for (item, act) in vocab {
+            let est = src.count_itemset(&Itemset::from_items(vec![item]), tau)?;
+            if est >= tau {
+                live.items.push(item);
+                live.est.push(est);
+                live.act.push(act);
+            }
+        }
+        Ok(live)
+    }
+}
+
+/// One worker's walk over its share of the enumeration tree.
+struct Walk<'a, C: CountSource> {
+    src: C,
     kind: FilterKind,
     tau: u64,
-    est_singleton: &'a HashMap<ItemId, u64>,
-    /// Exact 1-itemset supports (DualFilter's CheckCount input).
-    actuals: &'a HashMap<ItemId, u64>,
+    live: &'a Live,
     out: FilterOutput,
 }
 
-impl<C: CountSource> SourceRun<'_, C> {
-    /// Filter test + CheckCount + bucket insert for one candidate whose
-    /// estimate is already known.  Returns the child [`NodeState`] when
-    /// the candidate's subtree should be explored, `None` when the
-    /// candidate was pruned or its false drop was discovered.
-    fn admit(
+impl<C: CountSource> Walk<'_, C> {
+    /// Processes the extension `itemset ∪ {live.items[idx]}` whose estimate
+    /// is `union_est`: the filter test, CheckCount, the probe if the source
+    /// offers one, the bucket insert, and the candidate's own subtree.
+    /// `parent` is `itemset`'s state, `None` at the root.
+    fn node(
         &mut self,
-        item: ItemId,
+        idx: usize,
         itemset: &Itemset,
-        state: NodeState,
+        parent: Option<NodeState>,
         union_est: u64,
-        candidate: &Itemset,
-    ) -> Option<NodeState> {
+    ) -> io::Result<()> {
         if union_est < self.tau {
-            return None; // rejected outright by the filter
+            return Ok(()); // rejected outright by the filter
         }
         self.out.stats.candidates += 1;
+        // Built only now: most extensions never get past the test above.
+        let candidate = itemset.with_item(self.live.items[idx]);
         let (flag, count) = match self.kind {
             FilterKind::Single => (Flag::Uncertain, union_est),
             FilterKind::Dual => {
-                let act1 = self.actuals.get(&item).copied().unwrap_or(0);
-                let est1 = *self
-                    .est_singleton
-                    .get(&item)
-                    .expect("singleton estimates are precomputed");
-                check_count(itemset.is_empty(), state, act1, est1, union_est, self.tau)
+                let (act1, est1) = (self.live.act[idx], self.live.est[idx]);
+                check_count(parent, act1, est1, union_est, self.tau)
             }
         };
-        match flag {
+        let (flag, count) = match flag {
             Flag::Infrequent => {
+                // A filter-time false drop, discovered for free.
                 self.out.stats.false_drops += 1;
-                return None;
+                return Ok(());
             }
             Flag::CertainExact => {
                 self.out.stats.certified += 1;
                 self.out.frequent.insert(candidate.clone(), count);
+                (flag, count)
             }
             Flag::CertainEstimated => {
                 self.out.stats.certified += 1;
                 self.out.approx.insert(candidate.clone(), count);
+                (flag, count)
             }
-            Flag::Uncertain => {
-                self.out.uncertain.push((candidate.clone(), union_est));
-            }
-        }
-        Some(NodeState {
+            Flag::Uncertain => match self.src.probe(&candidate, &mut self.out.stats.io)? {
+                Some(actual) if actual >= self.tau => {
+                    self.out.frequent.insert(candidate.clone(), actual);
+                    (Flag::CertainExact, actual)
+                }
+                Some(_) => {
+                    // No recursion: the chain of false drops is cut.
+                    self.out.stats.false_drops += 1;
+                    return Ok(());
+                }
+                None => {
+                    self.out.uncertain.push((candidate.clone(), union_est));
+                    (flag, count)
+                }
+            },
+        };
+        let state = NodeState {
             est: union_est,
             count,
             flag,
-        })
-    }
-
-    /// Processes one top-level extension `itemset ∪ {items[idx]}` (the
-    /// entry point the round-robin deal of the threaded runner targets;
-    /// singletons reuse the precomputed estimates) and expands its subtree
-    /// through the batched path.
-    fn visit(
-        &mut self,
-        items: &[ItemId],
-        idx: usize,
-        itemset: &Itemset,
-        state: NodeState,
-    ) -> io::Result<()> {
-        let item = items[idx];
-        let candidate = itemset.with_item(item);
-        let union_est = if itemset.is_empty() {
-            *self
-                .est_singleton
-                .get(&item)
-                .expect("singleton estimates are precomputed")
-        } else {
-            self.out.stats.bbs_counts += 1;
-            self.src.count_itemset(&candidate, self.tau)?
         };
-        if let Some(child) = self.admit(item, itemset, state, union_est, &candidate) {
-            self.expand(items, idx + 1, &candidate, child)?;
-        }
-        Ok(())
+        self.expand(idx + 1, &candidate, state)
     }
 
-    /// Expands every extension of `itemset` by the alphabet tail
-    /// `items[start..]`: all sibling candidates of the node are counted
-    /// through **one** batched [`CountSource::count_extensions`] call
-    /// (split at [`MAX_COUNT_BATCH`]), then each survivor's subtree is
-    /// explored depth-first.  The candidates counted — and every output
-    /// bucket — are identical to the one-at-a-time recursion; only the
-    /// counting is grouped so a batched source can share its scan.
-    fn expand(
-        &mut self,
-        items: &[ItemId],
-        start: usize,
-        itemset: &Itemset,
-        state: NodeState,
-    ) -> io::Result<()> {
-        if start >= items.len() {
-            return Ok(());
-        }
-        let exts = &items[start..];
+    /// Expands `itemset` by the alphabet tail `live.items[start..]`: all
+    /// sibling candidates of the node are counted through **one** batched
+    /// [`CountSource::count_extensions`] call (split at
+    /// [`MAX_COUNT_BATCH`]), then each survivor's subtree is explored
+    /// depth-first.
+    fn expand(&mut self, start: usize, itemset: &Itemset, state: NodeState) -> io::Result<()> {
+        let exts = &self.live.items[start..];
         let mut ests = Vec::with_capacity(exts.len());
         for batch in exts.chunks(MAX_COUNT_BATCH) {
             self.out.stats.bbs_counts += batch.len() as u64;
             ests.extend(self.src.count_extensions(itemset, batch, self.tau)?);
         }
-        for (k, &item) in exts.iter().enumerate() {
-            let candidate = itemset.with_item(item);
-            if let Some(child) = self.admit(item, itemset, state, ests[k], &candidate) {
-                self.expand(items, start + k + 1, &candidate, child)?;
-            }
+        for (k, est) in ests.into_iter().enumerate() {
+            self.node(start + k, itemset, Some(state), est)?;
         }
         Ok(())
     }
 }
 
-/// Computes the singleton estimates and live alphabet for a source run.
-fn source_prep<C: CountSource>(
-    src: &mut C,
-    vocab: &[ItemId],
-    tau: u64,
-) -> io::Result<(HashMap<ItemId, u64>, Vec<ItemId>, u64)> {
-    let mut est_singleton = HashMap::with_capacity(vocab.len());
-    for &item in vocab {
-        let est = src.count_itemset(&Itemset::empty().with_item(item), tau)?;
-        est_singleton.insert(item, est);
-    }
-    let live: Vec<ItemId> = vocab
-        .iter()
-        .copied()
-        .filter(|item| est_singleton[item] >= tau)
-        .collect();
-    Ok((est_singleton, live, vocab.len() as u64))
-}
-
-/// [`run_filter`] over an arbitrary [`CountSource`]: same SingleFilter /
-/// DualFilter semantics, but every `CountItemSet` goes through `src` and
-/// I/O failures propagate instead of panicking.
+/// The filtering pass of Figs. 2/4 over an arbitrary [`CountSource`], on
+/// `threads` workers.
 ///
-/// `vocab` is the enumeration alphabet (typically every item the index has
-/// seen, sorted), `actuals` the exact 1-itemset supports, and `rows` the
-/// number of indexed transactions.
-pub fn run_filter_source<C: CountSource>(
-    src: &mut C,
-    vocab: &[ItemId],
-    actuals: &HashMap<ItemId, u64>,
-    rows: u64,
-    kind: FilterKind,
-    tau: u64,
-) -> io::Result<FilterOutput> {
-    let (est_singleton, live, prep_counts) = source_prep(src, vocab, tau)?;
-    let root = NodeState {
-        est: rows,
-        count: rows,
-        flag: Flag::CertainExact,
-    };
-    let mut run = SourceRun {
-        src,
-        kind,
-        tau,
-        est_singleton: &est_singleton,
-        actuals,
-        out: FilterOutput::default(),
-    };
-    let empty = Itemset::empty();
-    for idx in 0..live.len() {
-        run.visit(&live, idx, &empty, root)?;
-    }
-    let mut out = run.out;
-    out.stats.bbs_counts += prep_counts;
-    Ok(out)
-}
-
-/// Multi-threaded [`run_filter_source`]: the top-level live items are dealt
-/// round-robin to `threads` workers exactly as in [`run_filter_threaded`],
-/// and each worker counts through its **own** source (`make_source` is
-/// called once per worker — e.g. an independent reader with its own page
-/// cache over the same slice file).
+/// `actuals` holds the exact 1-itemset supports the index maintains; its
+/// keys are the enumeration vocabulary.  After the level-1 pass the live
+/// items are dealt round-robin to the workers — a top-level item's subtree
+/// never touches another's, so the partition is exact, not heuristic, and
+/// the deal balances the skew of early (deep) against late (shallow)
+/// subtrees.  Each worker counts through its **own** source: worker 0 runs
+/// on the calling thread with the source that did the level-1 pass, every
+/// other worker calls `make_source` for its own (e.g. an independent
+/// reader with its own page cache over the same slice file).  One worker
+/// is therefore simply the serial run.
 ///
-/// Pattern buckets and candidate/false-drop/certified counts are identical
-/// to the serial run; only the order of `uncertain` differs.
+/// Pattern buckets and the candidate / false-drop / certified / count
+/// totals do not depend on `threads`; only the order of `uncertain` does,
+/// and probe page charges (each probing source has its own buffer pool, so
+/// a shared page may be charged once per worker).  The sources come back
+/// with the output, in worker order, so callers can read what their
+/// readers did.
 pub fn run_filter_source_threaded<C, F>(
     make_source: F,
-    vocab: &[ItemId],
     actuals: &HashMap<ItemId, u64>,
-    rows: u64,
     kind: FilterKind,
     tau: u64,
     threads: usize,
-) -> io::Result<FilterOutput>
+) -> io::Result<(FilterOutput, Vec<C>)>
 where
     C: CountSource + Send,
     F: Fn() -> io::Result<C> + Sync,
 {
-    let mut prep_src = make_source()?;
-    let (est_singleton, live, prep_counts) = source_prep(&mut prep_src, vocab, tau)?;
-    let root = NodeState {
-        est: rows,
-        count: rows,
-        flag: Flag::CertainExact,
-    };
-    let empty = Itemset::empty();
-    let workers = threads.max(1).min(live.len().max(1));
-    if workers <= 1 {
-        let mut run = SourceRun {
-            src: &mut prep_src,
+    let mut first = make_source()?;
+    let live = Live::survey(&mut first, actuals, tau)?;
+    let workers = threads.clamp(1, live.items.len().max(1));
+    let run_worker = |src: C, worker: usize| -> io::Result<(FilterOutput, C)> {
+        let mut walk = Walk {
+            src,
             kind,
             tau,
-            est_singleton: &est_singleton,
-            actuals,
+            live: &live,
             out: FilterOutput::default(),
         };
-        for idx in 0..live.len() {
-            run.visit(&live, idx, &empty, root)?;
+        let root = Itemset::empty();
+        for idx in (worker..live.items.len()).step_by(workers) {
+            walk.node(idx, &root, None, live.est[idx])?;
         }
-        let mut out = run.out;
-        out.stats.bbs_counts += prep_counts;
-        return Ok(out);
-    }
-    drop(prep_src);
-
-    let outputs: Vec<io::Result<FilterOutput>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for t in 0..workers {
-            let live = &live;
-            let est_singleton = &est_singleton;
-            let make_source = &make_source;
-            let empty = &empty;
-            handles.push(scope.spawn(move || -> io::Result<FilterOutput> {
-                let mut src = make_source()?;
-                let mut run = SourceRun {
-                    src: &mut src,
-                    kind,
-                    tau,
-                    est_singleton,
-                    actuals,
-                    out: FilterOutput::default(),
-                };
-                let mut idx = t;
-                while idx < live.len() {
-                    run.visit(live, idx, empty, root)?;
-                    idx += workers;
-                }
-                Ok(run.out)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("source filter worker panicked"))
-            .collect()
+        Ok((walk.out, walk.src))
+    };
+    let walked: Vec<io::Result<(FilterOutput, C)>> = std::thread::scope(|scope| {
+        let (run_worker, make_source) = (&run_worker, &make_source);
+        let spawned: Vec<_> = (1..workers)
+            .map(|worker| scope.spawn(move || run_worker(make_source()?, worker)))
+            .collect();
+        let mut walked = vec![run_worker(first, 0)];
+        walked.extend(
+            spawned
+                .into_iter()
+                .map(|h| h.join().expect("filter worker panicked")),
+        );
+        walked
     });
 
-    let mut merged = FilterOutput::default();
-    merged.stats.bbs_counts = prep_counts;
-    for out in outputs {
-        let out = out?;
-        merged.frequent.extend_from(&out.frequent);
-        merged.approx.extend_from(&out.approx);
-        merged.uncertain.extend(out.uncertain);
-        merged.stats.candidates += out.stats.candidates;
-        merged.stats.false_drops += out.stats.false_drops;
-        merged.stats.certified += out.stats.certified;
-        merged.stats.bbs_counts += out.stats.bbs_counts;
-        merged.stats.io.merge(&out.stats.io);
+    let mut out = FilterOutput::default();
+    out.stats.bbs_counts = actuals.len() as u64;
+    let mut sources = Vec::with_capacity(workers);
+    for result in walked {
+        let (part, src) = result?;
+        out.absorb(part);
+        sources.push(src);
     }
-    Ok(merged)
+    Ok((out, sources))
+}
+
+/// Runs a filtering pass over the memory-resident `bbs`.
+///
+/// * `kind` selects SingleFilter or DualFilter.
+/// * `db: Some(..)` selects the integrated probe (§3.3 SFP/DFP): every
+///   uncertain candidate is verified immediately and its actual count feeds
+///   the recursion; `FilterOutput::uncertain` comes back empty.
+/// * `db: None` is the pure two-phase filter (SFS/DFS before refinement).
+///
+/// `tau` is the absolute support threshold.
+pub fn run_filter(
+    bbs: &Bbs,
+    kind: FilterKind,
+    db: Option<&TransactionDb>,
+    tau: u64,
+) -> FilterOutput {
+    run_filter_threaded(bbs, kind, db, tau, 1)
+}
+
+/// [`run_filter`] on `threads` workers: [`run_filter_source_threaded`]
+/// with one [`BbsCursor`] per worker.
+pub fn run_filter_threaded(
+    bbs: &Bbs,
+    kind: FilterKind,
+    db: Option<&TransactionDb>,
+    tau: u64,
+    threads: usize,
+) -> FilterOutput {
+    let make_source = || Ok(BbsCursor::new(bbs, db));
+    let (out, _) = run_filter_source_threaded(make_source, bbs.item_counts(), kind, tau, threads)
+        .expect("the memory-resident index cannot fail a count");
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bbs_hash::ModuloHasher;
-    use bbs_tdb::{Transaction, TransactionDb};
+    use bbs_tdb::Transaction;
     use std::sync::Arc;
 
     fn set(vals: &[u32]) -> Itemset {
@@ -1006,7 +637,6 @@ mod tests {
         assert!(none.uncertain.is_empty());
     }
 
-
     #[test]
     fn threaded_filter_matches_serial() {
         let (bbs, db) = paper_fixture();
@@ -1049,91 +679,6 @@ mod tests {
         assert_eq!(par.certain_len(), 11);
     }
 
-    /// The `&Bbs` source answers `est_count` whatever τ it is handed, one
-    /// itemset at a time or as a batch of sibling extensions.
-    #[test]
-    fn bbs_count_source_is_est_count() {
-        let (bbs, _) = paper_fixture();
-        let vocab = bbs.vocabulary();
-        let mut src = &bbs;
-        for &a in &vocab {
-            let prefix = Itemset::from_items(vec![a]);
-            let want: Vec<u64> = vocab
-                .iter()
-                .map(|&b| bbs.est_count(&prefix.with_item(b), &mut IoStats::new()))
-                .collect();
-            for tau in [EXACT, 1, 3, u64::MAX] {
-                let got = src.count_extensions(&prefix, &vocab, tau).expect("batch");
-                assert_eq!(got, want, "prefix {a:?} τ={tau}");
-                let solo = src.count_itemset(&prefix, tau).expect("solo");
-                assert_eq!(solo, bbs.est_count(&prefix, &mut IoStats::new()));
-            }
-        }
-    }
-
-    fn fixture_actuals(bbs: &Bbs) -> HashMap<ItemId, u64> {
-        bbs.vocabulary()
-            .into_iter()
-            .map(|i| (i, bbs.actual_singleton_count(i)))
-            .collect()
-    }
-
-    #[test]
-    fn source_engine_matches_memory_engine() {
-        let (bbs, _) = paper_fixture();
-        let vocab = bbs.vocabulary();
-        let actuals = fixture_actuals(&bbs);
-        for kind in [FilterKind::Single, FilterKind::Dual] {
-            let mem = run_filter(&bbs, kind, None, 3);
-            let mut src = &bbs;
-            let out = run_filter_source(&mut src, &vocab, &actuals, bbs.rows() as u64, kind, 3)
-                .expect("source run");
-            assert_eq!(out.frequent, mem.frequent, "{kind:?}");
-            assert_eq!(out.approx, mem.approx, "{kind:?}");
-            let mut a: Vec<_> = out.uncertain.clone();
-            let mut b: Vec<_> = mem.uncertain.clone();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "{kind:?}");
-            assert_eq!(out.stats.candidates, mem.stats.candidates, "{kind:?}");
-            assert_eq!(out.stats.false_drops, mem.stats.false_drops, "{kind:?}");
-            assert_eq!(out.stats.certified, mem.stats.certified, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn threaded_source_engine_matches_serial() {
-        let (bbs, _) = paper_fixture();
-        let vocab = bbs.vocabulary();
-        let actuals = fixture_actuals(&bbs);
-        for kind in [FilterKind::Single, FilterKind::Dual] {
-            let mut src = &bbs;
-            let serial = run_filter_source(&mut src, &vocab, &actuals, bbs.rows() as u64, kind, 3)
-                .expect("serial");
-            for threads in [1usize, 2, 4, 9] {
-                let par = run_filter_source_threaded(
-                    || Ok(&bbs),
-                    &vocab,
-                    &actuals,
-                    bbs.rows() as u64,
-                    kind,
-                    3,
-                    threads,
-                )
-                .expect("threaded");
-                assert_eq!(par.frequent, serial.frequent, "{kind:?} x{threads}");
-                assert_eq!(par.approx, serial.approx, "{kind:?} x{threads}");
-                let mut a: Vec<_> = par.uncertain.clone();
-                let mut b: Vec<_> = serial.uncertain.clone();
-                a.sort();
-                b.sort();
-                assert_eq!(a, b, "{kind:?} x{threads}");
-                assert_eq!(par.stats.candidates, serial.stats.candidates);
-                assert_eq!(par.stats.certified, serial.stats.certified);
-            }
-        }
-    }
-
     #[test]
     fn check_count_corollary_1() {
         // Both operands exact ⇒ union exact.
@@ -1142,7 +687,7 @@ mod tests {
             count: 10,
             flag: Flag::CertainExact,
         };
-        let (flag, count) = check_count(false, parent, 7, 7, 6, 3);
+        let (flag, count) = check_count(Some(parent), 7, 7, 6, 3);
         assert_eq!(flag, Flag::CertainExact);
         assert_eq!(count, 6);
     }
@@ -1156,11 +701,11 @@ mod tests {
             flag: Flag::CertainExact,
         };
         // slack = est2 − act2 = 2; union_est = 6 ⇒ lower bound 4 ≥ τ = 3.
-        let (flag, count) = check_count(false, parent, 7, 7, 6, 3);
+        let (flag, count) = check_count(Some(parent), 7, 7, 6, 3);
         assert_eq!(flag, Flag::CertainEstimated);
         assert_eq!(count, 6);
         // With τ = 5 the lower bound 4 no longer suffices.
-        let (flag, _) = check_count(false, parent, 7, 7, 6, 5);
+        let (flag, _) = check_count(Some(parent), 7, 7, 6, 5);
         assert_eq!(flag, Flag::Uncertain);
     }
 
@@ -1173,25 +718,14 @@ mod tests {
             flag: Flag::CertainExact,
         };
         // est1 − act1 = 1; union_est = 5 ⇒ bound 4 ≥ τ = 4.
-        let (flag, _) = check_count(false, parent, 6, 7, 5, 4);
+        let (flag, _) = check_count(Some(parent), 6, 7, 5, 4);
         assert_eq!(flag, Flag::CertainEstimated);
     }
 
     #[test]
     fn check_count_singleton_cases() {
-        let parent = NodeState {
-            est: 5,
-            count: 5,
-            flag: Flag::CertainExact,
-        };
-        assert_eq!(
-            check_count(true, parent, 2, 4, 4, 3),
-            (Flag::Infrequent, 2)
-        );
-        assert_eq!(
-            check_count(true, parent, 4, 4, 4, 3),
-            (Flag::CertainExact, 4)
-        );
+        assert_eq!(check_count(None, 2, 4, 4, 3), (Flag::Infrequent, 2));
+        assert_eq!(check_count(None, 4, 4, 4, 3), (Flag::CertainExact, 4));
     }
 
     #[test]
@@ -1201,14 +735,14 @@ mod tests {
             count: 10,
             flag: Flag::Uncertain,
         };
-        let (flag, _) = check_count(false, parent, 7, 7, 6, 3);
+        let (flag, _) = check_count(Some(parent), 7, 7, 6, 3);
         assert_eq!(flag, Flag::Uncertain);
         let parent2 = NodeState {
             est: 10,
             count: 10,
             flag: Flag::CertainEstimated,
         };
-        let (flag2, _) = check_count(false, parent2, 7, 7, 6, 3);
+        let (flag2, _) = check_count(Some(parent2), 7, 7, 6, 3);
         assert_eq!(flag2, Flag::Uncertain);
     }
 }

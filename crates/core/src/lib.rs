@@ -8,8 +8,11 @@
 //!   stored slice-major, supporting incremental insertion, `CountItemSet`
 //!   upper-bound support estimation, constraint slices and folding.
 //! * [`filter`] — SingleFilter / DualFilter candidate generation with the
-//!   CheckCount certainty logic (Lemma 5 / Corollary 1), optionally
-//!   integrated with database probing.
+//!   CheckCount certainty logic (Lemma 5 / Corollary 1): one depth-first
+//!   enumerator over a [`CountSource`], optionally integrated with
+//!   database probing.
+//! * [`cursor`] — the memory-resident [`CountSource`]: a depth-first
+//!   cursor that keeps the enumeration prefix's AND-result per depth.
 //! * [`refine`] — SequentialScan and Probe refinement.
 //! * [`adaptive`] — the three-phase memory-constrained pipeline bounding
 //!   I/O at two BBS passes.
@@ -43,6 +46,7 @@ pub mod adaptive;
 pub mod adhoc;
 pub mod approx;
 pub mod bbs;
+pub mod cursor;
 pub mod filter;
 pub mod miners;
 pub mod persist;
@@ -53,9 +57,10 @@ pub use adaptive::{adaptive_filter, slices_for_budget};
 pub use adhoc::AdhocEngine;
 pub use approx::{mine_approximate, ApproxPattern, ApproxResult};
 pub use bbs::Bbs;
+pub use cursor::BbsCursor;
 pub use filter::{
-    run_filter, run_filter_source, run_filter_source_threaded, run_filter_threaded, tally_subsets,
-    CountSource, FilterKind, FilterOutput, Flag, EXACT,
+    run_filter, run_filter_source_threaded, run_filter_threaded, tally_subsets, CountSource,
+    FilterKind, FilterOutput, Flag, EXACT,
 };
 pub use miners::{BbsMiner, RefineKind, Scheme};
 pub use persist::{load_from_path, save_to_path, PersistError};

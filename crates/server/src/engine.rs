@@ -131,15 +131,18 @@ const FPR_SEED: u64 = 0xBB5_F9A0_11D5;
 /// encoding stays comfortably under [`crate::proto::MAX_FRAME`]).
 const ROWS_MAX_BYTES: usize = 8 << 20;
 
-/// Resolves a requested thread count: `0` (or absent, mapped to `0` by
-/// callers) means "all available cores".
-pub fn resolve_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        requested
+/// Resolves a MINE worker count: the request's value, else the configured
+/// default, else every core (`0` means "unset" in both) — and never more
+/// than the cores there are, whoever asked.  Mined results do not depend
+/// on the thread count, so the cap costs nothing but bounds what one
+/// hostile `threads = 65535` frame can make the server spawn.
+pub fn resolve_threads(requested: usize, configured: usize) -> usize {
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    match [requested, configured].into_iter().find(|&t| t != 0) {
+        Some(threads) => threads.min(cores),
+        None => cores,
     }
 }
 
@@ -629,11 +632,7 @@ impl Engine {
     ) -> io::Result<(bbs_tdb::MineResult, Arc<Snapshot>)> {
         let snap = self.shared.snapshot();
         let (db, bbs) = snap.load()?;
-        let threads = if threads == 0 {
-            resolve_threads(self.cfg.mine_threads)
-        } else {
-            threads
-        };
+        let threads = resolve_threads(threads, self.cfg.mine_threads);
         let mut miner = bbs_core::BbsMiner::with_index(scheme, bbs).with_threads(threads);
         let result = miner.mine(&db, threshold);
         Ok((result, snap))
@@ -1496,6 +1495,18 @@ mod tests {
             } => (first_row, appended, epoch, deduped),
             other => panic!("unexpected outcome: {other:?}"),
         }
+    }
+
+    #[test]
+    fn resolve_threads_prefers_the_request_and_never_exceeds_the_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(resolve_threads(0, 0), cores);
+        assert_eq!(resolve_threads(1, 0), 1);
+        assert_eq!(resolve_threads(1, 65535), 1, "the request wins");
+        assert_eq!(resolve_threads(0, 1), 1, "then the configured default");
+        assert_eq!(resolve_threads(65535, 0), cores);
+        assert_eq!(resolve_threads(0, 65535), cores);
+        assert_eq!(resolve_threads(65535, 1), cores);
     }
 
     #[test]

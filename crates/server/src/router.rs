@@ -39,10 +39,11 @@ use crate::engine::{admit_count_many, mine_reply, resolve_threads};
 use crate::metrics::{micros_since, Histogram, ServerMetrics};
 use crate::net::RequestHandler;
 use crate::proto::{Reply, Request, Response};
-use bbs_core::{tally_subsets, Bbs, Scheme};
-use bbs_shard::{count_many_sharded, route, scatter, sum_columns, ShardHandle, ShardedCounter};
-use bbs_tdb::{ItemId, Itemset, MineResult, SupportThreshold, TransactionDb};
-use std::collections::HashMap;
+use bbs_core::{tally_subsets, Bbs, BbsCursor, Scheme};
+use bbs_shard::{
+    count_many_sharded, route, scatter, sum_columns, sum_item_counts, ShardHandle, ShardedCounter,
+};
+use bbs_tdb::{Itemset, MineResult, SupportThreshold, TransactionDb};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -413,39 +414,28 @@ impl<N: Node> Router<N> {
         threads: usize,
     ) -> io::Result<(MineResult, u64, u64)> {
         let start = Instant::now();
-        let threads = if threads == 0 {
-            resolve_threads(self.mine_threads)
-        } else {
-            threads
-        };
+        let threads = resolve_threads(threads, self.mine_threads);
         let (pins, epoch, _) = self.pins()?;
         let loaded = scatter(&pins, |_, pin| N::load(pin))?;
         let shard_rows: Vec<u64> = loaded.iter().map(|(db, _)| db.len() as u64).collect();
         let rows: u64 = shard_rows.iter().sum();
         let tau = threshold.resolve(rows as usize);
 
-        // Global vocabulary and exact singleton supports: sums over the
-        // disjoint TID partition equal the unsharded values exactly.
-        let mut actuals: HashMap<ItemId, u64> = HashMap::new();
-        for (_, bbs) in &loaded {
-            for item in bbs.vocabulary() {
-                *actuals.entry(item).or_insert(0) += bbs.actual_singleton_count(item);
-            }
-        }
-        let mut vocab: Vec<ItemId> = actuals.keys().copied().collect();
-        vocab.sort_unstable();
-
+        let actuals = sum_item_counts(loaded.iter().map(|(_, bbs)| bbs.item_counts()));
+        // One cursor per shard per worker: the cross-shard sum counts each
+        // sibling against the shard prefixes the cursors keep.
         let make_source = || {
             Ok(ShardedCounter::new(
-                loaded.iter().map(|(_, bbs)| bbs).collect(),
+                loaded
+                    .iter()
+                    .map(|(_, bbs)| BbsCursor::new(bbs, None))
+                    .collect(),
                 shard_rows.clone(),
             ))
         };
-        let filter_out = bbs_core::run_filter_source_threaded(
+        let (filter_out, _) = bbs_core::run_filter_source_threaded(
             make_source,
-            &vocab,
             &actuals,
-            rows,
             scheme.filter(),
             tau,
             threads,

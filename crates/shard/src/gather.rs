@@ -33,7 +33,8 @@
 //! sharded executor is a drop-in [`ShardHandle`]-shaped `CountSource`.
 
 use crate::handle::ShardHandle;
-use bbs_tdb::Itemset;
+use bbs_tdb::{ItemId, Itemset};
+use std::collections::HashMap;
 use std::io;
 
 /// Exact batches at or below this size are answered shard-by-shard on
@@ -146,6 +147,21 @@ pub fn sum_columns(per: &[Vec<u64>], queries: usize) -> Vec<u64> {
         }
     }
     out
+}
+
+/// Global exact 1-itemset supports: per-shard supports summed.  The
+/// shards hold a disjoint partition of the transactions, so the sums (and
+/// the key set, the mining vocabulary) equal the unsharded values exactly.
+pub fn sum_item_counts<'a>(
+    per_shard: impl IntoIterator<Item = &'a HashMap<ItemId, u64>>,
+) -> HashMap<ItemId, u64> {
+    let mut total = HashMap::new();
+    for counts in per_shard {
+        for (&item, &count) in counts {
+            *total.entry(item).or_insert(0) += count;
+        }
+    }
+    total
 }
 
 #[cfg(test)]

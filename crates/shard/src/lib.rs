@@ -37,7 +37,7 @@ pub mod mine;
 
 pub use counter::ShardedCounter;
 pub use deployment::{ShardVerify, ShardedDeployment};
-pub use gather::{count_many_sharded, scaled_tau, scatter, sum_columns};
+pub use gather::{count_many_sharded, scaled_tau, scatter, sum_columns, sum_item_counts};
 pub use handle::{DiskShardHandle, ShardHandle};
 pub use manifest::{route, shard_base, Manifest, MANIFEST_FILE, MANIFEST_VERSION, MAX_SHARDS};
 pub use mine::mine_sharded;

@@ -11,75 +11,11 @@
 
 use crate::counter::ShardedCounter;
 use crate::deployment::ShardedDeployment;
-use crate::gather::sum_columns;
+use crate::gather::{sum_columns, sum_item_counts};
 use bbs_core::{run_filter_source_threaded, tally_subsets, Scheme};
-use bbs_storage::diskbbs::DiskCounter;
 use bbs_storage::mine::DiskMineStats;
-use bbs_tdb::{ItemId, Itemset, MineResult, SupportThreshold};
-use std::collections::HashMap;
+use bbs_tdb::{MineResult, SupportThreshold};
 use std::io;
-use std::sync::{Arc, Mutex};
-
-/// A [`ShardedCounter`] over tracked per-shard disk readers: folds every
-/// reader's cache/pager/hot counters into a shared accumulator on drop,
-/// mirroring the unsharded in-place driver's reporting.
-struct TrackedShardedCounter {
-    inner: ShardedCounter<DiskCounter>,
-    sink: Arc<Mutex<DiskMineStats>>,
-}
-
-impl bbs_core::CountSource for TrackedShardedCounter {
-    fn count_itemset(&mut self, itemset: &Itemset, tau: u64) -> io::Result<u64> {
-        self.inner.count_itemset(itemset, tau)
-    }
-
-    fn count_extensions(
-        &mut self,
-        prefix: &Itemset,
-        extensions: &[ItemId],
-        tau: u64,
-    ) -> io::Result<Vec<u64>> {
-        self.inner.count_extensions(prefix, extensions, tau)
-    }
-}
-
-impl TrackedShardedCounter {
-    fn open(dep: &ShardedDeployment, sink: &Arc<Mutex<DiskMineStats>>) -> io::Result<Self> {
-        let counters: Vec<DiskCounter> = dep
-            .shards()
-            .iter()
-            .map(|s| s.index.counter())
-            .collect::<io::Result<_>>()?;
-        Ok(TrackedShardedCounter {
-            inner: ShardedCounter::new(counters, dep.shard_rows()),
-            sink: Arc::clone(sink),
-        })
-    }
-}
-
-impl Drop for TrackedShardedCounter {
-    fn drop(&mut self) {
-        let mut s = self.sink.lock().unwrap_or_else(|e| e.into_inner());
-        for reader in self.inner.readers() {
-            let c = reader.cache_stats();
-            s.cache.hits += c.hits;
-            s.cache.misses += c.misses;
-            s.cache.evictions += c.evictions;
-            let p = reader.pager_stats();
-            s.pager.reads += p.reads;
-            s.pager.writes += p.writes;
-            s.pager.checksum_reads += p.checksum_reads;
-            s.pager.checksum_writes += p.checksum_writes;
-            s.pager.verified += p.verified;
-            let h = reader.hot_stats();
-            s.hot.pinned += h.pinned;
-            s.hot.hits += h.hits;
-            s.hot.decodes += h.decodes;
-            s.hot.invalidations += h.invalidations;
-            s.readers += 1;
-        }
-    }
-}
 
 /// Mines every frequent pattern of a sharded deployment straight off its
 /// shard files.  The result — patterns, supports, and which supports are
@@ -93,32 +29,23 @@ pub fn mine_sharded(
     threads: usize,
 ) -> io::Result<(MineResult, DiskMineStats)> {
     dep.flush()?;
-    let rows = dep.rows();
-    let tau = min_support.resolve(rows as usize);
+    let tau = min_support.resolve(dep.rows() as usize);
+    let actuals = sum_item_counts(dep.shards().iter().map(|s| s.index.item_counts()));
 
-    // Global vocabulary and exact singleton supports: unions/sums over
-    // disjoint TID partitions equal the unsharded values exactly.
-    let mut actuals: HashMap<ItemId, u64> = HashMap::new();
-    for shard in dep.shards() {
-        for (&item, &count) in shard.index.item_counts() {
-            *actuals.entry(item).or_insert(0) += count;
-        }
+    // Every worker owns one reader per shard.
+    let make_source = || {
+        let readers = dep.shards().iter().map(|s| s.index.counter());
+        Ok(ShardedCounter::new(
+            readers.collect::<io::Result<_>>()?,
+            dep.shard_rows(),
+        ))
+    };
+    let (filter_out, counters) =
+        run_filter_source_threaded(make_source, &actuals, scheme.filter(), tau, threads)?;
+    let mut stats = DiskMineStats::default();
+    for reader in counters.iter().flat_map(ShardedCounter::readers) {
+        stats.absorb(reader);
     }
-    let mut vocab: Vec<ItemId> = actuals.keys().copied().collect();
-    vocab.sort_unstable();
-
-    let sink = Arc::new(Mutex::new(DiskMineStats::default()));
-    let dep_ref: &ShardedDeployment = dep;
-    let make_source = || TrackedShardedCounter::open(dep_ref, &sink);
-    let filter_out = run_filter_source_threaded(
-        make_source,
-        &vocab,
-        &actuals,
-        rows,
-        scheme.filter(),
-        tau,
-        threads,
-    )?;
 
     // Streaming refinement, one sequential heap scan per shard in
     // parallel; per-shard exact supports of a disjoint partition sum to
@@ -145,7 +72,5 @@ pub fn mine_sharded(
         })?;
         Ok(sum_columns(&per_shard, cands.len()))
     })?;
-
-    let stats = *sink.lock().unwrap_or_else(|e| e.into_inner());
     Ok((result, stats))
 }

@@ -1,12 +1,12 @@
 //! Mining a [`DiskDeployment`] **in place**, on all cores.
 //!
 //! The memory-resident miners load the whole index first; this driver
-//! instead runs the filter phase directly against the slice file through
-//! [`bbs_core::CountSource`], with one independent [`DiskCounter`] reader
-//! per worker thread (its own page cache, hot-slice cache and position
-//! cache — no shared lock on the read path).  The enumeration tree is
-//! partitioned by the same dealt-subtree scheme as the in-memory threaded
-//! filter, so the result is *identical* to a serial run.
+//! instead runs the filter phase — the one enumerator of
+//! [`bbs_core::filter`] — directly against the slice file, with one
+//! independent [`DiskCounter`] reader per worker (its own page cache,
+//! hot-slice cache and position cache — no shared lock on the read path).
+//! The enumeration tree is dealt to workers by top-level subtree, so the
+//! result is *identical* to a serial run.
 //!
 //! Refinement of uncertain candidates is one streaming sequential pass
 //! over the heap file (subset-count every candidate per transaction),
@@ -16,13 +16,12 @@ use crate::cache::CacheStats;
 use crate::diskbbs::{DiskCounter, DiskDeployment};
 use crate::pager::PagerStats;
 use crate::slicefile::HotStats;
-use bbs_core::{run_filter_source_threaded, tally_subsets, CountSource, Scheme};
+use bbs_core::{run_filter_source_threaded, tally_subsets, Scheme};
 use bbs_tdb::{Itemset, MineResult, SupportThreshold};
 use std::io;
-use std::sync::{Arc, Mutex};
 
 /// Aggregated read-side counters of one in-place mining run, summed over
-/// every reader the run opened (the prep reader plus one per worker).
+/// every reader the run opened (one per worker).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DiskMineStats {
     /// Page-cache counters, summed across readers.
@@ -31,61 +30,35 @@ pub struct DiskMineStats {
     pub pager: PagerStats,
     /// Hot-slice cache counters, summed across readers.
     pub hot: HotStats,
-    /// Readers opened (1 for a serial run; prep + workers when threaded).
+    /// Readers opened: one per worker (per shard, when sharded).
     pub readers: usize,
 }
 
 impl DiskMineStats {
+    /// Adds the counters of one reader the run has finished with.
+    pub fn absorb(&mut self, reader: &DiskCounter) {
+        let c = reader.cache_stats();
+        self.cache.hits += c.hits;
+        self.cache.misses += c.misses;
+        self.cache.evictions += c.evictions;
+        let p = reader.pager_stats();
+        self.pager.reads += p.reads;
+        self.pager.writes += p.writes;
+        self.pager.checksum_reads += p.checksum_reads;
+        self.pager.checksum_writes += p.checksum_writes;
+        self.pager.verified += p.verified;
+        let h = reader.hot_stats();
+        self.hot.pinned += h.pinned;
+        self.hot.hits += h.hits;
+        self.hot.decodes += h.decodes;
+        self.hot.invalidations += h.invalidations;
+        self.readers += 1;
+    }
+
     /// Cache hit rate over all readers, if any page was requested.
     pub fn hit_rate(&self) -> Option<f64> {
         let total = self.cache.hits + self.cache.misses;
         (total > 0).then(|| self.cache.hits as f64 / total as f64)
-    }
-}
-
-/// A [`DiskCounter`] that folds its cache/pager/hot counters into a shared
-/// accumulator when dropped — how worker readers report their I/O back to
-/// the driver after `run_filter_source_threaded` consumes them.
-struct TrackedCounter {
-    inner: DiskCounter,
-    sink: Arc<Mutex<DiskMineStats>>,
-}
-
-impl CountSource for TrackedCounter {
-    fn count_itemset(&mut self, itemset: &Itemset, tau: u64) -> io::Result<u64> {
-        self.inner.count(itemset, Some(tau))
-    }
-
-    fn count_extensions(
-        &mut self,
-        prefix: &Itemset,
-        extensions: &[bbs_tdb::ItemId],
-        tau: u64,
-    ) -> io::Result<Vec<u64>> {
-        self.inner
-            .count_extensions_projected(prefix, extensions, Some(tau))
-    }
-}
-
-impl Drop for TrackedCounter {
-    fn drop(&mut self) {
-        let mut s = self.sink.lock().unwrap_or_else(|e| e.into_inner());
-        let c = self.inner.cache_stats();
-        s.cache.hits += c.hits;
-        s.cache.misses += c.misses;
-        s.cache.evictions += c.evictions;
-        let p = self.inner.pager_stats();
-        s.pager.reads += p.reads;
-        s.pager.writes += p.writes;
-        s.pager.checksum_reads += p.checksum_reads;
-        s.pager.checksum_writes += p.checksum_writes;
-        s.pager.verified += p.verified;
-        let h = self.inner.hot_stats();
-        s.hot.pinned += h.pinned;
-        s.hot.hits += h.hits;
-        s.hot.decodes += h.decodes;
-        s.hot.invalidations += h.invalidations;
-        s.readers += 1;
     }
 }
 
@@ -109,37 +82,25 @@ pub fn mine_in_place(
     threads: usize,
 ) -> io::Result<(MineResult, DiskMineStats)> {
     dep.flush()?;
-    let rows = dep.db.len();
-    let tau = min_support.resolve(rows as usize);
-    let vocab = dep.index.vocabulary();
-    let actuals = dep.index.item_counts();
-    let sink = Arc::new(Mutex::new(DiskMineStats::default()));
-    let make_source = || -> io::Result<TrackedCounter> {
-        Ok(TrackedCounter {
-            inner: dep.index.counter()?,
-            sink: Arc::clone(&sink),
-        })
-    };
-    let filter_out = run_filter_source_threaded(
-        make_source,
-        &vocab,
-        actuals,
-        rows,
+    let tau = min_support.resolve(dep.db.len() as usize);
+    let (filter_out, readers) = run_filter_source_threaded(
+        || dep.index.counter(),
+        dep.index.item_counts(),
         scheme.filter(),
         tau,
         threads,
     )?;
+    let mut stats = DiskMineStats::default();
+    readers.iter().for_each(|reader| stats.absorb(reader));
 
     // Streaming refinement: one pass over the heap file, counting every
     // uncertain candidate's exact support by subset test.
-    let result = filter_out.settle(tau, |cands| {
+    let result = filter_out.settle(tau, |cands: &[Itemset]| {
         let mut counts = vec![0u64; cands.len()];
         dep.db
             .for_each(|_, txn| tally_subsets(cands, &mut counts, &txn.items))?;
         Ok(counts)
     })?;
-
-    let stats = *sink.lock().unwrap_or_else(|e| e.into_inner());
     Ok((result, stats))
 }
 
