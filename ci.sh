@@ -25,6 +25,10 @@ for tier in portable scalar avx2 avx512; do
   BBS_KERNEL_TIER="${tier}" \
     RUSTFLAGS="-C target-cpu=native" cargo test -q -p bbs-bitslice --test kernel_props
 done
+# The disk cursor (crates/storage/tests/disk_cursor.rs) is not in this
+# matrix: it ANDs page bytes with the safe word loop and hands `ops_simd`
+# only its own word buffers to popcount, which kernel_props already covers
+# under every tier — no page-backed operand reaches a kernel.
 # Benchmark smoke: every workload, phase and answer check of the one
 # harness at toy scale (never gated), leaving target/bench-smoke.json.
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- run --scale smoke --runs 1 --out target/bench-smoke.json

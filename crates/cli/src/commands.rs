@@ -526,8 +526,8 @@ fn print_disk_stats(stats: &bbs_storage::DiskMineStats) {
         stats.pager.reads, stats.pager.checksum_reads, stats.pager.verified,
     );
     eprintln!(
-        "# hot slices: {} hits, {} decoded, {} invalidations ({} reader(s))",
-        stats.hot.hits, stats.hot.decodes, stats.hot.invalidations, stats.readers,
+        "# cursor: {} extends, {} tau exits, {} chunks skipped ({} reader(s))",
+        stats.cursor.extends, stats.cursor.tau_exits, stats.cursor.chunks_skipped, stats.readers,
     );
 }
 
@@ -702,7 +702,7 @@ pub fn stats(flags: &Flags) -> CmdResult {
 
 /// `bbs stats --base PATH` — run one in-place mining pass over a durable
 /// deployment and report the read-side counters (cache hits/misses/hit
-/// rate, physical reads, checksum-verified pages, hot-slice activity).
+/// rate, physical reads, checksum-verified pages, what the cursors did).
 fn deployment_stats(flags: &Flags, base: &str) -> CmdResult {
     let width: usize = flags.get_parsed_or("width", 1600usize)?;
     let cache_pages: usize = flags.get_parsed_or("cache-pages", 4096usize)?;
@@ -756,8 +756,8 @@ fn deployment_stats(flags: &Flags, base: &str) -> CmdResult {
         stats.pager.reads, stats.pager.checksum_reads, stats.pager.verified,
     );
     println!(
-        "hot slices        : {} hits, {} decoded, {} invalidations across {} reader(s)",
-        stats.hot.hits, stats.hot.decodes, stats.hot.invalidations, stats.readers,
+        "cursor            : {} extends, {} tau exits, {} chunks skipped across {} reader(s)",
+        stats.cursor.extends, stats.cursor.tau_exits, stats.cursor.chunks_skipped, stats.readers,
     );
     Ok(())
 }

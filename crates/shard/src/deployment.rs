@@ -157,10 +157,23 @@ impl ShardedDeployment {
     /// Commits every shard: the per-shard flushes (data pages, then the
     /// commit record) run in parallel — N independent fsync pipelines.
     pub fn flush(&mut self) -> io::Result<()> {
+        self.flush_shards(|_| true)
+    }
+
+    /// Commits the shards that hold uncommitted state
+    /// ([`DiskDeployment::has_uncommitted`]) and leaves the others — files
+    /// and commit sequence — untouched: what a reader of the flushed state
+    /// (in-place mining) needs, and no more.
+    pub fn flush_uncommitted(&mut self) -> io::Result<()> {
+        self.flush_shards(DiskDeployment::has_uncommitted)
+    }
+
+    fn flush_shards(&mut self, wanted: impl Fn(&DiskDeployment) -> bool) -> io::Result<()> {
         std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
                 .iter_mut()
+                .filter(|s| wanted(s))
                 .map(|s| scope.spawn(move || s.flush()))
                 .collect();
             handles

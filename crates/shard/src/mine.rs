@@ -28,7 +28,7 @@ pub fn mine_sharded(
     min_support: SupportThreshold,
     threads: usize,
 ) -> io::Result<(MineResult, DiskMineStats)> {
-    dep.flush()?;
+    dep.flush_uncommitted()?;
     let tau = min_support.resolve(dep.rows() as usize);
     let actuals = sum_item_counts(dep.shards().iter().map(|s| s.index.item_counts()));
 
@@ -73,4 +73,79 @@ pub fn mine_sharded(
         Ok(sum_columns(&per_shard, cands.len()))
     })?;
     Ok((result, stats))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bbs_hash::{ItemHasher, Md5BloomHasher};
+    use bbs_tdb::{Itemset, Transaction};
+    use std::path::{Path, PathBuf};
+    use std::sync::Arc;
+
+    fn hasher() -> Arc<dyn ItemHasher> {
+        Arc::new(Md5BloomHasher::new(3))
+    }
+
+    struct Cleanup(PathBuf);
+    impl Drop for Cleanup {
+        fn drop(&mut self) {
+            ShardedDeployment::remove_files(&self.0).ok();
+        }
+    }
+
+    /// Every file in the shard directory, by name, byte for byte.
+    fn dir_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
+            .expect("read dir")
+            .map(|entry| {
+                let path = entry.expect("dir entry").path();
+                let bytes = std::fs::read(&path).expect("read file");
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    fn seqs(dep: &ShardedDeployment) -> Vec<u64> {
+        dep.shards().iter().map(|s| s.committed_seq()).collect()
+    }
+
+    /// Mining reads: a freshly opened sharded deployment keeps every
+    /// file's bytes and every shard's commit sequence, and only the shards
+    /// that hold uncommitted appends are flushed first.
+    #[test]
+    fn mining_commits_only_the_shards_with_uncommitted_rows() {
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("bbs_shard_mine_ro_{}", std::process::id()));
+        let _g = Cleanup(dir.clone());
+        {
+            let mut dep = ShardedDeployment::create(&dir, 3, 64, hasher(), 64).expect("create");
+            for i in 0..300u64 {
+                let items = [(i % 7) as u32, 20 + (i % 2) as u32, 30];
+                dep.append(&Transaction::new(i, Itemset::from_values(&items)))
+                    .expect("append");
+            }
+            dep.flush().expect("flush");
+        }
+        let mut dep = ShardedDeployment::open(&dir, hasher(), 64).expect("reopen");
+        let (before, files) = (seqs(&dep), dir_bytes(&dir));
+        assert!(files.len() > 3 * 5, "the shards' files were found");
+        let threshold = SupportThreshold::Count(25);
+        let (clean, _) = mine_sharded(&mut dep, Scheme::Dfp, threshold, 2).expect("mine");
+        assert_eq!(seqs(&dep), before, "no commit record was appended");
+        assert_eq!(dir_bytes(&dir), files, "no file changed");
+
+        // TIDs ≡ 1 (mod 3) land on shard 1 alone.
+        for i in 0..40u64 {
+            dep.append(&Transaction::new(301 + 3 * i, Itemset::from_values(&[90, 91])))
+                .expect("append");
+        }
+        let (grown, _) = mine_sharded(&mut dep, Scheme::Dfp, threshold, 2).expect("mine grown");
+        assert_eq!(seqs(&dep), [before[0], before[1] + 1, before[2]]);
+        let pair = Itemset::from_values(&[90, 91]);
+        assert_eq!(clean.patterns.support(&pair), None);
+        assert_eq!(grown.patterns.support(&pair), Some(40));
+    }
 }

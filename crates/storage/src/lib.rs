@@ -68,7 +68,8 @@ pub use commit::{format_v1, FormatV1};
 pub use dedup::{DedupLog, DedupReceipt};
 pub use del::{read_deletions, DeadMask, DelLog};
 pub use diskbbs::{
-    deployment_paths, DeploymentBackends, DeploymentPaths, DiskBbs, DiskCounter, DiskDeployment,
+    deployment_paths, CursorStats, DeploymentBackends, DeploymentPaths, DiskBbs, DiskCounter,
+    DiskDeployment,
     PageCorruption, VerifyReport, DEFAULT_DEDUP_WINDOW,
 };
 pub use heapfile::HeapFile;

@@ -3,19 +3,25 @@
 //! The memory-resident miners load the whole index first; this driver
 //! instead runs the filter phase — the one enumerator of
 //! [`bbs_core::filter`] — directly against the slice file, with one
-//! independent [`DiskCounter`] reader per worker (its own page cache,
-//! hot-slice cache and position cache — no shared lock on the read path).
+//! independent [`DiskCounter`] reader per worker (its own page cache and
+//! position cache — no shared lock on the read path).  Each reader is a
+//! depth-first cursor: it carries the AND-result of the prefix it stands
+//! on down the walk, so a node costs one extend plus at most `k` page
+//! ANDs per sibling per chunk — one, for the many siblings whose first
+//! slice already leaves fewer than τ of the parent's ones.
 //! The enumeration tree is dealt to workers by top-level subtree, so the
 //! result is *identical* to a serial run.
+//!
+//! Mining only reads: a deployment with nothing uncommitted is not
+//! flushed, so its files and commit sequence are what they were.
 //!
 //! Refinement of uncertain candidates is one streaming sequential pass
 //! over the heap file (subset-count every candidate per transaction),
 //! which never materialises the `TransactionDb` in memory.
 
 use crate::cache::CacheStats;
-use crate::diskbbs::{DiskCounter, DiskDeployment};
+use crate::diskbbs::{CursorStats, DiskCounter, DiskDeployment};
 use crate::pager::PagerStats;
-use crate::slicefile::HotStats;
 use bbs_core::{run_filter_source_threaded, tally_subsets, Scheme};
 use bbs_tdb::{Itemset, MineResult, SupportThreshold};
 use std::io;
@@ -28,8 +34,8 @@ pub struct DiskMineStats {
     pub cache: CacheStats,
     /// Physical I/O counters, summed across readers.
     pub pager: PagerStats,
-    /// Hot-slice cache counters, summed across readers.
-    pub hot: HotStats,
+    /// What the readers' cursors did, summed across readers.
+    pub cursor: CursorStats,
     /// Readers opened: one per worker (per shard, when sharded).
     pub readers: usize,
 }
@@ -47,11 +53,10 @@ impl DiskMineStats {
         self.pager.checksum_reads += p.checksum_reads;
         self.pager.checksum_writes += p.checksum_writes;
         self.pager.verified += p.verified;
-        let h = reader.hot_stats();
-        self.hot.pinned += h.pinned;
-        self.hot.hits += h.hits;
-        self.hot.decodes += h.decodes;
-        self.hot.invalidations += h.invalidations;
+        let w = reader.cursor_stats();
+        self.cursor.extends += w.extends;
+        self.cursor.tau_exits += w.tau_exits;
+        self.cursor.chunks_skipped += w.chunks_skipped;
         self.readers += 1;
     }
 
@@ -64,13 +69,14 @@ impl DiskMineStats {
 
 /// Mines every frequent pattern of a deployment straight off its files.
 ///
-/// The deployment is flushed first (readers open the file independently
-/// and see only committed-to-cache flushed state), the filter phase runs
-/// on `threads` workers over clone-per-worker [`DiskCounter`] readers, and
-/// uncertain candidates are refined by one streaming scan of the heap
-/// file.  The frequent patterns are identical to what the corresponding
-/// in-memory [`bbs_core::BbsMiner`] scheme produces, and to a serial
-/// (`threads = 1`) run of this driver.
+/// Uncommitted appends are flushed first (readers open the file
+/// independently and see only flushed state; a clean deployment is left
+/// untouched), the filter phase runs on `threads` workers over
+/// clone-per-worker [`DiskCounter`] readers, and uncertain candidates are
+/// refined by one streaming scan of the heap file.  The frequent patterns
+/// are identical to what the corresponding in-memory
+/// [`bbs_core::BbsMiner`] scheme produces, and to a serial (`threads = 1`)
+/// run of this driver.
 ///
 /// Both Scan and Probe schemes refine by the streaming scan here: an
 /// in-place run never loads the `TransactionDb`, and the scan is the
@@ -81,7 +87,9 @@ pub fn mine_in_place(
     min_support: SupportThreshold,
     threads: usize,
 ) -> io::Result<(MineResult, DiskMineStats)> {
-    dep.flush()?;
+    if dep.has_uncommitted() {
+        dep.flush()?;
+    }
     let tau = min_support.resolve(dep.db.len() as usize);
     let (filter_out, readers) = run_filter_source_threaded(
         || dep.index.counter(),
@@ -210,7 +218,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate_and_hot_cache_engages() {
+    fn stats_accumulate_and_cursor_counters_engage() {
         let b = base("stats");
         let _g = Cleanup(b.clone());
         let mut dep = DiskDeployment::open(&b, 64, hasher(), 256).expect("open");
@@ -221,9 +229,54 @@ mod tests {
         assert!(stats.pager.reads > 0);
         assert!(stats.pager.verified > 0, "checksums were verified: {stats:?}");
         assert!(stats.hit_rate().is_some());
+        assert_eq!(stats.readers, 2);
+        assert!(stats.cursor.extends > 0, "the walk descended: {stats:?}");
         assert!(
-            stats.hot.decodes > 0,
-            "repeatedly selected slices got pinned: {stats:?}"
+            stats.cursor.tau_exits > 0,
+            "rare siblings were decided before their last slice: {stats:?}"
         );
+        // One chunk, and a node is only descended into with ≥ τ ones in it
+        // (the multi-chunk cases are `tests/disk_cursor.rs`).
+        assert_eq!(stats.cursor.chunks_skipped, 0, "{stats:?}");
+    }
+
+    /// Every file of the deployment at `base`, byte for byte (`None` for
+    /// the ones a never-served deployment does not have).
+    fn file_bytes(base: &std::path::Path) -> Vec<Option<Vec<u8>>> {
+        let p = crate::diskbbs::deployment_paths(base);
+        [p.dat, p.idx, p.slices, p.counts, p.commit, p.dedup, p.log, p.del]
+            .iter()
+            .map(|path| std::fs::read(path).ok())
+            .collect()
+    }
+
+    #[test]
+    fn mining_a_clean_deployment_writes_nothing() {
+        let b = base("read_only");
+        let _g = Cleanup(b.clone());
+        {
+            let mut dep = DiskDeployment::open(&b, 64, hasher(), 256).expect("open");
+            planted(&mut dep);
+            dep.flush().expect("flush");
+        }
+        let mut dep = DiskDeployment::open(&b, 64, hasher(), 256).expect("reopen");
+        let (seq, before) = (dep.committed_seq(), file_bytes(&b));
+        assert!(before.iter().flatten().count() >= 5, "the files were found");
+        let threshold = SupportThreshold::Count(30);
+        let (clean, _) = mine_in_place(&mut dep, Scheme::Dfp, threshold, 2).expect("mine");
+        assert_eq!(dep.committed_seq(), seq, "no commit record was appended");
+        assert_eq!(file_bytes(&b), before, "no file changed");
+
+        // Uncommitted appends are still committed before the readers open.
+        for i in 0..40u64 {
+            dep.append(&Transaction::new(400 + i, Itemset::from_values(&[90, 91])))
+                .expect("append");
+        }
+        let (grown, _) = mine_in_place(&mut dep, Scheme::Dfp, threshold, 2).expect("mine grown");
+        assert_eq!(dep.committed_seq(), seq + 1, "the appends were flushed once");
+        assert_eq!(dep.committed_rows(), 440);
+        let pair = Itemset::from_values(&[90, 91]);
+        assert_eq!(clean.patterns.support(&pair), None);
+        assert_eq!(grown.patterns.support(&pair), Some(40));
     }
 }

@@ -470,6 +470,14 @@ impl<B: StorageBackend> Pager<B> {
     /// Writes dirty checksum pages and flushes OS buffers to stable
     /// storage.
     pub fn sync(&mut self) -> io::Result<()> {
+        self.write_checksums()?;
+        self.backend.sync()
+    }
+
+    /// Writes dirty checksum pages to the file without syncing it: after
+    /// this, another handle opened on the same file verifies every page
+    /// this one has written.
+    pub(crate) fn write_checksums(&mut self) -> io::Result<()> {
         let mut dirty: Vec<u64> = self
             .checksums
             .iter()
@@ -484,7 +492,7 @@ impl<B: StorageBackend> Pager<B> {
             frame.dirty = false;
             self.stats.checksum_writes += 1;
         }
-        self.backend.sync()
+        Ok(())
     }
 }
 

@@ -186,15 +186,14 @@ struct ReadState<B: StorageBackend> {
     /// Width-indexed active-query selection multiplicities; same validity
     /// rule as [`ReadState::batch_slots`].
     batch_mult: Vec<u32>,
-    /// The distinct slices the current batch's active queries (and prefix)
-    /// select, sorted — names exactly the non-default entries of
+    /// The distinct slices the current batch's active queries select,
+    /// sorted — names exactly the non-default entries of
     /// `batch_slots` / `batch_mult` / `batch_pfx`, which is what lets a
     /// rebuild reset them in `O(|union|)` instead of `O(width)`.
     batch_union: Vec<usize>,
-    /// Width-indexed membership in the *effective* prefix: the explicit
-    /// projection prefix plus every slice selected by all active queries
-    /// (hoisted automatically, so overlapping batches pay their common
-    /// slices once per chunk even when the caller declared no prefix).
+    /// Width-indexed membership in the *effective* prefix: every slice
+    /// selected by all active queries (hoisted automatically, so
+    /// overlapping batches pay their common slices once per chunk).
     batch_pfx: Vec<bool>,
 }
 
@@ -205,7 +204,7 @@ const NO_SLOT: u32 = u32::MAX;
 /// Zeroes every bit at position `>= rows` in a word buffer (the snapshot
 /// clamp): a reader whose header said `rows = N` must never count bits a
 /// newer append OR'd into the shared boundary pages after it opened.
-fn mask_from(words: &mut [u64], rows: usize) {
+pub(crate) fn mask_from(words: &mut [u64], rows: usize) {
     let whole = rows / 64;
     if whole < words.len() {
         let rem = rows % 64;
@@ -374,8 +373,7 @@ impl<B: StorageBackend> ReadState<B> {
     }
 
     /// Shared-scan batched counting (see
-    /// [`SliceFile::count_selected_many_masked`] and
-    /// [`SliceFile::count_selected_many_shared_masked`]).
+    /// [`SliceFile::count_selected_many_masked`]).
     ///
     /// The per-chunk loop decodes each distinct selected slice **once** —
     /// from the pinned hot words or from its cache-resident page — and then
@@ -384,15 +382,14 @@ impl<B: StorageBackend> ReadState<B> {
     /// here the page fetch + decode cost is paid once per chunk for the
     /// whole batch, which is what amortises concurrent hot-slice queries.
     ///
-    /// `prefix` is the Ramp-style projection: slices every query selects.
-    /// Their AND is materialised once per chunk and copied into each
-    /// query's accumulator, so a deep enumeration prefix is paid once per
-    /// batch instead of once per sibling candidate.
+    /// Slices every active query selects are hoisted: their AND is
+    /// materialised once per chunk and copied into each query's
+    /// accumulator, so what a served batch has in common is paid once per
+    /// batch instead of once per query.
     fn count_selected_many(
         &mut self,
         width: usize,
         rows: u64,
-        prefix: &[usize],
         queries: &[(Vec<usize>, Option<u64>)],
         dead: Option<(&[u64], u64)>,
     ) -> io::Result<Vec<u64>> {
@@ -401,20 +398,15 @@ impl<B: StorageBackend> ReadState<B> {
         let mut totals = vec![0u64; queries.len()];
         let mut done = vec![false; queries.len()];
         let mut active = 0usize;
-        if !prefix.is_empty() {
-            self.promote(width, rows, prefix)?;
-        }
         for (i, (slices, _)) in queries.iter().enumerate() {
-            if prefix.is_empty() && slices.is_empty() {
+            if slices.is_empty() {
                 totals[i] = live;
                 done[i] = true;
             } else if chunks == 0 {
                 done[i] = true;
             } else {
                 active += 1;
-                if !slices.is_empty() {
-                    self.promote(width, rows, slices)?;
-                }
+                self.promote(width, rows, slices)?;
             }
         }
         if active == 0 {
@@ -465,7 +457,6 @@ impl<B: StorageBackend> ReadState<B> {
                     pfx[s] = false;
                 }
                 union.clear();
-                union.extend_from_slice(prefix);
                 for (i, (slices, _)) in queries.iter().enumerate() {
                     if !done[i] {
                         union.extend_from_slice(slices);
@@ -476,22 +467,16 @@ impl<B: StorageBackend> ReadState<B> {
                 }
                 union.sort_unstable();
                 union.dedup();
-                // The effective prefix: the caller's explicit projection
-                // prefix, plus every slice that all active queries select
-                // (`mult == active` — each query's slice list is deduped,
-                // so it contributes at most 1).  Hoisted slices are ANDed
-                // once per chunk into the prefix accumulator instead of
-                // once per query, which is where an overlapping batch
-                // beats per-op counting on arithmetic, not just on I/O.
+                // The effective prefix: every slice that all active
+                // queries select (`mult == active` — each query's slice
+                // list is deduped, so it contributes at most 1).  Hoisted
+                // slices are ANDed once per chunk into the prefix
+                // accumulator instead of once per query, which is where an
+                // overlapping batch beats per-op counting on arithmetic,
+                // not just on I/O.
                 eff_prefix.clear();
-                for &s in prefix {
-                    if !pfx[s] {
-                        pfx[s] = true;
-                        eff_prefix.push(s);
-                    }
-                }
                 for &s in union.iter() {
-                    if !pfx[s] && mult[s] as usize == active {
+                    if mult[s] as usize == active {
                         pfx[s] = true;
                         eff_prefix.push(s);
                     }
@@ -589,8 +574,8 @@ impl<B: StorageBackend> ReadState<B> {
                     $seeded = true;
                 }};
             }
-            // The shared projection: AND the effective prefix (explicit +
-            // hoisted common slices) once per chunk.  The tombstone mask
+            // The shared projection: AND the effective prefix (the hoisted
+            // common slices) once per chunk.  The tombstone mask
             // rides it as an implicit member — seeded first, so the whole
             // batch pays one masked copy per chunk (the same prefix-hoisting
             // amortisation the projection itself gets).
@@ -739,7 +724,11 @@ fn recover<B: StorageBackend>(
     }
 
     // Rebuild the header from the commit record rather than trusting disk.
-    pager.write_page(PageId(0), &encoded_header(width, rows))
+    pager.write_page(PageId(0), &encoded_header(width, rows))?;
+    // The repair is complete on the file, digests included: independent
+    // readers of a just-recovered deployment (in-place mining opens one
+    // per worker) verify its pages without a flush in between.
+    pager.write_checksums()
 }
 
 /// Encodes a slice-file header page (magic, width, rows) — shared by
@@ -949,35 +938,33 @@ impl<B: StorageBackend> SliceFile<B> {
         self.state().count_selected_many(
             self.width,
             self.rows,
-            &[],
             queries,
             dead.filter(|d| d.deleted > 0)
                 .map(|d| (d.words.as_slice(), d.deleted)),
         )
     }
 
-    /// [`SliceFile::count_selected_many_masked`] with a shared slice prefix:
-    /// every query counts rows matching `prefix ∪ slices`, but the prefix
-    /// AND is materialised once per chunk and reused across the batch
-    /// (Ramp-style bit-vector projection).  Because AND is idempotent,
-    /// slices listed in both `prefix` and a query's own selection are
-    /// harmless, and the results are bit-for-bit identical to per-op
-    /// counting of each union; a query whose union is empty counts every
-    /// row.
-    pub fn count_selected_many_shared_masked(
-        &self,
-        prefix: &[usize],
-        queries: &[(Vec<usize>, Option<u64>)],
-        dead: Option<&DeadMask>,
-    ) -> io::Result<Vec<u64>> {
-        self.state().count_selected_many(
-            self.width,
-            self.rows,
-            prefix,
-            queries,
-            dead.filter(|d| d.deleted > 0)
-                .map(|d| (d.words.as_slice(), d.deleted)),
-        )
+    /// ANDs chunk `chunk` of slice `slice` onto `words` — that chunk's
+    /// words of a row vector the caller holds — in place, and returns the
+    /// popcount of the result: one step of the depth-first disk cursor
+    /// (see `DiskCounter`).  `words` is at most [`PAGE_WORDS`] long; a
+    /// boundary chunk passes only the words its rows fill, so nothing past
+    /// them is read.  The page read is the checksum-verified one of every
+    /// other count, straight off the cache-resident little-endian bytes.
+    pub(crate) fn and_page(
+        &mut self,
+        chunk: u64,
+        slice: usize,
+        words: &mut [u64],
+    ) -> io::Result<u64> {
+        debug_assert!(words.len() <= PAGE_WORDS);
+        let id = page_of(self.width, chunk, slice);
+        self.state_mut().cache.with_page(id, |buf| {
+            for (w, b) in words.iter_mut().zip(buf.chunks_exact(8)) {
+                *w &= u64::from_le_bytes(b.try_into().expect("8 bytes"));
+            }
+        })?;
+        Ok(ops::count_ones(words) as u64)
     }
 
     /// Flushes dirty pages and syncs.
@@ -1262,25 +1249,19 @@ mod tests {
         assert!(f.hot_stats().pinned > 0);
         let batched2 = f.count_selected_many_masked(&queries, None).expect("batched hot");
         assert_eq!(batched, batched2);
-        // Shared-prefix projection agrees with per-op counting of each
-        // prefix ∪ extension union, including a query overlapping the
-        // prefix and a query with no extensions of its own.
-        let prefix = vec![1usize, 2];
-        let exts: Vec<(Vec<usize>, Option<u64>)> = vec![
-            (vec![3], None),
-            (vec![2, 5], Some(5)),
-            (vec![], None),
-            (vec![7], Some(u64::MAX)),
+        // A batch whose queries all select slices 1 and 2 has them hoisted
+        // into the shared prefix accumulator; answers still equal per-op
+        // counting, including for the query that selects nothing else.
+        let common: Vec<(Vec<usize>, Option<u64>)> = vec![
+            (vec![1, 2, 3], None),
+            (vec![1, 2, 5], Some(5)),
+            (vec![1, 2], None),
+            (vec![1, 2, 7], Some(u64::MAX)),
         ];
-        let shared = f
-            .count_selected_many_shared_masked(&prefix, &exts, None)
-            .expect("shared");
-        for (i, (slices, tau)) in exts.iter().enumerate() {
-            let mut union: Vec<usize> = prefix.iter().chain(slices).copied().collect();
-            union.sort_unstable();
-            union.dedup();
-            let solo = f.count_selected_bounded_masked(&union, *tau, None).expect("solo");
-            assert_eq!(shared[i], solo, "shared query {i} {slices:?} tau {tau:?}");
+        let hoisted = f.count_selected_many_masked(&common, None).expect("hoisted");
+        for (i, (slices, tau)) in common.iter().enumerate() {
+            let solo = f.count_selected_bounded_masked(slices, *tau, None).expect("solo");
+            assert_eq!(hoisted[i], solo, "hoisted query {i} {slices:?} tau {tau:?}");
         }
     }
 
@@ -1341,25 +1322,31 @@ mod tests {
                 .expect("solo masked");
             assert_eq!(masked[i], solo, "batched vs per-op {slices:?}");
         }
-        // Shared-prefix projection with the mask riding the prefix.
-        let shared = f
-            .count_selected_many_shared_masked(&[1, 2], &queries, Some(&dead))
-            .expect("shared masked");
-        for (i, (slices, tau)) in queries.iter().enumerate() {
-            let mut union: Vec<usize> = [1usize, 2].iter().chain(slices).copied().collect();
-            union.sort_unstable();
-            union.dedup();
-            let exact = g.count_selected_bounded_masked(&union, None, None).expect("rebuilt union");
+        // Hoisted common slices with the mask riding the shared prefix.
+        let common: Vec<(Vec<usize>, Option<u64>)> = queries
+            .iter()
+            .map(|(slices, tau)| {
+                let mut union: Vec<usize> = [1usize, 2].iter().chain(slices).copied().collect();
+                union.sort_unstable();
+                union.dedup();
+                (union, *tau)
+            })
+            .collect();
+        let hoisted = f
+            .count_selected_many_masked(&common, Some(&dead))
+            .expect("hoisted masked");
+        for (i, (union, tau)) in common.iter().enumerate() {
+            let exact = g.count_selected_bounded_masked(union, None, None).expect("rebuilt union");
             match tau {
                 // No early exit: the masked count must be exact.
-                None => assert_eq!(shared[i], exact, "shared {slices:?}"),
+                None => assert_eq!(hoisted[i], exact, "hoisted {union:?}"),
                 // The tau contract: exact at or above the threshold, an
                 // upper bound below it (early exit may stop scanning at a
                 // different chunk than the rebuilt file would).
                 Some(t) => {
-                    assert!(shared[i] >= exact, "shared {slices:?} not a bound");
-                    if shared[i] >= *t {
-                        assert_eq!(shared[i], exact, "shared {slices:?} above tau");
+                    assert!(hoisted[i] >= exact, "hoisted {union:?} not a bound");
+                    if hoisted[i] >= *t {
+                        assert_eq!(hoisted[i], exact, "hoisted {union:?} above tau");
                     }
                 }
             }

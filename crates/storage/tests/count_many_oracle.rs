@@ -1,10 +1,11 @@
 //! Proptest oracle for the batched shared-scan executor: `count_many`
 //! answers must be bit-for-bit identical to N independent `count` calls
 //! and to the in-memory reference index, across mixed-length itemsets,
-//! τ early-exit bounds, Ramp-style projected extension batches sharing a
-//! constraint slice, and concurrent-appender interleavings.
+//! τ early-exit bounds, the reader cursor's extension batches over a
+//! constraint prefix, and concurrent-appender interleavings.
 
 use bbs_bitslice::BitVec;
+use bbs_core::{CountSource, EXACT};
 use bbs_hash::{ItemHasher, Md5BloomHasher};
 use bbs_storage::diskbbs::DiskDeployment;
 use bbs_storage::snapshot::SharedDeployment;
@@ -114,12 +115,13 @@ proptest! {
         }
     }
 
-    /// Projected extension batches: counting `prefix ∪ {e}` through the
-    /// shared constraint-slice prefix equals per-op union counting and the
-    /// in-memory constrained path (§3.4 — the prefix's AND *is* a
-    /// materialised constraint slice applied to every query in the batch).
+    /// Extension batches through the reader's cursor: counting
+    /// `prefix ∪ {e}` on the AND-result the cursor carries for the prefix
+    /// equals per-op union counting and the in-memory constrained path
+    /// (§3.4 — the prefix's AND *is* a materialised constraint slice
+    /// applied to every sibling).
     #[test]
-    fn projected_extensions_match_union_and_constrained_memory(
+    fn cursor_extensions_match_union_and_constrained_memory(
         rows in rows_strategy(),
         exts in proptest::collection::vec(0u32..40, 1..8),
     ) {
@@ -145,8 +147,8 @@ proptest! {
 
         let mut counter = dep.index.counter().expect("counter");
         let projected = counter
-            .count_extensions_projected(&prefix, &ext_ids, None)
-            .expect("projected");
+            .count_extensions(&prefix, &ext_ids, EXACT)
+            .expect("cursor extensions");
 
         // In-memory constrained reference: the prefix's AND-result bit
         // vector acts as the constraint slice for each extension.
