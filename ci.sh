@@ -42,6 +42,10 @@ CHAOS_SEED="${CHAOS_SEED}" cargo test -q -p bbs-cli --test failover -- --nocaptu
 # compaction/fold/FPR maintenance, delete replication + resync, and the
 # weblog-churn storm whose measured FPR must heal under AUTO rounds.
 CHAOS_SEED="${CHAOS_SEED}" cargo test -q -p bbs-server --test dynamic -- --nocapture
+# Served == offline == in-memory on a churned deployment (most rows
+# tombstoned), every scheme, serial and threaded, unsharded and behind a
+# 3-shard server — on the same pinned seed as the rest of the dynamic suite.
+CHAOS_SEED="${CHAOS_SEED}" cargo test -q -p bbs-cli --test churned -- --nocapture
 # Distributed: the SIGKILL-a-shard-primary chaos run on the pinned seed.
 CHAOS_SEED="${CHAOS_SEED}" cargo test -q -p bbs-cli --test distributed_chaos -- --nocapture
 # Shard oracle suites: proptest equivalence against the unsharded

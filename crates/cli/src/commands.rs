@@ -425,9 +425,8 @@ pub fn mine_deployment(flags: &Flags) -> CmdResult {
             (result, Some(stats), rows)
         }
         None => {
-            let db = dep.db.load()?;
-            let bbs = dep.index.load()?;
-            let rows = db.len() as u64;
+            let rows = dep.db.len();
+            let (db, bbs) = dep.load()?;
             (BbsMiner::with_index(scheme, bbs).mine(&db, threshold), None, rows)
         }
     };
@@ -526,8 +525,12 @@ fn print_disk_stats(stats: &bbs_storage::DiskMineStats) {
         stats.pager.reads, stats.pager.checksum_reads, stats.pager.verified,
     );
     eprintln!(
-        "# cursor: {} extends, {} tau exits, {} chunks skipped ({} reader(s))",
-        stats.cursor.extends, stats.cursor.tau_exits, stats.cursor.chunks_skipped, stats.readers,
+        "# cursor: {} extends, {} tau exits, {} chunks skipped, {} sparse ands ({} reader(s))",
+        stats.cursor.extends,
+        stats.cursor.tau_exits,
+        stats.cursor.chunks_skipped,
+        stats.cursor.sparse_ands,
+        stats.readers,
     );
 }
 
@@ -756,8 +759,12 @@ fn deployment_stats(flags: &Flags, base: &str) -> CmdResult {
         stats.pager.reads, stats.pager.checksum_reads, stats.pager.verified,
     );
     println!(
-        "cursor            : {} extends, {} tau exits, {} chunks skipped across {} reader(s)",
-        stats.cursor.extends, stats.cursor.tau_exits, stats.cursor.chunks_skipped, stats.readers,
+        "cursor            : {} extends, {} tau exits, {} chunks skipped, {} sparse ands across {} reader(s)",
+        stats.cursor.extends,
+        stats.cursor.tau_exits,
+        stats.cursor.chunks_skipped,
+        stats.cursor.sparse_ands,
+        stats.readers,
     );
     Ok(())
 }

@@ -31,14 +31,15 @@
 //!    `SHARD_UNAVAILABLE` response instead of a silently-wrong partial
 //!    total.
 
-use bbs_core::Bbs;
+use bbs_core::{tally_subsets, Bbs, BbsCursor};
 use bbs_hash::{ItemHasher, Md5BloomHasher, ModuloHasher};
 use bbs_server::{
-    json_column, maintain_action, ClientError, ClientResult, Gauge, Node, PinReply, Request,
-    Response, RetryClient, RetryPolicy, ServerAddr, ShardFaults,
+    json_column, maintain_action, ClientError, ClientResult, Gauge, MineView, Node, PinReply,
+    Request, Response, RetryClient, RetryPolicy, ServerAddr, ShardFaults,
 };
 use bbs_shard::{scatter, ShardHandle};
-use bbs_tdb::{IoStats, Itemset, Transaction, TransactionDb};
+use bbs_tdb::{IoStats, ItemId, Itemset, Transaction, TransactionDb};
+use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -369,8 +370,41 @@ impl ShardHandle for RemotePin<'_> {
     }
 }
 
+/// A remote shard's mining view: the pinned rows pulled over the wire and
+/// re-indexed in memory, counted through the memory cursor and settled by
+/// a scan of the pulled rows.
+pub struct PulledRows {
+    db: TransactionDb,
+    bbs: Bbs,
+}
+
+impl MineView for PulledRows {
+    type Counter<'a> = BbsCursor<'a>;
+
+    fn live_rows(&self) -> u64 {
+        self.db.len() as u64
+    }
+
+    fn item_counts(&self) -> &HashMap<ItemId, u64> {
+        self.bbs.item_counts()
+    }
+
+    fn counter(&self) -> io::Result<BbsCursor<'_>> {
+        Ok(BbsCursor::new(&self.bbs, None))
+    }
+
+    fn tally(&self, cands: &[Itemset]) -> io::Result<Vec<u64>> {
+        let mut counts = vec![0u64; cands.len()];
+        for txn in self.db.transactions() {
+            tally_subsets(cands, &mut counts, &txn.items);
+        }
+        Ok(counts)
+    }
+}
+
 impl Node for RemoteShardHandle {
     type Pin<'a> = RemotePin<'a>;
+    type View<'a> = PulledRows;
 
     fn pin<'a>(&'a self, _faults: &'a ShardFaults) -> io::Result<RemotePin<'a>> {
         let pin = self.repin().map_err(to_io)?;
@@ -391,7 +425,10 @@ impl Node for RemoteShardHandle {
 
     /// Pulls the pinned rows over chunked `rows` frames and re-indexes
     /// them at the shape the shard served at connect.
-    fn load(pin: &RemotePin<'_>) -> io::Result<(TransactionDb, Bbs)> {
+    fn mine_view<'a>(pin: &RemotePin<'a>) -> io::Result<PulledRows>
+    where
+        Self: 'a,
+    {
         let (width, hasher_id) = &pin.handle.shape;
         let hasher = hasher_for_id(hasher_id).ok_or_else(|| {
             io::Error::new(
@@ -410,7 +447,7 @@ impl Node for RemoteShardHandle {
             bbs.insert(&txn, &mut stats);
             db.push(txn);
         }
-        Ok((db, bbs))
+        Ok(PulledRows { db, bbs })
     }
 
     fn row(pin: &RemotePin<'_>, row: u64) -> io::Result<Option<(u64, Vec<u32>)>> {

@@ -19,8 +19,10 @@
 //!   [`Engine::mine`] run against the latest published [`Snapshot`]:
 //!   concurrent with ingest, never observing a half-appended batch
 //!   (see `bbs_storage::snapshot` for the isolation protocol).  `mine`
-//!   materialises the snapshot in memory first and mines offline, so a
-//!   long mine never delays commits.
+//!   runs the one depth-first enumerator over disk cursors at the pinned
+//!   snapshot — nothing is loaded — and its readers hold the commit fence
+//!   per `CountItemSet` call, never across the walk, so a long mine never
+//!   delays a commit by more than one call.
 //!
 //! # Exactly-once ingest
 //!
@@ -47,7 +49,7 @@ use bbs_hash::{ItemHasher, Md5BloomHasher};
 use bbs_storage::snapshot::{SharedDeployment, Snapshot};
 use bbs_storage::{deployment_paths, is_disk_full, read_entries};
 use bbs_storage::DEFAULT_DEDUP_WINDOW;
-use bbs_tdb::{FrequentPatternMiner, Itemset, MineResult, SupportThreshold, Transaction};
+use bbs_tdb::{Itemset, MineResult, SupportThreshold, Transaction};
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
@@ -622,19 +624,33 @@ impl Engine {
         self.shared.snapshot().probe(row)
     }
 
-    /// Mines the latest snapshot offline: loads it into memory (the only
-    /// part that contends with commits), then runs the in-memory miner.
+    /// Mines the latest snapshot in place: the filter phase walks one
+    /// [`Snapshot::counter`] per worker over the slice file the snapshot
+    /// has open (level 0 = its rows minus its tombstones), the threshold
+    /// resolves against its live rows, and uncertain candidates settle by
+    /// the one [`Snapshot::tally`] scan — for the probe schemes too, as in
+    /// every other in-place tier.  What the readers did is added to the
+    /// `mine_cursor` metrics.
     pub fn mine(
         &self,
         scheme: Scheme,
         threshold: SupportThreshold,
         threads: usize,
-    ) -> io::Result<(bbs_tdb::MineResult, Arc<Snapshot>)> {
+    ) -> io::Result<(MineResult, Arc<Snapshot>)> {
         let snap = self.shared.snapshot();
-        let (db, bbs) = snap.load()?;
         let threads = resolve_threads(threads, self.cfg.mine_threads);
-        let mut miner = bbs_core::BbsMiner::with_index(scheme, bbs).with_threads(threads);
-        let result = miner.mine(&db, threshold);
+        let tau = threshold.resolve(snap.live_rows() as usize);
+        let (filter_out, readers) = bbs_core::run_filter_source_threaded(
+            || snap.counter(),
+            snap.item_counts(),
+            scheme.filter(),
+            tau,
+            threads,
+        )?;
+        for reader in &readers {
+            self.metrics.mine_cursor.record(reader);
+        }
+        let result = filter_out.settle(tau, |cands| snap.tally(cands))?;
         Ok((result, snap))
     }
 
@@ -835,6 +851,7 @@ impl Engine {
             format!("\"width\":{}", self.shared.width()),
             format!("\"live_rows\":{}", snap.live_rows()),
             format!("\"deleted_rows\":{}", snap.deleted_rows()),
+            format!("\"mine_cursor\":{}", self.metrics.mine_cursor.to_json()),
             format!("\"commits\":{}", profile.commits),
             format!("\"appended\":{}", profile.appended),
             format!("\"committed_rows\":{}", profile.committed_rows),

@@ -50,10 +50,10 @@ pub use client::{
     RetryPolicy, RetryStats, RowsReply, ServerAddr,
 };
 pub use engine::{resolve_threads, Engine, InsertOutcome, Role, ServerConfig};
-pub use metrics::{Endpoint, Histogram, ServerMetrics};
+pub use metrics::{Endpoint, Histogram, MineCursorMetrics, ServerMetrics};
 pub use net::{serve, Bind, RequestHandler, ServerHandle};
 pub use proto::{maintain_action, LogEntry, Reply, Request, Response};
 pub use router::{
-    json_column, merge_receipts, Gauge, Node, Router, ScatterMetrics, ShardFaults,
+    json_column, merge_receipts, Gauge, MineView, Node, Router, ScatterMetrics, ShardFaults,
 };
 pub use sharded::ShardedEngine;

@@ -8,6 +8,7 @@
 //! orders of magnitude in 64 slots: plenty for microsecond latencies and
 //! batch sizes alike.
 
+use bbs_storage::DiskCounter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -136,6 +137,57 @@ impl Endpoint {
     }
 }
 
+/// What the disk cursors of served MINE requests did, summed over every
+/// reader of every request — the `"mine_cursor"` object of the stats
+/// document.
+#[derive(Default)]
+pub struct MineCursorMetrics {
+    /// AND-results materialised (one per item a cursor descended by).
+    pub extends: AtomicU64,
+    /// Counts answered before their last slice with a bound below τ.
+    pub tau_exits: AtomicU64,
+    /// Chunks never read because the parent had no ones in them.
+    pub chunks_skipped: AtomicU64,
+    /// Page ANDs that touched only the parent's nonzero words.
+    pub sparse_ands: AtomicU64,
+    /// Page-cache hits of the readers' private caches.
+    pub cache_hits: AtomicU64,
+    /// Page-cache misses of the readers' private caches.
+    pub cache_misses: AtomicU64,
+}
+
+impl MineCursorMetrics {
+    /// Adds what one reader did, now that its run is over.
+    pub fn record(&self, reader: &DiskCounter) {
+        let (cursor, cache) = (reader.cursor_stats(), reader.cache_stats());
+        for (counter, n) in [
+            (&self.extends, cursor.extends),
+            (&self.tau_exits, cursor.tau_exits),
+            (&self.chunks_skipped, cursor.chunks_skipped),
+            (&self.sparse_ands, cursor.sparse_ands),
+            (&self.cache_hits, cache.hits),
+            (&self.cache_misses, cache.misses),
+        ] {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Renders the counters as a JSON object.
+    pub fn to_json(&self) -> String {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        format!(
+            "{{\"extends\":{},\"tau_exits\":{},\"chunks_skipped\":{},\"sparse_ands\":{},\
+             \"cache_hits\":{},\"cache_misses\":{}}}",
+            get(&self.extends),
+            get(&self.tau_exits),
+            get(&self.chunks_skipped),
+            get(&self.sparse_ands),
+            get(&self.cache_hits),
+            get(&self.cache_misses)
+        )
+    }
+}
+
 /// All server metrics, shared between connection handlers, the committer
 /// thread, and the `stats` endpoint.
 #[derive(Default)]
@@ -170,6 +222,8 @@ pub struct ServerMetrics {
     pub count_many_at: Endpoint,
     /// `rows` endpoint (bulk row pulls for distributed mining and probes).
     pub rows: Endpoint,
+    /// What the cursors of the MINE requests this engine served did.
+    pub mine_cursor: MineCursorMetrics,
     /// Itemsets per `count_many` batch.
     pub count_many_batch: Histogram,
     /// Requests rejected by admission control.

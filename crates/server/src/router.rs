@@ -21,29 +21,32 @@
 //!   per-shard answers fold into one receipt in [`merge_receipts`].
 //! * **Reads** pin one snapshot per node and run against those pins:
 //!   `count`/`count_many` through the gather layer's scaled-τ scheme
-//!   ([`bbs_shard::count_many_sharded`]), `mine` by loading every pin's
-//!   rows and walking the candidate tree over a
-//!   [`bbs_shard::ShardedCounter`] (supports merged across shards inside
-//!   every `CountItemSet`, uncertain candidates refined with one scan per
-//!   shard) — bit for bit what one unsharded engine returns — and `probe`
-//!   by addressing the concatenated row space (shard 0's rows first).
+//!   ([`bbs_shard::count_many_sharded`]), `mine` by asking every pin for
+//!   its [`MineView`] and walking the candidate tree over a
+//!   [`bbs_shard::ShardedCounter`] of the views' cursors (supports merged
+//!   across shards inside every `CountItemSet`, uncertain candidates
+//!   refined with one scan per shard) — bit for bit what one unsharded
+//!   engine returns — and `probe` by addressing the concatenated row space
+//!   (shard 0's rows first).
 //!
 //! Where local and remote shards genuinely differ, the difference is a
-//! [`Node`] method (how a pin is taken and its rows materialised, what a
-//! failure looks like, which stats columns exist, whether a drain
-//! propagates) or stays in the constructor shell (the local router
-//! re-pins its `MANIFEST` width after a compaction) — the router never
-//! asks which kind it is.
+//! [`Node`] method (how a pin is taken and what its mining view is — the
+//! pinned snapshot mined in place, or rows pulled over the wire and
+//! indexed in memory — what a failure looks like, which stats columns
+//! exist, whether a drain propagates) or stays in the constructor shell
+//! (the local router re-pins its `MANIFEST` width after a compaction) —
+//! the router never asks which kind it is.
 
 use crate::engine::{admit_count_many, mine_reply, resolve_threads};
 use crate::metrics::{micros_since, Histogram, ServerMetrics};
 use crate::net::RequestHandler;
 use crate::proto::{Reply, Request, Response};
-use bbs_core::{tally_subsets, Bbs, BbsCursor, Scheme};
+use bbs_core::{CountSource, Scheme};
 use bbs_shard::{
     count_many_sharded, route, scatter, sum_columns, sum_item_counts, ShardHandle, ShardedCounter,
 };
-use bbs_tdb::{Itemset, MineResult, SupportThreshold, TransactionDb};
+use bbs_tdb::{ItemId, Itemset, MineResult, SupportThreshold};
+use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,7 +63,7 @@ pub struct ScatterMetrics {
     pub count: Histogram,
     /// Batched-count fan-out (whole batch to every shard).
     pub count_many: Histogram,
-    /// Mine fan-out: snapshot loads + filter + cross-shard refinement.
+    /// Mine fan-out: mining views + filter + cross-shard refinement.
     pub mine: Histogram,
     /// Probe routing (single-shard, but addressed globally).
     pub probe: Histogram,
@@ -132,13 +135,46 @@ pub struct Gauge {
     pub width: usize,
 }
 
+/// What mining needs of one pinned shard, wherever its rows are: the
+/// filter phase counts through one [`MineView::counter`] per worker, and
+/// what it leaves uncertain settles by one [`MineView::tally`] scan.
+/// Tombstoned rows are in none of the four answers.
+pub trait MineView: Sync {
+    /// A depth-first cursor over the shard's index at the pin.
+    type Counter<'a>: CountSource + Send
+    where
+        Self: 'a;
+
+    /// Live rows of the shard at the pin: its share of the threshold's
+    /// base, and the most it can add to a cross-shard count.
+    fn live_rows(&self) -> u64;
+
+    /// Exact 1-itemset supports over the live rows.
+    fn item_counts(&self) -> &HashMap<ItemId, u64>;
+
+    /// A fresh cursor for one worker.
+    fn counter(&self) -> io::Result<Self::Counter<'_>>;
+
+    /// Exact supports of `cands` over the live rows: one scan.
+    fn tally(&self, cands: &[Itemset]) -> io::Result<Vec<u64>>;
+
+    /// The run is over: accounts for what `counter` did, where the shard
+    /// keeps such accounts.
+    fn retire(&self, _counter: &Self::Counter<'_>) {}
+}
+
 /// One shard of a deployment as the [`Router`] drives it: a local engine
 /// or a server across the wire.
 pub trait Node: Send + Sync + Sized + 'static {
     /// One pinned snapshot of this shard; counts scatter through it as a
-    /// [`ShardHandle`], and its epoch, rows and single rows are read back
-    /// through the associated functions below.
+    /// [`ShardHandle`], and its epoch, mining view and single rows are
+    /// read back through the associated functions below.
     type Pin<'a>: ShardHandle + Send
+    where
+        Self: 'a;
+
+    /// What a pin is mined through.
+    type View<'a>: MineView + Send
     where
         Self: 'a;
 
@@ -159,8 +195,10 @@ pub trait Node: Send + Sync + Sized + 'static {
     /// The epoch a pin was taken at.
     fn epoch(pin: &Self::Pin<'_>) -> u64;
 
-    /// Materialises a pin's rows and their index in memory, for mining.
-    fn load(pin: &Self::Pin<'_>) -> io::Result<(TransactionDb, Bbs)>;
+    /// The mining view of a pin.
+    fn mine_view<'a>(pin: &Self::Pin<'a>) -> io::Result<Self::View<'a>>
+    where
+        Self: 'a;
 
     /// One row of a pin as `(tid, items)`, `None` past the end.
     fn row(pin: &Self::Pin<'_>, row: u64) -> io::Result<Option<(u64, Vec<u32>)>>;
@@ -416,41 +454,38 @@ impl<N: Node> Router<N> {
         let start = Instant::now();
         let threads = resolve_threads(threads, self.mine_threads);
         let (pins, epoch, _) = self.pins()?;
-        let loaded = scatter(&pins, |_, pin| N::load(pin))?;
-        let shard_rows: Vec<u64> = loaded.iter().map(|(db, _)| db.len() as u64).collect();
+        let views = scatter(&pins, |_, pin| N::mine_view(pin))?;
+        let shard_rows: Vec<u64> = views.iter().map(MineView::live_rows).collect();
         let rows: u64 = shard_rows.iter().sum();
         let tau = threshold.resolve(rows as usize);
 
-        let actuals = sum_item_counts(loaded.iter().map(|(_, bbs)| bbs.item_counts()));
+        let actuals = sum_item_counts(views.iter().map(MineView::item_counts));
         // One cursor per shard per worker: the cross-shard sum counts each
         // sibling against the shard prefixes the cursors keep.
         let make_source = || {
+            let cursors = views.iter().map(MineView::counter);
             Ok(ShardedCounter::new(
-                loaded
-                    .iter()
-                    .map(|(_, bbs)| BbsCursor::new(bbs, None))
-                    .collect(),
+                cursors.collect::<io::Result<_>>()?,
                 shard_rows.clone(),
             ))
         };
-        let (filter_out, _) = bbs_core::run_filter_source_threaded(
+        let (filter_out, counters) = bbs_core::run_filter_source_threaded(
             make_source,
             &actuals,
             scheme.filter(),
             tau,
             threads,
         )?;
+        for counter in &counters {
+            for (view, cursor) in views.iter().zip(counter.readers()) {
+                view.retire(cursor);
+            }
+        }
 
         // Global support merge before refinement verdicts: one scan per
         // shard (in parallel), then column sums decide.
         let result = filter_out.settle(tau, |cands| {
-            let per_shard = scatter(&loaded, |_, (db, _)| {
-                let mut counts = vec![0u64; cands.len()];
-                for txn in db.transactions() {
-                    tally_subsets(cands, &mut counts, &txn.items);
-                }
-                Ok(counts)
-            })?;
+            let per_shard = scatter(&views, |_, view| view.tally(cands))?;
             Ok(sum_columns(&per_shard, cands.len()))
         })?;
         self.scatter.mine.record(micros_since(start));

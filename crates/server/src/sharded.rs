@@ -7,33 +7,39 @@
 //! concurrency is the ingest win.  Everything the router does with those
 //! shards is [`crate::router`]; this module is what is particular to
 //! shards that live in this process: a pin is the engine's published
-//! [`Snapshot`], a write leg is a call, a drain reaches the engines, and
-//! the directory's `MANIFEST` follows the shards' width.
+//! [`Snapshot`] and is mined in place (its own cursors and heap scan —
+//! nothing is loaded), a write leg is a call, a drain reaches the engines,
+//! and the directory's `MANIFEST` follows the shards' width.
 
 use crate::engine::{wire_txn, Engine, InsertOutcome, ServerConfig};
 use crate::metrics::ServerMetrics;
 use crate::net::RequestHandler;
 use crate::proto::{maintain_action, Reply, Request, Response};
-use crate::router::{json_column, Gauge, Node, Router, ShardFaults};
-use bbs_core::Bbs;
+use crate::router::{json_column, Gauge, MineView, Node, Router, ShardFaults};
 use bbs_hash::{ItemHasher, Md5BloomHasher};
 use bbs_shard::{scatter, shard_base, Manifest, ShardHandle};
 use bbs_storage::snapshot::Snapshot;
-use bbs_tdb::{Itemset, Transaction, TransactionDb};
+use bbs_storage::DiskCounter;
+use bbs_tdb::{ItemId, Itemset, Transaction};
+use std::collections::HashMap;
 use std::io;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A local shard's pin: the snapshot its engine had published.
+/// A local shard's pin: the snapshot its engine had published.  It is
+/// its own mining view — the snapshot's cursors and its heap scan.
+#[derive(Clone)]
 pub struct SnapshotPin<'a> {
     snap: Arc<Snapshot>,
+    engine: &'a Engine,
     faults: &'a ShardFaults,
 }
 
 impl SnapshotPin<'_> {
-    fn tally<T>(&self, result: io::Result<T>) -> io::Result<T> {
+    /// Counts a failed read through this pin as a scatter error.
+    fn noting<T>(&self, result: io::Result<T>) -> io::Result<T> {
         result.inspect_err(|_| {
             self.faults.scatter_errors.fetch_add(1, Ordering::Relaxed);
         })
@@ -46,16 +52,45 @@ impl ShardHandle for SnapshotPin<'_> {
     }
 
     fn count_many(&self, itemsets: &[Itemset], tau: Option<u64>) -> io::Result<Vec<u64>> {
-        self.tally(self.snap.count_many_bounded(itemsets, tau))
+        self.noting(self.snap.count_many_bounded(itemsets, tau))
+    }
+}
+
+impl MineView for SnapshotPin<'_> {
+    type Counter<'a>
+        = DiskCounter
+    where
+        Self: 'a;
+
+    fn live_rows(&self) -> u64 {
+        self.snap.live_rows()
+    }
+
+    fn item_counts(&self) -> &HashMap<ItemId, u64> {
+        self.snap.item_counts()
+    }
+
+    fn counter(&self) -> io::Result<DiskCounter> {
+        self.noting(self.snap.counter())
+    }
+
+    fn tally(&self, cands: &[Itemset]) -> io::Result<Vec<u64>> {
+        self.noting(self.snap.tally(cands))
+    }
+
+    fn retire(&self, counter: &DiskCounter) {
+        self.engine.metrics().mine_cursor.record(counter);
     }
 }
 
 impl Node for Arc<Engine> {
     type Pin<'a> = SnapshotPin<'a>;
+    type View<'a> = SnapshotPin<'a>;
 
     fn pin<'a>(&'a self, faults: &'a ShardFaults) -> io::Result<SnapshotPin<'a>> {
         Ok(SnapshotPin {
             snap: self.snapshot(),
+            engine: self,
             faults,
         })
     }
@@ -64,8 +99,11 @@ impl Node for Arc<Engine> {
         pin.snap.epoch()
     }
 
-    fn load(pin: &SnapshotPin<'_>) -> io::Result<(TransactionDb, Bbs)> {
-        pin.tally(pin.snap.load())
+    fn mine_view<'a>(pin: &SnapshotPin<'a>) -> io::Result<SnapshotPin<'a>>
+    where
+        Self: 'a,
+    {
+        Ok(pin.clone())
     }
 
     fn row(pin: &SnapshotPin<'_>, row: u64) -> io::Result<Option<(u64, Vec<u32>)>> {
@@ -100,6 +138,10 @@ impl Node for Arc<Engine> {
             json_column("shard_queue_depth", gauge(|m| &m.queue_depth)),
             json_column("shard_deleted_rows", deleted()),
             json_column("shard_fpr", fpr),
+            json_column(
+                "shard_mine_cursor",
+                nodes.iter().map(|e| e.metrics().mine_cursor.to_json()),
+            ),
             format!("\"deleted_rows\":{}", deleted().sum::<u64>()),
             format!("\"live_rows\":{live}"),
         ]

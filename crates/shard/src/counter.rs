@@ -22,7 +22,8 @@ use bbs_tdb::{ItemId, Itemset};
 use std::io;
 
 /// Per-worker cross-shard counter: one per-shard [`CountSource`] plus
-/// each shard's committed row count (the running-total bound).
+/// the most rows each shard can add to a count — its live rows — which is
+/// the running-total bound.
 pub struct ShardedCounter<C: CountSource> {
     shards: Vec<C>,
     rows: Vec<u64>,
@@ -31,7 +32,7 @@ pub struct ShardedCounter<C: CountSource> {
 
 impl<C: CountSource> ShardedCounter<C> {
     /// Builds the counter from per-shard readers and row counts
-    /// (`shards[i]` covers `rows[i]` committed rows).
+    /// (`shards[i]` counts at most `rows[i]` rows).
     pub fn new(shards: Vec<C>, rows: Vec<u64>) -> Self {
         assert_eq!(shards.len(), rows.len());
         let total_rows = rows.iter().sum();

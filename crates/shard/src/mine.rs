@@ -8,11 +8,16 @@
 //! Refinement then streams each shard's heap file in parallel (one
 //! sequential scan per shard), summing exact per-shard supports — a
 //! disjoint-partition sum, so again exactly the unsharded exact count.
+//!
+//! Tombstoned rows are in none of it: the threshold resolves against the
+//! live rows, every reader masks its shard's dead rows out of level 0, the
+//! live rows are each shard's bound in the cross-shard running total, and
+//! the scans skip them.
 
 use crate::counter::ShardedCounter;
 use crate::deployment::ShardedDeployment;
 use crate::gather::{sum_columns, sum_item_counts};
-use bbs_core::{run_filter_source_threaded, tally_subsets, Scheme};
+use bbs_core::{run_filter_source_threaded, Scheme};
 use bbs_storage::mine::DiskMineStats;
 use bbs_tdb::{MineResult, SupportThreshold};
 use std::io;
@@ -29,7 +34,8 @@ pub fn mine_sharded(
     threads: usize,
 ) -> io::Result<(MineResult, DiskMineStats)> {
     dep.flush_uncommitted()?;
-    let tau = min_support.resolve(dep.rows() as usize);
+    let live_rows: Vec<u64> = dep.shards().iter().map(|s| s.live_rows()).collect();
+    let tau = min_support.resolve(live_rows.iter().sum::<u64>() as usize);
     let actuals = sum_item_counts(dep.shards().iter().map(|s| s.index.item_counts()));
 
     // Every worker owns one reader per shard.
@@ -37,7 +43,7 @@ pub fn mine_sharded(
         let readers = dep.shards().iter().map(|s| s.index.counter());
         Ok(ShardedCounter::new(
             readers.collect::<io::Result<_>>()?,
-            dep.shard_rows(),
+            live_rows.clone(),
         ))
     };
     let (filter_out, counters) =
@@ -56,13 +62,7 @@ pub fn mine_sharded(
                 .shards_mut()
                 .iter_mut()
                 .map(|shard| {
-                    scope.spawn(move || -> io::Result<Vec<u64>> {
-                        let mut counts = vec![0u64; cands.len()];
-                        shard
-                            .db
-                            .for_each(|_, txn| tally_subsets(cands, &mut counts, &txn.items))?;
-                        Ok(counts)
-                    })
+                    scope.spawn(move || shard.tally(cands))
                 })
                 .collect();
             handles

@@ -9,7 +9,8 @@
 //! than aspirational.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -109,17 +110,26 @@ impl FileBackend {
             .open(path)?;
         Ok(FileBackend { file })
     }
+
+    /// A second handle on the **same open file** (a duplicated
+    /// descriptor), whatever its path names by now: what a reader uses to
+    /// keep reading a file that maintenance has since renamed another one
+    /// over.  I/O is positional (`pread`/`pwrite`), so the handles share no
+    /// cursor and may be used from different threads.
+    pub fn try_clone(&self) -> io::Result<Self> {
+        Ok(FileBackend {
+            file: self.file.try_clone()?,
+        })
+    }
 }
 
 impl StorageBackend for FileBackend {
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.read_exact(buf)
+        self.file.read_exact_at(buf, offset)
     }
 
     fn write_at(&mut self, offset: u64, data: &[u8]) -> io::Result<()> {
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.write_all(data)
+        self.file.write_all_at(data, offset)
     }
 
     fn len(&mut self) -> io::Result<u64> {

@@ -19,8 +19,11 @@
 //! over the heap file (subset-count every candidate per transaction),
 //! which never materialises the `TransactionDb` in memory.
 
+use crate::backend::StorageBackend;
 use crate::cache::CacheStats;
+use crate::del::DeadMask;
 use crate::diskbbs::{CursorStats, DiskCounter, DiskDeployment};
+use crate::heapfile::HeapFile;
 use crate::pager::PagerStats;
 use bbs_core::{run_filter_source_threaded, tally_subsets, Scheme};
 use bbs_tdb::{Itemset, MineResult, SupportThreshold};
@@ -57,6 +60,7 @@ impl DiskMineStats {
         self.cursor.extends += w.extends;
         self.cursor.tau_exits += w.tau_exits;
         self.cursor.chunks_skipped += w.chunks_skipped;
+        self.cursor.sparse_ands += w.sparse_ands;
         self.readers += 1;
     }
 
@@ -67,16 +71,37 @@ impl DiskMineStats {
     }
 }
 
+/// Exact supports of `cands` over the live rows among the first `rows` of
+/// `heap`: one sequential scan that skips the rows `dead` names.  This is
+/// the one refinement scan — offline, sharded and served mining all settle
+/// their uncertain candidates through it.
+pub(crate) fn tally_live<B: StorageBackend>(
+    heap: &mut HeapFile<B>,
+    rows: u64,
+    dead: Option<&DeadMask>,
+    cands: &[Itemset],
+) -> io::Result<Vec<u64>> {
+    let mut counts = vec![0u64; cands.len()];
+    heap.for_each_prefix(rows, |row, txn| {
+        if !dead.is_some_and(|d| d.is_dead(row)) {
+            tally_subsets(cands, &mut counts, &txn.items);
+        }
+    })?;
+    Ok(counts)
+}
+
 /// Mines every frequent pattern of a deployment straight off its files.
 ///
 /// Uncommitted appends are flushed first (readers open the file
 /// independently and see only flushed state; a clean deployment is left
 /// untouched), the filter phase runs on `threads` workers over
 /// clone-per-worker [`DiskCounter`] readers, and uncertain candidates are
-/// refined by one streaming scan of the heap file.  The frequent patterns
-/// are identical to what the corresponding in-memory
-/// [`bbs_core::BbsMiner`] scheme produces, and to a serial (`threads = 1`)
-/// run of this driver.
+/// refined by one streaming scan of the heap file.  Tombstoned rows are in
+/// neither: the threshold resolves against the live rows, the readers
+/// mask them out of level 0 and the scan skips them.  The frequent
+/// patterns are identical to what the corresponding in-memory
+/// [`bbs_core::BbsMiner`] scheme produces over the surviving rows, and to
+/// a serial (`threads = 1`) run of this driver.
 ///
 /// Both Scan and Probe schemes refine by the streaming scan here: an
 /// in-place run never loads the `TransactionDb`, and the scan is the
@@ -90,7 +115,7 @@ pub fn mine_in_place(
     if dep.has_uncommitted() {
         dep.flush()?;
     }
-    let tau = min_support.resolve(dep.db.len() as usize);
+    let tau = min_support.resolve(dep.live_rows() as usize);
     let (filter_out, readers) = run_filter_source_threaded(
         || dep.index.counter(),
         dep.index.item_counts(),
@@ -102,13 +127,8 @@ pub fn mine_in_place(
     readers.iter().for_each(|reader| stats.absorb(reader));
 
     // Streaming refinement: one pass over the heap file, counting every
-    // uncertain candidate's exact support by subset test.
-    let result = filter_out.settle(tau, |cands: &[Itemset]| {
-        let mut counts = vec![0u64; cands.len()];
-        dep.db
-            .for_each(|_, txn| tally_subsets(cands, &mut counts, &txn.items))?;
-        Ok(counts)
-    })?;
+    // uncertain candidate's exact support among the live rows.
+    let result = filter_out.settle(tau, |cands| dep.tally(cands))?;
     Ok((result, stats))
 }
 

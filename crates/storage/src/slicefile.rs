@@ -967,6 +967,36 @@ impl<B: StorageBackend> SliceFile<B> {
         Ok(ops::count_ones(words) as u64)
     }
 
+    /// [`SliceFile::and_page`] for a parent that is mostly zero words in
+    /// this chunk: `run` holds only the words at the in-page `offsets`
+    /// (ascending), so only those words of the page are touched — the
+    /// popcount returned is the one `and_page` would give over the whole
+    /// chunk, because every word left out is zero in the parent.
+    pub(crate) fn and_page_at(
+        &mut self,
+        chunk: u64,
+        slice: usize,
+        offsets: &[u16],
+        run: &mut [u64],
+    ) -> io::Result<u64> {
+        debug_assert_eq!(offsets.len(), run.len());
+        let id = page_of(self.width, chunk, slice);
+        self.state_mut().cache.with_page(id, |buf| {
+            for (w, &o) in run.iter_mut().zip(offsets) {
+                let at = usize::from(o) * 8;
+                *w &= u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"));
+            }
+        })?;
+        Ok(ops::count_ones(run) as u64)
+    }
+
+    /// Lowers the row count this handle answers for to `rows` (never
+    /// raises it): a reader opened for a snapshot older than the file's
+    /// header must not see the rows committed since.
+    pub(crate) fn clamp_rows(&mut self, rows: u64) {
+        self.rows = self.rows.min(rows);
+    }
+
     /// Flushes dirty pages and syncs.
     pub fn flush(&mut self) -> io::Result<()> {
         self.state_mut().cache.flush()

@@ -16,9 +16,12 @@
 //! 1. **Commit-fenced file I/O.**  The on-disk files only change inside
 //!    [`SharedDeployment::commit`], which holds the write side of an
 //!    `RwLock` while it appends, flushes and syncs.  Every snapshot read
-//!    (a page fetch during a count, probe or load) holds the read side,
-//!    so a reader can never see a page and its checksum mid-update — no
-//!    spurious [`crate::ChecksumMismatch`], no torn page content.
+//!    (a page fetch during a count, probe, load or mining call) holds the
+//!    read side, so a reader can never see a page and its checksum
+//!    mid-update — no spurious [`crate::ChecksumMismatch`], no torn page
+//!    content.  A mining run takes it once per `CountItemSet` call of its
+//!    cursors and once for its refinement scan, never across the walk: a
+//!    commit waits for one call, not for the mine.
 //! 2. **Append-only content + the snapshot clamp.**  Between commits a
 //!    snapshot's pages are stable, but a *later* commit does extend the
 //!    shared boundary pages in place (appends only OR bits into slice
@@ -37,21 +40,41 @@
 //! Queries on old snapshots keep answering from their epoch's prefix
 //! while new commits land — the paper's "dynamic index" claim, made
 //! mechanically checkable (see `tests/concurrent.rs`).
+//!
+//! # Mining a snapshot
+//!
+//! A snapshot is mined **in place** (`tests/snapshot_mining.rs`): it hands
+//! out the two things the one enumerator of `bbs_core::filter` needs.
+//! [`Snapshot::counter`] is a depth-first disk cursor for one worker — a
+//! private reader on a duplicate of the descriptor the snapshot itself
+//! holds (so it is the snapshot's file even after a compaction or fold
+//! renamed another over the name), clamped to the snapshot's rows with its
+//! tombstones folded into level 0 (mechanism 2, for a reader that opens
+//! after later commits), fenced per call (mechanism 1).  A reader that
+//! outlives commits re-reads a boundary page whose digest slot it cached
+//! before the commit; the pager's stale-digest recovery re-fetches the
+//! slot and the clamp discards the new bits.  [`Snapshot::tally`] is the
+//! refinement scan: the heap prefix, dead rows skipped.
+//! [`Snapshot::load`] still materialises a snapshot for the
+//! memory-resident miners, off the request path.
 
 use crate::backend::{DynBackend, FileBackend, SharedFaultPlan, StorageBackend};
 use crate::cache::CacheStats;
 use crate::dedup::DedupReceipt;
 use crate::del::DeadMask;
 use crate::diskbbs::{
-    deployment_paths, DeploymentBackends, DiskBbs, DiskDeployment, DEFAULT_DEDUP_WINDOW,
+    deployment_paths, load_live, read_fence, DeploymentBackends, DiskBbs, DiskCounter, DiskDeployment,
+    DEFAULT_DEDUP_WINDOW,
 };
 use crate::heapfile::HeapFile;
 use crate::maintain::MaintainReport;
+use crate::mine::tally_live;
 use crate::pager::PagerStats;
 use crate::slicefile::HotStats;
 use bbs_core::Bbs;
 use bbs_hash::ItemHasher;
-use bbs_tdb::{Itemset, Transaction, TransactionDb};
+use bbs_tdb::{ItemId, Itemset, Transaction, TransactionDb};
+use std::collections::HashMap;
 use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -97,14 +120,14 @@ impl Snapshot {
     /// `CountItemSet` at this epoch: the BBS estimate (an upper bound on
     /// the exact support, exact for the rows this snapshot covers).
     pub fn count(&self, items: &Itemset) -> io::Result<u64> {
-        let _fence = self.io.read().unwrap_or_else(|e| e.into_inner());
+        let _fence = read_fence(&self.io);
         self.index.count_itemset(items)
     }
 
     /// [`Snapshot::count`] with the filter's early exit (`tau` semantics
     /// as in [`DiskBbs::count_itemset_bounded`]).
     pub fn count_bounded(&self, items: &Itemset, tau: u64) -> io::Result<u64> {
-        let _fence = self.io.read().unwrap_or_else(|e| e.into_inner());
+        let _fence = read_fence(&self.io);
         self.index.count_itemset_bounded(items, tau)
     }
 
@@ -114,7 +137,7 @@ impl Snapshot {
     /// snapshot's epoch; the results are identical to counting them one at
     /// a time.
     pub fn count_many(&self, itemsets: &[Itemset]) -> io::Result<Vec<u64>> {
-        let _fence = self.io.read().unwrap_or_else(|e| e.into_inner());
+        let _fence = read_fence(&self.io);
         self.index.count_itemsets(itemsets, None)
     }
 
@@ -127,7 +150,7 @@ impl Snapshot {
         itemsets: &[Itemset],
         tau: Option<u64>,
     ) -> io::Result<Vec<u64>> {
-        let _fence = self.io.read().unwrap_or_else(|e| e.into_inner());
+        let _fence = read_fence(&self.io);
         self.index.count_itemsets(itemsets, tau)
     }
 
@@ -158,35 +181,54 @@ impl Snapshot {
         if row >= self.rows || self.is_dead(row) {
             return Ok(None);
         }
-        let _fence = self.io.read().unwrap_or_else(|e| e.into_inner());
+        let _fence = read_fence(&self.io);
         self.heap().get(row).map(Some)
     }
 
     /// Materialises this snapshot in memory: the transaction database and
-    /// the BBS index, both clamped to the snapshot's rows — the substrate
-    /// for an offline mining run that holds no locks while it mines.
+    /// the BBS index, both clamped to the snapshot's rows.  No request
+    /// path calls this any more — a served MINE runs the cursor of
+    /// [`Snapshot::counter`] in place; it remains what hands a consistent
+    /// cut to the memory-resident miners and baselines (the benchmark's
+    /// `storage.snapshot_load_s` and `core.mine_*` rows measure it).
     ///
     /// Tombstoned rows are excluded: the result is exactly what an
     /// offline rebuild from only the surviving transactions would
     /// produce, bit-for-bit (inserting a survivor sets the same slice
     /// bits regardless of the dead rows between them being skipped).
     pub fn load(&self) -> io::Result<(TransactionDb, Bbs)> {
-        let _fence = self.io.read().unwrap_or_else(|e| e.into_inner());
-        let Some(dead) = self.index.dead_mask().cloned() else {
-            let db = self.heap().load_prefix(self.rows)?;
-            let bbs = self.index.load()?;
-            return Ok((db, bbs));
-        };
-        let mut db = TransactionDb::new();
-        let mut bbs = Bbs::new(self.index.width(), Arc::clone(self.index.hasher()));
-        let mut stats = bbs_tdb::IoStats::new();
-        self.heap().for_each_prefix(self.rows, |row, txn| {
-            if !dead.is_dead(row) {
-                db.push(txn.clone());
-                bbs.insert(txn, &mut stats);
-            }
-        })?;
-        Ok((db, bbs))
+        let _fence = read_fence(&self.io);
+        load_live(&mut self.heap(), &self.index, self.rows)
+    }
+
+    /// Exact supports of the 1-itemsets over this snapshot's live rows —
+    /// the vocabulary and the `CheckCount` inputs of a mining run.
+    pub fn item_counts(&self) -> &HashMap<ItemId, u64> {
+        self.index.item_counts()
+    }
+
+    /// A depth-first cursor over this snapshot for one mining worker: an
+    /// independent reader (own page cache) on the slice file **this
+    /// snapshot has open** — a duplicated descriptor, so a compaction or
+    /// fold that has since renamed another file over the path changes
+    /// nothing — whose level 0 is `min(header rows, snapshot rows)` AND-NOT
+    /// this snapshot's tombstones, so rows committed after the pin never
+    /// count.  Each `CountSource` call of the reader holds the commit
+    /// fence shared while it reads pages and releases it on return: a
+    /// mine, however long, delays a commit by one call at most.
+    pub fn counter(&self) -> io::Result<DiskCounter> {
+        let _fence = read_fence(&self.io);
+        Ok(self.index.counter()?.fenced_by(Arc::clone(&self.io)))
+    }
+
+    /// Exact supports of `cands` at this epoch: one sequential scan of the
+    /// heap, clamped to the snapshot's rows and skipping tombstoned ones —
+    /// the refinement pass of a mining run.  The fence is held for the
+    /// scan.
+    pub fn tally(&self, cands: &[Itemset]) -> io::Result<Vec<u64>> {
+        let _fence = read_fence(&self.io);
+        let dead = self.index.dead_mask().map(|d| &**d);
+        tally_live(&mut self.heap(), self.rows, dead, cands)
     }
 
     /// Measures the live false-positive rate of the filter at this epoch:
@@ -219,20 +261,7 @@ impl Snapshot {
             queries.push(Itemset::from_values(&[a.0, b.0]));
         }
         let estimates = self.count_many(&queries)?;
-        let mut exact = vec![0u64; queries.len()];
-        let dead = self.index.dead_mask().cloned();
-        {
-            let _fence = self.io.read().unwrap_or_else(|e| e.into_inner());
-            self.heap().for_each_prefix(self.rows, |row, txn| {
-                if dead.as_ref().is_none_or(|d| !d.is_dead(row)) {
-                    for (i, q) in queries.iter().enumerate() {
-                        if q.items().iter().all(|&it| txn.items.contains(it)) {
-                            exact[i] += 1;
-                        }
-                    }
-                }
-            })?;
-        }
+        let exact = self.tally(&queries)?;
         let mut false_pos = 0u64;
         let mut negatives = 0u64;
         for (est, ex) in estimates.iter().zip(&exact) {

@@ -301,3 +301,197 @@ fn chunks_the_parent_is_empty_in_are_never_read() {
     let skipped = cursor.cursor_stats().chunks_skipped - stats.chunks_skipped;
     assert_eq!(skipped, 2 * exts.len() as u64, "chunks 0 and 1, per sibling");
 }
+
+// ---------------------------------------------------------------------
+// The sparse operand: where a parent is mostly zero words in a chunk the
+// cursor gathers only its nonzero words.  Same rows, same answers, same
+// pages — fewer words.
+// ---------------------------------------------------------------------
+
+/// Two slices per item and no collisions below item 32 at width 64: the
+/// AND-result of `{i}` is exactly the live rows holding `i`, so a test can
+/// place a parent's nonzero words one by one.
+struct TwoSliceHasher;
+
+impl ItemHasher for TwoSliceHasher {
+    fn positions(&self, item: u64, width: usize, out: &mut Vec<usize>) {
+        out.extend([(item % 32) as usize, (item % 32) as usize + width / 2]);
+    }
+
+    fn k(&self) -> usize {
+        2
+    }
+}
+
+/// Sibling items: on every row with probability 1/2, 1/3, 1/4, 1/5.
+const SIBLINGS: [u32; 6] = [20, 21, 22, 23, 24, 25];
+
+/// A marker item: three rows (bits 5, 21 and 37) in every `stride`-th
+/// word of a chunk, `words` of them, per `(chunk, words, stride)` span.  A
+/// full chunk has 512 words and goes sparse under 64 nonzero ones; the
+/// 5 000-row boundary chunk has 79 and goes sparse under 10.
+struct Marker {
+    item: u32,
+    spans: &'static [(u64, u64, u64)],
+    /// Chunks the item's AND-result is sparse in.
+    sparse_chunks: u64,
+    /// Chunks it has live rows in.
+    live_chunks: u64,
+}
+
+const fn marker(
+    item: u32,
+    spans: &'static [(u64, u64, u64)],
+    sparse_chunks: u64,
+    live_chunks: u64,
+) -> Marker {
+    Marker {
+        item,
+        spans,
+        sparse_chunks,
+        live_chunks,
+    }
+}
+
+const MARKERS: [Marker; 8] = [
+    marker(0, &[(0, 1, 7)], 1, 1),
+    marker(1, &[(0, 63, 7)], 1, 1),
+    marker(2, &[(0, 64, 7)], 0, 1),
+    marker(3, &[(0, 65, 7)], 0, 1),
+    marker(4, &[(2, 9, 7)], 1, 1),
+    marker(5, &[(2, 10, 7)], 0, 1),
+    marker(6, &[(2, 11, 7)], 0, 1),
+    // Sparse in chunk 0, wholly dead in chunk 1, dense in the boundary.
+    marker(7, &[(0, 20, 7), (1, 30, 7), (2, 40, 1)], 1, 2),
+];
+
+fn marker_rows(spans: &[(u64, u64, u64)]) -> Vec<u64> {
+    let mut rows = Vec::new();
+    for &(chunk, words, stride) in spans {
+        for word in (0..words).map(|j| j * stride) {
+            rows.extend([5, 21, 37].map(|bit| chunk * CHUNK + word * 64 + bit));
+        }
+    }
+    assert!(rows.iter().all(|&r| r < 2 * CHUNK + TAIL));
+    rows
+}
+
+/// `2·CHUNK + TAIL` rows of sibling items, the marker items on their
+/// rows; then chunk 1 wholly tombstoned and every 640th row of the others
+/// (bit 0 of every tenth word — never a marker row).
+fn build_sparse(b: &Path) {
+    let mut marked: std::collections::HashMap<u64, Vec<u32>> = Default::default();
+    for m in &MARKERS {
+        for row in marker_rows(m.spans) {
+            marked.entry(row).or_default().push(m.item);
+        }
+    }
+    let mut dep = DiskDeployment::open(b, WIDTH, Arc::new(TwoSliceHasher), 512).expect("open");
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    for i in 0..2 * CHUNK + TAIL {
+        let mut items = marked.remove(&i).unwrap_or_default();
+        for (j, &s) in SIBLINGS.iter().enumerate() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if (state >> 33).is_multiple_of(2 + j as u64 % 4) {
+                items.push(s);
+            }
+        }
+        dep.append(&Transaction::new(i, Itemset::from_values(&items)))
+            .expect("append");
+    }
+    dep.flush().expect("flush");
+    let dead: Vec<u64> = (0..2 * CHUNK + TAIL)
+        .filter(|&r| (CHUNK..2 * CHUNK).contains(&r) || r.is_multiple_of(640))
+        .collect();
+    dep.commit_deletes(&dead, &[]).expect("delete");
+}
+
+/// (v): parents on both sides of the density switch and exactly at it — in
+/// a full chunk, in the boundary chunk, beside the wholly tombstoned one.
+/// Every node of a walk that descends under each of them obeys the τ
+/// contract for every τ, at one extend per descent, and the sparse path
+/// was taken.
+#[test]
+fn sparse_parents_obey_the_tau_contract_at_every_node() {
+    let b = base("sparse_walk");
+    let _g = Cleanup(b.clone());
+    build_sparse(&b);
+    for cache_pages in [1, 512] {
+        let dep = DiskDeployment::open(&b, WIDTH, Arc::new(TwoSliceHasher), cache_pages)
+            .expect("reopen");
+        let make = || {
+            Ok(Audited {
+                cursor: dep.index.counter()?,
+                oracle: &dep.index,
+                descents: 0,
+            })
+        };
+        // τ = 2: the one-word marker (3 rows) is still a node of the walk.
+        let (out, sources) =
+            run_filter_source_threaded(make, dep.index.item_counts(), FilterKind::Single, 2, 1)
+                .expect("walk");
+        let [src] = &sources[..] else {
+            panic!("one worker, one source")
+        };
+        assert!(out.stats.candidates > 200, "{} candidates", out.stats.candidates);
+        let stats = src.cursor.cursor_stats();
+        assert_eq!(stats.extends, src.descents, "{cache_pages} page(s)");
+        assert!(stats.sparse_ands > 0 && stats.tau_exits > 0, "{stats:?}");
+    }
+}
+
+/// (vi): the switch is where the constant says, and the sparse path reads
+/// no page the dense one would not: per sibling, `k` pages for each chunk
+/// the parent has ones in.  A one-page cache makes every page touched a
+/// physical read.
+#[test]
+fn the_density_switch_is_exact_and_reads_no_more_pages() {
+    let b = base("sparse_switch");
+    let _g = Cleanup(b.clone());
+    build_sparse(&b);
+    let dep = DiskDeployment::open(&b, WIDTH, Arc::new(TwoSliceHasher), 1).expect("reopen");
+    let exts: Vec<ItemId> = SIBLINGS.iter().map(|&s| ItemId(s)).collect();
+    let k = 2;
+    for Marker {
+        item,
+        spans,
+        sparse_chunks,
+        live_chunks,
+    } in MARKERS
+    {
+        let parent = Itemset::from_values(&[item]);
+        let live_rows = marker_rows(spans)
+            .iter()
+            .filter(|r| !(CHUNK..2 * CHUNK).contains(r))
+            .count() as u64;
+        assert_eq!(dep.index.count_itemset(&parent).expect("support"), live_rows);
+
+        let mut cursor = dep.index.counter().expect("counter");
+        cursor.count_extensions(&parent, &[], EXACT).expect("seek");
+        let (reads, before) = (cursor.pager_stats().reads, cursor.cursor_stats());
+        assert_eq!(before.extends, 1);
+        let exact = cursor.count_extensions(&parent, &exts, EXACT).expect("exact");
+        for (&got, &e) in exact.iter().zip(&exts) {
+            let want = dep.index.count_itemset(&parent.with_item(e)).expect("oracle");
+            assert_eq!(got, want, "marker {item}, extension {e:?}");
+        }
+        let after = cursor.cursor_stats();
+        assert_eq!(
+            after.sparse_ands - before.sparse_ands,
+            k * sparse_chunks * exts.len() as u64,
+            "marker {item}: {sparse_chunks} sparse chunk(s)"
+        );
+        let read = cursor.pager_stats().reads - reads;
+        assert!(
+            read > 0 && read <= k * live_chunks * exts.len() as u64,
+            "marker {item}: {read} page reads for {} siblings of k = {k} in {live_chunks} chunk(s)",
+            exts.len()
+        );
+        // Below τ on the parent's ones: nothing is read on either path.
+        let bounds = cursor.count_extensions(&parent, &exts, live_rows + 1).expect("bounded");
+        assert_eq!(bounds, vec![live_rows; exts.len()]);
+        assert_eq!(cursor.pager_stats().reads - reads, read, "marker {item}");
+    }
+}
