@@ -7,8 +7,35 @@
 # instruction set and under every forced dispatch tier, the benchmark
 # smoke, the randomized chaos/oracle suites again on a pinned seed, and
 # one warning-free clippy pass over every crate.  Run from the
-# repository root.
-set -eux
+# repository root.  `./ci.sh loc` only prints the non-test source lines
+# per crate — the number ROADMAP items 2 and 7 gate on.
+set -eu
+
+# Lines of crates/*/src/**/*.rs outside `#[cfg(test)]` items: such an item
+# runs from its attribute to the `;` that ends it or the `}` that closes
+# the first `{` after it.
+loc() {
+  for crate in crates/*/; do
+    find "${crate}src" -name '*.rs' | sort | xargs awk -v crate="$(basename "${crate}")" '
+      FNR == 1 { skipping = 0 }
+      /^[ \t]*#\[cfg\(test\)\]/ { skipping = 1; depth = 0; opened = 0; next }
+      skipping {
+        opens = gsub(/\{/, "{"); depth += opens - gsub(/\}/, "}")
+        if (opens) opened = 1
+        if (opened ? depth <= 0 : /;[ \t]*$/) skipping = 0
+        next
+      }
+      { lines++ }
+      END { printf "%-10s %6d\n", crate, lines }'
+  done
+}
+if [ "${1:-}" = loc ]; then
+  loc
+  exit
+fi
+set -x
+
+loc
 
 cargo build --release
 cargo test -q
@@ -42,6 +69,11 @@ CHAOS_SEED="${CHAOS_SEED}" cargo test -q -p bbs-cli --test failover -- --nocaptu
 # compaction/fold/FPR maintenance, delete replication + resync, and the
 # weblog-churn storm whose measured FPR must heal under AUTO rounds.
 CHAOS_SEED="${CHAOS_SEED}" cargo test -q -p bbs-server --test dynamic -- --nocapture
+# Swap recovery beside it: a crash at every step of a compaction and of a
+# fold, reopened offline and through the served open; the frozen on-disk
+# formats; and the restarted-inside-a-swap regression through `Engine`.
+CHAOS_SEED="${CHAOS_SEED}" cargo test -q -p bbs-storage --test dynamic --test protocol
+CHAOS_SEED="${CHAOS_SEED}" cargo test -q -p bbs-server --test swap_recovery
 # Served == offline == in-memory on a churned deployment (most rows
 # tombstoned), every scheme, serial and threaded, unsharded and behind a
 # 3-shard server — on the same pinned seed as the rest of the dynamic suite.

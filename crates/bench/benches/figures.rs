@@ -1,33 +1,22 @@
 //! Runs the complete figure-reproduction suite at quick scale under
 //! `cargo bench` (custom harness — this is a table-producing experiment run,
-//! not a statistical microbenchmark; use the `fig*` binaries with no flags
-//! for paper-scale runs).
+//! not a statistical microbenchmark; use the `figures` binary with no
+//! `--quick` for paper-scale runs).
 
-use bbs_bench::experiments::{self, sweeps};
+use bbs_bench::experiments::FIGURES;
 use bbs_bench::Profile;
 
 fn main() {
-    // Respect `cargo bench -- --help`-style filter args minimally: any
-    // argument simply selects quick mode (the default here anyway).
+    // `cargo bench` passes its own arguments (`--bench`, filters): they are
+    // ignored, the suite always runs whole at quick scale.
     let p = Profile::quick();
     println!(
         "BBS figure suite at quick scale (D={}, V={}, m={}, tau={}%)\n",
         p.transactions, p.items, p.width, p.tau_pct
     );
-
-    let (fdr, time) = experiments::run_fig5(&p, &sweeps::widths(&p));
-    fdr.print();
-    time.print();
-    experiments::run_fig6(&p).print();
-    experiments::run_fig7(&p, &sweeps::taus(&p)).print();
-    experiments::run_fig8(&p, &sweeps::sizes(&p)).print();
-    experiments::run_fig9(&p, &sweeps::item_counts(&p)).print();
-    experiments::run_fig10(&p, &sweeps::lengths(&p)).print();
-    experiments::run_fig11(&p, &sweeps::budgets_kib(&p)).print();
-    experiments::run_fig12(&p, 4, (p.transactions / 5).max(100)).print();
-    experiments::run_fig13(&p).print();
-    experiments::run_ablation_hash_k(&p, &sweeps::ks(&p)).print();
-    experiments::run_ablation_integration(&p).print();
-    experiments::run_ablation_tiered(&p, &sweeps::budgets_kib(&p)).print();
-    experiments::run_ablation_counters(&p, &[p.tau_pct, p.tau_pct * 2.0]).print();
+    for figure in FIGURES {
+        for table in (figure.run)(&p) {
+            table.print();
+        }
+    }
 }

@@ -570,6 +570,96 @@ pub fn run_ablation_counters(p: &Profile, taus_pct: &[f64]) -> Table {
     table
 }
 
+/// One reproducible experiment: the name it goes by on the `figures`
+/// command line, what it shows, and its run over the paper's sweep scaled
+/// to a profile.
+pub struct Figure {
+    /// Command-line name (`fig5`, `ablation_hash_k`, …).
+    pub name: &'static str,
+    /// What the experiment shows.
+    pub about: &'static str,
+    /// Runs it at `profile` and returns its tables.
+    pub run: fn(&Profile) -> Vec<Table>,
+}
+
+/// Every experiment, in the paper's order — the one list the `figures`
+/// binary, the `figures` bench and the smoke test all run from.
+pub const FIGURES: &[Figure] = &[
+    Figure {
+        name: "fig5",
+        about: "Fig. 5: false-drop ratio and response time vs the signature width m",
+        run: |p| {
+            let (fdr, time) = run_fig5(p, &sweeps::widths(p));
+            vec![fdr, time]
+        },
+    },
+    Figure {
+        name: "fig6",
+        about: "Fig. 6: all six algorithms on the default settings",
+        run: |p| vec![run_fig6(p)],
+    },
+    Figure {
+        name: "fig7",
+        about: "Fig. 7: response time vs the minimum support threshold",
+        run: |p| vec![run_fig7(p, &sweeps::taus(p))],
+    },
+    Figure {
+        name: "fig8",
+        about: "Fig. 8: scalability with the number of transactions",
+        run: |p| vec![run_fig8(p, &sweeps::sizes(p))],
+    },
+    Figure {
+        name: "fig9",
+        about: "Fig. 9: effect of the number of distinct items",
+        run: |p| vec![run_fig9(p, &sweeps::item_counts(p))],
+    },
+    Figure {
+        name: "fig10",
+        about: "Fig. 10: effect of the average number of items per transaction",
+        run: |p| vec![run_fig10(p, &sweeps::lengths(p))],
+    },
+    Figure {
+        name: "fig11",
+        about: "Fig. 11: effect of the memory budget on DFP, APS and FPS",
+        run: |p| vec![run_fig11(p, &sweeps::budgets_kib(p))],
+    },
+    Figure {
+        name: "fig12",
+        about: "Fig. 12: growing database, incremental BBS vs from-scratch APS / FPS",
+        run: |p| vec![run_fig12(p, 5, (p.transactions / 5).max(200))],
+    },
+    Figure {
+        name: "fig13",
+        about: "Fig. 13: ad-hoc queries (non-frequent and constrained counts), DFP vs APS",
+        run: |p| vec![run_fig13(p)],
+    },
+    Figure {
+        name: "ablation_hash_k",
+        about: "A1: sensitivity to the number of hash functions per item",
+        run: |p| vec![run_ablation_hash_k(p, &sweeps::ks(p))],
+    },
+    Figure {
+        name: "ablation_integration",
+        about: "A2: integrated vs two-phase probe refinement",
+        run: |p| vec![run_ablation_integration(p)],
+    },
+    Figure {
+        name: "ablation_tiered",
+        about: "A3: adaptive folding vs pre-built tiered indexes (footnote 6)",
+        run: |p| vec![run_ablation_tiered(p, &sweeps::budgets_kib(p))],
+    },
+    Figure {
+        name: "ablation_counters",
+        about: "A4: Apriori counting structures, prefix trie vs the original hash tree",
+        run: |p| {
+            vec![run_ablation_counters(
+                p,
+                &[p.tau_pct / 2.0, p.tau_pct, p.tau_pct * 2.0],
+            )]
+        },
+    },
+];
+
 /// The sweep axes used by the paper for each figure, expressed relative to a
 /// profile so the quick profile scales them down consistently.
 pub mod sweeps {
@@ -606,9 +696,13 @@ pub mod sweeps {
         widths
     }
 
-    /// Fig. 7: τ from 0.1 % to 1.2 %.
-    pub fn taus(_p: &Profile) -> Vec<f64> {
-        vec![0.1, 0.2, 0.3, 0.6, 0.9, 1.2]
+    /// Fig. 7: τ from 0.1 % to 1.2 % (paper) — a third to four times the
+    /// default threshold, which is what other profiles keep.
+    pub fn taus(p: &Profile) -> Vec<f64> {
+        [0.1, 0.2, 0.3, 0.6, 0.9, 1.2]
+            .iter()
+            .map(|&t| t * p.tau_pct / 0.3)
+            .collect()
     }
 
     /// Fig. 8: D from 1× to 10× the profile size.
@@ -624,9 +718,13 @@ pub mod sweeps {
         [1u32, 2, 5, 10].iter().map(|&f| p.items * f).collect()
     }
 
-    /// Fig. 10: T from 10 to 30.
-    pub fn lengths(_p: &Profile) -> Vec<f64> {
-        vec![10.0, 15.0, 20.0, 25.0, 30.0]
+    /// Fig. 10: T from 10 to 30 (paper) — one to three times the default
+    /// transaction length, which is what other profiles keep.
+    pub fn lengths(p: &Profile) -> Vec<f64> {
+        [1.0, 1.5, 2.0, 2.5, 3.0]
+            .iter()
+            .map(|&f| f * p.avg_txn_len)
+            .collect()
     }
 
     /// Fig. 11: memory 250 KiB – 2 MiB (paper), scaled to the index size for

@@ -1,7 +1,8 @@
 //! Smoke tests: every experiment function runs end to end at micro scale
-//! and produces a structurally sound table.  These guard the harness itself
-//! (the figure binaries share all of this code), not the performance
-//! numbers.
+//! and produces a structurally sound table, and so does every entry of the
+//! `FIGURES` table over its default sweep.  These guard the harness itself
+//! (the `figures` binary and bench run from that table), not the
+//! performance numbers.
 
 use bbs_bench::experiments::{self, sweeps};
 use bbs_bench::{Profile, Table};
@@ -17,6 +18,33 @@ fn assert_table(t: &Table, expect_rows: usize) {
     // Render exercises the alignment machinery.
     let rendered = t.render();
     assert!(rendered.lines().count() >= expect_rows + 3, "{}", t.title);
+}
+
+/// The table the `figures` binary and bench run from: every entry runs
+/// over its default sweep, and there is one per `*_smoke` test of this
+/// file.  The sweeps reach three times the profile's transaction length
+/// and a third of its threshold; at micro's 4 % that is a dense database
+/// mined at 1.3 % — half a minute in a debug build — so the threshold is
+/// raised.
+#[test]
+fn every_figure_of_the_table_runs() {
+    let names: Vec<&str> = experiments::FIGURES.iter().map(|f| f.name).collect();
+    let mut expected: Vec<String> = (5..=13).map(|n| format!("fig{n}")).collect();
+    expected.extend(["hash_k", "integration", "tiered", "counters"].map(|a| format!("ablation_{a}")));
+    assert_eq!(names, expected);
+    let p = Profile {
+        tau_pct: 10.0,
+        ..Profile::micro()
+    };
+    for figure in experiments::FIGURES {
+        assert!(!figure.about.is_empty(), "{}", figure.name);
+        let tables = (figure.run)(&p);
+        assert!(!tables.is_empty(), "{}", figure.name);
+        for t in &tables {
+            assert!(!t.rows.is_empty(), "{}", figure.name);
+            assert_table(t, t.rows.len());
+        }
+    }
 }
 
 #[test]

@@ -23,7 +23,7 @@
 
 use crate::bbs::Bbs;
 use crate::filter::{run_filter, FilterKind};
-use bbs_tdb::{IoStats, Itemset, MineStats};
+use bbs_tdb::{Itemset, MineStats};
 
 /// A pattern mined without refinement: the estimate, the model's corrected
 /// support, and the probability that the pattern is genuinely frequent.
@@ -166,25 +166,11 @@ pub fn mine_approximate(
     result
 }
 
-/// Convenience wrapper: approximate mining directly from an index with I/O
-/// tracking of the filter pass only.
-pub fn mine_approximate_with_io(
-    bbs: &Bbs,
-    kind: FilterKind,
-    tau: u64,
-    min_confidence: f64,
-    io: &mut IoStats,
-) -> ApproxResult {
-    let r = mine_approximate(bbs, kind, tau, min_confidence);
-    io.merge(&r.stats.io);
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bbs_hash::Md5BloomHasher;
-    use bbs_tdb::{FrequentPatternMiner, NaiveMiner, SupportThreshold, TransactionDb};
+    use bbs_tdb::{FrequentPatternMiner, IoStats, NaiveMiner, SupportThreshold, TransactionDb};
     use std::sync::Arc;
 
     fn fixture() -> (Bbs, TransactionDb) {

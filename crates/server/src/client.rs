@@ -889,11 +889,6 @@ impl RetryClient {
         self.retry(|c| c.mine(scheme, threshold, threads))
     }
 
-    /// `stats` with retries.
-    pub fn server_stats(&mut self) -> ClientResult<String> {
-        self.retry(|c| c.stats())
-    }
-
     /// `ping` with retries.
     pub fn ping(&mut self) -> ClientResult<()> {
         self.retry(|c| c.ping())

@@ -24,17 +24,16 @@
 //! torn write is healed but a flipped bit inside committed data is
 //! *detected*, never silently re-checksummed.
 //!
-//! A commit is the *last* thing [`crate::diskbbs::DiskDeployment::flush`]
-//! writes, after every data file has been flushed and synced.  On open,
-//! the valid slot with the highest sequence number defines the committed
-//! row count and heap tail; everything past that boundary in the data
-//! files is, by definition, debris from an interrupted flush, and is
-//! rolled back.  Because the slot being overwritten is always the *older*
-//! one, a crash mid-commit-write (even a torn one — the checksum catches
-//! it) still leaves the previous commit intact.
+//! A commit is the *last* thing the commit point writes (DESIGN.md §7, "The
+//! commit ordering").  On open, the valid slot with the highest sequence
+//! number defines the committed row count and heap tail; everything past
+//! that boundary in the data files is, by definition, debris from an
+//! interrupted flush, and is rolled back.  Because the slot being
+//! overwritten is always the *older* one, a crash mid-commit-write (even a
+//! torn one — the seal catches it) still leaves the previous commit intact.
 
 use crate::backend::{FileBackend, StorageBackend};
-use crate::pager::fnv1a64;
+use crate::sealed::{seal, unseal};
 use std::io;
 use std::path::Path;
 
@@ -63,8 +62,9 @@ pub fn format_v1(e: &io::Error) -> Option<&FormatV1> {
     e.get_ref().and_then(|inner| inner.downcast_ref())
 }
 
-/// One decoded commit record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One decoded commit record.  The default is the empty state, before
+/// any commit: no rows, and boundary digests all zero by convention.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Commit {
     /// Monotonic commit sequence number (first commit is 1).
     pub seq: u64,
@@ -91,8 +91,7 @@ fn encode_slot(c: Commit) -> [u8; SLOT_SIZE as usize] {
     buf[32..40].copy_from_slice(&c.dat_digest.to_le_bytes());
     buf[40..48].copy_from_slice(&c.idx_digest.to_le_bytes());
     buf[48..56].copy_from_slice(&c.slices_digest.to_le_bytes());
-    let digest = fnv1a64(&buf[0..56]);
-    buf[56..64].copy_from_slice(&digest.to_le_bytes());
+    seal(&mut buf);
     buf
 }
 
@@ -100,13 +99,10 @@ fn encode_slot(c: Commit) -> [u8; SLOT_SIZE as usize] {
 /// torn or never-written slot), [`FormatV1`] for a valid slot of the old
 /// format.
 fn parse_slot(buf: &[u8]) -> io::Result<Option<Commit>> {
-    if buf.len() < SLOT_SIZE as usize {
+    let Some(body) = buf.get(..SLOT_SIZE as usize).and_then(unseal) else {
         return Ok(None);
-    }
-    let word = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"));
-    if word(56) != fnv1a64(&buf[0..56]) {
-        return Ok(None);
-    }
+    };
+    let word = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().expect("8 bytes"));
     match word(0) {
         COMMIT_MAGIC => Ok(Some(Commit {
             seq: word(8),
@@ -185,12 +181,10 @@ impl<B: StorageBackend> CommitFile<B> {
     /// commit, then the file is synced.
     pub fn commit(&mut self, next: Commit) -> io::Result<()> {
         let record = Commit {
-            seq: self.last.map_or(0, |c| c.seq) + 1,
+            seq: self.next_seq(),
             ..next
         };
-        self.backend
-            .write_at((record.seq % 2) * SLOT_SIZE, &encode_slot(record))?;
-        self.backend.sync()?;
+        write_explicit(&mut self.backend, record)?;
         self.last = Some(record);
         Ok(())
     }

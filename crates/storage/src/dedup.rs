@@ -9,26 +9,23 @@
 //!
 //! # Durability contract
 //!
-//! Entries are appended and synced *between* the data-file syncs and the
-//! commit-record write of a flush, stamped with the commit sequence number
-//! about to be assigned.  The commit record stays the sole durability
-//! authority:
+//! Entries are appended and synced in the commit point's `.dedup` slot
+//! (DESIGN.md §7, "The commit ordering"), stamped with the sequence number
+//! the commit is about to take, so a receipt is durable iff its rows are:
+//! a crash before the commit record leaves entries stamped past the last
+//! committed sequence, dropped as debris on open with the rows they
+//! describe; after it, the client's retry is answered from the window.
 //!
-//! * crash **before** the commit record → the stamped entries carry a
-//!   sequence number greater than the last committed one and are dropped
-//!   as debris on open, exactly like the data rows they describe;
-//! * crash **after** the commit record (before the client ever saw a
-//!   reply) → the entries are committed alongside the rows, and the
-//!   client's retry is answered from the window.
-//!
-//! Each 40-byte entry is independently checksummed; recovery parses the
-//! longest valid prefix (a torn tail append simply vanishes) and truncates
-//! the file back to it.  When the file grows past twice the window it is
-//! compacted in place down to the live window — all overwrites and a
-//! shrinking truncate, so compaction still succeeds on a full disk.
+//! Each 40-byte entry is independently sealed (`sealed.rs`) — fixed
+//! size, not length-prefixed, because of the compaction below.  Recovery
+//! parses the longest valid prefix (a torn tail append simply vanishes)
+//! and truncates the file back to it.  When the file grows past twice the
+//! window it is compacted in place down to the live window — all
+//! overwrites and a shrinking truncate, so compaction still succeeds on a
+//! full disk.
 
 use crate::backend::StorageBackend;
-use crate::pager::fnv1a64;
+use crate::sealed::{seal, unseal};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 
@@ -57,19 +54,13 @@ fn encode(e: &Entry) -> [u8; ENTRY_SIZE] {
     buf[8..16].copy_from_slice(&e.receipt.first_row.to_le_bytes());
     buf[16..24].copy_from_slice(&e.receipt.appended.to_le_bytes());
     buf[24..32].copy_from_slice(&e.seq.to_le_bytes());
-    let digest = fnv1a64(&buf[0..32]);
-    buf[32..40].copy_from_slice(&digest.to_le_bytes());
+    seal(&mut buf);
     buf
 }
 
 fn decode(buf: &[u8]) -> Option<Entry> {
-    if buf.len() < ENTRY_SIZE {
-        return None;
-    }
-    let word = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"));
-    if word(32) != fnv1a64(&buf[0..32]) {
-        return None;
-    }
+    let body = unseal(buf.get(..ENTRY_SIZE)?)?;
+    let word = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().expect("8 bytes"));
     Some(Entry {
         req_id: word(0),
         receipt: DedupReceipt {
@@ -158,6 +149,11 @@ impl<B: StorageBackend> DedupLog<B> {
     /// file catches up at the next compaction).
     pub fn set_window(&mut self, window: usize) {
         self.window = window.max(1);
+        self.evict();
+    }
+
+    /// Drops the oldest receipts until the window holds.
+    fn evict(&mut self) {
         while self.order.len() > self.window {
             if let Some(old) = self.order.pop_front() {
                 self.map.remove(&old);
@@ -168,9 +164,7 @@ impl<B: StorageBackend> DedupLog<B> {
     /// Durably records the receipts of a flush that is *about* to commit
     /// as sequence `seq`: appended and synced, compacting the file down
     /// to the live window first when it has grown past twice the window.
-    /// Must run after the data files are synced and before the commit
-    /// record is written — see the module docs for why that makes the
-    /// window atomic with the commit.
+    /// Runs in the commit point's `.dedup` slot.
     ///
     /// Compaction rewrites the live window and the new entries in one
     /// write starting at offset 0 followed by a single truncate — on a
@@ -226,11 +220,7 @@ impl<B: StorageBackend> DedupLog<B> {
             self.order.retain(|&id| id != entry.req_id);
             self.order.push_back(entry.req_id);
         }
-        while self.order.len() > self.window {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-            }
-        }
+        self.evict();
     }
 }
 

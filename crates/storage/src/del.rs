@@ -6,19 +6,15 @@
 //! so dead rows stop counting the instant the delete commits, and the
 //! slice files themselves are rewritten lazily by compaction.
 //!
-//! `<base>.del` is the durable form: an append-only log of checksummed
-//! delete records, replayed into an in-memory bitmap on open.  It is
-//! crash-safe exactly like the dedup window ([`crate::dedup::DedupLog`]):
-//! each record is stamped with the commit sequence it belongs to, written
-//! *after* the data files sync and *before* the commit record, so a record
-//! is durable iff its commit landed, and debris past the last committed
-//! sequence is truncated on open.
+//! `<base>.del` is the durable form: an append-only log of sealed delete
+//! records (`sealed.rs`), replayed into an in-memory bitmap on open.
+//! Where its append sits in a commit, and so why a record is durable iff
+//! its commit landed, is DESIGN.md §7, "The commit ordering".
 //!
-//! # Record format
+//! # Record body
 //!
 //! ```text
-//! body_len u32 | body | fnv1a64(body) u64
-//! body := seq u64 | n u32 | n × (row u64)
+//! seq u64 | n u32 | n × (row u64)
 //! ```
 //!
 //! Rows are *row numbers*, not TIDs: row numbering is contiguous from 0
@@ -28,14 +24,10 @@
 //! file to empty together with the heap rewrite.
 
 use crate::backend::StorageBackend;
-use crate::pager::fnv1a64;
-use std::io::{self, Read};
+use crate::sealed::{self, LogRecord};
+use std::io;
 use std::path::Path;
 use std::sync::Arc;
-
-/// Hard cap on one record's body, so a corrupt length prefix cannot ask
-/// for an absurd allocation.
-const MAX_BODY: u32 = 64 << 20;
 
 /// An immutable snapshot of the tombstone bitmap, shared with readers.
 ///
@@ -58,102 +50,8 @@ impl DeadMask {
             .get((row / 64) as usize)
             .is_some_and(|w| w >> (row % 64) & 1 == 1)
     }
-}
 
-fn encode_record(seq: u64, rows: &[u64]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(12 + rows.len() * 8);
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    for &row in rows {
-        body.extend_from_slice(&row.to_le_bytes());
-    }
-    let mut buf = Vec::with_capacity(body.len() + 12);
-    buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&body);
-    buf.extend_from_slice(&fnv1a64(&body).to_le_bytes());
-    buf
-}
-
-/// Decodes one record body (already checksum-verified).  `None` on any
-/// structural inconsistency.
-fn decode_body(body: &[u8]) -> Option<(u64, Vec<u64>)> {
-    if body.len() < 12 {
-        return None;
-    }
-    let seq = u64::from_le_bytes(body[0..8].try_into().ok()?);
-    let n = u32::from_le_bytes(body[8..12].try_into().ok()?) as usize;
-    if body.len() != 12 + n * 8 {
-        return None;
-    }
-    let mut rows = Vec::with_capacity(n);
-    for i in 0..n {
-        rows.push(u64::from_le_bytes(
-            body[12 + i * 8..20 + i * 8].try_into().ok()?,
-        ));
-    }
-    Some((seq, rows))
-}
-
-/// The write side of one deployment's deletion log, plus the replayed
-/// in-memory bitmap.
-pub struct DelLog<B: StorageBackend> {
-    backend: B,
-    /// Append offset: the byte length of the valid prefix.
-    tail_offset: u64,
-    words: Vec<u64>,
-    deleted: u64,
-}
-
-impl<B: StorageBackend> DelLog<B> {
-    /// Opens the log, replaying the longest valid prefix of records
-    /// stamped at or before `committed_seq` into the bitmap and truncating
-    /// everything past it (a torn tail, or the record of a flush whose
-    /// commit never landed).
-    pub fn open(mut backend: B, committed_seq: u64) -> io::Result<Self> {
-        let len = backend.len()?;
-        let mut bytes = vec![0u8; len as usize];
-        backend.read_at(0, &mut bytes)?;
-        let mut log = DelLog {
-            backend,
-            tail_offset: 0,
-            words: Vec::new(),
-            deleted: 0,
-        };
-        let mut at = 0usize;
-        while at + 4 <= bytes.len() {
-            let body_len =
-                u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-            if body_len > MAX_BODY as usize || at + 12 + body_len > bytes.len() {
-                break; // torn tail
-            }
-            let body = &bytes[at + 4..at + 4 + body_len];
-            let digest = u64::from_le_bytes(
-                bytes[at + 4 + body_len..at + 12 + body_len]
-                    .try_into()
-                    .expect("8 bytes"),
-            );
-            if digest != fnv1a64(body) {
-                break;
-            }
-            let Some((seq, rows)) = decode_body(body) else {
-                break;
-            };
-            if seq > committed_seq {
-                break; // debris of an uncommitted flush
-            }
-            for &row in &rows {
-                log.mark(row);
-            }
-            at += 12 + body_len;
-        }
-        log.tail_offset = at as u64;
-        if log.tail_offset != len {
-            log.backend.set_len(log.tail_offset)?;
-            log.backend.sync()?;
-        }
-        Ok(log)
-    }
-
+    /// Tombstones `row`; a row already dead does not count twice.
     fn mark(&mut self, row: u64) {
         let word = (row / 64) as usize;
         if word >= self.words.len() {
@@ -165,6 +63,66 @@ impl<B: StorageBackend> DelLog<B> {
             self.deleted += 1;
         }
     }
+}
+
+/// One delete record: the rows one commit tombstoned.
+struct DeleteRecord(Vec<u64>);
+
+impl LogRecord for DeleteRecord {
+    const MAX_BODY: u32 = 64 << 20;
+    const FILE: &'static str = "deletion log";
+    const RECORD: &'static str = "record";
+
+    fn decode(body: &[u8]) -> Option<(u64, Self)> {
+        let seq = u64::from_le_bytes(*body.first_chunk()?);
+        let n = u32::from_le_bytes(body.get(8..12)?.try_into().ok()?) as usize;
+        if body.len() != 12 + n * 8 {
+            return None;
+        }
+        let rows = body[12..]
+            .chunks_exact(8)
+            .map(|row| u64::from_le_bytes(row.try_into().expect("8 bytes")))
+            .collect();
+        Some((seq, DeleteRecord(rows)))
+    }
+}
+
+fn encode_record(seq: u64, rows: &[u64]) -> Vec<u8> {
+    let mut body = Vec::with_capacity(12 + rows.len() * 8);
+    body.extend_from_slice(&seq.to_le_bytes());
+    body.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    for &row in rows {
+        body.extend_from_slice(&row.to_le_bytes());
+    }
+    sealed::frame(&body)
+}
+
+/// The write side of one deployment's deletion log, plus the replayed
+/// in-memory bitmap.
+pub struct DelLog<B: StorageBackend> {
+    backend: B,
+    /// Append offset: the byte length of the valid prefix.
+    tail_offset: u64,
+    mask: DeadMask,
+}
+
+impl<B: StorageBackend> DelLog<B> {
+    /// Opens the log, replaying the longest valid prefix of records
+    /// stamped at or before `committed_seq` into the bitmap and truncating
+    /// everything past it (a torn tail, or the record of a flush whose
+    /// commit never landed).
+    pub fn open(mut backend: B, committed_seq: u64) -> io::Result<Self> {
+        let mut mask = DeadMask::default();
+        let tail_offset = sealed::recover(&mut backend, committed_seq, |DeleteRecord(rows)| {
+            rows.iter().for_each(|&row| mask.mark(row));
+            true
+        })?;
+        Ok(DelLog {
+            backend,
+            tail_offset,
+            mask,
+        })
+    }
 
     /// Marks rows in the in-memory bitmap only (no I/O) — used by the
     /// delete commit path, which needs the post-commit bitmap *before*
@@ -172,36 +130,28 @@ impl<B: StorageBackend> DelLog<B> {
     /// is written later in the flush ordering.  [`DelLog::record_synced`]
     /// re-marks idempotently.
     pub(crate) fn mark_rows(&mut self, rows: &[u64]) {
-        for &row in rows {
-            self.mark(row);
-        }
+        rows.iter().for_each(|&row| self.mask.mark(row));
     }
 
     /// Number of tombstoned rows.
     pub fn deleted(&self) -> u64 {
-        self.deleted
+        self.mask.deleted
     }
 
     /// Is `row` tombstoned?
     pub fn is_dead(&self, row: u64) -> bool {
-        self.words
-            .get((row / 64) as usize)
-            .is_some_and(|w| w >> (row % 64) & 1 == 1)
+        self.mask.is_dead(row)
     }
 
     /// An immutable snapshot of the current bitmap, for readers.
     pub fn mask(&self) -> Arc<DeadMask> {
-        Arc::new(DeadMask {
-            words: self.words.clone(),
-            deleted: self.deleted,
-        })
+        Arc::new(self.mask.clone())
     }
 
     /// Durably appends the delete record of a flush about to commit as
-    /// sequence `seq`, and marks the rows in the bitmap.  Must run after
-    /// the data files are synced and before the commit record is written
-    /// (see the module docs).  Rows already tombstoned are recorded but do
-    /// not double-count.
+    /// sequence `seq`, and marks the rows in the bitmap.  Runs in the
+    /// commit point's `.del` slot.  Rows already tombstoned are recorded
+    /// but do not double-count.
     pub fn record_synced(&mut self, seq: u64, rows: &[u64]) -> io::Result<()> {
         if rows.is_empty() {
             return Ok(());
@@ -210,126 +160,46 @@ impl<B: StorageBackend> DelLog<B> {
         self.backend.write_at(self.tail_offset, &buf)?;
         self.backend.sync()?;
         self.tail_offset += buf.len() as u64;
-        for &row in rows {
-            self.mark(row);
-        }
+        self.mark_rows(rows);
         Ok(())
     }
 }
 
 /// Replays the committed prefix of a deletion log file into a bitmap,
 /// without shared state — the read-side mirror of [`DelLog::open`], safe
-/// to run concurrently with a writer appending (a torn tail fails its
-/// checksum and ends the scan).  Records stamped past `upto_seq` are
-/// ignored.  A missing file is an empty bitmap, not an error.
+/// to run concurrently with a writer appending.  Records stamped past
+/// `upto_seq` are ignored.  A missing file is an empty bitmap, not an
+/// error.
 pub fn read_deletions(path: &Path, upto_seq: u64) -> io::Result<DeadMask> {
-    let mut bytes = Vec::new();
-    match std::fs::File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(DeadMask::default()),
-        Err(e) => return Err(e),
-    }
     let mut mask = DeadMask::default();
-    let mut at = 0usize;
-    while at + 4 <= bytes.len() {
-        let body_len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-        if body_len > MAX_BODY as usize || at + 12 + body_len > bytes.len() {
-            break;
-        }
-        let body = &bytes[at + 4..at + 4 + body_len];
-        let digest = u64::from_le_bytes(
-            bytes[at + 4 + body_len..at + 12 + body_len]
-                .try_into()
-                .expect("8 bytes"),
-        );
-        if digest != fnv1a64(body) {
-            break;
-        }
-        let Some((seq, rows)) = decode_body(body) else {
-            break;
+    sealed::read_committed::<DeleteRecord>(path, upto_seq, |body| {
+        let Some((_, DeleteRecord(rows))) = DeleteRecord::decode(body) else {
+            return false;
         };
-        if seq > upto_seq {
-            break;
-        }
-        for &row in &rows {
-            let word = (row / 64) as usize;
-            if word >= mask.words.len() {
-                mask.words.resize(word + 1, 0);
-            }
-            let bit = 1u64 << (row % 64);
-            if mask.words[word] & bit == 0 {
-                mask.words[word] |= bit;
-                mask.deleted += 1;
-            }
-        }
-        at += 12 + body_len;
-    }
+        rows.iter().for_each(|&row| mask.mark(row));
+        true
+    })?;
     Ok(mask)
 }
 
-/// Read-only integrity scan of raw deletion-log bytes, for `bbs fsck`.
-///
-/// A torn tail and debris stamped past the committed sequence are normal
-/// (open truncates them); the problems reported are the ones open cannot
-/// heal: a corrupt record strictly *inside* the committed stream
-/// (detectable because valid committed records still follow it), or a
-/// committed record tombstoning rows at or past the committed row count.
+/// Read-only integrity scan of raw deletion-log bytes, for `bbs fsck`:
+/// [`sealed::scan`], plus any committed record tombstoning rows at or past
+/// the committed row count.
 pub(crate) fn scan_del_problems(
     bytes: &[u8],
     committed_seq: u64,
     committed_rows: u64,
 ) -> Vec<String> {
-    let mut problems = Vec::new();
-    let mut at = 0usize;
-    let mut pending_corrupt: Option<usize> = None;
-    let mut saw_debris = false;
-    while at + 4 <= bytes.len() {
-        let body_len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-        if body_len > MAX_BODY as usize || at + 12 + body_len > bytes.len() {
-            break; // torn tail: healed on open
-        }
-        let body = &bytes[at + 4..at + 4 + body_len];
-        let digest = u64::from_le_bytes(
-            bytes[at + 4 + body_len..at + 12 + body_len]
-                .try_into()
-                .expect("8 bytes"),
-        );
-        let decoded = if digest == fnv1a64(body) {
-            decode_body(body)
-        } else {
-            None
-        };
-        let Some((seq, rows)) = decoded else {
-            pending_corrupt.get_or_insert(at);
-            at += 12 + body_len;
-            continue;
-        };
-        if seq > committed_seq {
-            saw_debris = true;
-            at += 12 + body_len;
-            continue;
-        }
-        if let Some(corrupt) = pending_corrupt.take() {
-            problems.push(format!(
-                "deletion log: corrupt record at byte {corrupt} inside the committed stream"
-            ));
-        }
-        if saw_debris {
-            problems.push(format!(
-                "deletion log: committed record at byte {at} follows uncommitted debris"
-            ));
-            saw_debris = false;
-        }
-        if let Some(&bad) = rows.iter().find(|&&r| r >= committed_rows) {
-            problems.push(format!(
-                "deletion log: record at byte {at} tombstones row {bad} past committed rows {committed_rows}"
-            ));
-        }
-        at += 12 + body_len;
-    }
-    problems
+    sealed::scan(
+        bytes,
+        |seq, _: &DeleteRecord| seq <= committed_seq,
+        |DeleteRecord(rows), _| {
+            let bad = rows.iter().find(|&&r| r >= committed_rows)?;
+            Some(format!(
+                "tombstones row {bad} past committed rows {committed_rows}"
+            ))
+        },
+    )
 }
 
 #[cfg(test)]

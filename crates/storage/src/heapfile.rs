@@ -19,7 +19,7 @@ use crate::cache::{CacheStats, PageCache};
 use crate::pager::{PageId, Pager, PAGE_SIZE};
 use bbs_tdb::{ItemId, Itemset, Transaction};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const IDX_MAGIC: u64 = 0x4242_5348_4541_5031; // "BBSHEAP1"
 /// Header layout in the index file's page 0.
@@ -37,11 +37,6 @@ pub struct HeapFile<B: StorageBackend = FileBackend> {
     tail: u64,
 }
 
-/// Paths used by a heap file.
-pub(crate) fn paths(base: &Path) -> (PathBuf, PathBuf) {
-    (base.with_extension("dat"), base.with_extension("idx"))
-}
-
 /// Number of index-file pages a committed row count occupies (the header
 /// page plus full or partial entry pages).
 pub(crate) fn idx_pages_for_rows(rows: u64) -> u64 {
@@ -52,20 +47,14 @@ impl HeapFile<FileBackend> {
     /// Opens (creating if absent) the heap file at `<base>.dat/.idx` with
     /// the given cache sizes (in pages) for data and index.
     pub fn open(base: &Path, data_cache_pages: usize, idx_cache_pages: usize) -> io::Result<Self> {
-        let (dat, idxp) = paths(base);
+        let paths = crate::files::deployment_paths(base);
         HeapFile::open_with(
-            FileBackend::open(&dat)?,
-            FileBackend::open(&idxp)?,
+            FileBackend::open(&paths.dat)?,
+            FileBackend::open(&paths.idx)?,
             data_cache_pages,
             idx_cache_pages,
             None,
         )
-    }
-
-    /// Removes the heap file's backing files (for tests and tooling).
-    pub fn remove_files(base: &Path) -> io::Result<()> {
-        let (dat, idx) = paths(base);
-        std::fs::remove_file(dat).and(std::fs::remove_file(idx))
     }
 }
 
@@ -344,6 +333,7 @@ impl<B: StorageBackend> HeapFile<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn base(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -354,7 +344,7 @@ mod tests {
     struct Cleanup(PathBuf);
     impl Drop for Cleanup {
         fn drop(&mut self) {
-            HeapFile::remove_files(&self.0).ok();
+            crate::files::remove_files(&self.0);
         }
     }
 

@@ -50,11 +50,13 @@ mod commit;
 pub mod dedup;
 pub mod del;
 pub mod diskbbs;
+mod files;
 pub mod heapfile;
 pub mod maintain;
 pub mod mine;
 pub mod pager;
 pub mod replog;
+mod sealed;
 pub mod slicefile;
 pub mod snapshot;
 

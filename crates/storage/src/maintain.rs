@@ -15,11 +15,13 @@
 //!   (each one idempotent — already-moved files are skipped) and the
 //!   marker is removed.
 //!
-//! [`finish_pending_swap`] performs that resolution and runs at the top
-//! of every [`DiskDeployment::open`], so a crash at *any* point leaves a
-//! deployment that reopens to exactly the old or exactly the new state —
-//! the same guarantee the page-level commit protocol gives single flushes,
-//! lifted to whole-file rewrites.
+//! [`finish_pending_swap`] performs that resolution and is a step of the
+//! one open sequence (DESIGN.md §7, "The open sequence") — offline open,
+//! served open and every writer heal alike — so a crash at *any* point
+//! leaves a deployment that reopens to exactly the old or exactly the new
+//! state: the same guarantee the page-level commit protocol gives single
+//! flushes, lifted to whole-file rewrites.  Which files there are to swap,
+//! and in what order, is the file table (`files.rs`).
 //!
 //! # Compaction
 //!
@@ -49,8 +51,10 @@ use crate::backend::FileBackend;
 use crate::commit::{self, Commit};
 use crate::dedup::DedupReceipt;
 use crate::del::DeadMask;
-use crate::diskbbs::{deployment_paths, DeploymentPaths, DiskDeployment};
-use crate::pager::{chain_digest, fnv1a64, page_digest, PageId, Pager, CHAIN_SEED};
+use crate::diskbbs::{deployment_paths, DiskDeployment};
+use crate::files::{swap_order, TableFile, FILES};
+use crate::pager::{chain_digest, page_digest, PageId, Pager, CHAIN_SEED};
+use crate::sealed::{sealed, unseal};
 use crate::slicefile::{self, clear_uncommitted_bits, CHUNK_ROWS};
 use bbs_hash::ItemHasher;
 use bbs_tdb::Transaction;
@@ -64,11 +68,6 @@ const MARKER_MAGIC: &[u8; 8] = b"BBSSWAP1";
 /// Rows re-appended per staged batch (and per staging commit) during
 /// compaction — the group-commit granularity of the rewrite.
 const COMPACT_BATCH: usize = 4096;
-
-/// Every deployment file extension, in swap order.
-const ALL_EXTS: &[&str] = &[
-    "dat", "idx", "slices", "counts", "dedup", "log", "del", "commit",
-];
 
 /// Observation hook for crash-torture tests: called with a step label
 /// after each durable point of the swap (`"build"`, `"marker"`,
@@ -97,39 +96,23 @@ fn invalid(what: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.into())
 }
 
+/// `dir/<prefix><name>` for a deployment at `dir/<name>`.
+fn sibling(base: &Path, prefix: &str) -> PathBuf {
+    let name = base.file_name().unwrap_or_default().to_string_lossy();
+    base.with_file_name(format!("{prefix}{name}"))
+}
+
 /// The hidden base the staged replacement files are built under:
 /// `dir/.cpt-<name>` for a deployment at `dir/<name>`.  A prefix on the
 /// file *name* (not an extra extension) so that [`deployment_paths`] of
 /// the staging base can never collide with a live file.
 pub fn staging_base(base: &Path) -> PathBuf {
-    let name = base
-        .file_name()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    base.with_file_name(format!(".cpt-{name}"))
+    sibling(base, ".cpt-")
 }
 
 /// The swap-marker path of a deployment: `dir/.swap-<name>`.
 pub fn swap_marker_path(base: &Path) -> PathBuf {
-    let name = base
-        .file_name()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    base.with_file_name(format!(".swap-{name}"))
-}
-
-fn path_of(paths: &DeploymentPaths, ext: &str) -> Option<PathBuf> {
-    match ext {
-        "dat" => Some(paths.dat.clone()),
-        "idx" => Some(paths.idx.clone()),
-        "slices" => Some(paths.slices.clone()),
-        "counts" => Some(paths.counts.clone()),
-        "commit" => Some(paths.commit.clone()),
-        "dedup" => Some(paths.dedup.clone()),
-        "log" => Some(paths.log.clone()),
-        "del" => Some(paths.del.clone()),
-        _ => None,
-    }
+    sibling(base, ".swap-")
 }
 
 fn encode_marker(exts: &[&str]) -> Vec<u8> {
@@ -140,19 +123,11 @@ fn encode_marker(exts: &[&str]) -> Vec<u8> {
         buf.push(ext.len() as u8);
         buf.extend_from_slice(ext.as_bytes());
     }
-    let digest = fnv1a64(&buf);
-    buf.extend_from_slice(&digest.to_le_bytes());
-    buf
+    sealed(buf)
 }
 
 fn decode_marker(bytes: &[u8]) -> Option<Vec<String>> {
-    if bytes.len() < 20 || &bytes[0..8] != MARKER_MAGIC {
-        return None;
-    }
-    let (body, digest) = bytes.split_at(bytes.len() - 8);
-    if digest != fnv1a64(body).to_le_bytes() {
-        return None;
-    }
+    let body = unseal(bytes).filter(|body| body.len() >= 12 && &body[0..8] == MARKER_MAGIC)?;
     let n = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes")) as usize;
     let mut exts = Vec::with_capacity(n);
     let mut at = 12;
@@ -166,101 +141,97 @@ fn decode_marker(bytes: &[u8]) -> Option<Vec<String>> {
     (at == body.len()).then_some(exts)
 }
 
-fn write_marker(path: &Path, exts: &[&str]) -> io::Result<()> {
-    use std::io::Write;
-    let buf = encode_marker(exts);
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(&buf)?;
-    f.sync_all()
+/// Renames the staged file with extension `ext` over the live one.  A
+/// file already renamed is gone from staging and skipped, so replaying
+/// after a crash mid-swap is idempotent.
+fn install(base: &Path, ext: &str) -> io::Result<()> {
+    let Some(file) = FILES.iter().find(|file| file.ext == ext) else {
+        return Err(invalid(format!("swap marker names unknown file: {ext:?}")));
+    };
+    match std::fs::rename(file.at(&staging_base(base)), file.at(base)) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
+    }
 }
 
-fn remove_staging(base: &Path) {
-    DiskDeployment::remove_files(&staging_base(base)).ok();
+/// The extensions the swap marker at `base` lists, when there is a valid
+/// one: a swap that committed and has not finished.  A torn marker never
+/// committed.
+fn committed_swap(base: &Path) -> io::Result<Option<Vec<String>>> {
+    match std::fs::read(swap_marker_path(base)) {
+        Ok(bytes) => Ok(decode_marker(&bytes)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// What a previous process left of a swap at `base`.
+pub(crate) enum PendingSwap {
+    /// No marker, no staged file.
+    None,
+    /// A valid marker: the swap of these extensions committed.
+    Committed(Vec<String>),
+    /// A torn marker, or staged files without a valid marker: the swap
+    /// never committed and the live files are the old state.
+    Debris,
+}
+
+/// Looks for a half-done swap at `base` without touching anything.
+pub(crate) fn pending_swap(base: &Path) -> io::Result<PendingSwap> {
+    if let Some(exts) = committed_swap(base)? {
+        return Ok(PendingSwap::Committed(exts));
+    }
+    let staging = staging_base(base);
+    let debris =
+        swap_marker_path(base).exists() || FILES.iter().any(|file| file.at(&staging).exists());
+    Ok(if debris {
+        PendingSwap::Debris
+    } else {
+        PendingSwap::None
+    })
 }
 
 /// Resolves any swap a previous process left behind at `base`: rolls a
 /// committed swap (valid marker) forward by replaying its renames, or
-/// cleans up the debris of an uncommitted one.  Idempotent; called at the
-/// top of every [`DiskDeployment::open`].  Returns whether a committed
-/// swap was completed.
+/// cleans up the debris of an uncommitted one.  Idempotent; a step of the
+/// open sequence.  Returns whether a committed swap was completed.
 pub fn finish_pending_swap(base: &Path) -> io::Result<bool> {
-    let marker = swap_marker_path(base);
-    let bytes = match std::fs::read(&marker) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            remove_staging(base);
-            return Ok(false);
-        }
-        Err(e) => return Err(e),
-    };
-    match decode_marker(&bytes) {
-        Some(exts) => {
-            let live = deployment_paths(base);
-            let staged = deployment_paths(&staging_base(base));
-            for ext in &exts {
-                let (Some(from), Some(to)) = (path_of(&staged, ext), path_of(&live, ext))
-                else {
-                    return Err(invalid(format!("swap marker names unknown file: {ext:?}")));
-                };
-                // Already-renamed files are gone from staging: skip them,
-                // so replaying after a crash mid-swap is idempotent.
-                match std::fs::rename(&from, &to) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            std::fs::remove_file(&marker)?;
-            remove_staging(base);
-            Ok(true)
-        }
-        None => {
-            // A torn marker never committed: the old files are intact.
-            std::fs::remove_file(&marker)?;
-            remove_staging(base);
-            Ok(false)
-        }
+    let committed = committed_swap(base)?;
+    for ext in committed.iter().flatten() {
+        install(base, ext)?;
     }
+    match std::fs::remove_file(swap_marker_path(base)) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+        _ => {}
+    }
+    crate::files::remove_files(&staging_base(base));
+    Ok(committed.is_some())
 }
 
-/// Commits the staged files listed in `exts`: marker (the commit point),
-/// renames, cleanup — with `hook` observing each durable step.
-fn commit_swap(base: &Path, exts: &'static [&'static str], hook: SwapHook) -> io::Result<()> {
+/// Commits the staged `files`: marker (the commit point), renames,
+/// cleanup — with `hook` observing each durable step.
+fn commit_swap(
+    base: &Path,
+    files: impl Iterator<Item = &'static TableFile>,
+    hook: SwapHook,
+) -> io::Result<()> {
+    use std::io::Write;
     hook("build")?;
-    write_marker(&swap_marker_path(base), exts)?;
+    let files: Vec<&TableFile> = files.collect();
+    let exts: Vec<&str> = files.iter().map(|file| file.ext).collect();
+    let marker = swap_marker_path(base);
+    let mut f = std::fs::File::create(&marker)?;
+    f.write_all(&encode_marker(&exts))?;
+    f.sync_all()?;
     hook("marker")?;
-    let live = deployment_paths(base);
-    let staged = deployment_paths(&staging_base(base));
-    for ext in exts {
-        let (from, to) = (
-            path_of(&staged, ext).expect("known ext"),
-            path_of(&live, ext).expect("known ext"),
-        );
-        match std::fs::rename(&from, &to) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        hook(rename_label(ext))?;
+    for file in files {
+        install(base, file.ext)?;
+        hook(file.renamed)?;
     }
-    std::fs::remove_file(swap_marker_path(base))?;
-    remove_staging(base);
+    std::fs::remove_file(marker)?;
+    crate::files::remove_files(&staging_base(base));
     hook("unmark")?;
     Ok(())
-}
-
-fn rename_label(ext: &str) -> &'static str {
-    match ext {
-        "dat" => "rename-dat",
-        "idx" => "rename-idx",
-        "slices" => "rename-slices",
-        "counts" => "rename-counts",
-        "commit" => "rename-commit",
-        "dedup" => "rename-dedup",
-        "log" => "rename-log",
-        "del" => "rename-del",
-        _ => "rename",
-    }
 }
 
 /// Rank structure over the tombstone bitmap: `rank(row)` = dead rows
@@ -344,15 +315,14 @@ pub fn compact_deployment_hooked(
     cache_pages: usize,
     hook: SwapHook,
 ) -> io::Result<MaintainReport> {
-    finish_pending_swap(base)?;
-    let paths = deployment_paths(base);
-    let width = slicefile::header_width(&paths.slices)?.unwrap_or(width_hint);
-    let new_width = target_width.unwrap_or(width);
-    if new_width == 0 {
+    if target_width == Some(0) {
         return Err(invalid("compact: target width must be positive"));
     }
     let staging = staging_base(base);
-    let mut src = DiskDeployment::open(base, width, hasher.clone(), cache_pages)?;
+    let mut src = DiskDeployment::open_at(base, width_hint, hasher.clone(), cache_pages, |_, path| {
+        FileBackend::open(path)
+    })?;
+    let new_width = target_width.unwrap_or(src.index.width());
     let rows_before = src.db.len();
     let reclaimed = src.deleted_rows();
     let mask = src.dead_mask();
@@ -402,7 +372,7 @@ pub fn compact_deployment_hooked(
     drop(src);
     drop(dst);
 
-    commit_swap(base, ALL_EXTS, hook)?;
+    commit_swap(base, swap_order(), hook)?;
     Ok(MaintainReport {
         action: "compact",
         width: new_width,
@@ -412,10 +382,6 @@ pub fn compact_deployment_hooked(
         seq,
     })
 }
-
-/// Extensions a fold swaps: the folded slice file and the successor
-/// commit record that vouches for it.
-const FOLD_EXTS: &[&str] = &["slices", "commit"];
 
 /// Halves the deployment's slice width by OR-ing each slice `j` with
 /// slice `j + m/2` — bit-for-bit what re-hashing every row at `m/2`
@@ -501,7 +467,10 @@ pub fn fold_deployment_hooked(
     )?;
     drop(commit_backend);
 
-    commit_swap(base, FOLD_EXTS, hook)?;
+    // A fold swaps the folded slice file and the successor commit record
+    // that vouches for it.
+    let folded = swap_order().filter(|file| matches!(file.ext, "slices" | "commit"));
+    commit_swap(base, folded, hook)?;
     Ok(MaintainReport {
         action: "fold",
         width: half,
@@ -538,10 +507,8 @@ mod tests {
     #[test]
     fn staging_paths_never_collide_with_live() {
         let base = Path::new("/tmp/store/bbs");
-        let live = deployment_paths(base);
-        let staged = deployment_paths(&staging_base(base));
-        for ext in ALL_EXTS {
-            let (l, s) = (path_of(&live, ext).unwrap(), path_of(&staged, ext).unwrap());
+        for file in swap_order() {
+            let (l, s) = (file.at(base), file.at(&staging_base(base)));
             assert_ne!(l, s);
             assert_eq!(s.parent(), l.parent());
         }

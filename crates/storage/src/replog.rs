@@ -8,11 +8,12 @@
 //! transparent to retrying clients: the promoted follower answers a
 //! re-sent request ID with the original receipt.
 //!
-//! # Entry format
+//! # Entry body
+//!
+//! Entries are sealed log records (`sealed.rs`) with the body
 //!
 //! ```text
-//! body_len u32 | body | fnv1a64(body) u64
-//! body := seq u64 | first_row u64 | n_txns u32 | n_receipts u32 | n_dels u32
+//! seq u64 | first_row u64 | n_txns u32 | n_receipts u32 | n_dels u32
 //!         | n_txns × (tid u64 | n_items u32 | item u32 …)
 //!         | n_receipts × (req_id u64 | offset u64 | len u64)
 //!         | n_dels × (row u64)
@@ -34,13 +35,10 @@
 //! committed sequence describes rows whose commit record never landed,
 //! and is dropped on open together with those rows.
 //!
-//! # Durability contract
-//!
-//! [`ReplLog::append_synced`] runs inside a flush, after the data files
-//! are synced and before the commit record is written.  An entry is
-//! therefore durable if and only if its batch committed; a torn tail
-//! append fails its checksum and vanishes on open, exactly like the rows
-//! it described.
+//! [`ReplLog::append_synced`] runs in the commit point's `.log` slot
+//! (DESIGN.md §7, "The commit ordering"): an entry is durable if and only
+//! if its batch committed, and a torn tail append fails its seal and
+//! vanishes on open, exactly like the rows it described.
 //!
 //! The log is retained in full (it is the follower bootstrap stream); an
 //! append whose `first_row` does not continue the log's coverage — rows
@@ -48,14 +46,10 @@
 //! that batch, and followers behind the new start are told to resync.
 
 use crate::backend::StorageBackend;
-use crate::pager::fnv1a64;
+use crate::sealed::{self, LogRecord};
 use bbs_tdb::{Itemset, Transaction};
-use std::io::{self, Read};
+use std::io;
 use std::path::Path;
-
-/// Hard cap on one entry's body, so a corrupt length prefix cannot ask
-/// for an absurd allocation.
-const MAX_BODY: u32 = 256 << 20;
 
 /// One replication-log entry: a committed batch and its receipts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,90 +73,97 @@ impl ReplEntry {
     }
 }
 
-fn encode_entry(seq: u64, entry: &ReplEntry) -> Vec<u8> {
-    let mut body = Vec::with_capacity(24 + entry.txns.len() * 32);
+fn encode_entry(
+    seq: u64,
+    first_row: u64,
+    txns: &[Transaction],
+    receipts: &[(u64, u64, u64)],
+    deletes: &[u64],
+) -> Vec<u8> {
+    let mut body = Vec::with_capacity(24 + txns.len() * 32);
     body.extend_from_slice(&seq.to_le_bytes());
-    body.extend_from_slice(&entry.first_row.to_le_bytes());
-    body.extend_from_slice(&(entry.txns.len() as u32).to_le_bytes());
-    body.extend_from_slice(&(entry.receipts.len() as u32).to_le_bytes());
-    body.extend_from_slice(&(entry.deletes.len() as u32).to_le_bytes());
-    for t in &entry.txns {
+    body.extend_from_slice(&first_row.to_le_bytes());
+    body.extend_from_slice(&(txns.len() as u32).to_le_bytes());
+    body.extend_from_slice(&(receipts.len() as u32).to_le_bytes());
+    body.extend_from_slice(&(deletes.len() as u32).to_le_bytes());
+    for t in txns {
         body.extend_from_slice(&t.tid.0.to_le_bytes());
         body.extend_from_slice(&(t.items.items().len() as u32).to_le_bytes());
         for item in t.items.items() {
             body.extend_from_slice(&item.0.to_le_bytes());
         }
     }
-    for &(req_id, offset, len) in &entry.receipts {
+    for &(req_id, offset, len) in receipts {
         body.extend_from_slice(&req_id.to_le_bytes());
         body.extend_from_slice(&offset.to_le_bytes());
         body.extend_from_slice(&len.to_le_bytes());
     }
-    for &row in &entry.deletes {
+    for &row in deletes {
         body.extend_from_slice(&row.to_le_bytes());
     }
-    let mut buf = Vec::with_capacity(body.len() + 12);
-    buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&body);
-    buf.extend_from_slice(&fnv1a64(&body).to_le_bytes());
-    buf
+    sealed::frame(&body)
 }
 
-/// Decodes one entry body (already checksum-verified).  `None` on any
-/// structural inconsistency.
-fn decode_body(body: &[u8]) -> Option<(u64, ReplEntry)> {
-    let mut at = 0usize;
-    let u64_at = |buf: &[u8], at: &mut usize| -> Option<u64> {
-        let v = u64::from_le_bytes(buf.get(*at..*at + 8)?.try_into().ok()?);
-        *at += 8;
-        Some(v)
-    };
-    let u32_at = |buf: &[u8], at: &mut usize| -> Option<u32> {
-        let v = u32::from_le_bytes(buf.get(*at..*at + 4)?.try_into().ok()?);
-        *at += 4;
-        Some(v)
-    };
-    let seq = u64_at(body, &mut at)?;
-    let first_row = u64_at(body, &mut at)?;
-    let n_txns = u32_at(body, &mut at)?;
-    let n_receipts = u32_at(body, &mut at)?;
-    let n_dels = u32_at(body, &mut at)?;
-    let mut txns = Vec::with_capacity(n_txns.min(1 << 20) as usize);
-    for _ in 0..n_txns {
-        let tid = u64_at(body, &mut at)?;
-        let n_items = u32_at(body, &mut at)?;
-        let mut items = Vec::with_capacity(n_items.min(1 << 20) as usize);
-        for _ in 0..n_items {
-            items.push(u32_at(body, &mut at)?);
+impl LogRecord for ReplEntry {
+    const MAX_BODY: u32 = 256 << 20;
+    const FILE: &'static str = "replication log";
+    const RECORD: &'static str = "entry";
+
+    fn decode(body: &[u8]) -> Option<(u64, ReplEntry)> {
+        let mut at = 0usize;
+        let u64_at = |buf: &[u8], at: &mut usize| -> Option<u64> {
+            let v = u64::from_le_bytes(buf.get(*at..*at + 8)?.try_into().ok()?);
+            *at += 8;
+            Some(v)
+        };
+        let u32_at = |buf: &[u8], at: &mut usize| -> Option<u32> {
+            let v = u32::from_le_bytes(buf.get(*at..*at + 4)?.try_into().ok()?);
+            *at += 4;
+            Some(v)
+        };
+        let seq = u64_at(body, &mut at)?;
+        let first_row = u64_at(body, &mut at)?;
+        let n_txns = u32_at(body, &mut at)?;
+        let n_receipts = u32_at(body, &mut at)?;
+        let n_dels = u32_at(body, &mut at)?;
+        let mut txns = Vec::with_capacity(n_txns.min(1 << 20) as usize);
+        for _ in 0..n_txns {
+            let tid = u64_at(body, &mut at)?;
+            let n_items = u32_at(body, &mut at)?;
+            let mut items = Vec::with_capacity(n_items.min(1 << 20) as usize);
+            for _ in 0..n_items {
+                items.push(u32_at(body, &mut at)?);
+            }
+            txns.push(Transaction::new(tid, Itemset::from_values(&items)));
         }
-        txns.push(Transaction::new(tid, Itemset::from_values(&items)));
+        let mut receipts = Vec::with_capacity(n_receipts.min(1 << 20) as usize);
+        for _ in 0..n_receipts {
+            let req_id = u64_at(body, &mut at)?;
+            let offset = u64_at(body, &mut at)?;
+            let len = u64_at(body, &mut at)?;
+            receipts.push((req_id, offset, len));
+        }
+        let mut deletes = Vec::with_capacity(n_dels.min(1 << 20) as usize);
+        for _ in 0..n_dels {
+            deletes.push(u64_at(body, &mut at)?);
+        }
+        if at != body.len() {
+            return None;
+        }
+        Some((
+            seq,
+            ReplEntry {
+                first_row,
+                txns,
+                receipts,
+                deletes,
+            },
+        ))
     }
-    let mut receipts = Vec::with_capacity(n_receipts.min(1 << 20) as usize);
-    for _ in 0..n_receipts {
-        let req_id = u64_at(body, &mut at)?;
-        let offset = u64_at(body, &mut at)?;
-        let len = u64_at(body, &mut at)?;
-        receipts.push((req_id, offset, len));
-    }
-    let mut deletes = Vec::with_capacity(n_dels.min(1 << 20) as usize);
-    for _ in 0..n_dels {
-        deletes.push(u64_at(body, &mut at)?);
-    }
-    if at != body.len() {
-        return None;
-    }
-    Some((
-        seq,
-        ReplEntry {
-            first_row,
-            txns,
-            receipts,
-            deletes,
-        },
-    ))
 }
 
 /// The write side of one deployment's replication log.
+#[derive(Debug)]
 pub struct ReplLog<B: StorageBackend> {
     backend: B,
     /// First row the log covers (rows before it predate the log).
@@ -184,71 +185,29 @@ impl<B: StorageBackend> ReplLog<B> {
     /// tail, or entries of a flush whose commit record never landed — is
     /// truncated away, mirroring the rollback of the rows themselves.
     pub fn open(mut backend: B, committed_seq: u64, committed_rows: u64) -> io::Result<Self> {
-        let len = backend.len()?;
-        let mut bytes = vec![0u8; len as usize];
-        backend.read_at(0, &mut bytes)?;
-        let mut log = ReplLog {
+        let (mut start_row, mut tail_row, mut entries, mut delete_entries) = (0, 0, 0, 0);
+        let tail_offset = sealed::recover(&mut backend, committed_seq, |entry: ReplEntry| {
+            if entry.end_row() > committed_rows {
+                return false; // debris of an uncommitted flush
+            }
+            if entries == 0 {
+                start_row = entry.first_row;
+            } else if entry.first_row != tail_row {
+                return false; // discontinuity: never written by a healthy log
+            }
+            tail_row = entry.end_row();
+            entries += 1;
+            delete_entries += u64::from(!entry.deletes.is_empty());
+            true
+        })?;
+        Ok(ReplLog {
             backend,
-            start_row: 0,
-            tail_row: 0,
-            tail_offset: 0,
-            entries: 0,
-            delete_entries: 0,
-        };
-        let mut at = 0usize;
-        let mut first = true;
-        while at + 4 <= bytes.len() {
-            let body_len =
-                u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-            if body_len > MAX_BODY as usize || at + 4 + body_len + 8 > bytes.len() {
-                break; // torn or corrupt tail
-            }
-            let body = &bytes[at + 4..at + 4 + body_len];
-            let digest =
-                u64::from_le_bytes(bytes[at + 4 + body_len..at + 12 + body_len].try_into().expect("8 bytes"));
-            if digest != fnv1a64(body) {
-                break;
-            }
-            let Some((seq, entry)) = decode_body(body) else {
-                break;
-            };
-            if seq > committed_seq || entry.end_row() > committed_rows {
-                break; // debris of an uncommitted flush
-            }
-            if first {
-                log.start_row = entry.first_row;
-            } else if entry.first_row != log.tail_row {
-                break; // discontinuity: never written by a healthy log
-            }
-            first = false;
-            log.tail_row = entry.end_row();
-            log.entries += 1;
-            if !entry.deletes.is_empty() {
-                log.delete_entries += 1;
-            }
-            at += 4 + body_len + 8;
-        }
-        log.tail_offset = at as u64;
-        if log.tail_offset != len {
-            log.backend.set_len(log.tail_offset)?;
-            log.backend.sync()?;
-        }
-        Ok(log)
-    }
-
-    /// First row the log covers.
-    pub fn start_row(&self) -> u64 {
-        self.start_row
-    }
-
-    /// One-past the last row the log covers.
-    pub fn tail_row(&self) -> u64 {
-        self.tail_row
-    }
-
-    /// Entries currently in the log.
-    pub fn entries(&self) -> u64 {
-        self.entries
+            start_row,
+            tail_row,
+            tail_offset,
+            entries,
+            delete_entries,
+        })
     }
 
     /// Delete-carrying entries currently in the log — the value a caught-up
@@ -258,8 +217,7 @@ impl<B: StorageBackend> ReplLog<B> {
     }
 
     /// Durably appends the entry of a flush about to commit as sequence
-    /// `seq`.  Must run after the data files are synced and before the
-    /// commit record is written (see the module docs).
+    /// `seq`.  Runs in the commit point's `.log` slot.
     ///
     /// A batch that does not continue the log's coverage (rows were
     /// appended through a non-logging path) resets the log to start at
@@ -277,13 +235,7 @@ impl<B: StorageBackend> ReplLog<B> {
         }
         let resetting = (self.entries > 0 && first_row != self.tail_row)
             || (self.entries == 0 && first_row != self.start_row);
-        let entry = ReplEntry {
-            first_row,
-            txns: txns.to_vec(),
-            receipts: receipts.to_vec(),
-            deletes: deletes.to_vec(),
-        };
-        let buf = encode_entry(seq, &entry);
+        let buf = encode_entry(seq, first_row, txns, receipts, deletes);
         let start = if resetting { 0 } else { self.tail_offset };
         self.backend.write_at(start, &buf)?;
         if resetting {
@@ -306,7 +258,7 @@ impl<B: StorageBackend> ReplLog<B> {
 }
 
 /// The outcome of one stateless [`read_entries`] call.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplRead {
     /// Entries whose first row is ≥ the requested row, in order.  Empty
     /// when the caller is caught up (or the log cannot serve the row —
@@ -340,58 +292,27 @@ pub fn read_entries(
     max_bytes: usize,
     upto_seq: u64,
 ) -> io::Result<ReplRead> {
-    let mut out = ReplRead {
-        entries: Vec::new(),
-        start_row: 0,
-        end_row: 0,
-        end_dseq: 0,
-    };
-    let mut file = match std::fs::File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e),
-    };
+    let mut out = ReplRead::default();
     let mut first = true;
     let mut budget = max_bytes;
-    loop {
-        let mut head = [0u8; 4];
-        match file.read_exact(&mut head) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(e),
-        }
-        let body_len = u32::from_le_bytes(head);
-        if body_len > MAX_BODY {
-            break;
-        }
-        let mut buf = vec![0u8; body_len as usize + 8];
-        match file.read_exact(&mut buf) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(e),
-        }
-        let (body, digest_bytes) = buf.split_at(body_len as usize);
-        if digest_bytes != fnv1a64(body).to_le_bytes() {
-            break;
-        }
+    sealed::read_committed::<ReplEntry>(path, upto_seq, |body| {
         // Peek the header words before a full decode: skipping the bulk
         // of already-replicated history costs header reads only.
-        let seq = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
-        let first_row = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes"));
-        let n_txns = u32::from_le_bytes(body[16..20].try_into().expect("4 bytes")) as u64;
-        let n_dels = u32::from_le_bytes(body[24..28].try_into().expect("4 bytes"));
-        if seq > upto_seq {
-            break;
-        }
+        let Some(header) = body.get(..28) else {
+            return false;
+        };
+        let first_row = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+        let n_txns = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
+        let n_dels = u32::from_le_bytes(header[24..28].try_into().expect("4 bytes"));
         if first {
             out.start_row = first_row;
             out.end_row = first_row;
         }
         if !first && first_row != out.end_row {
-            break; // discontinuity; open() would truncate here too
+            return false; // discontinuity; open() would truncate here too
         }
         first = false;
-        out.end_row = first_row + n_txns;
+        out.end_row = first_row + u64::from(n_txns);
         if n_dels > 0 {
             out.end_dseq += 1;
         }
@@ -402,15 +323,16 @@ pub fn read_entries(
             && out.entries.len() < max_entries
             && budget > 0
         {
-            let Some((_, entry)) = decode_body(body) else {
-                break;
+            let Some((_, entry)) = ReplEntry::decode(body) else {
+                return false;
             };
-            budget = budget.saturating_sub(buf.len());
+            budget = budget.saturating_sub(body.len() + 8);
             out.entries.push(entry);
-        } else if out.entries.len() >= max_entries || budget == 0 {
-            break;
+            true
+        } else {
+            out.entries.len() < max_entries && budget != 0
         }
-    }
+    })?;
     Ok(out)
 }
 
@@ -422,64 +344,17 @@ pub fn read_entries(
 /// corrupt or discontinuous entry strictly *inside* the committed
 /// stream, detectable because valid committed entries still follow it.
 pub(crate) fn scan_problems(bytes: &[u8], committed_seq: u64, committed_rows: u64) -> Vec<String> {
-    let mut problems = Vec::new();
-    let mut at = 0usize;
     let mut expected_row: Option<u64> = None;
-    let mut pending_corrupt: Option<usize> = None;
-    let mut saw_debris = false;
-    while at + 4 <= bytes.len() {
-        let body_len =
-            u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-        if body_len > MAX_BODY as usize || at + 12 + body_len > bytes.len() {
-            break; // torn tail: healed on open
-        }
-        let body = &bytes[at + 4..at + 4 + body_len];
-        let digest = u64::from_le_bytes(
-            bytes[at + 4 + body_len..at + 12 + body_len]
-                .try_into()
-                .expect("8 bytes"),
-        );
-        let decoded = if digest == fnv1a64(body) {
-            decode_body(body)
-        } else {
-            None
-        };
-        let Some((seq, entry)) = decoded else {
-            // Possibly the torn entry of the final flush — only a problem
-            // if committed entries turn out to follow it.
-            pending_corrupt.get_or_insert(at);
-            at += 12 + body_len;
-            continue;
-        };
-        if seq > committed_seq || entry.end_row() > committed_rows {
-            saw_debris = true;
-            at += 12 + body_len;
-            continue;
-        }
-        if let Some(corrupt) = pending_corrupt.take() {
-            problems.push(format!(
-                "replication log: corrupt entry at byte {corrupt} inside the committed stream"
-            ));
-            expected_row = None; // the skipped entry consumed unknown rows
-        }
-        if saw_debris {
-            problems.push(format!(
-                "replication log: committed entry at byte {at} follows uncommitted debris"
-            ));
-            saw_debris = false;
-        }
-        if let Some(expected) = expected_row {
-            if entry.first_row != expected {
-                problems.push(format!(
-                    "replication log: entry at byte {at} starts at row {} (expected {expected})",
-                    entry.first_row
-                ));
-            }
-        }
-        expected_row = Some(entry.end_row());
-        at += 12 + body_len;
-    }
-    problems
+    sealed::scan(
+        bytes,
+        |seq, entry: &ReplEntry| seq <= committed_seq && entry.end_row() <= committed_rows,
+        |entry, gap| {
+            // An entry skipped as corrupt consumed unknown rows.
+            let expected = expected_row.replace(entry.end_row()).filter(|_| !gap)?;
+            (entry.first_row != expected)
+                .then(|| format!("starts at row {} (expected {expected})", entry.first_row))
+        },
+    )
 }
 
 #[cfg(test)]
@@ -506,10 +381,10 @@ mod tests {
             log.append_synced(1, 0, &[txn(1, &[1, 2]), txn(2, &[3])], &[(9, 0, 2)], &[])
                 .expect("append");
             log.append_synced(2, 2, &[txn(3, &[1])], &[], &[]).expect("append");
-            assert_eq!((log.start_row(), log.tail_row(), log.entries()), (0, 3, 2));
+            assert_eq!((log.start_row, log.tail_row, log.entries), (0, 3, 2));
         }
         let log = ReplLog::open(&mut mem, 2, 3).expect("reopen");
-        assert_eq!((log.start_row(), log.tail_row(), log.entries()), (0, 3, 2));
+        assert_eq!((log.start_row, log.tail_row, log.entries), (0, 3, 2));
     }
 
     #[test]
@@ -523,7 +398,7 @@ mod tests {
         }
         let before = mem.len().expect("len");
         let log = ReplLog::open(&mut mem, 1, 1).expect("reopen at seq 1");
-        assert_eq!((log.start_row(), log.tail_row(), log.entries()), (0, 1, 1));
+        assert_eq!((log.start_row, log.tail_row, log.entries), (0, 1, 1));
         assert!(mem.len().expect("len") < before, "debris truncated");
     }
 
@@ -538,7 +413,7 @@ mod tests {
         let len = mem.len().expect("len");
         mem.set_len(len - 5).expect("tear");
         let log = ReplLog::open(&mut mem, 2, 2).expect("reopen");
-        assert_eq!((log.tail_row(), log.entries()), (1, 1));
+        assert_eq!((log.tail_row, log.entries), (1, 1));
     }
 
     #[test]
@@ -549,9 +424,9 @@ mod tests {
         // Rows 1..5 appended through a non-logging path; the next logged
         // batch starts at 5.
         log.append_synced(3, 5, &[txn(9, &[9])], &[], &[]).expect("reset");
-        assert_eq!((log.start_row(), log.tail_row(), log.entries()), (5, 6, 1));
+        assert_eq!((log.start_row, log.tail_row, log.entries), (5, 6, 1));
         let log = ReplLog::open(&mut mem, 3, 6).expect("reopen");
-        assert_eq!((log.start_row(), log.tail_row()), (5, 6));
+        assert_eq!((log.start_row, log.tail_row), (5, 6));
     }
 
     #[test]
@@ -627,12 +502,12 @@ mod tests {
             // Delete-only entry: advances no rows.
             log.append_synced(2, 2, &[], &[(77, 0, 1)], &[0]).expect("del");
             log.append_synced(3, 2, &[txn(2, &[3])], &[], &[]).expect("ins2");
-            assert_eq!(log.tail_row(), 3);
-            assert_eq!(log.entries(), 3);
+            assert_eq!(log.tail_row, 3);
+            assert_eq!(log.entries, 3);
             assert_eq!(log.delete_entries(), 1);
         }
         let log = ReplLog::open(&mut mem, 3, 3).expect("reopen");
-        assert_eq!((log.tail_row(), log.entries(), log.delete_entries()), (3, 3, 1));
+        assert_eq!((log.tail_row, log.entries, log.delete_entries()), (3, 3, 1));
     }
 
     #[test]

@@ -58,13 +58,11 @@
 //! [`Snapshot::load`] still materialises a snapshot for the
 //! memory-resident miners, off the request path.
 
-use crate::backend::{DynBackend, FileBackend, SharedFaultPlan, StorageBackend};
+use crate::backend::{DynBackend, FileBackend, SharedFaultPlan};
 use crate::cache::CacheStats;
 use crate::dedup::DedupReceipt;
-use crate::del::DeadMask;
 use crate::diskbbs::{
-    deployment_paths, load_live, read_fence, DeploymentBackends, DiskBbs, DiskCounter, DiskDeployment,
-    DEFAULT_DEDUP_WINDOW,
+    load_live, read_fence, DiskBbs, DiskCounter, DiskDeployment, DEFAULT_DEDUP_WINDOW,
 };
 use crate::heapfile::HeapFile;
 use crate::maintain::MaintainReport;
@@ -82,10 +80,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Opens one physical backend of the writer deployment: called once per
-/// file (`tag` is `commit`/`dat`/`idx`/`slices`/`counts`/`dedup`/`log`/
-/// `del`) at open and again whenever a poisoned writer is healed.  This
-/// is how the chaos tests interpose a [`crate::FaultInjector`] under a
-/// live server.
+/// file of the table (`tag` is the file's extension — `commit`, `dat`,
+/// `idx`, `slices`, `counts`, `dedup`, `log`, `del`) at open and again
+/// whenever a poisoned writer is healed.  This is how the chaos tests
+/// interpose a [`crate::FaultInjector`] under a live server.
 pub type BackendFactory =
     Arc<dyn Fn(&'static str, &Path) -> io::Result<DynBackend> + Send + Sync>;
 
@@ -124,13 +122,6 @@ impl Snapshot {
         self.index.count_itemset(items)
     }
 
-    /// [`Snapshot::count`] with the filter's early exit (`tau` semantics
-    /// as in [`DiskBbs::count_itemset_bounded`]).
-    pub fn count_bounded(&self, items: &Itemset, tau: u64) -> io::Result<u64> {
-        let _fence = read_fence(&self.io);
-        self.index.count_itemset_bounded(items, tau)
-    }
-
     /// Batched [`Snapshot::count`] over the shared-scan executor: one walk
     /// of the selected slice chunks serves the whole batch (see
     /// [`DiskBbs::count_itemsets`]).  Every itemset is counted at this
@@ -152,12 +143,6 @@ impl Snapshot {
     ) -> io::Result<Vec<u64>> {
         let _fence = read_fence(&self.io);
         self.index.count_itemsets(itemsets, tau)
-    }
-
-    /// Exact support of a single item at this epoch (from the persisted
-    /// counts the snapshot read at open).
-    pub fn singleton_count(&self, item: bbs_tdb::ItemId) -> u64 {
-        self.index.actual_singleton_count(item)
     }
 
     /// Tombstoned rows within this snapshot's prefix.
@@ -364,11 +349,6 @@ pub struct SharedDeployment {
     committed_seq: AtomicU64,
 }
 
-/// The default factory: plain [`FileBackend`]s, boxed.
-fn file_factory() -> BackendFactory {
-    Arc::new(|_tag, path| Ok(Box::new(FileBackend::open(path)?) as DynBackend))
-}
-
 impl SharedDeployment {
     /// Opens (creating or crash-recovering as needed) the deployment at
     /// `base` and publishes the initial snapshot (epoch 0).
@@ -381,7 +361,9 @@ impl SharedDeployment {
         hasher: Arc<dyn ItemHasher>,
         cache_pages: usize,
     ) -> io::Result<Arc<Self>> {
-        Self::open_with_factory(base, width, hasher, cache_pages, file_factory())
+        let files: BackendFactory =
+            Arc::new(|_tag, path| Ok(Box::new(FileBackend::open(path)?) as DynBackend));
+        Self::open_with_factory(base, width, hasher, cache_pages, files)
     }
 
     /// [`SharedDeployment::open`] with every *writer* backend wrapped in a
@@ -409,52 +391,28 @@ impl SharedDeployment {
         cache_pages: usize,
         factory: BackendFactory,
     ) -> io::Result<Arc<Self>> {
-        // A fold may have halved the on-disk width since this deployment
-        // was configured: the slice-file header is authoritative.
-        let paths = deployment_paths(base);
-        let width = crate::slicefile::header_width(&paths.slices)?.unwrap_or(width);
-        let mut dep = open_writer(
-            base,
-            width,
-            &hasher,
-            cache_pages,
-            &factory,
-            DEFAULT_DEDUP_WINDOW,
-        )?;
+        let mut dep =
+            DiskDeployment::open_at(base, width, Arc::clone(&hasher), cache_pages, &*factory)?;
         dep.flush()?;
         let io = Arc::new(RwLock::new(()));
-        let rows = dep.db.len();
-        let committed_seq = dep.committed_seq();
-        let dead = dep.dead_mask();
-        let mut profile = WriterProfile {
-            committed_rows: rows,
-            deleted_rows: dep.deleted_rows(),
-            ..WriterProfile::default()
-        };
-        copy_writer_stats(&dep, &mut profile);
+        let mut profile = WriterProfile::default();
+        refresh_profile(&dep, &mut profile);
         let shared = SharedDeployment {
-            writer: Mutex::new(Some(dep)),
-            factory,
-            io: Arc::clone(&io),
-            current: Mutex::new(Arc::new(open_snapshot_at(
-                base,
-                width,
-                &hasher,
-                cache_pages,
-                io,
-                0,
-                rows,
-                Some(dead),
-            )?)),
+            current: Mutex::new(open_snapshot(&dep, base, cache_pages, &io, 0)?),
+            io,
             epoch: AtomicU64::new(0),
             profile: Mutex::new(profile),
             base: base.to_path_buf(),
-            width: AtomicUsize::new(width),
+            // A fold may have halved the on-disk width since this
+            // deployment was configured: the slice-file header wins.
+            width: AtomicUsize::new(dep.index.width()),
             hasher,
             cache_pages,
             dedup_window: AtomicUsize::new(DEFAULT_DEDUP_WINDOW),
             writer_heals: AtomicU64::new(0),
-            committed_seq: AtomicU64::new(committed_seq),
+            committed_seq: AtomicU64::new(dep.committed_seq()),
+            writer: Mutex::new(Some(dep)),
+            factory,
         };
         Ok(Arc::new(shared))
     }
@@ -520,11 +478,9 @@ impl SharedDeployment {
         txns: &[Transaction],
         receipts: &[(u64, u64, u64)],
     ) -> io::Result<CommitReceipt> {
-        let mut guard = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let rows = {
-            let _fence = self.io.write().unwrap_or_else(|e| e.into_inner());
-            let writer = self.writer_or_heal(&mut guard)?;
-            let attempt = (|| -> io::Result<Range<u64>> {
+        let (rows, snapshot) = self.publish(
+            |guard| {
+                let writer = self.writer_or_heal(guard)?;
                 let first = writer.db.len();
                 for t in txns {
                     writer.append(t)?;
@@ -532,56 +488,25 @@ impl SharedDeployment {
                 let entries: Vec<(u64, DedupReceipt)> = receipts
                     .iter()
                     .filter(|&&(req_id, _, _)| req_id != 0)
-                    .map(|&(req_id, offset, len)| {
-                        (
-                            req_id,
-                            DedupReceipt {
-                                first_row: first + offset,
-                                appended: len,
-                            },
-                        )
+                    .map(|&(req_id, offset, appended)| {
+                        let first_row = first + offset;
+                        (req_id, DedupReceipt { first_row, appended })
                     })
                     .collect();
                 // The batch rides into the replication log with its
                 // receipts, durable atomically with the commit record.
                 writer.flush_logged(first, txns, &entries)?;
                 Ok(first..writer.db.len())
-            })();
-            match attempt {
-                Ok(rows) => {
-                    let seq = guard.as_ref().expect("writer alive").committed_seq();
-                    self.committed_seq.store(seq, Ordering::Release);
-                    rows
-                }
-                Err(e) => {
-                    // The in-memory writer may hold half a batch; drop it.
-                    // Reopening later re-runs crash recovery against the
-                    // commit record, which this failed commit never moved.
-                    *guard = None;
-                    return Err(e);
-                }
-            }
-        };
-        let epoch = self.epoch.load(Ordering::Acquire) + 1;
-        let dead = guard.as_ref().expect("writer alive").dead_mask();
-        let snapshot = Arc::new(self.open_snapshot(epoch, rows.end, Some(dead))?);
+            },
+            |p| {
+                p.commits += 1;
+                p.appended += txns.len() as u64;
+            },
+        )?;
         debug_assert_eq!(snapshot.index.rows(), rows.end);
-        {
-            let mut p = self.profile.lock().unwrap_or_else(|e| e.into_inner());
-            let writer = guard.as_ref().expect("writer alive");
-            copy_writer_stats(writer, &mut p);
-            p.commits += 1;
-            p.appended += txns.len() as u64;
-            p.committed_rows = rows.end;
-            p.deleted_rows = writer.deleted_rows();
-        }
-        let mut current = self.current.lock().unwrap_or_else(|e| e.into_inner());
-        *current = Arc::clone(&snapshot);
-        self.epoch.store(epoch, Ordering::Release);
-        drop(current);
         Ok(CommitReceipt {
             rows,
-            epoch,
+            epoch: snapshot.epoch,
             snapshot,
         })
     }
@@ -600,18 +525,7 @@ impl SharedDeployment {
     pub fn delete_tids(&self, tids: &[u64], req_id: u64) -> io::Result<DeleteReceipt> {
         self.delete_with(|writer| {
             let rows = writer.resolve_tids(tids)?;
-            let receipts = if req_id != 0 {
-                vec![(
-                    req_id,
-                    DedupReceipt {
-                        first_row: u64::MAX,
-                        appended: rows.len() as u64,
-                    },
-                )]
-            } else {
-                Vec::new()
-            };
-            writer.commit_deletes(&rows, &receipts)
+            commit_deletes(writer, &rows, &[(req_id, rows.len() as u64)])
         })
     }
 
@@ -624,64 +538,20 @@ impl SharedDeployment {
         rows: &[u64],
         receipts: &[(u64, u64)],
     ) -> io::Result<DeleteReceipt> {
-        self.delete_with(|writer| {
-            let entries: Vec<(u64, DedupReceipt)> = receipts
-                .iter()
-                .filter(|&&(req_id, _)| req_id != 0)
-                .map(|&(req_id, n)| {
-                    (
-                        req_id,
-                        DedupReceipt {
-                            first_row: u64::MAX,
-                            appended: n,
-                        },
-                    )
-                })
-                .collect();
-            writer.commit_deletes(rows, &entries)
-        })
+        self.delete_with(|writer| commit_deletes(writer, rows, receipts))
     }
 
-    /// Shared shell of the delete paths: run `op` on the healed writer
-    /// under the I/O fence, poison on failure, then publish the next
-    /// epoch's snapshot with the writer's post-commit tombstone bitmap.
+    /// Shared shell of the delete paths: `op` on the healed writer, then
+    /// the next epoch's snapshot with the post-commit tombstone bitmap.
     fn delete_with(
         &self,
         op: impl FnOnce(&mut DiskDeployment<DynBackend>) -> io::Result<u64>,
     ) -> io::Result<DeleteReceipt> {
-        let mut guard = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let (deleted, rows_after, dead) = {
-            let _fence = self.io.write().unwrap_or_else(|e| e.into_inner());
-            let writer = self.writer_or_heal(&mut guard)?;
-            match op(writer) {
-                Ok(deleted) => {
-                    let writer = guard.as_ref().expect("writer alive");
-                    self.committed_seq
-                        .store(writer.committed_seq(), Ordering::Release);
-                    (deleted, writer.db.len(), writer.dead_mask())
-                }
-                Err(e) => {
-                    *guard = None;
-                    return Err(e);
-                }
-            }
-        };
-        let epoch = self.epoch.load(Ordering::Acquire) + 1;
-        let snapshot = Arc::new(self.open_snapshot(epoch, rows_after, Some(dead))?);
-        {
-            let mut p = self.profile.lock().unwrap_or_else(|e| e.into_inner());
-            let writer = guard.as_ref().expect("writer alive");
-            copy_writer_stats(writer, &mut p);
-            p.deletes += 1;
-            p.deleted_rows = writer.deleted_rows();
-        }
-        let mut current = self.current.lock().unwrap_or_else(|e| e.into_inner());
-        *current = Arc::clone(&snapshot);
-        self.epoch.store(epoch, Ordering::Release);
-        drop(current);
+        let (deleted, snapshot) =
+            self.publish(|guard| op(self.writer_or_heal(guard)?), |p| p.deletes += 1)?;
         Ok(DeleteReceipt {
             deleted,
-            epoch,
+            epoch: snapshot.epoch,
             snapshot,
         })
     }
@@ -692,24 +562,14 @@ impl SharedDeployment {
     /// holding old snapshots keep their file handles and stay consistent;
     /// a fresh (empty) snapshot is published at the next epoch.
     pub fn reset_files(&self) -> io::Result<()> {
-        let mut guard = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        {
-            let _fence = self.io.write().unwrap_or_else(|e| e.into_inner());
-            *guard = None;
-            DiskDeployment::remove_files(&self.base)?;
-            let writer = self.writer_or_heal(&mut guard)?;
-            writer.flush()?;
-        }
-        let epoch = self.epoch.load(Ordering::Acquire) + 1;
-        let snapshot = Arc::new(self.open_snapshot(epoch, 0, None)?);
-        {
-            let mut p = self.profile.lock().unwrap_or_else(|e| e.into_inner());
-            p.committed_rows = 0;
-            p.deleted_rows = 0;
-        }
-        let mut current = self.current.lock().unwrap_or_else(|e| e.into_inner());
-        *current = Arc::clone(&snapshot);
-        self.epoch.store(epoch, Ordering::Release);
+        self.publish(
+            |guard| {
+                **guard = None;
+                DiskDeployment::remove_files(&self.base)?;
+                self.writer_or_heal(guard)?.flush()
+            },
+            |_| {},
+        )?;
         Ok(())
     }
 
@@ -743,80 +603,74 @@ impl SharedDeployment {
 
     /// Shared shell of the online maintenance paths: flush and close the
     /// writer (the maintenance functions open the files themselves), run
-    /// `op` under the I/O write fence, adopt the resulting width, reopen
-    /// the writer, and publish the next epoch's snapshot.
-    ///
-    /// On failure the writer is left poisoned exactly like a failed
-    /// commit: the maintenance functions never mutate the live files
-    /// before their atomic swap, so the next write-side call heals by
-    /// reopening the old (or fully-swapped new) state.
+    /// `op`, reopen the writer — which adopts the resulting width — and
+    /// publish the next epoch's snapshot.  A failure leaves the writer
+    /// poisoned like a failed commit; the heal that follows reopens, which
+    /// resolves a swap that failed half-way to the old or the new state.
     fn maintain_with(
         &self,
         op: impl FnOnce(&Path, usize, Arc<dyn ItemHasher>, usize) -> io::Result<MaintainReport>,
     ) -> io::Result<MaintainReport> {
+        let (report, _) = self.publish(
+            |guard| {
+                self.writer_or_heal(guard)?.flush()?;
+                **guard = None;
+                let report = op(
+                    &self.base,
+                    self.width(),
+                    Arc::clone(&self.hasher),
+                    self.cache_pages,
+                )?;
+                // Reopen directly (not via the heal path): maintenance is
+                // not a poisoning failure and must not inflate that counter.
+                **guard = Some(self.open_writer(report.width)?);
+                Ok(report)
+            },
+            |_| {},
+        )?;
+        Ok(report)
+    }
+
+    /// The one way an epoch is published.  Under the writer mutex and the
+    /// I/O write fence, `write` changes the files and leaves a live writer
+    /// in the slot; any failure poisons the slot — the in-memory writer may
+    /// hold half a batch, and reopening later re-runs crash recovery
+    /// against the commit record, which a failed write never moved.  Then,
+    /// the files stable again and no other commit able to interleave, the
+    /// next epoch's snapshot is opened, the write-side counters refreshed
+    /// (`account` adds what this kind of write counts), and the snapshot
+    /// becomes current.
+    fn publish<T>(
+        &self,
+        write: impl FnOnce(&mut WriterSlot<'_>) -> io::Result<T>,
+        account: impl FnOnce(&mut WriterProfile),
+    ) -> io::Result<(T, Arc<Snapshot>)> {
         let mut guard = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let (report, rows, dead) = {
+        let out = {
             let _fence = self.io.write().unwrap_or_else(|e| e.into_inner());
-            self.writer_or_heal(&mut guard)?.flush()?;
-            *guard = None;
-            let report = op(
-                &self.base,
-                self.width(),
-                Arc::clone(&self.hasher),
-                self.cache_pages,
-            )?;
-            self.width.store(report.width, Ordering::Release);
-            // Reopen directly (not via the heal path): maintenance is
-            // not a poisoning failure and must not inflate that counter.
-            let dep = open_writer(
-                &self.base,
-                report.width,
-                &self.hasher,
-                self.cache_pages,
-                &self.factory,
-                self.dedup_window.load(Ordering::Acquire),
-            )?;
-            *guard = Some(dep);
-            let writer = guard.as_mut().expect("writer alive");
-            self.committed_seq
-                .store(writer.committed_seq(), Ordering::Release);
-            (report, writer.db.len(), writer.dead_mask())
+            match write(&mut guard) {
+                Ok(out) => out,
+                Err(e) => {
+                    *guard = None;
+                    return Err(e);
+                }
+            }
         };
+        let writer = guard.as_ref().expect("a successful write leaves a writer");
+        self.committed_seq
+            .store(writer.committed_seq(), Ordering::Release);
         let epoch = self.epoch.load(Ordering::Acquire) + 1;
-        let snapshot = Arc::new(self.open_snapshot(epoch, rows, Some(dead))?);
+        let snapshot = open_snapshot(writer, &self.base, self.cache_pages, &self.io, epoch)?;
         {
             let mut p = self.profile.lock().unwrap_or_else(|e| e.into_inner());
-            let writer = guard.as_ref().expect("writer alive");
-            copy_writer_stats(writer, &mut p);
-            p.committed_rows = rows;
-            p.deleted_rows = writer.deleted_rows();
+            refresh_profile(writer, &mut p);
+            account(&mut p);
         }
         let mut current = self.current.lock().unwrap_or_else(|e| e.into_inner());
         *current = Arc::clone(&snapshot);
         self.epoch.store(epoch, Ordering::Release);
         drop(current);
-        Ok(report)
-    }
-
-    /// Opens a fresh snapshot of the committed on-disk state at `epoch`,
-    /// masking `dead` (pass the writer's current bitmap while holding the
-    /// writer mutex so the mask matches the files).
-    fn open_snapshot(
-        &self,
-        epoch: u64,
-        rows: u64,
-        dead: Option<Arc<DeadMask>>,
-    ) -> io::Result<Snapshot> {
-        open_snapshot_at(
-            &self.base,
-            self.width(),
-            &self.hasher,
-            self.cache_pages,
-            Arc::clone(&self.io),
-            epoch,
-            rows,
-            dead,
-        )
+        Ok((out, snapshot))
     }
 
     /// The receipt a previous commit recorded for `req_id` (0 = never
@@ -826,12 +680,7 @@ impl SharedDeployment {
         if req_id == 0 {
             return Ok(None);
         }
-        let mut guard = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        if guard.is_none() {
-            let _fence = self.io.write().unwrap_or_else(|e| e.into_inner());
-            self.writer_or_heal(&mut guard)?;
-        }
-        Ok(guard.as_ref().expect("writer alive").dedup_lookup(req_id))
+        self.with_writer(|writer| writer.dedup_lookup(req_id))
     }
 
     /// Resizes the writer's dedup window (applied again after each heal).
@@ -863,104 +712,105 @@ impl SharedDeployment {
     /// node holds, and the cursor this node (as a follower itself)
     /// resumes pulling from after a restart.
     pub fn log_delete_entries(&self) -> io::Result<u64> {
+        self.with_writer(|writer| writer.log_delete_entries())
+    }
+
+    /// Reads from the writer, healing a poisoned one first (the fence is
+    /// only for the heal: a live writer is read from memory).
+    fn with_writer<T>(
+        &self,
+        read: impl FnOnce(&DiskDeployment<DynBackend>) -> T,
+    ) -> io::Result<T> {
         let mut guard = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let _fence = self.io.write().unwrap_or_else(|e| e.into_inner());
-        let writer = self.writer_or_heal(&mut guard)?;
-        Ok(writer.log_delete_entries())
+        if guard.is_none() {
+            let _fence = self.io.write().unwrap_or_else(|e| e.into_inner());
+            self.writer_or_heal(&mut guard)?;
+        }
+        Ok(read(guard.as_ref().expect("writer alive")))
     }
 
     /// Reopens a poisoned writer through the factory.  Caller must hold
     /// the writer lock *and* the I/O write fence (recovery rolls files
     /// back in place, which must not race snapshot reads).
-    #[allow(clippy::mut_mut)]
     fn writer_or_heal<'g>(
         &self,
-        guard: &'g mut MutexGuard<'_, Option<DiskDeployment<DynBackend>>>,
+        guard: &'g mut WriterSlot<'_>,
     ) -> io::Result<&'g mut DiskDeployment<DynBackend>> {
         if guard.is_none() {
-            let dep = open_writer(
-                &self.base,
-                self.width(),
-                &self.hasher,
-                self.cache_pages,
-                &self.factory,
-                self.dedup_window.load(Ordering::Acquire),
-            )?;
-            **guard = Some(dep);
+            **guard = Some(self.open_writer(self.width())?);
             self.writer_heals.fetch_add(1, Ordering::Relaxed);
-            let seq = guard.as_ref().expect("writer alive").committed_seq();
-            self.committed_seq.store(seq, Ordering::Release);
         }
         Ok(guard.as_mut().expect("writer alive"))
     }
-}
 
-fn open_writer(
-    base: &Path,
-    width: usize,
-    hasher: &Arc<dyn ItemHasher>,
-    cache_pages: usize,
-    factory: &BackendFactory,
-    dedup_window: usize,
-) -> io::Result<DiskDeployment<DynBackend>> {
-    let paths = deployment_paths(base);
-    // Before the factory below creates any missing file.
-    crate::commit::refuse_format_v1(&paths.commit)?;
-    let has_data = [&paths.dat, &paths.idx, &paths.slices]
-        .iter()
-        .any(|p| std::fs::metadata(p).map(|m| m.len() > 0).unwrap_or(false));
-    if has_data && !paths.commit.exists() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "deployment has data files but no commit record \
-             (created by a pre-durability version?)",
-        ));
+    /// The served open: the one open sequence over the factory's backends.
+    /// Adopts the width found on disk (a fold, or a width-changing
+    /// compaction that a failed swap left for recovery to finish, may have
+    /// changed it) and the committed sequence.
+    fn open_writer(&self, width: usize) -> io::Result<DiskDeployment<DynBackend>> {
+        let hasher = Arc::clone(&self.hasher);
+        let mut dep =
+            DiskDeployment::open_at(&self.base, width, hasher, self.cache_pages, &*self.factory)?;
+        dep.set_dedup_window(self.dedup_window.load(Ordering::Acquire));
+        self.width.store(dep.index.width(), Ordering::Release);
+        self.committed_seq
+            .store(dep.committed_seq(), Ordering::Release);
+        Ok(dep)
     }
-    let backends = DeploymentBackends {
-        commit: factory("commit", &paths.commit)?,
-        dat: factory("dat", &paths.dat)?,
-        idx: factory("idx", &paths.idx)?,
-        slices: factory("slices", &paths.slices)?,
-        counts: factory("counts", &paths.counts)?,
-        dedup: factory("dedup", &paths.dedup)?,
-        log: factory("log", &paths.log)?,
-        del: factory("del", &paths.del)?,
-    };
-    let mut dep = DiskDeployment::open_with(backends, width, Arc::clone(hasher), cache_pages)?;
-    dep.set_dedup_window(dedup_window);
-    Ok(dep)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn open_snapshot_at(
+/// The writer slot as its holder sees it: `None` while poisoned.
+type WriterSlot<'a> = MutexGuard<'a, Option<DiskDeployment<DynBackend>>>;
+
+/// Commits `rows` as tombstones with their delete receipts, pairs of
+/// `(req_id, deleted count)`: in the dedup window a delete's receipt
+/// carries the sentinel row `u64::MAX`; `req_id == 0` records none.
+fn commit_deletes(
+    writer: &mut DiskDeployment<DynBackend>,
+    rows: &[u64],
+    receipts: &[(u64, u64)],
+) -> io::Result<u64> {
+    let entries: Vec<(u64, DedupReceipt)> = receipts
+        .iter()
+        .filter(|&&(req_id, _)| req_id != 0)
+        .map(|&(req_id, appended)| {
+            let first_row = u64::MAX;
+            (req_id, DedupReceipt { first_row, appended })
+        })
+        .collect();
+    writer.commit_deletes(rows, &entries)
+}
+
+/// Opens a snapshot of the committed on-disk state at `epoch`: the files
+/// by name, clamped to `writer`'s rows and masking its tombstones (call
+/// while holding the writer mutex, so the mask matches the files).
+fn open_snapshot(
+    writer: &DiskDeployment<DynBackend>,
     base: &Path,
-    width: usize,
-    hasher: &Arc<dyn ItemHasher>,
     cache_pages: usize,
-    io: Arc<RwLock<()>>,
+    io: &Arc<RwLock<()>>,
     epoch: u64,
-    rows: u64,
-    dead: Option<Arc<DeadMask>>,
-) -> io::Result<Snapshot> {
-    let mut index = DiskBbs::open(base, width, Arc::clone(hasher), cache_pages)?;
-    index.set_dead_mask(dead);
-    Ok(Snapshot {
+) -> io::Result<Arc<Snapshot>> {
+    let hasher = Arc::clone(writer.index.hasher());
+    let mut index = DiskBbs::open(base, writer.index.width(), hasher, cache_pages)?;
+    index.set_dead_mask(Some(writer.dead_mask()));
+    let heap = HeapFile::open(base, cache_pages, cache_pages.div_ceil(4).max(2))?;
+    Ok(Arc::new(Snapshot {
         epoch,
-        rows,
+        rows: writer.db.len(),
         index,
-        heap: Mutex::new(open_heap(base, cache_pages)?),
-        io,
-    })
+        heap: Mutex::new(heap),
+        io: Arc::clone(io),
+    }))
 }
 
-fn open_heap(base: &Path, cache_pages: usize) -> io::Result<HeapFile> {
-    HeapFile::open(base, cache_pages, cache_pages.div_ceil(4).max(2))
-}
-
-fn copy_writer_stats<B: StorageBackend>(dep: &DiskDeployment<B>, p: &mut WriterProfile) {
-    p.cache = dep.index.cache_stats();
-    p.pager = dep.index.pager_stats();
-    p.hot = dep.index.hot_stats();
+/// Brings the published write-side counters up to `writer`'s state.
+fn refresh_profile(writer: &DiskDeployment<DynBackend>, p: &mut WriterProfile) {
+    p.cache = writer.index.cache_stats();
+    p.pager = writer.index.pager_stats();
+    p.hot = writer.index.hot_stats();
+    p.committed_rows = writer.db.len();
+    p.deleted_rows = writer.deleted_rows();
 }
 
 #[cfg(test)]

@@ -9,7 +9,8 @@
 //!   the index a full re-hash at `m/2` builds.
 //! * **Crash torture** — a crash at every durable step of the staged
 //!   swap recovers, on reopen, to exactly the old or exactly the new
-//!   state, fsck-clean either way.
+//!   state, fsck-clean either way — reopened offline and, on a second
+//!   copy of the same crash, through the served open.
 
 use bbs_hash::{ItemHasher, Md5BloomHasher};
 use bbs_storage::diskbbs::DiskDeployment;
@@ -304,6 +305,33 @@ fn seed_workload(b: &Path, width: usize, n: usize, dead: &[u64]) -> u64 {
     (n - dead.len()) as u64
 }
 
+/// An injected crash at `crash_at`, for the swap hooks.
+fn crash_hook(crash_at: &str) -> impl FnMut(&'static str) -> std::io::Result<()> + '_ {
+    move |step| {
+        if step == crash_at {
+            Err(std::io::Error::other(format!("injected crash at {step}")))
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// What a server restarted on `b` serves: `(rows, live rows, width)` of
+/// the first snapshot, the count of the item every row holds, and — once
+/// the server is gone again — a clean fsck.
+fn served_reopen(b: &Path, width_hint: usize, crash_at: &str) -> (u64, u64, usize) {
+    let shared = SharedDeployment::open(b, width_hint, hasher(), CACHE)
+        .unwrap_or_else(|e| panic!("served reopen after a crash at {crash_at}: {e}"));
+    let snap = shared.snapshot();
+    let q: Itemset = [13u32].into_iter().collect();
+    assert_eq!(snap.count(&q).expect("count"), snap.live_rows(), "at {crash_at}");
+    let state = (snap.rows(), snap.live_rows(), shared.width());
+    drop((snap, shared));
+    let verify = DiskDeployment::verify(b).expect("verify");
+    assert!(verify.is_clean(), "served, at {crash_at}: {:?}", verify.problems);
+    state
+}
+
 /// Crash at every durable step of the compaction swap: each prefix of
 /// the protocol must reopen to exactly the old or exactly the new state,
 /// fsck-clean either way.
@@ -355,6 +383,19 @@ fn compaction_crash_torture_recovers_old_or_new() {
         drop(dep);
         let verify = DiskDeployment::verify(&b).expect("verify");
         assert!(verify.is_clean(), "at {crash_at}: {:?}", verify.problems);
+
+        // The same crash on a fresh copy, reopened the way `bbs serve`
+        // does: the served open resolves the swap to the same state.
+        let sb = base("torture_served");
+        let _sg = Cleanup(sb.clone());
+        seed_workload(&sb, width, 20, &dead);
+        compact_deployment_hooked(&sb, width, hasher(), None, CACHE, &mut crash_hook(crash_at))
+            .expect_err("hook must abort");
+        assert_eq!(
+            served_reopen(&sb, width, crash_at),
+            (rows, live, width),
+            "served reopen at {crash_at}"
+        );
     }
 }
 
@@ -396,6 +437,91 @@ fn fold_crash_torture_recovers_old_or_new() {
         let q: Itemset = [13u32].into_iter().collect();
         assert_eq!(dep.index.count_itemset(&q).expect("count"), live, "at {crash_at}");
         drop(dep);
+        let verify = DiskDeployment::verify(&b).expect("verify");
+        assert!(verify.is_clean(), "at {crash_at}: {:?}", verify.problems);
+
+        // The same crash on a fresh copy, reopened the way `bbs serve`
+        // does — still configured for the old width: the header width of
+        // whichever state survived is the one served.
+        let sb = base("fold_torture_served");
+        let _sg = Cleanup(sb.clone());
+        seed_workload(&sb, width, 20, &[2, 5]);
+        fold_deployment_hooked(&sb, hasher(), CACHE, &mut crash_hook(crash_at))
+            .expect_err("hook must abort");
+        assert_eq!(
+            served_reopen(&sb, width, crash_at),
+            (20, live, survived),
+            "served reopen at {crash_at}"
+        );
+    }
+}
+
+/// A server restarted after a crash at the swap's `marker` step — the
+/// compaction committed, no file renamed yet — serves the compacted state
+/// at once.  Were it to open the old files and leave marker and staging in
+/// place, the rows it then acknowledged would be rolled away when the next
+/// compaction began by finishing the stale swap.
+#[test]
+fn rows_acknowledged_after_a_crash_at_marker_survive_the_next_compaction() {
+    let b = base("lost_rows");
+    let _g = Cleanup(b.clone());
+    let width = 24;
+    let live = seed_workload(&b, width, 20, &[1, 3, 4, 10, 17]);
+    compact_deployment_hooked(&b, width, hasher(), None, CACHE, &mut crash_hook("marker"))
+        .expect_err("hook must abort");
+
+    let shared = SharedDeployment::open(&b, width, hasher(), CACHE).expect("served reopen");
+    assert_eq!((shared.snapshot().rows(), shared.snapshot().live_rows()), (live, live));
+    assert!(!bbs_storage::maintain::swap_marker_path(&b).exists(), "swap resolved by the open");
+
+    let fresh = TransactionDb::from_itemsets(
+        (0..5).map(|_| [40u32, 41].into_iter().collect::<Itemset>()),
+    );
+    shared.commit(fresh.transactions()).expect("commit");
+    let q: Itemset = [40u32, 41].into_iter().collect();
+    assert_eq!(shared.snapshot().count(&q).expect("count"), 5);
+
+    let report = shared.compact(None).expect("compact");
+    assert_eq!((report.rows_before, report.rows_after), (live + 5, live + 5));
+    assert_eq!(shared.snapshot().rows(), live + 5);
+    assert_eq!(shared.snapshot().count(&q).expect("count after compact"), 5);
+}
+
+/// `verify` names a half-done swap as its own problem — a committed one
+/// instead of the page corruption the half-renamed files would read as,
+/// an uncommitted one beside the intact old files — and stays read-only.
+#[test]
+fn verify_names_a_pending_swap_and_touches_nothing() {
+    let listing = |b: &Path| -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(b.parent().expect("parent"))
+            .expect("read_dir")
+            .map(|e| e.expect("entry").path())
+            .filter(|p| {
+                let stem = b.file_name().expect("name").to_string_lossy().into_owned();
+                p.file_name().is_some_and(|n| n.to_string_lossy().contains(&stem))
+            })
+            .map(|p| (p.display().to_string(), std::fs::read(&p).expect("read")))
+            .collect();
+        files.sort();
+        files
+    };
+    for (crash_at, committed) in [("build", false), ("marker", true), ("rename-idx", true)] {
+        let b = base("verify_swap");
+        let _g = Cleanup(b.clone());
+        seed_workload(&b, 24, 20, &[1, 3]);
+        compact_deployment_hooked(&b, 24, hasher(), None, CACHE, &mut crash_hook(crash_at))
+            .expect_err("hook must abort");
+        let before = listing(&b);
+        let report = DiskDeployment::verify(&b).expect("verify");
+        assert_eq!(listing(&b), before, "verify wrote at {crash_at}");
+        assert!(report.corrupt_pages.is_empty(), "at {crash_at}: {report}");
+        let [problem] = &report.problems[..] else {
+            panic!("at {crash_at}: one problem line expected: {report}");
+        };
+        assert!(problem.starts_with("pending maintenance swap"), "{problem}");
+        assert_eq!(problem.contains("rolls it forward"), committed, "{problem}");
+        // Opening resolves it either way, and fsck is clean again.
+        drop(open(&b, 24));
         let verify = DiskDeployment::verify(&b).expect("verify");
         assert!(verify.is_clean(), "at {crash_at}: {:?}", verify.problems);
     }
