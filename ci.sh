@@ -6,7 +6,7 @@
 # benchmarks, the kernel property tests re-run with the native
 # instruction set and under every forced dispatch tier, the benchmark
 # smoke, the randomized chaos/oracle suites again on a pinned seed, and
-# one warning-free clippy pass over every crate.  Run from the
+# one warning-free clippy and rustdoc pass over every crate.  Run from the
 # repository root.  `./ci.sh loc` only prints the non-test source lines
 # per crate — the number ROADMAP items 2 and 7 gate on.
 set -eu
@@ -85,3 +85,6 @@ CHAOS_SEED="${CHAOS_SEED}" cargo test -q -p bbs-cli --test distributed_chaos -- 
 CHAOS_SEED="${CHAOS_SEED}" cargo test -q -p bbs-shard --test equivalence
 CHAOS_SEED="${CHAOS_SEED}" cargo test -q -p bbs-shard --test crash -- --nocapture
 cargo clippy --all-targets -- -D warnings
+# Doc links are checked too: a deleted item that a doc comment still names
+# fails here instead of becoming one more ignored rustdoc warning.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --exclude rand --exclude proptest --exclude criterion

@@ -2,7 +2,7 @@
 
 use crate::args::{parse_threshold, Flags};
 use bbs_apriori::AprioriMiner;
-use bbs_core::{persist, AdhocEngine, Bbs, BbsMiner, Scheme};
+use bbs_core::{AdhocEngine, Bbs, BbsMiner, Scheme};
 use bbs_datagen::QuestConfig;
 use bbs_fptree::FpGrowthMiner;
 use bbs_hash::{ItemHasher, Md5BloomHasher};
@@ -34,24 +34,9 @@ fn hasher(flags: &Flags) -> Result<Arc<dyn ItemHasher>, Box<dyn Error>> {
     Ok(Arc::new(Md5BloomHasher::new(k)))
 }
 
-/// Loads a persisted index if `--index` was given, otherwise builds one.
-fn load_or_build_index(flags: &Flags, db: &TransactionDb) -> Result<Bbs, Box<dyn Error>> {
-    if let Some(path) = flags.get("index") {
-        let path = Path::new(path);
-        if path.exists() {
-            let bbs = persist::load_from_path(path, hasher(flags)?)?;
-            if bbs.rows() != db.len() {
-                return Err(format!(
-                    "index has {} rows but the database has {} transactions; \
-                     rebuild with `bbs index`",
-                    bbs.rows(),
-                    db.len()
-                )
-                .into());
-            }
-            return Ok(bbs);
-        }
-    }
+/// Builds the index of `--db` in memory; a durable one is a deployment
+/// (`bbs ingest`, then `bbs mine-deployment`).
+fn build_index(flags: &Flags, db: &TransactionDb) -> Result<Bbs, Box<dyn Error>> {
     let width: usize = flags.get_parsed_or("width", 1600usize)?;
     let mut io = IoStats::new();
     Ok(Bbs::build(width, hasher(flags)?, db, &mut io))
@@ -147,26 +132,6 @@ fn generate_weblog(flags: &Flags) -> CmdResult {
     Ok(())
 }
 
-/// `bbs index` — build a BBS index and persist it.
-pub fn index(flags: &Flags) -> CmdResult {
-    let db = load_db(flags)?;
-    let out = flags.require("out")?;
-    let width: usize = flags.get_parsed_or("width", 1600usize)?;
-    let mut io = IoStats::new();
-    let start = Instant::now();
-    let bbs = Bbs::build(width, hasher(flags)?, &db, &mut io);
-    let secs = start.elapsed().as_secs_f64();
-    persist::save_to_path(&bbs, Path::new(out))?;
-    println!(
-        "indexed {} transactions into {} slices ({} KiB dense) in {:.3}s -> {out}",
-        bbs.rows(),
-        bbs.width(),
-        bbs.dense_bytes() / 1024,
-        secs
-    );
-    Ok(())
-}
-
 fn parse_scheme(raw: &str) -> Result<Option<Scheme>, Box<dyn Error>> {
     match raw.to_ascii_lowercase().as_str() {
         "sfs" => Ok(Some(Scheme::Sfs)),
@@ -190,7 +155,7 @@ pub fn mine(flags: &Flags) -> CmdResult {
     let start = Instant::now();
     let result: MineResult = match parse_scheme(&scheme_raw)? {
         Some(scheme) => {
-            let bbs = load_or_build_index(flags, &db)?;
+            let bbs = build_index(flags, &db)?;
             BbsMiner::with_index(scheme, bbs).mine(&db, threshold)
         }
         None if scheme_raw.starts_with('a') => AprioriMiner::new().mine(&db, threshold),
@@ -237,7 +202,7 @@ pub fn count(flags: &Flags) -> CmdResult {
     }
     let itemset = Itemset::from_values(&values);
 
-    let bbs = load_or_build_index(flags, &db)?;
+    let bbs = build_index(flags, &db)?;
     let engine = AdhocEngine::new(&bbs, &db);
     let mut io = IoStats::new();
     let start = Instant::now();
@@ -310,7 +275,6 @@ pub fn ingest(flags: &Flags) -> CmdResult {
         hasher(flags)?,
         cache_pages,
     )?;
-    let before = dep.db.len();
     for txn in db.transactions() {
         dep.append(txn)?;
     }
@@ -322,7 +286,6 @@ pub fn ingest(flags: &Flags) -> CmdResult {
         dep.index.width(),
         start.elapsed().as_secs_f64()
     );
-    let _ = before;
     Ok(())
 }
 

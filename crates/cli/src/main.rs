@@ -3,9 +3,10 @@
 //! ```text
 //! bbs generate --out data.txt --transactions 10000 --items 10000 [--avg-len 10] [--seed 7]
 //! bbs generate --weblog --out log.txt --days 7 --sessions 1000 [--churn 0.1]
-//! bbs index    --db data.txt --out data.bbs [--width 1600] [--hash-k 4]
-//! bbs mine     --db data.txt --min-support 0.3% [--index data.bbs] [--scheme dfp]
-//! bbs count    --db data.txt --items "1 2 3" [--index data.bbs] [--mod 7]
+//! bbs mine     --db data.txt --min-support 0.3% [--scheme dfp]
+//! bbs count    --db data.txt --items "1 2 3" [--mod 7]
+//! bbs ingest   --base deploy --db data.txt [--width 1600]
+//! bbs mine-deployment --base deploy --min-support 0.3% [--in-memory]
 //! bbs stats    --db data.txt
 //! bbs stats    --base deploy [--threads 4]
 //! ```
@@ -53,12 +54,13 @@ USAGE:
                (dynamic web-log workload: day-partitioned growth over a
                rotating hot set; churn writes FILE.deletes, one line of
                expired TIDs per day)
-  bbs index    --db FILE --out FILE [--width M] [--hash-k K]
   bbs mine     --db FILE --min-support N|P%
-               [--index FILE] [--scheme sfs|sfp|dfs|dfp|apriori|fpgrowth]
+               [--scheme sfs|sfp|dfs|dfp|apriori|fpgrowth]
                [--width M] [--hash-k K] [--top N]
+               (indexes FILE in memory; a persistent index is a
+               deployment: `ingest`, then `mine-deployment`)
   bbs count    --db FILE --items \"I1 I2 …\"
-               [--index FILE] [--width M] [--hash-k K] [--mod D]
+               [--width M] [--hash-k K] [--mod D]
   bbs create   --base DIR --shards N [--width M] [--hash-k K]
                [--cache-pages P]   (sharded deployment: TID-range shards,
                each with its own pager, commit record and dedup window)
@@ -125,7 +127,6 @@ fn main() -> ExitCode {
 
     let result = match command.as_str() {
         "generate" => commands::generate(&flags),
-        "index" => commands::index(&flags),
         "create" => commands::create(&flags),
         "mine" => commands::mine(&flags),
         "count" => commands::count(&flags),

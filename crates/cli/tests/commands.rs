@@ -29,13 +29,21 @@ impl Drop for Cleanup {
     }
 }
 
+/// Removes a deployment's files.
+struct DeploymentCleanup(PathBuf);
+impl Drop for DeploymentCleanup {
+    fn drop(&mut self) {
+        bbs_storage::DiskDeployment::remove_files(&self.0).ok();
+    }
+}
+
 #[test]
-fn generate_index_mine_count_pipeline() {
+fn generate_ingest_mine_count_pipeline() {
     let data = temp("pipeline.txt");
-    let index = temp("pipeline.bbs");
-    let _cleanup = Cleanup(vec![data.clone(), index.clone()]);
+    let base = temp("pipeline_dep");
+    let _cleanup = (Cleanup(vec![data.clone()]), DeploymentCleanup(base.clone()));
     let data_s = data.to_str().expect("utf8 path");
-    let index_s = index.to_str().expect("utf8 path");
+    let base_s = base.to_str().expect("utf8 path");
 
     commands::generate(&flags(&[
         ("out", data_s),
@@ -51,30 +59,40 @@ fn generate_index_mine_count_pipeline() {
 
     commands::stats(&flags(&[("db", data_s)])).expect("stats");
 
-    commands::index(&flags(&[
+    commands::ingest(&flags(&[
         ("db", data_s),
-        ("out", index_s),
+        ("base", base_s),
         ("width", "128"),
     ]))
-    .expect("index");
-    assert!(index.exists());
+    .expect("ingest");
+    assert!(base.with_extension("slices").exists());
 
-    // Mining with the persisted index must succeed for every scheme name.
-    for scheme in ["sfs", "sfp", "dfs", "dfp", "apriori", "fpgrowth"] {
-        commands::mine(&flags(&[
-            ("db", data_s),
-            ("index", index_s),
+    // Mining the persisted deployment must succeed for every BBS scheme,
+    // in place and memory-resident.
+    for scheme in ["sfs", "sfp", "dfs", "dfp"] {
+        commands::mine_deployment(&flags(&[
+            ("base", base_s),
             ("width", "128"),
             ("min-support", "5%"),
             ("scheme", scheme),
             ("top", "3"),
         ]))
-        .unwrap_or_else(|e| panic!("mine --scheme {scheme}: {e}"));
+        .unwrap_or_else(|e| panic!("mine-deployment --scheme {scheme}: {e}"));
     }
+    let in_memory = [
+        "--base",
+        base_s,
+        "--width",
+        "128",
+        "--min-support",
+        "5%",
+        "--in-memory",
+    ];
+    commands::mine_deployment(&Flags::parse(in_memory.iter().map(|s| s.to_string())))
+        .expect("mine-deployment --in-memory");
 
     commands::count(&flags(&[
         ("db", data_s),
-        ("index", index_s),
         ("width", "128"),
         ("items", "1 2"),
     ]))
@@ -82,7 +100,6 @@ fn generate_index_mine_count_pipeline() {
 
     commands::count(&flags(&[
         ("db", data_s),
-        ("index", index_s),
         ("width", "128"),
         ("items", "1 2"),
         ("mod", "7"),
@@ -91,12 +108,12 @@ fn generate_index_mine_count_pipeline() {
 }
 
 #[test]
-fn stale_index_is_rejected() {
-    let data = temp("stale.txt");
-    let index = temp("stale.bbs");
-    let _cleanup = Cleanup(vec![data.clone(), index.clone()]);
+fn mine_deployment_width_mismatch_is_rejected() {
+    let data = temp("width.txt");
+    let base = temp("width_dep");
+    let _cleanup = (Cleanup(vec![data.clone()]), DeploymentCleanup(base.clone()));
     let data_s = data.to_str().expect("utf8 path");
-    let index_s = index.to_str().expect("utf8 path");
+    let base_s = base.to_str().expect("utf8 path");
 
     commands::generate(&flags(&[
         ("out", data_s),
@@ -105,24 +122,17 @@ fn stale_index_is_rejected() {
         ("pattern-pool", "5"),
     ]))
     .expect("generate");
-    commands::index(&flags(&[("db", data_s), ("out", index_s), ("width", "64")]))
-        .expect("index");
+    commands::ingest(&flags(&[("db", data_s), ("base", base_s), ("width", "64")])).expect("ingest");
 
-    // Regenerate the data with a different size: the index no longer fits.
-    commands::generate(&flags(&[
-        ("out", data_s),
-        ("transactions", "60"),
-        ("items", "20"),
-        ("pattern-pool", "5"),
-    ]))
-    .expect("regenerate");
-    let err = commands::mine(&flags(&[
-        ("db", data_s),
-        ("index", index_s),
+    // The deployment was built at width 64; mining it at another width
+    // must refuse rather than hash queries into the wrong slices.
+    let err = commands::mine_deployment(&flags(&[
+        ("base", base_s),
+        ("width", "128"),
         ("min-support", "10%"),
     ]))
-    .expect_err("stale index must be rejected");
-    assert!(err.to_string().contains("rebuild"), "{err}");
+    .expect_err("width mismatch must be rejected");
+    assert!(err.to_string().contains("!= requested 128"), "{err}");
 }
 
 #[test]

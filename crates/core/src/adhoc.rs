@@ -179,6 +179,95 @@ mod tests {
         assert!(!engine.is_frequent(&set(&[1, 5]), 5, &mut io));
     }
 
+    /// A Quest database under the MD5 family, where estimates carry real
+    /// false drops (the fixture above is exact by construction).
+    fn quest_fixture() -> (Bbs, TransactionDb) {
+        let db = bbs_datagen::generate_db(bbs_datagen::QuestConfig::tiny());
+        let mut io = IoStats::new();
+        let bbs = Bbs::build(96, Arc::new(bbs_hash::Md5BloomHasher::new(3)), &db, &mut io);
+        (bbs, db)
+    }
+
+    fn full_scan(db: &TransactionDb, items: &Itemset) -> u64 {
+        db.transactions()
+            .iter()
+            .filter(|t| items.is_subset_of(&t.items))
+            .count() as u64
+    }
+
+    #[test]
+    fn exact_counts_match_full_scan() {
+        let (bbs, db) = quest_fixture();
+        let engine = AdhocEngine::new(&bbs, &db);
+        let queries: Vec<Itemset> = db
+            .transactions()
+            .iter()
+            .step_by(40)
+            .map(|t| Itemset::from_items(t.items.items().iter().take(2).copied().collect()))
+            .collect();
+        for q in &queries {
+            let mut io = IoStats::new();
+            let count = engine.count(q, &mut io);
+            let truth = full_scan(&db, q);
+            assert_eq!(count, truth, "{q:?}");
+            let estimate = engine.estimate(q, &mut IoStats::new());
+            assert!(estimate >= truth, "{q:?}");
+            assert_eq!(
+                io.db_probes, estimate,
+                "only the nominated rows are probed: {q:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn is_frequent_short_circuits() {
+        let (bbs, db) = quest_fixture();
+        let engine = AdhocEngine::new(&bbs, &db);
+        let mut io = IoStats::new();
+        // Two items that may never co-occur: the estimate may still exceed
+        // zero, but the answer must be right either way.
+        let q = set(&[0, 1]);
+        let truth = full_scan(&db, &q);
+        assert_eq!(engine.is_frequent(&q, truth.max(1), &mut io), truth >= 1);
+        assert!(!engine.is_frequent(&q, db.len() as u64 + 1, &mut io));
+    }
+
+    #[test]
+    fn constrained_count_matches_filtered_scan() {
+        let (bbs, db) = quest_fixture();
+        let engine = AdhocEngine::new(&bbs, &db);
+        // Constraint slice: even rows only.
+        let mut constraint = BitVec::zeros(db.len());
+        for i in (0..db.len()).step_by(2) {
+            constraint.set(i);
+        }
+        let mut io = IoStats::new();
+        for q in [&[0u32][..], &[1, 2], &[5]] {
+            let items = set(q);
+            let expect = db
+                .transactions()
+                .iter()
+                .enumerate()
+                .filter(|(i, t)| i % 2 == 0 && items.is_subset_of(&t.items))
+                .count() as u64;
+            assert_eq!(
+                engine.count_with_slice(&items, &constraint, &mut io),
+                expect,
+                "{items:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_query_counts_every_row() {
+        let (bbs, db) = quest_fixture();
+        let engine = AdhocEngine::new(&bbs, &db);
+        assert_eq!(
+            engine.count(&Itemset::empty(), &mut IoStats::new()),
+            db.len() as u64
+        );
+    }
+
     #[test]
     fn estimate_dominates_count() {
         let (bbs, db) = fixture();

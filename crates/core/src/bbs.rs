@@ -379,21 +379,6 @@ impl Bbs {
         item_counts: Vec<(ItemId, u64)>,
     ) -> Result<Bbs, &'static str> {
         let matrix = SliceMatrix::from_slices(width, rows, slices)?;
-        Ok(Bbs::from_parts(
-            hasher,
-            matrix,
-            item_counts,
-            DEFAULT_PAGE_SIZE,
-        ))
-    }
-
-    /// Reassembles an index from deserialized parts (see [`crate::persist`]).
-    pub(crate) fn from_parts(
-        hasher: Arc<dyn ItemHasher>,
-        matrix: SliceMatrix,
-        item_counts: Vec<(ItemId, u64)>,
-        page_size: usize,
-    ) -> Bbs {
         let mut bbs = Bbs {
             width: matrix.width(),
             hasher,
@@ -401,14 +386,14 @@ impl Bbs {
             item_counts: item_counts.into_iter().collect(),
             positions_cache: HashMap::new(),
             unflushed_write_bytes: 0,
-            page_size,
+            page_size: DEFAULT_PAGE_SIZE,
         };
         let items: Vec<ItemId> = bbs.item_counts.keys().copied().collect();
         for item in items {
             let p = bbs.compute_positions(item);
             bbs.positions_cache.insert(item, p);
         }
-        bbs
+        Ok(bbs)
     }
 }
 

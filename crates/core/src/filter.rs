@@ -8,7 +8,7 @@
 //!
 //! * **SingleFilter** (Fig. 2) — depth-first enumeration; a candidate is any
 //!   itemset whose `CountItemSet` estimate reaches the threshold.
-//! * **DualFilter** (Fig. 4) — additionally consults [`check_count`]
+//! * **DualFilter** (Fig. 4) — additionally consults `check_count`
 //!   (Fig. 3), which uses the exact 1-itemset counts the index maintains to
 //!   certify candidates through Lemma 5 and Corollary 1.
 //! * **Integrated probing** (§3.3, SFP/DFP) — a source that can reach the

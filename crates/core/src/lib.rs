@@ -44,18 +44,15 @@
 
 pub mod adaptive;
 pub mod adhoc;
-pub mod approx;
 pub mod bbs;
 pub mod cursor;
 pub mod filter;
 pub mod miners;
-pub mod persist;
 pub mod refine;
 pub mod tiered;
 
 pub use adaptive::{adaptive_filter, slices_for_budget};
 pub use adhoc::AdhocEngine;
-pub use approx::{mine_approximate, ApproxPattern, ApproxResult};
 pub use bbs::Bbs;
 pub use cursor::BbsCursor;
 pub use filter::{
@@ -63,6 +60,5 @@ pub use filter::{
     FilterKind, FilterOutput, Flag, EXACT,
 };
 pub use miners::{BbsMiner, RefineKind, Scheme};
-pub use persist::{load_from_path, save_to_path, PersistError};
 pub use refine::{probe_candidates, probe_support, sequential_scan, RefineOutput};
 pub use tiered::TieredBbs;

@@ -1,7 +1,7 @@
 //! The IBM Quest synthetic market-basket generator.
 //!
 //! This follows the procedure of Agrawal & Srikant, *Fast Algorithms for
-//! Mining Association Rules* (VLDB '94) — reference [1] of the BBS paper,
+//! Mining Association Rules* (VLDB '94) — reference \[1\] of the BBS paper,
 //! and the source of the paper's `T10.I10.D10K` datasets:
 //!
 //! 1. Build a pool of `L` *potentially large itemsets*.  Each has a length

@@ -1,7 +1,7 @@
 //! The dynamic web-server-log workload of §4.8.
 //!
 //! The paper evaluates dynamic databases on a web-server access log
-//! (reference [10]): 5000 files on the server, where each day 10 % of the
+//! (reference \[10\]): 5000 files on the server, where each day 10 % of the
 //! previous day's "hot" files turn cold, and the database grows day by day
 //! (`D_0` is yesterday's log; `D_1 … D_n` are appended batches).
 //!

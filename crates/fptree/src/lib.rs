@@ -1,7 +1,7 @@
 //! The FP-growth baseline (the paper's **FPS**).
 //!
 //! Frequent-pattern mining without candidate generation (Han, Pei & Yin,
-//! SIGMOD 2000): two database scans build an [`FpTree`][tree::FpTree] —
+//! SIGMOD 2000): two database scans build an [`FpTree`] —
 //! a prefix tree over frequency-ordered transactions with a header table —
 //! and recursion over *conditional pattern bases* grows patterns fragment
 //! by fragment.  A single-path conditional tree short-circuits into direct

@@ -1,7 +1,7 @@
 //! Hashing substrate for the BBS index: a from-scratch MD5 (RFC 1321) and
 //! the Bloom-filter hash family the paper derives from it.
 //!
-//! See [`md5`] for the digest implementation and [`bloom`] for the
+//! See [`md5`](mod@md5) for the digest implementation and [`bloom`] for the
 //! item-to-bit-position mapping ([`ItemHasher`] and its two implementations,
 //! [`Md5BloomHasher`] — the paper's scheme — and [`ModuloHasher`] — the
 //! running example / exactness limit).

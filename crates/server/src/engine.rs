@@ -290,10 +290,6 @@ pub struct Engine {
     /// Bounded pin table for the remote-shard read contract: epoch →
     /// snapshot, oldest evicted beyond [`MAX_PINS`].
     pins: Mutex<Vec<(u64, Arc<Snapshot>)>>,
-    /// Identity of the item hasher this deployment was opened with
-    /// (reported in `SnapshotPinned` so a coordinator can refuse a
-    /// mismatched shard).
-    hasher_id: String,
     maintainer: Mutex<Option<JoinHandle<()>>>,
     maintain_stop: Arc<AtomicBool>,
     /// Monotone probe counter perturbing the FPR seed per measurement.
@@ -314,26 +310,15 @@ impl Engine {
         cfg: ServerConfig,
         hasher: Arc<dyn ItemHasher>,
     ) -> io::Result<Arc<Engine>> {
-        let hasher_id = hasher.id();
         let shared = SharedDeployment::open(base, cfg.width, hasher, cfg.cache_pages)?;
-        Engine::build(shared, cfg, hasher_id)
+        Engine::with_shared(shared, cfg)
     }
 
     /// Builds an engine over an already-open [`SharedDeployment`] (the
     /// fault-injection tests open theirs with
     /// [`SharedDeployment::open_faulty`]).  The hasher identity reported
-    /// to coordinators is the default family's; use [`Engine::open_with`]
-    /// when a custom hasher matters.
+    /// to coordinators is read off the deployment's index.
     pub fn with_shared(shared: Arc<SharedDeployment>, cfg: ServerConfig) -> io::Result<Arc<Engine>> {
-        let hasher_id = Md5BloomHasher::new(4).id();
-        Engine::build(shared, cfg, hasher_id)
-    }
-
-    fn build(
-        shared: Arc<SharedDeployment>,
-        cfg: ServerConfig,
-        hasher_id: String,
-    ) -> io::Result<Arc<Engine>> {
         shared.set_dedup_window(cfg.dedup_window);
         let metrics = Arc::new(ServerMetrics::new());
         let (tx, rx) = mpsc::sync_channel::<IngestJob>(cfg.queue_capacity);
@@ -386,7 +371,6 @@ impl Engine {
             applier_stop,
             cfg,
             pins: Mutex::new(Vec::new()),
-            hasher_id,
             maintainer: Mutex::new(None),
             maintain_stop: Arc::new(AtomicBool::new(false)),
             fpr_probes: AtomicU64::new(0),
@@ -430,15 +414,9 @@ impl Engine {
         self.shared.snapshot()
     }
 
-    /// The identity string of this deployment's item hasher (e.g.
-    /// `md5/4`), as reported in `SnapshotPinned` replies.
-    pub fn hasher_id(&self) -> &str {
-        &self.hasher_id
-    }
-
     /// Pins the latest snapshot in the bounded pin table and returns it.
     /// Re-pinning an already-pinned epoch refreshes its slot; beyond
-    /// [`MAX_PINS`] distinct epochs the oldest pin is evicted.
+    /// `MAX_PINS` distinct epochs the oldest pin is evicted.
     pub fn pin_snapshot(&self) -> Arc<Snapshot> {
         let snap = self.shared.snapshot();
         let mut pins = self.pins.lock().unwrap_or_else(|e| e.into_inner());
@@ -608,7 +586,8 @@ impl Engine {
     /// Batched `CountItemSet`: every itemset is answered from the **same**
     /// snapshot via the shared-scan executor (one walk of the selected
     /// slice chunks serves the whole batch; see [`Snapshot::count_many`]).
-    /// Supports come back in request order, identical to per-op counting.
+    /// Supports come back in request order, identical to counting the
+    /// itemsets one at a time.
     pub fn count_many(&self, itemsets: &[Vec<u32>]) -> io::Result<(Vec<u64>, Arc<Snapshot>)> {
         let snap = self.shared.snapshot();
         let sets: Vec<Itemset> = itemsets
@@ -972,7 +951,8 @@ impl Engine {
                     // The live width, not the configured one: a fold may
                     // have halved it since this engine was opened.
                     width: self.shared.width() as u32,
-                    hasher: self.hasher_id.clone(),
+                    // So a coordinator can refuse a mismatched shard.
+                    hasher: snap.hasher().id(),
                 })
             }
             Request::CountManyAt {
@@ -1793,6 +1773,20 @@ mod tests {
         assert_eq!((first_row, appended, deduped), (0, 5, true));
         let (support, snap) = engine.count(&[6]).expect("count");
         assert_eq!((support, snap.rows()), (5, 5));
+    }
+
+    #[test]
+    fn snapshot_pin_names_the_hasher_the_deployment_was_opened_with() {
+        let b = base("pin_hasher");
+        let _g = Cleanup(b.clone());
+        let hasher: Arc<dyn ItemHasher> = Arc::new(bbs_hash::ModuloHasher);
+        let shared = SharedDeployment::open(&b, 64, hasher, 128).expect("open");
+        let engine = Engine::with_shared(shared, cfg()).expect("engine");
+        match engine.handle(&Request::SnapshotPin) {
+            Response::Ok(Reply::SnapshotPinned { hasher, .. }) => assert_eq!(hasher, "mod/1"),
+            other => panic!("unexpected: {other:?}"),
+        }
+        engine.join();
     }
 
     #[test]

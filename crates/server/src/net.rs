@@ -7,7 +7,7 @@
 //! *interruptible but not lossy*: a timeout mid-frame keeps the partial
 //! bytes and resumes, so a slow client never desyncs the stream — the
 //! handler only gives up between frames (or when the deadline for one
-//! frame's remainder passes [`REQUEST_DEADLINE`]).
+//! frame's remainder passes `REQUEST_DEADLINE`).
 //!
 //! A frame that *arrives* but does not parse — oversized length prefix,
 //! truncated payload, flipped bits — gets the typed `BadFrame` response

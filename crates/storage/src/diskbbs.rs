@@ -48,7 +48,7 @@ const CNT_MAGIC: &[u8; 8] = b"BBSCNTS3";
 
 /// A disk-backed BBS index.
 ///
-/// Counting (`count_itemset`, `count_itemset_bounded`) takes `&self`: the
+/// Counting (`count_itemset`, `count_itemsets`) takes `&self`: the
 /// slice file and the position cache synchronise internally, so a shared
 /// reference — including one shared across scoped threads — can serve
 /// `CountItemSet` queries.  For genuine read parallelism (no shared page
@@ -267,29 +267,19 @@ impl<B: StorageBackend> DiskBbs<B> {
     }
 
     /// `CountItemSet` directly against the disk layout, through the page
-    /// cache (the in-place query mode — no full load required).
+    /// cache (the in-place query mode — no full load required): a batch
+    /// of one for [`DiskBbs::count_itemsets`].
     pub fn count_itemset(&self, items: &Itemset) -> io::Result<u64> {
-        let positions = self.positions_of_itemset(items);
-        self.slices
-            .count_selected_bounded_masked(&positions, None, self.dead.as_deref())
-    }
-
-    /// [`DiskBbs::count_itemset`] with the filter's early exit: the result
-    /// is exact whenever it is `≥ tau`, and an upper bound on the exact
-    /// count when it is `< tau` — exactly the contract
-    /// [`bbs_core::CountSource`] requires.
-    pub fn count_itemset_bounded(&self, items: &Itemset, tau: u64) -> io::Result<u64> {
-        let positions = self.positions_of_itemset(items);
-        self.slices
-            .count_selected_bounded_masked(&positions, Some(tau), self.dead.as_deref())
+        Ok(self.count_itemsets(std::slice::from_ref(items), None)?[0])
     }
 
     /// Batched `CountItemSet` over the shared-scan executor: one walk of
     /// the selected slice chunks serves the whole batch (each distinct
     /// cache-resident slice page is decoded once per chunk and feeds every
     /// interested accumulator).  `tau` applies to every query
-    /// independently, with the semantics of
-    /// [`DiskBbs::count_itemset_bounded`] (`None` = exact).  Results are
+    /// independently (`None` = exact): a result is exact whenever it is
+    /// `≥ tau`, and an upper bound on the exact count when it is `< tau` —
+    /// the contract [`bbs_core::CountSource`] requires.  Results are
     /// identical to counting the itemsets one at a time.
     pub fn count_itemsets(
         &self,
@@ -606,18 +596,9 @@ impl DiskCounter {
         self.slices.rows()
     }
 
-    /// `CountItemSet` through the per-op executor, with an optional early
-    /// exit (`tau` semantics as in [`DiskBbs::count_itemset_bounded`]).
-    pub fn count(&mut self, items: &Itemset, tau: Option<u64>) -> io::Result<u64> {
-        let positions = self.positions_of_itemset(items);
-        self.slices
-            .count_selected_bounded_masked(&positions, tau, self.dead.as_deref())
-    }
-
     /// Batched `CountItemSet` over the shared-scan executor (`tau`
-    /// semantics as in [`DiskCounter::count`], applied to each query
-    /// independently) — the reader-side twin of
-    /// [`DiskBbs::count_itemsets`].
+    /// semantics as in [`DiskBbs::count_itemsets`]) — its reader-side
+    /// twin.
     pub fn count_many(
         &mut self,
         itemsets: &[Itemset],
@@ -1659,7 +1640,7 @@ fn verify_deployment(base: &Path) -> io::Result<VerifyReport> {
 mod tests {
     use super::*;
     use std::path::PathBuf;
-    use bbs_core::{BbsMiner, Scheme};
+    use bbs_core::{BbsMiner, CountSource, Scheme, EXACT};
     use bbs_hash::Md5BloomHasher;
     use bbs_tdb::{FrequentPatternMiner, IoStats, NaiveMiner, SupportThreshold};
 
@@ -1937,17 +1918,17 @@ mod tests {
             // from a second reader to compare independent readers instead.
             let mut other = dep.index.counter().expect("counter2");
             assert_eq!(
-                reader.count(&q, None).expect("reader"),
-                other.count(&q, None).expect("other"),
+                reader.count_itemset(&q, EXACT).expect("reader"),
+                other.count_itemset(&q, EXACT).expect("other"),
                 "item {v}"
             );
         }
         // Bounded counting never undercounts below an achievable tau and is
         // exact at tau = 1 whenever the true count is >= 1.
         let q = Itemset::from_values(&[3]);
-        let exact = reader.count(&q, None).expect("exact");
+        let exact = reader.count_itemset(&q, EXACT).expect("exact");
         assert!(exact >= 10); // 10 true occurrences, estimates never undercount
-        assert_eq!(reader.count(&q, Some(1)).expect("bounded"), exact);
+        assert_eq!(reader.count_itemset(&q, 1).expect("bounded"), exact);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The durable transaction store: an append-only heap file plus a
 //! positional index.
 //!
-//! The paper's Probe refiner assumes "an index … on the database [whose]
+//! The paper's Probe refiner assumes "an index … on the database \[whose\]
 //! key is the relative position of the transaction from the beginning of
 //! the file" (§3.2).  That is exactly the pair of files here:
 //!

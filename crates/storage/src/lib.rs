@@ -15,8 +15,6 @@
 //!   database+index pair ([`DiskDeployment`]): append incrementally,
 //!   survive restarts, load to memory to mine, or count in place through
 //!   the cache;
-//! * [`adhoc`] — §4.9's ad-hoc queries answered entirely from the files
-//!   (slice-page estimates + heap-file probes, no load phase).
 //! * [`snapshot`] — epoch-stamped snapshot isolation over a deployment:
 //!   one group-committing writer, any number of immutable read snapshots
 //!   (the storage substrate of the `bbs-server` daemon).
@@ -42,7 +40,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod adhoc;
 pub mod backend;
 pub mod bytes;
 pub mod cache;
@@ -60,7 +57,6 @@ mod sealed;
 pub mod slicefile;
 pub mod snapshot;
 
-pub use adhoc::{DiskAdhocEngine, DiskQueryStats};
 pub use backend::{
     disk_full_error, is_disk_full, BitFlip, CrashMode, DynBackend, FaultInjector, FaultPlan,
     FileBackend, MemBackend, SharedFaultPlan, StorageBackend, WriteFault,

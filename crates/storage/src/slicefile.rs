@@ -18,16 +18,20 @@
 //!
 //! # Counting path
 //!
-//! `count_selected_bounded_masked` walks the selected slices chunk-by-chunk
-//! in row order: each chunk's cold pages are prefetched as a batch, ANDed
-//! **in place**
-//! (64-bit words decoded straight out of the cache-resident page bytes
-//! into a reused one-page accumulator — no per-slice `BitVec` is ever
-//! materialised), and popcounted with the tiered kernels of
-//! `bbs_bitslice::ops`.  Slices that keep being selected are promoted into
-//! a pinned **hot-slice cache** of decoded `u64` words (invalidated on
-//! append), and a `tau` budget stops the walk early once the running
-//! upper bound drops below the caller's threshold.
+//! A request counts through one executor,
+//! [`SliceFile::count_selected_many_masked`]; a single `COUNT` is a batch
+//! of one.  It walks the batch's selected slices chunk-by-chunk in row
+//! order: each chunk's cold pages are prefetched as a batch, the slices
+//! every query selects are ANDed once into a shared prefix, and each
+//! query's own slices are ANDed **in place** on a copy of it (64-bit words
+//! decoded straight out of the cache-resident page bytes into a reused
+//! one-page accumulator — no per-slice `BitVec` is ever materialised) and
+//! popcounted with the tiered kernels of `bbs_bitslice::ops`.  Slices that
+//! keep being selected are promoted into a pinned **hot-slice cache** of
+//! decoded `u64` words (invalidated on append), and a per-query `tau`
+//! budget retires a query early once its running upper bound drops below
+//! the threshold.  Mining does not come here: it walks the depth-first
+//! cursor ([`crate::DiskCounter`]) over `SliceFile::and_page`.
 //!
 //! All read-side state (page cache, hot slices, scratch buffers) lives
 //! behind a `Mutex`, so counting needs only `&self` — shared references
@@ -163,20 +167,20 @@ impl HotSlices {
 struct ReadState<B: StorageBackend> {
     cache: PageCache<B>,
     hot: HotSlices,
-    /// One-page `u64` accumulator, reused across chunks and calls.
+    /// One-page `u64` per-query accumulator, reused across chunks and
+    /// calls: accumulation across chunks lives in the running totals,
+    /// never in an accumulator, so one chunk-sized buffer serves every
+    /// query in the batch — re-seeded per query per chunk — instead of a
+    /// batch-sized pool of them thrashing the cache.
     acc: Vec<u64>,
     /// Scratch list of the current chunk's cold page ids.
     cold_ids: Vec<PageId>,
-    /// Prefix accumulator for the batched path, reused across calls.  The
-    /// per-query accumulator is [`ReadState::acc`]: accumulation across
-    /// chunks lives in the running totals, never in an accumulator, so one
-    /// chunk-sized buffer serves every query in the batch — re-seeded per
-    /// query per chunk — instead of a batch-sized pool of them thrashing
-    /// the cache.
+    /// One-page accumulator of the batch's shared prefix, reused across
+    /// chunks and calls.
     prefix_acc: Vec<u64>,
-    /// Dense pool of decoded shared-slice segments for the batched path,
-    /// indexed by the slot number in [`ReadState::batch_slots`]; buffers
-    /// are reused across chunks and calls.
+    /// Dense pool of decoded shared-slice segments, indexed by the slot
+    /// number in [`ReadState::batch_slots`]; buffers are reused across
+    /// chunks and calls.
     batch_segs: Vec<Vec<u64>>,
     /// Width-indexed slice → segment-slot map (`NO_SLOT` = not shared).
     /// Plain-array lookups here replace per-query hash-map probes on the
@@ -261,126 +265,15 @@ impl<B: StorageBackend> ReadState<B> {
         Ok(())
     }
 
-    /// The zero-copy fused count: AND the selected slices chunk-by-chunk in
-    /// row order, popcount as we go, and optionally stop once the running
-    /// upper bound falls below `tau`.
-    fn count_selected(
-        &mut self,
-        width: usize,
-        rows: u64,
-        slices: &[usize],
-        tau: Option<u64>,
-        dead: Option<(&[u64], u64)>,
-    ) -> io::Result<u64> {
-        if slices.is_empty() && dead.is_none() {
-            return Ok(rows);
-        }
-        let chunks = (rows as usize).div_ceil(CHUNK_ROWS) as u64;
-        if chunks == 0 {
-            return Ok(0);
-        }
-        self.promote(width, rows, slices)?;
-        let ReadState {
-            cache,
-            hot,
-            acc,
-            cold_ids,
-            ..
-        } = self;
-        acc.resize(PAGE_WORDS, 0);
-        let mut total = 0u64;
-        for c in 0..chunks {
-            let mut seeded = false;
-            // Tombstone mask: seed the accumulator with the *live* rows of
-            // this chunk (`!dead`, live beyond the bitmap's tail), so every
-            // slice AND below starts from "alive" instead of "all ones".
-            // AND+popcount is position-invariant, which makes the masked
-            // count equal, bit for bit, to counting a compacted rewrite of
-            // only the surviving rows.
-            if let Some((dead_words, _)) = dead {
-                let lo = (c as usize) * PAGE_WORDS;
-                for (i, a) in acc.iter_mut().enumerate() {
-                    *a = !dead_words.get(lo + i).copied().unwrap_or(0);
-                }
-                seeded = true;
-            }
-            cold_ids.clear();
-            for &s in slices {
-                match hot.pinned.get(&s) {
-                    Some(words) => {
-                        hot.hits += 1;
-                        let lo = (c as usize) * PAGE_WORDS;
-                        let hi = words.len().min(lo + PAGE_WORDS);
-                        let seg: &[u64] = if lo < hi { &words[lo..hi] } else { &[] };
-                        if seeded {
-                            ops::and_assign(acc, seg);
-                        } else {
-                            acc[..seg.len()].copy_from_slice(seg);
-                            acc[seg.len()..].fill(0);
-                            seeded = true;
-                        }
-                    }
-                    None => cold_ids.push(page_of(width, c, s)),
-                }
-            }
-            // Batched fetch: make this chunk's cold pages resident in one
-            // row-order pass before ANDing them (all hits below when the
-            // cache can hold the whole batch).
-            if cold_ids.len() < cache.capacity() {
-                cache.prefetch(cold_ids)?;
-            }
-            for &id in cold_ids.iter() {
-                if seeded {
-                    cache.with_page(id, |buf| {
-                        for (a, b) in acc.iter_mut().zip(buf.chunks_exact(8)) {
-                            *a &= u64::from_le_bytes(b.try_into().expect("8 bytes"));
-                        }
-                    })?;
-                } else {
-                    cache.with_page(id, |buf| {
-                        for (a, b) in acc.iter_mut().zip(buf.chunks_exact(8)) {
-                            *a = u64::from_le_bytes(b.try_into().expect("8 bytes"));
-                        }
-                    })?;
-                    seeded = true;
-                }
-            }
-            // Snapshot clamp: in the boundary chunk, bits at row positions
-            // `>= rows` are discarded before counting.  In the single-owner
-            // case those bits are zero anyway (pages start zeroed); for a
-            // reader that opened at `rows = N` while a writer keeps
-            // appending to the same file, this is what guarantees the count
-            // reflects exactly the first N rows — never a half-appended
-            // newer batch.
-            if c == chunks - 1 {
-                let within = rows as usize - (c as usize) * CHUNK_ROWS;
-                if within < CHUNK_ROWS {
-                    mask_from(acc, within);
-                }
-            }
-            total += ops::count_ones(acc) as u64;
-            if let Some(tau) = tau {
-                // Every remaining chunk can contribute at most CHUNK_ROWS
-                // bits; once even that cannot reach tau, the exact count
-                // cannot either.  The returned bound never undercounts.
-                let bound = total + (chunks - 1 - c) * CHUNK_ROWS as u64;
-                if bound < tau {
-                    return Ok(bound);
-                }
-            }
-        }
-        Ok(total)
-    }
-
     /// Shared-scan batched counting (see
     /// [`SliceFile::count_selected_many_masked`]).
     ///
     /// The per-chunk loop decodes each distinct selected slice **once** —
     /// from the pinned hot words or from its cache-resident page — and then
     /// drives every still-active query's accumulator from those shared
-    /// segments.  Per-op counting walks the same pages once *per query*;
-    /// here the page fetch + decode cost is paid once per chunk for the
-    /// whole batch, which is what amortises concurrent hot-slice queries.
+    /// segments: the page fetch + decode cost is paid once per chunk for
+    /// the whole batch, not once per query, which is what amortises
+    /// concurrent hot-slice queries.
     ///
     /// Slices every active query selects are hoisted: their AND is
     /// materialised once per chunk and copied into each query's
@@ -472,8 +365,8 @@ impl<B: StorageBackend> ReadState<B> {
                 // list is deduped, so it contributes at most 1).  Hoisted
                 // slices are ANDed once per chunk into the prefix
                 // accumulator instead of once per query, which is where an
-                // overlapping batch beats per-op counting on arithmetic,
-                // not just on I/O.
+                // overlapping batch saves arithmetic, not just I/O.  A
+                // batch of one hoists all its slices.
                 eff_prefix.clear();
                 for &s in union.iter() {
                     if mult[s] as usize == active {
@@ -484,9 +377,9 @@ impl<B: StorageBackend> ReadState<B> {
                 // A non-prefix slice selected by ≥ 2 active queries (and
                 // not already pinned hot) earns a decoded-segment slot.  A
                 // slice unique to one query never does — it is ANDed
-                // straight from its cache-resident page bytes, exactly
-                // like the per-op path, so a batch of disjoint queries
-                // costs no more than per-op counting.
+                // straight from its cache-resident page bytes, so a batch
+                // of disjoint queries costs no more than counting them one
+                // at a time.
                 cold_slices.clear();
                 shared_slices.clear();
                 let mut next = 0u32;
@@ -510,8 +403,9 @@ impl<B: StorageBackend> ReadState<B> {
             for &s in cold_slices.iter() {
                 cold_ids.push(page_of(width, c, s));
             }
-            // Batched fetch, as in the per-op path: the chunk's cold pages
-            // become resident in one row-order pass.
+            // Batched fetch: the chunk's cold pages become resident in one
+            // row-order pass before any is ANDed (all hits below when the
+            // cache can hold the whole batch).
             if cold_ids.len() < cache.capacity() {
                 cache.prefetch(cold_ids)?;
             }
@@ -531,7 +425,7 @@ impl<B: StorageBackend> ReadState<B> {
             // decoded segment, hot words, or zero-copy off the page),
             // seeding on first use.  The slot test is a plain array read,
             // so the per-query inner loop probes a hash map at most once
-            // per slice (the pinned-set lookup), as per-op counting does.
+            // per slice (the pinned-set lookup).
             macro_rules! apply {
                 ($acc:expr, $seeded:expr, $s:expr) => {{
                     let acc: &mut [u64] = $acc;
@@ -575,10 +469,13 @@ impl<B: StorageBackend> ReadState<B> {
                 }};
             }
             // The shared projection: AND the effective prefix (the hoisted
-            // common slices) once per chunk.  The tombstone mask
-            // rides it as an implicit member — seeded first, so the whole
-            // batch pays one masked copy per chunk (the same prefix-hoisting
-            // amortisation the projection itself gets).
+            // common slices) once per chunk.  The tombstone mask rides it
+            // as an implicit member — seeded with the chunk's *live* rows
+            // (`!dead`, live beyond the bitmap's tail), so the whole batch
+            // pays one masked copy per chunk.  AND+popcount is
+            // position-invariant, which makes the masked count equal, bit
+            // for bit, to counting a compacted rewrite of only the
+            // surviving rows.
             let mut prefix_seeded = false;
             if let Some((dead_words, _)) = dead {
                 for (i, a) in prefix_acc.iter_mut().enumerate() {
@@ -605,13 +502,22 @@ impl<B: StorageBackend> ReadState<B> {
                     }
                     apply!(acc, seeded, s);
                 }
-                // Snapshot clamp on the boundary chunk, exactly as in the
-                // per-op path.
+                // Snapshot clamp: in the boundary chunk, bits at row
+                // positions `>= rows` are discarded before counting.  In
+                // the single-owner case those bits are zero anyway (pages
+                // start zeroed); for a reader that opened at `rows = N`
+                // while a writer keeps appending to the same file, this is
+                // what guarantees the count reflects exactly the first N
+                // rows — never a half-appended newer batch.
                 if c == chunks - 1 && within < CHUNK_ROWS {
                     mask_from(acc, within);
                 }
                 totals[i] += ops::count_ones(acc) as u64;
                 if let Some(tau) = tau {
+                    // Every remaining chunk can contribute at most
+                    // CHUNK_ROWS bits; once even that cannot reach tau, the
+                    // exact count cannot either.  The bound never
+                    // undercounts.
                     let bound = totals[i] + (chunks - 1 - c) * CHUNK_ROWS as u64;
                     if bound < *tau {
                         totals[i] = bound;
@@ -855,7 +761,7 @@ impl<B: StorageBackend> SliceFile<B> {
     ///
     /// The pinned hot-slice cache is invalidated exactly once per append
     /// (and only when something was pinned), *before* the first bit is
-    /// written — see the invalidation contract on [`HotSlices`].  The row
+    /// written — see the invalidation contract on `HotSlices`.  The row
     /// becomes visible to this handle immediately and to independent
     /// readers only after [`SliceFile::flush`] (readers clamp counting to
     /// the row count their header said at open, so a concurrently
@@ -892,44 +798,26 @@ impl<B: StorageBackend> SliceFile<B> {
         Ok(BitVec::from_words(words, self.rows as usize))
     }
 
-    /// ANDs the selected slices together and popcounts, reading only those
-    /// slices' pages — `CountItemSet` straight off the disk layout (an
-    /// empty selection counts every row).  With `tau = Some(τ)` the
-    /// result is exact whenever it is `≥ τ`, and an upper bound on the
-    /// exact count when it is `< τ` (counting stops as soon as even
-    /// all-ones remaining chunks could not reach `τ`).
+    /// `CountItemSet` straight off the disk layout, for a batch of queries
+    /// (each a deduplicated list of selected slices, plus an optional τ):
+    /// each query ANDs its slices together and popcounts, reading only
+    /// those slices' pages (an empty selection counts every live row).
+    /// With `tau = Some(τ)` a result is exact whenever it is `≥ τ`, and an
+    /// upper bound on the exact count when it is `< τ` (the query stops as
+    /// soon as even all-ones remaining chunks could not reach `τ`).
     ///
     /// Rows set in `dead` are AND-NOTed out of every chunk (§3.4's
     /// constraint-slice trick, pointed at tombstones): the result is
     /// bit-for-bit what counting a compacted rewrite of only the surviving
     /// rows would give.
-    pub fn count_selected_bounded_masked(
-        &self,
-        slices: &[usize],
-        tau: Option<u64>,
-        dead: Option<&DeadMask>,
-    ) -> io::Result<u64> {
-        self.state().count_selected(
-            self.width,
-            self.rows,
-            slices,
-            tau,
-            dead.filter(|d| d.deleted > 0)
-                .map(|d| (d.words.as_slice(), d.deleted)),
-        )
-    }
-
-    /// Shared-scan batched counting: walks each selected slice chunk once
-    /// for the *whole batch*, feeding every query's accumulator from the
-    /// same decoded segment, with an independent τ-consistent early exit
-    /// per query and the same `tau` / `dead` semantics as
-    /// [`SliceFile::count_selected_bounded_masked`].  The mask rides the
-    /// shared-scan prefix accumulator, so the whole batch pays one masked
-    /// seed per chunk.
     ///
-    /// Results are bit-for-bit identical to issuing the queries one at a
-    /// time — the batch only changes how often shared pages are fetched
-    /// and decoded.
+    /// The scan is shared: each selected slice chunk is walked once for the
+    /// *whole batch*, feeding every query's accumulator from the same
+    /// decoded segment, and the mask rides the shared prefix accumulator,
+    /// so the batch pays one masked seed per chunk.  Results are
+    /// bit-for-bit identical to issuing the queries one at a time (a
+    /// single count is a batch of one) — the batch only changes how often
+    /// shared pages are fetched and decoded.
     pub fn count_selected_many_masked(
         &self,
         queries: &[(Vec<usize>, Option<u64>)],
@@ -1032,6 +920,16 @@ mod tests {
         p
     }
 
+    /// One query through the batch executor: a batch of one.
+    fn count_one(
+        f: &SliceFile,
+        slices: &[usize],
+        tau: Option<u64>,
+        dead: Option<&DeadMask>,
+    ) -> io::Result<u64> {
+        Ok(f.count_selected_many_masked(&[(slices.to_vec(), tau)], dead)?[0])
+    }
+
     struct Cleanup(std::path::PathBuf);
     impl Drop for Cleanup {
         fn drop(&mut self) {
@@ -1071,12 +969,12 @@ mod tests {
         f.append_row(&[0, 1]).expect("append");
         f.append_row(&[1]).expect("append");
         f.append_row(&[0, 1, 2]).expect("append");
-        assert_eq!(f.count_selected_bounded_masked(&[], None, None).expect("count"), 3);
-        assert_eq!(f.count_selected_bounded_masked(&[1], None, None).expect("count"), 3);
-        assert_eq!(f.count_selected_bounded_masked(&[0], None, None).expect("count"), 2);
-        assert_eq!(f.count_selected_bounded_masked(&[0, 1], None, None).expect("count"), 2);
-        assert_eq!(f.count_selected_bounded_masked(&[0, 2], None, None).expect("count"), 1);
-        assert_eq!(f.count_selected_bounded_masked(&[0, 1, 2], None, None).expect("count"), 1);
+        assert_eq!(count_one(&f, &[], None, None).expect("count"), 3);
+        assert_eq!(count_one(&f, &[1], None, None).expect("count"), 3);
+        assert_eq!(count_one(&f, &[0], None, None).expect("count"), 2);
+        assert_eq!(count_one(&f, &[0, 1], None, None).expect("count"), 2);
+        assert_eq!(count_one(&f, &[0, 2], None, None).expect("count"), 1);
+        assert_eq!(count_one(&f, &[0, 1, 2], None, None).expect("count"), 1);
     }
 
     #[test]
@@ -1110,8 +1008,8 @@ mod tests {
         }
         assert_eq!(f.rows(), n as u64);
         assert_eq!(f.load_slice(2).expect("slice").count_ones(), n);
-        assert_eq!(f.count_selected_bounded_masked(&[2], None, None).expect("count"), n as u64);
-        assert_eq!(f.count_selected_bounded_masked(&[1, 2], None, None).expect("count"), 0);
+        assert_eq!(count_one(&f, &[2], None, None).expect("count"), n as u64);
+        assert_eq!(count_one(&f, &[1, 2], None, None).expect("count"), 0);
     }
 
     #[test]
@@ -1146,14 +1044,14 @@ mod tests {
                 f.append_row(&[i % 2]).expect("append");
             }
         }
-        let exact = f.count_selected_bounded_masked(&[0, 1], None, None).expect("exact");
+        let exact = count_one(&f, &[0, 1], None, None).expect("exact");
         assert_eq!(exact, 10);
         // tau below the count: result must be exact.
-        assert_eq!(f.count_selected_bounded_masked(&[0, 1], Some(5), None).expect("b"), 10);
+        assert_eq!(count_one(&f, &[0, 1], Some(5), None).expect("b"), 10);
         // tau far above: an early exit may fire, but never undercounts and
         // never crosses tau from below.
         let big_tau = 2 * CHUNK_ROWS as u64;
-        let est = f.count_selected_bounded_masked(&[0, 1], Some(big_tau), None).expect("b");
+        let est = count_one(&f, &[0, 1], Some(big_tau), None).expect("b");
         assert!(est >= exact);
         assert!(est < big_tau);
         // Unbounded agrees with the naive per-slice AND.
@@ -1171,17 +1069,17 @@ mod tests {
             f.append_row(&[(i % 8) as usize]).expect("append");
         }
         for _ in 0..5 {
-            f.count_selected_bounded_masked(&[0, 1], None, None).expect("count");
+            count_one(&f, &[0, 1], None, None).expect("count");
         }
         let hs = f.hot_stats();
         assert!(hs.pinned >= 2, "repeatedly selected slices get pinned: {hs:?}");
         assert!(hs.hits > 0);
-        let before = f.count_selected_bounded_masked(&[0], None, None).expect("count");
+        let before = count_one(&f, &[0], None, None).expect("count");
         // Append invalidates the pinned words; counting still agrees.
         f.append_row(&[0]).expect("append");
         assert_eq!(f.hot_stats().pinned, 0);
         assert!(f.hot_stats().invalidations >= 1);
-        assert_eq!(f.count_selected_bounded_masked(&[0], None, None).expect("count"), before + 1);
+        assert_eq!(count_one(&f, &[0], None, None).expect("count"), before + 1);
     }
 
     #[test]
@@ -1195,7 +1093,7 @@ mod tests {
         // Nothing pinned yet: those 100 appends cost zero invalidations.
         assert_eq!(f.hot_stats().invalidations, 0);
         for _ in 0..PROMOTE_AFTER {
-            f.count_selected_bounded_masked(&[0, 1], None, None).expect("count");
+            count_one(&f, &[0, 1], None, None).expect("count");
         }
         assert!(f.hot_stats().pinned >= 2);
         // One append over a pinned set: exactly one invalidation.
@@ -1208,7 +1106,7 @@ mod tests {
         assert_eq!(f.hot_stats().invalidations, 1);
         // Counting re-promotes (selection counts survived), and the next
         // append invalidates exactly once again.
-        f.count_selected_bounded_masked(&[0, 1], None, None).expect("count");
+        count_one(&f, &[0, 1], None, None).expect("count");
         assert!(f.hot_stats().pinned >= 2, "{:?}", f.hot_stats());
         f.append_row(&[3]).expect("append");
         assert_eq!(f.hot_stats().invalidations, 2);
@@ -1232,20 +1130,20 @@ mod tests {
             writer.append_row(&[0, 1]).expect("append");
         }
         writer.flush().expect("flush");
-        assert_eq!(reader.count_selected_bounded_masked(&[0], None, None).expect("count"), 100);
-        assert_eq!(reader.count_selected_bounded_masked(&[0, 1], None, None).expect("count"), 100);
+        assert_eq!(count_one(&reader, &[0], None, None).expect("count"), 100);
+        assert_eq!(count_one(&reader, &[0, 1], None, None).expect("count"), 100);
         assert_eq!(reader.load_slice(1).expect("slice").count_ones(), 100);
         // Repeat counting so the reader pins hot slices (decoded from pages
         // that now contain newer bits) — the clamp must hold there too.
         for _ in 0..5 {
-            assert_eq!(reader.count_selected_bounded_masked(&[0, 1], None, None).expect("count"), 100);
+            assert_eq!(count_one(&reader, &[0, 1], None, None).expect("count"), 100);
         }
         assert!(reader.hot_stats().pinned > 0);
-        assert_eq!(reader.count_selected_bounded_masked(&[0, 1], None, None).expect("count"), 100);
+        assert_eq!(count_one(&reader, &[0, 1], None, None).expect("count"), 100);
         // A freshly opened reader sees the newer flushed state.
         let fresh = SliceFile::open(&p, 8, 64).expect("fresh");
         assert_eq!(fresh.rows(), 150);
-        assert_eq!(fresh.count_selected_bounded_masked(&[0, 1], None, None).expect("count"), 150);
+        assert_eq!(count_one(&fresh, &[0, 1], None, None).expect("count"), 150);
     }
 
     #[test]
@@ -1269,19 +1167,19 @@ mod tests {
         ];
         let batched = f.count_selected_many_masked(&queries, None).expect("batched");
         for (i, (slices, tau)) in queries.iter().enumerate() {
-            let solo = f.count_selected_bounded_masked(slices, *tau, None).expect("solo");
+            let solo = count_one(&f, slices, *tau, None).expect("solo");
             assert_eq!(batched[i], solo, "query {i} {slices:?} tau {tau:?}");
         }
         // Repeat after hot promotion: pinned-slice segments agree too.
         for _ in 0..5 {
-            f.count_selected_bounded_masked(&[0, 1], None, None).expect("promote");
+            count_one(&f, &[0, 1], None, None).expect("promote");
         }
         assert!(f.hot_stats().pinned > 0);
         let batched2 = f.count_selected_many_masked(&queries, None).expect("batched hot");
         assert_eq!(batched, batched2);
         // A batch whose queries all select slices 1 and 2 has them hoisted
-        // into the shared prefix accumulator; answers still equal per-op
-        // counting, including for the query that selects nothing else.
+        // into the shared prefix accumulator; answers still equal counting
+        // each query alone, including for the query that selects nothing else.
         let common: Vec<(Vec<usize>, Option<u64>)> = vec![
             (vec![1, 2, 3], None),
             (vec![1, 2, 5], Some(5)),
@@ -1290,7 +1188,7 @@ mod tests {
         ];
         let hoisted = f.count_selected_many_masked(&common, None).expect("hoisted");
         for (i, (slices, tau)) in common.iter().enumerate() {
-            let solo = f.count_selected_bounded_masked(slices, *tau, None).expect("solo");
+            let solo = count_one(&f, slices, *tau, None).expect("solo");
             assert_eq!(hoisted[i], solo, "hoisted query {i} {slices:?} tau {tau:?}");
         }
     }
@@ -1337,20 +1235,17 @@ mod tests {
         ];
         for (slices, _) in &queries {
             assert_eq!(
-                f.count_selected_bounded_masked(slices, None, Some(&dead))
-                    .expect("masked"),
-                g.count_selected_bounded_masked(slices, None, None).expect("rebuilt"),
-                "per-op {slices:?}"
+                count_one(&f, slices, None, Some(&dead)).expect("masked"),
+                count_one(&g, slices, None, None).expect("rebuilt"),
+                "alone {slices:?}"
             );
         }
         let masked = f
             .count_selected_many_masked(&queries, Some(&dead))
             .expect("masked many");
         for (i, (slices, tau)) in queries.iter().enumerate() {
-            let solo = f
-                .count_selected_bounded_masked(slices, *tau, Some(&dead))
-                .expect("solo masked");
-            assert_eq!(masked[i], solo, "batched vs per-op {slices:?}");
+            let solo = count_one(&f, slices, *tau, Some(&dead)).expect("solo masked");
+            assert_eq!(masked[i], solo, "batched vs alone {slices:?}");
         }
         // Hoisted common slices with the mask riding the shared prefix.
         let common: Vec<(Vec<usize>, Option<u64>)> = queries
@@ -1366,7 +1261,7 @@ mod tests {
             .count_selected_many_masked(&common, Some(&dead))
             .expect("hoisted masked");
         for (i, (union, tau)) in common.iter().enumerate() {
-            let exact = g.count_selected_bounded_masked(union, None, None).expect("rebuilt union");
+            let exact = count_one(&g, union, None, None).expect("rebuilt union");
             match tau {
                 // No early exit: the masked count must be exact.
                 None => assert_eq!(hoisted[i], exact, "hoisted {union:?}"),
@@ -1383,9 +1278,8 @@ mod tests {
         }
         // No tombstones: the masked paths degrade to the plain ones.
         assert_eq!(
-            f.count_selected_bounded_masked(&[0], None, Some(&DeadMask::default()))
-                .expect("empty mask"),
-            f.count_selected_bounded_masked(&[0], None, None).expect("plain")
+            count_one(&f, &[0], None, Some(&DeadMask::default())).expect("empty mask"),
+            count_one(&f, &[0], None, None).expect("plain")
         );
     }
 
@@ -1399,16 +1293,16 @@ mod tests {
                 .expect("append");
         }
         let shared = &f;
-        let a = shared.count_selected_bounded_masked(&[0], None, None).expect("a");
-        let b = shared.count_selected_bounded_masked(&[0], None, None).expect("b");
+        let a = count_one(shared, &[0], None, None).expect("a");
+        let b = count_one(shared, &[0], None, None).expect("b");
         assert_eq!(a, b);
         // And across scoped threads on the same shared reference.
         let (x, y) = std::thread::scope(|s| {
-            let h1 = s.spawn(|| shared.count_selected_bounded_masked(&[0, 1], None, None).expect("t1"));
-            let h2 = s.spawn(|| shared.count_selected_bounded_masked(&[0, 1], None, None).expect("t2"));
+            let h1 = s.spawn(|| count_one(shared, &[0, 1], None, None).expect("t1"));
+            let h2 = s.spawn(|| count_one(shared, &[0, 1], None, None).expect("t2"));
             (h1.join().expect("join1"), h2.join().expect("join2"))
         });
         assert_eq!(x, y);
-        assert_eq!(x, shared.count_selected_bounded_masked(&[0, 1], None, None).expect("serial"));
+        assert_eq!(x, count_one(shared, &[0, 1], None, None).expect("serial"));
     }
 }

@@ -115,8 +115,15 @@ impl Snapshot {
         self.heap.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// The item hasher this snapshot's index positions items with — the
+    /// deployment's, whatever it was opened with.
+    pub fn hasher(&self) -> &Arc<dyn ItemHasher> {
+        self.index.hasher()
+    }
+
     /// `CountItemSet` at this epoch: the BBS estimate (an upper bound on
-    /// the exact support, exact for the rows this snapshot covers).
+    /// the exact support, exact for the rows this snapshot covers) — a
+    /// batch of one for [`Snapshot::count_many`].
     pub fn count(&self, items: &Itemset) -> io::Result<u64> {
         let _fence = read_fence(&self.io);
         self.index.count_itemset(items)

@@ -1,8 +1,9 @@
-//! Proptest oracle for the batched shared-scan executor: `count_many`
-//! answers must be bit-for-bit identical to N independent `count` calls
-//! and to the in-memory reference index, across mixed-length itemsets,
-//! τ early-exit bounds, the reader cursor's extension batches over a
-//! constraint prefix, and concurrent-appender interleavings.
+//! Proptest oracle for the batched shared-scan executor — the one path a
+//! request counts through (a single `count` is a batch of one): `count_many`
+//! answers must be bit-for-bit identical to the in-memory reference index
+//! and obey the τ contract, across mixed-length itemsets, τ early-exit
+//! bounds, the reader cursor's extension batches over a constraint prefix,
+//! and concurrent-appender interleavings.
 
 use bbs_bitslice::BitVec;
 use bbs_core::{CountSource, EXACT};
@@ -65,10 +66,10 @@ proptest! {
     // Each case builds a real on-disk deployment; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The core oracle chain: batched == per-op == in-memory reference,
-    /// with τ-consistency of early-exit answers against the exact count.
+    /// The core oracle chain: batched == in-memory reference, with
+    /// τ-consistency of early-exit answers against the exact count.
     #[test]
-    fn batched_matches_per_op_and_memory_reference(
+    fn batched_matches_memory_reference(
         rows in rows_strategy(),
         queries in queries_strategy(),
         // The vendored proptest has no `option::of`; fold "no tau" into
@@ -81,16 +82,7 @@ proptest! {
         let itemsets: Vec<Itemset> =
             queries.iter().map(|q| Itemset::from_values(q)).collect();
 
-        // Batched shared scan vs N independent per-op counts, same tau:
-        // must be bit-for-bit identical.
         let batched = dep.index.count_itemsets(&itemsets, tau).expect("count_many");
-        for (i, q) in itemsets.iter().enumerate() {
-            let per_op = match tau {
-                None => dep.index.count_itemset(q).expect("count"),
-                Some(t) => dep.index.count_itemset_bounded(q, t).expect("count bounded"),
-            };
-            prop_assert_eq!(batched[i], per_op, "query {} {:?} tau {:?}", i, q, tau);
-        }
 
         // An independent reader handle (its own cache + hot slices) agrees.
         let mut counter = dep.index.counter().expect("counter");
@@ -117,9 +109,9 @@ proptest! {
 
     /// Extension batches through the reader's cursor: counting
     /// `prefix ∪ {e}` on the AND-result the cursor carries for the prefix
-    /// equals per-op union counting and the in-memory constrained path
-    /// (§3.4 — the prefix's AND *is* a materialised constraint slice
-    /// applied to every sibling).
+    /// equals the executor's count of the union and the in-memory
+    /// constrained path (§3.4 — the prefix's AND *is* a materialised
+    /// constraint slice applied to every sibling).
     #[test]
     fn cursor_extensions_match_union_and_constrained_memory(
         rows in rows_strategy(),
@@ -159,8 +151,8 @@ proptest! {
 
         for (i, &e) in exts.iter().enumerate() {
             let union = Itemset::from_values(&[SENTINEL, e]);
-            let per_op = counter.count(&union, None).expect("union count");
-            prop_assert_eq!(projected[i], per_op, "ext {}", e);
+            let whole = dep.index.count_itemset(&union).expect("union count");
+            prop_assert_eq!(projected[i], whole, "ext {}", e);
             let constrained =
                 mem.est_count_constrained(&Itemset::from_values(&[e]), &constraint, &mut io);
             prop_assert_eq!(projected[i], constrained, "constrained ext {}", e);
@@ -212,8 +204,11 @@ fn tau_dropout_mid_scan_never_reuses_stale_shared_segments() {
         .count_itemsets(&queries, Some(tau))
         .expect("batched");
     for (i, q) in queries.iter().enumerate() {
-        let per_op = dep.index.count_itemset_bounded(q, tau).expect("per-op");
-        assert_eq!(batched[i], per_op, "query {q:?}");
+        let alone = dep
+            .index
+            .count_itemsets(std::slice::from_ref(q), Some(tau))
+            .expect("alone");
+        assert_eq!(batched[i], alone[0], "query {q:?}");
     }
     // Premise checks: the dropouts actually happened (their answers are
     // early-exit bounds below τ) and A's answer is exact and ≥ τ.
@@ -235,7 +230,7 @@ fn txn(i: u64) -> Transaction {
 
 /// Concurrent-appender interleavings: while a writer group-commits,
 /// every snapshot a reader takes must answer `count_many` exactly as N
-/// per-op `count` calls on that same snapshot — the shared scan may never
+/// single `count` calls on that same snapshot — the shared scan may never
 /// mix epochs across the queries of one batch.
 #[test]
 fn concurrent_appenders_never_split_a_batch_across_epochs() {
@@ -269,10 +264,10 @@ fn concurrent_appenders_never_split_a_batch_across_epochs() {
                 let snap = shared.snapshot();
                 let batched = snap.count_many(&queries).expect("count_many");
                 for (i, q) in queries.iter().enumerate() {
-                    let per_op = snap.count(q).expect("count");
+                    let alone = snap.count(q).expect("count");
                     assert_eq!(
                         batched[i],
-                        per_op,
+                        alone,
                         "reader {r}: query {q:?} split from its snapshot"
                     );
                 }

@@ -2,8 +2,8 @@
 //! [`CountSource`]), on a file that has the hard cases: three chunks, the
 //! middle one wholly tombstoned, dead stragglers in the other two, a
 //! boundary chunk, and reader caches of 1, 2 and ample pages.  The oracle
-//! is [`DiskBbs::count_itemset`] — the per-op executor, which shares no
-//! counting code with the cursor.
+//! is [`DiskBbs::count_itemset`] — a batch of one through the shared-scan
+//! executor, which shares no counting code with the cursor.
 
 use bbs_core::{run_filter_source_threaded, CountSource, FilterKind, EXACT};
 use bbs_hash::{ItemHasher, Md5BloomHasher};

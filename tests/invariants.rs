@@ -205,34 +205,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The persisted index round-trips byte-exactly: same estimates for
-    /// every query, same vocabulary, same exact 1-item counts.
-    #[test]
-    fn persist_roundtrip_preserves_semantics(
-        db in arb_db(24, 20),
-        query in arb_itemset(24),
-    ) {
-        let mut io = IoStats::new();
-        let bbs = Bbs::build(48, Arc::new(Md5BloomHasher::new(3)), &db, &mut io);
-        let mut buf = Vec::new();
-        bbs_core::persist::save(&bbs, &mut buf).expect("save");
-        let loaded = bbs_core::persist::load(
-            &mut buf.as_slice(),
-            Arc::new(Md5BloomHasher::new(3)),
-        ).expect("load");
-        prop_assert_eq!(loaded.vocabulary(), bbs.vocabulary());
-        prop_assert_eq!(
-            loaded.est_count(&query, &mut io),
-            bbs.est_count(&query, &mut io)
-        );
-        for item in bbs.vocabulary() {
-            prop_assert_eq!(
-                loaded.actual_singleton_count(item),
-                bbs.actual_singleton_count(item)
-            );
-        }
-    }
-
     /// The text format round-trips any database exactly.
     #[test]
     fn text_format_roundtrip(db in arb_db(40, 25)) {
