@@ -6,9 +6,11 @@
 //! (`bbs_shard::gather`, with its scaled-τ cross-shard scheme) run
 //! unchanged over remote nodes.  Under the hood every call goes through a
 //! [`RetryClient`] — per-request timeouts, capped exponential backoff
-//! with jitter, reconnect after transport failures — and counting runs
-//! against a **pinned epoch** so the τ scheme's re-queries patch the same
-//! snapshot the first pass scattered over.
+//! with jitter, reconnect after transport failures.  An exact count is
+//! one `COUNT_MANY_AT` frame per shard at the latest epoch, which the
+//! shard pins as it answers; every other read runs against the epoch its
+//! request pinned, so the τ scheme's re-queries patch the same snapshot
+//! the first pass scattered over, and a mine pulls the rows of one cut.
 //!
 //! # Failure model
 //!
@@ -20,8 +22,11 @@
 //!    shard's exactly-once window answers a retry of a committed batch
 //!    with its original receipt.
 //! 2. **Stale pins** (the shard evicted our pinned snapshot) come back as
-//!    a typed error; the handle re-pins the latest snapshot and retries
-//!    once.
+//!    a typed error.  Reads through the handle's own pin
+//!    ([`RemoteShardHandle::count_many_pinned`],
+//!    [`RemoteShardHandle::pull_rows`]) re-pin the latest snapshot and
+//!    retry once; a request's pin fails the request instead, because
+//!    re-pinning it would answer from another cut.
 //! 3. **Primary loss** (the retry budget exhausted on transport errors)
 //!    triggers **replica failover** when the topology names a follower:
 //!    the handle promotes the follower, re-points itself at it, re-pins,
@@ -34,8 +39,8 @@
 use bbs_core::{tally_subsets, Bbs, BbsCursor};
 use bbs_hash::{ItemHasher, Md5BloomHasher, ModuloHasher};
 use bbs_server::{
-    json_column, maintain_action, ClientError, ClientResult, Gauge, MineView, Node, PinReply,
-    Request, Response, RetryClient, RetryPolicy, ServerAddr, ShardFaults,
+    json_column, maintain_action, ClientError, ClientResult, CountsAtReply, Gauge, MineView, Node,
+    PinReply, Request, Response, RetryClient, RetryPolicy, ServerAddr, ShardFaults,
 };
 use bbs_shard::{scatter, ShardHandle};
 use bbs_tdb::{IoStats, ItemId, Itemset, Transaction, TransactionDb};
@@ -271,30 +276,19 @@ impl RemoteShardHandle {
         })
     }
 
-    /// The epoch pinned reads run against, pinning one if none is held.
-    fn pinned_epoch(&self) -> ClientResult<u64> {
-        match self.pin() {
-            Some(pin) => Ok(pin.epoch),
-            None => Ok(self.repin()?.epoch),
-        }
-    }
-
-    /// Batched counting against the current pin, re-pinning once if the
-    /// shard evicted it.  The heart of the remote [`ShardHandle`].
-    pub fn count_many_pinned(
-        &self,
-        itemsets: &[Vec<u32>],
-        tau: Option<u64>,
-    ) -> ClientResult<Vec<u64>> {
+    /// Runs `read` at the handle's current pin (pinning one if none is
+    /// held), re-pinning once if the shard evicted it.
+    fn at_current_pin<T>(&self, read: impl Fn(u64) -> ClientResult<T>) -> ClientResult<T> {
         for _ in 0..2 {
-            let epoch = self.pinned_epoch()?;
-            match self.call(|c| c.count_many_at(epoch, itemsets, tau)) {
-                Ok(reply) => return Ok(reply.supports),
+            let epoch = match self.pin() {
+                Some(pin) => pin.epoch,
+                None => self.repin()?.epoch,
+            };
+            match read(epoch) {
                 Err(ClientError::Server(msg)) if msg.starts_with("stale pin") => {
                     self.repin()?;
-                    continue;
                 }
-                Err(e) => return Err(e),
+                other => return other,
             }
         }
         Err(ClientError::Protocol(format!(
@@ -303,40 +297,79 @@ impl RemoteShardHandle {
         )))
     }
 
-    /// Pulls every transaction of the current pin, in row order, chunked
-    /// under the server's per-reply row and byte budgets.
-    pub fn pull_rows(&self) -> ClientResult<Vec<(u64, Vec<u32>)>> {
+    /// Batched counting at `epoch`, which must still be pinned.
+    fn count_at(
+        &self,
+        epoch: u64,
+        itemsets: &[Vec<u32>],
+        tau: Option<u64>,
+    ) -> ClientResult<Vec<u64>> {
+        Ok(self
+            .call(|c| c.count_many_at(Some(epoch), itemsets, tau))?
+            .supports)
+    }
+
+    /// Every live transaction at `epoch`, which must still be pinned, in
+    /// row order: chunked pulls under the server's per-reply row and byte
+    /// budgets, each resuming where the last one stopped examining.
+    fn rows_at(&self, epoch: u64) -> ClientResult<Vec<(u64, Vec<u32>)>> {
         const CHUNK: u32 = 8192;
         let mut txns: Vec<(u64, Vec<u32>)> = Vec::new();
+        let mut from = 0;
         loop {
-            let epoch = self.pinned_epoch()?;
-            let from = txns.len() as u64;
-            match self.call(|c| c.rows(epoch, from, CHUNK)) {
-                Ok(reply) => {
-                    if txns.is_empty() && reply.total == 0 {
-                        return Ok(txns);
-                    }
-                    if reply.txns.is_empty() && from < reply.total {
-                        return Err(ClientError::Protocol(format!(
-                            "shard {}: empty rows reply at {from}/{}",
-                            self.shard, reply.total
-                        )));
-                    }
-                    txns.extend(reply.txns);
-                    if txns.len() as u64 >= reply.total {
-                        return Ok(txns);
-                    }
-                }
-                Err(ClientError::Server(msg)) if msg.starts_with("stale pin") => {
-                    // The pin died (eviction or failover): re-pin and
-                    // restart the pull — a half-pulled row set from one
-                    // snapshot must not be extended from another.
-                    self.repin()?;
-                    txns.clear();
-                }
-                Err(e) => return Err(e),
+            let reply = self.call(|c| c.rows(epoch, from, CHUNK))?;
+            txns.extend(reply.txns);
+            if reply.next >= reply.total {
+                return Ok(txns);
             }
+            if reply.next <= from {
+                return Err(ClientError::Protocol(format!(
+                    "shard {}: rows reply made no progress at {from}/{}",
+                    self.shard, reply.total
+                )));
+            }
+            from = reply.next;
         }
+    }
+
+    /// Batched counting against the handle's current pin, re-pinning once
+    /// if the shard evicted it.
+    pub fn count_many_pinned(
+        &self,
+        itemsets: &[Vec<u32>],
+        tau: Option<u64>,
+    ) -> ClientResult<Vec<u64>> {
+        self.at_current_pin(|epoch| self.count_at(epoch, itemsets, tau))
+    }
+
+    /// Pulls every live transaction of the handle's current pin, in row
+    /// order.  A pin that went stale is replaced and the pull restarted —
+    /// a half-pulled row set from one snapshot must not be extended from
+    /// another.
+    pub fn pull_rows(&self) -> ClientResult<Vec<(u64, Vec<u32>)>> {
+        self.at_current_pin(|epoch| self.rows_at(epoch))
+    }
+
+    /// Exact supports of `itemsets` at the shard's latest snapshot, with
+    /// that snapshot's epoch and rows: one `COUNT_MANY_AT` frame, which
+    /// also pins the snapshot on the shard.  The handle's own pin follows
+    /// it, so the stats gauge and [`RemoteShardHandle::count_many_pinned`]
+    /// read the cut the count read.
+    fn count_latest(&self, itemsets: &[Vec<u32>]) -> ClientResult<CountsAtReply> {
+        let reply = self.call(|c| c.count_many_at(None, itemsets, None))?;
+        if reply.supports.len() != itemsets.len() {
+            return Err(ClientError::Protocol(format!(
+                "shard {}: {} supports for {} itemsets",
+                self.shard,
+                reply.supports.len(),
+                itemsets.len()
+            )));
+        }
+        if let Some(pin) = self.lock().pin.as_mut() {
+            pin.epoch = reply.epoch;
+            pin.rows = reply.rows;
+        }
+        Ok(reply)
     }
 }
 
@@ -350,7 +383,8 @@ fn to_io(e: ClientError) -> io::Error {
 }
 
 /// One pin of a remote shard: the handle plus the epoch and row count
-/// the shard reported when this request pinned it.
+/// the shard reported when this request pinned it.  Every read through it
+/// names that epoch, whatever the handle has pinned since.
 pub struct RemotePin<'a> {
     handle: &'a RemoteShardHandle,
     pin: PinReply,
@@ -366,7 +400,9 @@ impl ShardHandle for RemotePin<'_> {
             .iter()
             .map(|s| s.items().iter().map(|i| i.0).collect())
             .collect();
-        self.handle.count_many_pinned(&sets, tau).map_err(to_io)
+        self.handle
+            .count_at(self.pin.epoch, &sets, tau)
+            .map_err(to_io)
     }
 }
 
@@ -423,6 +459,28 @@ impl Node for RemoteShardHandle {
         pin.pin.epoch
     }
 
+    /// One `COUNT_MANY_AT` at the latest epoch per shard, in shard order
+    /// on the calling thread: the shard pins what it answers from, so a
+    /// separate pin round trip (and a scatter thread per shard) would buy
+    /// an exact count nothing.
+    fn count_exact(
+        nodes: &[Self],
+        _faults: &[Arc<ShardFaults>],
+        itemsets: &[Vec<u32>],
+    ) -> io::Result<(Vec<u64>, u64, u64)> {
+        let mut supports = vec![0u64; itemsets.len()];
+        let (mut epoch, mut rows) = (0, 0);
+        for node in nodes {
+            let reply = node.count_latest(itemsets).map_err(to_io)?;
+            for (sum, s) in supports.iter_mut().zip(reply.supports) {
+                *sum += s;
+            }
+            epoch += reply.epoch;
+            rows += reply.rows;
+        }
+        Ok((supports, epoch, rows))
+    }
+
     /// Pulls the pinned rows over chunked `rows` frames and re-indexes
     /// them at the shape the shard served at connect.
     fn mine_view<'a>(pin: &RemotePin<'a>) -> io::Result<PulledRows>
@@ -442,7 +500,7 @@ impl Node for RemoteShardHandle {
         let mut db = TransactionDb::new();
         let mut bbs = Bbs::new(*width, hasher);
         let mut stats = IoStats::new();
-        for (tid, items) in pin.handle.pull_rows().map_err(to_io)? {
+        for (tid, items) in pin.handle.rows_at(pin.pin.epoch).map_err(to_io)? {
             let txn = Transaction::new(tid, Itemset::from_values(&items));
             bbs.insert(&txn, &mut stats);
             db.push(txn);
@@ -450,6 +508,8 @@ impl Node for RemoteShardHandle {
         Ok(PulledRows { db, bbs })
     }
 
+    /// A `ROWS` frame examining just `row`: empty, so `None`, when the
+    /// row is tombstoned or past the end.
     fn row(pin: &RemotePin<'_>, row: u64) -> io::Result<Option<(u64, Vec<u32>)>> {
         let reply = pin.handle.call(|c| c.rows(pin.pin.epoch, row, 1)).map_err(to_io)?;
         Ok(reply.txns.into_iter().next())

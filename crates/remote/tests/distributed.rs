@@ -8,13 +8,16 @@
 
 use bbs_core::Scheme;
 use bbs_hash::{ItemHasher, Md5BloomHasher, ModuloHasher};
-use bbs_remote::{CoordinatorEngine, CoordinatorOptions, NodeSpec, RemoteOptions, Topology};
-use bbs_server::{
-    serve, Bind, Client, Engine, RetryPolicy, ServerConfig, ServerHandle, ShardedEngine,
+use bbs_remote::{
+    CoordinatorEngine, CoordinatorOptions, NodeSpec, RemoteOptions, RemoteShardHandle, Topology,
 };
-use bbs_shard::ShardedDeployment;
+use bbs_server::{
+    serve, Bind, Client, Engine, MineView, Node, Request, RequestHandler, Response, RetryPolicy,
+    ServerConfig, ServerHandle, ShardFaults, ShardedEngine,
+};
+use bbs_shard::{ShardHandle, ShardedDeployment};
 use bbs_storage::diskbbs::DiskDeployment;
-use bbs_tdb::SupportThreshold;
+use bbs_tdb::{Itemset, SupportThreshold};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -491,4 +494,112 @@ fn coordinator_fails_over_to_the_follower_and_keeps_serving() {
     ch.wait();
     h_fol.join();
     h1.join();
+}
+
+/// Requests a shard server's stats document counts for one endpoint.
+fn endpoint_requests(addr: &str, endpoint: &str) -> u64 {
+    let json = Client::connect_tcp(addr.to_string())
+        .expect("connect shard")
+        .stats()
+        .expect("shard stats");
+    let key = format!("\"{endpoint}\":{{\"requests\":");
+    let at = json
+        .find(&key)
+        .unwrap_or_else(|| panic!("no {endpoint} in {json}"));
+    json[at + key.len()..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .expect("request counter")
+}
+
+/// The hop count is a contract: an exact COUNT or COUNT_MANY through the
+/// coordinator is exactly one `COUNT_MANY_AT` frame per shard and no
+/// `SNAPSHOT_PIN`, while a MINE still pins every shard once.
+#[test]
+fn a_coordinator_count_is_one_frame_per_shard_and_mining_pins_once() {
+    let (h0, a0, _g0) = shard_server("hops_s0", cfg());
+    let (h1, a1, _g1) = shard_server("hops_s1", cfg());
+    let addrs = vec![a0, a1];
+    let coordinator =
+        CoordinatorEngine::connect(topology_for(&addrs, &[None, None]), opts()).expect("connect");
+    assert!(matches!(
+        coordinator.insert(1, &batch(0, 40)),
+        Response::Ok(_)
+    ));
+
+    let tally = |endpoint: &str| -> Vec<u64> {
+        addrs
+            .iter()
+            .map(|a| endpoint_requests(a, endpoint))
+            .collect()
+    };
+    let (counts0, pins0) = (tally("count_many_at"), tally("snapshot_pin"));
+    const N: u64 = 7;
+    for i in 0..N {
+        let (req, queries) = if i % 2 == 0 {
+            (Request::Count { items: vec![1] }, 1)
+        } else {
+            let itemsets = vec![vec![1], vec![1, 9], vec![77]];
+            (Request::CountMany { itemsets }, 3)
+        };
+        let supports = match coordinator.handle(&req) {
+            Response::Ok(bbs_server::Reply::Count { support, rows, .. }) => {
+                assert_eq!(rows, 40);
+                vec![support]
+            }
+            Response::Ok(bbs_server::Reply::CountMany { supports, rows, .. }) => {
+                assert_eq!(rows, 40);
+                supports
+            }
+            other => panic!("count {i}: {other:?}"),
+        };
+        // Item 1 is in every row, so its estimate is exact.
+        assert_eq!((supports.len(), supports[0]), (queries, 40), "count {i}");
+    }
+    let plus = |base: &[u64], n: u64| base.iter().map(|v| v + n).collect::<Vec<u64>>();
+    assert_eq!(tally("count_many_at"), plus(&counts0, N));
+    assert_eq!(tally("snapshot_pin"), pins0);
+
+    let mine = coordinator
+        .mine(Scheme::Dfp, SupportThreshold::Count(10), 1)
+        .expect("mine");
+    assert_eq!(mine.2, 40);
+    assert_eq!(tally("snapshot_pin"), plus(&pins0, 1));
+    assert_eq!(tally("count_many_at"), plus(&counts0, N));
+
+    coordinator.join();
+    h0.join();
+    h1.join();
+}
+
+/// A request's pin reads its own cut.  Pin A, commit more rows on the
+/// shard, pin B on the same handle: A's mining view and A's counts still
+/// answer A's rows, not the newer epoch the handle now holds.
+#[test]
+fn a_remote_pin_reads_its_own_cut_not_the_handles_latest() {
+    let (h, addr, _g) = shard_server("own_pin", cfg());
+    let mut direct = Client::connect_tcp(addr.clone()).expect("connect shard");
+    direct.insert(&batch(0, 20)).expect("insert");
+    let faults = Arc::new(ShardFaults::default());
+    let handle = RemoteShardHandle::connect(0, &addr, None, opts().remote, Arc::clone(&faults))
+        .expect("connect handle");
+
+    let a = Node::pin(&handle, &faults).expect("pin A");
+    direct
+        .insert(&batch(20, 10))
+        .expect("insert on the shard directly");
+    let b = Node::pin(&handle, &faults).expect("pin B");
+    assert_eq!((a.rows(), b.rows()), (20, 30));
+
+    let view = |pin| RemoteShardHandle::mine_view(pin).expect("mining view");
+    assert_eq!(view(&a).live_rows(), a.rows());
+    assert_eq!(view(&b).live_rows(), b.rows());
+    let ones = [Itemset::from_values(&[1])];
+    assert_eq!(a.count_many(&ones, None).expect("count at A"), vec![20]);
+    assert_eq!(b.count_many(&ones, None).expect("count at B"), vec![30]);
+    assert_ne!(RemoteShardHandle::epoch(&a), RemoteShardHandle::epoch(&b));
+
+    h.join();
 }

@@ -304,3 +304,56 @@ fn shard_servers_count_the_pinned_read_opcodes() {
     }
     stop(remote);
 }
+
+/// Tombstones a coordinator never compacted: `ROWS` skips the dead rows,
+/// so the coordinator's MINE and every PROBE (dead rows answer `None`)
+/// equal the local router's over the same rows.
+#[test]
+fn uncompacted_tombstones_mine_and_probe_alike() {
+    const N: u64 = 60;
+    let (sharded, _g) = local("dead_l");
+    let remote = remote("dead_r");
+    // Every shard loses its first row, a run of consecutive rows (TIDs
+    // 30..45 are five per shard) and a scattering besides.
+    let victims: Vec<u64> = (0..N)
+        .filter(|t| *t < 2 || (30..45).contains(t) || t % 4 == 1)
+        .collect();
+    let mut script = vec![
+        Request::Insert {
+            req_id: 1,
+            txns: batch(0, N),
+        },
+        Request::Delete {
+            req_id: 2,
+            tids: victims.clone(),
+        },
+    ];
+    for scheme in [Scheme::Sfs, Scheme::Dfp] {
+        script.push(Request::Mine {
+            scheme,
+            threshold: SupportThreshold::Count(4),
+            threads: 2,
+        });
+    }
+    script.extend((0..N + 2).map(|row| Request::Probe { row }));
+    let live = N - victims.len() as u64;
+    let mut dead_probes = 0;
+    for (step, req) in script.iter().enumerate() {
+        let l = modulo_epoch(sharded.handle(req));
+        let r = modulo_epoch(remote.coordinator.handle(req));
+        assert_eq!(l, r, "step {step}: {req:?}");
+        match (req, &l) {
+            (Request::Mine { .. }, Response::Ok(Reply::Mine { rows, patterns, .. })) => {
+                assert_eq!(*rows, live);
+                assert!(patterns.len() > 3, "{patterns:?}");
+            }
+            (Request::Probe { row }, Response::Ok(Reply::Probe { txn: None })) if *row < N => {
+                dead_probes += 1
+            }
+            (_, resp) => assert!(matches!(resp, Response::Ok(_)), "step {step}: {resp:?}"),
+        }
+    }
+    assert_eq!(dead_probes, victims.len());
+    sharded.join();
+    stop(remote);
+}

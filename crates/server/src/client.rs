@@ -257,23 +257,28 @@ pub struct PinReply {
 }
 
 /// The `count_many_at` reply: supports in request order, all answered
-/// from the pinned epoch.
+/// from one pinned epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountsAtReply {
-    /// The epoch that answered (echo of the request's pin).
+    /// The epoch that answered: the request's pin, or the latest epoch
+    /// (now pinned) when the request named none.
     pub epoch: u64,
+    /// Rows visible to that snapshot.
+    pub rows: u64,
     /// Supports, one per itemset in request order.
     pub supports: Vec<u64>,
 }
 
-/// One `rows` pull: a chunk of the pinned snapshot's transactions.
+/// One `rows` pull: the live transactions among a run of the pinned
+/// snapshot's rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowsReply {
-    /// Total rows in the pinned snapshot (the stream ends when
-    /// `from + txns.len() == total`).
+    /// Total rows in the pinned snapshot, tombstoned ones included (the
+    /// stream ends when `next == total`).
     pub total: u64,
-    /// `(tid, items)` per row, in row order starting at the requested
-    /// `from`.
+    /// The row after the last one examined: the next pull's `from`.
+    pub next: u64,
+    /// `(tid, items)` per live row examined, in row order.
     pub txns: Vec<(u64, Vec<u32>)>,
 }
 
@@ -578,9 +583,11 @@ impl Client {
     }
 
     /// Batched counting against a pinned epoch — the [`ShardHandle`]
-    /// contract over the wire.  `tau` bounds per-query work exactly as in
-    /// the local sharded counter: `Some(t)` answers exactly at or above
-    /// `t` and with an upper bound below it; `None` answers exactly.
+    /// contract over the wire — or, with `epoch = None`, against the
+    /// latest snapshot, which the server pins as it answers (a pin and a
+    /// count in one round trip).  `tau` bounds per-query work exactly as
+    /// in the local sharded counter: `Some(t)` answers exactly at or
+    /// above `t` and with an upper bound below it; `None` answers exactly.
     ///
     /// A pin that was evicted answers with a typed `Server` error whose
     /// message starts with `stale pin:` — re-pin and retry.
@@ -588,7 +595,7 @@ impl Client {
     /// [`ShardHandle`]: https://docs.rs/bbs-shard
     pub fn count_many_at(
         &mut self,
-        epoch: u64,
+        epoch: Option<u64>,
         itemsets: &[Vec<u32>],
         tau: Option<u64>,
     ) -> ClientResult<CountsAtReply> {
@@ -598,17 +605,26 @@ impl Client {
             tau,
         };
         match self.request(&req)? {
-            Reply::CountsAt { epoch, supports } => Ok(CountsAtReply { epoch, supports }),
+            Reply::CountsAt {
+                epoch,
+                rows,
+                supports,
+            } => Ok(CountsAtReply {
+                epoch,
+                rows,
+                supports,
+            }),
             other => Self::mismatch(other),
         }
     }
 
-    /// Pulls up to `limit` transactions of the pinned epoch starting at
-    /// row `from`.  The server may return fewer than `limit` (byte
-    /// budget); keep pulling until `from + txns.len() == total`.
+    /// Pulls the live transactions among up to `limit` rows of the pinned
+    /// epoch, starting at row `from`; tombstoned rows are skipped.  The
+    /// server may stop short of `limit` (byte budget): pull again from
+    /// `next` until `next == total`.
     pub fn rows(&mut self, epoch: u64, from: u64, limit: u32) -> ClientResult<RowsReply> {
         match self.request(&Request::Rows { epoch, from, limit })? {
-            Reply::Rows { total, txns } => Ok(RowsReply { total, txns }),
+            Reply::Rows { total, next, txns } => Ok(RowsReply { total, next, txns }),
             other => Self::mismatch(other),
         }
     }
@@ -905,10 +921,11 @@ impl RetryClient {
         self.retry(|c| c.snapshot_pin())
     }
 
-    /// `count_many_at` with retries (idempotent read of a pinned epoch).
+    /// `count_many_at` with retries (an idempotent read; the latest-epoch
+    /// form's pin is as harmless to repeat as `snapshot_pin`).
     pub fn count_many_at(
         &mut self,
-        epoch: u64,
+        epoch: Option<u64>,
         itemsets: &[Vec<u32>],
         tau: Option<u64>,
     ) -> ClientResult<CountsAtReply> {

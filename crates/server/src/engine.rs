@@ -121,8 +121,9 @@ pub(crate) fn wire_txn(txn: &Transaction) -> (u64, Vec<u32>) {
 /// evicted epoch gets a typed `stale pin` error and simply re-pins.
 const MAX_PINS: usize = 4;
 
-/// Row cap per `Rows` reply, regardless of the requested limit.
-const ROWS_MAX_PER_REPLY: usize = 8192;
+/// Cap on the rows one `Rows` reply examines, regardless of the requested
+/// limit.
+const ROWS_MAX_PER_REPLY: u64 = 8192;
 
 /// Seed base for maintenance FPR probes; each probe perturbs it with a
 /// running counter so successive probes sample fresh (but reproducible)
@@ -963,8 +964,12 @@ impl Engine {
                 if !admit_count_many(&self.metrics, itemsets) {
                     return Response::Overloaded;
                 }
-                let Some(snap) = self.pinned(*epoch) else {
-                    return self.stale_pin(*epoch);
+                let snap = match epoch {
+                    None => self.pin_snapshot(),
+                    Some(e) => match self.pinned(*e) {
+                        Some(snap) => snap,
+                        None => return self.stale_pin(*e),
+                    },
                 };
                 let sets: Vec<Itemset> = itemsets
                     .iter()
@@ -972,7 +977,8 @@ impl Engine {
                     .collect();
                 match snap.count_many_bounded(&sets, *tau) {
                     Ok(supports) => Response::Ok(Reply::CountsAt {
-                        epoch: *epoch,
+                        epoch: snap.epoch(),
+                        rows: snap.rows(),
                         supports,
                     }),
                     Err(e) => Response::Err(format!("count_many_at failed: {e}")),
@@ -982,23 +988,27 @@ impl Engine {
                 let Some(snap) = self.pinned(*epoch) else {
                     return self.stale_pin(*epoch);
                 };
-                let cap = (*limit as usize).clamp(1, ROWS_MAX_PER_REPLY);
+                // Tombstoned rows are examined and skipped, so a run of
+                // them answers with no rows but a `next` past it.
+                let cap = (*limit as u64).clamp(1, ROWS_MAX_PER_REPLY);
+                let end = from.saturating_add(cap).min(snap.rows());
                 let mut txns: Vec<(u64, Vec<u32>)> = Vec::new();
                 let mut bytes = 0usize;
                 let mut row = *from;
-                while txns.len() < cap && bytes < ROWS_MAX_BYTES {
+                while row < end && bytes < ROWS_MAX_BYTES {
                     match snap.probe(row) {
                         Ok(Some(t)) => {
                             bytes += 10 + 4 * t.items.len();
                             txns.push(wire_txn(&t));
-                            row += 1;
                         }
-                        Ok(None) => break,
+                        Ok(None) => {}
                         Err(e) => return Response::Err(format!("rows read failed: {e}")),
                     }
+                    row += 1;
                 }
                 Response::Ok(Reply::Rows {
                     total: snap.rows(),
+                    next: row,
                     txns,
                 })
             }

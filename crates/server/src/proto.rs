@@ -175,15 +175,17 @@ pub enum Request {
     /// answer against that exact epoch (the remote `ShardHandle`
     /// contract).  Idempotent; re-pinning the same epoch refreshes it.
     SnapshotPin,
-    /// Support queries for many itemsets against a pinned epoch, with an
+    /// Support queries for many itemsets against one snapshot, with an
     /// optional per-shard early-exit budget τ.  With `tau = Some(t)` the
     /// single-shard τ contract applies per answer: exact when `≥ t`, an
-    /// upper bound otherwise (0 always exact).  An epoch that is no
+    /// upper bound otherwise (0 always exact).  `epoch = None` answers
+    /// from the latest snapshot and pins it, as [`Request::SnapshotPin`]
+    /// would, so one frame is a pin and a count.  An epoch that is no
     /// longer pinned answers with a typed `stale pin` error — the caller
     /// re-pins and retries.
     CountManyAt {
-        /// The pinned epoch to answer from.
-        epoch: u64,
+        /// The pinned epoch to answer from; `None` = the latest snapshot.
+        epoch: Option<u64>,
         /// The query itemsets (item values each, unsorted is fine).
         itemsets: Vec<Vec<u32>>,
         /// Early-exit budget; `None` = every answer exact.
@@ -210,16 +212,19 @@ pub enum Request {
         /// `PROBE_FPR`/`AUTO`, target width for `COMPACT` (0 = keep).
         arg: u64,
     },
-    /// Stream `(tid, items)` rows of a pinned snapshot, `limit` at a
-    /// time from row `from` — the bulk transfer a coordinator uses to
-    /// rebuild a shard's transactions for distributed mining.
+    /// Stream the live `(tid, items)` rows of a pinned snapshot from row
+    /// `from` on — the bulk transfer a coordinator uses to rebuild a
+    /// shard's transactions for distributed mining.  Tombstoned rows are
+    /// examined and skipped; [`Reply::Rows`]'s `next` says where the
+    /// following request resumes.
     Rows {
         /// The pinned epoch to read from.
         epoch: u64,
-        /// First row to return (0-based append order).
+        /// First row to examine (0-based append order).
         from: u64,
-        /// Upper bound on rows per reply (the server applies its own
-        /// byte budget too, keeping replies under [`MAX_FRAME`]).
+        /// Upper bound on rows examined per reply (the server applies its
+        /// own row and byte budgets too, keeping replies under
+        /// [`MAX_FRAME`]).
         limit: u32,
     },
 }
@@ -317,10 +322,13 @@ pub enum Reply {
         hasher: String,
     },
     /// Answer to [`Request::CountManyAt`]: one support per query
-    /// itemset, in request order, all from the pinned epoch.
+    /// itemset, in request order, all from one pinned epoch.
     CountsAt {
-        /// The pinned epoch that answered.
+        /// The pinned epoch that answered (the latest one when the request
+        /// named none).
         epoch: u64,
+        /// Rows visible to that snapshot.
+        rows: u64,
         /// Per-itemset supports under the request's τ contract.
         supports: Vec<u64>,
     },
@@ -350,13 +358,16 @@ pub enum Reply {
         /// fold/compact the action performed).
         fpr_bits: u64,
     },
-    /// Answer to [`Request::Rows`]: a run of transactions starting at
-    /// the requested row (empty = past the end of the pinned snapshot).
+    /// Answer to [`Request::Rows`]: the live transactions among the rows
+    /// examined, `from..next`.
     Rows {
-        /// Total rows visible to the pinned snapshot (the caller knows
-        /// when the stream is complete without an extra round trip).
+        /// Total rows visible to the pinned snapshot, tombstoned ones
+        /// included (the stream is complete once `next == total`).
         total: u64,
-        /// The `(tid, items)` rows, in append order.
+        /// The row after the last one examined: where the next request
+        /// resumes.
+        next: u64,
+        /// The live `(tid, items)` rows, in append order.
         txns: Vec<(u64, Vec<u32>)>,
     },
 }
@@ -470,6 +481,24 @@ fn get_str(r: &mut Reader) -> io::Result<String> {
     String::from_utf8(r.take(n)?.to_vec()).map_err(|_| bad("invalid UTF-8"))
 }
 
+fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
+    match v {
+        None => out.push(0),
+        Some(v) => {
+            out.push(1);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+}
+
+fn get_opt_u64(r: &mut Reader, what: &str) -> io::Result<Option<u64>> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(r.u64()?)),
+        k => Err(bad(format!("bad {what} presence byte {k}"))),
+    }
+}
+
 fn put_threshold(out: &mut Vec<u8>, t: SupportThreshold) {
     match t {
         SupportThreshold::Count(c) => {
@@ -557,14 +586,8 @@ impl Request {
                 tau,
             } => {
                 out.push(op::COUNT_MANY_AT);
-                out.extend_from_slice(&epoch.to_le_bytes());
-                match tau {
-                    None => out.push(0),
-                    Some(t) => {
-                        out.push(1);
-                        out.extend_from_slice(&t.to_le_bytes());
-                    }
-                }
+                put_opt_u64(&mut out, *epoch);
+                put_opt_u64(&mut out, *tau);
                 out.extend_from_slice(&(itemsets.len() as u32).to_le_bytes());
                 for items in itemsets {
                     put_items(&mut out, items);
@@ -639,12 +662,8 @@ impl Request {
             }
             op::SNAPSHOT_PIN => Request::SnapshotPin,
             op::COUNT_MANY_AT => {
-                let epoch = r.u64()?;
-                let tau = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.u64()?),
-                    k => return Err(bad(format!("bad tau presence byte {k}"))),
-                };
+                let epoch = get_opt_u64(&mut r, "epoch")?;
+                let tau = get_opt_u64(&mut r, "tau")?;
                 let n = r.u32()? as usize;
                 let mut itemsets = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
@@ -845,8 +864,13 @@ impl Response {
                         out.extend_from_slice(&width.to_le_bytes());
                         put_str(&mut out, hasher);
                     }
-                    Reply::CountsAt { epoch, supports } => {
+                    Reply::CountsAt {
+                        epoch,
+                        rows,
+                        supports,
+                    } => {
                         out.extend_from_slice(&epoch.to_le_bytes());
+                        out.extend_from_slice(&rows.to_le_bytes());
                         out.extend_from_slice(&(supports.len() as u32).to_le_bytes());
                         for &s in supports {
                             out.extend_from_slice(&s.to_le_bytes());
@@ -874,8 +898,9 @@ impl Response {
                         out.extend_from_slice(&deleted_rows.to_le_bytes());
                         out.extend_from_slice(&fpr_bits.to_le_bytes());
                     }
-                    Reply::Rows { total, txns } => {
+                    Reply::Rows { total, next, txns } => {
                         out.extend_from_slice(&total.to_le_bytes());
+                        out.extend_from_slice(&next.to_le_bytes());
                         out.extend_from_slice(&(txns.len() as u32).to_le_bytes());
                         for (tid, items) in txns {
                             out.extend_from_slice(&tid.to_le_bytes());
@@ -1000,12 +1025,17 @@ impl Response {
                 },
                 op::COUNT_MANY_AT => {
                     let epoch = r.u64()?;
+                    let rows = r.u64()?;
                     let n = r.u32()? as usize;
                     let mut supports = Vec::with_capacity(n.min(1 << 16));
                     for _ in 0..n {
                         supports.push(r.u64()?);
                     }
-                    Reply::CountsAt { epoch, supports }
+                    Reply::CountsAt {
+                        epoch,
+                        rows,
+                        supports,
+                    }
                 }
                 op::DELETE => Reply::Delete {
                     deleted: r.u64()?,
@@ -1025,13 +1055,14 @@ impl Response {
                 },
                 op::ROWS => {
                     let total = r.u64()?;
+                    let next = r.u64()?;
                     let n = r.u32()? as usize;
                     let mut txns = Vec::with_capacity(n.min(1 << 16));
                     for _ in 0..n {
                         let tid = r.u64()?;
                         txns.push((tid, r.items()?));
                     }
-                    Reply::Rows { total, txns }
+                    Reply::Rows { total, next, txns }
                 }
                 k => return Err(bad(format!("unknown reply opcode {k}"))),
             }),
@@ -1148,14 +1179,25 @@ mod tests {
         });
         roundtrip_request(Request::SnapshotPin);
         roundtrip_request(Request::CountManyAt {
-            epoch: 9,
+            epoch: Some(9),
             itemsets: vec![vec![1, 2], vec![]],
             tau: None,
         });
         roundtrip_request(Request::CountManyAt {
-            epoch: u64::MAX,
+            epoch: Some(u64::MAX),
             itemsets: vec![vec![u32::MAX]],
             tau: Some(17),
+        });
+        // The latest-epoch form, distinct from epoch 0 (a real epoch).
+        roundtrip_request(Request::CountManyAt {
+            epoch: None,
+            itemsets: vec![vec![4]],
+            tau: None,
+        });
+        roundtrip_request(Request::CountManyAt {
+            epoch: Some(0),
+            itemsets: vec![],
+            tau: Some(0),
         });
         roundtrip_request(Request::Rows {
             epoch: 3,
@@ -1250,18 +1292,22 @@ mod tests {
         }));
         roundtrip_response(Response::Ok(Reply::CountsAt {
             epoch: 7,
+            rows: 0,
             supports: vec![],
         }));
         roundtrip_response(Response::Ok(Reply::CountsAt {
             epoch: 7,
+            rows: u64::MAX,
             supports: vec![0, 3, u64::MAX],
         }));
         roundtrip_response(Response::Ok(Reply::Rows {
             total: 11,
+            next: 11,
             txns: vec![],
         }));
         roundtrip_response(Response::Ok(Reply::Rows {
             total: 11,
+            next: 6,
             txns: vec![(1, vec![4, 5]), (9, vec![])],
         }));
         roundtrip_response(Response::Overloaded);
@@ -1298,6 +1344,46 @@ mod tests {
         bytes.extend_from_slice(&2u64.to_le_bytes());
         bytes.push(7);
         assert!(Response::decode(&bytes).is_err());
+    }
+
+    /// The latest-epoch `COUNT_MANY_AT`, its `rows`-carrying reply and the
+    /// `next`-carrying `ROWS` reply: every proper prefix of each encoding
+    /// is a typed error, never a panic and never a shorter valid frame.
+    #[test]
+    fn every_truncation_of_the_pinned_read_frames_is_an_error() {
+        let request = Request::CountManyAt {
+            epoch: None,
+            itemsets: vec![vec![1, 2], vec![3]],
+            tau: Some(4),
+        }
+        .encode();
+        for cut in 0..request.len() {
+            assert!(
+                Request::decode(&request[..cut]).is_err(),
+                "request cut at {cut}"
+            );
+        }
+        let replies = [
+            Response::Ok(Reply::CountsAt {
+                epoch: 0,
+                rows: 12,
+                supports: vec![5, 0],
+            }),
+            Response::Ok(Reply::Rows {
+                total: 9,
+                next: 4,
+                txns: vec![(2, vec![7]), (3, vec![])],
+            }),
+        ];
+        for reply in replies {
+            let bytes = reply.encode();
+            for cut in 0..bytes.len() {
+                assert!(
+                    Response::decode(&bytes[..cut]).is_err(),
+                    "{reply:?} cut at {cut}"
+                );
+            }
+        }
     }
 
     /// Seeded decode fuzz: bit-flipped, truncated, and extended mutations
@@ -1346,9 +1432,15 @@ mod tests {
             .encode(),
             Request::SnapshotPin.encode(),
             Request::CountManyAt {
-                epoch: 4,
+                epoch: Some(4),
                 itemsets: vec![vec![1, 2], vec![3]],
                 tau: Some(9),
+            }
+            .encode(),
+            Request::CountManyAt {
+                epoch: None,
+                itemsets: vec![vec![5]],
+                tau: None,
             }
             .encode(),
             Request::Rows {
@@ -1413,8 +1505,15 @@ mod tests {
                 hasher: "md5/4".into(),
             })
             .encode(),
+            Response::Ok(Reply::CountsAt {
+                epoch: 3,
+                rows: 64,
+                supports: vec![7, 9],
+            })
+            .encode(),
             Response::Ok(Reply::Rows {
                 total: 5,
+                next: 3,
                 txns: vec![(1, vec![2, 3])],
             })
             .encode(),

@@ -19,9 +19,11 @@
 //!   exactly-once windows, and the deployment converges without any
 //!   cross-shard coordination.  Maintenance fans out to every node.  The
 //!   per-shard answers fold into one receipt in [`merge_receipts`].
-//! * **Reads** pin one snapshot per node and run against those pins:
-//!   `count`/`count_many` through the gather layer's scaled-τ scheme
-//!   ([`bbs_shard::count_many_sharded`]), `mine` by asking every pin for
+//! * **Reads** run against one fresh cut: `count`/`count_many` through
+//!   [`Node::count_exact`] — by default one pin per node and the gather
+//!   layer's sums ([`bbs_shard::count_many_sharded`]); a remote node pins
+//!   and counts in one round trip — and `mine` and `probe` against one
+//!   pinned snapshot per node: `mine` by asking every pin for
 //!   its [`MineView`] and walking the candidate tree over a
 //!   [`bbs_shard::ShardedCounter`] of the views' cursors (supports merged
 //!   across shards inside every `CountItemSet`, uncertain candidates
@@ -30,7 +32,8 @@
 //!   (shard 0's rows first).
 //!
 //! Where local and remote shards genuinely differ, the difference is a
-//! [`Node`] method (how a pin is taken and what its mining view is — the
+//! [`Node`] method (how a pin is taken, how an exact count reaches the
+//! shards, and what a pin's mining view is — the
 //! pinned snapshot mined in place, or rows pulled over the wire and
 //! indexed in memory — what a failure looks like, which stats columns
 //! exist, whether a drain propagates) or stays in the constructor shell
@@ -195,6 +198,23 @@ pub trait Node: Send + Sync + Sized + 'static {
     /// The epoch a pin was taken at.
     fn epoch(pin: &Self::Pin<'_>) -> u64;
 
+    /// Exact supports of `itemsets` over a fresh cut of every node, with
+    /// the cut's epoch and rows (each summed over the nodes).  By default
+    /// the nodes are pinned and the pins counted; a node whose pin is a
+    /// round trip overrides this to pin and count in one.
+    fn count_exact(
+        nodes: &[Self],
+        faults: &[Arc<ShardFaults>],
+        itemsets: &[Vec<u32>],
+    ) -> io::Result<(Vec<u64>, u64, u64)> {
+        let (pins, epoch, rows) = cut(nodes, faults)?;
+        let sets: Vec<Itemset> = itemsets
+            .iter()
+            .map(|items| Itemset::from_values(items))
+            .collect();
+        Ok((count_many_sharded(&pins, &sets, None)?, epoch, rows))
+    }
+
     /// The mining view of a pin.
     fn mine_view<'a>(pin: &Self::Pin<'a>) -> io::Result<Self::View<'a>>
     where
@@ -226,6 +246,19 @@ pub trait Node: Send + Sync + Sized + 'static {
 
     /// Waits for the node's background work to exit (same proviso).
     fn join(&self) {}
+}
+
+/// Pins every node and returns the pins with the epoch and row count of
+/// the cut: the epoch is the sum of per-shard epochs (monotonic — any
+/// shard commit bumps it), the rows the total across shards.
+fn cut<'a, N: Node>(
+    nodes: &'a [N],
+    faults: &'a [Arc<ShardFaults>],
+) -> io::Result<(Vec<N::Pin<'a>>, u64, u64)> {
+    let pins = N::pin_all(nodes, faults)?;
+    let epoch = pins.iter().map(N::epoch).sum();
+    let rows = pins.iter().map(|p| p.rows()).sum();
+    Ok((pins, epoch, rows))
 }
 
 /// One logical server over N TID-range shards.
@@ -293,34 +326,25 @@ impl<N: Node> Router<N> {
         Response::Err(format!("{what} failed: {e}"))
     }
 
-    /// Pins every shard and returns the pins with the epoch and row count
-    /// of the cut: the epoch is the sum of per-shard epochs (monotonic —
-    /// any shard commit bumps it), the rows the total across shards.
+    /// Pins every shard: see [`cut`].
     fn pins(&self) -> io::Result<(Vec<N::Pin<'_>>, u64, u64)> {
-        let pins = N::pin_all(&self.nodes, &self.faults)?;
-        let epoch = pins.iter().map(N::epoch).sum();
-        let rows = pins.iter().map(|p| p.rows()).sum();
-        Ok((pins, epoch, rows))
+        cut(&self.nodes, &self.faults)
     }
 
-    /// Scatter-gather batched counting over one fresh pin per shard: the
-    /// whole batch goes to every shard and per-shard supports are summed.
-    /// Returns `(supports, epoch, rows)` of the cut that answered.
+    /// Scatter-gather batched counting over one fresh cut: the whole
+    /// batch goes to every shard and per-shard supports are summed
+    /// ([`Node::count_exact`]).  Returns `(supports, epoch, rows)` of the
+    /// cut that answered.
     pub fn count_many(&self, itemsets: &[Vec<u32>]) -> io::Result<(Vec<u64>, u64, u64)> {
         let start = Instant::now();
-        let (pins, epoch, rows) = self.pins()?;
-        let sets: Vec<Itemset> = itemsets
-            .iter()
-            .map(|items| Itemset::from_values(items))
-            .collect();
-        let supports = count_many_sharded(&pins, &sets, None)?;
+        let answer = N::count_exact(&self.nodes, &self.faults, itemsets)?;
         let hist = if itemsets.len() == 1 {
             &self.scatter.count
         } else {
             &self.scatter.count_many
         };
         hist.record(micros_since(start));
-        Ok((supports, epoch, rows))
+        Ok(answer)
     }
 
     /// Probes one row of the concatenated row space: rows `0..r0` live on
