@@ -13,7 +13,7 @@ set -eu
 
 # Lines of crates/*/src/**/*.rs outside `#[cfg(test)]` items: such an item
 # runs from its attribute to the `;` that ends it or the `}` that closes
-# the first `{` after it.
+# the first `{` after it.  One row per crate, then their `total`.
 loc() {
   for crate in crates/*/; do
     find "${crate}src" -name '*.rs' | sort | xargs awk -v crate="$(basename "${crate}")" '
@@ -27,7 +27,7 @@ loc() {
       }
       { lines++ }
       END { printf "%-10s %6d\n", crate, lines }'
-  done
+  done | awk '{ print; total += $2 } END { printf "%-10s %6d\n", "total", total }'
 }
 if [ "${1:-}" = loc ]; then
   loc

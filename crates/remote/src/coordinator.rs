@@ -6,8 +6,8 @@
 //! and drain logic serve it) and everything it does per request is the
 //! router's — inserts and deletes partitioned by TID residue and
 //! forwarded **reusing the client's request ID** so exactly-once composes
-//! end-to-end, an exact count as one frame per shard that pins the
-//! shard's latest snapshot as it answers, mining over the pinned rows
+//! end-to-end, a count as one `COUNT_MANY` frame per shard that pins
+//! nothing, mining over the pinned rows
 //! pulled from every shard — so the answers are bit-for-bit what the
 //! local router (and therefore one unsharded engine) returns.
 //!

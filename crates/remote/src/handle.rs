@@ -2,15 +2,14 @@
 //! over the wire protocol.
 //!
 //! The handle is a `bbs_server` [`Node`] — the same seam a local shard
-//! engine fills — so the one [`bbs_server::Router`] and the gather layer
-//! (`bbs_shard::gather`, with its scaled-τ cross-shard scheme) run
-//! unchanged over remote nodes.  Under the hood every call goes through a
+//! engine fills — so the one [`bbs_server::Router`] runs unchanged over
+//! remote nodes.  Under the hood every call goes through a
 //! [`RetryClient`] — per-request timeouts, capped exponential backoff
-//! with jitter, reconnect after transport failures.  An exact count is
-//! one `COUNT_MANY_AT` frame per shard at the latest epoch, which the
-//! shard pins as it answers; every other read runs against the epoch its
-//! request pinned, so the τ scheme's re-queries patch the same snapshot
-//! the first pass scattered over, and a mine pulls the rows of one cut.
+//! with jitter, reconnect after transport failures.  A count is one
+//! `COUNT_MANY` frame at the shard's latest snapshot, which pins nothing;
+//! a MINE or PROBE pins the shard with a `COUNT_MANY_AT` that names no
+//! epoch and no itemsets, and every later read of that request names the
+//! pinned epoch, so a mine pulls the rows of one cut.
 //!
 //! # Failure model
 //!
@@ -29,8 +28,9 @@
 //!    re-pinning it would answer from another cut.
 //! 3. **Primary loss** (the retry budget exhausted on transport errors)
 //!    triggers **replica failover** when the topology names a follower:
-//!    the handle promotes the follower, re-points itself at it, re-pins,
-//!    and retries the call once.  Without a follower — or if the follower
+//!    the handle promotes the follower, re-points itself at it and retries
+//!    the call once; its own pin is re-taken by the next read that needs
+//!    it.  Without a follower — or if the follower
 //!    is also unreachable — the handle records itself *unavailable* with
 //!    a message naming the shard, which the router surfaces as a typed
 //!    `SHARD_UNAVAILABLE` response instead of a silently-wrong partial
@@ -40,9 +40,9 @@ use bbs_core::{tally_subsets, Bbs, BbsCursor};
 use bbs_hash::{ItemHasher, Md5BloomHasher, ModuloHasher};
 use bbs_server::{
     json_column, maintain_action, ClientError, ClientResult, CountsAtReply, Gauge, MineView, Node,
-    PinReply, Request, Response, RetryClient, RetryPolicy, ServerAddr, ShardFaults,
+    Reply, Request, Response, RetryClient, RetryPolicy, ServerAddr, ShardFaults,
 };
-use bbs_shard::{scatter, ShardHandle};
+use bbs_shard::scatter;
 use bbs_tdb::{IoStats, ItemId, Itemset, Transaction, TransactionDb};
 use std::collections::HashMap;
 use std::io;
@@ -83,7 +83,7 @@ struct Inner {
     client: RetryClient,
     addr: String,
     follower: Option<String>,
-    pin: Option<PinReply>,
+    pin: Option<CountsAtReply>,
 }
 
 impl Inner {
@@ -105,12 +105,16 @@ pub struct RemoteShardHandle {
     faults: Arc<ShardFaults>,
     inner: Mutex<Inner>,
     unavailable: Mutex<Option<String>>,
+    /// The shard as the last reply that named it reported it: epoch and
+    /// rows from counts and pins, width from pins and maintenance legs.
+    /// Kept apart from the pin, which a maintenance leg drops.
+    gauge: Mutex<Gauge>,
 }
 
 impl RemoteShardHandle {
     /// Connects to the shard's primary and pins its latest snapshot.
-    /// The returned pin carries the width/hasher identity the caller
-    /// (the coordinator) validates against the topology.
+    /// The pin carries the width/hasher identity the caller (the
+    /// coordinator) validates against the topology.
     pub fn connect(
         shard: u32,
         primary: &str,
@@ -130,6 +134,7 @@ impl RemoteShardHandle {
                 pin: None,
             }),
             unavailable: Mutex::new(None),
+            gauge: Mutex::new(Gauge::default()),
         };
         let pin = handle.repin().map_err(|e| {
             io::Error::new(
@@ -153,7 +158,7 @@ impl RemoteShardHandle {
     }
 
     /// The snapshot pin operations currently run against.
-    pub fn pin(&self) -> Option<PinReply> {
+    pub fn pin(&self) -> Option<CountsAtReply> {
         self.lock().pin.clone()
     }
 
@@ -169,6 +174,11 @@ impl RemoteShardHandle {
 
     fn set_unavailable(&self, msg: Option<String>) {
         *self.unavailable.lock().unwrap_or_else(|e| e.into_inner()) = msg;
+    }
+
+    /// Records what a reply said about the shard in the stats gauge.
+    fn observe(&self, update: impl FnOnce(&mut Gauge)) {
+        update(&mut self.gauge.lock().unwrap_or_else(|e| e.into_inner()));
     }
 
     /// True when an error means the server stopped answering (as opposed
@@ -220,7 +230,9 @@ impl RemoteShardHandle {
 
     /// Runs `f` against the current connection; on transport exhaustion,
     /// fails over to the follower (when one exists) and retries once.
-    /// Success clears the unavailable marker; a dead end records it.
+    /// The handle's own pin died with the old primary: the next read at
+    /// it re-pins.  Success clears the unavailable marker; a dead end
+    /// records it.
     fn call<T>(&self, f: impl Fn(&mut RetryClient) -> ClientResult<T>) -> ClientResult<T> {
         let mut inner = self.lock();
         let first = f(&mut inner.client);
@@ -228,14 +240,7 @@ impl RemoteShardHandle {
             Err(e) if Self::is_transport(&e) => {
                 self.note_fault(&e);
                 match self.failover(&mut inner) {
-                    Ok(()) => {
-                        // The pin died with the old primary; restore one
-                        // before retrying a pinned read.
-                        match Self::pin_inner(&mut inner) {
-                            Ok(()) => f(&mut inner.client),
-                            Err(pe) => Err(pe),
-                        }
-                    }
+                    Ok(()) => f(&mut inner.client),
                     Err(fe) => {
                         // Keep the original story: the primary went
                         // silent, and this is why.
@@ -262,18 +267,20 @@ impl RemoteShardHandle {
         }
     }
 
-    fn pin_inner(inner: &mut Inner) -> ClientResult<()> {
-        let pin = inner.client.snapshot_pin()?;
-        inner.pin = Some(pin);
-        Ok(())
-    }
-
-    /// Pins the shard's latest snapshot; subsequent counts and row pulls
-    /// answer from it.  Returns the new pin.
-    pub fn repin(&self) -> ClientResult<PinReply> {
-        self.call(|c| c.snapshot_pin()).inspect(|pin| {
-            self.lock().pin = Some(pin.clone());
-        })
+    /// Pins the shard's latest snapshot — a `COUNT_MANY_AT` with no epoch
+    /// and no itemsets; subsequent pinned counts and row pulls answer from
+    /// it.  Returns the new pin.
+    pub fn repin(&self) -> ClientResult<CountsAtReply> {
+        let pin = self.call(|c| c.count_many_at(None, &[]))?;
+        self.lock().pin = Some(pin.clone());
+        self.observe(|g| {
+            *g = Gauge {
+                rows: pin.rows,
+                epoch: pin.epoch,
+                width: pin.width as usize,
+            }
+        });
+        Ok(pin)
     }
 
     /// Runs `read` at the handle's current pin (pinning one if none is
@@ -295,18 +302,6 @@ impl RemoteShardHandle {
             "shard {}: pin went stale twice in a row",
             self.shard
         )))
-    }
-
-    /// Batched counting at `epoch`, which must still be pinned.
-    fn count_at(
-        &self,
-        epoch: u64,
-        itemsets: &[Vec<u32>],
-        tau: Option<u64>,
-    ) -> ClientResult<Vec<u64>> {
-        Ok(self
-            .call(|c| c.count_many_at(Some(epoch), itemsets, tau))?
-            .supports)
     }
 
     /// Every live transaction at `epoch`, which must still be pinned, in
@@ -332,14 +327,19 @@ impl RemoteShardHandle {
         }
     }
 
-    /// Batched counting against the handle's current pin, re-pinning once
-    /// if the shard evicted it.
+    /// Exact batched counting against the handle's current pin,
+    /// re-pinning once if the shard evicted it.  An exact answer meets
+    /// any `tau` contract, so `tau` changes nothing.
     pub fn count_many_pinned(
         &self,
         itemsets: &[Vec<u32>],
-        tau: Option<u64>,
+        _tau: Option<u64>,
     ) -> ClientResult<Vec<u64>> {
-        self.at_current_pin(|epoch| self.count_at(epoch, itemsets, tau))
+        self.at_current_pin(|epoch| {
+            Ok(self
+                .call(|c| c.count_many_at(Some(epoch), itemsets))?
+                .supports)
+        })
     }
 
     /// Pulls every live transaction of the handle's current pin, in row
@@ -348,28 +348,6 @@ impl RemoteShardHandle {
     /// another.
     pub fn pull_rows(&self) -> ClientResult<Vec<(u64, Vec<u32>)>> {
         self.at_current_pin(|epoch| self.rows_at(epoch))
-    }
-
-    /// Exact supports of `itemsets` at the shard's latest snapshot, with
-    /// that snapshot's epoch and rows: one `COUNT_MANY_AT` frame, which
-    /// also pins the snapshot on the shard.  The handle's own pin follows
-    /// it, so the stats gauge and [`RemoteShardHandle::count_many_pinned`]
-    /// read the cut the count read.
-    fn count_latest(&self, itemsets: &[Vec<u32>]) -> ClientResult<CountsAtReply> {
-        let reply = self.call(|c| c.count_many_at(None, itemsets, None))?;
-        if reply.supports.len() != itemsets.len() {
-            return Err(ClientError::Protocol(format!(
-                "shard {}: {} supports for {} itemsets",
-                self.shard,
-                reply.supports.len(),
-                itemsets.len()
-            )));
-        }
-        if let Some(pin) = self.lock().pin.as_mut() {
-            pin.epoch = reply.epoch;
-            pin.rows = reply.rows;
-        }
-        Ok(reply)
     }
 }
 
@@ -387,23 +365,8 @@ fn to_io(e: ClientError) -> io::Error {
 /// names that epoch, whatever the handle has pinned since.
 pub struct RemotePin<'a> {
     handle: &'a RemoteShardHandle,
-    pin: PinReply,
-}
-
-impl ShardHandle for RemotePin<'_> {
-    fn rows(&self) -> u64 {
-        self.pin.rows
-    }
-
-    fn count_many(&self, itemsets: &[Itemset], tau: Option<u64>) -> io::Result<Vec<u64>> {
-        let sets: Vec<Vec<u32>> = itemsets
-            .iter()
-            .map(|s| s.items().iter().map(|i| i.0).collect())
-            .collect();
-        self.handle
-            .count_at(self.pin.epoch, &sets, tau)
-            .map_err(to_io)
-    }
+    epoch: u64,
+    rows: u64,
 }
 
 /// A remote shard's mining view: the pinned rows pulled over the wire and
@@ -444,7 +407,11 @@ impl Node for RemoteShardHandle {
 
     fn pin<'a>(&'a self, _faults: &'a ShardFaults) -> io::Result<RemotePin<'a>> {
         let pin = self.repin().map_err(to_io)?;
-        Ok(RemotePin { handle: self, pin })
+        Ok(RemotePin {
+            handle: self,
+            epoch: pin.epoch,
+            rows: pin.rows,
+        })
     }
 
     /// Every pin is a round trip, so a cut of N shards costs one.
@@ -456,29 +423,25 @@ impl Node for RemoteShardHandle {
     }
 
     fn epoch(pin: &RemotePin<'_>) -> u64 {
-        pin.pin.epoch
+        pin.epoch
     }
 
-    /// One `COUNT_MANY_AT` at the latest epoch per shard, in shard order
-    /// on the calling thread: the shard pins what it answers from, so a
-    /// separate pin round trip (and a scatter thread per shard) would buy
-    /// an exact count nothing.
-    fn count_exact(
-        nodes: &[Self],
-        _faults: &[Arc<ShardFaults>],
+    fn rows(pin: &RemotePin<'_>) -> u64 {
+        pin.rows
+    }
+
+    /// One `COUNT_MANY` frame through the handle's retry and failover
+    /// (whose faults the handle tallies itself).  It pins nothing, so a
+    /// count never evicts the pin of a MINE or PROBE in flight.
+    fn count_latest(
+        &self,
+        _faults: &ShardFaults,
         itemsets: &[Vec<u32>],
     ) -> io::Result<(Vec<u64>, u64, u64)> {
-        let mut supports = vec![0u64; itemsets.len()];
-        let (mut epoch, mut rows) = (0, 0);
-        for node in nodes {
-            let reply = node.count_latest(itemsets).map_err(to_io)?;
-            for (sum, s) in supports.iter_mut().zip(reply.supports) {
-                *sum += s;
-            }
-            epoch += reply.epoch;
-            rows += reply.rows;
-        }
-        Ok((supports, epoch, rows))
+        let sets: Vec<&[u32]> = itemsets.iter().map(Vec::as_slice).collect();
+        let reply = self.call(|c| c.count_many(&sets)).map_err(to_io)?;
+        self.observe(|g| (g.epoch, g.rows) = (reply.epoch, reply.rows));
+        Ok((reply.supports, reply.epoch, reply.rows))
     }
 
     /// Pulls the pinned rows over chunked `rows` frames and re-indexes
@@ -500,7 +463,7 @@ impl Node for RemoteShardHandle {
         let mut db = TransactionDb::new();
         let mut bbs = Bbs::new(*width, hasher);
         let mut stats = IoStats::new();
-        for (tid, items) in pin.handle.rows_at(pin.pin.epoch).map_err(to_io)? {
+        for (tid, items) in pin.handle.rows_at(pin.epoch).map_err(to_io)? {
             let txn = Transaction::new(tid, Itemset::from_values(&items));
             bbs.insert(&txn, &mut stats);
             db.push(txn);
@@ -511,7 +474,10 @@ impl Node for RemoteShardHandle {
     /// A `ROWS` frame examining just `row`: empty, so `None`, when the
     /// row is tombstoned or past the end.
     fn row(pin: &RemotePin<'_>, row: u64) -> io::Result<Option<(u64, Vec<u32>)>> {
-        let reply = pin.handle.call(|c| c.rows(pin.pin.epoch, row, 1)).map_err(to_io)?;
+        let reply = pin
+            .handle
+            .call(|c| c.rows(pin.epoch, row, 1))
+            .map_err(to_io)?;
         Ok(reply.txns.into_iter().next())
     }
 
@@ -519,17 +485,24 @@ impl Node for RemoteShardHandle {
     /// inserts and deletes carry the client's request ID into the shard's
     /// exactly-once window and maintenance is idempotent at its fixpoint —
     /// and maps a failure back onto the response the shard (or the loss of
-    /// it) amounts to.  Compaction and folds swap the shard's snapshot
-    /// (the server evicts every pin), so a maintenance action that may
-    /// have rewritten files drops the local pin: the next pinned read
-    /// re-pins the post-swap snapshot instead of burning its one
-    /// stale-pin retry.
+    /// it) amounts to.  A maintenance reply names the shard's width, which
+    /// the gauge takes.  Compaction and folds swap the shard's snapshot
+    /// (the server evicts every pin), so a maintenance action that
+    /// rewrote files drops the local pin: the next pinned read re-pins the
+    /// post-swap snapshot instead of burning its one stale-pin retry.
     fn leg(&self, req: &Request) -> Response {
         match self.call(|c| c.request(req)) {
             Ok(reply) => {
-                if matches!(req, Request::Maintain { action, .. } if *action != maintain_action::PROBE_FPR)
+                if let Reply::Maintain {
+                    action_taken,
+                    width,
+                    ..
+                } = &reply
                 {
-                    self.lock().pin = None;
+                    self.observe(|g| g.width = *width as usize);
+                    if *action_taken != maintain_action::PROBE_FPR {
+                        self.lock().pin = None;
+                    }
                 }
                 Response::Ok(reply)
             }
@@ -547,14 +520,10 @@ impl Node for RemoteShardHandle {
         RemoteShardHandle::unavailable(self)
     }
 
-    /// The last pin, not a fresh one: rendering stats never waits on a
-    /// shard (all zeros while no pin is held).
+    /// What the last replies reported, not a fresh read: rendering stats
+    /// never waits on a shard, not even on a call in flight.
     fn gauge(&self) -> Gauge {
-        self.pin().map_or_else(Gauge::default, |pin| Gauge {
-            rows: pin.rows,
-            epoch: pin.epoch,
-            width: pin.width as usize,
-        })
+        *self.gauge.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn stats_columns(nodes: &[Self]) -> Vec<String> {

@@ -8,8 +8,8 @@
 //!   primary (and optional follower) address, plus the pinned shard
 //!   count, slice width, and hasher identity every member must agree on.
 //! * [`handle`] — [`RemoteShardHandle`], a router `Node` whose shard
-//!   lives behind a socket: snapshot pins, exact counts that pin the
-//!   latest epoch as they answer, batched counts against a pinned epoch,
+//!   lives behind a socket: exact counts at the latest snapshot that pin
+//!   nothing, snapshot pins, batched counts against a pinned epoch,
 //!   chunked row pulls, and per-shard replica failover when the primary
 //!   goes silent.
 //! * [`coordinator`] — [`CoordinatorEngine`], `bbs_server`'s

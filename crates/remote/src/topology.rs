@@ -22,8 +22,9 @@
 //! sums trustworthy: per-shard AND+popcount estimates only sum to the
 //! unsharded answer when every shard hashes items to the same slices.
 //! At connect time the coordinator checks each shard server's actual
-//! width and hasher (reported by the `snapshot_pin` frame) against the
-//! topology and refuses to serve on any disagreement, naming both values.
+//! width and hasher (reported in the reply to the pinning `COUNT_MANY_AT`
+//! frame) against the topology and refuses to serve on any disagreement,
+//! naming both values.
 //!
 //! The parser is a strict, dependency-free JSON subset: objects, arrays,
 //! strings (with the standard escapes), and non-negative integers —

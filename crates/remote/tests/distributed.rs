@@ -15,7 +15,7 @@ use bbs_server::{
     serve, Bind, Client, Engine, MineView, Node, Request, RequestHandler, Response, RetryPolicy,
     ServerConfig, ServerHandle, ShardFaults, ShardedEngine,
 };
-use bbs_shard::{ShardHandle, ShardedDeployment};
+use bbs_shard::ShardedDeployment;
 use bbs_storage::diskbbs::DiskDeployment;
 use bbs_tdb::{Itemset, SupportThreshold};
 use std::path::PathBuf;
@@ -515,8 +515,9 @@ fn endpoint_requests(addr: &str, endpoint: &str) -> u64 {
 }
 
 /// The hop count is a contract: an exact COUNT or COUNT_MANY through the
-/// coordinator is exactly one `COUNT_MANY_AT` frame per shard and no
-/// `SNAPSHOT_PIN`, while a MINE still pins every shard once.
+/// coordinator is exactly one `COUNT_MANY` frame per shard and pins
+/// nothing (no `COUNT_MANY_AT`), while a MINE pins every shard once — one
+/// `COUNT_MANY_AT` — and pulls its rows.
 #[test]
 fn a_coordinator_count_is_one_frame_per_shard_and_mining_pins_once() {
     let (h0, a0, _g0) = shard_server("hops_s0", cfg());
@@ -535,20 +536,17 @@ fn a_coordinator_count_is_one_frame_per_shard_and_mining_pins_once() {
             .map(|a| endpoint_requests(a, endpoint))
             .collect()
     };
-    let (counts0, pins0) = (tally("count_many_at"), tally("snapshot_pin"));
+    let (counts0, pins0) = (tally("count_many"), tally("count_many_at"));
+    let pulls0 = tally("rows_pull");
     const N: u64 = 7;
     for i in 0..N {
-        let (req, queries) = if i % 2 == 0 {
-            (Request::Count { items: vec![1] }, 1)
+        let itemsets = if i % 2 == 0 {
+            vec![vec![1]]
         } else {
-            let itemsets = vec![vec![1], vec![1, 9], vec![77]];
-            (Request::CountMany { itemsets }, 3)
+            vec![vec![1], vec![1, 9], vec![77]]
         };
-        let supports = match coordinator.handle(&req) {
-            Response::Ok(bbs_server::Reply::Count { support, rows, .. }) => {
-                assert_eq!(rows, 40);
-                vec![support]
-            }
+        let queries = itemsets.len();
+        let supports = match coordinator.handle(&Request::CountMany { itemsets }) {
             Response::Ok(bbs_server::Reply::CountMany { supports, rows, .. }) => {
                 assert_eq!(rows, 40);
                 supports
@@ -559,15 +557,85 @@ fn a_coordinator_count_is_one_frame_per_shard_and_mining_pins_once() {
         assert_eq!((supports.len(), supports[0]), (queries, 40), "count {i}");
     }
     let plus = |base: &[u64], n: u64| base.iter().map(|v| v + n).collect::<Vec<u64>>();
-    assert_eq!(tally("count_many_at"), plus(&counts0, N));
-    assert_eq!(tally("snapshot_pin"), pins0);
+    assert_eq!(tally("count_many"), plus(&counts0, N));
+    assert_eq!(tally("count_many_at"), pins0);
 
     let mine = coordinator
         .mine(Scheme::Dfp, SupportThreshold::Count(10), 1)
         .expect("mine");
     assert_eq!(mine.2, 40);
-    assert_eq!(tally("snapshot_pin"), plus(&pins0, 1));
-    assert_eq!(tally("count_many_at"), plus(&counts0, N));
+    assert_eq!(tally("count_many_at"), plus(&pins0, 1));
+    assert_eq!(tally("count_many"), plus(&counts0, N));
+    for (shard, (now, before)) in tally("rows_pull").iter().zip(&pulls0).enumerate() {
+        assert!(now > before, "shard {shard}: the mine pulled no rows");
+    }
+
+    coordinator.join();
+    h0.join();
+    h1.join();
+}
+
+/// A coordinator's counts never evict the pin of a MINE or PROBE in
+/// flight: a shard keeps only a few pins, and a count takes none of them.
+/// Pin A, then four times commit on the shard and count through the
+/// coordinator: A still answers A's rows.
+#[test]
+fn coordinator_counts_leave_a_requests_pin_in_place() {
+    let (h0, a0, _g0) = shard_server("keep_s0", cfg());
+    let (h1, a1, _g1) = shard_server("keep_s1", cfg());
+    let coordinator =
+        CoordinatorEngine::connect(topology_for(&[a0.clone(), a1], &[None, None]), opts())
+            .expect("connect");
+    let mut direct = Client::connect_tcp(a0).expect("connect shard 0");
+    direct.insert(&batch(0, 10)).expect("insert");
+
+    let a = Node::pin(&coordinator.handles()[0], &coordinator.shard_faults()[0]).expect("pin A");
+    for i in 0..4 {
+        direct
+            .insert(&batch(10 + i, 1))
+            .expect("insert on the shard directly");
+        coordinator.count_many(&[vec![1]]).expect("count");
+    }
+    let view = RemoteShardHandle::mine_view(&a).expect("A is still pinned");
+    assert_eq!(view.live_rows(), RemoteShardHandle::rows(&a));
+    assert_eq!(view.live_rows(), 10);
+
+    coordinator.join();
+    h0.join();
+    h1.join();
+}
+
+/// The coordinator's STATS outlive a maintenance fan-out: each leg
+/// reports its shard's width, and the next count its rows and epoch.
+#[test]
+fn coordinator_stats_report_the_shards_after_a_compaction() {
+    const N: u64 = 30;
+    let (h0, a0, _g0) = shard_server("gauge_s0", cfg());
+    let (h1, a1, _g1) = shard_server("gauge_s1", cfg());
+    let coordinator = CoordinatorEngine::connect(topology_for(&[a0, a1], &[None, None]), opts())
+        .expect("connect");
+    assert!(matches!(
+        coordinator.insert(1, &batch(0, N)),
+        Response::Ok(_)
+    ));
+    let compact = Request::Maintain {
+        action: bbs_server::maintain_action::COMPACT,
+        arg: 0,
+    };
+    assert!(matches!(coordinator.handle(&compact), Response::Ok(_)));
+    coordinator.count_many(&[vec![1]]).expect("count");
+
+    let Response::Ok(bbs_server::Reply::Stats { json }) = coordinator.handle(&Request::Stats)
+    else {
+        panic!("stats");
+    };
+    assert!(
+        json.contains(&format!("\"shard_width\":[{WIDTH},{WIDTH}]")),
+        "{json}"
+    );
+    assert!(json.contains(&format!("\"width\":{WIDTH}")), "{json}");
+    assert!(json.contains(&format!("\"rows\":{N}")), "{json}");
+    assert!(json.contains("\"shard_rows\":[15,15]"), "{json}");
 
     coordinator.join();
     h0.join();
@@ -591,14 +659,15 @@ fn a_remote_pin_reads_its_own_cut_not_the_handles_latest() {
         .insert(&batch(20, 10))
         .expect("insert on the shard directly");
     let b = Node::pin(&handle, &faults).expect("pin B");
-    assert_eq!((a.rows(), b.rows()), (20, 30));
+    let rows = RemoteShardHandle::rows;
+    assert_eq!((rows(&a), rows(&b)), (20, 30));
 
     let view = |pin| RemoteShardHandle::mine_view(pin).expect("mining view");
-    assert_eq!(view(&a).live_rows(), a.rows());
-    assert_eq!(view(&b).live_rows(), b.rows());
+    assert_eq!(view(&a).live_rows(), rows(&a));
+    assert_eq!(view(&b).live_rows(), rows(&b));
     let ones = [Itemset::from_values(&[1])];
-    assert_eq!(a.count_many(&ones, None).expect("count at A"), vec![20]);
-    assert_eq!(b.count_many(&ones, None).expect("count at B"), vec![30]);
+    assert_eq!(view(&a).tally(&ones).expect("count at A"), vec![20]);
+    assert_eq!(view(&b).tally(&ones).expect("count at B"), vec![30]);
     assert_ne!(RemoteShardHandle::epoch(&a), RemoteShardHandle::epoch(&b));
 
     h.join();

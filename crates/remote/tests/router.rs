@@ -123,7 +123,9 @@ fn script() -> Vec<Request> {
             req_id: 11,
             txns: batch(0, N),
         },
-        Request::Count { items: vec![1] },
+        Request::CountMany {
+            itemsets: vec![vec![1]],
+        },
         Request::CountMany {
             itemsets: vec![vec![1], vec![2], vec![1, 9], vec![4, 9], vec![], vec![77]],
         },
@@ -135,7 +137,9 @@ fn script() -> Vec<Request> {
             req_id: 21,
             tids: vec![3, 4, 5, 40, 41, 1000],
         },
-        Request::Count { items: vec![1] },
+        Request::CountMany {
+            itemsets: vec![vec![1]],
+        },
         Request::Maintain {
             action: maintain_action::PROBE_FPR,
             arg: 16,
@@ -166,7 +170,10 @@ fn script() -> Vec<Request> {
             tids: Vec::new(),
         },
         Request::Promote,
-        Request::SnapshotPin,
+        Request::CountManyAt {
+            epoch: None,
+            itemsets: vec![],
+        },
     ]);
     reqs
 }
@@ -178,8 +185,7 @@ fn modulo_epoch(resp: Response) -> Response {
         return resp;
     };
     match &mut reply {
-        Reply::Count { epoch, .. }
-        | Reply::CountMany { epoch, .. }
+        Reply::CountMany { epoch, .. }
         | Reply::Insert { epoch, .. }
         | Reply::Delete { epoch, .. }
         | Reply::Mine { epoch, .. } => *epoch = 0,
@@ -218,7 +224,7 @@ fn local_and_remote_routers_answer_the_same_script_alike() {
             (Request::Maintain { action, .. }, Response::Ok(Reply::Maintain { action_taken, .. })) => {
                 assert_eq!(action_taken, action)
             }
-            (Request::Promote | Request::SnapshotPin, resp) => {
+            (Request::Promote | Request::CountManyAt { .. }, resp) => {
                 assert!(matches!(resp, Response::Err(_)), "{resp:?}")
             }
             (_, resp) => assert!(matches!(resp, Response::Ok(_)), "step {step}: {resp:?}"),
@@ -268,8 +274,8 @@ fn deletes_are_timed_apart_from_inserts() {
 }
 
 /// The distributed read path shows up in each shard server's own stats:
-/// one coordinator `count_many` is a pin and a pinned count on every
-/// shard, and a mine pulls rows from each.
+/// one coordinator `count_many` is a `count_many` on every shard, and a
+/// mine pins each shard (`count_many_at`) and pulls its rows.
 #[test]
 fn shard_servers_count_the_pinned_read_opcodes() {
     let remote = remote("opcodes");
@@ -290,7 +296,7 @@ fn shard_servers_count_the_pinned_read_opcodes() {
     for (i, shard) in remote.shards.iter().enumerate() {
         let addr = shard.tcp_addr().expect("tcp addr").to_string();
         let json = Client::connect_tcp(addr).expect("connect").stats().expect("stats");
-        for endpoint in ["snapshot_pin", "count_many_at", "rows_pull"] {
+        for endpoint in ["count_many", "count_many_at", "rows_pull"] {
             let key = format!("\"{endpoint}\":{{\"requests\":");
             let at = json.find(&key).unwrap_or_else(|| panic!("shard {i}: no {endpoint}: {json}"));
             let requests: u64 = json[at + key.len()..]

@@ -154,7 +154,8 @@ impl Write for Stream {
     }
 }
 
-/// The `count` reply: a support estimate stamped with its snapshot.
+/// The `count` reply (a `count_many` of one): a support estimate stamped
+/// with its snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CountReply {
     /// The BBS support estimate.
@@ -242,29 +243,21 @@ pub struct PromoteReply {
     pub rows: u64,
 }
 
-/// The `snapshot_pin` reply: the pinned epoch plus the identity facts a
-/// coordinator checks before trusting cross-shard sums.
+/// The `count_many_at` reply: supports in request order, all answered
+/// from one pinned epoch, plus the identity facts a coordinator checks
+/// before trusting cross-shard sums.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PinReply {
-    /// The pinned epoch; pass it to `count_many_at` / `rows`.
+pub struct CountsAtReply {
+    /// The epoch that answered: the request's pin, or the latest epoch
+    /// (now pinned) when the request named none.  Pass it to
+    /// `count_many_at` / `rows`.
     pub epoch: u64,
-    /// Rows visible to the pinned snapshot.
+    /// Rows visible to that snapshot.
     pub rows: u64,
     /// Signature width of the serving deployment.
     pub width: u32,
     /// Identity of the item-hash family (e.g. `md5/4`).
     pub hasher: String,
-}
-
-/// The `count_many_at` reply: supports in request order, all answered
-/// from one pinned epoch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CountsAtReply {
-    /// The epoch that answered: the request's pin, or the latest epoch
-    /// (now pinned) when the request named none.
-    pub epoch: u64,
-    /// Rows visible to that snapshot.
-    pub rows: u64,
     /// Supports, one per itemset in request order.
     pub supports: Vec<u64>,
 }
@@ -363,23 +356,15 @@ impl Client {
         }
     }
 
-    /// `CountItemSet` for `items` against the latest snapshot.
+    /// `CountItemSet` for `items` against the latest snapshot: a
+    /// [`Client::count_many`] of one.
     pub fn count(&mut self, items: &[u32]) -> ClientResult<CountReply> {
-        let req = Request::Count {
-            items: items.to_vec(),
-        };
-        match self.request(&req)? {
-            Reply::Count {
-                support,
-                epoch,
-                rows,
-            } => Ok(CountReply {
-                support,
-                epoch,
-                rows,
-            }),
-            other => Self::mismatch(other),
-        }
+        let reply = self.count_many(&[items])?;
+        Ok(CountReply {
+            support: reply.supports[0],
+            epoch: reply.epoch,
+            rows: reply.rows,
+        })
     }
 
     /// Batched `CountItemSet`: all itemsets are answered from **one**
@@ -395,7 +380,7 @@ impl Client {
                 supports,
                 epoch,
                 rows,
-            } => Ok(CountManyReply {
+            } if supports.len() == itemsets.len() => Ok(CountManyReply {
                 supports,
                 epoch,
                 rows,
@@ -561,57 +546,36 @@ impl Client {
         }
     }
 
-    /// Pins the server's latest snapshot and returns its epoch plus the
-    /// width/hasher identity a coordinator validates at connect time.
-    /// The pin keeps that snapshot answerable by `count_many_at` and
-    /// `rows` until it is evicted by newer pins.
-    pub fn snapshot_pin(&mut self) -> ClientResult<PinReply> {
-        match self.request(&Request::SnapshotPin)? {
-            Reply::SnapshotPinned {
-                epoch,
-                rows,
-                width,
-                hasher,
-            } => Ok(PinReply {
-                epoch,
-                rows,
-                width,
-                hasher,
-            }),
-            other => Self::mismatch(other),
-        }
-    }
-
-    /// Batched counting against a pinned epoch — the [`ShardHandle`]
-    /// contract over the wire — or, with `epoch = None`, against the
-    /// latest snapshot, which the server pins as it answers (a pin and a
-    /// count in one round trip).  `tau` bounds per-query work exactly as
-    /// in the local sharded counter: `Some(t)` answers exactly at or
-    /// above `t` and with an upper bound below it; `None` answers exactly.
+    /// Exact batched counting against a pinned epoch, or, with
+    /// `epoch = None`, against the latest snapshot, which the server pins
+    /// as it answers.  With no epoch and no itemsets this is the pin: the
+    /// reply's epoch stays answerable by `count_many_at` and `rows` until
+    /// newer pins evict it, and its width/hasher identity is what a
+    /// coordinator validates at connect time.
     ///
     /// A pin that was evicted answers with a typed `Server` error whose
     /// message starts with `stale pin:` — re-pin and retry.
-    ///
-    /// [`ShardHandle`]: https://docs.rs/bbs-shard
     pub fn count_many_at(
         &mut self,
         epoch: Option<u64>,
         itemsets: &[Vec<u32>],
-        tau: Option<u64>,
     ) -> ClientResult<CountsAtReply> {
         let req = Request::CountManyAt {
             epoch,
             itemsets: itemsets.to_vec(),
-            tau,
         };
         match self.request(&req)? {
             Reply::CountsAt {
                 epoch,
                 rows,
+                width,
+                hasher,
                 supports,
-            } => Ok(CountsAtReply {
+            } if supports.len() == itemsets.len() => Ok(CountsAtReply {
                 epoch,
                 rows,
+                width,
+                hasher,
                 supports,
             }),
             other => Self::mismatch(other),
@@ -879,7 +843,7 @@ impl RetryClient {
         self.retry(|c| c.maintain(action, arg))
     }
 
-    /// `count` with retries.
+    /// `count` (a `count_many` of one) with retries.
     pub fn count(&mut self, items: &[u32]) -> ClientResult<CountReply> {
         self.retry(|c| c.count(items))
     }
@@ -915,21 +879,14 @@ impl RetryClient {
         self.retry(|c| c.promote())
     }
 
-    /// `snapshot_pin` with retries (pinning is a read plus a bounded
-    /// server-side retain; re-pinning is harmless).
-    pub fn snapshot_pin(&mut self) -> ClientResult<PinReply> {
-        self.retry(|c| c.snapshot_pin())
-    }
-
     /// `count_many_at` with retries (an idempotent read; the latest-epoch
-    /// form's pin is as harmless to repeat as `snapshot_pin`).
+    /// form's pin is a bounded server-side retain, harmless to repeat).
     pub fn count_many_at(
         &mut self,
         epoch: Option<u64>,
         itemsets: &[Vec<u32>],
-        tau: Option<u64>,
     ) -> ClientResult<CountsAtReply> {
-        self.retry(|c| c.count_many_at(epoch, itemsets, tau))
+        self.retry(|c| c.count_many_at(epoch, itemsets))
     }
 
     /// `rows` with retries (idempotent read of a pinned epoch).

@@ -866,14 +866,6 @@ impl Engine {
     pub(crate) fn dispatch(&self, req: &Request) -> Response {
         match req {
             Request::Ping => Response::Ok(Reply::Pong),
-            Request::Count { items } => match self.count(items) {
-                Ok((support, snap)) => Response::Ok(Reply::Count {
-                    support,
-                    epoch: snap.epoch(),
-                    rows: snap.rows(),
-                }),
-                Err(e) => Response::Err(format!("count failed: {e}")),
-            },
             Request::Insert { req_id, txns } => {
                 let txns: Vec<Transaction> = txns
                     .iter()
@@ -944,23 +936,7 @@ impl Engine {
                     Err(e) => Response::Err(format!("count_many failed: {e}")),
                 }
             }
-            Request::SnapshotPin => {
-                let snap = self.pin_snapshot();
-                Response::Ok(Reply::SnapshotPinned {
-                    epoch: snap.epoch(),
-                    rows: snap.rows(),
-                    // The live width, not the configured one: a fold may
-                    // have halved it since this engine was opened.
-                    width: self.shared.width() as u32,
-                    // So a coordinator can refuse a mismatched shard.
-                    hasher: snap.hasher().id(),
-                })
-            }
-            Request::CountManyAt {
-                epoch,
-                itemsets,
-                tau,
-            } => {
+            Request::CountManyAt { epoch, itemsets } => {
                 if !admit_count_many(&self.metrics, itemsets) {
                     return Response::Overloaded;
                 }
@@ -975,10 +951,15 @@ impl Engine {
                     .iter()
                     .map(|items| Itemset::from_values(items))
                     .collect();
-                match snap.count_many_bounded(&sets, *tau) {
+                match snap.count_many(&sets) {
                     Ok(supports) => Response::Ok(Reply::CountsAt {
                         epoch: snap.epoch(),
                         rows: snap.rows(),
+                        // The live width, not the configured one: a fold
+                        // may have halved it since this engine was opened.
+                        width: self.shared.width() as u32,
+                        // So a coordinator can refuse a mismatched shard.
+                        hasher: snap.hasher().id(),
                         supports,
                     }),
                     Err(e) => Response::Err(format!("count_many_at failed: {e}")),
@@ -1561,17 +1542,19 @@ mod tests {
             txns: vec![(0, vec![4, 5]), (1, vec![4])],
         });
         assert!(matches!(resp, Response::Ok(Reply::Insert { appended: 2, .. })));
-        let resp = engine.handle(&Request::Count { items: vec![4] });
+        let resp = engine.handle(&Request::CountMany {
+            itemsets: vec![vec![4]],
+        });
         match resp {
-            Response::Ok(Reply::Count { support, rows, .. }) => {
-                assert_eq!((support, rows), (2, 2));
+            Response::Ok(Reply::CountMany { supports, rows, .. }) => {
+                assert_eq!((supports, rows), (vec![2], 2));
             }
             other => panic!("unexpected: {other:?}"),
         }
         let m = engine.metrics();
-        assert_eq!(m.count.requests.load(Ordering::Relaxed), 1);
+        assert_eq!(m.count_many.requests.load(Ordering::Relaxed), 1);
         assert_eq!(m.insert.requests.load(Ordering::Relaxed), 1);
-        assert_eq!(m.count.latency_us.count(), 1);
+        assert_eq!(m.count_many.latency_us.count(), 1);
 
         let resp = engine.handle(&Request::Stats);
         match resp {
@@ -1785,6 +1768,8 @@ mod tests {
         assert_eq!((support, snap.rows()), (5, 5));
     }
 
+    /// A snapshot pin is a `COUNT_MANY_AT` with no epoch and no itemsets;
+    /// its reply names the deployment's own hasher and live width.
     #[test]
     fn snapshot_pin_names_the_hasher_the_deployment_was_opened_with() {
         let b = base("pin_hasher");
@@ -1792,8 +1777,17 @@ mod tests {
         let hasher: Arc<dyn ItemHasher> = Arc::new(bbs_hash::ModuloHasher);
         let shared = SharedDeployment::open(&b, 64, hasher, 128).expect("open");
         let engine = Engine::with_shared(shared, cfg()).expect("engine");
-        match engine.handle(&Request::SnapshotPin) {
-            Response::Ok(Reply::SnapshotPinned { hasher, .. }) => assert_eq!(hasher, "mod/1"),
+        let pin = Request::CountManyAt {
+            epoch: None,
+            itemsets: vec![],
+        };
+        match engine.handle(&pin) {
+            Response::Ok(Reply::CountsAt {
+                hasher,
+                width,
+                supports,
+                ..
+            }) => assert_eq!((hasher.as_str(), width, supports), ("mod/1", 64, vec![])),
             other => panic!("unexpected: {other:?}"),
         }
         engine.join();

@@ -46,7 +46,7 @@ pub mod sharded;
 
 pub use client::{
     Client, ClientError, ClientResult, CountManyReply, CountReply, CountsAtReply, DeleteReply,
-    InsertReply, MaintainReply, MineReply, PinReply, PromoteReply, ReplicateReply, RetryClient,
+    InsertReply, MaintainReply, MineReply, PromoteReply, ReplicateReply, RetryClient,
     RetryPolicy, RetryStats, RowsReply, ServerAddr,
 };
 pub use engine::{resolve_threads, Engine, InsertOutcome, Role, ServerConfig};

@@ -194,8 +194,6 @@ impl MineCursorMetrics {
 pub struct ServerMetrics {
     /// Per-endpoint request counters, indexed by opcode name.
     pub ping: Endpoint,
-    /// `count` endpoint.
-    pub count: Endpoint,
     /// `insert` endpoint (latency includes queue wait + group commit).
     pub insert: Endpoint,
     /// `mine` endpoint.
@@ -208,17 +206,17 @@ pub struct ServerMetrics {
     pub replicate: Endpoint,
     /// `promote` endpoint.
     pub promote: Endpoint,
-    /// `count_many` endpoint (batched counting; latency covers the whole
+    /// `count_many` endpoint (every count, a single one included, and the
+    /// shard-side leg of every coordinator count; latency covers the whole
     /// batch).
     pub count_many: Endpoint,
     /// `delete` endpoint (tombstone deletes by TID).
     pub delete: Endpoint,
     /// `maintain` endpoint (FPR probes, compactions, folds).
     pub maintain: Endpoint,
-    /// `snapshot_pin` endpoint (a coordinator pinning this shard's epoch).
-    pub snapshot_pin: Endpoint,
-    /// `count_many_at` endpoint (batched counting against a pinned epoch —
-    /// the shard-side leg of every coordinator count).
+    /// `count_many_at` endpoint (pins, and batched counting against a
+    /// pinned epoch — a coordinator pinning this shard for a MINE or a
+    /// PROBE).
     pub count_many_at: Endpoint,
     /// `rows` endpoint (bulk row pulls for distributed mining and probes).
     pub rows: Endpoint,
@@ -287,11 +285,10 @@ impl ServerMetrics {
 
     /// Every tracked endpoint: its opcode, its name in the stats document,
     /// and its counters.
-    fn endpoints(&self) -> [(u8, &'static str, &Endpoint); 14] {
+    fn endpoints(&self) -> [(u8, &'static str, &Endpoint); 12] {
         use crate::proto::op;
         [
             (op::PING, "ping", &self.ping),
-            (op::COUNT, "count", &self.count),
             (op::INSERT, "insert", &self.insert),
             (op::MINE, "mine", &self.mine),
             (op::PROBE, "probe", &self.probe),
@@ -301,7 +298,6 @@ impl ServerMetrics {
             (op::COUNT_MANY, "count_many", &self.count_many),
             (op::DELETE, "delete", &self.delete),
             (op::MAINTAIN, "maintain", &self.maintain),
-            (op::SNAPSHOT_PIN, "snapshot_pin", &self.snapshot_pin),
             (op::COUNT_MANY_AT, "count_many_at", &self.count_many_at),
             // Not "rows": that key is the engines' committed row count.
             (op::ROWS, "rows_pull", &self.rows),
@@ -397,11 +393,11 @@ mod tests {
     #[test]
     fn json_rendering_is_well_formed() {
         let m = ServerMetrics::new();
-        m.count.requests.fetch_add(2, Ordering::Relaxed);
-        m.count.latency_us.record(17);
+        m.count_many.requests.fetch_add(2, Ordering::Relaxed);
+        m.count_many.latency_us.record(17);
         let json = m.to_json(&[format!("\"epoch\":{}", 4)]);
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"count\":{\"requests\":2"));
+        assert!(json.contains("\"count_many\":{\"requests\":2"));
         assert!(json.contains("\"epoch\":4"));
         // Balanced braces (a cheap structural check without a parser).
         let open = json.matches('{').count();
@@ -415,7 +411,6 @@ mod tests {
         let m = ServerMetrics::new();
         for opc in [
             op::PING,
-            op::COUNT,
             op::INSERT,
             op::MINE,
             op::PROBE,
@@ -425,13 +420,15 @@ mod tests {
             op::COUNT_MANY,
             op::DELETE,
             op::MAINTAIN,
-            op::SNAPSHOT_PIN,
             op::COUNT_MANY_AT,
             op::ROWS,
         ] {
             assert!(m.endpoint(opc).is_some());
         }
         assert!(m.endpoint(op::SHUTDOWN).is_none());
-        assert!(m.endpoint(0xFF).is_none());
+        // The retired COUNT and SNAPSHOT_PIN opcodes have no endpoint.
+        for retired in [1, 10, 0xFF] {
+            assert!(m.endpoint(retired).is_none());
+        }
     }
 }

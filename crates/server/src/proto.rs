@@ -25,6 +25,23 @@
 //! The protocol is deliberately version-stamped: byte 0 of every request
 //! is the opcode, and unknown opcodes decode to a typed error rather than
 //! a desync, so a newer client degrades cleanly against an older server.
+//!
+//! # Read frames
+//!
+//! Three frames read the index, on every hop (client → server and
+//! coordinator → shard):
+//!
+//! * `COUNT_MANY` — exact supports of a batch at the latest snapshot.  A
+//!   single count is a `COUNT_MANY` of one.
+//! * `COUNT_MANY_AT` — the same batch at a pinned epoch, or, with no
+//!   epoch, at the latest snapshot, which the server pins as it answers.
+//!   With no epoch and no itemsets it is the pin itself, and its reply
+//!   carries the width and hasher identity a coordinator checks at
+//!   connect.
+//! * `ROWS` — the live transactions of a pinned snapshot.
+//!
+//! Opcodes 1 (the old single `COUNT`) and 10 (the old `SNAPSHOT_PIN`) are
+//! retired: they decode as unknown opcodes, not as aliases.
 
 use bbs_core::Scheme;
 use bbs_tdb::SupportThreshold;
@@ -34,12 +51,11 @@ use std::io::{self, Read, Write};
 /// small enough to bound a malicious length prefix.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Opcode values (request byte 0; echoed in ok responses).
+/// Opcode values (request byte 0; echoed in ok responses).  1 and 10 are
+/// retired (see the module docs) and are never reused.
 pub mod op {
     /// Liveness check.
     pub const PING: u8 = 0;
-    /// `CountItemSet` against the latest snapshot.
-    pub const COUNT: u8 = 1;
     /// Group-committed transaction ingest.
     pub const INSERT: u8 = 2;
     /// Full frequent-pattern mine of a snapshot.
@@ -54,11 +70,10 @@ pub mod op {
     pub const REPLICATE: u8 = 7;
     /// Promote a follower to primary (writable).
     pub const PROMOTE: u8 = 8;
-    /// Batched `CountItemSet`: many itemsets against one snapshot.
+    /// Batched `CountItemSet`: many itemsets against the latest snapshot.
     pub const COUNT_MANY: u8 = 9;
-    /// Pin the latest snapshot so later requests can count against it.
-    pub const SNAPSHOT_PIN: u8 = 10;
-    /// Batched `CountItemSet` against a previously pinned snapshot.
+    /// Batched `CountItemSet` against a pinned snapshot, or the latest one
+    /// pinned as it answers.
     pub const COUNT_MANY_AT: u8 = 11;
     /// Stream transactions of a pinned snapshot in row order.
     pub const ROWS: u8 = 12;
@@ -111,11 +126,6 @@ pub mod status {
 pub enum Request {
     /// Liveness check; answered with [`Reply::Pong`].
     Ping,
-    /// Support query for one itemset (item values, unsorted is fine).
-    Count {
-        /// Item values of the query itemset.
-        items: Vec<u32>,
-    },
     /// Append transactions `(tid, items)` through the group-commit queue.
     Insert {
         /// Client-supplied request ID for exactly-once ingest: a retry
@@ -163,24 +173,19 @@ pub enum Request {
     },
     /// Flip this follower to primary (idempotent on a primary).
     Promote,
-    /// Support queries for many itemsets, answered from **one** snapshot
-    /// via the shared-scan executor.  Admission control charges the whole
-    /// batch by its total item count, not as one request.
+    /// Exact support queries for many itemsets, answered from **one**
+    /// snapshot (the latest) via the shared-scan executor.  A single count
+    /// is a batch of one.  Admission control charges the whole batch by
+    /// its total item count, not as one request.
     CountMany {
         /// The query itemsets (item values each, unsorted is fine).
         itemsets: Vec<Vec<u32>>,
     },
-    /// Pin the latest snapshot in the server's bounded pin table so
-    /// later [`Request::CountManyAt`] / [`Request::Rows`] requests can
-    /// answer against that exact epoch (the remote `ShardHandle`
-    /// contract).  Idempotent; re-pinning the same epoch refreshes it.
-    SnapshotPin,
-    /// Support queries for many itemsets against one snapshot, with an
-    /// optional per-shard early-exit budget τ.  With `tau = Some(t)` the
-    /// single-shard τ contract applies per answer: exact when `≥ t`, an
-    /// upper bound otherwise (0 always exact).  `epoch = None` answers
-    /// from the latest snapshot and pins it, as [`Request::SnapshotPin`]
-    /// would, so one frame is a pin and a count.  An epoch that is no
+    /// Exact support queries for many itemsets against one pinned
+    /// snapshot.  `epoch = None` answers from the latest snapshot and
+    /// pins it in the server's bounded pin table, so later
+    /// `COUNT_MANY_AT` / [`Request::Rows`] requests can name it; with no
+    /// itemsets as well, the frame is just the pin.  An epoch that is no
     /// longer pinned answers with a typed `stale pin` error — the caller
     /// re-pins and retries.
     CountManyAt {
@@ -188,8 +193,6 @@ pub enum Request {
         epoch: Option<u64>,
         /// The query itemsets (item values each, unsorted is fine).
         itemsets: Vec<Vec<u32>>,
-        /// Early-exit budget; `None` = every answer exact.
-        tau: Option<u64>,
     },
     /// Tombstone-delete every live transaction holding one of `tids`.
     /// Routed and deduplicated exactly like [`Request::Insert`]: a retry
@@ -234,16 +237,6 @@ pub enum Request {
 pub enum Reply {
     /// Answer to [`Request::Ping`].
     Pong,
-    /// Answer to [`Request::Count`].
-    Count {
-        /// The BBS support estimate (exact for singletons; an upper bound
-        /// with false positives possible for larger sets).
-        support: u64,
-        /// Epoch of the snapshot that answered.
-        epoch: u64,
-        /// Rows visible to that snapshot.
-        rows: u64,
-    },
     /// Answer to [`Request::Insert`].
     Insert {
         /// First row the batch occupies.
@@ -299,20 +292,22 @@ pub enum Reply {
     /// Answer to [`Request::CountMany`]: one support per query itemset, in
     /// request order, all from the same snapshot.
     CountMany {
-        /// BBS support estimates, one per itemset (semantics as in
-        /// [`Reply::Count`]).
+        /// BBS support estimates, one per itemset (exact for singletons;
+        /// an upper bound with false positives possible for larger sets).
         supports: Vec<u64>,
         /// Epoch of the snapshot that answered every query.
         epoch: u64,
         /// Rows visible to that snapshot.
         rows: u64,
     },
-    /// Answer to [`Request::SnapshotPin`]: the pinned epoch plus the
+    /// Answer to [`Request::CountManyAt`]: one support per query
+    /// itemset, in request order, all from one pinned epoch, plus the
     /// identity facts a coordinator checks against its topology before
     /// trusting cross-shard sums (same width + hasher ⇒ identical
     /// per-row signatures ⇒ per-shard sums are the unsharded estimates).
-    SnapshotPinned {
-        /// Epoch of the pinned snapshot.
+    CountsAt {
+        /// The pinned epoch that answered (the latest one when the request
+        /// named none).
         epoch: u64,
         /// Rows visible to that snapshot.
         rows: u64,
@@ -320,16 +315,7 @@ pub enum Reply {
         width: u32,
         /// Identity of the item hasher (e.g. `md5/4`).
         hasher: String,
-    },
-    /// Answer to [`Request::CountManyAt`]: one support per query
-    /// itemset, in request order, all from one pinned epoch.
-    CountsAt {
-        /// The pinned epoch that answered (the latest one when the request
-        /// named none).
-        epoch: u64,
-        /// Rows visible to that snapshot.
-        rows: u64,
-        /// Per-itemset supports under the request's τ contract.
+        /// Per-itemset supports (as in [`Reply::CountMany`]).
         supports: Vec<u64>,
     },
     /// Answer to [`Request::Delete`].
@@ -454,6 +440,24 @@ impl<'a> Reader<'a> {
         (0..n).map(|_| self.u32()).collect()
     }
 
+    fn u64s(&mut self) -> io::Result<Vec<u64>> {
+        let n = self.u32()? as usize;
+        let mut values = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            values.push(self.u64()?);
+        }
+        Ok(values)
+    }
+
+    fn itemsets(&mut self) -> io::Result<Vec<Vec<u32>>> {
+        let n = self.u32()? as usize;
+        let mut itemsets = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            itemsets.push(self.items()?);
+        }
+        Ok(itemsets)
+    }
+
     fn done(&self) -> io::Result<()> {
         if self.buf.is_empty() {
             Ok(())
@@ -468,6 +472,20 @@ fn put_items(out: &mut Vec<u8>, items: &[u32]) {
     out.extend_from_slice(&(items.len() as u16).to_le_bytes());
     for &v in items {
         out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+fn put_u64s(out: &mut Vec<u8>, values: &[u64]) {
+    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+fn put_itemsets(out: &mut Vec<u8>, itemsets: &[Vec<u32>]) {
+    out.extend_from_slice(&(itemsets.len() as u32).to_le_bytes());
+    for items in itemsets {
+        put_items(out, items);
     }
 }
 
@@ -532,10 +550,6 @@ impl Request {
         let mut out = Vec::new();
         match self {
             Request::Ping => out.push(op::PING),
-            Request::Count { items } => {
-                out.push(op::COUNT);
-                put_items(&mut out, items);
-            }
             Request::Insert { req_id, txns } => {
                 out.push(op::INSERT);
                 out.extend_from_slice(&req_id.to_le_bytes());
@@ -574,24 +588,12 @@ impl Request {
             Request::Promote => out.push(op::PROMOTE),
             Request::CountMany { itemsets } => {
                 out.push(op::COUNT_MANY);
-                out.extend_from_slice(&(itemsets.len() as u32).to_le_bytes());
-                for items in itemsets {
-                    put_items(&mut out, items);
-                }
+                put_itemsets(&mut out, itemsets);
             }
-            Request::SnapshotPin => out.push(op::SNAPSHOT_PIN),
-            Request::CountManyAt {
-                epoch,
-                itemsets,
-                tau,
-            } => {
+            Request::CountManyAt { epoch, itemsets } => {
                 out.push(op::COUNT_MANY_AT);
                 put_opt_u64(&mut out, *epoch);
-                put_opt_u64(&mut out, *tau);
-                out.extend_from_slice(&(itemsets.len() as u32).to_le_bytes());
-                for items in itemsets {
-                    put_items(&mut out, items);
-                }
+                put_itemsets(&mut out, itemsets);
             }
             Request::Delete { req_id, tids } => {
                 out.push(op::DELETE);
@@ -621,7 +623,6 @@ impl Request {
         let mut r = Reader::new(payload);
         let req = match r.u8()? {
             op::PING => Request::Ping,
-            op::COUNT => Request::Count { items: r.items()? },
             op::INSERT => {
                 let req_id = r.u64()?;
                 let n = r.u32()? as usize;
@@ -652,29 +653,13 @@ impl Request {
                 max_entries: r.u32()?,
             },
             op::PROMOTE => Request::Promote,
-            op::COUNT_MANY => {
-                let n = r.u32()? as usize;
-                let mut itemsets = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    itemsets.push(r.items()?);
-                }
-                Request::CountMany { itemsets }
-            }
-            op::SNAPSHOT_PIN => Request::SnapshotPin,
-            op::COUNT_MANY_AT => {
-                let epoch = get_opt_u64(&mut r, "epoch")?;
-                let tau = get_opt_u64(&mut r, "tau")?;
-                let n = r.u32()? as usize;
-                let mut itemsets = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    itemsets.push(r.items()?);
-                }
-                Request::CountManyAt {
-                    epoch,
-                    itemsets,
-                    tau,
-                }
-            }
+            op::COUNT_MANY => Request::CountMany {
+                itemsets: r.itemsets()?,
+            },
+            op::COUNT_MANY_AT => Request::CountManyAt {
+                epoch: get_opt_u64(&mut r, "epoch")?,
+                itemsets: r.itemsets()?,
+            },
             op::DELETE => {
                 let req_id = r.u64()?;
                 let n = r.u32()? as usize;
@@ -703,7 +688,6 @@ impl Request {
     pub fn opcode(&self) -> u8 {
         match self {
             Request::Ping => op::PING,
-            Request::Count { .. } => op::COUNT,
             Request::Insert { .. } => op::INSERT,
             Request::Mine { .. } => op::MINE,
             Request::Probe { .. } => op::PROBE,
@@ -712,7 +696,6 @@ impl Request {
             Request::Replicate { .. } => op::REPLICATE,
             Request::Promote => op::PROMOTE,
             Request::CountMany { .. } => op::COUNT_MANY,
-            Request::SnapshotPin => op::SNAPSHOT_PIN,
             Request::CountManyAt { .. } => op::COUNT_MANY_AT,
             Request::Rows { .. } => op::ROWS,
             Request::Delete { .. } => op::DELETE,
@@ -725,7 +708,6 @@ impl Reply {
     fn opcode(&self) -> u8 {
         match self {
             Reply::Pong => op::PING,
-            Reply::Count { .. } => op::COUNT,
             Reply::Insert { .. } => op::INSERT,
             Reply::Mine { .. } => op::MINE,
             Reply::Probe { .. } => op::PROBE,
@@ -734,7 +716,6 @@ impl Reply {
             Reply::LogEntries { .. } => op::REPLICATE,
             Reply::Promoted { .. } => op::PROMOTE,
             Reply::CountMany { .. } => op::COUNT_MANY,
-            Reply::SnapshotPinned { .. } => op::SNAPSHOT_PIN,
             Reply::CountsAt { .. } => op::COUNT_MANY_AT,
             Reply::Rows { .. } => op::ROWS,
             Reply::Delete { .. } => op::DELETE,
@@ -772,15 +753,6 @@ impl Response {
                 out.push(reply.opcode());
                 match reply {
                     Reply::Pong | Reply::ShuttingDown => {}
-                    Reply::Count {
-                        support,
-                        epoch,
-                        rows,
-                    } => {
-                        out.extend_from_slice(&support.to_le_bytes());
-                        out.extend_from_slice(&epoch.to_le_bytes());
-                        out.extend_from_slice(&rows.to_le_bytes());
-                    }
                     Reply::Insert {
                         first_row,
                         appended,
@@ -846,35 +818,22 @@ impl Response {
                         epoch,
                         rows,
                     } => {
-                        out.extend_from_slice(&(supports.len() as u32).to_le_bytes());
-                        for &s in supports {
-                            out.extend_from_slice(&s.to_le_bytes());
-                        }
+                        put_u64s(&mut out, supports);
                         out.extend_from_slice(&epoch.to_le_bytes());
                         out.extend_from_slice(&rows.to_le_bytes());
                     }
-                    Reply::SnapshotPinned {
+                    Reply::CountsAt {
                         epoch,
                         rows,
                         width,
                         hasher,
+                        supports,
                     } => {
                         out.extend_from_slice(&epoch.to_le_bytes());
                         out.extend_from_slice(&rows.to_le_bytes());
                         out.extend_from_slice(&width.to_le_bytes());
                         put_str(&mut out, hasher);
-                    }
-                    Reply::CountsAt {
-                        epoch,
-                        rows,
-                        supports,
-                    } => {
-                        out.extend_from_slice(&epoch.to_le_bytes());
-                        out.extend_from_slice(&rows.to_le_bytes());
-                        out.extend_from_slice(&(supports.len() as u32).to_le_bytes());
-                        for &s in supports {
-                            out.extend_from_slice(&s.to_le_bytes());
-                        }
+                        put_u64s(&mut out, supports);
                     }
                     Reply::Delete {
                         deleted,
@@ -929,11 +888,6 @@ impl Response {
             status::OK => Response::Ok(match r.u8()? {
                 op::PING => Reply::Pong,
                 op::SHUTDOWN => Reply::ShuttingDown,
-                op::COUNT => Reply::Count {
-                    support: r.u64()?,
-                    epoch: r.u64()?,
-                    rows: r.u64()?,
-                },
                 op::INSERT => Reply::Insert {
                     first_row: r.u64()?,
                     appended: r.u64()?,
@@ -1005,38 +959,18 @@ impl Response {
                     epoch: r.u64()?,
                     rows: r.u64()?,
                 },
-                op::COUNT_MANY => {
-                    let n = r.u32()? as usize;
-                    let mut supports = Vec::with_capacity(n.min(1 << 16));
-                    for _ in 0..n {
-                        supports.push(r.u64()?);
-                    }
-                    Reply::CountMany {
-                        supports,
-                        epoch: r.u64()?,
-                        rows: r.u64()?,
-                    }
-                }
-                op::SNAPSHOT_PIN => Reply::SnapshotPinned {
+                op::COUNT_MANY => Reply::CountMany {
+                    supports: r.u64s()?,
+                    epoch: r.u64()?,
+                    rows: r.u64()?,
+                },
+                op::COUNT_MANY_AT => Reply::CountsAt {
                     epoch: r.u64()?,
                     rows: r.u64()?,
                     width: r.u32()?,
                     hasher: get_str(&mut r)?,
+                    supports: r.u64s()?,
                 },
-                op::COUNT_MANY_AT => {
-                    let epoch = r.u64()?;
-                    let rows = r.u64()?;
-                    let n = r.u32()? as usize;
-                    let mut supports = Vec::with_capacity(n.min(1 << 16));
-                    for _ in 0..n {
-                        supports.push(r.u64()?);
-                    }
-                    Reply::CountsAt {
-                        epoch,
-                        rows,
-                        supports,
-                    }
-                }
                 op::DELETE => Reply::Delete {
                     deleted: r.u64()?,
                     epoch: r.u64()?,
@@ -1120,9 +1054,6 @@ mod tests {
     #[test]
     fn requests_roundtrip() {
         roundtrip_request(Request::Ping);
-        roundtrip_request(Request::Count {
-            items: vec![3, 1, 2],
-        });
         roundtrip_request(Request::Insert {
             req_id: 0,
             txns: vec![(7, vec![1, 2, 3]), (8, vec![]), (u64::MAX, vec![u32::MAX])],
@@ -1177,27 +1108,27 @@ mod tests {
         roundtrip_request(Request::CountMany {
             itemsets: vec![vec![3, 1, 2], vec![], vec![u32::MAX]],
         });
-        roundtrip_request(Request::SnapshotPin);
         roundtrip_request(Request::CountManyAt {
             epoch: Some(9),
             itemsets: vec![vec![1, 2], vec![]],
-            tau: None,
         });
         roundtrip_request(Request::CountManyAt {
             epoch: Some(u64::MAX),
             itemsets: vec![vec![u32::MAX]],
-            tau: Some(17),
         });
-        // The latest-epoch form, distinct from epoch 0 (a real epoch).
+        // The latest-epoch form, distinct from epoch 0 (a real epoch), and
+        // the pin: no epoch and no itemsets.
         roundtrip_request(Request::CountManyAt {
             epoch: None,
             itemsets: vec![vec![4]],
-            tau: None,
         });
         roundtrip_request(Request::CountManyAt {
             epoch: Some(0),
             itemsets: vec![],
-            tau: Some(0),
+        });
+        roundtrip_request(Request::CountManyAt {
+            epoch: None,
+            itemsets: vec![],
         });
         roundtrip_request(Request::Rows {
             epoch: 3,
@@ -1214,11 +1145,6 @@ mod tests {
     #[test]
     fn responses_roundtrip() {
         roundtrip_response(Response::Ok(Reply::Pong));
-        roundtrip_response(Response::Ok(Reply::Count {
-            support: 10,
-            epoch: 3,
-            rows: 1000,
-        }));
         roundtrip_response(Response::Ok(Reply::Insert {
             first_row: 5,
             appended: 2,
@@ -1284,20 +1210,18 @@ mod tests {
             epoch: 4,
             rows: 1000,
         }));
-        roundtrip_response(Response::Ok(Reply::SnapshotPinned {
+        roundtrip_response(Response::Ok(Reply::CountsAt {
             epoch: 7,
             rows: 320,
             width: 1600,
             hasher: "md5/4".into(),
-        }));
-        roundtrip_response(Response::Ok(Reply::CountsAt {
-            epoch: 7,
-            rows: 0,
             supports: vec![],
         }));
         roundtrip_response(Response::Ok(Reply::CountsAt {
             epoch: 7,
             rows: u64::MAX,
+            width: u32::MAX,
+            hasher: String::new(),
             supports: vec![0, 3, u64::MAX],
         }));
         roundtrip_response(Response::Ok(Reply::Rows {
@@ -1324,8 +1248,11 @@ mod tests {
     fn malformed_payloads_are_typed_errors() {
         assert!(Request::decode(&[]).is_err());
         assert!(Request::decode(&[0xFF]).is_err());
-        // COUNT claiming 2 items but carrying 1.
-        let mut bytes = vec![op::COUNT, 2, 0];
+        // The retired COUNT and SNAPSHOT_PIN opcodes, in their old shapes.
+        assert!(Request::decode(&[1, 1, 0, 7, 0, 0, 0]).is_err());
+        assert!(Request::decode(&[10]).is_err());
+        // A COUNT_MANY itemset claiming 2 items but carrying 1.
+        let mut bytes = vec![op::COUNT_MANY, 1, 0, 0, 0, 2, 0];
         bytes.extend_from_slice(&7u32.to_le_bytes());
         assert!(Request::decode(&bytes).is_err());
         // Trailing garbage after a valid request.
@@ -1346,15 +1273,15 @@ mod tests {
         assert!(Response::decode(&bytes).is_err());
     }
 
-    /// The latest-epoch `COUNT_MANY_AT`, its `rows`-carrying reply and the
-    /// `next`-carrying `ROWS` reply: every proper prefix of each encoding
-    /// is a typed error, never a panic and never a shorter valid frame.
+    /// The latest-epoch `COUNT_MANY_AT`, its reply carrying `rows`, the
+    /// width and the hasher, and the `next`-carrying `ROWS` reply: every
+    /// proper prefix of each encoding is a typed error, never a panic and
+    /// never a shorter valid frame.
     #[test]
     fn every_truncation_of_the_pinned_read_frames_is_an_error() {
         let request = Request::CountManyAt {
             epoch: None,
             itemsets: vec![vec![1, 2], vec![3]],
-            tau: Some(4),
         }
         .encode();
         for cut in 0..request.len() {
@@ -1367,6 +1294,8 @@ mod tests {
             Response::Ok(Reply::CountsAt {
                 epoch: 0,
                 rows: 12,
+                width: 64,
+                hasher: "mod/1".into(),
                 supports: vec![5, 0],
             }),
             Response::Ok(Reply::Rows {
@@ -1396,7 +1325,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xBB5_FA22);
         let requests = vec![
             Request::Ping.encode(),
-            Request::Count { items: vec![1, 2, 3] }.encode(),
             Request::Insert {
                 req_id: 42,
                 txns: vec![(1, vec![4, 5]), (2, vec![6])],
@@ -1430,17 +1358,14 @@ mod tests {
                 itemsets: vec![vec![1, 2], vec![3]],
             }
             .encode(),
-            Request::SnapshotPin.encode(),
             Request::CountManyAt {
                 epoch: Some(4),
                 itemsets: vec![vec![1, 2], vec![3]],
-                tau: Some(9),
             }
             .encode(),
             Request::CountManyAt {
                 epoch: None,
                 itemsets: vec![vec![5]],
-                tau: None,
             }
             .encode(),
             Request::Rows {
@@ -1498,16 +1423,11 @@ mod tests {
                 rows: 8,
             })
             .encode(),
-            Response::Ok(Reply::SnapshotPinned {
+            Response::Ok(Reply::CountsAt {
                 epoch: 3,
                 rows: 64,
                 width: 1024,
                 hasher: "md5/4".into(),
-            })
-            .encode(),
-            Response::Ok(Reply::CountsAt {
-                epoch: 3,
-                rows: 64,
                 supports: vec![7, 9],
             })
             .encode(),

@@ -19,12 +19,11 @@
 //!   exactly-once windows, and the deployment converges without any
 //!   cross-shard coordination.  Maintenance fans out to every node.  The
 //!   per-shard answers fold into one receipt in [`merge_receipts`].
-//! * **Reads** run against one fresh cut: `count`/`count_many` through
-//!   [`Node::count_exact`] — by default one pin per node and the gather
-//!   layer's sums ([`bbs_shard::count_many_sharded`]); a remote node pins
-//!   and counts in one round trip — and `mine` and `probe` against one
-//!   pinned snapshot per node: `mine` by asking every pin for
-//!   its [`MineView`] and walking the candidate tree over a
+//! * **Reads**: a count is an exact `COUNT_MANY` at every node's latest
+//!   snapshot ([`Node::count_latest`]), summed over the nodes in shard
+//!   order on the calling thread — no node is pinned for it.  `mine` and
+//!   `probe` read one pinned snapshot per node: `mine` by asking every pin
+//!   for its [`MineView`] and walking the candidate tree over a
 //!   [`bbs_shard::ShardedCounter`] of the views' cursors (supports merged
 //!   across shards inside every `CountItemSet`, uncertain candidates
 //!   refined with one scan per shard) — bit for bit what one unsharded
@@ -32,8 +31,8 @@
 //!   (shard 0's rows first).
 //!
 //! Where local and remote shards genuinely differ, the difference is a
-//! [`Node`] method (how a pin is taken, how an exact count reaches the
-//! shards, and what a pin's mining view is — the
+//! [`Node`] method (how a pin is taken, how a count reaches the shard,
+//! and what a pin's mining view is — the
 //! pinned snapshot mined in place, or rows pulled over the wire and
 //! indexed in memory — what a failure looks like, which stats columns
 //! exist, whether a drain propagates) or stays in the constructor shell
@@ -45,9 +44,7 @@ use crate::metrics::{micros_since, Histogram, ServerMetrics};
 use crate::net::RequestHandler;
 use crate::proto::{Reply, Request, Response};
 use bbs_core::{CountSource, Scheme};
-use bbs_shard::{
-    count_many_sharded, route, scatter, sum_columns, sum_item_counts, ShardHandle, ShardedCounter,
-};
+use bbs_shard::{route, scatter, sum_columns, sum_item_counts, ShardedCounter};
 use bbs_tdb::{ItemId, Itemset, MineResult, SupportThreshold};
 use std::collections::HashMap;
 use std::io;
@@ -128,7 +125,7 @@ pub fn json_column<T: ToString>(name: &str, values: impl Iterator<Item = T>) -> 
 
 /// A node's committed state as the stats document reports it, read
 /// without blocking on the node.
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Gauge {
     /// Committed rows.
     pub rows: u64,
@@ -169,10 +166,10 @@ pub trait MineView: Sync {
 /// One shard of a deployment as the [`Router`] drives it: a local engine
 /// or a server across the wire.
 pub trait Node: Send + Sync + Sized + 'static {
-    /// One pinned snapshot of this shard; counts scatter through it as a
-    /// [`ShardHandle`], and its epoch, mining view and single rows are
-    /// read back through the associated functions below.
-    type Pin<'a>: ShardHandle + Send
+    /// One pinned snapshot of this shard, for the reads that need one cut
+    /// across several calls; its epoch, rows, mining view and single rows
+    /// are read back through the associated functions below.
+    type Pin<'a>: Send + Sync
     where
         Self: 'a;
 
@@ -198,22 +195,17 @@ pub trait Node: Send + Sync + Sized + 'static {
     /// The epoch a pin was taken at.
     fn epoch(pin: &Self::Pin<'_>) -> u64;
 
-    /// Exact supports of `itemsets` over a fresh cut of every node, with
-    /// the cut's epoch and rows (each summed over the nodes).  By default
-    /// the nodes are pinned and the pins counted; a node whose pin is a
-    /// round trip overrides this to pin and count in one.
-    fn count_exact(
-        nodes: &[Self],
-        faults: &[Arc<ShardFaults>],
+    /// The rows a pin sees, tombstoned ones included.
+    fn rows(pin: &Self::Pin<'_>) -> u64;
+
+    /// Exact supports of `itemsets` at the node's latest snapshot, with
+    /// that snapshot's epoch and rows: a `COUNT_MANY`, which pins nothing.
+    /// A failed read is tallied into `faults`.
+    fn count_latest(
+        &self,
+        faults: &ShardFaults,
         itemsets: &[Vec<u32>],
-    ) -> io::Result<(Vec<u64>, u64, u64)> {
-        let (pins, epoch, rows) = cut(nodes, faults)?;
-        let sets: Vec<Itemset> = itemsets
-            .iter()
-            .map(|items| Itemset::from_values(items))
-            .collect();
-        Ok((count_many_sharded(&pins, &sets, None)?, epoch, rows))
-    }
+    ) -> io::Result<(Vec<u64>, u64, u64)>;
 
     /// The mining view of a pin.
     fn mine_view<'a>(pin: &Self::Pin<'a>) -> io::Result<Self::View<'a>>
@@ -257,7 +249,7 @@ fn cut<'a, N: Node>(
 ) -> io::Result<(Vec<N::Pin<'a>>, u64, u64)> {
     let pins = N::pin_all(nodes, faults)?;
     let epoch = pins.iter().map(N::epoch).sum();
-    let rows = pins.iter().map(|p| p.rows()).sum();
+    let rows = pins.iter().map(N::rows).sum();
     Ok((pins, epoch, rows))
 }
 
@@ -331,20 +323,29 @@ impl<N: Node> Router<N> {
         cut(&self.nodes, &self.faults)
     }
 
-    /// Scatter-gather batched counting over one fresh cut: the whole
-    /// batch goes to every shard and per-shard supports are summed
-    /// ([`Node::count_exact`]).  Returns `(supports, epoch, rows)` of the
-    /// cut that answered.
+    /// Exact batched counting: the whole batch goes to every shard's
+    /// latest snapshot ([`Node::count_latest`]), one shard after another on
+    /// the calling thread, and the supports, epochs and rows are summed.
+    /// Returns `(supports, epoch, rows)`.
     pub fn count_many(&self, itemsets: &[Vec<u32>]) -> io::Result<(Vec<u64>, u64, u64)> {
         let start = Instant::now();
-        let answer = N::count_exact(&self.nodes, &self.faults, itemsets)?;
+        let mut supports = vec![0u64; itemsets.len()];
+        let (mut epoch, mut rows) = (0, 0);
+        for (node, faults) in self.nodes.iter().zip(&self.faults) {
+            let (shard, e, r) = node.count_latest(faults, itemsets)?;
+            for (sum, s) in supports.iter_mut().zip(shard) {
+                *sum += s;
+            }
+            epoch += e;
+            rows += r;
+        }
         let hist = if itemsets.len() == 1 {
             &self.scatter.count
         } else {
             &self.scatter.count_many
         };
         hist.record(micros_since(start));
-        Ok(answer)
+        Ok((supports, epoch, rows))
     }
 
     /// Probes one row of the concatenated row space: rows `0..r0` live on
@@ -355,11 +356,11 @@ impl<N: Node> Router<N> {
         let mut local = row;
         let mut found = Ok(None);
         for pin in &pins {
-            if local < pin.rows() {
+            if local < N::rows(pin) {
                 found = N::row(pin, local);
                 break;
             }
-            local -= pin.rows();
+            local -= N::rows(pin);
         }
         self.scatter.probe.record(micros_since(start));
         found
@@ -546,14 +547,6 @@ impl<N: Node> RequestHandler for Router<N> {
     fn dispatch(&self, req: &Request) -> Response {
         match req {
             Request::Ping => Response::Ok(Reply::Pong),
-            Request::Count { items } => match self.count_many(std::slice::from_ref(items)) {
-                Ok((supports, epoch, rows)) => Response::Ok(Reply::Count {
-                    support: supports[0],
-                    epoch,
-                    rows,
-                }),
-                Err(e) => self.fail("count", e),
-            },
             Request::CountMany { itemsets } => {
                 if !admit_count_many(&self.metrics, itemsets) {
                     return Response::Overloaded;
@@ -591,7 +584,6 @@ impl<N: Node> RequestHandler for Router<N> {
             }
             Request::Replicate { .. }
             | Request::Promote
-            | Request::SnapshotPin
             | Request::CountManyAt { .. }
             | Request::Rows { .. } => Response::Err(
                 "replication and snapshot-pin endpoints are served by each shard's own server, \

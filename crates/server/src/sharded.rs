@@ -17,7 +17,7 @@ use crate::net::RequestHandler;
 use crate::proto::{maintain_action, Reply, Request, Response};
 use crate::router::{json_column, Gauge, MineView, Node, Router, ShardFaults};
 use bbs_hash::{ItemHasher, Md5BloomHasher};
-use bbs_shard::{scatter, shard_base, Manifest, ShardHandle};
+use bbs_shard::{scatter, shard_base, Manifest};
 use bbs_storage::snapshot::Snapshot;
 use bbs_storage::DiskCounter;
 use bbs_tdb::{ItemId, Itemset, Transaction};
@@ -31,13 +31,13 @@ use std::sync::Arc;
 /// A local shard's pin: the snapshot its engine had published.  It is
 /// its own mining view — the snapshot's cursors and its heap scan.
 #[derive(Clone)]
-pub struct SnapshotPin<'a> {
+pub struct LocalPin<'a> {
     snap: Arc<Snapshot>,
     engine: &'a Engine,
     faults: &'a ShardFaults,
 }
 
-impl SnapshotPin<'_> {
+impl LocalPin<'_> {
     /// Counts a failed read through this pin as a scatter error.
     fn noting<T>(&self, result: io::Result<T>) -> io::Result<T> {
         result.inspect_err(|_| {
@@ -46,17 +46,7 @@ impl SnapshotPin<'_> {
     }
 }
 
-impl ShardHandle for SnapshotPin<'_> {
-    fn rows(&self) -> u64 {
-        self.snap.rows()
-    }
-
-    fn count_many(&self, itemsets: &[Itemset], tau: Option<u64>) -> io::Result<Vec<u64>> {
-        self.noting(self.snap.count_many_bounded(itemsets, tau))
-    }
-}
-
-impl MineView for SnapshotPin<'_> {
+impl MineView for LocalPin<'_> {
     type Counter<'a>
         = DiskCounter
     where
@@ -84,29 +74,45 @@ impl MineView for SnapshotPin<'_> {
 }
 
 impl Node for Arc<Engine> {
-    type Pin<'a> = SnapshotPin<'a>;
-    type View<'a> = SnapshotPin<'a>;
+    type Pin<'a> = LocalPin<'a>;
+    type View<'a> = LocalPin<'a>;
 
-    fn pin<'a>(&'a self, faults: &'a ShardFaults) -> io::Result<SnapshotPin<'a>> {
-        Ok(SnapshotPin {
+    fn pin<'a>(&'a self, faults: &'a ShardFaults) -> io::Result<LocalPin<'a>> {
+        Ok(LocalPin {
             snap: self.snapshot(),
             engine: self,
             faults,
         })
     }
 
-    fn epoch(pin: &SnapshotPin<'_>) -> u64 {
+    fn epoch(pin: &LocalPin<'_>) -> u64 {
         pin.snap.epoch()
     }
 
-    fn mine_view<'a>(pin: &SnapshotPin<'a>) -> io::Result<SnapshotPin<'a>>
+    fn rows(pin: &LocalPin<'_>) -> u64 {
+        pin.snap.rows()
+    }
+
+    /// [`Engine::count_many`]; a failed read counts as a scatter error.
+    fn count_latest(
+        &self,
+        faults: &ShardFaults,
+        itemsets: &[Vec<u32>],
+    ) -> io::Result<(Vec<u64>, u64, u64)> {
+        let (supports, snap) = self.count_many(itemsets).inspect_err(|_| {
+            faults.scatter_errors.fetch_add(1, Ordering::Relaxed);
+        })?;
+        Ok((supports, snap.epoch(), snap.rows()))
+    }
+
+    fn mine_view<'a>(pin: &LocalPin<'a>) -> io::Result<LocalPin<'a>>
     where
         Self: 'a,
     {
         Ok(pin.clone())
     }
 
-    fn row(pin: &SnapshotPin<'_>, row: u64) -> io::Result<Option<(u64, Vec<u32>)>> {
+    fn row(pin: &LocalPin<'_>, row: u64) -> io::Result<Option<(u64, Vec<u32>)>> {
         Ok(pin.snap.probe(row)?.as_ref().map(wire_txn))
     }
 

@@ -138,14 +138,35 @@ fn truncated_request_gets_bad_frame_then_close() {
     let (handle, addr, _g) = start("truncated");
     // A valid count request with its tail cut off: the frame itself is
     // complete (length prefix matches), but the body no longer parses.
-    let good = Request::Count {
-        items: vec![1, 2, 3],
+    let good = Request::CountMany {
+        itemsets: vec![vec![1, 2, 3]],
     }
     .encode();
     let (resp, closed) = send_raw(&addr, &good[..good.len() - 3]);
     assert!(matches!(resp, Some(Response::BadFrame(_))), "got {resp:?}");
     assert!(closed);
     assert_still_serving(&addr);
+    handle.join();
+}
+
+/// Opcodes 1 (the single COUNT) and 10 (SNAPSHOT_PIN) are retired, not
+/// aliases: even in the shapes those frames used to have, each is a bad
+/// frame and closes its connection.
+#[test]
+fn retired_count_and_snapshot_pin_opcodes_are_bad_frames() {
+    let (handle, addr, _g) = start("retired");
+    let old_count = [1, 1, 0, 5, 0, 0, 0];
+    let old_pin = [10];
+    for payload in [&old_count[..], &old_pin[..]] {
+        let (resp, closed) = send_raw(&addr, payload);
+        assert!(
+            matches!(resp, Some(Response::BadFrame(_))),
+            "{payload:?}: {resp:?}"
+        );
+        assert!(closed, "{payload:?}: connection must close");
+    }
+    assert_still_serving(&addr);
+    assert_eq!(frame_errors(&addr), 2);
     handle.join();
 }
 

@@ -60,10 +60,10 @@ fn rows_acknowledged_after_a_crash_at_marker_survive_maintain_compact() {
         !swap_marker_path(&base).exists(),
         "the open resolved the swap"
     );
-    let count = |items: &[u32]| match engine.handle(&Request::Count {
-        items: items.to_vec(),
+    let count = |items: &[u32]| match engine.handle(&Request::CountMany {
+        itemsets: vec![items.to_vec()],
     }) {
-        Response::Ok(Reply::Count { support, rows, .. }) => (support, rows),
+        Response::Ok(Reply::CountMany { supports, rows, .. }) => (supports[0], rows),
         other => panic!("count: {other:?}"),
     };
     assert_eq!(

@@ -1,25 +1,46 @@
 //! A [`CountSource`] that sums per-shard counts — the mining-side
-//! executor one filter worker drives.
+//! executor one filter worker drives, and the one place the filter's τ
+//! early exit crosses shards.
 //!
 //! The threaded filter deals top-level candidate subtrees round-robin to
 //! workers ("shards × cores": every worker owns one reader per shard and
-//! walks its subtrees against *all* shards).  Each `CountItemSet` visits
-//! the shards serially with the scaled per-shard budget of
-//! [`crate::gather`], plus one optimisation only the serial walk can
-//! make: a **cross-shard running-total exit**.  After shard `i`, if the
-//! accumulated count plus the total rows of every unvisited shard cannot
-//! reach τ, the remaining shards are skipped entirely and that sum is
-//! returned — an upper bound below τ, exactly what the contract allows.
+//! walks its subtrees against *all* shards).
 //!
-//! Answers at or above τ are made exact by re-querying possibly-inexact
-//! shards (skipping any whose need evaporated as refinement deflated the
-//! total), so the values the filter engine records are bit-for-bit the
-//! unsharded estimates and the mined patterns are identical.
+//! # The cross-shard τ scheme
+//!
+//! Early exit does not distribute naively: handing every shard the full
+//! τ lets each return a local upper bound just below τ whose *sum*
+//! crosses τ while being inexact — violating the contract that ≥ τ
+//! answers are exact.  Instead each shard gets the scaled budget
+//! `τᵢ = max(1, ⌈τ/n⌉)` ([`scaled_tau`]), and the shards are visited
+//! serially:
+//!
+//! 1. **Running-total exit.**  After shard `i`, if the accumulated count
+//!    plus the total rows of every unvisited shard cannot reach τ, the
+//!    remaining shards are skipped and that sum is returned — an upper
+//!    bound below τ, exactly what the contract allows.
+//! 2. If the summed total `S < τ`, return `S`: a sum of per-shard upper
+//!    bounds is an upper bound, and `< τ` answers may be bounds.  When
+//!    *every* shard early-exits, `S ≤ n·(⌈τ/n⌉−1) ≤ τ−1 < τ` —
+//!    all-shards-infrequent prunes with no second pass.
+//! 3. If `S ≥ τ`, any shard whose answer was a possible bound (below its
+//!    τᵢ but nonzero — zero is always exact) is re-queried exactly,
+//!    skipping any whose need evaporated as refinement deflated the
+//!    total.  An answer at or above τ is then exact.
+//!
+//! So the values the filter engine records are bit-for-bit the unsharded
+//! estimates and the mined patterns are identical.
 
-use crate::gather::scaled_tau;
 use bbs_core::{CountSource, EXACT};
 use bbs_tdb::{ItemId, Itemset};
 use std::io;
+
+/// Per-shard early-exit budget for a global threshold `tau` over
+/// `shards` shards: `max(1, ⌈tau/shards⌉)`.
+pub fn scaled_tau(tau: u64, shards: usize) -> u64 {
+    let n = shards.max(1) as u64;
+    tau.div_ceil(n).max(1)
+}
 
 /// Per-worker cross-shard counter: one per-shard [`CountSource`] plus
 /// the most rows each shard can add to a count — its live rows — which is
@@ -225,6 +246,21 @@ mod tests {
                         assert!(batched[k] >= exact, "ext {e:?} τ={tau} n={shards}");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn scaled_tau_budgets() {
+        assert_eq!(scaled_tau(10, 4), 3);
+        assert_eq!(scaled_tau(12, 4), 3);
+        assert_eq!(scaled_tau(13, 4), 4);
+        assert_eq!(scaled_tau(0, 4), 1);
+        assert_eq!(scaled_tau(1, 1), 1);
+        // The all-early-exit prune bound: n·(τᵢ−1) < τ for every (τ, n).
+        for tau in 1..200u64 {
+            for n in 1..9usize {
+                assert!((n as u64) * (scaled_tau(tau, n) - 1) < tau, "tau={tau} n={n}");
             }
         }
     }

@@ -192,15 +192,15 @@ impl ShardedDeployment {
             .collect()
     }
 
-    /// Cross-shard `CountItemSet` with the τ contract of
-    /// [`gather::count_many_sharded`].
+    /// Exact cross-shard `CountItemSet` (see
+    /// [`gather::count_many_sharded`]: `tau` changes nothing).
     pub fn count(&self, items: &Itemset, tau: Option<u64>) -> io::Result<u64> {
         Ok(self.count_many(std::slice::from_ref(items), tau)?[0])
     }
 
-    /// Batched cross-shard `CountItemSet`: the batch is dispatched to
-    /// every shard's shared-scan executor in parallel and the per-shard
-    /// answers are summed (exactly — see [`crate::gather`]).
+    /// Batched exact cross-shard `CountItemSet`: the batch is dispatched
+    /// to every shard's shared-scan executor and the per-shard answers are
+    /// summed (exactly — see [`crate::gather`]; `tau` changes nothing).
     pub fn count_many(&self, itemsets: &[Itemset], tau: Option<u64>) -> io::Result<Vec<u64>> {
         gather::count_many_sharded(&self.handles(), itemsets, tau)
     }

@@ -1,35 +1,25 @@
-//! The shard boundary: a handle a router can scatter queries through.
+//! The shard boundary: a handle the gather layer can scatter a batch
+//! through.
 //!
-//! [`ShardHandle`] is the batch/query seam (what `count`/`count_many`
-//! scatter over); the mining-worker seam is plain
-//! [`bbs_core::CountSource`], one per shard inside a
-//! [`crate::ShardedCounter`].  Both are defined over plain itemsets and
-//! `io::Result` so an implementation can be a local file stack, a live
-//! engine snapshot, or a remote node: nothing in the gather layer assumes
-//! the bits are on this machine.
-//!
-//! # The per-shard τ contract
-//!
-//! Every counting method inherits the early-exit contract of
-//! [`bbs_core::CountSource`], per shard: with `tau = Some(t)` the returned
-//! value must be exact whenever it is `≥ t` and may be any **upper bound**
-//! on the shard's exact estimate when it is `< t`; with `tau = None` the
-//! value is always exact.  A value of `0` is therefore always exact (it is
-//! an upper bound of a non-negative count).  The gather layer leans on
-//! exactly this contract to keep cross-shard sums τ-consistent.
+//! [`ShardHandle`] is the batch/query seam (what
+//! [`crate::count_many_sharded`] scatters over); the mining-worker seam is
+//! plain [`bbs_core::CountSource`], one per shard inside a
+//! [`crate::ShardedCounter`], and the early-exit τ contract lives there.
+//! A handle answers every count exactly.  Both are defined over plain
+//! itemsets and `io::Result`, so nothing in the gather layer assumes the
+//! bits are on this machine.
 
 use bbs_storage::diskbbs::DiskBbs;
 use bbs_tdb::Itemset;
 use std::io;
 
-/// One shard of a deployment, as seen by the scatter-gather router.
+/// One shard of a deployment, as seen by the scatter-gather layer.
 pub trait ShardHandle: Sync {
     /// Committed rows this shard holds.
     fn rows(&self) -> u64;
 
-    /// Batched `CountItemSet` over this shard's rows, under the per-shard
-    /// τ contract (see the module docs).
-    fn count_many(&self, itemsets: &[Itemset], tau: Option<u64>) -> io::Result<Vec<u64>>;
+    /// Exact batched `CountItemSet` over this shard's rows.
+    fn count_many(&self, itemsets: &[Itemset]) -> io::Result<Vec<u64>>;
 }
 
 /// The local-files [`ShardHandle`]: a borrowed view of one shard's index.
@@ -53,7 +43,7 @@ impl ShardHandle for DiskShardHandle<'_> {
         self.rows
     }
 
-    fn count_many(&self, itemsets: &[Itemset], tau: Option<u64>) -> io::Result<Vec<u64>> {
-        self.index.count_itemsets(itemsets, tau)
+    fn count_many(&self, itemsets: &[Itemset]) -> io::Result<Vec<u64>> {
+        self.index.count_itemsets(itemsets, None)
     }
 }

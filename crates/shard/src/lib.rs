@@ -11,16 +11,15 @@
 //! while every worker merges supports across all shards before
 //! refinement.
 //!
-//! The shard boundary is the [`ShardHandle`] trait
-//! seam: the gather layer never assumes a shard is local, so a handle
-//! could later be a remote node.
+//! The shard boundary for counting is the [`ShardHandle`] trait seam:
+//! the gather layer never assumes a shard is local.
 //!
 //! * [`manifest`] — the shard directory layout (`MANIFEST` + `shard-NNN`
 //!   bases) and TID routing;
 //! * [`handle`] — the shard-boundary trait and the local-files handle;
-//! * [`gather`] — scatter-gather counting with the scaled-τ cross-shard
-//!   running-total scheme;
-//! * [`counter`] — the per-worker cross-shard [`bbs_core::CountSource`];
+//! * [`gather`] — exact scatter-gather counting and the column sums;
+//! * [`counter`] — the per-worker cross-shard [`bbs_core::CountSource`],
+//!   with the scaled-τ running-total scheme;
 //! * [`deployment`] — [`ShardedDeployment`]: create/open/append/flush/
 //!   count/verify over a shard directory;
 //! * [`mine`] — in-place sharded mining with the global support merge.
@@ -35,9 +34,9 @@ pub mod handle;
 pub mod manifest;
 pub mod mine;
 
-pub use counter::ShardedCounter;
+pub use counter::{scaled_tau, ShardedCounter};
 pub use deployment::{ShardVerify, ShardedDeployment};
-pub use gather::{count_many_sharded, scaled_tau, scatter, sum_columns, sum_item_counts};
+pub use gather::{count_many_sharded, scatter, sum_columns, sum_item_counts};
 pub use handle::{DiskShardHandle, ShardHandle};
 pub use manifest::{route, shard_base, Manifest, MANIFEST_FILE, MANIFEST_VERSION, MAX_SHARDS};
 pub use mine::mine_sharded;

@@ -139,19 +139,6 @@ impl Snapshot {
         self.index.count_itemsets(itemsets, None)
     }
 
-    /// [`Snapshot::count_many`] with the filter's early exit: each answer
-    /// obeys the `tau` contract of [`DiskBbs::count_itemsets`] (exact when
-    /// `≥ tau`, an upper bound otherwise).  The shard scatter path uses
-    /// this to give every shard its scaled per-shard budget.
-    pub fn count_many_bounded(
-        &self,
-        itemsets: &[Itemset],
-        tau: Option<u64>,
-    ) -> io::Result<Vec<u64>> {
-        let _fence = read_fence(&self.io);
-        self.index.count_itemsets(itemsets, tau)
-    }
-
     /// Tombstoned rows within this snapshot's prefix.
     pub fn deleted_rows(&self) -> u64 {
         self.index.deleted_rows()
