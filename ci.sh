@@ -8,7 +8,7 @@
 # smoke, the randomized chaos/oracle suites again on a pinned seed, and
 # one warning-free clippy and rustdoc pass over every crate.  Run from the
 # repository root.  `./ci.sh loc` only prints the non-test source lines
-# per crate — the number ROADMAP items 2 and 7 gate on.
+# per crate, and their total.
 set -eu
 
 # Lines of crates/*/src/**/*.rs outside `#[cfg(test)]` items: such an item

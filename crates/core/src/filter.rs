@@ -213,9 +213,9 @@ pub trait CountSource {
     /// identical to counting the extensions one at a time.
     ///
     /// The default implementation is that per-item loop; sources that keep
-    /// the prefix's AND-result (the memory cursor, the shared-scan disk
-    /// executor) override it to AND the common prefix once instead of once
-    /// per sibling.  The enumeration calls it in depth-first order, so
+    /// the prefix's AND-result (the memory cursor, the disk cursor)
+    /// override it to AND the common prefix once instead of once per
+    /// sibling.  The enumeration calls it in depth-first order, so
     /// consecutive prefixes differ by one item below their common ancestor.
     fn count_extensions(
         &mut self,
@@ -245,8 +245,8 @@ pub const EXACT: u64 = 0;
 /// [`CountSource::count_extensions`] in one call.  The number of
 /// extensions of a node is bounded by the live alphabet (and, in
 /// aggregate per level, by the Geerts–Goethals–Van den Bussche tight
-/// candidate bound), but a single batch also bounds the executor's
-/// accumulator scratch, so outsized alphabets are split.
+/// candidate bound), but a single batch also bounds a source's per-call
+/// scratch, so outsized alphabets are split.
 const MAX_COUNT_BATCH: usize = 256;
 
 /// The enumeration alphabet: every item whose singleton estimate reaches

@@ -368,7 +368,7 @@ impl Client {
     }
 
     /// Batched `CountItemSet`: all itemsets are answered from **one**
-    /// snapshot via the server's shared-scan executor, with supports in
+    /// snapshot by one walk of the batch's prefix trie, with supports in
     /// request order — identical to issuing [`Client::count`] per itemset,
     /// but one round-trip and one index walk for the whole batch.
     pub fn count_many(&mut self, itemsets: &[&[u32]]) -> ClientResult<CountManyReply> {

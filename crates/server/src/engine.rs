@@ -585,10 +585,9 @@ impl Engine {
     }
 
     /// Batched `CountItemSet`: every itemset is answered from the **same**
-    /// snapshot via the shared-scan executor (one walk of the selected
-    /// slice chunks serves the whole batch; see [`Snapshot::count_many`]).
-    /// Supports come back in request order, identical to counting the
-    /// itemsets one at a time.
+    /// snapshot by the cursor that mines, walking the batch's prefix trie
+    /// (see [`Snapshot::count_many`]).  Supports come back in request
+    /// order, identical to counting the itemsets one at a time.
     pub fn count_many(&self, itemsets: &[Vec<u32>]) -> io::Result<(Vec<u64>, Arc<Snapshot>)> {
         let snap = self.shared.snapshot();
         let sets: Vec<Itemset> = itemsets
@@ -846,10 +845,6 @@ impl Engine {
             format!(
                 "\"writer_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{}}}",
                 profile.cache.hits, profile.cache.misses, profile.cache.evictions
-            ),
-            format!(
-                "\"writer_hot\":{{\"pinned\":{},\"hits\":{},\"decodes\":{},\"invalidations\":{}}}",
-                profile.hot.pinned, profile.hot.hits, profile.hot.decodes, profile.hot.invalidations
             ),
         ];
         self.metrics.to_json(&extra)

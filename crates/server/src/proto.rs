@@ -174,9 +174,9 @@ pub enum Request {
     /// Flip this follower to primary (idempotent on a primary).
     Promote,
     /// Exact support queries for many itemsets, answered from **one**
-    /// snapshot (the latest) via the shared-scan executor.  A single count
-    /// is a batch of one.  Admission control charges the whole batch by
-    /// its total item count, not as one request.
+    /// snapshot (the latest) by one walk of the batch's prefix trie.  A
+    /// single count is a batch of one.  Admission control charges the
+    /// whole batch by its total item count, not as one request.
     CountMany {
         /// The query itemsets (item values each, unsorted is fine).
         itemsets: Vec<Vec<u32>>,

@@ -199,8 +199,10 @@ impl ShardedDeployment {
     }
 
     /// Batched exact cross-shard `CountItemSet`: the batch is dispatched
-    /// to every shard's shared-scan executor and the per-shard answers are
-    /// summed (exactly — see [`crate::gather`]; `tau` changes nothing).
+    /// to every shard's naive AND
+    /// ([`bbs_storage::DiskBbs::count_itemsets`]) and the per-shard
+    /// answers are summed (exactly — see [`crate::gather`]; `tau` changes
+    /// nothing).
     pub fn count_many(&self, itemsets: &[Itemset], tau: Option<u64>) -> io::Result<Vec<u64>> {
         gather::count_many_sharded(&self.handles(), itemsets, tau)
     }

@@ -237,18 +237,6 @@ impl<B: StorageBackend> PageCache<B> {
         Ok(f(&mut frame.buf))
     }
 
-    /// Batched fetch: makes every page in `ids` resident (in order), so
-    /// subsequent [`PageCache::with_page`] calls on them are guaranteed
-    /// hits.  Only sound as a batch when `ids.len() < capacity`; with a
-    /// smaller cache the early pages may be evicted again and the caller
-    /// degrades to page-at-a-time residency (still correct, just thrashy).
-    pub fn prefetch(&mut self, ids: &[PageId]) -> io::Result<()> {
-        for &id in ids {
-            self.ensure_resident(id)?;
-        }
-        Ok(())
-    }
-
     /// Writes all dirty pages back and syncs the file.
     ///
     /// Dirty pages leave in ascending page order, grouped into **runs**

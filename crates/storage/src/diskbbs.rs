@@ -6,8 +6,10 @@
 //! append to it incrementally (no reconstruction, ever), and a mining run
 //! either loads it into memory once (the memory-resident mode of §4) or
 //! queries it in place through the page cache — which is what every
-//! request path does: offline, sharded and served mining all walk
-//! [`DiskCounter`] cursors over the file where it lies.
+//! request path does: offline, sharded and served mining, and every
+//! served count, walk [`DiskCounter`] cursors over the file where it lies.
+//! [`DiskBbs::count_itemsets`] is the naive per-query AND beside them, the
+//! reference the tests hold the cursor to.
 //!
 //! # Durability
 //!
@@ -226,11 +228,6 @@ impl<B: StorageBackend> DiskBbs<B> {
         self.slices.pager_stats()
     }
 
-    /// Hot-slice cache counters of the slice file.
-    pub fn hot_stats(&self) -> crate::slicefile::HotStats {
-        self.slices.hot_stats()
-    }
-
     fn positions_of(&self, item: ItemId) -> Vec<usize> {
         let mut cache = self.positions.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(p) = cache.get(&item) {
@@ -267,20 +264,17 @@ impl<B: StorageBackend> DiskBbs<B> {
     }
 
     /// `CountItemSet` directly against the disk layout, through the page
-    /// cache (the in-place query mode — no full load required): a batch
-    /// of one for [`DiskBbs::count_itemsets`].
+    /// cache: a batch of one for [`DiskBbs::count_itemsets`].
     pub fn count_itemset(&self, items: &Itemset) -> io::Result<u64> {
         Ok(self.count_itemsets(std::slice::from_ref(items), None)?[0])
     }
 
-    /// Batched `CountItemSet` over the shared-scan executor: one walk of
-    /// the selected slice chunks serves the whole batch (each distinct
-    /// cache-resident slice page is decoded once per chunk and feeds every
-    /// interested accumulator).  `tau` applies to every query
-    /// independently (`None` = exact): a result is exact whenever it is
-    /// `≥ tau`, and an upper bound on the exact count when it is `< tau` —
-    /// the contract [`bbs_core::CountSource`] requires.  Results are
-    /// identical to counting the itemsets one at a time.
+    /// Batched `CountItemSet` by the naive AND: each itemset's slices are
+    /// ANDed and popcounted on their own (see
+    /// [`SliceFile::count_selected_many_masked`]).  This is the reference
+    /// the cursor is tested against, and unlike a [`DiskCounter`] it sees
+    /// this index's unflushed appends.  Every answer is exact, so `tau`
+    /// changes nothing: an exact answer meets the τ contract.
     pub fn count_itemsets(
         &self,
         itemsets: &[Itemset],
@@ -363,7 +357,6 @@ impl<B: StorageBackend> DiskBbs<B> {
             slices,
             hasher: Arc::clone(&self.hasher),
             positions: HashMap::new(),
-            dead: self.dead.clone(),
             fence: None,
             path: Vec::new(),
             stats: CursorStats::default(),
@@ -501,7 +494,8 @@ impl Level {
 /// What a [`DiskCounter`]'s depth-first walk did, in the paper's terms.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CursorStats {
-    /// AND-results materialised: one per item the cursor descended by.
+    /// AND-results materialised: one per item ANDed into a level the
+    /// cursor keeps.
     pub extends: u64,
     /// Counts answered before their last slice, with an upper bound
     /// below τ.
@@ -516,8 +510,10 @@ pub struct CursorStats {
 /// file — its own page cache and position cache — that is a **cursor**
 /// into the enumeration tree, the disk twin of [`bbs_core::BbsCursor`].
 /// Created by [`DiskBbs::counter`]; this is the clone-per-worker reader
-/// behind parallel disk mining (see [`crate::mine::mine_in_place`]) and
-/// behind a served MINE (see [`crate::snapshot::Snapshot::counter`]).
+/// behind parallel disk mining (see [`crate::mine::mine_in_place`]),
+/// behind a served MINE (see [`crate::snapshot::Snapshot::counter`]), and
+/// behind every served count ([`DiskCounter::count_many`], which a
+/// [`crate::snapshot::Snapshot`] keeps one of).
 ///
 /// As a [`bbs_core::CountSource`] it keeps the path it is positioned on
 /// and, per depth, the AND-result of that prefix over all rows
@@ -537,10 +533,9 @@ pub struct DiskCounter {
     slices: SliceFile<FileBackend>,
     hasher: Arc<dyn ItemHasher>,
     positions: HashMap<ItemId, Vec<usize>>,
-    dead: Option<Arc<DeadMask>>,
     /// The commit fence of the deployment this reader serves beside, if
-    /// any: held shared around each [`bbs_core::CountSource`] call, never
-    /// across the walk.
+    /// any: held shared around each [`bbs_core::CountSource`] call and
+    /// each [`DiskCounter::count_many`] batch, never across the walk.
     fence: Option<Arc<RwLock<()>>>,
     /// The itemset the cursor is positioned on, in enumeration order.
     path: Vec<ItemId>,
@@ -565,25 +560,140 @@ fn cached_positions<'a>(
         .or_insert_with(|| item_positions(hasher, item, width))
 }
 
-impl DiskCounter {
-    fn positions_of_itemset(&mut self, items: &Itemset) -> Vec<usize> {
-        let width = self.slices.width();
-        let mut all = Vec::new();
-        for &item in items.items() {
-            all.extend_from_slice(cached_positions(
-                &mut self.positions,
-                &*self.hasher,
-                item,
-                width,
-            ));
-        }
-        all.sort_unstable();
-        all.dedup();
-        all
+/// Sets `out` to the slice positions `items` select, ascending and
+/// deduplicated.
+fn union_positions(
+    out: &mut Vec<usize>,
+    cache: &mut HashMap<ItemId, Vec<usize>>,
+    hasher: &dyn ItemHasher,
+    items: &[ItemId],
+    width: usize,
+) {
+    out.clear();
+    for &item in items {
+        out.extend_from_slice(cached_positions(cache, hasher, item, width));
     }
+    out.sort_unstable();
+    out.dedup();
+}
 
-    /// Makes every [`bbs_core::CountSource`] call of this reader hold
-    /// `fence` shared while it reads pages — a reader that runs beside a
+/// How many leading items `a` and `b` share.
+fn common_prefix(a: &[ItemId], b: &[ItemId]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// Builds `child` as `parent` ANDed with the slices at `positions`.  A
+/// chunk the parent has no ones in is not read; where the parent is
+/// sparse, its nonzero words are gathered into `scratch`, every slice is
+/// ANDed onto that short run, and the run is scattered back (the words
+/// left out stay zero).
+fn and_level(
+    slices: &mut SliceFile<FileBackend>,
+    stats: &mut CursorStats,
+    scratch: &mut [u64],
+    parent: &Level,
+    child: &mut Level,
+    positions: &[usize],
+) -> io::Result<()> {
+    child.words.clear();
+    child.words.extend_from_slice(&parent.words);
+    for (c, words) in child.words.chunks_mut(PAGE_WORDS).enumerate() {
+        if parent.empty_in(c) {
+            stats.chunks_skipped += 1;
+            continue;
+        }
+        let nonzero = parent.nonzero_in(c);
+        if nonzero.is_empty() {
+            for &slice in positions {
+                slices.and_page(c as u64, slice, words)?;
+            }
+            continue;
+        }
+        let run = &mut scratch[..nonzero.len()];
+        for (r, &o) in run.iter_mut().zip(nonzero) {
+            *r = words[usize::from(o)];
+        }
+        for &slice in positions {
+            slices.and_page_at(c as u64, slice, nonzero, run)?;
+        }
+        stats.sparse_ands += positions.len() as u64;
+        for (&r, &o) in run.iter().zip(nonzero) {
+            words[usize::from(o)] = r;
+        }
+    }
+    child.recount();
+    Ok(())
+}
+
+/// The popcount of `parent` ANDed with the slices at `positions`, built in
+/// `scratch`, under the τ contract.
+///
+/// Slice by slice: each slice is ANDed onto the running result over every
+/// chunk the parent has ones in, and the popcount after a slice bounds the
+/// estimate from above (the slices still to come can only clear bits) — so
+/// a sibling that shares few rows with the parent is decided after one
+/// page per chunk, not `k`.  During the first slice the chunks still
+/// unread can add at most the ones the parent has left in them, which
+/// decides a sibling of a near-τ parent before the pass is over.
+///
+/// In a chunk where the parent is sparse the running result is the short
+/// run of its nonzero words (kept at the head of the chunk's scratch),
+/// gathered in the first pass and ANDed at the same offsets in the later
+/// ones: the popcounts, and so all three bounds, are what the whole-chunk
+/// AND would give.
+fn and_count(
+    slices: &mut SliceFile<FileBackend>,
+    stats: &mut CursorStats,
+    scratch: &mut [u64],
+    parent: &Level,
+    positions: &[usize],
+    tau: u64,
+) -> io::Result<u64> {
+    let acc = &mut scratch[..parent.words.len()];
+    let mut total = parent.ones_from[0];
+    for (pass, &slice) in positions.iter().enumerate() {
+        total = 0;
+        let first = pass == 0;
+        for (c, words) in acc.chunks_mut(PAGE_WORDS).enumerate() {
+            let bound = total + parent.ones_from[c];
+            if first && bound < tau {
+                stats.tau_exits += 1;
+                return Ok(bound);
+            }
+            if parent.empty_in(c) {
+                stats.chunks_skipped += u64::from(first);
+                continue;
+            }
+            let lo = c * PAGE_WORDS;
+            let nonzero = parent.nonzero_in(c);
+            if nonzero.is_empty() {
+                if first {
+                    words.copy_from_slice(&parent.words[lo..lo + words.len()]);
+                }
+                total += slices.and_page(c as u64, slice, words)?;
+                continue;
+            }
+            let run = &mut words[..nonzero.len()];
+            if first {
+                for (r, &o) in run.iter_mut().zip(nonzero) {
+                    *r = parent.words[lo + usize::from(o)];
+                }
+            }
+            stats.sparse_ands += 1;
+            total += slices.and_page_at(c as u64, slice, nonzero, run)?;
+        }
+        if total < tau && pass + 1 < positions.len() {
+            stats.tau_exits += 1;
+            return Ok(total);
+        }
+    }
+    Ok(total)
+}
+
+impl DiskCounter {
+    /// Makes every [`bbs_core::CountSource`] call and every
+    /// [`DiskCounter::count_many`] batch of this reader hold `fence`
+    /// shared while it reads pages — a reader that runs beside a
     /// committing writer (see [`crate::snapshot`]).
     pub(crate) fn fenced_by(mut self, fence: Arc<RwLock<()>>) -> Self {
         self.fence = Some(fence);
@@ -596,32 +706,111 @@ impl DiskCounter {
         self.slices.rows()
     }
 
-    /// Batched `CountItemSet` over the shared-scan executor (`tau`
-    /// semantics as in [`DiskBbs::count_itemsets`]) — its reader-side
-    /// twin.
-    pub fn count_many(
-        &mut self,
-        itemsets: &[Itemset],
-        tau: Option<u64>,
-    ) -> io::Result<Vec<u64>> {
-        let queries: Vec<(Vec<usize>, Option<u64>)> = itemsets
+    /// Exact `CountItemSet` for a batch, as one walk of the batch's prefix
+    /// trie.  Each itemset's items are ordered by how many itemsets of the
+    /// batch name them (most first, ties by id), so itemsets that share
+    /// items share a prefix, and the ordered itemsets are sorted.  Walking
+    /// them in that order, the prefix an itemset shares with the next one
+    /// (short of its last item) is ANDed into one level, kept while the
+    /// itemsets after it start with it; each itemset is counted as the
+    /// slices of its remaining items ANDed onto that level, or onto the
+    /// live rows.  A group of siblings pays its common prefix once, and
+    /// the walk holds three levels whatever the itemsets' lengths.
+    /// Duplicates are counted once.  Supports come back in request order;
+    /// an empty itemset counts every live row.  The cursor's own path is
+    /// given up: the walk leaves it empty.
+    pub fn count_many(&mut self, itemsets: &[Itemset]) -> io::Result<Vec<u64>> {
+        let fence = self.fence.clone();
+        let _reading = fence.as_deref().map(read_fence);
+        let mut named: HashMap<ItemId, usize> = HashMap::new();
+        for items in itemsets {
+            for &item in items.items() {
+                *named.entry(item).or_default() += 1;
+            }
+        }
+        let mut walk: Vec<(Vec<ItemId>, usize)> = itemsets
             .iter()
-            .map(|items| (self.positions_of_itemset(items), tau))
+            .enumerate()
+            .map(|(at, items)| {
+                let mut path = items.items().to_vec();
+                path.sort_unstable_by_key(|item| (std::cmp::Reverse(named[item]), *item));
+                (path, at)
+            })
             .collect();
-        self.slices
-            .count_selected_many_masked(&queries, self.dead.as_deref())
+        walk.sort_unstable();
+        // Level 1 is the AND-result of `held`; level 2 is where the next
+        // one is built before it is swapped in.
+        self.path.clear();
+        self.levels.resize_with(3, Level::default);
+        let width = self.slices.width();
+        let mut held: &[ItemId] = &[];
+        let mut positions = Vec::new();
+        let mut supports = vec![0; itemsets.len()];
+        for (i, (path, at)) in walk.iter().enumerate() {
+            if let Some((previous, first)) = i.checked_sub(1).map(|p| &walk[p]) {
+                if previous == path {
+                    supports[*at] = supports[*first];
+                    continue;
+                }
+            }
+            if path.is_empty() {
+                supports[*at] = self.levels[0].ones_from[0];
+                continue;
+            }
+            if held.len() >= path.len() || !path.starts_with(held) {
+                held = &[];
+            }
+            let shared = walk
+                .get(i + 1)
+                .map_or(0, |(next, _)| common_prefix(path, next))
+                .min(path.len() - 1);
+            if shared > held.len() {
+                union_positions(
+                    &mut positions,
+                    &mut self.positions,
+                    &*self.hasher,
+                    &path[held.len()..shared],
+                    width,
+                );
+                let (built, spare) = self.levels.split_at_mut(2);
+                let parent = &built[usize::from(!held.is_empty())];
+                and_level(
+                    &mut self.slices,
+                    &mut self.stats,
+                    &mut self.scratch,
+                    parent,
+                    &mut spare[0],
+                    &positions,
+                )?;
+                self.levels.swap(1, 2);
+                self.stats.extends += (shared - held.len()) as u64;
+                held = &path[..shared];
+            }
+            union_positions(
+                &mut positions,
+                &mut self.positions,
+                &*self.hasher,
+                &path[held.len()..],
+                width,
+            );
+            let parent = &self.levels[usize::from(!held.is_empty())];
+            supports[*at] = and_count(
+                &mut self.slices,
+                &mut self.stats,
+                &mut self.scratch,
+                parent,
+                &positions,
+                bbs_core::EXACT,
+            )?;
+        }
+        Ok(supports)
     }
 
     /// Moves the cursor to `target`: keeps the levels of the longest
     /// common prefix and extends by the remaining items, one AND-result
     /// each.
     fn seek(&mut self, target: &[ItemId]) -> io::Result<()> {
-        let common = self
-            .path
-            .iter()
-            .zip(target)
-            .take_while(|(a, b)| a == b)
-            .count();
+        let common = common_prefix(&self.path, target);
         self.path.truncate(common);
         let width = self.slices.width();
         for &item in &target[common..] {
@@ -630,107 +819,45 @@ impl DiskCounter {
                 self.levels.push(Level::default());
             }
             let (parents, children) = self.levels.split_at_mut(depth + 1);
-            let (parent, child) = (&parents[depth], &mut children[0]);
             let positions = cached_positions(&mut self.positions, &*self.hasher, item, width);
-            child.words.clear();
-            child.words.extend_from_slice(&parent.words);
-            for (c, words) in child.words.chunks_mut(PAGE_WORDS).enumerate() {
-                if parent.empty_in(c) {
-                    self.stats.chunks_skipped += 1;
-                    continue;
-                }
-                let nonzero = parent.nonzero_in(c);
-                if nonzero.is_empty() {
-                    for &slice in positions {
-                        self.slices.and_page(c as u64, slice, words)?;
-                    }
-                    continue;
-                }
-                // Gather the nonzero words, AND every slice onto the short
-                // run, scatter it back; the words left out stay zero.
-                let run = &mut self.scratch[..nonzero.len()];
-                for (r, &o) in run.iter_mut().zip(nonzero) {
-                    *r = words[usize::from(o)];
-                }
-                for &slice in positions {
-                    self.slices.and_page_at(c as u64, slice, nonzero, run)?;
-                }
-                self.stats.sparse_ands += positions.len() as u64;
-                for (&r, &o) in run.iter().zip(nonzero) {
-                    words[usize::from(o)] = r;
-                }
-            }
-            child.recount();
+            and_level(
+                &mut self.slices,
+                &mut self.stats,
+                &mut self.scratch,
+                &parents[depth],
+                &mut children[0],
+                positions,
+            )?;
             self.stats.extends += 1;
             self.path.push(item);
         }
         Ok(())
     }
 
-    /// Estimated support of `path ∪ {item}` under the τ contract.
-    ///
-    /// Slice by slice: each of the item's `k` slices is ANDed onto the
-    /// running result over every chunk the parent has ones in, and the
-    /// popcount after a slice bounds the estimate from above (the slices
-    /// still to come can only clear bits) — so a sibling that shares few
-    /// rows with the parent is decided after one page per chunk, not `k`.
-    /// During the first slice the chunks still unread can add at most the
-    /// ones the parent has left in them, which decides a sibling of a
-    /// near-τ parent before the pass is over.
-    ///
-    /// In a chunk where the parent is sparse the running result is the
-    /// short run of its nonzero words (kept at the head of the chunk's
-    /// scratch), gathered in the first pass and ANDed at the same offsets
-    /// in the later ones: the popcounts, and so all three bounds, are what
-    /// the whole-chunk AND would give.
+    /// Estimated support of `path ∪ {item}` under the τ contract (see
+    /// [`and_count`]).
     fn count_extension(&mut self, item: ItemId, tau: u64) -> io::Result<u64> {
         let width = self.slices.width();
-        let parent = &self.levels[self.path.len()];
         let positions = cached_positions(&mut self.positions, &*self.hasher, item, width);
-        let acc = &mut self.scratch[..parent.words.len()];
-        let mut total = parent.ones_from[0];
-        for (pass, &slice) in positions.iter().enumerate() {
-            total = 0;
-            let first = pass == 0;
-            for (c, words) in acc.chunks_mut(PAGE_WORDS).enumerate() {
-                let bound = total + parent.ones_from[c];
-                if first && bound < tau {
-                    self.stats.tau_exits += 1;
-                    return Ok(bound);
-                }
-                if parent.empty_in(c) {
-                    self.stats.chunks_skipped += u64::from(first);
-                    continue;
-                }
-                let lo = c * PAGE_WORDS;
-                let nonzero = parent.nonzero_in(c);
-                if nonzero.is_empty() {
-                    if first {
-                        words.copy_from_slice(&parent.words[lo..lo + words.len()]);
-                    }
-                    total += self.slices.and_page(c as u64, slice, words)?;
-                    continue;
-                }
-                let run = &mut words[..nonzero.len()];
-                if first {
-                    for (r, &o) in run.iter_mut().zip(nonzero) {
-                        *r = parent.words[lo + usize::from(o)];
-                    }
-                }
-                self.stats.sparse_ands += 1;
-                total += self.slices.and_page_at(c as u64, slice, nonzero, run)?;
-            }
-            if total < tau && pass + 1 < positions.len() {
-                self.stats.tau_exits += 1;
-                return Ok(total);
-            }
-        }
-        Ok(total)
+        and_count(
+            &mut self.slices,
+            &mut self.stats,
+            &mut self.scratch,
+            &self.levels[self.path.len()],
+            positions,
+            tau,
+        )
     }
 
     /// What the cursor's walk has done so far.
     pub fn cursor_stats(&self) -> CursorStats {
         self.stats
+    }
+
+    /// Level buffers the cursor holds, spare ones included.
+    #[cfg(test)]
+    pub(crate) fn levels_held(&self) -> usize {
+        self.levels.len()
     }
 
     /// Cache statistics of this reader's private page cache.

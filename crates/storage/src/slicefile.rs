@@ -18,25 +18,17 @@
 //!
 //! # Counting path
 //!
-//! A request counts through one executor,
-//! [`SliceFile::count_selected_many_masked`]; a single `COUNT` is a batch
-//! of one.  It walks the batch's selected slices chunk-by-chunk in row
-//! order: each chunk's cold pages are prefetched as a batch, the slices
-//! every query selects are ANDed once into a shared prefix, and each
-//! query's own slices are ANDed **in place** on a copy of it (64-bit words
-//! decoded straight out of the cache-resident page bytes into a reused
-//! one-page accumulator — no per-slice `BitVec` is ever materialised) and
-//! popcounted with the tiered kernels of `bbs_bitslice::ops`.  Slices that
-//! keep being selected are promoted into a pinned **hot-slice cache** of
-//! decoded `u64` words (invalidated on append), and a per-query `tau`
-//! budget retires a query early once its running upper bound drops below
-//! the threshold.  Mining does not come here: it walks the depth-first
-//! cursor ([`crate::DiskCounter`]) over `SliceFile::and_page`.
+//! Every served count and every mine goes through the depth-first cursor
+//! ([`crate::DiskCounter`]) over `SliceFile::and_page`: a `COUNT_MANY` is
+//! that cursor walking the batch's prefix trie.  What this file counts by
+//! itself, [`SliceFile::count_selected_many_masked`], is the naive
+//! reference: per query and per chunk, the live rows ANDed with each
+//! selected page and popcounted.  Tests check the cursor against it, and
+//! a writer's own index counts through it, unflushed appends included.
 //!
-//! All read-side state (page cache, hot slices, scratch buffers) lives
-//! behind a `Mutex`, so counting needs only `&self` — shared references
-//! can count concurrently, and independent readers over the same file get
-//! genuine parallelism (see `DiskBbs::counter`).
+//! The page cache lives behind a `Mutex`, so counting needs only `&self`
+//! — shared references can count concurrently, and independent readers
+//! over the same file get genuine parallelism (see `DiskBbs::counter`).
 
 use crate::backend::{FileBackend, StorageBackend};
 use crate::cache::{CacheStats, PageCache};
@@ -46,7 +38,6 @@ use crate::pager::{
     CHAIN_SEED, PAGE_SIZE,
 };
 use bbs_bitslice::{ops, BitVec};
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
@@ -87,12 +78,9 @@ pub const CHUNK_ROWS: usize = PAGE_SIZE * 8;
 /// `u64` words per page.
 pub const PAGE_WORDS: usize = PAGE_SIZE / 8;
 
-/// How many times a slice must be selected before it is pinned.
-const PROMOTE_AFTER: u32 = 3;
-/// Maximum number of pinned (fully decoded) hot slices.
-const HOT_SLICE_LIMIT: usize = 16;
-
-/// Counters of the pinned hot-slice cache.
+/// Counters of the hot-slice cache this file used to keep.  There is no
+/// such cache any more, so [`SliceFile::hot_stats`] reports zeros; the
+/// type stays for the benchmark harness, which still reads it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotStats {
     /// Slices currently pinned (decoded to words).
@@ -104,106 +92,6 @@ pub struct HotStats {
     /// Times the pinned set was invalidated by an append.
     pub invalidations: u64,
 }
-
-/// The pinned hot-slice cache: decoded `u64` words for the most-selected
-/// slices.  Appends invalidate the pinned words (a pinned slice would
-/// otherwise go stale); selection counts survive, so the working set is
-/// re-promoted quickly once counting resumes.
-///
-/// # Invalidation contract
-///
-/// * Every [`SliceFile::append_row`] call invalidates the pinned set
-///   **before** any bit of the new row is written, and it does so **at
-///   most once**: `invalidations` increments by exactly 1 when anything
-///   was pinned and by 0 when the set was already empty (consecutive
-///   appends with no interleaved counting pay a single invalidation).
-/// * Counting never observes a pinned slice that predates an append:
-///   within one `SliceFile`, appends take `&mut self`, so no count can
-///   interleave with the invalidate-then-write sequence; across
-///   independent readers over the same path, pinned words are decoded at
-///   the reader's own row count and the snapshot clamp (see
-///   [`mask_from`]) discards any newer bits.
-struct HotSlices {
-    capacity: usize,
-    select_counts: HashMap<usize, u32>,
-    pinned: HashMap<usize, Vec<u64>>,
-    hits: u64,
-    decodes: u64,
-    invalidations: u64,
-}
-
-impl HotSlices {
-    fn new(capacity: usize) -> Self {
-        HotSlices {
-            capacity,
-            select_counts: HashMap::new(),
-            pinned: HashMap::new(),
-            hits: 0,
-            decodes: 0,
-            invalidations: 0,
-        }
-    }
-
-    fn invalidate(&mut self) {
-        if !self.pinned.is_empty() {
-            self.pinned.clear();
-            self.invalidations += 1;
-        }
-    }
-
-    fn stats(&self) -> HotStats {
-        HotStats {
-            pinned: self.pinned.len(),
-            hits: self.hits,
-            decodes: self.decodes,
-            invalidations: self.invalidations,
-        }
-    }
-}
-
-/// All mutable read-side state: the page cache plus the hot-slice cache and
-/// the reusable counting scratch.  Guarded by one mutex in [`SliceFile`] so
-/// that counting works on `&self`.
-struct ReadState<B: StorageBackend> {
-    cache: PageCache<B>,
-    hot: HotSlices,
-    /// One-page `u64` per-query accumulator, reused across chunks and
-    /// calls: accumulation across chunks lives in the running totals,
-    /// never in an accumulator, so one chunk-sized buffer serves every
-    /// query in the batch — re-seeded per query per chunk — instead of a
-    /// batch-sized pool of them thrashing the cache.
-    acc: Vec<u64>,
-    /// Scratch list of the current chunk's cold page ids.
-    cold_ids: Vec<PageId>,
-    /// One-page accumulator of the batch's shared prefix, reused across
-    /// chunks and calls.
-    prefix_acc: Vec<u64>,
-    /// Dense pool of decoded shared-slice segments, indexed by the slot
-    /// number in [`ReadState::batch_slots`]; buffers are reused across
-    /// chunks and calls.
-    batch_segs: Vec<Vec<u64>>,
-    /// Width-indexed slice → segment-slot map (`NO_SLOT` = not shared).
-    /// Plain-array lookups here replace per-query hash-map probes on the
-    /// batched hot path.  Only entries named by [`ReadState::batch_union`]
-    /// are ever non-default; the rest stay `NO_SLOT` by invariant.
-    batch_slots: Vec<u32>,
-    /// Width-indexed active-query selection multiplicities; same validity
-    /// rule as [`ReadState::batch_slots`].
-    batch_mult: Vec<u32>,
-    /// The distinct slices the current batch's active queries select,
-    /// sorted — names exactly the non-default entries of
-    /// `batch_slots` / `batch_mult` / `batch_pfx`, which is what lets a
-    /// rebuild reset them in `O(|union|)` instead of `O(width)`.
-    batch_union: Vec<usize>,
-    /// Width-indexed membership in the *effective* prefix: every slice
-    /// selected by all active queries (hoisted automatically, so
-    /// overlapping batches pay their common slices once per chunk).
-    batch_pfx: Vec<bool>,
-}
-
-/// Sentinel in [`ReadState::batch_slots`]: this slice has no decoded
-/// shared segment (it is hot, unshared, or not selected at all).
-const NO_SLOT: u32 = u32::MAX;
 
 /// Zeroes every bit at position `>= rows` in a word buffer (the snapshot
 /// clamp): a reader whose header said `rows = N` must never count bits a
@@ -221,322 +109,13 @@ pub(crate) fn mask_from(words: &mut [u64], rows: usize) {
     }
 }
 
-impl<B: StorageBackend> ReadState<B> {
-    /// Decodes a whole slice into little-endian `u64` words (`words_for(rows)`
-    /// of them) through the page cache, with bits `>= rows` masked off.
-    fn decode_slice(&mut self, width: usize, rows: u64, slice: usize) -> io::Result<Vec<u64>> {
-        let rows = rows as usize;
-        let chunks = rows.div_ceil(CHUNK_ROWS);
-        let mut words: Vec<u64> = Vec::with_capacity(chunks * PAGE_WORDS);
-        for c in 0..chunks {
-            let page = page_of(width, c as u64, slice);
-            self.cache.with_page(page, |buf| {
-                for w in buf.chunks_exact(8) {
-                    words.push(u64::from_le_bytes(w.try_into().expect("8 bytes")));
-                }
-            })?;
-        }
-        words.truncate(bbs_bitslice::words_for(rows));
-        mask_from(&mut words, rows);
-        Ok(words)
-    }
-
-    /// Bumps selection counts and pins newly hot slices (decoding them).
-    fn promote(&mut self, width: usize, rows: u64, slices: &[usize]) -> io::Result<()> {
-        // Once the pinned set is full no count bump can change it, so the
-        // bookkeeping is pure overhead on every subsequent query — skip it.
-        // After an append invalidates the pinned set, counting resumes from
-        // the preserved counts and re-pins the proven hot slices at once.
-        if self.hot.pinned.len() >= self.hot.capacity {
-            return Ok(());
-        }
-        for &s in slices {
-            let n = self.hot.select_counts.entry(s).or_insert(0);
-            *n += 1;
-            if *n >= PROMOTE_AFTER
-                && self.hot.pinned.len() < self.hot.capacity
-                && !self.hot.pinned.contains_key(&s)
-            {
-                let words = self.decode_slice(width, rows, s)?;
-                self.hot.pinned.insert(s, words);
-                self.hot.decodes += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Shared-scan batched counting (see
-    /// [`SliceFile::count_selected_many_masked`]).
-    ///
-    /// The per-chunk loop decodes each distinct selected slice **once** —
-    /// from the pinned hot words or from its cache-resident page — and then
-    /// drives every still-active query's accumulator from those shared
-    /// segments: the page fetch + decode cost is paid once per chunk for
-    /// the whole batch, not once per query, which is what amortises
-    /// concurrent hot-slice queries.
-    ///
-    /// Slices every active query selects are hoisted: their AND is
-    /// materialised once per chunk and copied into each query's
-    /// accumulator, so what a served batch has in common is paid once per
-    /// batch instead of once per query.
-    fn count_selected_many(
-        &mut self,
-        width: usize,
-        rows: u64,
-        queries: &[(Vec<usize>, Option<u64>)],
-        dead: Option<(&[u64], u64)>,
-    ) -> io::Result<Vec<u64>> {
-        let chunks = (rows as usize).div_ceil(CHUNK_ROWS) as u64;
-        let live = rows - dead.map_or(0, |(_, deleted)| deleted);
-        let mut totals = vec![0u64; queries.len()];
-        let mut done = vec![false; queries.len()];
-        let mut active = 0usize;
-        for (i, (slices, _)) in queries.iter().enumerate() {
-            if slices.is_empty() {
-                totals[i] = live;
-                done[i] = true;
-            } else if chunks == 0 {
-                done[i] = true;
-            } else {
-                active += 1;
-                self.promote(width, rows, slices)?;
-            }
-        }
-        if active == 0 {
-            return Ok(totals);
-        }
-        let ReadState {
-            cache,
-            hot,
-            acc,
-            cold_ids,
-            prefix_acc,
-            batch_segs,
-            batch_slots,
-            batch_mult,
-            batch_union,
-            batch_pfx,
-        } = self;
-        // Reusable scratch: accumulation across chunks lives in `totals`,
-        // never in an accumulator (every chunk re-seeds), so one
-        // chunk-sized accumulator serves all the batch's queries in turn —
-        // it stays L1-resident instead of a batch-sized pool of buffers
-        // streaming through the cache once per chunk.
-        acc.resize(PAGE_WORDS, 0);
-        prefix_acc.resize(PAGE_WORDS, 0);
-        let segs = batch_segs;
-        let slots = batch_slots;
-        let mult = batch_mult;
-        let union = batch_union;
-        let pfx = batch_pfx;
-        slots.resize(width, NO_SLOT);
-        mult.resize(width, 0);
-        pfx.resize(width, false);
-        // Cold (non-pinned) slices of the union, the shared subset that
-        // gets a decoded segment per chunk, and the effective prefix.
-        // All rebuilt with the union.
-        let mut cold_slices: Vec<usize> = Vec::new();
-        let mut shared_slices: Vec<usize> = Vec::new();
-        let mut eff_prefix: Vec<usize> = Vec::new();
-        let mut stale = true;
-        for c in 0..chunks {
-            if stale {
-                // Reset exactly the entries the previous union named (from
-                // this call or the last one) — the maps stay all-default
-                // elsewhere, so a rebuild costs O(|union|), not O(width).
-                for &s in union.iter() {
-                    slots[s] = NO_SLOT;
-                    mult[s] = 0;
-                    pfx[s] = false;
-                }
-                union.clear();
-                for (i, (slices, _)) in queries.iter().enumerate() {
-                    if !done[i] {
-                        union.extend_from_slice(slices);
-                        for &s in slices {
-                            mult[s] += 1;
-                        }
-                    }
-                }
-                union.sort_unstable();
-                union.dedup();
-                // The effective prefix: every slice that all active
-                // queries select (`mult == active` — each query's slice
-                // list is deduped, so it contributes at most 1).  Hoisted
-                // slices are ANDed once per chunk into the prefix
-                // accumulator instead of once per query, which is where an
-                // overlapping batch saves arithmetic, not just I/O.  A
-                // batch of one hoists all its slices.
-                eff_prefix.clear();
-                for &s in union.iter() {
-                    if mult[s] as usize == active {
-                        pfx[s] = true;
-                        eff_prefix.push(s);
-                    }
-                }
-                // A non-prefix slice selected by ≥ 2 active queries (and
-                // not already pinned hot) earns a decoded-segment slot.  A
-                // slice unique to one query never does — it is ANDed
-                // straight from its cache-resident page bytes, so a batch
-                // of disjoint queries costs no more than counting them one
-                // at a time.
-                cold_slices.clear();
-                shared_slices.clear();
-                let mut next = 0u32;
-                for &s in union.iter() {
-                    if hot.pinned.contains_key(&s) {
-                        continue;
-                    }
-                    cold_slices.push(s);
-                    if mult[s] >= 2 && !pfx[s] {
-                        slots[s] = next;
-                        shared_slices.push(s);
-                        if segs.len() <= next as usize {
-                            segs.push(Vec::new());
-                        }
-                        next += 1;
-                    }
-                }
-                stale = false;
-            }
-            cold_ids.clear();
-            for &s in cold_slices.iter() {
-                cold_ids.push(page_of(width, c, s));
-            }
-            // Batched fetch: the chunk's cold pages become resident in one
-            // row-order pass before any is ANDed (all hits below when the
-            // cache can hold the whole batch).
-            if cold_ids.len() < cache.capacity() {
-                cache.prefetch(cold_ids)?;
-            }
-            // Decode each *shared* cold slice once for the whole batch.
-            for &s in shared_slices.iter() {
-                let seg = &mut segs[slots[s] as usize];
-                seg.clear();
-                cache.with_page(page_of(width, c, s), |buf| {
-                    for w in buf.chunks_exact(8) {
-                        seg.push(u64::from_le_bytes(w.try_into().expect("8 bytes")));
-                    }
-                })?;
-            }
-            let lo = (c as usize) * PAGE_WORDS;
-            let within = rows as usize - (c as usize) * CHUNK_ROWS;
-            // ANDs `$s`'s words for this chunk into `$acc` (the shared
-            // decoded segment, hot words, or zero-copy off the page),
-            // seeding on first use.  The slot test is a plain array read,
-            // so the per-query inner loop probes a hash map at most once
-            // per slice (the pinned-set lookup).
-            macro_rules! apply {
-                ($acc:expr, $seeded:expr, $s:expr) => {{
-                    let acc: &mut [u64] = $acc;
-                    let slot = slots[$s];
-                    if slot != NO_SLOT {
-                        // Decoded this chunk: the pass above covers exactly
-                        // the slotted slices, so a segment left over from an
-                        // earlier chunk (a sharer τ-exited) or an earlier
-                        // call is never mistaken for current data.
-                        let seg: &[u64] = &segs[slot as usize];
-                        if $seeded {
-                            ops::and_assign(acc, seg);
-                        } else {
-                            acc[..seg.len()].copy_from_slice(seg);
-                            acc[seg.len()..].fill(0);
-                        }
-                    } else if let Some(words) = hot.pinned.get(&$s) {
-                        hot.hits += 1;
-                        let hi = words.len().min(lo + PAGE_WORDS);
-                        let seg: &[u64] = if lo < hi { &words[lo..hi] } else { &[] };
-                        if $seeded {
-                            ops::and_assign(acc, seg);
-                        } else {
-                            acc[..seg.len()].copy_from_slice(seg);
-                            acc[seg.len()..].fill(0);
-                        }
-                    } else if $seeded {
-                        cache.with_page(page_of(width, c, $s), |buf| {
-                            for (a, b) in acc.iter_mut().zip(buf.chunks_exact(8)) {
-                                *a &= u64::from_le_bytes(b.try_into().expect("8 bytes"));
-                            }
-                        })?;
-                    } else {
-                        cache.with_page(page_of(width, c, $s), |buf| {
-                            for (a, b) in acc.iter_mut().zip(buf.chunks_exact(8)) {
-                                *a = u64::from_le_bytes(b.try_into().expect("8 bytes"));
-                            }
-                        })?;
-                    }
-                    $seeded = true;
-                }};
-            }
-            // The shared projection: AND the effective prefix (the hoisted
-            // common slices) once per chunk.  The tombstone mask rides it
-            // as an implicit member — seeded with the chunk's *live* rows
-            // (`!dead`, live beyond the bitmap's tail), so the whole batch
-            // pays one masked copy per chunk.  AND+popcount is
-            // position-invariant, which makes the masked count equal, bit
-            // for bit, to counting a compacted rewrite of only the
-            // surviving rows.
-            let mut prefix_seeded = false;
-            if let Some((dead_words, _)) = dead {
-                for (i, a) in prefix_acc.iter_mut().enumerate() {
-                    *a = !dead_words.get(lo + i).copied().unwrap_or(0);
-                }
-                prefix_seeded = true;
-            }
-            for &s in eff_prefix.iter() {
-                apply!(prefix_acc, prefix_seeded, s);
-            }
-            for (i, (slices, tau)) in queries.iter().enumerate() {
-                if done[i] {
-                    continue;
-                }
-                let mut seeded = false;
-                if prefix_seeded {
-                    acc.copy_from_slice(prefix_acc);
-                    seeded = true;
-                }
-                for &s in slices {
-                    // Hoisted into the effective prefix: already ANDed in.
-                    if pfx[s] {
-                        continue;
-                    }
-                    apply!(acc, seeded, s);
-                }
-                // Snapshot clamp: in the boundary chunk, bits at row
-                // positions `>= rows` are discarded before counting.  In
-                // the single-owner case those bits are zero anyway (pages
-                // start zeroed); for a reader that opened at `rows = N`
-                // while a writer keeps appending to the same file, this is
-                // what guarantees the count reflects exactly the first N
-                // rows — never a half-appended newer batch.
-                if c == chunks - 1 && within < CHUNK_ROWS {
-                    mask_from(acc, within);
-                }
-                totals[i] += ops::count_ones(acc) as u64;
-                if let Some(tau) = tau {
-                    // Every remaining chunk can contribute at most
-                    // CHUNK_ROWS bits; once even that cannot reach tau, the
-                    // exact count cannot either.  The bound never
-                    // undercounts.
-                    let bound = totals[i] + (chunks - 1 - c) * CHUNK_ROWS as u64;
-                    if bound < *tau {
-                        totals[i] = bound;
-                        done[i] = true;
-                        active -= 1;
-                        stale = true;
-                    }
-                }
-            }
-            if active == 0 {
-                break;
-            }
-        }
-        Ok(totals)
-    }
-}
-
 fn page_of(width: usize, chunk: u64, slice: usize) -> PageId {
     PageId(1 + chunk * width as u64 + slice as u64)
+}
+
+/// The little-endian word in the first 8 bytes of `bytes`.
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
 }
 
 /// A durable, chunk-major bit-slice file.
@@ -547,7 +126,7 @@ fn page_of(width: usize, chunk: u64, slice: usize) -> PageId {
 /// on this file's cache — use independent `SliceFile`s over the same path
 /// for parallel reads).
 pub struct SliceFile<B: StorageBackend = FileBackend> {
-    read: Mutex<ReadState<B>>,
+    cache: Mutex<PageCache<B>>,
     width: usize,
     rows: u64,
 }
@@ -706,29 +285,18 @@ impl<B: StorageBackend> SliceFile<B> {
             ));
         }
         Ok(SliceFile {
-            read: Mutex::new(ReadState {
-                cache,
-                hot: HotSlices::new(HOT_SLICE_LIMIT),
-                acc: Vec::new(),
-                cold_ids: Vec::new(),
-                prefix_acc: Vec::new(),
-                batch_segs: Vec::new(),
-                batch_slots: Vec::new(),
-                batch_mult: Vec::new(),
-                batch_union: Vec::new(),
-                batch_pfx: Vec::new(),
-            }),
+            cache: Mutex::new(cache),
             width,
             rows,
         })
     }
 
-    fn state(&self) -> MutexGuard<'_, ReadState<B>> {
-        self.read.lock().unwrap_or_else(|e| e.into_inner())
+    fn cache(&self) -> MutexGuard<'_, PageCache<B>> {
+        self.cache.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn state_mut(&mut self) -> &mut ReadState<B> {
-        self.read.get_mut().unwrap_or_else(|e| e.into_inner())
+    fn cache_mut(&mut self) -> &mut PageCache<B> {
+        self.cache.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Signature width `m`.
@@ -743,29 +311,28 @@ impl<B: StorageBackend> SliceFile<B> {
 
     /// Cache statistics.
     pub fn cache_stats(&self) -> CacheStats {
-        self.state().cache.stats()
+        self.cache().stats()
     }
 
     /// Physical I/O counters of the underlying pager.
     pub fn pager_stats(&self) -> PagerStats {
-        self.state().cache.pager_stats()
+        self.cache().pager_stats()
     }
 
-    /// Hot-slice cache counters.
+    /// Hot-slice cache counters: always zero, since there is no such cache
+    /// (see [`HotStats`]).
     pub fn hot_stats(&self) -> HotStats {
-        self.state().hot.stats()
+        HotStats::default()
     }
 
     /// Appends one row whose set bit positions are `positions` (each `<
     /// width`).  Returns the row index.
     ///
-    /// The pinned hot-slice cache is invalidated exactly once per append
-    /// (and only when something was pinned), *before* the first bit is
-    /// written — see the invalidation contract on `HotSlices`.  The row
-    /// becomes visible to this handle immediately and to independent
-    /// readers only after [`SliceFile::flush`] (readers clamp counting to
-    /// the row count their header said at open, so a concurrently
-    /// appending writer can never make them observe a torn batch).
+    /// The row becomes visible to this handle immediately and to
+    /// independent readers only after [`SliceFile::flush`] (readers clamp
+    /// counting to the row count their header said at open, so a
+    /// concurrently appending writer can never make them observe a torn
+    /// batch).
     pub fn append_row(&mut self, positions: &[usize]) -> io::Result<u64> {
         let row = self.rows;
         let chunk = row / CHUNK_ROWS as u64;
@@ -773,63 +340,76 @@ impl<B: StorageBackend> SliceFile<B> {
         let byte = within / 8;
         let bit = within % 8;
         let width = self.width;
-        let state = self.read.get_mut().unwrap_or_else(|e| e.into_inner());
-        // Pinned word decodes would go stale; drop them (selection counts
-        // survive, so the hot set re-forms once counting resumes).
-        state.hot.invalidate();
+        let cache = self.cache_mut();
         for &p in positions {
             assert!(p < width, "position {p} out of range");
-            state
-                .cache
-                .update(page_of(width, chunk, p), |page| page[byte] |= 1 << bit)?;
+            cache.update(page_of(width, chunk, p), |page| page[byte] |= 1 << bit)?;
         }
         self.rows += 1;
         let rows = self.rows.to_le_bytes();
-        state
-            .cache
+        self.cache_mut()
             .update(PageId(0), |header| header[16..24].copy_from_slice(&rows))?;
         Ok(row)
     }
 
-    /// Loads one slice as an in-memory bit vector of `rows` bits.
+    /// Loads one slice as an in-memory bit vector of `rows` bits, through
+    /// the page cache, with bits `>= rows` masked off.
     pub fn load_slice(&self, slice: usize) -> io::Result<BitVec> {
         assert!(slice < self.width, "slice {slice} out of range");
-        let words = self.state().decode_slice(self.width, self.rows, slice)?;
-        Ok(BitVec::from_words(words, self.rows as usize))
+        let rows = self.rows as usize;
+        let mut words: Vec<u64> = Vec::with_capacity(rows.div_ceil(CHUNK_ROWS) * PAGE_WORDS);
+        let mut cache = self.cache();
+        for c in 0..rows.div_ceil(CHUNK_ROWS) {
+            cache.with_page(page_of(self.width, c as u64, slice), |buf| {
+                words.extend(buf.chunks_exact(8).map(le_word));
+            })?;
+        }
+        words.truncate(bbs_bitslice::words_for(rows));
+        mask_from(&mut words, rows);
+        Ok(BitVec::from_words(words, rows))
     }
 
     /// `CountItemSet` straight off the disk layout, for a batch of queries
-    /// (each a deduplicated list of selected slices, plus an optional τ):
-    /// each query ANDs its slices together and popcounts, reading only
-    /// those slices' pages (an empty selection counts every live row).
-    /// With `tau = Some(τ)` a result is exact whenever it is `≥ τ`, and an
-    /// upper bound on the exact count when it is `< τ` (the query stops as
-    /// soon as even all-ones remaining chunks could not reach `τ`).
+    /// (each a deduplicated list of selected slices): per query and per
+    /// chunk, the chunk's live rows are ANDed with each selected page and
+    /// popcounted, so an empty selection counts every live row.  This is
+    /// the naive reference the cursor is tested against; it keeps no state
+    /// but the page cache.  Each query's τ is accepted and ignored: an
+    /// exact answer meets the τ contract.
     ///
     /// Rows set in `dead` are AND-NOTed out of every chunk (§3.4's
     /// constraint-slice trick, pointed at tombstones): the result is
     /// bit-for-bit what counting a compacted rewrite of only the surviving
     /// rows would give.
-    ///
-    /// The scan is shared: each selected slice chunk is walked once for the
-    /// *whole batch*, feeding every query's accumulator from the same
-    /// decoded segment, and the mask rides the shared prefix accumulator,
-    /// so the batch pays one masked seed per chunk.  Results are
-    /// bit-for-bit identical to issuing the queries one at a time (a
-    /// single count is a batch of one) — the batch only changes how often
-    /// shared pages are fetched and decoded.
     pub fn count_selected_many_masked(
         &self,
         queries: &[(Vec<usize>, Option<u64>)],
         dead: Option<&DeadMask>,
     ) -> io::Result<Vec<u64>> {
-        self.state().count_selected_many(
-            self.width,
-            self.rows,
-            queries,
-            dead.filter(|d| d.deleted > 0)
-                .map(|d| (d.words.as_slice(), d.deleted)),
-        )
+        let rows = self.rows as usize;
+        let dead = dead.map_or(&[][..], |d| d.words.as_slice());
+        let mut cache = self.cache();
+        let mut acc = [0u64; PAGE_WORDS];
+        let mut count = |slices: &[usize]| -> io::Result<u64> {
+            let mut total = 0;
+            for c in 0..rows.div_ceil(CHUNK_ROWS) {
+                let lo = c * PAGE_WORDS;
+                for (i, a) in acc.iter_mut().enumerate() {
+                    *a = !dead.get(lo + i).copied().unwrap_or(0);
+                }
+                for &s in slices {
+                    cache.with_page(page_of(self.width, c as u64, s), |buf| {
+                        for (a, b) in acc.iter_mut().zip(buf.chunks_exact(8)) {
+                            *a &= le_word(b);
+                        }
+                    })?;
+                }
+                mask_from(&mut acc, rows - c * CHUNK_ROWS);
+                total += ops::count_ones(&acc) as u64;
+            }
+            Ok(total)
+        };
+        queries.iter().map(|(slices, _tau)| count(slices)).collect()
     }
 
     /// ANDs chunk `chunk` of slice `slice` onto `words` — that chunk's
@@ -847,9 +427,9 @@ impl<B: StorageBackend> SliceFile<B> {
     ) -> io::Result<u64> {
         debug_assert!(words.len() <= PAGE_WORDS);
         let id = page_of(self.width, chunk, slice);
-        self.state_mut().cache.with_page(id, |buf| {
+        self.cache_mut().with_page(id, |buf| {
             for (w, b) in words.iter_mut().zip(buf.chunks_exact(8)) {
-                *w &= u64::from_le_bytes(b.try_into().expect("8 bytes"));
+                *w &= le_word(b);
             }
         })?;
         Ok(ops::count_ones(words) as u64)
@@ -869,10 +449,9 @@ impl<B: StorageBackend> SliceFile<B> {
     ) -> io::Result<u64> {
         debug_assert_eq!(offsets.len(), run.len());
         let id = page_of(self.width, chunk, slice);
-        self.state_mut().cache.with_page(id, |buf| {
+        self.cache_mut().with_page(id, |buf| {
             for (w, &o) in run.iter_mut().zip(offsets) {
-                let at = usize::from(o) * 8;
-                *w &= u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"));
+                *w &= le_word(&buf[usize::from(o) * 8..]);
             }
         })?;
         Ok(ops::count_ones(run) as u64)
@@ -887,7 +466,7 @@ impl<B: StorageBackend> SliceFile<B> {
 
     /// Flushes dirty pages and syncs.
     pub fn flush(&mut self) -> io::Result<()> {
-        self.state_mut().cache.flush()
+        self.cache_mut().flush()
     }
 
     /// Chained digest of the boundary-chunk slice pages as they stand
@@ -900,11 +479,11 @@ impl<B: StorageBackend> SliceFile<B> {
         }
         let chunk = self.rows / CHUNK_ROWS as u64;
         let width = self.width;
-        let state = self.read.get_mut().unwrap_or_else(|e| e.into_inner());
+        let cache = self.cache_mut();
         let mut digest = CHAIN_SEED;
         for slice in 0..width {
             let page = page_of(width, chunk, slice);
-            digest = chain_digest(digest, state.cache.with_page(page, page_digest)?);
+            digest = chain_digest(digest, cache.with_page(page, page_digest)?);
         }
         Ok(digest)
     }
@@ -920,7 +499,7 @@ mod tests {
         p
     }
 
-    /// One query through the batch executor: a batch of one.
+    /// One query through the reference count: a batch of one.
     fn count_one(
         f: &SliceFile,
         slices: &[usize],
@@ -1061,58 +640,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_slices_promote_and_invalidate() {
-        let p = path("hot");
-        let _g = Cleanup(p.clone());
-        let mut f = SliceFile::open(&p, 8, 64).expect("open");
-        for i in 0..200u64 {
-            f.append_row(&[(i % 8) as usize]).expect("append");
-        }
-        for _ in 0..5 {
-            count_one(&f, &[0, 1], None, None).expect("count");
-        }
-        let hs = f.hot_stats();
-        assert!(hs.pinned >= 2, "repeatedly selected slices get pinned: {hs:?}");
-        assert!(hs.hits > 0);
-        let before = count_one(&f, &[0], None, None).expect("count");
-        // Append invalidates the pinned words; counting still agrees.
-        f.append_row(&[0]).expect("append");
-        assert_eq!(f.hot_stats().pinned, 0);
-        assert!(f.hot_stats().invalidations >= 1);
-        assert_eq!(count_one(&f, &[0], None, None).expect("count"), before + 1);
-    }
-
-    #[test]
-    fn hot_invalidation_is_exactly_once_per_append() {
-        let p = path("hot_exact");
-        let _g = Cleanup(p.clone());
-        let mut f = SliceFile::open(&p, 8, 64).expect("open");
-        for i in 0..100u64 {
-            f.append_row(&[(i % 8) as usize]).expect("append");
-        }
-        // Nothing pinned yet: those 100 appends cost zero invalidations.
-        assert_eq!(f.hot_stats().invalidations, 0);
-        for _ in 0..PROMOTE_AFTER {
-            count_one(&f, &[0, 1], None, None).expect("count");
-        }
-        assert!(f.hot_stats().pinned >= 2);
-        // One append over a pinned set: exactly one invalidation.
-        f.append_row(&[0]).expect("append");
-        assert_eq!(f.hot_stats().invalidations, 1);
-        assert_eq!(f.hot_stats().pinned, 0);
-        // Further appends with the set already empty add none.
-        f.append_row(&[1]).expect("append");
-        f.append_row(&[2]).expect("append");
-        assert_eq!(f.hot_stats().invalidations, 1);
-        // Counting re-promotes (selection counts survived), and the next
-        // append invalidates exactly once again.
-        count_one(&f, &[0, 1], None, None).expect("count");
-        assert!(f.hot_stats().pinned >= 2, "{:?}", f.hot_stats());
-        f.append_row(&[3]).expect("append");
-        assert_eq!(f.hot_stats().invalidations, 2);
-    }
-
-    #[test]
     fn reader_clamps_counts_to_its_snapshot_rows() {
         let p = path("snapclamp");
         let _g = Cleanup(p.clone());
@@ -1133,12 +660,11 @@ mod tests {
         assert_eq!(count_one(&reader, &[0], None, None).expect("count"), 100);
         assert_eq!(count_one(&reader, &[0, 1], None, None).expect("count"), 100);
         assert_eq!(reader.load_slice(1).expect("slice").count_ones(), 100);
-        // Repeat counting so the reader pins hot slices (decoded from pages
-        // that now contain newer bits) — the clamp must hold there too.
+        // Repeat counting over pages that now contain newer bits — the
+        // clamp must hold every time.
         for _ in 0..5 {
             assert_eq!(count_one(&reader, &[0, 1], None, None).expect("count"), 100);
         }
-        assert!(reader.hot_stats().pinned > 0);
         assert_eq!(count_one(&reader, &[0, 1], None, None).expect("count"), 100);
         // A freshly opened reader sees the newer flushed state.
         let fresh = SliceFile::open(&p, 8, 64).expect("fresh");
@@ -1151,8 +677,8 @@ mod tests {
         let p = path("many");
         let _g = Cleanup(p.clone());
         let mut f = SliceFile::open(&p, 8, 64).expect("open");
-        // Cross a chunk boundary so the shared scan exercises multiple
-        // chunks and the boundary clamp.
+        // Cross a chunk boundary so the count exercises multiple chunks and
+        // the boundary clamp.
         let n = CHUNK_ROWS + 321;
         for i in 0..n {
             f.append_row(&[i % 8, (i * 3) % 8]).expect("append");
@@ -1170,16 +696,15 @@ mod tests {
             let solo = count_one(&f, slices, *tau, None).expect("solo");
             assert_eq!(batched[i], solo, "query {i} {slices:?} tau {tau:?}");
         }
-        // Repeat after hot promotion: pinned-slice segments agree too.
+        // Repeat counting: the answers do not drift.
         for _ in 0..5 {
-            count_one(&f, &[0, 1], None, None).expect("promote");
+            count_one(&f, &[0, 1], None, None).expect("repeat");
         }
-        assert!(f.hot_stats().pinned > 0);
-        let batched2 = f.count_selected_many_masked(&queries, None).expect("batched hot");
+        let batched2 = f.count_selected_many_masked(&queries, None).expect("batched again");
         assert_eq!(batched, batched2);
-        // A batch whose queries all select slices 1 and 2 has them hoisted
-        // into the shared prefix accumulator; answers still equal counting
-        // each query alone, including for the query that selects nothing else.
+        // A batch whose queries all select slices 1 and 2: answers still
+        // equal counting each query alone, including for the query that
+        // selects nothing else.
         let common: Vec<(Vec<usize>, Option<u64>)> = vec![
             (vec![1, 2, 3], None),
             (vec![1, 2, 5], Some(5)),
@@ -1247,7 +772,7 @@ mod tests {
             let solo = count_one(&f, slices, *tau, Some(&dead)).expect("solo masked");
             assert_eq!(masked[i], solo, "batched vs alone {slices:?}");
         }
-        // Hoisted common slices with the mask riding the shared prefix.
+        // Common slices in every query of a masked batch.
         let common: Vec<(Vec<usize>, Option<u64>)> = queries
             .iter()
             .map(|(slices, tau)| {

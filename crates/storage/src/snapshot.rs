@@ -29,9 +29,9 @@
 //!    rewritten, so a record or row below the snapshot's row count is
 //!    immutable forever; and the slice-file reader clamps counting to the
 //!    row count its header carried when it was opened, so newer bits in a
-//!    re-read (or hot-decoded) boundary page are invisible.  A snapshot
-//!    therefore stays exact — not just "roughly consistent" — for as long
-//!    as the caller keeps its `Arc` alive.
+//!    re-read boundary page are invisible.  A snapshot therefore stays
+//!    exact — not just "roughly consistent" — for as long as the caller
+//!    keeps its `Arc` alive.
 //! 3. **Publish-after-commit.**  A new snapshot is opened only after the
 //!    commit record for its rows has landed, so every published epoch is
 //!    durable: what a query observed is what a crash-recovered reopen
@@ -40,6 +40,19 @@
 //! Queries on old snapshots keep answering from their epoch's prefix
 //! while new commits land — the paper's "dynamic index" claim, made
 //! mechanically checkable (see `tests/concurrent.rs`).
+//!
+//! # Counting a snapshot
+//!
+//! Every count a snapshot answers ([`Snapshot::count_many`]; a single
+//! [`Snapshot::count`] is a batch of one) goes through the same
+//! depth-first cursor that mines: one [`DiskCounter`] per snapshot, built
+//! on the first count and kept behind a mutex, whose level 0 is the
+//! snapshot's rows AND-NOT its tombstones — the clamp and the dead mask
+//! are applied once per snapshot, not once per count.  A batch takes the
+//! commit fence once and walks its prefix trie
+//! ([`DiskCounter::count_many`]), holding at most three levels however
+//! long its itemsets are, so the memory a snapshot keeps for counting
+//! does not depend on what a request asks.
 //!
 //! # Mining a snapshot
 //!
@@ -68,7 +81,6 @@ use crate::heapfile::HeapFile;
 use crate::maintain::MaintainReport;
 use crate::mine::tally_live;
 use crate::pager::PagerStats;
-use crate::slicefile::HotStats;
 use bbs_core::Bbs;
 use bbs_hash::ItemHasher;
 use bbs_tdb::{ItemId, Itemset, Transaction, TransactionDb};
@@ -89,13 +101,15 @@ pub type BackendFactory =
 
 /// An immutable, epoch-stamped read view of a deployment.
 ///
-/// All methods take `&self`; internal synchronisation (the slice reader's
-/// mutex, the heap handle's mutex, the shared I/O fence) makes a shared
-/// `Arc<Snapshot>` safe to query from any number of threads.
+/// All methods take `&self`; internal synchronisation (the serving
+/// cursor's mutex, the heap handle's mutex, the shared I/O fence) makes a
+/// shared `Arc<Snapshot>` safe to query from any number of threads.
 pub struct Snapshot {
     epoch: u64,
     rows: u64,
     index: DiskBbs,
+    /// The cursor every count walks, built on the first count.
+    cursor: Mutex<Option<DiskCounter>>,
     heap: Mutex<HeapFile>,
     io: Arc<RwLock<()>>,
 }
@@ -125,18 +139,26 @@ impl Snapshot {
     /// the exact support, exact for the rows this snapshot covers) — a
     /// batch of one for [`Snapshot::count_many`].
     pub fn count(&self, items: &Itemset) -> io::Result<u64> {
-        let _fence = read_fence(&self.io);
-        self.index.count_itemset(items)
+        Ok(self.count_many(std::slice::from_ref(items))?[0])
     }
 
-    /// Batched [`Snapshot::count`] over the shared-scan executor: one walk
-    /// of the selected slice chunks serves the whole batch (see
-    /// [`DiskBbs::count_itemsets`]).  Every itemset is counted at this
-    /// snapshot's epoch; the results are identical to counting them one at
-    /// a time.
+    /// Batched [`Snapshot::count`]: the snapshot's serving cursor walks
+    /// the batch's prefix trie ([`DiskCounter::count_many`]).  Every
+    /// itemset is counted at this snapshot's epoch, and supports come back
+    /// in request order, identical to counting them one at a time.
+    ///
+    /// The commit fence is taken once for the batch, and before the
+    /// cursor's mutex.  The cursor is built with the unfenced
+    /// [`DiskBbs::counter`]: taking the read fence a second time while a
+    /// writer waits for it would deadlock.
     pub fn count_many(&self, itemsets: &[Itemset]) -> io::Result<Vec<u64>> {
         let _fence = read_fence(&self.io);
-        self.index.count_itemsets(itemsets, None)
+        let mut cursor = self.cursor.lock().unwrap_or_else(|e| e.into_inner());
+        let cursor = match &mut *cursor {
+            Some(cursor) => cursor,
+            slot => slot.insert(self.index.counter()?),
+        };
+        cursor.count_many(itemsets)
     }
 
     /// Tombstoned rows within this snapshot's prefix.
@@ -223,22 +245,7 @@ impl Snapshot {
         if vocab.len() < 2 || live == 0 || samples == 0 {
             return Ok(0.0);
         }
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut queries = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let a = vocab[(next() % vocab.len() as u64) as usize];
-            let mut b = vocab[(next() % vocab.len() as u64) as usize];
-            if b == a {
-                b = vocab[(a.0 as usize + 1) % vocab.len()];
-            }
-            queries.push(Itemset::from_values(&[a.0, b.0]));
-        }
+        let queries = fpr_probes(&vocab, samples, seed);
         let estimates = self.count_many(&queries)?;
         let exact = self.tally(&queries)?;
         let mut false_pos = 0u64;
@@ -252,33 +259,40 @@ impl Snapshot {
         }
         Ok(false_pos as f64 / negatives as f64)
     }
+}
 
-    /// Page-cache counters of this snapshot's slice reader.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.index.cache_stats()
-    }
-
-    /// Physical I/O counters of this snapshot's slice reader.
-    pub fn pager_stats(&self) -> PagerStats {
-        self.index.pager_stats()
-    }
-
-    /// Hot-slice cache counters of this snapshot's slice reader.
-    pub fn hot_stats(&self) -> HotStats {
-        self.index.hot_stats()
-    }
+/// The item pairs [`Snapshot::measure_fpr`] probes: `samples` pairs of
+/// distinct items of `vocab` (at least two), drawn by a xorshift stream
+/// seeded by `seed`.  When both draws land on the same position the second
+/// item is the next one in `vocab`.
+fn fpr_probes(vocab: &[ItemId], samples: usize, seed: u64) -> Vec<Itemset> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % vocab.len() as u64) as usize
+    };
+    (0..samples)
+        .map(|_| {
+            let a = next();
+            let mut b = next();
+            if b == a {
+                b = (a + 1) % vocab.len();
+            }
+            Itemset::from_items(vec![vocab[a], vocab[b]])
+        })
+        .collect()
 }
 
 /// Write-side counters published after every commit (copies of the
-/// writer deployment's cache/pager/hot stats, plus commit accounting).
+/// writer deployment's cache/pager stats, plus commit accounting).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WriterProfile {
     /// Slice-cache counters of the writer's index.
     pub cache: CacheStats,
     /// Physical I/O counters of the writer's slice pager.
     pub pager: PagerStats,
-    /// Hot-slice counters of the writer's index.
-    pub hot: HotStats,
     /// Group commits performed.
     pub commits: u64,
     /// Transactions appended across all commits.
@@ -793,6 +807,7 @@ fn open_snapshot(
         epoch,
         rows: writer.db.len(),
         index,
+        cursor: Mutex::new(None),
         heap: Mutex::new(heap),
         io: Arc::clone(io),
     }))
@@ -802,7 +817,6 @@ fn open_snapshot(
 fn refresh_profile(writer: &DiskDeployment<DynBackend>, p: &mut WriterProfile) {
     p.cache = writer.index.cache_stats();
     p.pager = writer.index.pager_stats();
-    p.hot = writer.index.hot_stats();
     p.committed_rows = writer.db.len();
     p.deleted_rows = writer.deleted_rows();
 }
@@ -955,6 +969,49 @@ mod tests {
         assert!(!shared.writer_poisoned());
         assert!(shared.writer_heals() >= 1);
         assert_eq!(r.snapshot.count(&Itemset::from_values(&[1])).expect("count"), 3);
+    }
+
+    #[test]
+    fn fpr_probes_always_name_two_items() {
+        // Two items: about half the draws collide, and the fallback must
+        // still pick the other item, never the first one again.
+        let vocab = [ItemId(1), ItemId(2)];
+        for seed in [0, 7, 2002] {
+            for probe in fpr_probes(&vocab, 64, seed) {
+                assert_eq!(probe.len(), 2, "seed {seed}: {probe:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_long_itemset_costs_the_serving_cursor_no_extra_levels() {
+        let b = base("long_itemset");
+        let _g = Cleanup(b.clone());
+        let shared = SharedDeployment::open(&b, 256, hasher(), 256).expect("open");
+        let long: Vec<u32> = (0..3000).collect();
+        let sibling: Vec<u32> = (1..3000).chain([5000]).collect();
+        shared
+            .commit(&[
+                txn(0, &long),
+                txn(1, &long[..1500]),
+                txn(2, &sibling),
+                txn(3, &[1, 2]),
+                txn(4, &[2999, 5000]),
+            ])
+            .expect("commit");
+        let snap = shared.snapshot();
+        // Two itemsets that share 2 999 items, a duplicate, short ones
+        // and the empty itemset: one batch.
+        let batch: Vec<Itemset> = [&long[..], &sibling, &long, &[], &[1, 2], &[1, 2999]]
+            .into_iter()
+            .map(Itemset::from_values)
+            .collect();
+        let got = snap.count_many(&batch).expect("count_many");
+        assert_eq!(got, snap.index.count_itemsets(&batch, None).expect("naive AND"));
+        assert!(got[0] >= 1 && got[1] >= 2 && got[3] == 5, "{got:?}");
+        let cursor = snap.cursor.lock().expect("cursor");
+        let held = cursor.as_ref().expect("built on the first count").levels_held();
+        assert!(held <= 3, "{held} levels for a {}-item itemset", long.len());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Appender-vs-counter stress tests for the snapshot layer: one writer
 //! group-committing batches while reader threads count, probe, and load
-//! concurrently.  These are the tests behind the documented `SliceFile`
-//! append/invalidation contract — a counter never observes a torn batch,
-//! and hot-slice state never leaks bits across an epoch boundary.
+//! concurrently.  These are the tests behind the documented snapshot
+//! clamp — a counter never observes a torn batch, and a snapshot's
+//! serving cursor never counts bits a later epoch appended.
 
 use bbs_hash::{ItemHasher, Md5BloomHasher};
 use bbs_storage::diskbbs::DiskDeployment;
@@ -41,8 +41,8 @@ const BATCHES: u64 = 24;
 /// The core invariant: item 7 is in *every* row, and rows only ever land
 /// in whole batches of `BATCH` — so any snapshot-consistent counter must
 /// report `count({7}) == snapshot rows` and `rows % BATCH == 0`.  A
-/// reader that saw a half-appended batch, a torn page, or stale hot bits
-/// would violate one of the two.
+/// reader that saw a half-appended batch, a torn page, or bits past its
+/// clamp would violate one of the two.
 #[test]
 fn counters_never_observe_a_torn_batch() {
     let b = base("torn");
@@ -111,7 +111,7 @@ fn counters_never_observe_a_torn_batch() {
 }
 
 /// An old snapshot held across many later commits keeps answering from
-/// its own epoch — including through its hot-slice cache, which decodes
+/// its own epoch — through its serving cursor, whose page cache re-reads
 /// boundary pages that later commits have since extended on disk.
 #[test]
 fn held_snapshot_stays_exact_through_later_commits() {
@@ -126,8 +126,8 @@ fn held_snapshot_stays_exact_through_later_commits() {
     let held = shared.snapshot();
     assert_eq!(held.rows(), 100);
 
-    // Repeated counts on the held snapshot promote its slices into the
-    // hot cache; later commits must not bleed new bits into them.
+    // Repeated counts on the held snapshot reuse its serving cursor; later
+    // commits must not bleed new bits into it.
     for round in 0..6 {
         assert_eq!(held.count(&q).expect("held count"), 100, "round {round}");
         let start = 100 + round * 50;

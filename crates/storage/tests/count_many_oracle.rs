@@ -1,9 +1,17 @@
-//! Proptest oracle for the batched shared-scan executor — the one path a
-//! request counts through (a single `count` is a batch of one): `count_many`
-//! answers must be bit-for-bit identical to the in-memory reference index
-//! and obey the τ contract, across mixed-length itemsets, τ early-exit
-//! bounds, the reader cursor's extension batches over a constraint prefix,
-//! and concurrent-appender interleavings.
+//! Oracle for the served count — a `COUNT_MANY` is the mining cursor
+//! walking the batch's prefix trie, and a single `count` is a batch of one.
+//! Three counts must agree bit for bit: [`Snapshot::count_many`] (the
+//! cursor walk), [`DiskBbs::count_itemsets`] (the naive per-query AND) and
+//! the in-memory `est_count`.  The batches mix sibling groups whose
+//! extensions sort below, between and above their shared prefix,
+//! duplicated itemsets, empty itemsets and itemsets naming absent items,
+//! over files with tombstoned rows; the answers must come back in request
+//! order.  Beside that: the reader cursor's extension batches over a
+//! constraint prefix, a batch spanning two chunks, and concurrent-appender
+//! interleavings.
+//!
+//! [`Snapshot::count_many`]: bbs_storage::Snapshot::count_many
+//! [`DiskBbs::count_itemsets`]: bbs_storage::DiskBbs::count_itemsets
 
 use bbs_bitslice::BitVec;
 use bbs_core::{CountSource, EXACT};
@@ -12,7 +20,7 @@ use bbs_storage::diskbbs::DiskDeployment;
 use bbs_storage::snapshot::SharedDeployment;
 use bbs_tdb::{IoStats, ItemId, Itemset, Transaction};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -52,7 +60,7 @@ fn queries_strategy() -> impl Strategy<Value = Vec<Vec<u32>>> {
     proptest::collection::vec(proptest::collection::vec(0u32..40, 0..5), 1..10)
 }
 
-fn build(b: &std::path::Path, rows: &[Vec<u32>]) -> DiskDeployment {
+fn build(b: &Path, rows: &[Vec<u32>]) -> DiskDeployment {
     let mut dep = DiskDeployment::open(b, 64, hasher(), 8).expect("open");
     for (i, r) in rows.iter().enumerate() {
         dep.append(&Transaction::new(i as u64, Itemset::from_values(r)))
@@ -62,56 +70,96 @@ fn build(b: &std::path::Path, rows: &[Vec<u32>]) -> DiskDeployment {
     dep
 }
 
+/// The batch the oracle counts: `adhoc`; a sibling group `{a, b, e}` for
+/// every `e` in `exts` plus one extension just below `a`, one between `a`
+/// and `b` and one above `b`; the empty itemset; an itemset naming an item
+/// no row holds; and the itemsets at `dups` again.  Then shuffled by
+/// `seed`, so request order is not the order the walk visits.
+fn batch(
+    adhoc: &[Vec<u32>],
+    (a, gap): (u32, u32),
+    exts: &[u32],
+    dups: &[usize],
+    seed: u64,
+) -> Vec<Itemset> {
+    let b = a + gap;
+    let mut sets: Vec<Itemset> = adhoc.iter().map(|q| Itemset::from_values(q)).collect();
+    for &e in exts.iter().chain(&[a - 1, a + 1, b + 1]) {
+        sets.push(Itemset::from_values(&[a, b, e]));
+    }
+    sets.push(Itemset::empty());
+    sets.push(Itemset::from_values(&[a, 5000]));
+    for &d in dups {
+        sets.push(sets[d % sets.len()].clone());
+    }
+    let mut state = seed | 1;
+    for i in (1..sets.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        sets.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+    sets
+}
+
+/// Counts `itemsets` the three ways on the deployment at `b` — the naive
+/// AND and the in-memory index over its live rows, then the served cursor
+/// of a snapshot opened on the same files — and checks that they agree
+/// query by query, in request order.
+fn assert_three_way(b: &Path, mut dep: DiskDeployment, itemsets: &[Itemset]) {
+    let naive = dep.index.count_itemsets(itemsets, None).expect("naive");
+    let (_, mem) = dep.load().expect("load live rows");
+    let mut io = IoStats::default();
+    for (i, q) in itemsets.iter().enumerate() {
+        assert_eq!(naive[i], mem.est_count(q, &mut io), "memory ref {q:?}");
+    }
+    drop(dep);
+    let shared = SharedDeployment::open(b, 64, hasher(), 8).expect("serve");
+    let snap = shared.snapshot();
+    let served = snap.count_many(itemsets).expect("count_many");
+    assert_eq!(served.len(), itemsets.len());
+    for (i, q) in itemsets.iter().enumerate() {
+        assert_eq!(served[i], naive[i], "query {i} {q:?}: walk vs naive AND");
+    }
+    // The same batch again, and each itemset alone, from where the cursor
+    // now stands.
+    assert_eq!(snap.count_many(itemsets).expect("again"), served);
+    for (i, q) in itemsets.iter().enumerate() {
+        assert_eq!(snap.count(q).expect("alone"), served[i], "query {i} {q:?} alone");
+    }
+}
+
 proptest! {
     // Each case builds a real on-disk deployment; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The core oracle chain: batched == in-memory reference, with
-    /// τ-consistency of early-exit answers against the exact count.
+    /// The core oracle chain: walk == naive AND == in-memory reference,
+    /// over tombstoned rows and a batch with every shape a request sends.
     #[test]
     fn batched_matches_memory_reference(
         rows in rows_strategy(),
-        queries in queries_strategy(),
-        // The vendored proptest has no `option::of`; fold "no tau" into
-        // the top of the range instead.
-        tau in (0u64..80).prop_map(|t| if t >= 64 { None } else { Some(t) }),
+        adhoc in queries_strategy(),
+        a in 1u32..30,
+        gap in 2u32..8,
+        exts in proptest::collection::vec(0u32..40, 1..12),
+        dups in proptest::collection::vec(0usize..64, 0..4),
+        dead in proptest::collection::vec(0usize..100, 0..40),
+        seed in any::<u64>(),
     ) {
         let b = base("chain");
         let _g = Cleanup(b.clone());
-        let dep = build(&b, &rows);
-        let itemsets: Vec<Itemset> =
-            queries.iter().map(|q| Itemset::from_values(q)).collect();
-
-        let batched = dep.index.count_itemsets(&itemsets, tau).expect("count_many");
-
-        // An independent reader handle (its own cache + hot slices) agrees.
-        let mut counter = dep.index.counter().expect("counter");
-        let via_counter = counter.count_many(&itemsets, tau).expect("reader count_many");
-        prop_assert_eq!(&via_counter, &batched);
-
-        // Exact batched answers equal the in-memory reference index.
-        let mem = dep.index.load().expect("load");
-        let mut io = IoStats::default();
-        let exact = dep.index.count_itemsets(&itemsets, None).expect("exact");
-        for (i, q) in itemsets.iter().enumerate() {
-            prop_assert_eq!(exact[i], mem.est_count(q, &mut io), "memory ref {:?}", q);
-            // τ-consistency: ≥ τ answers are exact, < τ answers are upper
-            // bounds on the exact count (so "infrequent" stays settled).
-            if let Some(t) = tau {
-                if batched[i] >= t {
-                    prop_assert_eq!(batched[i], exact[i], "exact above tau {:?}", q);
-                } else {
-                    prop_assert!(batched[i] >= exact[i], "bound below tau {:?}", q);
-                }
-            }
-        }
+        let mut dep = build(&b, &rows);
+        let dead: Vec<u64> = dead.iter().map(|&d| (d % rows.len()) as u64).collect();
+        dep.commit_deletes(&dead, &[]).expect("delete");
+        let itemsets = batch(&adhoc, (a, gap), &exts, &dups, seed);
+        assert_three_way(&b, dep, &itemsets);
     }
 
     /// Extension batches through the reader's cursor: counting
     /// `prefix ∪ {e}` on the AND-result the cursor carries for the prefix
-    /// equals the executor's count of the union and the in-memory
-    /// constrained path (§3.4 — the prefix's AND *is* a materialised
-    /// constraint slice applied to every sibling).
+    /// equals the naive count of the union and the in-memory constrained
+    /// path (§3.4 — the prefix's AND *is* a materialised constraint slice
+    /// applied to every sibling).
     #[test]
     fn cursor_extensions_match_union_and_constrained_memory(
         rows in rows_strategy(),
@@ -160,21 +208,18 @@ proptest! {
     }
 }
 
-/// Multi-chunk τ dropout: when a query exits early after chunk 0, the
-/// slices it shared drop multiplicity mid-scan; the survivor must keep
-/// reading fresh chunk-1 data — never a decoded segment left over from
-/// chunk 0.  Needs ≥ 2 chunks, so this is the one test that pays for a
-/// 65k-row build.
+/// A batch over two chunks, with tombstones in both: the cursor's levels
+/// span the chunk boundary, and every shape of the property batch still
+/// agrees three ways.
 #[test]
-fn tau_dropout_mid_scan_never_reuses_stale_shared_segments() {
+fn a_batch_over_two_chunks_matches_the_naive_and() {
     const CHUNK: u64 = bbs_storage::CHUNK_ROWS as u64;
-    let b = base("dropout");
+    let b = base("two_chunks");
     let _g = Cleanup(b.clone());
     let mut dep = DiskDeployment::open(&b, 64, hasher(), 192).expect("open");
     for i in 0..2 * CHUNK {
         let mut items = vec![5u32];
-        // Chunk 0: item 6 on even rows only; chunk 1: on every row — so a
-        // stale chunk-0 segment visibly corrupts a chunk-1 count.
+        // Chunk 0: item 6 on even rows only; chunk 1: on every row.
         if i >= CHUNK || i % 2 == 0 {
             items.push(6);
         }
@@ -185,41 +230,11 @@ fn tau_dropout_mid_scan_never_reuses_stale_shared_segments() {
             .expect("append");
     }
     dep.flush().expect("flush");
-
-    // B and C τ-exit after chunk 0 (their chunk-0 counts are far below
-    // the bound); A runs to completion.  While all three are active the
-    // slices A shares with B (items 5 and 6) are shared-but-not-universal
-    // — exactly the decoded-segment case — and the exits drop their
-    // multiplicity mid-scan.
-    // Between the dropouts' chunk-0 bounds (≈ CHUNK) and A's exact count
-    // (≈ 1.5 × CHUNK).
-    let tau = CHUNK + CHUNK / 4;
-    let queries = [
-        Itemset::from_values(&[5, 6]),
-        Itemset::from_values(&[5, 6, 7]),
-        Itemset::from_values(&[9]),
-    ];
-    let batched = dep
-        .index
-        .count_itemsets(&queries, Some(tau))
-        .expect("batched");
-    for (i, q) in queries.iter().enumerate() {
-        let alone = dep
-            .index
-            .count_itemsets(std::slice::from_ref(q), Some(tau))
-            .expect("alone");
-        assert_eq!(batched[i], alone[0], "query {q:?}");
-    }
-    // Premise checks: the dropouts actually happened (their answers are
-    // early-exit bounds below τ) and A's answer is exact and ≥ τ.
-    assert!(batched[1] < tau, "B must tau-exit after chunk 0");
-    assert!(batched[2] < tau, "C must tau-exit after chunk 0");
-    assert_eq!(
-        batched[0],
-        dep.index.count_itemset(&queries[0]).expect("exact"),
-        "A ran to completion, so its bounded answer is exact"
-    );
-    assert!(batched[0] >= tau);
+    let dead: Vec<u64> = (0..2 * CHUNK).filter(|r| r % 1000 == 3).collect();
+    dep.commit_deletes(&dead, &[]).expect("delete");
+    let adhoc = vec![vec![5, 6], vec![5, 6, 7], vec![9], vec![6]];
+    let itemsets = batch(&adhoc, (5, 2), &[0, 6, 9, 30], &[0, 3], 2002);
+    assert_three_way(&b, dep, &itemsets);
 }
 
 /// Fixture row for the interleaving test: item 7 everywhere plus a

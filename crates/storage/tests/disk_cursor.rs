@@ -2,8 +2,8 @@
 //! [`CountSource`]), on a file that has the hard cases: three chunks, the
 //! middle one wholly tombstoned, dead stragglers in the other two, a
 //! boundary chunk, and reader caches of 1, 2 and ample pages.  The oracle
-//! is [`DiskBbs::count_itemset`] — a batch of one through the shared-scan
-//! executor, which shares no counting code with the cursor.
+//! is [`DiskBbs::count_itemset`] — the naive per-query AND, which shares
+//! no counting code with the cursor.
 
 use bbs_core::{run_filter_source_threaded, CountSource, FilterKind, EXACT};
 use bbs_hash::{ItemHasher, Md5BloomHasher};
@@ -102,7 +102,7 @@ fn assert_contract(got: u64, exact: u64, tau: u64, what: &dyn std::fmt::Debug) {
 
 /// A cursor that checks every answer it gives the walk — and, at every
 /// node, the answers under the other τ's a caller may pass — against the
-/// per-op executor.
+/// naive AND.
 struct Audited<'a> {
     cursor: DiskCounter,
     oracle: &'a DiskBbs,
@@ -258,6 +258,33 @@ fn a_reader_never_counts_rows_appended_after_it_opened() {
     // A reader opened now sees them all.
     let mut fresh = dep.index.counter().expect("fresh counter");
     assert_eq!(fresh.count_itemset(&one, EXACT).expect("one"), 2 * CHUNK + 7);
+}
+
+/// A served batch is one walk of its prefix trie: 64 siblings `{a, b, eᵢ}`
+/// whose extensions sort below `a`, between `a` and `b` and above `b`
+/// share the prefix `{a, b}`, because each itemset is walked with the
+/// items the batch names most first.  A fresh reader pays two extends for
+/// the whole batch; a plain lexicographic walk would re-extend for every
+/// sibling that sorts below the prefix.
+#[test]
+fn a_sibling_batch_extends_its_shared_prefix_once() {
+    let b = base("siblings");
+    let _g = Cleanup(b.clone());
+    build(&b);
+    let dep = DiskDeployment::open(&b, WIDTH, hasher(), 512).expect("reopen");
+    let (a, b_item) = (3u32, 5u32);
+    let exts: Vec<u32> = [0, 1, 2, 4, 6, 7, 8].into_iter().chain(100..157).collect();
+    assert_eq!(exts.len(), 64);
+    let batch: Vec<Itemset> = exts
+        .iter()
+        .map(|&e| Itemset::from_values(&[a, b_item, e]))
+        .collect();
+    let mut cursor = dep.index.counter().expect("counter");
+    let got = cursor.count_many(&batch).expect("count_many");
+    assert_eq!(cursor.cursor_stats().extends, 2, "the prefix {{a, b}} once");
+    for (q, &g) in batch.iter().zip(&got) {
+        assert_eq!(g, dep.index.count_itemset(q).expect("oracle"), "{q:?}");
+    }
 }
 
 /// (iv): where the parent has no ones the cursor reads nothing.  The
