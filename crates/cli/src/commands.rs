@@ -599,6 +599,12 @@ fn fsck_sharded(dir: &str) -> CmdResult {
                 r.report.problems.len(),
                 r.report.committed_rows
             );
+            for c in &r.report.corrupt_pages {
+                println!("  corrupt: {} file, {}", c.file, c.mismatch);
+            }
+            for p in &r.report.problems {
+                println!("  problem: {p}");
+            }
         }
     }
     if dirty == 0 {

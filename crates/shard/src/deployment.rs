@@ -13,7 +13,8 @@ use crate::gather;
 use crate::handle::DiskShardHandle;
 use crate::manifest::{route, shard_base, Manifest, MANIFEST_VERSION};
 use bbs_hash::ItemHasher;
-use bbs_storage::diskbbs::{DiskDeployment, VerifyReport};
+use bbs_storage::diskbbs::{deployment_paths, DiskDeployment, VerifyReport};
+use bbs_storage::slicefile::header_width;
 use bbs_tdb::{Itemset, Transaction};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -200,16 +201,32 @@ impl ShardedDeployment {
     /// A shard whose files cannot even be opened (missing or renamed
     /// `shard-NNN.*` pieces) is reported **dirty** with the failure as a
     /// structural problem — one broken shard must not abort the check of
-    /// the other N−1.
+    /// the other N−1.  So is a shard whose slice file is not at the
+    /// `MANIFEST` width: its estimates would not sum with the others'.
     pub fn verify(dir: &Path) -> io::Result<Vec<ShardVerify>> {
         let manifest = Manifest::read(dir)?;
         let indices: Vec<usize> = (0..manifest.shards).collect();
         gather::scatter(&indices, |_, &i| {
             let base = shard_base(dir, i);
-            let report = DiskDeployment::verify(&base).unwrap_or_else(|e| VerifyReport {
+            let mut report = DiskDeployment::verify(&base).unwrap_or_else(|e| VerifyReport {
                 problems: vec![format!("{}: verify failed: {e}", base.display())],
                 ..VerifyReport::default()
             });
+            let slices = deployment_paths(&base).slices;
+            match header_width(&slices) {
+                Ok(Some(width)) if width != manifest.width => report.problems.push(format!(
+                    "{}: slice file width {width} != MANIFEST width {}; re-run \
+                     `bbs compact --base {} --width {}`",
+                    slices.display(),
+                    manifest.width,
+                    base.display(),
+                    manifest.width
+                )),
+                Ok(_) => {}
+                Err(e) => report
+                    .problems
+                    .push(format!("{}: width unreadable: {e}", slices.display())),
+            }
             Ok(ShardVerify {
                 shard: i,
                 report,
