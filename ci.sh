@@ -6,7 +6,8 @@
 # benchmarks, the kernel property tests re-run with the native
 # instruction set and under every forced dispatch tier, the benchmark
 # smoke, the randomized chaos/oracle suites again on a pinned seed, and
-# one warning-free clippy and rustdoc pass over every crate.  Run from the
+# one warning-free clippy and rustdoc pass over every crate, after checking
+# that no crate depends on the bbs-shard facade.  Run from the
 # repository root.  `./ci.sh loc` only prints the non-test source lines
 # per crate, and their total.
 set -eu
@@ -36,6 +37,19 @@ fi
 set -x
 
 loc
+
+# bbs-shard is a facade over bbs-storage's partitioned deployment: only
+# benchmark/ and the [dev-dependencies] of test files may still reach it,
+# so no crate but its own names it under [dependencies].
+for manifest in crates/*/Cargo.toml; do
+  [ "${manifest}" = crates/shard/Cargo.toml ] && continue
+  if awk '/^\[/ { deps = ($0 == "[dependencies]") }
+          deps && /^bbs-shard[ .=]/ { found = 1 }
+          END { exit !found }' "${manifest}"; then
+    echo "${manifest}: bbs-shard under [dependencies]" >&2
+    exit 1
+  fi
+done
 
 cargo build --release
 cargo test -q

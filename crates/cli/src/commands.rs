@@ -10,6 +10,7 @@ use bbs_tdb::{
     read_transactions_path, write_transactions_path, FrequentPatternMiner, IoStats, Itemset,
     MineResult, TidModulo, TransactionDb,
 };
+use bbs_storage::{Deployment, DEFAULT_WIDTH};
 use std::error::Error;
 use std::path::Path;
 use std::sync::Arc;
@@ -37,7 +38,7 @@ fn hasher(flags: &Flags) -> Result<Arc<dyn ItemHasher>, Box<dyn Error>> {
 /// Builds the index of `--db` in memory; a durable one is a deployment
 /// (`bbs ingest`, then `bbs mine-deployment`).
 fn build_index(flags: &Flags, db: &TransactionDb) -> Result<Bbs, Box<dyn Error>> {
-    let width: usize = flags.get_parsed_or("width", 1600usize)?;
+    let width: usize = flags.get_parsed_or("width", DEFAULT_WIDTH)?;
     let mut io = IoStats::new();
     Ok(Bbs::build(width, hasher(flags)?, db, &mut io))
 }
@@ -163,18 +164,7 @@ pub fn mine(flags: &Flags) -> CmdResult {
     };
     let secs = start.elapsed().as_secs_f64();
 
-    let mut patterns = result.patterns.sorted();
-    patterns.sort_by_key(|p| std::cmp::Reverse(p.support));
-    let top: usize = flags.get_parsed_or("top", usize::MAX)?;
-    for p in patterns.iter().take(top) {
-        let mark = if result.approx_supports.contains(&p.items) {
-            " (upper bound)"
-        } else {
-            ""
-        };
-        let ids: Vec<String> = p.items.items().iter().map(|i| i.to_string()).collect();
-        println!("{}\t{}{}", p.support, ids.join(" "), mark);
-    }
+    print_patterns(&result, flags.get_parsed_or("top", usize::MAX)?);
     eprintln!(
         "# {} patterns in {:.3}s  (scheme {}, candidates {}, false drops {}, \
          db scans {}, probes {})",
@@ -231,7 +221,7 @@ pub fn count(flags: &Flags) -> CmdResult {
 }
 
 /// `bbs create` — lay down an empty sharded deployment directory:
-/// a `MANIFEST` (shard count + signature width) plus one complete
+/// a `MANIFEST` (shard count + target signature width) plus one complete
 /// per-shard durable stack under `DIR/shard-NNN.*`.
 pub fn create(flags: &Flags) -> CmdResult {
     let dir = flags.require("base")?;
@@ -239,80 +229,61 @@ pub fn create(flags: &Flags) -> CmdResult {
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    let width: usize = flags.get_parsed_or("width", 1600usize)?;
+    let width: usize = flags.get_parsed_or("width", DEFAULT_WIDTH)?;
     let cache_pages: usize = flags.get_parsed_or("cache-pages", 4096usize)?;
-    let dep = bbs_shard::ShardedDeployment::create(
-        Path::new(dir),
-        shards,
-        width,
-        hasher(flags)?,
-        cache_pages,
-    )?;
-    println!(
-        "created sharded deployment {dir}/ ({} shard(s), width {})",
-        dep.shard_count(),
-        dep.width()
-    );
+    Deployment::create(Path::new(dir), shards, width, hasher(flags)?, cache_pages)?;
+    println!("created sharded deployment {dir}/ ({shards} shard(s), width {width})");
     Ok(())
+}
+
+/// The one open of `--base`: a plain `<base>.*` deployment is one
+/// partition, a directory made by `bbs create --shards N` is N, each at
+/// the width its own slice file holds.  A base that does not exist is
+/// refused, unless `create` lays it down at `--width`.  A `--width` that
+/// is given must be every partition's.
+fn open_base(flags: &Flags, create: bool) -> Result<Deployment, Box<dyn Error>> {
+    let path = Path::new(flags.require("base")?);
+    let width = flags.get("width").map(|_| flags.require_parsed("width")).transpose()?;
+    let cache_pages: usize = flags.get_parsed_or("cache-pages", 4096usize)?;
+    let hasher = hasher(flags)?;
+    let dep = if create {
+        Deployment::open_or_create(path, width.unwrap_or(DEFAULT_WIDTH), hasher, cache_pages)?
+    } else {
+        Deployment::open(path, hasher, cache_pages)?
+    };
+    dep.check_width(width)?;
+    Ok(dep)
 }
 
 /// `bbs ingest` — append a text transaction file into a durable
-/// deployment (`<base>.dat/.idx/.slices/.counts`), creating it if
-/// absent.  When `--base` names a sharded deployment directory (made by
-/// `bbs create --shards N`), transactions route to their owning shards.
+/// deployment, creating a plain `<base>.*` one if absent.  In a sharded
+/// directory (made by `bbs create --shards N`) every transaction routes
+/// by TID to its owning shard, and each shard commits its own prefix.
 pub fn ingest(flags: &Flags) -> CmdResult {
     let db = load_db(flags)?;
     let base = flags.require("base")?;
-    let width: usize = flags.get_parsed_or("width", 1600usize)?;
-    let cache_pages: usize = flags.get_parsed_or("cache-pages", 4096usize)?;
-    if bbs_shard::ShardedDeployment::is_sharded(Path::new(base)) {
-        return ingest_sharded(flags, &db, base, cache_pages);
-    }
     let start = Instant::now();
-    let mut dep = bbs_storage::DiskDeployment::open(
-        Path::new(base),
-        width,
-        hasher(flags)?,
-        cache_pages,
-    )?;
-    for txn in db.transactions() {
-        dep.append(txn)?;
-    }
+    let mut dep = open_base(flags, true)?;
+    dep.append_batch(db.transactions())?;
     dep.flush()?;
-    println!(
-        "ingested {} transactions (deployment now {} rows, index {} slices) in {:.3}s -> {base}.*",
-        db.len(),
-        dep.db.len(),
-        dep.index.width(),
-        start.elapsed().as_secs_f64()
-    );
-    Ok(())
-}
-
-/// The sharded arm of [`ingest`]: every transaction routes by TID to its
-/// owning shard, each shard commits its own prefix.
-fn ingest_sharded(
-    flags: &Flags,
-    db: &TransactionDb,
-    dir: &str,
-    cache_pages: usize,
-) -> CmdResult {
-    let start = Instant::now();
-    let mut dep =
-        bbs_shard::ShardedDeployment::open(Path::new(dir), hasher(flags)?, cache_pages)?;
-    for txn in db.transactions() {
-        dep.append(txn)?;
+    let secs = start.elapsed().as_secs_f64();
+    if dep.shard_count() == 1 {
+        println!(
+            "ingested {} transactions (deployment now {} rows, index {} slices) in {secs:.3}s -> {base}.*",
+            db.len(),
+            dep.rows(),
+            dep.shards()[0].index.width(),
+        );
+    } else {
+        let rows: Vec<String> = dep.shard_rows().iter().map(u64::to_string).collect();
+        println!(
+            "ingested {} transactions across {} shard(s) (rows now {} = {}) in {secs:.3}s -> {base}/",
+            db.len(),
+            dep.shard_count(),
+            dep.rows(),
+            rows.join("+"),
+        );
     }
-    dep.flush()?;
-    let rows: Vec<String> = dep.shard_rows().iter().map(u64::to_string).collect();
-    println!(
-        "ingested {} transactions across {} shard(s) (rows now {} = {}) in {:.3}s -> {dir}/",
-        db.len(),
-        dep.shard_count(),
-        dep.rows(),
-        rows.join("+"),
-        start.elapsed().as_secs_f64()
-    );
     Ok(())
 }
 
@@ -332,35 +303,24 @@ pub fn parse_threads(flags: &Flags) -> Result<usize, Box<dyn Error>> {
 /// files.
 ///
 /// By default the run stays **in place**: the filter phase counts
-/// straight off the slice file on `--threads N` worker threads (one
-/// independent reader each; `0` or absent = all cores) and uncertain
-/// candidates are refined by one streaming heap-file scan — the database
-/// is never materialised in memory.  With `--in-memory` the index is
-/// loaded once and mined there (the paper's memory-resident mode); the
-/// patterns are identical either way.
+/// straight off every shard's slice file on `--threads N` worker threads
+/// (one independent reader per shard each; `0` or absent = all cores) and
+/// uncertain candidates are refined by one streaming heap-file scan per
+/// shard — the database is never materialised in memory.  With
+/// `--in-memory` the index of a one-partition deployment is loaded once
+/// and mined there (the paper's memory-resident mode); the patterns are
+/// identical either way.
 pub fn mine_deployment(flags: &Flags) -> CmdResult {
-    let base = flags.require("base")?;
-    let width: usize = flags.get_parsed_or("width", 1600usize)?;
-    let cache_pages: usize = flags.get_parsed_or("cache-pages", 4096usize)?;
     let threshold = parse_threshold(flags.require("min-support")?)?;
     let scheme_raw = flags.get("scheme").unwrap_or("dfp").to_string();
     let Some(scheme) = parse_scheme(&scheme_raw)? else {
         return Err("mine-deployment supports the BBS schemes only (sfs|sfp|dfs|dfp)".into());
     };
-    let path = Path::new(base);
-    let sharded = bbs_shard::ShardedDeployment::is_sharded(path);
     let threads: Option<usize> = if flags.has("in-memory") {
         if flags.get("threads").is_some() {
             return Err(
                 "--in-memory and --threads conflict: thread workers apply to in-place \
                  mining only (drop --in-memory, or drop --threads)"
-                    .into(),
-            );
-        }
-        if sharded {
-            return Err(
-                "--in-memory does not apply to a sharded deployment (sharded mining \
-                 is always in place, dealing candidates across shards x cores)"
                     .into(),
             );
         }
@@ -370,55 +330,38 @@ pub fn mine_deployment(flags: &Flags) -> CmdResult {
     };
 
     let start = Instant::now();
-    let mut dep = if sharded {
-        Opened::Sharded(bbs_shard::ShardedDeployment::open(path, hasher(flags)?, cache_pages)?)
-    } else {
-        let dep = bbs_storage::DiskDeployment::open(path, width, hasher(flags)?, cache_pages)?;
-        Opened::One(Box::new(dep))
-    };
+    let mut dep = open_base(flags, false)?;
     let open_secs = start.elapsed().as_secs_f64();
 
     let mine_start = Instant::now();
-    let (result, disk_stats) = match (&mut dep, threads) {
-        (Opened::One(dep), None) => {
-            let (db, bbs) = dep.load()?;
+    let (result, disk_stats) = match threads {
+        Some(threads) => {
+            let (result, stats) = bbs_storage::mine_deployment(&mut dep, scheme, threshold, threads)?;
+            (result, Some(stats))
+        }
+        None => {
+            let [one] = dep.shards_mut() else {
+                return Err(
+                    "--in-memory does not apply to a sharded deployment (sharded mining \
+                     is always in place, dealing candidates across shards x cores)"
+                        .into(),
+                );
+            };
+            let (db, bbs) = one.load()?;
             (BbsMiner::with_index(scheme, bbs).mine(&db, threshold), None)
-        }
-        (Opened::One(dep), Some(threads)) => {
-            let (result, stats) = bbs_storage::mine_in_place(dep, scheme, threshold, threads)?;
-            (result, Some(stats))
-        }
-        (Opened::Sharded(dep), threads) => {
-            let threads = threads.expect("--in-memory was refused above");
-            let (result, stats) = bbs_shard::mine_sharded(dep, scheme, threshold, threads)?;
-            (result, Some(stats))
         }
     };
     let mine_secs = mine_start.elapsed().as_secs_f64();
 
-    let mut patterns = result.patterns.sorted();
-    patterns.sort_by_key(|p| std::cmp::Reverse(p.support));
-    let top: usize = flags.get_parsed_or("top", usize::MAX)?;
-    for p in patterns.iter().take(top) {
-        let mark = if result.approx_supports.contains(&p.items) {
-            " (upper bound)"
-        } else {
-            ""
-        };
-        let ids: Vec<String> = p.items.items().iter().map(|i| i.to_string()).collect();
-        println!("{}\t{}{}", p.support, ids.join(" "), mark);
-    }
-    let (rows, shards) = match &dep {
-        Opened::One(dep) => (dep.live_rows(), String::new()),
-        Opened::Sharded(dep) => {
-            let live = dep.shards().iter().map(|s| s.live_rows()).sum();
-            (live, format!(" in {} shard(s)", dep.shard_count()))
-        }
+    print_patterns(&result, flags.get_parsed_or("top", usize::MAX)?);
+    let shards = match dep.shard_count() {
+        1 => String::new(),
+        n => format!(" in {n} shard(s)"),
     };
     eprintln!(
         "# {} patterns over {} live rows{} (open {:.3}s, mine {:.3}s, scheme {}{})",
         result.patterns.len(),
-        rows,
+        dep.live_rows(),
         shards,
         open_secs,
         mine_secs,
@@ -434,10 +377,20 @@ pub fn mine_deployment(flags: &Flags) -> CmdResult {
     Ok(())
 }
 
-/// A base [`mine_deployment`] opened: one deployment or a shard directory.
-enum Opened {
-    One(Box<bbs_storage::DiskDeployment>),
-    Sharded(bbs_shard::ShardedDeployment),
+/// Prints the `top` most frequent patterns, one `support<TAB>items` line
+/// each, marking the supports that are only upper bounds.
+fn print_patterns(result: &MineResult, top: usize) {
+    let mut patterns = result.patterns.sorted();
+    patterns.sort_by_key(|p| std::cmp::Reverse(p.support));
+    for p in patterns.iter().take(top) {
+        let mark = if result.approx_supports.contains(&p.items) {
+            " (upper bound)"
+        } else {
+            ""
+        };
+        let ids: Vec<String> = p.items.items().iter().map(|i| i.to_string()).collect();
+        println!("{}\t{}{}", p.support, ids.join(" "), mark);
+    }
 }
 
 /// Prints the aggregated read-side counters of an in-place mining run.
@@ -467,45 +420,34 @@ fn print_disk_stats(stats: &bbs_storage::DiskMineStats) {
 }
 
 /// `bbs compact` — offline maintenance of a durable deployment: rewrite
-/// it without its tombstoned rows (`--width M` re-hashes into a
-/// different slice width at the same time), or halve the slice width in
-/// place with `--fold`.  Both run behind the atomic epoch-swap protocol,
-/// so a crash at any point leaves either the old or the new deployment.
-/// A sharded directory applies the operation to every shard and updates
-/// the manifest width.
+/// every shard without its tombstoned rows (at `--width M`, or else at the
+/// sharded directory's MANIFEST width, which finishes a width change left
+/// half done), or halve each shard's width in place with `--fold`.  Each
+/// shard runs behind the atomic epoch-swap protocol, so a crash at any
+/// point leaves it either old or new; the MANIFEST follows once every
+/// shard ends at one width.
 pub fn compact(flags: &Flags) -> CmdResult {
     let base = flags.require("base")?;
     let cache_pages: usize = flags.get_parsed_or("cache-pages", 4096usize)?;
     let fold = flags.has("fold");
-    let target_width: Option<usize> = match flags.get("width") {
-        Some(raw) => Some(raw.parse().map_err(|e| format!("bad --width {raw:?}: {e}"))?),
-        None => None,
-    };
-    if fold && target_width.is_some() {
+    let width = flags.get("width").map(|_| flags.require_parsed("width")).transpose()?;
+    if fold && width.is_some() {
         return Err("--fold and --width conflict: fold always halves the width".into());
     }
-    let hasher = hasher(flags)?;
-    let run = |shard_base: &Path, width_hint: usize| -> Result<_, Box<dyn Error>> {
-        let report = if fold {
-            bbs_storage::fold_deployment(shard_base, Arc::clone(&hasher), cache_pages)?
-        } else {
-            bbs_storage::compact_deployment(
-                shard_base,
-                width_hint,
-                Arc::clone(&hasher),
-                target_width,
-                cache_pages,
-            )?
-        };
-        Ok(report)
-    };
-
-    if bbs_shard::ShardedDeployment::is_sharded(Path::new(base)) {
-        let mut manifest = bbs_shard::Manifest::read(Path::new(base))?;
-        let mut width = manifest.width;
-        for shard in 0..manifest.shards {
-            let sb = bbs_shard::shard_base(Path::new(base), shard);
-            let report = run(&sb, manifest.width)?;
+    let (reports, manifest_width) =
+        Deployment::compact(Path::new(base), width, fold, hasher(flags)?, cache_pages)?;
+    if let [report] = &reports[..] {
+        println!(
+            "{}: width {} ({} -> {} rows, {} tombstoned row(s) reclaimed, commit seq {})",
+            report.action,
+            report.width,
+            report.rows_before,
+            report.rows_after,
+            report.reclaimed,
+            report.seq
+        );
+    } else {
+        for (shard, report) in reports.iter().enumerate() {
             println!(
                 "shard {:03}: {} to width {} ({} -> {} rows, {} reclaimed, seq {})",
                 shard,
@@ -516,67 +458,38 @@ pub fn compact(flags: &Flags) -> CmdResult {
                 report.reclaimed,
                 report.seq
             );
-            width = report.width;
         }
-        if width != manifest.width {
-            // Folds and width-changing compactions moved every shard in
-            // lockstep; record the new width so reopen hints match.
-            manifest.width = width;
-            manifest.write(Path::new(base))?;
-            println!("manifest width updated to {width}");
-        }
-        return Ok(());
     }
-    if !Path::new(&format!("{base}.commit")).exists() {
-        // compact_deployment would create a fresh empty deployment from
-        // nothing; maintenance of a base that was never built is a typo.
-        return Err(format!("no deployment at {base} (missing {base}.commit)").into());
+    if let Some(width) = manifest_width {
+        println!("manifest width updated to {width}");
     }
-    let width_hint: usize = flags.get_parsed_or("width", 1600usize)?;
-    let report = run(Path::new(base), width_hint)?;
-    println!(
-        "{}: width {} ({} -> {} rows, {} tombstoned row(s) reclaimed, commit seq {})",
-        report.action,
-        report.width,
-        report.rows_before,
-        report.rows_after,
-        report.reclaimed,
-        report.seq
-    );
     Ok(())
 }
 
 /// `bbs fsck` — read-only integrity check of a durable deployment.
 ///
-/// Verifies every committed page of `<base>.dat/.idx/.slices/.counts`
-/// against the stored per-page checksums and the commit record's
-/// boundary digests, without opening (and therefore without recovering)
-/// the deployment.  Exits nonzero if any corruption is found.
+/// Verifies every committed page of every shard's `<base>.*` files
+/// against the stored per-page checksums and the commit record's boundary
+/// digests, without opening (and therefore without recovering) anything;
+/// in a sharded directory, also each shard's width against the MANIFEST's.
+/// Exits nonzero if any shard is dirty.
 pub fn fsck(flags: &Flags) -> CmdResult {
     let base = flags.require("base")?;
-    if bbs_shard::ShardedDeployment::is_sharded(Path::new(base)) {
-        return fsck_sharded(base);
-    }
-    let report = bbs_storage::DiskDeployment::verify(Path::new(base))?;
-    print!("{report}");
-    if report.is_clean() {
-        Ok(())
-    } else {
-        Err(format!(
+    let reports = Deployment::verify(Path::new(base))?;
+    if let [one] = &reports[..] {
+        let report = &one.report;
+        print!("{report}");
+        if report.is_clean() {
+            return Ok(());
+        }
+        return Err(format!(
             "{}: {} corrupt page(s), {} structural problem(s)",
             base,
             report.corrupt_pages.len(),
             report.problems.len()
         )
-        .into())
+        .into());
     }
-}
-
-/// The sharded arm of [`fsck`]: every shard verifies in parallel, one
-/// summary line per shard, and the exit is nonzero if *any* shard is
-/// dirty.
-fn fsck_sharded(dir: &str) -> CmdResult {
-    let reports = bbs_shard::ShardedDeployment::verify(Path::new(dir))?;
     let mut dirty = 0usize;
     for r in &reports {
         if r.report.is_clean() {
@@ -610,7 +523,7 @@ fn fsck_sharded(dir: &str) -> CmdResult {
     if dirty == 0 {
         Ok(())
     } else {
-        Err(format!("{dir}: {dirty} of {} shard(s) dirty", reports.len()).into())
+        Err(format!("{base}: {dirty} of {} shard(s) dirty", reports.len()).into())
     }
 }
 
@@ -641,11 +554,11 @@ pub fn stats(flags: &Flags) -> CmdResult {
     Ok(())
 }
 
-/// `bbs stats --base PATH` — run one in-place mining pass over a durable
-/// deployment and report the read-side counters (cache hits/misses/hit
-/// rate, physical reads, checksum-verified pages, what the cursors did).
+/// `bbs stats --base PATH` — run one in-place mining pass over every
+/// shard of a durable deployment and report the read-side counters (cache
+/// hits/misses/hit rate, physical reads, checksum-verified pages, what the
+/// cursors did).
 fn deployment_stats(flags: &Flags, base: &str) -> CmdResult {
-    let width: usize = flags.get_parsed_or("width", 1600usize)?;
     let cache_pages: usize = flags.get_parsed_or("cache-pages", 4096usize)?;
     // Default stays serial (a deterministic profile); explicit `0` asks
     // for all cores, like everywhere else.
@@ -659,20 +572,22 @@ fn deployment_stats(flags: &Flags, base: &str) -> CmdResult {
         return Err("stats --base supports the BBS schemes only (sfs|sfp|dfs|dfp)".into());
     };
 
-    let mut dep = bbs_storage::DiskDeployment::open(
-        Path::new(base),
-        width,
-        hasher(flags)?,
-        cache_pages,
-    )?;
-    println!("deployment        : {base}.*");
-    println!("rows              : {}", dep.db.len());
-    println!("committed rows    : {}", dep.committed_rows());
-    println!("slices (width m)  : {}", dep.index.width());
+    let mut dep = open_base(flags, false)?;
+    let widths: Vec<String> = dep.shards().iter().map(|s| s.index.width().to_string()).collect();
+    match dep.shard_count() {
+        1 => println!("deployment        : {base}.*"),
+        n => println!("deployment        : {base}/ ({n} shards)"),
+    }
+    println!("rows              : {}", dep.rows());
+    println!(
+        "committed rows    : {}",
+        dep.shards().iter().map(|s| s.committed_rows()).sum::<u64>()
+    );
+    println!("slices (width m)  : {}", widths.join(" "));
     println!("slice cache pages : {cache_pages}");
 
     let start = Instant::now();
-    let (result, stats) = bbs_storage::mine_in_place(&mut dep, scheme, threshold, threads)?;
+    let (result, stats) = bbs_storage::mine_deployment(&mut dep, scheme, threshold, threads)?;
     let secs = start.elapsed().as_secs_f64();
     println!(
         "mining run        : scheme {}, {} pattern(s), {} CountItemSet call(s), {:.3}s on {} thread(s)",
@@ -787,7 +702,7 @@ mod tests {
 
         create(&flags(&[("base", &dir_s), ("shards", "3"), ("width", "64")]))
             .expect("create sharded");
-        assert!(bbs_shard::ShardedDeployment::is_sharded(&dir));
+        assert!(Deployment::is_sharded(&dir));
 
         // `bbs ingest` detects the shard directory and routes by TID.
         ingest(&flags(&[
@@ -795,7 +710,7 @@ mod tests {
             ("base", &dir_s),
         ]))
         .expect("sharded ingest");
-        let dep = bbs_shard::ShardedDeployment::open(
+        let dep = Deployment::open(
             &dir,
             std::sync::Arc::new(bbs_hash::Md5BloomHasher::new(4)),
             64,
@@ -825,7 +740,7 @@ mod tests {
         // fsck: clean shards pass; flipping one committed byte in one
         // shard's heap file dirties exactly that shard and the exit.
         fsck(&flags(&[("base", &dir_s)])).expect("clean shards verify");
-        let dat = bbs_shard::shard_base(&dir, 1).with_extension("dat");
+        let dat = bbs_storage::shard_base(&dir, 1).with_extension("dat");
         let mut bytes = std::fs::read(&dat).expect("read shard dat");
         bytes[bbs_storage::PAGE_SIZE + 4] ^= 0x40;
         std::fs::OpenOptions::new()
@@ -840,7 +755,7 @@ mod tests {
     struct CleanupShards(std::path::PathBuf, std::path::PathBuf);
     impl Drop for CleanupShards {
         fn drop(&mut self) {
-            bbs_shard::ShardedDeployment::remove_files(&self.0).ok();
+            Deployment::remove_files(&self.0).ok();
             std::fs::remove_file(&self.1).ok();
         }
     }

@@ -105,9 +105,13 @@ USAGE:
   bbs stats    --base PATH [--min-support N|P%] [--scheme sfs|sfp|dfs|dfp]
                [--threads N]   (cache/pager profile of an in-place run)
 
-`ingest`, `mine-deployment`, `serve` and `fsck` accept a sharded
-directory made by `bbs create --shards N`: inserts route by TID to
-per-shard commit pipelines, counts and mining scatter-gather.
+Every `--base` also accepts a sharded directory made by `bbs create
+--shards N`: inserts route by TID to per-shard commit pipelines, counts
+and mining scatter-gather.  Each shard is read at the width its own
+slice file holds; `--width` lays out new files (`create`, a first
+`ingest`, `compact`) and is otherwise only checked against them.
+`compact --base DIR` moves every shard to the MANIFEST width unless
+`--width` or `--fold` is given.
 
 The transaction file format is one transaction per line: whitespace-
 separated item ids, optionally prefixed with an explicit `TID:`.  Lines

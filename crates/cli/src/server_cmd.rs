@@ -47,7 +47,7 @@ pub fn serve_with_stop(flags: &Flags, stop: &AtomicBool) -> CmdResult {
         return Err("--auto-promote-ms only makes sense with --follow".into());
     }
     let cfg = ServerConfig {
-        width: flags.get_parsed_or("width", 1600usize)?,
+        width: flags.get_parsed_or("width", bbs_storage::DEFAULT_WIDTH)?,
         cache_pages: flags.get_parsed_or("cache-pages", 4096usize)?,
         queue_capacity: flags.get_parsed_or("queue", 256usize)?,
         batch_max: flags.get_parsed_or("batch-max", 4096usize)?,
@@ -76,7 +76,7 @@ pub fn serve_with_stop(flags: &Flags, stop: &AtomicBool) -> CmdResult {
         return Err("serve needs a listener: --tcp HOST:PORT and/or --unix PATH".into());
     }
 
-    if bbs_shard::ShardedDeployment::is_sharded(Path::new(base)) {
+    if bbs_storage::Deployment::is_sharded(Path::new(base)) {
         // A sharded directory (made by `bbs create --shards N`): serve
         // the shard router — N per-shard commit pipelines behind one
         // listener set.

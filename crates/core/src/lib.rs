@@ -68,4 +68,4 @@ pub use filter::{
 pub use miners::{BbsMiner, RefineKind, Scheme};
 pub use refine::{probe_candidates, probe_support, sequential_scan, RefineOutput};
 pub use tiered::TieredBbs;
-pub use view::{mine_views, sum_columns, sum_item_counts, MineView};
+pub use view::{mine_views, scatter, sum_columns, sum_item_counts, MineView};

@@ -71,17 +71,34 @@ pub fn mine_views<V: MineView>(
         }
     }
     filter_out.settle(tau, |cands| {
-        let per_view: Vec<Vec<u64>> = std::thread::scope(|scope| {
-            let scans: Vec<_> = views
-                .iter()
-                .map(|view| scope.spawn(move || view.tally(cands)))
-                .collect();
-            scans
-                .into_iter()
-                .map(|h| h.join().expect("tally worker panicked"))
-                .collect::<io::Result<_>>()
-        })?;
+        let per_view = scatter(views, |_, view| view.tally(cands))?;
         Ok(sum_columns(&per_view, cands.len()))
+    })
+}
+
+/// Runs `f` once per partition, concurrently, and collects the results in
+/// partition order.  A single partition runs inline (no thread overhead).
+/// The results may borrow from the partitions they were computed over.
+pub fn scatter<'a, H, T, F>(parts: &'a [H], f: F) -> io::Result<Vec<T>>
+where
+    H: Sync,
+    T: Send,
+    F: Fn(usize, &'a H) -> io::Result<T> + Sync,
+{
+    if parts.len() <= 1 {
+        return parts.iter().enumerate().map(|(i, p)| f(i, p)).collect();
+    }
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = parts
+            .iter()
+            .enumerate()
+            .map(|(i, p)| scope.spawn(move || f(i, p)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("scatter worker panicked"))
+            .collect()
     })
 }
 

@@ -30,8 +30,8 @@
 
 use crate::handle::{RemoteOptions, RemoteShardHandle};
 use crate::topology::Topology;
+use bbs_core::scatter;
 use bbs_server::{Request, RequestHandler, Response, Router, ServerMetrics, ShardFaults};
-use bbs_shard::scatter;
 use std::io;
 use std::ops::Deref;
 use std::sync::Arc;

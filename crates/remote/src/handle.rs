@@ -36,13 +36,12 @@
 //!    `SHARD_UNAVAILABLE` response instead of a silently-wrong partial
 //!    total.
 
-use bbs_core::{tally_subsets, Bbs, BbsCursor, MineView};
+use bbs_core::{scatter, tally_subsets, Bbs, BbsCursor, MineView};
 use bbs_hash::{ItemHasher, Md5BloomHasher, ModuloHasher};
 use bbs_server::{
     json_column, maintain_action, ClientError, ClientResult, CountsAtReply, Gauge, Node, Reply,
     Request, Response, RetryClient, RetryPolicy, ServerAddr, ShardFaults,
 };
-use bbs_shard::scatter;
 use bbs_tdb::{IoStats, ItemId, Itemset, Transaction, TransactionDb};
 use std::collections::HashMap;
 use std::io;

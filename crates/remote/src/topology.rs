@@ -146,11 +146,11 @@ impl Topology {
         if self.shards == 0 {
             return Err("a topology needs at least 1 shard".into());
         }
-        if self.shards > bbs_shard::MAX_SHARDS {
+        if self.shards > bbs_storage::MAX_SHARDS {
             return Err(format!(
                 "{} shards exceeds the routing width ({} shards max)",
                 self.shards,
-                bbs_shard::MAX_SHARDS
+                bbs_storage::MAX_SHARDS
             ));
         }
         if self.width == 0 {

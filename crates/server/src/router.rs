@@ -11,7 +11,7 @@
 //! distributed coordinator (`bbs_remote::CoordinatorEngine`).
 //!
 //! * **Writes** (insert, delete) are partitioned by TID residue
-//!   ([`bbs_shard::route`]) and each non-empty part is forwarded to its
+//!   ([`bbs_storage::route`]) and each non-empty part is forwarded to its
 //!   owning node as the same request a client would send that shard alone,
 //!   **reusing the client's request ID** — every shard deduplicates
 //!   independently, so a retry after a partial failure re-sends the same
@@ -40,8 +40,8 @@ use crate::engine::{admit_count_many, mine_reply, resolve_threads};
 use crate::metrics::{micros_since, Histogram, ServerMetrics};
 use crate::net::RequestHandler;
 use crate::proto::{Reply, Request, Response};
-use bbs_core::{mine_views, MineView, Scheme};
-use bbs_shard::{route, scatter};
+use bbs_core::{mine_views, scatter, MineView, Scheme};
+use bbs_storage::route;
 use bbs_tdb::{MineResult, SupportThreshold};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -1,5 +1,6 @@
 //! The local shard router: [`ShardedEngine`], a [`Router`] whose nodes
-//! are N complete [`Engine`]s over a `bbs_shard` directory.
+//! are N complete [`Engine`]s over the partitions of a
+//! [`bbs_storage::Deployment`] directory.
 //!
 //! Every shard owns its full stack — pager, commit record, dedup window,
 //! replication log, **and its own committer thread** — so the router's
@@ -17,9 +18,10 @@ use crate::metrics::ServerMetrics;
 use crate::net::RequestHandler;
 use crate::proto::{maintain_action, Reply, Request, Response};
 use crate::router::{json_column, Gauge, Node, Router, ShardFaults};
+use bbs_core::scatter;
 use bbs_hash::{ItemHasher, Md5BloomHasher};
-use bbs_shard::{scatter, shard_base, Manifest};
 use bbs_storage::snapshot::Snapshot;
+use bbs_storage::{shard_base, Manifest};
 use bbs_tdb::Transaction;
 use std::io;
 use std::ops::Deref;

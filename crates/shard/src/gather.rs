@@ -4,19 +4,20 @@
 //!
 //! A BBS estimate is `popcount(AND of the selected slices)` — a sum over
 //! rows of a 0/1 predicate.  TID routing partitions the rows into
-//! disjoint shards, and every shard hashes items with the same hasher at
-//! the same width, so row `r`'s signature is identical wherever it lives.
-//! Summing per-shard `CountItemSet` results is therefore *exactly* the
-//! unsharded estimate — not an approximation of it — and the estimate's
-//! upper-bound guarantees (Lemmas 1–4: never undercounts the true
-//! support) carry over unchanged.
+//! disjoint shards, and while every shard hashes items with the same
+//! hasher at the same width, row `r`'s signature is identical wherever it
+//! lives.  Summing per-shard `CountItemSet` results is then *exactly* the
+//! unsharded estimate — not an approximation of it.  At mixed widths the
+//! sum is still a sum of per-shard upper bounds, so the estimate's
+//! guarantee (Lemmas 1–4: never undercounts the true support) holds
+//! either way.
 //!
 //! Every count here is exact.  Early exit is the filter phase's device,
 //! and its cross-shard τ scheme lives with the implementation mining
 //! uses, [`bbs_core::counter`].
 
 use crate::handle::ShardHandle;
-use bbs_core::sum_columns;
+use bbs_core::{scatter, sum_columns};
 use bbs_tdb::Itemset;
 use std::io;
 
@@ -24,32 +25,6 @@ use std::io;
 /// calling thread instead of scattering: for interactive counts the scan
 /// is cheaper than the thread spawns.
 const SERIAL_BATCH_MAX: usize = 32;
-
-/// Runs `f` once per shard, concurrently, and collects the results in
-/// shard order.  A single shard runs inline (no thread overhead).  The
-/// results may borrow from the shards they were computed over.
-pub fn scatter<'a, H, T, F>(shards: &'a [H], f: F) -> io::Result<Vec<T>>
-where
-    H: Sync,
-    T: Send,
-    F: Fn(usize, &'a H) -> io::Result<T> + Sync,
-{
-    if shards.len() <= 1 {
-        return shards.iter().enumerate().map(|(i, s)| f(i, s)).collect();
-    }
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| scope.spawn(move || f(i, s)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard scatter worker panicked"))
-            .collect()
-    })
-}
 
 /// Batched cross-shard `CountItemSet`: the per-shard exact answers,
 /// summed — the exact global estimate of every itemset.  `tau` is the

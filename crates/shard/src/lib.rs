@@ -1,38 +1,23 @@
-//! TID-range sharded deployments for the BBS index.
+//! The old home of partitioned deployments, kept as a facade.
 //!
-//! One logical deployment is partitioned into N shards by TID residue
-//! class ([`manifest::route`]); each shard is a complete single-shard
-//! durable stack, so crash safety, recovery and fsck stay per-shard and
-//! parallelize across shards.  Counting is scatter-gather — per-shard
-//! `CountItemSet` answers **sum exactly** to the unsharded answer,
-//! because a BBS estimate is a sum over rows and the shards partition
-//! the rows (the paper's Lemmas 1–4 are additive over disjoint TID
-//! partitions) — and mining is [`bbs_core::mine_views`] with one view per
-//! shard, every worker merging supports across all shards before
-//! refinement.
-//!
-//! The shard boundary for counting is the [`ShardHandle`] trait seam:
-//! the gather layer never assumes a shard is local.
-//!
-//! * [`manifest`] — the shard directory layout (`MANIFEST` + `shard-NNN`
-//!   bases) and TID routing;
-//! * [`handle`] — the shard-boundary trait and the local-files handle;
-//! * [`gather`] — exact scatter-gather counting;
-//! * [`deployment`] — [`ShardedDeployment`]: create/open/append/flush/
-//!   count/verify over a shard directory;
-//! * [`mine`] — in-place sharded mining with the global support merge.
+//! A deployment of N TID-routed partitions is [`bbs_storage::Deployment`]
+//! (re-exported here as [`ShardedDeployment`]), mined by
+//! [`bbs_storage::mine_deployment`]; the manifest and routing live in
+//! [`bbs_storage::manifest`], and [`scatter`] in `bbs_core`.  What stays
+//! here is the offline gather layer: the [`ShardHandle`] seam and
+//! [`count_many_sharded`], which sums exact per-shard counts.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod deployment;
 pub mod gather;
 pub mod handle;
-pub mod manifest;
-pub mod mine;
 
-pub use deployment::{ShardVerify, ShardedDeployment};
-pub use gather::{count_many_sharded, scatter};
+pub use bbs_core::scatter;
+pub use bbs_storage::deployment::{Deployment as ShardedDeployment, ShardVerify};
+pub use bbs_storage::manifest::{
+    route, shard_base, Manifest, MANIFEST_FILE, MANIFEST_VERSION, MAX_SHARDS,
+};
+pub use bbs_storage::mine::mine_deployment as mine_sharded;
+pub use gather::count_many_sharded;
 pub use handle::{DiskShardHandle, ShardHandle};
-pub use manifest::{route, shard_base, Manifest, MANIFEST_FILE, MANIFEST_VERSION, MAX_SHARDS};
-pub use mine::mine_sharded;

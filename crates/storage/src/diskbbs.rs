@@ -1023,6 +1023,25 @@ impl DiskDeployment<FileBackend> {
         hasher: Arc<dyn ItemHasher>,
         cache_pages: usize,
     ) -> io::Result<Self> {
+        let dep = Self::open_adopting(base, width, hasher, cache_pages)?;
+        let stored = dep.index.width();
+        if stored != width {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("slice file width {stored} != requested {width}"),
+            ));
+        }
+        Ok(dep)
+    }
+
+    /// [`DiskDeployment::open`] that keeps the width an existing slice
+    /// file holds; `width` only lays out a slice file that is not there.
+    pub(crate) fn open_adopting(
+        base: &Path,
+        width: usize,
+        hasher: Arc<dyn ItemHasher>,
+        cache_pages: usize,
+    ) -> io::Result<Self> {
         let mut reader_file = None;
         let mut dep = Self::open_at(base, width, hasher, cache_pages, |tag, path| {
             let file = FileBackend::open(path)?;
@@ -1031,13 +1050,6 @@ impl DiskDeployment<FileBackend> {
             }
             Ok(file)
         })?;
-        let stored = dep.index.width();
-        if stored != width {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("slice file width {stored} != requested {width}"),
-            ));
-        }
         dep.index.reader_file = reader_file;
         Ok(dep)
     }

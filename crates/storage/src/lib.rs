@@ -15,6 +15,9 @@
 //!   database+index pair ([`DiskDeployment`]): append incrementally,
 //!   survive restarts, load to memory to mine, or count in place through
 //!   the cache;
+//! * [`deployment`] — [`Deployment`], what every offline command opens:
+//!   one plain base, or the TID-routed partitions of a directory named by
+//!   its [`manifest`];
 //! * [`snapshot`] — epoch-stamped snapshot isolation over a deployment:
 //!   one group-committing writer, any number of immutable read snapshots
 //!   (the storage substrate of the `bbs-server` daemon).
@@ -46,10 +49,12 @@ pub mod cache;
 mod commit;
 pub mod dedup;
 pub mod del;
+pub mod deployment;
 pub mod diskbbs;
 mod files;
 pub mod heapfile;
 pub mod maintain;
+pub mod manifest;
 pub mod mine;
 pub mod pager;
 pub mod replog;
@@ -65,6 +70,7 @@ pub use cache::{CacheStats, PageCache};
 pub use commit::{format_v1, FormatV1};
 pub use dedup::{DedupLog, DedupReceipt};
 pub use del::{read_deletions, DeadMask, DelLog};
+pub use deployment::{Deployment, ShardVerify, DEFAULT_WIDTH};
 pub use diskbbs::{
     deployment_paths, CursorStats, DeploymentBackends, DeploymentPaths, DiskBbs, DiskCounter,
     DiskDeployment,
@@ -75,7 +81,8 @@ pub use maintain::{
     compact_deployment, compact_deployment_hooked, finish_pending_swap, fold_deployment,
     fold_deployment_hooked, MaintainReport, SwapHook,
 };
-pub use mine::{mine_deployments, mine_in_place, DiskMineStats};
+pub use manifest::{route, shard_base, Manifest, MANIFEST_FILE, MANIFEST_VERSION, MAX_SHARDS};
+pub use mine::{mine_deployment, mine_deployments, mine_in_place, DiskMineStats};
 pub use pager::{
     checksum_mismatch, fnv1a64, page_digest, ChecksumMismatch, PageId, Pager, PagerStats,
     PAGE_SIZE,

@@ -1,21 +1,18 @@
-//! The shard directory manifest.
+//! The partition directory manifest.
 //!
-//! A sharded deployment is a *directory* holding one `MANIFEST` file plus
-//! N ordinary single-shard deployments named `shard-000` … `shard-NNN`
-//! (each with the full `<base>.{dat,idx,slices,counts,commit,dedup,log}`
-//! file set).  The manifest pins the two parameters every shard must
-//! agree on for the scatter-gather sums to be exact — the shard count
-//! (the routing modulus) and the signature width — in a dependency-free
-//! `key=value` text format.
-//!
-//! The manifest is written once at `create` time, before any shard files
-//! exist, and fsynced; it is deliberately immutable afterwards (resharding
-//! is a rewrite, not an edit), so readers never race a writer on it.
+//! A deployment of N partitions is a *directory* holding one `MANIFEST`
+//! file plus N ordinary one-partition deployments named `shard-000` …
+//! `shard-NNN`.  The manifest records the partition count (the TID
+//! routing modulus) and the target signature width (see
+//! [`crate::deployment`] for what a target is) in a dependency-free
+//! `key=value` text format.  It is written and fsynced at `create`, before
+//! any partition files exist; only a finished width change rewrites it,
+//! and never its partition count (resharding is a rewrite, not an edit).
 
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Name of the manifest file inside a shard directory.
+/// Name of the manifest file inside a partition directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
 /// On-disk manifest format version this build reads and writes.
@@ -27,16 +24,16 @@ pub const MANIFEST_VERSION: u32 = 1;
 /// parallelism).
 pub const MAX_SHARDS: usize = 1000;
 
-/// The pinned parameters of a sharded deployment.
+/// The recorded parameters of a partition directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Manifest {
     /// Manifest format version.
     pub version: u32,
     /// Number of shards (the TID routing modulus), ≥ 1.
     pub shards: usize,
-    /// Signature width in bits, identical across shards — per-shard
-    /// AND+popcount estimates only sum exactly when every shard hashes
-    /// items to the same slices.
+    /// Target signature width in bits.  Per-partition estimates sum to
+    /// the one-partition estimate when every partition is at this width,
+    /// and to an upper bound of it while a width change is half done.
     pub width: usize,
 }
 
@@ -46,8 +43,8 @@ impl Manifest {
         dir.join(MANIFEST_FILE)
     }
 
-    /// True when `dir` looks like a sharded deployment (the manifest file
-    /// exists) — how the CLI distinguishes `--base` forms.
+    /// True when `dir` is a partition directory (the manifest file
+    /// exists) rather than a plain `<base>.*` deployment.
     pub fn exists(dir: &Path) -> bool {
         Self::path(dir).is_file()
     }
@@ -55,26 +52,8 @@ impl Manifest {
     /// Writes the manifest into `dir` and fsyncs it (the directory must
     /// already exist).  Refuses nonsense parameters.
     pub fn write(&self, dir: &Path) -> io::Result<()> {
-        if self.shards == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "a sharded deployment needs at least 1 shard",
-            ));
-        }
-        if self.shards > MAX_SHARDS {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "{} shards exceeds the routing width ({MAX_SHARDS} shards max)",
-                    self.shards
-                ),
-            ));
-        }
-        if self.width == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "signature width must be nonzero",
-            ));
+        if let Some(why) = self.nonsense() {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
         }
         let body = format!(
             "version={}\nshards={}\nwidth={}\n",
@@ -127,16 +106,24 @@ impl Manifest {
             shards: shards.ok_or_else(|| bad("missing shards"))?,
             width: width.ok_or_else(|| bad("missing width"))?,
         };
-        if manifest.shards == 0 || manifest.width == 0 {
-            return Err(bad("shards and width must be nonzero"));
+        match manifest.nonsense() {
+            Some(why) => Err(bad(&why)),
+            None => Ok(manifest),
         }
-        if manifest.shards > MAX_SHARDS {
-            return Err(bad(&format!(
+    }
+
+    /// Why these parameters describe no directory, if they do not.
+    fn nonsense(&self) -> Option<String> {
+        if self.shards == 0 || self.width == 0 {
+            Some("shards and width must be nonzero".to_string())
+        } else if self.shards > MAX_SHARDS {
+            Some(format!(
                 "{} shards exceeds the routing width ({MAX_SHARDS} shards max)",
-                manifest.shards
-            )));
+                self.shards
+            ))
+        } else {
+            None
         }
-        Ok(manifest)
     }
 }
 

@@ -14,6 +14,7 @@
 use crate::backend::StorageBackend;
 use crate::cache::CacheStats;
 use crate::del::DeadMask;
+use crate::deployment::Deployment;
 use crate::diskbbs::{CursorStats, DiskBbs, DiskCounter, DiskDeployment};
 use crate::heapfile::HeapFile;
 use crate::pager::PagerStats;
@@ -134,6 +135,20 @@ pub fn mine_in_place(
     threads: usize,
 ) -> io::Result<(MineResult, DiskMineStats)> {
     mine_deployments(std::slice::from_mut(dep), scheme, min_support, threads)
+}
+
+/// Mines every frequent pattern of a [`Deployment`] straight off its
+/// partitions' files: [`mine_deployments`] over them.  The result —
+/// patterns, supports, and which supports are approximate — is what one
+/// partition holding every row finds, for any partition count and any
+/// thread count, while the partitions share a width.
+pub fn mine_deployment(
+    dep: &mut Deployment,
+    scheme: Scheme,
+    min_support: SupportThreshold,
+    threads: usize,
+) -> io::Result<(MineResult, DiskMineStats)> {
+    mine_deployments(dep.shards_mut(), scheme, min_support, threads)
 }
 
 /// Mines the union of the rows of `deps` — disjoint partitions, such as
@@ -329,6 +344,65 @@ mod tests {
         let (grown, _) = mine_in_place(&mut dep, Scheme::Dfp, threshold, 2).expect("mine grown");
         assert_eq!(dep.committed_seq(), seq + 1, "the appends were flushed once");
         assert_eq!(dep.committed_rows(), 440);
+        let pair = Itemset::from_values(&[90, 91]);
+        assert_eq!(clean.patterns.support(&pair), None);
+        assert_eq!(grown.patterns.support(&pair), Some(40));
+    }
+
+    /// Every file in the directory `dir`, by name, byte for byte.
+    fn dir_bytes(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
+            .expect("read dir")
+            .map(|entry| {
+                let path = entry.expect("dir entry").path();
+                let bytes = std::fs::read(&path).expect("read file");
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Mining reads: a freshly opened partition directory keeps every
+    /// file's bytes and every partition's commit sequence, and only the
+    /// partitions that hold uncommitted appends are flushed first.
+    #[test]
+    fn mining_commits_only_the_shards_with_uncommitted_rows() {
+        let dir = base("shards_ro");
+        struct RemoveDir(PathBuf);
+        impl Drop for RemoveDir {
+            fn drop(&mut self) {
+                Deployment::remove_files(&self.0).ok();
+            }
+        }
+        let _g = RemoveDir(dir.clone());
+        let seqs = |dep: &Deployment| -> Vec<u64> {
+            dep.shards().iter().map(|s| s.committed_seq()).collect()
+        };
+        {
+            let mut dep = Deployment::create(&dir, 3, 64, hasher(), 64).expect("create");
+            for i in 0..300u64 {
+                let items = [(i % 7) as u32, 20 + (i % 2) as u32, 30];
+                dep.append(&Transaction::new(i, Itemset::from_values(&items)))
+                    .expect("append");
+            }
+            dep.flush().expect("flush");
+        }
+        let mut dep = Deployment::open(&dir, hasher(), 64).expect("reopen");
+        let (before, files) = (seqs(&dep), dir_bytes(&dir));
+        assert!(files.len() > 3 * 5, "the shards' files were found");
+        let threshold = SupportThreshold::Count(25);
+        let (clean, _) = mine_deployment(&mut dep, Scheme::Dfp, threshold, 2).expect("mine");
+        assert_eq!(seqs(&dep), before, "no commit record was appended");
+        assert_eq!(dir_bytes(&dir), files, "no file changed");
+
+        // TIDs ≡ 1 (mod 3) land on shard 1 alone.
+        for i in 0..40u64 {
+            dep.append(&Transaction::new(301 + 3 * i, Itemset::from_values(&[90, 91])))
+                .expect("append");
+        }
+        let (grown, _) = mine_deployment(&mut dep, Scheme::Dfp, threshold, 2).expect("mine grown");
+        assert_eq!(seqs(&dep), [before[0], before[1] + 1, before[2]]);
         let pair = Itemset::from_values(&[90, 91]);
         assert_eq!(clean.patterns.support(&pair), None);
         assert_eq!(grown.patterns.support(&pair), Some(40));
