@@ -65,11 +65,15 @@ RUSTFLAGS="-C target-cpu=native" cargo test -q -p bbs-bitslice --test kernel_pro
 for tier in portable scalar avx2 avx512; do
   BBS_KERNEL_TIER="${tier}" \
     RUSTFLAGS="-C target-cpu=native" cargo test -q -p bbs-bitslice --test kernel_props
+  BBS_KERNEL_TIER="${tier}" \
+    RUSTFLAGS="-C target-cpu=native" cargo test -q -p bbs-core --test known_answer
 done
-# The disk cursor (crates/storage/tests/disk_cursor.rs) is not in this
-# matrix: it ANDs page bytes with the safe word loop and hands `ops_simd`
-# only its own word buffers to popcount, which kernel_props already covers
-# under every tier — no page-backed operand reaches a kernel.
+# The cursor over a loaded index ANDs each in-memory slice window onto its
+# level with `ops::and_assign` and popcounts with `ops::count_ones`, both
+# dispatched kernels, so the known answers (the figures' buckets and
+# counters) run under every tier.  Over a slice file the cursor ANDs page
+# bytes with the safe word loop and hands the kernels only its own word
+# buffers to popcount, which kernel_props covers.
 # Benchmark smoke: every workload, phase and answer check of the one
 # harness at toy scale (never gated), leaving target/bench-smoke.json.
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- run --scale smoke --runs 1 --out target/bench-smoke.json

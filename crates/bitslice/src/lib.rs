@@ -40,6 +40,10 @@ pub use signature::Signature;
 /// Number of bits in one storage word.
 pub const WORD_BITS: usize = u64::BITS as usize;
 
+/// `u64` words per 4 KiB page: the chunk a depth-first cursor ANDs at a
+/// time, on disk one slice-file page.
+pub const PAGE_WORDS: usize = 512;
+
 /// Number of `u64` words needed to hold `bits` bits.
 #[inline]
 pub const fn words_for(bits: usize) -> usize {

@@ -119,10 +119,7 @@ impl Bbs {
     }
 
     fn compute_positions(&self, item: ItemId) -> Arc<[usize]> {
-        let mut v = self.hasher.positions_vec(item.value(), self.width);
-        v.sort_unstable();
-        v.dedup();
-        v.into()
+        item_positions(&*self.hasher, item, self.width).into()
     }
 
     /// The Bloom signature of an itemset (union of its items' positions).
@@ -195,8 +192,9 @@ impl Bbs {
     /// The mining algorithms call this once per run: after the first pass a
     /// memory-resident index serves every subsequent `CountItemSet` from
     /// RAM ("BBS is typically small and will not take too many scans if it
-    /// does not fit into the memory", §1) — which is why the incremental
-    /// [`Bbs::est_count_extend`] does not charge per call.
+    /// does not fit into the memory", §1) — which is why a
+    /// [`crate::Cursor`] walking the loaded index charges nothing per
+    /// count.
     pub fn charge_cold_load(&self, stats: &mut IoStats) {
         stats.bbs_passes += 1;
         stats.bbs_pages_read += pages_for(self.dense_bytes(), self.page_size);
@@ -217,72 +215,6 @@ impl Bbs {
         self.charge_slice_reads(sig.weight(), stats);
         self.matrix.and_selected(&sig, out);
         out.count_ones() as u64
-    }
-
-    /// Incremental estimate: the support estimate of `parent_itemset ∪
-    /// {item}` given the materialised AND-result of the parent.
-    ///
-    /// Only the item's own (deduplicated) slices are touched — the
-    /// incremental step that makes the recursive filters cheap.  No I/O is
-    /// charged: filter enumeration runs against a resident index whose cold
-    /// load the miner charges once ([`Bbs::charge_cold_load`]); the `stats`
-    /// parameter is kept for future cost models and API stability.
-    pub fn est_count_extend(
-        &self,
-        parent: &BitVec,
-        item: ItemId,
-        stats: &mut IoStats,
-    ) -> u64 {
-        let _ = &*stats;
-        let positions = self.positions(item);
-        let words = bbs_bitslice::words_for(self.rows());
-        // Hot path of every filter: avoid a per-call Vec for the common
-        // Bloom parameters (k ≤ 15) by staging operand refs on the stack.
-        const MAX_INLINE: usize = 16;
-        if positions.len() < MAX_INLINE {
-            let empty: &[u64] = &[];
-            let mut operands: [&[u64]; MAX_INLINE] = [empty; MAX_INLINE];
-            operands[0] = parent.words();
-            for (slot, &p) in operands[1..].iter_mut().zip(positions.iter()) {
-                *slot = self.matrix.slice_words(p);
-            }
-            return bbs_bitslice::ops::and_all_count(&operands[..positions.len() + 1], words)
-                as u64;
-        }
-        let mut operands: Vec<&[u64]> = Vec::with_capacity(positions.len() + 1);
-        operands.push(parent.words());
-        for &p in positions.iter() {
-            operands.push(self.matrix.slice_words(p));
-        }
-        bbs_bitslice::ops::and_all_count(&operands, words) as u64
-    }
-
-    /// Materialises the AND-result of `parent ∪ {item}` into `out`.
-    ///
-    /// Charges no additional reads: callers always call
-    /// [`Bbs::est_count_extend`] first, which already paid for the item's
-    /// slices (in a real system the pages would still be hot).
-    pub fn extend_result(&self, parent: &BitVec, item: ItemId, out: &mut BitVec) {
-        out.clear_all();
-        out.grow_to(self.rows());
-        out.truncate(self.rows());
-        {
-            let dst = out.words_mut();
-            let src = parent.words();
-            let n = src.len().min(dst.len());
-            dst[..n].copy_from_slice(&src[..n]);
-            for w in dst[n..].iter_mut() {
-                *w = 0;
-            }
-        }
-        for &p in self.positions(item).iter() {
-            bbs_bitslice::ops::and_assign(out.words_mut(), self.matrix.slice_words(p));
-        }
-    }
-
-    /// The all-rows vector (AND-result of the empty itemset).
-    pub fn all_rows_vector(&self) -> BitVec {
-        BitVec::ones(self.rows())
     }
 
     /// Constrained estimate (§3.4): `CountItemSet` with one extra
@@ -397,6 +329,15 @@ impl Bbs {
     }
 }
 
+/// The slice positions one item selects at `width`, ascending and
+/// deduplicated — what every position cache memoises.
+pub fn item_positions(hasher: &dyn ItemHasher, item: ItemId, width: usize) -> Vec<usize> {
+    let mut v = hasher.positions_vec(item.value(), width);
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
 /// A hasher that first hashes at an original width and then folds the
 /// positions down, so that a folded [`Bbs`] produces query signatures
 /// consistent with its folded slices.
@@ -428,6 +369,8 @@ pub fn folded_signature_of(original: &Bbs, itemset: &Itemset, new_width: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cursor::Cursor;
+    use crate::filter::{CountSource, EXACT};
     use bbs_hash::{Md5BloomHasher, ModuloHasher};
 
     fn set(vals: &[u32]) -> Itemset {
@@ -546,26 +489,25 @@ mod tests {
     fn incremental_extend_matches_full_count() {
         let (bbs, _, _) = paper_bbs();
         let mut io = IoStats::new();
-        let mut parent = BitVec::new();
-        bbs.est_result(&set(&[1]), &mut parent, &mut io);
-        let est = bbs.est_count_extend(&parent, ItemId(3), &mut io);
-        assert_eq!(est, bbs.est_count(&set(&[1, 3]), &mut io));
-        let mut child = BitVec::new();
-        bbs.extend_result(&parent, ItemId(3), &mut child);
-        assert_eq!(child.count_ones() as u64, est);
+        let mut cursor = Cursor::resident(&bbs, None);
+        let est = cursor
+            .count_extensions(&set(&[1]), &[ItemId(3)], EXACT)
+            .expect("extend");
+        assert_eq!(est, [bbs.est_count(&set(&[1, 3]), &mut io)]);
+        assert_eq!(cursor.stats().extends, 1, "the parent {{1}} once");
     }
 
     #[test]
     fn extend_from_all_rows_matches_singleton() {
         let (bbs, _, _) = paper_bbs();
         let mut io = IoStats::new();
-        let all = bbs.all_rows_vector();
-        for item in [0u32, 1, 5, 9, 15] {
-            assert_eq!(
-                bbs.est_count_extend(&all, ItemId(item), &mut io),
-                bbs.est_count(&set(&[item]), &mut io),
-                "item {item}"
-            );
+        let mut cursor = Cursor::resident(&bbs, None);
+        let items = [0u32, 1, 5, 9, 15].map(ItemId);
+        let got = cursor
+            .count_extensions(&Itemset::empty(), &items, EXACT)
+            .expect("extend");
+        for (item, got) in items.into_iter().zip(got) {
+            assert_eq!(got, bbs.est_count(&set(&[item.0]), &mut io), "item {item:?}");
         }
     }
 

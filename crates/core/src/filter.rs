@@ -2,8 +2,8 @@
 //!
 //! There is **one** depth-first enumerator ([`run_filter_source_threaded`])
 //! and it counts through a [`CountSource`] — whatever answers the paper's
-//! `CountItemSet`: the memory-resident index ([`crate::BbsCursor`]), a disk
-//! reader, a cross-shard sum.  It implements all four of the paper's
+//! `CountItemSet`: a [`Cursor`] over the memory-resident index or over a
+//! slice file, a cross-shard sum.  It implements all four of the paper's
 //! algorithms:
 //!
 //! * **SingleFilter** (Fig. 2) — depth-first enumeration; a candidate is any
@@ -20,11 +20,11 @@
 //! Who keeps the AND-result of the enumeration prefix is a property of the
 //! source, not of the walk: the walk hands every node's sibling extensions
 //! to the source in one call, prefix first, in depth-first order.
-//! [`run_filter`] and [`run_filter_threaded`] are that runner over the
-//! memory-resident cursor.
+//! [`run_filter`] and [`run_filter_threaded`] are that runner over a
+//! [`Cursor`] on the loaded index.
 
 use crate::bbs::Bbs;
-use crate::cursor::BbsCursor;
+use crate::cursor::Cursor;
 use bbs_tdb::{IoStats, ItemId, Itemset, MineResult, MineStats, PatternSet, TransactionDb};
 use std::collections::HashMap;
 use std::io;
@@ -213,7 +213,7 @@ pub trait CountSource {
     /// identical to counting the extensions one at a time.
     ///
     /// The default implementation is that per-item loop; sources that keep
-    /// the prefix's AND-result (the memory cursor, the disk cursor)
+    /// the prefix's AND-result (the [`Cursor`], on disk or in memory)
     /// override it to AND the common prefix once instead of once per
     /// sibling.  The enumeration calls it in depth-first order, so
     /// consecutive prefixes differ by one item below their common ancestor.
@@ -473,7 +473,7 @@ pub fn run_filter(
 }
 
 /// [`run_filter`] on `threads` workers: [`run_filter_source_threaded`]
-/// with one [`BbsCursor`] per worker.
+/// with one [`Cursor::resident`] per worker.
 pub fn run_filter_threaded(
     bbs: &Bbs,
     kind: FilterKind,
@@ -481,7 +481,7 @@ pub fn run_filter_threaded(
     tau: u64,
     threads: usize,
 ) -> FilterOutput {
-    let make_source = || Ok(BbsCursor::new(bbs, db));
+    let make_source = || Ok(Cursor::resident(bbs, db));
     let (out, _) = run_filter_source_threaded(make_source, bbs.item_counts(), kind, tau, threads)
         .expect("the memory-resident index cannot fail a count");
     out

@@ -11,8 +11,10 @@
 //!   CheckCount certainty logic (Lemma 5 / Corollary 1): one depth-first
 //!   enumerator over a [`CountSource`], optionally integrated with
 //!   database probing.
-//! * [`cursor`] — the memory-resident [`CountSource`]: a depth-first
-//!   cursor that keeps the enumeration prefix's AND-result per depth.
+//! * [`cursor`] — the one [`CountSource`] over an index: a depth-first
+//!   [`Cursor`] that keeps the enumeration prefix's AND-result per depth,
+//!   reading slices page by page from any [`SliceSource`] — a loaded
+//!   [`Bbs`] ([`Resident`]) here, the slice file in `bbs-storage`.
 //! * [`view`] — [`mine_views`], every tier's MINE: filter and refine
 //!   over any number of disjoint row partitions ([`MineView`]s), counting
 //!   across them through [`counter`]'s cross-partition [`ShardedCounter`].
@@ -60,7 +62,7 @@ pub use adaptive::{adaptive_filter, slices_for_budget};
 pub use adhoc::AdhocEngine;
 pub use bbs::Bbs;
 pub use counter::{scaled_tau, ShardedCounter};
-pub use cursor::BbsCursor;
+pub use cursor::{Cursor, CursorStats, Resident, SliceSource};
 pub use filter::{
     run_filter, run_filter_source_threaded, run_filter_threaded, tally_subsets, CountSource,
     FilterKind, FilterOutput, Flag, EXACT,

@@ -133,7 +133,7 @@ pub fn sum_item_counts<'a>(
 mod tests {
     use super::*;
     use crate::filter::tally_subsets;
-    use crate::{Bbs, BbsCursor};
+    use crate::{Bbs, Cursor, Resident};
     use bbs_hash::Md5BloomHasher;
     use bbs_tdb::{FrequentPatternMiner, IoStats, NaiveMiner, Transaction, TransactionDb};
     use std::sync::Arc;
@@ -148,7 +148,7 @@ mod tests {
     }
 
     impl MineView for Rows {
-        type Counter<'a> = BbsCursor<'a>;
+        type Counter<'a> = Cursor<Resident<'a>>;
 
         fn live_rows(&self) -> u64 {
             self.db.len() as u64
@@ -158,8 +158,8 @@ mod tests {
             self.bbs.item_counts()
         }
 
-        fn counter(&self) -> io::Result<BbsCursor<'_>> {
-            Ok(BbsCursor::new(&self.bbs, None))
+        fn counter(&self) -> io::Result<Cursor<Resident<'_>>> {
+            Ok(Cursor::resident(&self.bbs, None))
         }
 
         fn tally(&self, cands: &[Itemset]) -> io::Result<Vec<u64>> {

@@ -36,7 +36,7 @@
 //!    `SHARD_UNAVAILABLE` response instead of a silently-wrong partial
 //!    total.
 
-use bbs_core::{scatter, tally_subsets, Bbs, BbsCursor, MineView};
+use bbs_core::{scatter, tally_subsets, Bbs, Cursor, MineView, Resident};
 use bbs_hash::{ItemHasher, Md5BloomHasher, ModuloHasher};
 use bbs_server::{
     json_column, maintain_action, ClientError, ClientResult, CountsAtReply, Gauge, Node, Reply,
@@ -377,7 +377,7 @@ pub struct PulledRows {
 }
 
 impl MineView for PulledRows {
-    type Counter<'a> = BbsCursor<'a>;
+    type Counter<'a> = Cursor<Resident<'a>>;
 
     fn live_rows(&self) -> u64 {
         self.db.len() as u64
@@ -387,8 +387,8 @@ impl MineView for PulledRows {
         self.bbs.item_counts()
     }
 
-    fn counter(&self) -> io::Result<BbsCursor<'_>> {
-        Ok(BbsCursor::new(&self.bbs, None))
+    fn counter(&self) -> io::Result<Cursor<Resident<'_>>> {
+        Ok(Cursor::resident(&self.bbs, None))
     }
 
     fn tally(&self, cands: &[Itemset]) -> io::Result<Vec<u64>> {

@@ -5,7 +5,7 @@
 //! The oracle is `NaiveMiner`, which shares no code with the index.
 
 use bbs_core::{
-    run_filter_source_threaded, sum_item_counts, BbsCursor, CountSource, Scheme, ShardedCounter,
+    run_filter_source_threaded, sum_item_counts, CountSource, Cursor, Scheme, ShardedCounter,
 };
 use bbs_hash::{ItemHasher, Md5BloomHasher};
 use bbs_shard::ShardedDeployment;
@@ -171,7 +171,7 @@ fn every_source_mines_the_exact_frequent_set() {
         for threads in [1, 3] {
             let what = |source: &str| format!("{source} {scheme:?} x{threads}");
             let memory = mine_through(
-                || Ok(BbsCursor::new(&bbs, probe_db)),
+                || Ok(Cursor::resident(&bbs, probe_db)),
                 bbs.item_counts(),
                 scheme,
                 threads,

@@ -37,8 +37,9 @@ use crate::pager::{
 };
 use crate::replog::ReplLog;
 use crate::sealed::{sealed, unseal};
-use crate::slicefile::{clear_uncommitted_bits, mask_from, SliceFile, CHUNK_ROWS, PAGE_WORDS};
-use bbs_core::Bbs;
+use crate::slicefile::{clear_uncommitted_bits, mask_from, SliceFile, CHUNK_ROWS};
+use bbs_core::cursor::union_positions;
+use bbs_core::{Bbs, CountSource, Cursor, CursorStats};
 use bbs_hash::ItemHasher;
 use bbs_tdb::{ItemId, Itemset, Transaction, TransactionDb};
 use std::collections::HashMap;
@@ -228,23 +229,10 @@ impl<B: StorageBackend> DiskBbs<B> {
         self.slices.pager_stats()
     }
 
-    fn positions_of(&self, item: ItemId) -> Vec<usize> {
-        let mut cache = self.positions.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(p) = cache.get(&item) {
-            return p.clone();
-        }
-        let v = item_positions(&*self.hasher, item, self.slices.width());
-        cache.insert(item, v.clone());
-        v
-    }
-
     fn positions_of_itemset(&self, items: &Itemset) -> Vec<usize> {
+        let mut cache = self.positions.lock().unwrap_or_else(|e| e.into_inner());
         let mut all = Vec::new();
-        for &item in items.items() {
-            all.extend(self.positions_of(item));
-        }
-        all.sort_unstable();
-        all.dedup();
+        union_positions(&mut all, &mut cache, &*self.hasher, items.items(), self.width());
         all
     }
 
@@ -290,14 +278,7 @@ impl<B: StorageBackend> DiskBbs<B> {
             .iter()
             .map(|items| {
                 let mut all = Vec::new();
-                for &item in items.items() {
-                    let p = cache
-                        .entry(item)
-                        .or_insert_with(|| item_positions(&*self.hasher, item, width));
-                    all.extend_from_slice(p);
-                }
-                all.sort_unstable();
-                all.dedup();
+                union_positions(&mut all, &mut cache, &*self.hasher, items.items(), width);
                 (all, tau)
             })
             .collect();
@@ -350,16 +331,17 @@ impl<B: StorageBackend> DiskBbs<B> {
         let mut slices =
             SliceFile::open_with(file.try_clone()?, self.slices.width(), self.cache_pages, None)?;
         slices.clamp_rows(self.slices.rows());
-        let root = Level::live_rows(slices.rows(), self.dead.as_deref());
+        // Every row the reader may count: the snapshot clamp (no bit at or
+        // past `rows`) and the tombstones, folded in once.
+        let rows = slices.rows() as usize;
+        let mut root = vec![u64::MAX; bbs_bitslice::words_for(rows)];
+        if let Some(dead) = self.dead.as_deref() {
+            bbs_bitslice::ops::and_not_assign(&mut root, &dead.words);
+        }
+        mask_from(&mut root, rows);
         Ok(DiskCounter {
-            scratch: vec![0; root.words.len()],
-            levels: vec![root],
-            slices,
-            hasher: Arc::clone(&self.hasher),
-            positions: HashMap::new(),
+            cursor: Cursor::new(slices, Arc::clone(&self.hasher), root),
             fence: None,
-            path: Vec::new(),
-            stats: CursorStats::default(),
         })
     }
 
@@ -394,300 +376,21 @@ impl<B: StorageBackend> DiskBbs<B> {
     }
 }
 
-/// The slice positions one item selects, ascending and deduplicated — what
-/// every position cache memoises.
-fn item_positions(hasher: &dyn ItemHasher, item: ItemId, width: usize) -> Vec<usize> {
-    let mut v = hasher.positions_vec(item.value(), width);
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
-/// A chunk of a [`Level`] is gathered, not ANDed whole, when fewer than
-/// one in this many of its words are nonzero.  Measured on the benchmark's
-/// four workloads (DESIGN.md §8): at 2 the scalar gather loses to the
-/// vectorised whole-page AND on the Quest files; at 8 those are unmoved
-/// and a tombstone-heavy file keeps the whole gain.
-const SPARSE_DIVISOR: usize = 8;
-
-/// One depth of the disk cursor: the AND-result of a prefix as plain
-/// words over all the reader's rows, with how many ones it has left and
-/// where they are in the chunks that hold few.
-#[derive(Default)]
-struct Level {
-    words: Vec<u64>,
-    /// `ones_from[c]` is the number of set bits in chunks `c..` —
-    /// `chunks + 1` entries, the last one zero.
-    ones_from: Vec<u64>,
-    /// In-page offsets of the nonzero words of every sparse chunk,
-    /// ascending, chunk after chunk.
-    nonzero: Vec<u16>,
-    /// Chunk `c`'s offsets are `nonzero[nonzero_from[c]..nonzero_from[c +
-    /// 1]]` — none for a chunk that is dense (or empty).
-    nonzero_from: Vec<u32>,
-}
-
-impl Level {
-    /// The level of the empty prefix: every row the reader may count.  The
-    /// snapshot clamp (no bit at or past `rows`) and the tombstones are
-    /// folded in here once, so nothing ANDed onto it needs either again.
-    fn live_rows(rows: u64, dead: Option<&DeadMask>) -> Level {
-        let rows = rows as usize;
-        let mut words = vec![u64::MAX; bbs_bitslice::words_for(rows)];
-        if let Some(dead) = dead {
-            for (w, d) in words.iter_mut().zip(&dead.words) {
-                *w &= !d;
-            }
-        }
-        mask_from(&mut words, rows);
-        let mut level = Level {
-            words,
-            ..Level::default()
-        };
-        level.recount();
-        level
-    }
-
-    /// Rebuilds `ones_from` and the sparse chunks' offsets from the words.
-    fn recount(&mut self) {
-        self.ones_from.clear();
-        self.nonzero.clear();
-        self.nonzero_from.clear();
-        for chunk in self.words.chunks(PAGE_WORDS) {
-            let start = self.nonzero.len();
-            self.nonzero_from.push(start as u32);
-            let ones = bbs_bitslice::ops::count_ones(chunk) as u64;
-            self.ones_from.push(ones);
-            // Sparse is `nonzero × SPARSE_DIVISOR < words`: collect offsets
-            // until that fails, which a dense chunk does within its first
-            // eighth.
-            let dense_at = chunk.len().div_ceil(SPARSE_DIVISOR);
-            for (offset, &word) in chunk.iter().enumerate() {
-                if word != 0 {
-                    if self.nonzero.len() - start + 1 >= dense_at {
-                        self.nonzero.truncate(start);
-                        break;
-                    }
-                    self.nonzero.push(offset as u16);
-                }
-            }
-        }
-        self.nonzero_from.push(self.nonzero.len() as u32);
-        self.ones_from.push(0);
-        for c in (1..self.ones_from.len()).rev() {
-            self.ones_from[c - 1] += self.ones_from[c];
-        }
-    }
-
-    /// Whether the vector has no set bit in chunk `c`.
-    fn empty_in(&self, c: usize) -> bool {
-        self.ones_from[c] == self.ones_from[c + 1]
-    }
-
-    /// The in-page offsets of chunk `c`'s nonzero words when the chunk is
-    /// sparse; empty when it is dense (or [`Level::empty_in`]).
-    fn nonzero_in(&self, c: usize) -> &[u16] {
-        &self.nonzero[self.nonzero_from[c] as usize..self.nonzero_from[c + 1] as usize]
-    }
-}
-
-/// What a [`DiskCounter`]'s depth-first walk did, in the paper's terms.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CursorStats {
-    /// AND-results materialised: one per item ANDed into a level the
-    /// cursor keeps.
-    pub extends: u64,
-    /// Counts answered before their last slice, with an upper bound
-    /// below τ.
-    pub tau_exits: u64,
-    /// Chunks never read because the parent has no ones in them.
-    pub chunks_skipped: u64,
-    /// Page ANDs that touched only the parent's nonzero words.
-    pub sparse_ands: u64,
-}
-
 /// An independent read-only `CountItemSet` handle over a flushed slice
-/// file — its own page cache and position cache — that is a **cursor**
-/// into the enumeration tree, the disk twin of [`bbs_core::BbsCursor`].
+/// file — its own page cache and position cache — that is a
+/// [`bbs_core::Cursor`] into the enumeration tree, over the file's pages.
 /// Created by [`DiskBbs::counter`]; this is the clone-per-worker reader
 /// behind parallel disk mining (see [`crate::mine::mine_in_place`]),
 /// behind a served MINE (see [`crate::snapshot::Snapshot::counter`]), and
 /// behind every served count ([`DiskCounter::count_many`], which a
-/// [`crate::snapshot::Snapshot`] keeps one of).
-///
-/// As a [`bbs_core::CountSource`] it keeps the path it is positioned on
-/// and, per depth, the AND-result of that prefix over all rows
-/// (`⌈rows/64⌉ × 8` bytes a level, plus one scratch vector).  A call
-/// re-syncs by the longest common prefix of its itemset and the path — at
-/// most one extend in depth-first order — and then counts each sibling by
-/// ANDing the item's own `k` slice pages onto the parent's words, slice
-/// by slice.  A chunk the parent has no ones in is not read, and a count
-/// stops as soon as what it has is below τ — `counted + parent's ones
-/// left` within the first slice, the popcount of the running result after
-/// each: both are upper bounds on the estimate, so the τ contract holds.
-/// Where the parent is mostly zero words in a chunk (`SPARSE_DIVISOR`)
-/// the operand is only its nonzero words, gathered once and ANDed against
-/// the same offsets of each page: the same rows, the same counts, a
-/// fraction of the words.
+/// [`crate::snapshot::Snapshot`] keeps one of).  What it adds to the
+/// cursor is the commit fence.
 pub struct DiskCounter {
-    slices: SliceFile<FileBackend>,
-    hasher: Arc<dyn ItemHasher>,
-    positions: HashMap<ItemId, Vec<usize>>,
+    cursor: Cursor<SliceFile<FileBackend>>,
     /// The commit fence of the deployment this reader serves beside, if
     /// any: held shared around each [`bbs_core::CountSource`] call and
     /// each [`DiskCounter::count_many`] batch, never across the walk.
     fence: Option<Arc<RwLock<()>>>,
-    /// The itemset the cursor is positioned on, in enumeration order.
-    path: Vec<ItemId>,
-    /// `levels[d]` is the AND-result of `path[..d]` for `d ≤ path.len()`
-    /// (`levels[0]` is the live-rows vector); deeper entries are spare
-    /// buffers from earlier descents.
-    levels: Vec<Level>,
-    /// As long as a level: where a sibling's AND-result is built.
-    scratch: Vec<u64>,
-    stats: CursorStats,
-}
-
-/// The cached slice positions of `item`, hashed on first use.
-fn cached_positions<'a>(
-    cache: &'a mut HashMap<ItemId, Vec<usize>>,
-    hasher: &dyn ItemHasher,
-    item: ItemId,
-    width: usize,
-) -> &'a [usize] {
-    cache
-        .entry(item)
-        .or_insert_with(|| item_positions(hasher, item, width))
-}
-
-/// Sets `out` to the slice positions `items` select, ascending and
-/// deduplicated.
-fn union_positions(
-    out: &mut Vec<usize>,
-    cache: &mut HashMap<ItemId, Vec<usize>>,
-    hasher: &dyn ItemHasher,
-    items: &[ItemId],
-    width: usize,
-) {
-    out.clear();
-    for &item in items {
-        out.extend_from_slice(cached_positions(cache, hasher, item, width));
-    }
-    out.sort_unstable();
-    out.dedup();
-}
-
-/// How many leading items `a` and `b` share.
-fn common_prefix(a: &[ItemId], b: &[ItemId]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
-}
-
-/// Builds `child` as `parent` ANDed with the slices at `positions`.  A
-/// chunk the parent has no ones in is not read; where the parent is
-/// sparse, its nonzero words are gathered into `scratch`, every slice is
-/// ANDed onto that short run, and the run is scattered back (the words
-/// left out stay zero).
-fn and_level(
-    slices: &mut SliceFile<FileBackend>,
-    stats: &mut CursorStats,
-    scratch: &mut [u64],
-    parent: &Level,
-    child: &mut Level,
-    positions: &[usize],
-) -> io::Result<()> {
-    child.words.clear();
-    child.words.extend_from_slice(&parent.words);
-    for (c, words) in child.words.chunks_mut(PAGE_WORDS).enumerate() {
-        if parent.empty_in(c) {
-            stats.chunks_skipped += 1;
-            continue;
-        }
-        let nonzero = parent.nonzero_in(c);
-        if nonzero.is_empty() {
-            for &slice in positions {
-                slices.and_page(c as u64, slice, words)?;
-            }
-            continue;
-        }
-        let run = &mut scratch[..nonzero.len()];
-        for (r, &o) in run.iter_mut().zip(nonzero) {
-            *r = words[usize::from(o)];
-        }
-        for &slice in positions {
-            slices.and_page_at(c as u64, slice, nonzero, run)?;
-        }
-        stats.sparse_ands += positions.len() as u64;
-        for (&r, &o) in run.iter().zip(nonzero) {
-            words[usize::from(o)] = r;
-        }
-    }
-    child.recount();
-    Ok(())
-}
-
-/// The popcount of `parent` ANDed with the slices at `positions`, built in
-/// `scratch`, under the τ contract.
-///
-/// Slice by slice: each slice is ANDed onto the running result over every
-/// chunk the parent has ones in, and the popcount after a slice bounds the
-/// estimate from above (the slices still to come can only clear bits) — so
-/// a sibling that shares few rows with the parent is decided after one
-/// page per chunk, not `k`.  During the first slice the chunks still
-/// unread can add at most the ones the parent has left in them, which
-/// decides a sibling of a near-τ parent before the pass is over.
-///
-/// In a chunk where the parent is sparse the running result is the short
-/// run of its nonzero words (kept at the head of the chunk's scratch),
-/// gathered in the first pass and ANDed at the same offsets in the later
-/// ones: the popcounts, and so all three bounds, are what the whole-chunk
-/// AND would give.
-fn and_count(
-    slices: &mut SliceFile<FileBackend>,
-    stats: &mut CursorStats,
-    scratch: &mut [u64],
-    parent: &Level,
-    positions: &[usize],
-    tau: u64,
-) -> io::Result<u64> {
-    let acc = &mut scratch[..parent.words.len()];
-    let mut total = parent.ones_from[0];
-    for (pass, &slice) in positions.iter().enumerate() {
-        total = 0;
-        let first = pass == 0;
-        for (c, words) in acc.chunks_mut(PAGE_WORDS).enumerate() {
-            let bound = total + parent.ones_from[c];
-            if first && bound < tau {
-                stats.tau_exits += 1;
-                return Ok(bound);
-            }
-            if parent.empty_in(c) {
-                stats.chunks_skipped += u64::from(first);
-                continue;
-            }
-            let lo = c * PAGE_WORDS;
-            let nonzero = parent.nonzero_in(c);
-            if nonzero.is_empty() {
-                if first {
-                    words.copy_from_slice(&parent.words[lo..lo + words.len()]);
-                }
-                total += slices.and_page(c as u64, slice, words)?;
-                continue;
-            }
-            let run = &mut words[..nonzero.len()];
-            if first {
-                for (r, &o) in run.iter_mut().zip(nonzero) {
-                    *r = parent.words[lo + usize::from(o)];
-                }
-            }
-            stats.sparse_ands += 1;
-            total += slices.and_page_at(c as u64, slice, nonzero, run)?;
-        }
-        if total < tau && pass + 1 < positions.len() {
-            stats.tau_exits += 1;
-            return Ok(total);
-        }
-    }
-    Ok(total)
 }
 
 impl DiskCounter {
@@ -703,183 +406,42 @@ impl DiskCounter {
     /// Rows visible to this reader (the flushed row count at open time,
     /// or the row count of the index that spawned it if that is lower).
     pub fn rows(&self) -> u64 {
-        self.slices.rows()
+        self.cursor.source().rows()
     }
 
     /// Exact `CountItemSet` for a batch, as one walk of the batch's prefix
-    /// trie.  Each itemset's items are ordered by how many itemsets of the
-    /// batch name them (most first, ties by id), so itemsets that share
-    /// items share a prefix, and the ordered itemsets are sorted.  Walking
-    /// them in that order, the prefix an itemset shares with the next one
-    /// (short of its last item) is ANDed into one level, kept while the
-    /// itemsets after it start with it; each itemset is counted as the
-    /// slices of its remaining items ANDed onto that level, or onto the
-    /// live rows.  A group of siblings pays its common prefix once, and
-    /// the walk holds three levels whatever the itemsets' lengths.
-    /// Duplicates are counted once.  Supports come back in request order;
-    /// an empty itemset counts every live row.  The cursor's own path is
-    /// given up: the walk leaves it empty.
+    /// trie ([`Cursor::count_many`]) over the live rows.
     pub fn count_many(&mut self, itemsets: &[Itemset]) -> io::Result<Vec<u64>> {
-        let fence = self.fence.clone();
-        let _reading = fence.as_deref().map(read_fence);
-        let mut named: HashMap<ItemId, usize> = HashMap::new();
-        for items in itemsets {
-            for &item in items.items() {
-                *named.entry(item).or_default() += 1;
-            }
-        }
-        let mut walk: Vec<(Vec<ItemId>, usize)> = itemsets
-            .iter()
-            .enumerate()
-            .map(|(at, items)| {
-                let mut path = items.items().to_vec();
-                path.sort_unstable_by_key(|item| (std::cmp::Reverse(named[item]), *item));
-                (path, at)
-            })
-            .collect();
-        walk.sort_unstable();
-        // Level 1 is the AND-result of `held`; level 2 is where the next
-        // one is built before it is swapped in.
-        self.path.clear();
-        self.levels.resize_with(3, Level::default);
-        let width = self.slices.width();
-        let mut held: &[ItemId] = &[];
-        let mut positions = Vec::new();
-        let mut supports = vec![0; itemsets.len()];
-        for (i, (path, at)) in walk.iter().enumerate() {
-            if let Some((previous, first)) = i.checked_sub(1).map(|p| &walk[p]) {
-                if previous == path {
-                    supports[*at] = supports[*first];
-                    continue;
-                }
-            }
-            if path.is_empty() {
-                supports[*at] = self.levels[0].ones_from[0];
-                continue;
-            }
-            if held.len() >= path.len() || !path.starts_with(held) {
-                held = &[];
-            }
-            let shared = walk
-                .get(i + 1)
-                .map_or(0, |(next, _)| common_prefix(path, next))
-                .min(path.len() - 1);
-            if shared > held.len() {
-                union_positions(
-                    &mut positions,
-                    &mut self.positions,
-                    &*self.hasher,
-                    &path[held.len()..shared],
-                    width,
-                );
-                let (built, spare) = self.levels.split_at_mut(2);
-                let parent = &built[usize::from(!held.is_empty())];
-                and_level(
-                    &mut self.slices,
-                    &mut self.stats,
-                    &mut self.scratch,
-                    parent,
-                    &mut spare[0],
-                    &positions,
-                )?;
-                self.levels.swap(1, 2);
-                self.stats.extends += (shared - held.len()) as u64;
-                held = &path[..shared];
-            }
-            union_positions(
-                &mut positions,
-                &mut self.positions,
-                &*self.hasher,
-                &path[held.len()..],
-                width,
-            );
-            let parent = &self.levels[usize::from(!held.is_empty())];
-            supports[*at] = and_count(
-                &mut self.slices,
-                &mut self.stats,
-                &mut self.scratch,
-                parent,
-                &positions,
-                bbs_core::EXACT,
-            )?;
-        }
-        Ok(supports)
-    }
-
-    /// Moves the cursor to `target`: keeps the levels of the longest
-    /// common prefix and extends by the remaining items, one AND-result
-    /// each.
-    fn seek(&mut self, target: &[ItemId]) -> io::Result<()> {
-        let common = common_prefix(&self.path, target);
-        self.path.truncate(common);
-        let width = self.slices.width();
-        for &item in &target[common..] {
-            let depth = self.path.len();
-            if self.levels.len() <= depth + 1 {
-                self.levels.push(Level::default());
-            }
-            let (parents, children) = self.levels.split_at_mut(depth + 1);
-            let positions = cached_positions(&mut self.positions, &*self.hasher, item, width);
-            and_level(
-                &mut self.slices,
-                &mut self.stats,
-                &mut self.scratch,
-                &parents[depth],
-                &mut children[0],
-                positions,
-            )?;
-            self.stats.extends += 1;
-            self.path.push(item);
-        }
-        Ok(())
-    }
-
-    /// Estimated support of `path ∪ {item}` under the τ contract (see
-    /// [`and_count`]).
-    fn count_extension(&mut self, item: ItemId, tau: u64) -> io::Result<u64> {
-        let width = self.slices.width();
-        let positions = cached_positions(&mut self.positions, &*self.hasher, item, width);
-        and_count(
-            &mut self.slices,
-            &mut self.stats,
-            &mut self.scratch,
-            &self.levels[self.path.len()],
-            positions,
-            tau,
-        )
+        let _reading = self.fence.as_deref().map(read_fence);
+        self.cursor.count_many(itemsets)
     }
 
     /// What the cursor's walk has done so far.
     pub fn cursor_stats(&self) -> CursorStats {
-        self.stats
+        self.cursor.stats()
     }
 
     /// Level buffers the cursor holds, spare ones included.
     #[cfg(test)]
     pub(crate) fn levels_held(&self) -> usize {
-        self.levels.len()
+        self.cursor.levels_held()
     }
 
     /// Cache statistics of this reader's private page cache.
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.slices.cache_stats()
+        self.cursor.source().cache_stats()
     }
 
     /// Physical I/O counters of this reader's pager.
     pub fn pager_stats(&self) -> crate::pager::PagerStats {
-        self.slices.pager_stats()
+        self.cursor.source().pager_stats()
     }
 }
 
-impl bbs_core::CountSource for DiskCounter {
+impl CountSource for DiskCounter {
     fn count_itemset(&mut self, itemset: &Itemset, tau: u64) -> io::Result<u64> {
-        let Some((&last, prefix)) = itemset.items().split_last() else {
-            return Ok(self.levels[0].ones_from[0]);
-        };
-        let fence = self.fence.clone();
-        let _reading = fence.as_deref().map(read_fence);
-        self.seek(prefix)?;
-        self.count_extension(last, tau)
+        let _reading = self.fence.as_deref().map(read_fence);
+        self.cursor.count_itemset(itemset, tau)
     }
 
     fn count_extensions(
@@ -888,13 +450,8 @@ impl bbs_core::CountSource for DiskCounter {
         extensions: &[ItemId],
         tau: u64,
     ) -> io::Result<Vec<u64>> {
-        let fence = self.fence.clone();
-        let _reading = fence.as_deref().map(read_fence);
-        self.seek(prefix.items())?;
-        extensions
-            .iter()
-            .map(|&item| self.count_extension(item, tau))
-            .collect()
+        let _reading = self.fence.as_deref().map(read_fence);
+        self.cursor.count_extensions(prefix, extensions, tau)
     }
 }
 

@@ -62,6 +62,7 @@ mod sealed;
 pub mod slicefile;
 pub mod snapshot;
 
+pub use bbs_core::CursorStats;
 pub use backend::{
     disk_full_error, is_disk_full, BitFlip, CrashMode, DynBackend, FaultInjector, FaultPlan,
     FileBackend, MemBackend, SharedFaultPlan, StorageBackend, WriteFault,
@@ -72,8 +73,7 @@ pub use dedup::{DedupLog, DedupReceipt};
 pub use del::{read_deletions, DeadMask, DelLog};
 pub use deployment::{Deployment, ShardVerify, DEFAULT_WIDTH};
 pub use diskbbs::{
-    deployment_paths, CursorStats, DeploymentBackends, DeploymentPaths, DiskBbs, DiskCounter,
-    DiskDeployment,
+    deployment_paths, DeploymentBackends, DeploymentPaths, DiskBbs, DiskCounter, DiskDeployment,
     PageCorruption, VerifyReport, DEFAULT_DEDUP_WINDOW,
 };
 pub use heapfile::HeapFile;

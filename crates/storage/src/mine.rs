@@ -15,10 +15,10 @@ use crate::backend::StorageBackend;
 use crate::cache::CacheStats;
 use crate::del::DeadMask;
 use crate::deployment::Deployment;
-use crate::diskbbs::{CursorStats, DiskBbs, DiskCounter, DiskDeployment};
+use crate::diskbbs::{DiskBbs, DiskCounter, DiskDeployment};
 use crate::heapfile::HeapFile;
 use crate::pager::PagerStats;
-use bbs_core::{mine_views, tally_subsets, MineView, Scheme};
+use bbs_core::{mine_views, tally_subsets, CursorStats, MineView, Scheme};
 use bbs_tdb::{ItemId, Itemset, MineResult, SupportThreshold};
 use std::collections::HashMap;
 use std::io;

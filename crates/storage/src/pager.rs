@@ -36,7 +36,7 @@ use std::path::Path;
 
 /// Page size in bytes.  4 KiB matches the simulated cost model in
 /// `bbs-tdb` so disk-backed and in-memory ledgers are comparable.
-pub const PAGE_SIZE: usize = 4096;
+pub const PAGE_SIZE: usize = bbs_bitslice::PAGE_WORDS * 8;
 
 /// Data pages per checksum group (one digest slot per page).
 pub const GROUP_DATA_PAGES: u64 = (PAGE_SIZE / 8) as u64;

@@ -19,8 +19,9 @@
 //! # Counting path
 //!
 //! Every served count and every mine goes through the depth-first cursor
-//! ([`crate::DiskCounter`]) over `SliceFile::and_page`: a `COUNT_MANY` is
-//! that cursor walking the batch's prefix trie.  What this file counts by
+//! ([`crate::DiskCounter`]), which reads this file's pages as a
+//! [`bbs_core::SliceSource`]: a `COUNT_MANY` is that cursor walking the
+//! batch's prefix trie.  What this file counts by
 //! itself, [`SliceFile::count_selected_many_masked`], is the naive
 //! reference: per query and per chunk, the live rows ANDed with each
 //! selected page and popcounted.  Tests check the cursor against it, and
@@ -38,6 +39,7 @@ use crate::pager::{
     CHAIN_SEED, PAGE_SIZE,
 };
 use bbs_bitslice::{ops, BitVec};
+use bbs_core::SliceSource;
 use std::io;
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
@@ -75,8 +77,7 @@ pub fn header_width(path: &Path) -> io::Result<Option<usize>> {
 }
 /// Rows per chunk: one page of bits.
 pub const CHUNK_ROWS: usize = PAGE_SIZE * 8;
-/// `u64` words per page.
-pub const PAGE_WORDS: usize = PAGE_SIZE / 8;
+pub use bbs_bitslice::PAGE_WORDS;
 
 /// Counters of the hot-slice cache this file used to keep.  There is no
 /// such cache any more, so [`SliceFile::hot_stats`] reports zeros; the
@@ -412,51 +413,6 @@ impl<B: StorageBackend> SliceFile<B> {
         queries.iter().map(|(slices, _tau)| count(slices)).collect()
     }
 
-    /// ANDs chunk `chunk` of slice `slice` onto `words` — that chunk's
-    /// words of a row vector the caller holds — in place, and returns the
-    /// popcount of the result: one step of the depth-first disk cursor
-    /// (see `DiskCounter`).  `words` is at most [`PAGE_WORDS`] long; a
-    /// boundary chunk passes only the words its rows fill, so nothing past
-    /// them is read.  The page read is the checksum-verified one of every
-    /// other count, straight off the cache-resident little-endian bytes.
-    pub(crate) fn and_page(
-        &mut self,
-        chunk: u64,
-        slice: usize,
-        words: &mut [u64],
-    ) -> io::Result<u64> {
-        debug_assert!(words.len() <= PAGE_WORDS);
-        let id = page_of(self.width, chunk, slice);
-        self.cache_mut().with_page(id, |buf| {
-            for (w, b) in words.iter_mut().zip(buf.chunks_exact(8)) {
-                *w &= le_word(b);
-            }
-        })?;
-        Ok(ops::count_ones(words) as u64)
-    }
-
-    /// [`SliceFile::and_page`] for a parent that is mostly zero words in
-    /// this chunk: `run` holds only the words at the in-page `offsets`
-    /// (ascending), so only those words of the page are touched — the
-    /// popcount returned is the one `and_page` would give over the whole
-    /// chunk, because every word left out is zero in the parent.
-    pub(crate) fn and_page_at(
-        &mut self,
-        chunk: u64,
-        slice: usize,
-        offsets: &[u16],
-        run: &mut [u64],
-    ) -> io::Result<u64> {
-        debug_assert_eq!(offsets.len(), run.len());
-        let id = page_of(self.width, chunk, slice);
-        self.cache_mut().with_page(id, |buf| {
-            for (w, &o) in run.iter_mut().zip(offsets) {
-                *w &= le_word(&buf[usize::from(o) * 8..]);
-            }
-        })?;
-        Ok(ops::count_ones(run) as u64)
-    }
-
     /// Lowers the row count this handle answers for to `rows` (never
     /// raises it): a reader opened for a snapshot older than the file's
     /// header must not see the rows committed since.
@@ -486,6 +442,42 @@ impl<B: StorageBackend> SliceFile<B> {
             digest = chain_digest(digest, cache.with_page(page, page_digest)?);
         }
         Ok(digest)
+    }
+}
+
+/// The cursor's reads: the page read is the checksum-verified one of every
+/// other count, straight off the cache-resident little-endian bytes.
+impl<B: StorageBackend> SliceSource for SliceFile<B> {
+    fn width(&self) -> usize {
+        self.width
+    }
+
+    fn and_page(&mut self, chunk: u64, slice: usize, words: &mut [u64]) -> io::Result<u64> {
+        debug_assert!(words.len() <= PAGE_WORDS);
+        let id = page_of(self.width, chunk, slice);
+        self.cache_mut().with_page(id, |buf| {
+            for (w, b) in words.iter_mut().zip(buf.chunks_exact(8)) {
+                *w &= le_word(b);
+            }
+        })?;
+        Ok(ops::count_ones(words) as u64)
+    }
+
+    fn and_page_at(
+        &mut self,
+        chunk: u64,
+        slice: usize,
+        offsets: &[u16],
+        run: &mut [u64],
+    ) -> io::Result<u64> {
+        debug_assert_eq!(offsets.len(), run.len());
+        let id = page_of(self.width, chunk, slice);
+        self.cache_mut().with_page(id, |buf| {
+            for (w, &o) in run.iter_mut().zip(offsets) {
+                *w &= le_word(&buf[usize::from(o) * 8..]);
+            }
+        })?;
+        Ok(ops::count_ones(run) as u64)
     }
 }
 
