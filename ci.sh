@@ -51,6 +51,12 @@ for manifest in crates/*/Cargo.toml; do
   fi
 done
 
+# Formatting, checked on the files already rustfmt-clean; the list grows
+# as files are formatted.
+rustfmt --check --edition 2021 \
+  crates/server/src/frames.rs \
+  crates/server/tests/wire_golden.rs
+
 cargo build --release
 cargo test -q
 # The benchmark is a package of its own that this repository's manifests

@@ -10,7 +10,9 @@
 //!   waiting producer into a single append + fsync + commit record.
 //! * [`proto`] — the length-prefixed binary wire protocol (one `u32 LE`
 //!   length, one opcode byte, little-endian bodies) with typed
-//!   `Ok / Overloaded / DiskFull / BadFrame / Err` responses.
+//!   `Ok / Overloaded / Err / DiskFull / BadFrame / NotPrimary /
+//!   ShardUnavailable` responses; every frame's layout comes from one
+//!   table (`frames.rs`).
 //! * [`net`] — TCP and Unix-socket listeners with per-connection handler
 //!   threads, interruptible frame reads, request deadlines, and graceful
 //!   drain (in-flight requests answered, queued ingest committed).
@@ -38,6 +40,7 @@
 
 pub mod client;
 pub mod engine;
+mod frames;
 pub mod metrics;
 pub mod net;
 pub mod proto;

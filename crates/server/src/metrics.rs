@@ -122,7 +122,8 @@ pub struct Endpoint {
     pub requests: AtomicU64,
     /// Requests that returned an error response.
     pub errors: AtomicU64,
-    /// Handler latency in microseconds.
+    /// Handler latency in microseconds (an insert's includes its queue
+    /// wait and group commit; a `count_many`'s covers the whole batch).
     pub latency_us: Histogram,
 }
 
@@ -188,94 +189,88 @@ impl MineCursorMetrics {
     }
 }
 
-/// All server metrics, shared between connection handlers, the committer
-/// thread, and the `stats` endpoint.
-#[derive(Default)]
-pub struct ServerMetrics {
-    /// Per-endpoint request counters, indexed by opcode name.
-    pub ping: Endpoint,
-    /// `insert` endpoint (latency includes queue wait + group commit).
-    pub insert: Endpoint,
-    /// `mine` endpoint.
-    pub mine: Endpoint,
-    /// `probe` endpoint.
-    pub probe: Endpoint,
-    /// `stats` endpoint.
-    pub stats: Endpoint,
-    /// `replicate` endpoint (followers pulling log entries).
-    pub replicate: Endpoint,
-    /// `promote` endpoint.
-    pub promote: Endpoint,
-    /// `count_many` endpoint (every count, a single one included, and the
-    /// shard-side leg of every coordinator count; latency covers the whole
-    /// batch).
-    pub count_many: Endpoint,
-    /// `delete` endpoint (tombstone deletes by TID).
-    pub delete: Endpoint,
-    /// `maintain` endpoint (FPR probes, compactions, folds).
-    pub maintain: Endpoint,
-    /// `count_many_at` endpoint (pins, and batched counting against a
-    /// pinned epoch — a coordinator pinning this shard for a MINE or a
-    /// PROBE).
-    pub count_many_at: Endpoint,
-    /// `rows` endpoint (bulk row pulls for distributed mining and probes).
-    pub rows: Endpoint,
-    /// What the cursors of the MINE requests this engine served did.
-    pub mine_cursor: MineCursorMetrics,
-    /// Itemsets per `count_many` batch.
-    pub count_many_batch: Histogram,
-    /// Requests rejected by admission control.
-    pub overloaded: AtomicU64,
-    /// Inserts answered from the exactly-once window instead of appending
-    /// (each one is a detected client retry).
-    pub dedup_hits: AtomicU64,
-    /// Group commits rejected because the disk was out of space.
-    pub disk_full: AtomicU64,
-    /// Frames that failed to parse (torn, truncated, or corrupted).
-    pub frame_errors: AtomicU64,
-    /// Connections accepted over the server's lifetime.
-    pub connections: AtomicU64,
-    /// Current depth of the ingest queue (gauge).
-    pub queue_depth: AtomicU64,
-    /// Transactions per group commit.
-    pub batch_size: Histogram,
-    /// Group-commit latency in microseconds (append + flush + publish).
-    pub commit_us: Histogram,
-    /// Writes rejected on a follower with the typed `NotPrimary` status.
-    pub not_primary: AtomicU64,
-    /// Role transitions follower → primary (manual or automatic).
-    pub promotions: AtomicU64,
-    /// Rows the primary has committed beyond what this follower has
-    /// applied, sampled after each replication poll (gauge; 0 on a
-    /// primary).
-    pub replication_lag_rows: AtomicU64,
-    /// Batches a follower applied through its commit path.
-    pub follower_applied_batches: AtomicU64,
-    /// Latency of one follower apply (commit of one pulled batch), µs.
-    pub follower_apply_us: Histogram,
-    /// Rows applied per replication poll round-trip.
-    pub follower_pull_rows: Histogram,
-    /// Wipe-resyncs this follower performed after the primary's log could
-    /// no longer serve its cursor (e.g. the primary compacted).
-    pub follower_resyncs: AtomicU64,
-    /// Pins dropped from the snapshot pin table — LRU overflow plus
-    /// invalidation after a compaction/fold swapped the files out from
-    /// under them.
-    pub pin_evictions: AtomicU64,
-    /// Requests that named a pinned epoch no longer in the table (the
-    /// caller re-pins and retries).
-    pub stale_pins: AtomicU64,
-    /// Maintenance policy evaluations (manual `AUTO` requests plus the
-    /// background thread's ticks).
-    pub maintenance_runs: AtomicU64,
-    /// Compactions performed by maintenance (policy or explicit).
-    pub maintenance_compactions: AtomicU64,
-    /// Folds performed by maintenance (policy or explicit).
-    pub maintenance_folds: AtomicU64,
-    /// The most recent measured false-positive rate, stored as `f64`
-    /// bits (gauge; 0.0 until the first probe).
-    pub last_measured_fpr_bits: AtomicU64,
+/// Declares [`ServerMetrics`] around the endpoint slots the frame table
+/// (`frames.rs`) names: one [`Endpoint`] per row that has one, in table
+/// order, the field named as the stats document names the endpoint.
+macro_rules! server_metrics {
+    ($($op:ident = $code:literal $(, endpoint $slot:ident)? {
+        $($row:tt)*
+    })*) => {
+        /// All server metrics, shared between connection handlers, the committer
+        /// thread, and the `stats` endpoint.
+        #[derive(Default)]
+        pub struct ServerMetrics {
+            $($(
+                #[doc = concat!("Counters of the `", stringify!($slot), "` endpoint.")]
+                pub $slot: Endpoint,
+            )?)*
+            /// What the cursors of the MINE requests this engine served did.
+            pub mine_cursor: MineCursorMetrics,
+            /// Itemsets per `count_many` batch.
+            pub count_many_batch: Histogram,
+            /// Requests rejected by admission control.
+            pub overloaded: AtomicU64,
+            /// Inserts answered from the exactly-once window instead of appending
+            /// (each one is a detected client retry).
+            pub dedup_hits: AtomicU64,
+            /// Group commits rejected because the disk was out of space.
+            pub disk_full: AtomicU64,
+            /// Frames that failed to parse (torn, truncated, or corrupted).
+            pub frame_errors: AtomicU64,
+            /// Connections accepted over the server's lifetime.
+            pub connections: AtomicU64,
+            /// Current depth of the ingest queue (gauge).
+            pub queue_depth: AtomicU64,
+            /// Transactions per group commit.
+            pub batch_size: Histogram,
+            /// Group-commit latency in microseconds (append + flush + publish).
+            pub commit_us: Histogram,
+            /// Writes rejected on a follower with the typed `NotPrimary` status.
+            pub not_primary: AtomicU64,
+            /// Role transitions follower → primary (manual or automatic).
+            pub promotions: AtomicU64,
+            /// Rows the primary has committed beyond what this follower has
+            /// applied, sampled after each replication poll (gauge; 0 on a
+            /// primary).
+            pub replication_lag_rows: AtomicU64,
+            /// Batches a follower applied through its commit path.
+            pub follower_applied_batches: AtomicU64,
+            /// Latency of one follower apply (commit of one pulled batch), µs.
+            pub follower_apply_us: Histogram,
+            /// Rows applied per replication poll round-trip.
+            pub follower_pull_rows: Histogram,
+            /// Wipe-resyncs this follower performed after the primary's log could
+            /// no longer serve its cursor (e.g. the primary compacted).
+            pub follower_resyncs: AtomicU64,
+            /// Pins dropped from the snapshot pin table — LRU overflow plus
+            /// invalidation after a compaction/fold swapped the files out from
+            /// under them.
+            pub pin_evictions: AtomicU64,
+            /// Requests that named a pinned epoch no longer in the table (the
+            /// caller re-pins and retries).
+            pub stale_pins: AtomicU64,
+            /// Maintenance policy evaluations (manual `AUTO` requests plus the
+            /// background thread's ticks).
+            pub maintenance_runs: AtomicU64,
+            /// Compactions performed by maintenance (policy or explicit).
+            pub maintenance_compactions: AtomicU64,
+            /// Folds performed by maintenance (policy or explicit).
+            pub maintenance_folds: AtomicU64,
+            /// The most recent measured false-positive rate, stored as `f64`
+            /// bits (gauge; 0.0 until the first probe).
+            pub last_measured_fpr_bits: AtomicU64,
+        }
+
+        impl ServerMetrics {
+            /// Every endpoint slot: its opcode, its name in the stats
+            /// document and its counters, in table order.
+            fn endpoints(&self) -> impl Iterator<Item = (u8, &'static str, &Endpoint)> {
+                [$($((crate::proto::op::$op, stringify!($slot), &self.$slot),)?)*].into_iter()
+            }
+        }
+    };
 }
+crate::frames::frame_table!(server_metrics);
 
 impl ServerMetrics {
     /// Creates zeroed metrics.
@@ -283,31 +278,9 @@ impl ServerMetrics {
         ServerMetrics::default()
     }
 
-    /// Every tracked endpoint: its opcode, its name in the stats document,
-    /// and its counters.
-    fn endpoints(&self) -> [(u8, &'static str, &Endpoint); 12] {
-        use crate::proto::op;
-        [
-            (op::PING, "ping", &self.ping),
-            (op::INSERT, "insert", &self.insert),
-            (op::MINE, "mine", &self.mine),
-            (op::PROBE, "probe", &self.probe),
-            (op::STATS, "stats", &self.stats),
-            (op::REPLICATE, "replicate", &self.replicate),
-            (op::PROMOTE, "promote", &self.promote),
-            (op::COUNT_MANY, "count_many", &self.count_many),
-            (op::DELETE, "delete", &self.delete),
-            (op::MAINTAIN, "maintain", &self.maintain),
-            (op::COUNT_MANY_AT, "count_many_at", &self.count_many_at),
-            // Not "rows": that key is the engines' committed row count.
-            (op::ROWS, "rows_pull", &self.rows),
-        ]
-    }
-
     /// The endpoint slot for `opcode`, if it is a tracked endpoint.
     pub fn endpoint(&self, opcode: u8) -> Option<&Endpoint> {
         self.endpoints()
-            .into_iter()
             .find(|(op, ..)| *op == opcode)
             .map(|(.., ep)| ep)
     }
@@ -319,7 +292,6 @@ impl ServerMetrics {
     pub fn to_json(&self, extra: &[String]) -> String {
         let mut fields: Vec<String> = self
             .endpoints()
-            .into_iter()
             .map(|(_, name, ep)| format!("\"{name}\":{}", ep.to_json()))
             .collect();
         let counter = |name: &str, c: &AtomicU64| format!("\"{name}\":{}", c.load(Ordering::Relaxed));
