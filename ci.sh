@@ -55,6 +55,10 @@ done
 # as files are formatted.
 rustfmt --check --edition 2021 \
   crates/server/src/frames.rs \
+  crates/server/src/router.rs \
+  crates/server/src/sharded.rs \
+  crates/remote/src/coordinator.rs \
+  crates/server/tests/served_shape.rs \
   crates/server/tests/wire_golden.rs
 
 cargo build --release

@@ -70,11 +70,13 @@ USAGE:
                [--threads N]   (in-place workers; 0 or absent = all cores)
                [--in-memory]   (load once and mine memory-resident instead)
   bbs serve    --base PATH [--tcp HOST:PORT] [--unix PATH] [--width M]
+               (PATH: a plain base, created if missing, or a directory
+               made by `create --shards N`, served as one router)
                [--cache-pages N] [--queue N] [--batch-max N]
                [--insert-timeout-ms T] [--commit-window-ms T]
                (0 = commit each batch immediately) [--dedup-window N]
-               [--follow HOST:PORT] (replicate from that primary)
-               [--poll-ms T] [--auto-promote-ms T]
+               [--follow HOST:PORT] (replicate from that primary; one
+               partition only) [--poll-ms T] [--auto-promote-ms T]
                (follower promotes itself after T ms of primary loss)
   bbs serve    --coordinator topology.json --tcp HOST:PORT | --unix PATH
                [--shard-timeout-ms T] [--retries N] [--retry-base-ms T]

@@ -6,8 +6,8 @@ use crate::commands::parse_threads;
 use bbs_core::Scheme;
 use bbs_remote::{CoordinatorEngine, CoordinatorOptions, RemoteOptions, Topology};
 use bbs_server::{
-    Bind, Client, Engine, RequestHandler, RetryClient, RetryPolicy, Role, ServerAddr,
-    ServerConfig, ServerHandle, ShardedEngine,
+    Bind, Client, RequestHandler, RetryClient, RetryPolicy, Role, ServerAddr, ServerConfig,
+    ServerHandle, ShardedEngine,
 };
 use bbs_tdb::read_transactions_path;
 use std::error::Error;
@@ -76,26 +76,20 @@ pub fn serve_with_stop(flags: &Flags, stop: &AtomicBool) -> CmdResult {
         return Err("serve needs a listener: --tcp HOST:PORT and/or --unix PATH".into());
     }
 
-    if bbs_storage::Deployment::is_sharded(Path::new(base)) {
-        // A sharded directory (made by `bbs create --shards N`): serve
-        // the shard router — N per-shard commit pipelines behind one
-        // listener set.
-        let engine = ShardedEngine::open(Path::new(base), cfg)?;
-        let rows: u64 = engine.engines().iter().map(|e| e.snapshot().rows()).sum();
-        let shards = engine.shard_count();
-        let banner = format!("serving {base}/ ({rows} committed rows across {shards} shard(s))");
-        let handle = bbs_server::serve(engine, &bind)?;
-        return run_until_stopped(handle, &banner, stop);
-    }
-    let engine = Engine::open(Path::new(base), cfg)?;
-    let rows = engine.snapshot().rows();
-    let role = engine.role();
-    let banner = match role {
-        Role::Primary => format!("serving {base}.* ({rows} committed rows, primary)"),
-        Role::Follower { primary } => {
-            format!("serving {base}.* ({rows} committed rows, following {primary})")
-        }
+    // A plain base is one partition, a directory made by `bbs create
+    // --shards N` is N: one router, one commit pipeline per partition,
+    // behind one listener set.
+    let engine = ShardedEngine::open(Path::new(base), cfg)?;
+    let engines = engine.engines();
+    let rows: u64 = engines.iter().map(|e| e.snapshot().rows()).sum();
+    let role = match engines[0].role() {
+        Role::Primary => "primary".to_string(),
+        Role::Follower { primary } => format!("following {primary}"),
     };
+    let banner = format!(
+        "serving {base} ({rows} committed rows in {} shard(s), {role})",
+        engines.len()
+    );
     let handle = bbs_server::serve(engine, &bind)?;
     run_until_stopped(handle, &banner, stop)
 }
@@ -548,7 +542,7 @@ mod tests {
         let db_path = temp("roundtrip_db.txt");
         std::fs::write(&db_path, "1 2 3\n1 2\n1 4\n1 2 5\n").expect("write db");
 
-        let engine = Engine::open(
+        let engine = ShardedEngine::open(
             &base,
             ServerConfig {
                 width: 64,

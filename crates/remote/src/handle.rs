@@ -45,7 +45,7 @@ use bbs_server::{
 use bbs_tdb::{IoStats, ItemId, Itemset, Transaction, TransactionDb};
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -108,6 +108,9 @@ pub struct RemoteShardHandle {
     /// rows from counts and pins, width from pins and maintenance legs.
     /// Kept apart from the pin, which a maintenance leg drops.
     gauge: Mutex<Gauge>,
+    /// Set when the coordinator drains: its write legs are then refused
+    /// here, while the shard's own server keeps serving its other clients.
+    draining: AtomicBool,
 }
 
 impl RemoteShardHandle {
@@ -134,6 +137,7 @@ impl RemoteShardHandle {
             }),
             unavailable: Mutex::new(None),
             gauge: Mutex::new(Gauge::default()),
+            draining: AtomicBool::new(false),
         };
         let pin = handle.repin().map_err(|e| {
             io::Error::new(
@@ -489,7 +493,11 @@ impl Node for RemoteShardHandle {
     /// (the server evicts every pin), so a maintenance action that
     /// rewrote files drops the local pin: the next pinned read re-pins the
     /// post-swap snapshot instead of burning its one stale-pin retry.
+    /// Once the coordinator drains, every leg is `OVERLOADED` unsent.
     fn leg(&self, req: &Request) -> Response {
+        if self.draining.load(Ordering::Acquire) {
+            return Response::Overloaded;
+        }
         match self.call(|c| c.request(req)) {
             Ok(reply) => {
                 if let Reply::Maintain {
@@ -517,6 +525,10 @@ impl Node for RemoteShardHandle {
 
     fn unavailable(&self) -> Option<String> {
         RemoteShardHandle::unavailable(self)
+    }
+
+    fn begin_drain(&self) {
+        self.draining.store(true, Ordering::Release);
     }
 
     /// What the last replies reported, not a fresh read: rendering stats

@@ -15,14 +15,15 @@
 //!   connection handler forever; a receipt that takes longer than
 //!   [`ServerConfig::insert_timeout`] returns a timeout error while the
 //!   commit itself still completes.
-//! * **Read path** — [`Engine::count`], [`Engine::probe`] and
-//!   [`Engine::mine`] run against the latest published [`Snapshot`]:
-//!   concurrent with ingest, never observing a half-appended batch
-//!   (see `bbs_storage::snapshot` for the isolation protocol).  `mine`
-//!   is `bbs_core::mine_views`, every tier's MINE, over the pinned
-//!   snapshot's [`LocalPin`] — nothing is loaded — and its readers hold
-//!   the commit fence per `CountItemSet` call, never across the walk, so a
-//!   long mine never delays a commit by more than one call.
+//! * **Read path** — [`Engine::count`], [`Engine::count_many`] and a
+//!   router's probe and MINE run against the latest published
+//!   [`Snapshot`]: concurrent with ingest, never observing a
+//!   half-appended batch (see `bbs_storage::snapshot` for the isolation
+//!   protocol).  A MINE is `bbs_core::mine_views`, every tier's MINE, over
+//!   the pinned snapshot's [`crate::sharded::LocalPin`] — nothing is
+//!   loaded — and its readers hold the commit fence per `CountItemSet`
+//!   call, never across the walk, so a long mine never delays a commit by
+//!   more than one call.
 //!
 //! # Exactly-once ingest
 //!
@@ -36,21 +37,20 @@
 //! commit record hit disk turns into a dedup hit on retry, never a
 //! duplicate batch.
 //!
-//! [`Engine::handle`] is the single dispatcher the transport layer calls:
-//! request in, response out, metrics recorded — it is transport-agnostic
-//! and unit-testable without a socket.
+//! An engine is one node of a [`crate::Router`], and a server of its own:
+//! [`Engine::handle`] runs the router's dispatcher over this engine alone,
+//! transport-agnostic and unit-testable without a socket.
 
 use crate::client::Client;
 use crate::metrics::{micros_since, ServerMetrics};
 use crate::net::RequestHandler;
 use crate::proto::{maintain_action, LogEntry, Reply, Request, Response};
-use crate::router::ShardFaults;
-use bbs_core::{mine_views, MineView, Scheme};
+use crate::router::Front;
 use bbs_hash::{ItemHasher, Md5BloomHasher};
 use bbs_storage::snapshot::{SharedDeployment, Snapshot};
 use bbs_storage::{deployment_paths, is_disk_full, read_entries};
-use bbs_storage::{DiskCounter, DEFAULT_DEDUP_WINDOW};
-use bbs_tdb::{ItemId, Itemset, MineResult, SupportThreshold, Transaction};
+use bbs_storage::DEFAULT_DEDUP_WINDOW;
+use bbs_tdb::{Itemset, MineResult, Transaction};
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
@@ -112,57 +112,15 @@ pub(crate) fn mine_reply(result: &MineResult, epoch: u64, rows: u64) -> Reply {
     }
 }
 
+/// Exact supports of wire itemsets at `snap`, in request order.
+fn count_at(snap: &Snapshot, itemsets: &[Vec<u32>]) -> io::Result<Vec<u64>> {
+    let sets: Vec<Itemset> = itemsets.iter().map(|i| Itemset::from_values(i)).collect();
+    snap.count_many(&sets)
+}
+
 /// A transaction as the wire carries it: `(tid, item values)`.
 pub(crate) fn wire_txn(txn: &Transaction) -> (u64, Vec<u32>) {
     (txn.tid.0, txn.items.items().iter().map(|i| i.0).collect())
-}
-
-/// An engine's published snapshot as a MINE reads it: its own mining view
-/// — the snapshot's cursors and its heap scan.  A router's shard pin tallies
-/// failed reads into that shard's fault counters; a lone engine has none.
-#[derive(Clone)]
-pub struct LocalPin<'a> {
-    pub(crate) snap: Arc<Snapshot>,
-    pub(crate) engine: &'a Engine,
-    pub(crate) faults: Option<&'a ShardFaults>,
-}
-
-impl LocalPin<'_> {
-    /// Counts a failed read through this pin as a scatter error.
-    fn noting<T>(&self, result: io::Result<T>) -> io::Result<T> {
-        result.inspect_err(|_| {
-            if let Some(faults) = self.faults {
-                faults.scatter_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        })
-    }
-}
-
-impl MineView for LocalPin<'_> {
-    type Counter<'a>
-        = DiskCounter
-    where
-        Self: 'a;
-
-    fn live_rows(&self) -> u64 {
-        self.snap.live_rows()
-    }
-
-    fn item_counts(&self) -> &HashMap<ItemId, u64> {
-        self.snap.item_counts()
-    }
-
-    fn counter(&self) -> io::Result<DiskCounter> {
-        self.noting(self.snap.counter())
-    }
-
-    fn tally(&self, cands: &[Itemset]) -> io::Result<Vec<u64>> {
-        self.noting(self.snap.tally(cands))
-    }
-
-    fn retire(&self, counter: &DiskCounter) {
-        self.engine.metrics.mine_cursor.record(counter);
-    }
 }
 
 /// How many distinct epochs the snapshot pin table holds.  Pinning a
@@ -295,10 +253,10 @@ impl Default for ServerConfig {
 struct IngestJob {
     req_id: u64,
     txns: Vec<Transaction>,
-    reply: SyncSender<InsertOutcome>,
+    reply: SyncSender<Response>,
 }
 
-/// The outcome of [`Engine::insert_with_id`].
+/// The outcome of [`crate::ShardedEngine::insert_with_id`].
 #[derive(Debug, PartialEq, Eq)]
 pub enum InsertOutcome {
     /// Batch is durable (now, or — when `deduped` — in some earlier
@@ -332,7 +290,9 @@ pub struct Engine {
     metrics: Arc<ServerMetrics>,
     ingest: SyncSender<IngestJob>,
     committer: Mutex<Option<JoinHandle<()>>>,
-    draining: Arc<AtomicBool>,
+    /// What this engine answers through when it serves alone; its drain
+    /// flag is the engine's.
+    pub(crate) front: Front,
     role: Arc<RwLock<Role>>,
     applier: Mutex<Option<JoinHandle<()>>>,
     applier_stop: Arc<AtomicBool>,
@@ -348,10 +308,9 @@ pub struct Engine {
 
 impl Engine {
     /// Opens (creating or crash-recovering) the deployment at `base` with
-    /// the default MD5 Bloom hasher and spawns the committer thread.
+    /// the served MD5 Bloom hasher and spawns the committer thread.
     pub fn open(base: &Path, cfg: ServerConfig) -> io::Result<Arc<Engine>> {
-        let hasher: Arc<dyn ItemHasher> = Arc::new(Md5BloomHasher::new(4));
-        Engine::open_with(base, cfg, hasher)
+        Engine::open_with(base, cfg, Arc::new(Md5BloomHasher::new(4)))
     }
 
     /// [`Engine::open`] with an explicit hash family.
@@ -372,7 +331,13 @@ impl Engine {
         shared.set_dedup_window(cfg.dedup_window);
         let metrics = Arc::new(ServerMetrics::new());
         let (tx, rx) = mpsc::sync_channel::<IngestJob>(cfg.queue_capacity);
-        let draining = Arc::new(AtomicBool::new(false));
+        let front = Front {
+            faults: vec![Arc::default()],
+            metrics: Arc::clone(&metrics),
+            mine_threads: cfg.mine_threads,
+            ..Front::default()
+        };
+        let draining = Arc::clone(&front.draining);
         let committer = {
             let shared = Arc::clone(&shared);
             let metrics = Arc::clone(&metrics);
@@ -415,7 +380,7 @@ impl Engine {
             metrics,
             ingest: tx,
             committer: Mutex::new(Some(committer)),
-            draining,
+            front,
             role,
             applier: Mutex::new(applier),
             applier_stop,
@@ -447,11 +412,6 @@ impl Engine {
         &self.metrics
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &ServerConfig {
-        &self.cfg
-    }
-
     /// The deployment's current slice width in bits. Folds halve it and
     /// widened compactions grow it, so this tracks the live files rather
     /// than the width the server was configured with.
@@ -464,31 +424,35 @@ impl Engine {
         self.shared.snapshot()
     }
 
-    /// Pins the latest snapshot in the bounded pin table and returns it.
-    /// Re-pinning an already-pinned epoch refreshes its slot; beyond
-    /// `MAX_PINS` distinct epochs the oldest pin is evicted.
-    pub fn pin_snapshot(&self) -> Arc<Snapshot> {
-        let snap = self.shared.snapshot();
+    /// The snapshot a pinned read names.  `None` pins the latest snapshot
+    /// in the bounded pin table (re-pinning an epoch refreshes its slot;
+    /// beyond `MAX_PINS` epochs the oldest is evicted).  `Some(epoch)`
+    /// looks its pin up and refreshes its recency (least-recently-used
+    /// goes first, so an epoch a coordinator keeps reading outlives bursts
+    /// of fresh pins); a miss is counted and answered with the typed
+    /// `stale pin` error the caller re-pins on.
+    fn pinned(&self, epoch: Option<u64>) -> Result<Arc<Snapshot>, Response> {
         let mut pins = self.pins.lock().unwrap_or_else(|e| e.into_inner());
-        pins.retain(|(epoch, _)| *epoch != snap.epoch());
-        pins.push((snap.epoch(), Arc::clone(&snap)));
-        while pins.len() > MAX_PINS {
-            pins.remove(0);
-            self.metrics.pin_evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        snap
-    }
-
-    /// Looks up a pinned snapshot by epoch.  A hit refreshes the pin's
-    /// recency (the table evicts least-recently-used, so an epoch a
-    /// coordinator keeps reading outlives bursts of fresh pins).
-    pub fn pinned(&self, epoch: u64) -> Option<Arc<Snapshot>> {
-        let mut pins = self.pins.lock().unwrap_or_else(|e| e.into_inner());
-        let at = pins.iter().position(|(e, _)| *e == epoch)?;
+        let Some(epoch) = epoch else {
+            let snap = self.shared.snapshot();
+            pins.retain(|(epoch, _)| *epoch != snap.epoch());
+            pins.push((snap.epoch(), Arc::clone(&snap)));
+            while pins.len() > MAX_PINS {
+                pins.remove(0);
+                self.metrics.pin_evictions.fetch_add(1, Ordering::Relaxed);
+            }
+            return Ok(snap);
+        };
+        let Some(at) = pins.iter().position(|(e, _)| *e == epoch) else {
+            self.metrics.stale_pins.fetch_add(1, Ordering::Relaxed);
+            return Err(Response::Err(format!(
+                "stale pin: epoch {epoch} is not in the pin table (re-pin and retry)"
+            )));
+        };
         let entry = pins.remove(at);
         let snap = Arc::clone(&entry.1);
         pins.push(entry);
-        Some(snap)
+        Ok(snap)
     }
 
     /// Drops every pin: called after a compaction/fold, whose file swap
@@ -501,36 +465,6 @@ impl Engine {
             .pin_evictions
             .fetch_add(pins.len() as u64, Ordering::Relaxed);
         pins.clear();
-    }
-
-    /// A `stale pin` miss: record it and render the typed error the
-    /// caller re-pins on.
-    fn stale_pin(&self, epoch: u64) -> Response {
-        self.metrics.stale_pins.fetch_add(1, Ordering::Relaxed);
-        Response::Err(format!(
-            "stale pin: epoch {epoch} is not in the pin table (re-pin and retry)"
-        ))
-    }
-
-    /// True once [`Engine::begin_drain`] has been called.
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
-    }
-
-    /// Stops admitting inserts; queued batches still commit.
-    pub fn begin_drain(&self) {
-        self.draining.store(true, Ordering::Release);
-    }
-
-    /// Waits for the committer (and, on a follower, the applier) to
-    /// drain and exit.  Idempotent; implies [`Engine::begin_drain`].
-    pub fn join(&self) {
-        self.begin_drain();
-        self.maintain_stop.store(true, Ordering::Release);
-        reap(&self.maintainer);
-        self.applier_stop.store(true, Ordering::Release);
-        reap(&self.applier);
-        reap(&self.committer);
     }
 
     /// This server's current replication role.
@@ -575,37 +509,37 @@ impl Engine {
         }
     }
 
-    /// [`Engine::insert_with_id`] without a request ID (no dedup).
-    pub fn insert(&self, txns: Vec<Transaction>) -> InsertOutcome {
-        self.insert_with_id(0, txns)
-    }
-
     /// Submits a batch through the bounded queue and waits for its group
     /// commit receipt.  `req_id != 0` enrolls the batch in the
     /// exactly-once window: retrying the same ID after a lost reply
-    /// returns the original receipt instead of appending again.
-    pub fn insert_with_id(&self, req_id: u64, txns: Vec<Transaction>) -> InsertOutcome {
+    /// returns the original receipt instead of appending again.  An empty
+    /// batch is answered first, then a follower's `NOT_PRIMARY`, then a
+    /// draining or full queue's `OVERLOADED`.
+    pub fn insert_with_id(&self, req_id: u64, txns: &[(u64, Vec<u32>)]) -> Response {
         if txns.is_empty() {
             // Nothing to commit; answer from the current epoch.
             let snap = self.shared.snapshot();
-            return InsertOutcome::Committed {
+            return Response::Ok(Reply::Insert {
                 first_row: snap.rows(),
                 appended: 0,
                 epoch: snap.epoch(),
                 deduped: false,
-            };
+            });
         }
         if let Some(primary) = self.primary_elsewhere() {
-            return InsertOutcome::NotPrimary(primary);
+            return Response::NotPrimary(primary);
         }
         if self.is_draining() {
             self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
-            return InsertOutcome::Overloaded;
+            return Response::Overloaded;
         }
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         let job = IngestJob {
             req_id,
-            txns,
+            txns: txns
+                .iter()
+                .map(|(tid, items)| Transaction::new(*tid, Itemset::from_values(items)))
+                .collect(),
             reply: reply_tx,
         };
         match self.ingest.try_send(job) {
@@ -614,12 +548,12 @@ impl Engine {
             }
             Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
                 self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
-                return InsertOutcome::Overloaded;
+                return Response::Overloaded;
             }
         }
         match reply_rx.recv_timeout(self.cfg.insert_timeout) {
             Ok(outcome) => outcome,
-            Err(_) => InsertOutcome::Failed(format!(
+            Err(_) => Response::Err(format!(
                 "commit receipt not received within {:?} (the batch may still commit)",
                 self.cfg.insert_timeout
             )),
@@ -639,39 +573,7 @@ impl Engine {
     /// order, identical to counting the itemsets one at a time.
     pub fn count_many(&self, itemsets: &[Vec<u32>]) -> io::Result<(Vec<u64>, Arc<Snapshot>)> {
         let snap = self.shared.snapshot();
-        let sets: Vec<Itemset> = itemsets
-            .iter()
-            .map(|items| Itemset::from_values(items))
-            .collect();
-        let supports = snap.count_many(&sets)?;
-        Ok((supports, snap))
-    }
-
-    /// Probes one row of the latest snapshot.
-    pub fn probe(&self, row: u64) -> io::Result<Option<Transaction>> {
-        self.shared.snapshot().probe(row)
-    }
-
-    /// Mines the latest snapshot in place: [`bbs_core::mine_views`] over
-    /// the snapshot's one [`LocalPin`], so the threshold resolves against
-    /// its live rows, the filter phase walks one [`Snapshot::counter`] per
-    /// worker (level 0 = its rows minus its tombstones) and uncertain
-    /// candidates settle by the one [`Snapshot::tally`] scan.  What the
-    /// readers did is added to the `mine_cursor` metrics.
-    pub fn mine(
-        &self,
-        scheme: Scheme,
-        threshold: SupportThreshold,
-        threads: usize,
-    ) -> io::Result<(MineResult, Arc<Snapshot>)> {
-        let pin = LocalPin {
-            snap: self.shared.snapshot(),
-            engine: self,
-            faults: None,
-        };
-        let threads = resolve_threads(threads, self.cfg.mine_threads);
-        let result = mine_views(std::slice::from_ref(&pin), scheme, threshold, threads)?;
-        Ok((result, pin.snap))
+        Ok((count_at(&snap, itemsets)?, snap))
     }
 
     /// Tombstone-deletes every live transaction holding one of `tids`,
@@ -736,7 +638,7 @@ impl Engine {
     /// rejects them with `NotPrimary` (its files must track the
     /// primary's); probing and `AUTO` (which degrades to a probe on a
     /// follower) are always allowed.
-    fn serve_maintain(&self, action: u8, arg: u64) -> Response {
+    pub(crate) fn serve_maintain(&self, action: u8, arg: u64) -> Response {
         match action {
             maintain_action::PROBE_FPR => match self.probe_fpr(arg as usize) {
                 Ok(fpr) => self.maintain_reply(maintain_action::PROBE_FPR, fpr),
@@ -844,17 +746,15 @@ impl Engine {
         Ok((maintain_action::PROBE_FPR, fpr))
     }
 
-    /// Renders the stats document: wire metrics plus engine/storage state.
-    pub fn stats_json(&self) -> String {
-        let snap = self.shared.snapshot();
+    /// The stats-document keys of a lone engine's role, configuration and
+    /// writer state (the router renders the rest).
+    pub(crate) fn own_stats(&self) -> Vec<String> {
         let profile = self.shared.writer_profile();
         let (role_name, primary_addr) = match self.role() {
             Role::Primary => ("primary", String::new()),
             Role::Follower { primary } => ("follower", primary),
         };
-        let extra = vec![
-            format!("\"epoch\":{}", snap.epoch()),
-            format!("\"rows\":{}", snap.rows()),
+        vec![
             format!("\"role\":\"{role_name}\""),
             format!("\"primary_addr\":\"{primary_addr}\""),
             format!("\"committed_seq\":{}", self.shared.committed_seq()),
@@ -865,12 +765,8 @@ impl Engine {
                 self.cfg.commit_window.as_millis()
             ),
             format!("\"dedup_window\":{}", self.cfg.dedup_window),
-            format!("\"draining\":{}", self.is_draining()),
             format!("\"writer_poisoned\":{}", self.shared.writer_poisoned()),
             format!("\"writer_heals\":{}", self.shared.writer_heals()),
-            format!("\"width\":{}", self.shared.width()),
-            format!("\"live_rows\":{}", snap.live_rows()),
-            format!("\"deleted_rows\":{}", snap.deleted_rows()),
             format!("\"mine_cursor\":{}", self.metrics.mine_cursor.to_json()),
             format!("\"commits\":{}", profile.commits),
             format!("\"appended\":{}", profile.appended),
@@ -887,149 +783,64 @@ impl Engine {
                 "\"writer_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{}}}",
                 profile.cache.hits, profile.cache.misses, profile.cache.evictions
             ),
-        ];
-        self.metrics.to_json(&extra)
+        ]
     }
 
-    /// Executes one decoded request and produces its response, recording
-    /// per-endpoint metrics.  [`Request::Shutdown`] only marks the engine
-    /// draining — the transport layer watches [`Engine::is_draining`] and
-    /// owns socket teardown.
+    /// Serves one decoded request alone, recording per-endpoint metrics:
+    /// [`RequestHandler::handle`] without the trait in scope.
     pub fn handle(&self, req: &Request) -> Response {
         RequestHandler::handle(self, req)
     }
 
-    pub(crate) fn dispatch(&self, req: &Request) -> Response {
-        match req {
-            Request::Ping => Response::Ok(Reply::Pong),
-            Request::Insert { req_id, txns } => {
-                let txns: Vec<Transaction> = txns
-                    .iter()
-                    .map(|(tid, items)| Transaction::new(*tid, Itemset::from_values(items)))
-                    .collect();
-                match self.insert_with_id(*req_id, txns) {
-                    InsertOutcome::Committed {
-                        first_row,
-                        appended,
-                        epoch,
-                        deduped,
-                    } => Response::Ok(Reply::Insert {
-                        first_row,
-                        appended,
-                        epoch,
-                        deduped,
-                    }),
-                    InsertOutcome::Overloaded => Response::Overloaded,
-                    InsertOutcome::DiskFull => Response::DiskFull,
-                    InsertOutcome::NotPrimary(primary) => Response::NotPrimary(primary),
-                    InsertOutcome::Failed(msg) => Response::Err(msg),
-                }
-            }
-            Request::Mine {
-                scheme,
-                threshold,
-                threads,
-            } => match self.mine(*scheme, *threshold, usize::from(*threads)) {
-                Ok((result, snap)) => {
-                    Response::Ok(mine_reply(&result, snap.epoch(), snap.live_rows()))
-                }
-                Err(e) => Response::Err(format!("mine failed: {e}")),
-            },
-            Request::Probe { row } => match self.probe(*row) {
-                Ok(txn) => Response::Ok(Reply::Probe {
-                    txn: txn.as_ref().map(wire_txn),
-                }),
-                Err(e) => Response::Err(format!("probe failed: {e}")),
-            },
-            Request::Stats => Response::Ok(Reply::Stats {
-                json: self.stats_json(),
+    /// A `COUNT_MANY_AT`: exact supports at a pinned epoch, or at a fresh
+    /// pin when `epoch` is `None`, naming the live width and the hasher.
+    pub(crate) fn counts_at(&self, epoch: Option<u64>, itemsets: &[Vec<u32>]) -> Response {
+        let snap = match self.pinned(epoch) {
+            Ok(snap) => snap,
+            Err(stale) => return stale,
+        };
+        match count_at(&snap, itemsets) {
+            Ok(supports) => Response::Ok(Reply::CountsAt {
+                epoch: snap.epoch(),
+                rows: snap.rows(),
+                // The live width, not the configured one: a fold may have
+                // halved it since this engine was opened.
+                width: self.shared.width() as u32,
+                hasher: snap.hasher().id(),
+                supports,
             }),
-            Request::Replicate {
-                from_row,
-                from_dseq,
-                max_entries,
-            } => self.serve_replicate(*from_row, *from_dseq, *max_entries),
-            Request::Delete { req_id, tids } => self.delete_tids(*req_id, tids),
-            Request::Maintain { action, arg } => self.serve_maintain(*action, *arg),
-            Request::Promote => {
-                let (epoch, rows) = self.promote();
-                Response::Ok(Reply::Promoted { epoch, rows })
-            }
-            Request::Shutdown => {
-                self.begin_drain();
-                Response::Ok(Reply::ShuttingDown)
-            }
-            Request::CountMany { itemsets } => {
-                if !admit_count_many(&self.metrics, itemsets) {
-                    return Response::Overloaded;
-                }
-                match self.count_many(itemsets) {
-                    Ok((supports, snap)) => Response::Ok(Reply::CountMany {
-                        supports,
-                        epoch: snap.epoch(),
-                        rows: snap.rows(),
-                    }),
-                    Err(e) => Response::Err(format!("count_many failed: {e}")),
-                }
-            }
-            Request::CountManyAt { epoch, itemsets } => {
-                if !admit_count_many(&self.metrics, itemsets) {
-                    return Response::Overloaded;
-                }
-                let snap = match epoch {
-                    None => self.pin_snapshot(),
-                    Some(e) => match self.pinned(*e) {
-                        Some(snap) => snap,
-                        None => return self.stale_pin(*e),
-                    },
-                };
-                let sets: Vec<Itemset> = itemsets
-                    .iter()
-                    .map(|items| Itemset::from_values(items))
-                    .collect();
-                match snap.count_many(&sets) {
-                    Ok(supports) => Response::Ok(Reply::CountsAt {
-                        epoch: snap.epoch(),
-                        rows: snap.rows(),
-                        // The live width, not the configured one: a fold
-                        // may have halved it since this engine was opened.
-                        width: self.shared.width() as u32,
-                        // So a coordinator can refuse a mismatched shard.
-                        hasher: snap.hasher().id(),
-                        supports,
-                    }),
-                    Err(e) => Response::Err(format!("count_many_at failed: {e}")),
-                }
-            }
-            Request::Rows { epoch, from, limit } => {
-                let Some(snap) = self.pinned(*epoch) else {
-                    return self.stale_pin(*epoch);
-                };
-                // Tombstoned rows are examined and skipped, so a run of
-                // them answers with no rows but a `next` past it.
-                let cap = (*limit as u64).clamp(1, ROWS_MAX_PER_REPLY);
-                let end = from.saturating_add(cap).min(snap.rows());
-                let mut txns: Vec<(u64, Vec<u32>)> = Vec::new();
-                let mut bytes = 0usize;
-                let mut row = *from;
-                while row < end && bytes < ROWS_MAX_BYTES {
-                    match snap.probe(row) {
-                        Ok(Some(t)) => {
-                            bytes += 10 + 4 * t.items.len();
-                            txns.push(wire_txn(&t));
-                        }
-                        Ok(None) => {}
-                        Err(e) => return Response::Err(format!("rows read failed: {e}")),
-                    }
-                    row += 1;
-                }
-                Response::Ok(Reply::Rows {
-                    total: snap.rows(),
-                    next: row,
-                    txns,
-                })
-            }
+            Err(e) => Response::Err(format!("count_many_at failed: {e}")),
         }
+    }
+
+    /// A `ROWS` pull from the snapshot pinned at `epoch`, within the
+    /// reply's budgets; tombstoned rows are skipped, but `next` passes them.
+    pub(crate) fn rows_at(&self, epoch: u64, from: u64, limit: u32) -> Response {
+        let snap = match self.pinned(Some(epoch)) {
+            Ok(snap) => snap,
+            Err(stale) => return stale,
+        };
+        let cap = (limit as u64).clamp(1, ROWS_MAX_PER_REPLY);
+        let end = from.saturating_add(cap).min(snap.rows());
+        let mut txns: Vec<(u64, Vec<u32>)> = Vec::new();
+        let mut bytes = 0usize;
+        let mut row = from;
+        while row < end && bytes < ROWS_MAX_BYTES {
+            match snap.probe(row) {
+                Ok(Some(t)) => {
+                    bytes += 10 + 4 * t.items.len();
+                    txns.push(wire_txn(&t));
+                }
+                Ok(None) => {}
+                Err(e) => return Response::Err(format!("rows read failed: {e}")),
+            }
+            row += 1;
+        }
+        Response::Ok(Reply::Rows {
+            total: snap.rows(),
+            next: row,
+            txns,
+        })
     }
 
     /// Serves one `replicate` pull from the on-disk log: entries covering
@@ -1040,7 +851,7 @@ impl Engine {
     /// Reading is stateless and lock-free with respect to the writer: the
     /// row count is read *before* the committed-seq cap, so every entry
     /// the cap admits is on disk by the time the file is scanned.
-    fn serve_replicate(&self, from_row: u64, from_dseq: u64, max_entries: u32) -> Response {
+    pub(crate) fn serve_replicate(&self, from_row: u64, from_dseq: u64, max_entries: u32) -> Response {
         let rows = self.shared.snapshot().rows();
         let upto_seq = self.shared.committed_seq();
         let dseq = match self.shared.log_delete_entries() {
@@ -1094,6 +905,38 @@ impl Engine {
             })
             .collect();
         Response::Ok(Reply::LogEntries { rows, entries })
+    }
+}
+
+/// A lone engine is a server of its own: the router's dispatcher over a
+/// slice of one node, recording into the engine's metrics.
+impl RequestHandler for Engine {
+    fn dispatch(&self, req: &Request) -> Response {
+        self.front.dispatch(&[self], req)
+    }
+
+    fn is_draining(&self) -> bool {
+        self.front.draining.load(Ordering::Acquire)
+    }
+
+    /// Stops admitting inserts; queued batches still commit.
+    fn begin_drain(&self) {
+        self.front.draining.store(true, Ordering::Release);
+    }
+
+    /// Waits for the committer (and, on a follower, the applier) to drain
+    /// and exit.  Idempotent; implies [`RequestHandler::begin_drain`].
+    fn join(&self) {
+        self.begin_drain();
+        self.maintain_stop.store(true, Ordering::Release);
+        reap(&self.maintainer);
+        self.applier_stop.store(true, Ordering::Release);
+        reap(&self.applier);
+        reap(&self.committer);
+    }
+
+    fn metrics(&self) -> &Arc<ServerMetrics> {
+        &self.metrics
     }
 }
 
@@ -1241,23 +1084,23 @@ fn committer_loop(
                         Disposition::Append { offset, len }
                         | Disposition::SameBatch { offset, len } => {
                             let deduped = matches!(disp, Disposition::SameBatch { .. });
-                            InsertOutcome::Committed {
+                            Response::Ok(Reply::Insert {
                                 first_row: receipt.rows.start + offset,
                                 appended: len,
                                 epoch: receipt.epoch,
                                 deduped,
-                            }
+                            })
                         }
                         Disposition::Window {
                             first_row,
                             appended,
-                        } => InsertOutcome::Committed {
+                        } => Response::Ok(Reply::Insert {
                             first_row,
                             appended,
                             epoch: receipt.epoch,
                             deduped: true,
-                        },
-                        Disposition::LookupFailed(msg) => InsertOutcome::Failed(msg),
+                        }),
+                        Disposition::LookupFailed(msg) => Response::Err(msg),
                     };
                     // The producer may have timed out and gone; ignore.
                     job.reply.try_send(outcome).ok();
@@ -1277,8 +1120,8 @@ fn committer_loop(
                         Disposition::Window { .. } | Disposition::LookupFailed(_) => {
                             outcome_without_commit(disp, epoch)
                         }
-                        _ if disk_full => InsertOutcome::DiskFull,
-                        _ => InsertOutcome::Failed(msg.clone()),
+                        _ if disk_full => Response::DiskFull,
+                        _ => Response::Err(msg.clone()),
                     };
                     job.reply.try_send(outcome).ok();
                 }
@@ -1463,18 +1306,18 @@ fn maintenance_loop(engine: &Weak<Engine>, stop: &AtomicBool, interval: Duration
 
 /// The outcome for a job that needed no append of its own (`Window` or
 /// `LookupFailed`), stamped with the current epoch.
-fn outcome_without_commit(disp: Disposition, epoch: u64) -> InsertOutcome {
+fn outcome_without_commit(disp: Disposition, epoch: u64) -> Response {
     match disp {
         Disposition::Window {
             first_row,
             appended,
-        } => InsertOutcome::Committed {
+        } => Response::Ok(Reply::Insert {
             first_row,
             appended,
             epoch,
             deduped: true,
-        },
-        Disposition::LookupFailed(msg) => InsertOutcome::Failed(msg),
+        }),
+        Disposition::LookupFailed(msg) => Response::Err(msg),
         Disposition::Append { .. } | Disposition::SameBatch { .. } => {
             unreachable!("append dispositions always ride a commit")
         }
@@ -1484,7 +1327,9 @@ fn outcome_without_commit(disp: Disposition, epoch: u64) -> InsertOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bbs_core::Scheme;
     use bbs_storage::diskbbs::DiskDeployment;
+    use bbs_tdb::SupportThreshold;
     use bbs_storage::{FaultPlan, SharedFaultPlan};
     use std::path::PathBuf;
 
@@ -1509,14 +1354,25 @@ mod tests {
         }
     }
 
-    fn committed(outcome: InsertOutcome) -> (u64, u64, u64, bool) {
+    fn stats(engine: &Engine) -> String {
+        match engine.handle(&Request::Stats) {
+            Response::Ok(Reply::Stats { json }) => json,
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    fn wire(txns: Vec<Transaction>) -> Vec<(u64, Vec<u32>)> {
+        txns.iter().map(wire_txn).collect()
+    }
+
+    fn committed(outcome: Response) -> (u64, u64, u64, bool) {
         match outcome {
-            InsertOutcome::Committed {
+            Response::Ok(Reply::Insert {
                 first_row,
                 appended,
                 epoch,
                 deduped,
-            } => (first_row, appended, epoch, deduped),
+            }) => (first_row, appended, epoch, deduped),
             other => panic!("unexpected outcome: {other:?}"),
         }
     }
@@ -1547,7 +1403,7 @@ mod tests {
                 )
             })
             .collect();
-        let (first_row, appended, epoch, deduped) = committed(engine.insert(txns));
+        let (first_row, appended, epoch, deduped) = committed(engine.insert_with_id(0, &wire(txns)));
         assert_eq!((first_row, appended, deduped), (0, 20, false));
         assert!(epoch >= 1);
 
@@ -1555,15 +1411,23 @@ mod tests {
         assert_eq!(support, 20);
         assert_eq!(snap.rows(), 20);
 
-        let probed = engine.probe(3).expect("probe").expect("present");
-        assert_eq!(probed.tid.0, 3);
-        assert_eq!(engine.probe(20).expect("probe"), None);
+        let probe = |row| match engine.handle(&Request::Probe { row }) {
+            Response::Ok(Reply::Probe { txn }) => txn,
+            other => panic!("unexpected: {other:?}"),
+        };
+        assert_eq!(probe(3).expect("present").0, 3);
+        assert_eq!(probe(20), None);
 
-        let (result, _) = engine
-            .mine(Scheme::Dfp, SupportThreshold::Count(10), 2)
-            .expect("mine");
-        assert_eq!(result.patterns.support(&Itemset::from_values(&[1, 2])), Some(10));
-        assert_eq!(result.patterns.support(&Itemset::from_values(&[1])), Some(20));
+        let mine = Request::Mine {
+            scheme: Scheme::Dfp,
+            threshold: SupportThreshold::Count(10),
+            threads: 2,
+        };
+        let Response::Ok(Reply::Mine { patterns, .. }) = engine.handle(&mine) else {
+            panic!("mine");
+        };
+        assert!(patterns.contains(&(vec![1, 2], 10, false)));
+        assert!(patterns.contains(&(vec![1], 20, false)));
     }
 
     #[test]
@@ -1618,7 +1482,7 @@ mod tests {
                 )
             })
             .collect();
-        committed(engine.insert(txns));
+        committed(engine.insert_with_id(0, &wire(txns)));
 
         let itemsets: Vec<Vec<u32>> =
             vec![vec![1], vec![1, 2], vec![2, 5], vec![], vec![9]];
@@ -1650,7 +1514,7 @@ mod tests {
         assert_eq!(resp, Response::Overloaded);
         assert!(m.overloaded.load(Ordering::Relaxed) >= 1);
 
-        let json = engine.stats_json();
+        let json = stats(&engine);
         assert!(json.contains("\"count_many\":{\"requests\":2"));
         assert!(json.contains("\"count_many_batch\":{\"count\":1"));
     }
@@ -1660,11 +1524,11 @@ mod tests {
         let b = base("drain");
         let _g = Cleanup(b.clone());
         let engine = Engine::open(&b, cfg()).expect("open");
-        let outcome = engine.insert(vec![Transaction::new(0, Itemset::from_values(&[9]))]);
-        assert!(matches!(outcome, InsertOutcome::Committed { .. }));
+        let outcome = engine.insert_with_id(0, &wire(vec![Transaction::new(0, Itemset::from_values(&[9]))]));
+        assert!(matches!(outcome, Response::Ok(Reply::Insert { .. })));
         engine.begin_drain();
-        let outcome = engine.insert(vec![Transaction::new(1, Itemset::from_values(&[9]))]);
-        assert_eq!(outcome, InsertOutcome::Overloaded);
+        let outcome = engine.insert_with_id(0, &wire(vec![Transaction::new(1, Itemset::from_values(&[9]))]));
+        assert_eq!(outcome, Response::Overloaded);
         assert!(engine.metrics().overloaded.load(Ordering::Relaxed) >= 1);
         engine.join();
         // Reads still serve after the drain.
@@ -1686,7 +1550,7 @@ mod tests {
                 let txns: Vec<Transaction> = (0..per)
                     .map(|i| Transaction::new(t * per + i, Itemset::from_values(&[7])))
                     .collect();
-                engine.insert(txns)
+                engine.insert_with_id(0, &wire(txns))
             }));
         }
         let mut rows_seen = Vec::new();
@@ -1730,7 +1594,7 @@ mod tests {
                 let txns: Vec<Transaction> = (0..per)
                     .map(|i| Transaction::new(t * per + i, Itemset::from_values(&[3])))
                     .collect();
-                engine.insert(txns)
+                engine.insert_with_id(0, &wire(txns))
             }));
         }
         for h in handles {
@@ -1754,11 +1618,11 @@ mod tests {
             .map(|i| Transaction::new(i, Itemset::from_values(&[8])))
             .collect();
 
-        let (first_row, appended, _, deduped) = committed(engine.insert_with_id(42, txns.clone()));
+        let (first_row, appended, _, deduped) = committed(engine.insert_with_id(42, &wire(txns.clone())));
         assert_eq!((first_row, appended, deduped), (0, 3, false));
 
         // Same request ID again — e.g. a client retry after a lost reply.
-        let (first_row, appended, _, deduped) = committed(engine.insert_with_id(42, txns));
+        let (first_row, appended, _, deduped) = committed(engine.insert_with_id(42, &wire(txns)));
         assert_eq!((first_row, appended, deduped), (0, 3, true));
 
         // Nothing was appended twice.
@@ -1787,7 +1651,7 @@ mod tests {
                 },
             )
             .expect("open");
-            let _ = engine.insert_with_id(7, txns.clone());
+            let _ = engine.insert_with_id(7, &wire(txns.clone()));
             let deadline = Instant::now() + Duration::from_secs(10);
             while engine.snapshot().rows() < 5 {
                 assert!(Instant::now() < deadline, "commit never landed");
@@ -1798,7 +1662,7 @@ mod tests {
         // New process, same deployment: the window was persisted with the
         // commit record, so the retry is a dedup hit, not a second append.
         let engine = Engine::open(&b, cfg()).expect("reopen");
-        let (first_row, appended, _, deduped) = committed(engine.insert_with_id(7, txns));
+        let (first_row, appended, _, deduped) = committed(engine.insert_with_id(7, &wire(txns)));
         assert_eq!((first_row, appended, deduped), (0, 5, true));
         let (support, snap) = engine.count(&[6]).expect("count");
         assert_eq!((support, snap.rows()), (5, 5));
@@ -1841,27 +1705,27 @@ mod tests {
 
         let txn = |i: u64| vec![Transaction::new(i, Itemset::from_values(&[2]))];
         assert!(matches!(
-            engine.insert_with_id(1, txn(0)),
-            InsertOutcome::Committed { deduped: false, .. }
+            engine.insert_with_id(1, &wire(txn(0))),
+            Response::Ok(Reply::Insert { deduped: false, .. })
         ));
 
         plan.set_disk_full(true);
-        assert_eq!(engine.insert_with_id(2, txn(1)), InsertOutcome::DiskFull);
+        assert_eq!(engine.insert_with_id(2, &wire(txn(1))), Response::DiskFull);
         assert!(engine.metrics().disk_full.load(Ordering::Relaxed) >= 1);
         // Reads keep serving the committed prefix.
         let (support, snap) = engine.count(&[2]).expect("count");
         assert_eq!((support, snap.rows()), (1, 1));
         // A retry of the *committed* request is still answered from the
         // window even while the disk is full.
-        let (first_row, appended, _, deduped) = committed(engine.insert_with_id(1, txn(0)));
+        let (first_row, appended, _, deduped) = committed(engine.insert_with_id(1, &wire(txn(0))));
         assert_eq!((first_row, appended, deduped), (0, 1, true));
 
         plan.set_disk_full(false);
-        let (first_row, appended, _, deduped) = committed(engine.insert_with_id(2, txn(1)));
+        let (first_row, appended, _, deduped) = committed(engine.insert_with_id(2, &wire(txn(1))));
         assert_eq!((first_row, appended, deduped), (1, 1, false));
         let (support, snap) = engine.count(&[2]).expect("count");
         assert_eq!((support, snap.rows()), (2, 2));
-        let json = engine.stats_json();
+        let json = stats(&engine);
         assert!(json.contains("\"writer_heals\":1"));
     }
 }

@@ -18,10 +18,12 @@
 //!   drain (in-flight requests answered, queued ingest committed).
 //! * [`metrics`] — lock-free per-endpoint counters and log2 latency
 //!   histograms, served as JSON by the `stats` endpoint.
-//! * [`router`] — the scatter-gather [`Router`] over any N [`Node`]s
-//!   (inserts route by TID, reads scatter-gather and sum), and
-//!   [`sharded`] — [`ShardedEngine`], the router over the N engines of a
-//!   local shard directory, each with its own committer.
+//! * [`router`] — the one request dispatcher and the scatter-gather
+//!   [`Router`] over any N ≥ 1 [`Node`]s (inserts route by TID, reads
+//!   scatter-gather and sum), and [`sharded`] — the engine as a node, and
+//!   [`ShardedEngine`], the router `bbs serve --base` serves over a
+//!   deployment's partitions (one for a plain base), each engine with its
+//!   own committer.
 //! * [`client`] — the matching client library ([`Client`]), one typed
 //!   method per endpoint, plus [`RetryClient`]: reconnect + exponential
 //!   backoff with jitter, and exactly-once inserts via stable request

@@ -102,6 +102,16 @@ impl Histogram {
         self.max()
     }
 
+    /// Adds every sample `other` recorded.
+    fn absorb(&self, other: &Histogram) {
+        for (bucket, theirs) in self.buckets.iter().zip(&other.buckets) {
+            bucket.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        self.count.fetch_add(other.count(), Ordering::Relaxed);
+        self.sum.fetch_add(other.sum(), Ordering::Relaxed);
+        self.max.fetch_max(other.max(), Ordering::Relaxed);
+    }
+
     /// Renders the summary (count/mean/p50/p99/max) as a JSON object.
     pub fn to_json(&self) -> String {
         format!(
@@ -285,39 +295,55 @@ impl ServerMetrics {
             .map(|(.., ep)| ep)
     }
 
-    /// Renders the metrics (plus caller-supplied engine fields) as JSON.
+    /// Renders the metrics (plus caller-supplied server fields) as JSON.
     ///
     /// `extra` is a list of already-rendered `"key":value` fragments the
-    /// engine contributes (epoch, rows, storage counters).
+    /// server contributes (epoch, rows, shard table, storage counters).
     pub fn to_json(&self, extra: &[String]) -> String {
+        self.to_json_with(&[self], extra)
+    }
+
+    /// [`ServerMetrics::to_json`] with the write-side counters — the ones
+    /// only a node's committer, writer and maintenance record — summed
+    /// over `nodes`: a router passes its nodes' metrics.
+    pub(crate) fn to_json_with(&self, nodes: &[&ServerMetrics], extra: &[String]) -> String {
         let mut fields: Vec<String> = self
             .endpoints()
             .map(|(_, name, ep)| format!("\"{name}\":{}", ep.to_json()))
             .collect();
         let counter = |name: &str, c: &AtomicU64| format!("\"{name}\":{}", c.load(Ordering::Relaxed));
         let hist = |name: &str, h: &Histogram| format!("\"{name}\":{}", h.to_json());
+        let writes = |name: &str, pick: fn(&ServerMetrics) -> &AtomicU64| {
+            let sum: u64 = nodes.iter().map(|m| pick(m).load(Ordering::Relaxed)).sum();
+            format!("\"{name}\":{sum}")
+        };
+        let merged = |name: &str, pick: fn(&ServerMetrics) -> &Histogram| {
+            let sum = Histogram::new();
+            nodes.iter().for_each(|m| sum.absorb(pick(m)));
+            hist(name, &sum)
+        };
         fields.extend([
             hist("count_many_batch", &self.count_many_batch),
             counter("overloaded", &self.overloaded),
-            counter("dedup_hits", &self.dedup_hits),
-            counter("disk_full", &self.disk_full),
+            writes("dedup_hits", |m| &m.dedup_hits),
+            writes("disk_full", |m| &m.disk_full),
             counter("frame_errors", &self.frame_errors),
             counter("connections", &self.connections),
-            counter("queue_depth", &self.queue_depth),
-            hist("batch_size", &self.batch_size),
-            hist("commit_us", &self.commit_us),
-            counter("not_primary", &self.not_primary),
+            writes("queue_depth", |m| &m.queue_depth),
+            merged("batch_size", |m| &m.batch_size),
+            merged("commit_us", |m| &m.commit_us),
+            writes("not_primary", |m| &m.not_primary),
             counter("promotions", &self.promotions),
             counter("replication_lag_rows", &self.replication_lag_rows),
             counter("follower_applied_batches", &self.follower_applied_batches),
             hist("follower_apply_us", &self.follower_apply_us),
             hist("follower_pull_rows", &self.follower_pull_rows),
             counter("follower_resyncs", &self.follower_resyncs),
-            counter("pin_evictions", &self.pin_evictions),
-            counter("stale_pins", &self.stale_pins),
-            counter("maintenance_runs", &self.maintenance_runs),
-            counter("maintenance_compactions", &self.maintenance_compactions),
-            counter("maintenance_folds", &self.maintenance_folds),
+            writes("pin_evictions", |m| &m.pin_evictions),
+            writes("stale_pins", |m| &m.stale_pins),
+            writes("maintenance_runs", |m| &m.maintenance_runs),
+            writes("maintenance_compactions", |m| &m.maintenance_compactions),
+            writes("maintenance_folds", |m| &m.maintenance_folds),
             format!(
                 "\"last_measured_fpr\":{:.6}",
                 f64::from_bits(self.last_measured_fpr_bits.load(Ordering::Relaxed))

@@ -1,5 +1,6 @@
 //! The transport layer: TCP and Unix-socket listeners over any
-//! [`RequestHandler`] — a single [`Engine`] or a router over many shards.
+//! [`RequestHandler`] — a router over a deployment's partitions, a lone
+//! [`Engine`], or a coordinator over shard servers.
 //!
 //! Accept loops run non-blocking and poll a shutdown flag between accept
 //! attempts; connection handlers run blocking with a short read timeout
@@ -49,9 +50,10 @@ const PAYLOAD_STEP: usize = 64 << 10;
 
 /// What the transport needs from the thing it fronts — the seam that
 /// lets the same listeners, framing, drain and metrics accounting serve
-/// a single [`Engine`] or a router over many shards.  An engine supplies
-/// [`RequestHandler::dispatch`]; the endpoint accounting around it is
-/// written once, here.
+/// every kind of server.  Each one's [`RequestHandler::dispatch`] is the
+/// router's one dispatcher (`crate::router`), over its nodes or, for a
+/// lone [`Engine`], over that engine alone; the endpoint accounting around
+/// it is written once, here.
 pub trait RequestHandler: Send + Sync + 'static {
     /// Executes one decoded request.
     fn dispatch(&self, req: &Request) -> Response;
@@ -88,28 +90,6 @@ pub trait RequestHandler: Send + Sync + 'static {
     /// The metrics sink: per-endpoint counters plus the transport's own
     /// (connections, frame errors).
     fn metrics(&self) -> &Arc<ServerMetrics>;
-}
-
-impl RequestHandler for Engine {
-    fn dispatch(&self, req: &Request) -> Response {
-        Engine::dispatch(self, req)
-    }
-
-    fn is_draining(&self) -> bool {
-        Engine::is_draining(self)
-    }
-
-    fn begin_drain(&self) {
-        Engine::begin_drain(self)
-    }
-
-    fn join(&self) {
-        Engine::join(self)
-    }
-
-    fn metrics(&self) -> &Arc<ServerMetrics> {
-        Engine::metrics(self)
-    }
 }
 
 /// Where a server listens.

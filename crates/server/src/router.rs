@@ -1,49 +1,38 @@
-//! The scatter-gather router: one [`Router`] fronting N shards, wherever
-//! they live.
+//! The one request dispatcher, and the scatter-gather [`Router`] over N ≥ 1
+//! partitions that owns it.
 //!
 //! The paper's `CountItemSet` is an AND + popcount over bit slices, so
-//! supports are additive over any disjoint TID partition — and the sum
-//! does not care whether a partition is a file stack in this process or a
-//! server on another host.  A [`Node`] is one such partition; the router
-//! is written once over the trait and instantiated twice:
-//! `Router<Arc<Engine>>` *is* the local shard router
-//! ([`crate::ShardedEngine`]) and `Router<RemoteShardHandle>` the
-//! distributed coordinator (`bbs_remote::CoordinatorEngine`).
+//! supports add over any TID partition, wherever it lives and however many
+//! there are.  A [`Node`] is one partition: `Router<Arc<Engine>>`
+//! ([`crate::ShardedEngine`]) is what `bbs serve --base` serves, one node
+//! for a plain base, and `Router<RemoteShardHandle>` the coordinator.  A
+//! lone [`crate::Engine`] answers through the same dispatcher, over a slice
+//! of one node.
 //!
-//! * **Writes** (insert, delete) are partitioned by TID residue
-//!   ([`bbs_storage::route`]) and each non-empty part is forwarded to its
-//!   owning node as the same request a client would send that shard alone,
-//!   **reusing the client's request ID** — every shard deduplicates
-//!   independently, so a retry after a partial failure re-sends the same
-//!   partition, the shards that already committed answer from their
-//!   exactly-once windows, and the deployment converges without any
-//!   cross-shard coordination.  Maintenance fans out to every node.  The
-//!   per-shard answers fold into one receipt in [`merge_receipts`].
-//! * **Reads**: a count is an exact `COUNT_MANY` at every node's latest
-//!   snapshot ([`Node::count_latest`]), summed over the nodes in shard
-//!   order on the calling thread — no node is pinned for it.  `mine` and
-//!   `probe` read one pinned snapshot per node: `mine` by handing every
-//!   pin's [`MineView`] to [`bbs_core::mine_views`], every tier's MINE
-//!   — bit for bit what one unsharded engine returns — and `probe` by
-//!   addressing the concatenated row space (shard 0's rows first).
+//! * **Writes** are partitioned by TID residue ([`bbs_storage::route`]);
+//!   each part goes to its node as the request a client would send it,
+//!   **reusing the client's request ID**, so every shard deduplicates a
+//!   retry on its own.  Maintenance fans out to every node; the answers
+//!   fold in [`merge_receipts`].  A lone node answers as it would alone.
+//! * **Reads**: a count sums every node's latest snapshot
+//!   ([`Node::count_latest`]); `mine` and `probe` read one pinned cut —
+//!   `mine` through [`bbs_core::mine_views`], every tier's MINE, `probe`
+//!   over the concatenated row space.
+//! * **Node-scoped opcodes** (REPLICATE, PROMOTE, COUNT_MANY_AT, ROWS) are
+//!   [`Node::scoped`]'s when there is one node, else refused.
 //!
-//! Where local and remote shards genuinely differ, the difference is a
-//! [`Node`] method (how a pin is taken, how a count reaches the shard,
-//! and what a pin's mining view is — the
-//! pinned snapshot mined in place, or rows pulled over the wire and
-//! indexed in memory — what a failure looks like, which stats columns
-//! exist, whether a drain propagates) or stays in the constructor shell
-//! (the local router re-pins its `MANIFEST` width after a compaction) —
-//! the router never asks which kind it is.
+//! Where local and remote nodes differ is a [`Node`] method; the router
+//! never asks which kind it is.
 
 use crate::engine::{admit_count_many, mine_reply, resolve_threads};
 use crate::metrics::{micros_since, Histogram, ServerMetrics};
 use crate::net::RequestHandler;
-use crate::proto::{Reply, Request, Response};
+use crate::proto::{maintain_action, Reply, Request, Response};
 use bbs_core::{mine_views, scatter, MineView, Scheme};
-use bbs_storage::route;
+use bbs_storage::{route, Manifest};
 use bbs_tdb::{MineResult, SupportThreshold};
 use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -99,6 +88,13 @@ pub struct ShardFaults {
 }
 
 impl ShardFaults {
+    /// Counts a failed read as a scatter error.
+    pub(crate) fn noting<T>(&self, result: io::Result<T>) -> io::Result<T> {
+        result.inspect_err(|_| {
+            self.scatter_errors.fetch_add(1, Ordering::Relaxed);
+        })
+    }
+
     /// Renders the three per-shard arrays as stats-document fragments:
     /// `"scatter_errors":[..]`, `"timeouts":[..]`, `"failovers":[..]`.
     pub fn to_json_arrays(faults: &[Arc<ShardFaults>]) -> Vec<String> {
@@ -131,12 +127,15 @@ pub struct Gauge {
     pub width: usize,
 }
 
+/// The answer to a node-scoped request that no single node can take.
+const REFUSED: &str = "replication and snapshot-pin endpoints are served by each shard's own \
+                       server, not by a router; address the shards individually";
+
 /// One shard of a deployment as the [`Router`] drives it: a local engine
 /// or a server across the wire.
-pub trait Node: Send + Sync + Sized + 'static {
-    /// One pinned snapshot of this shard, for the reads that need one cut
-    /// across several calls; its epoch, rows, mining view and single rows
-    /// are read back through the associated functions below.
+pub trait Node: Send + Sync + Sized {
+    /// One pinned snapshot of this shard, read back through the associated
+    /// functions below.
     type Pin<'a>: Send + Sync
     where
         Self: 'a;
@@ -150,9 +149,8 @@ pub trait Node: Send + Sync + Sized + 'static {
     /// the pin are tallied into `faults`.
     fn pin<'a>(&'a self, faults: &'a ShardFaults) -> io::Result<Self::Pin<'a>>;
 
-    /// Pins every node so one request reads one cut, in shard order.
-    /// Inline by default; a node whose pin is a round trip overrides this
-    /// to take them in parallel.
+    /// Pins every node so one request reads one cut, in shard order (in
+    /// parallel where a pin is a round trip).
     fn pin_all<'a>(
         nodes: &'a [Self],
         faults: &'a [Arc<ShardFaults>],
@@ -187,98 +185,139 @@ pub trait Node: Send + Sync + Sized + 'static {
     /// would send this shard alone, and the answer is what it would get.
     fn leg(&self, req: &Request) -> Response;
 
+    /// Answers REPLICATE, PROMOTE, COUNT_MANY_AT or ROWS as a router's
+    /// only node; refused by default (a coordinator's shards serve them).
+    fn scoped(&self, _req: &Request) -> Response {
+        Response::Err(REFUSED.into())
+    }
+
     /// The message recorded when this shard became unreachable, if any:
     /// a failed read then answers `SHARD_UNAVAILABLE` naming it.
     fn unavailable(&self) -> Option<String> {
         None
     }
 
+    /// The node's own metrics, if it keeps any: a router sums their
+    /// write-side counters.
+    fn own_metrics(&self) -> Option<&Arc<ServerMetrics>> {
+        None
+    }
+
     /// The node's committed state for the stats document.
     fn gauge(&self) -> Gauge;
 
-    /// The per-shard stats columns only this kind of node has, as
-    /// rendered `"key":value` fragments.
+    /// The stats-document keys only this kind of node has, as rendered
+    /// `"key":value` fragments: per-shard columns, and a lone node's own.
     fn stats_columns(nodes: &[Self]) -> Vec<String>;
 
-    /// Propagates a router drain to the node (a no-op for a node the
-    /// router does not own).
+    /// Propagates a router drain: a draining node refuses writes.
     fn begin_drain(&self) {}
 
-    /// Waits for the node's background work to exit (same proviso).
+    /// Waits for the node's background work to exit, if the router owns it.
     fn join(&self) {}
 }
 
-/// Pins every node and returns the pins with the epoch and row count of
-/// the cut: the epoch is the sum of per-shard epochs (monotonic — any
-/// shard commit bumps it), the rows the total across shards.
-fn cut<'a, N: Node>(
-    nodes: &'a [N],
-    faults: &'a [Arc<ShardFaults>],
-) -> io::Result<(Vec<N::Pin<'a>>, u64, u64)> {
-    let pins = N::pin_all(nodes, faults)?;
-    let epoch = pins.iter().map(N::epoch).sum();
-    let rows = pins.iter().map(N::rows).sum();
-    Ok((pins, epoch, rows))
+/// What a router keeps beside its nodes (see [`Router::new`]), and the
+/// partition directory whose `MANIFEST` width follows theirs.  A lone
+/// engine keeps one too, and answers through [`Front::dispatch`] over a
+/// slice of one node.
+#[derive(Default)]
+pub(crate) struct Front {
+    pub(crate) faults: Vec<Arc<ShardFaults>>,
+    pub(crate) metrics: Arc<ServerMetrics>,
+    pub(crate) scatter: ScatterMetrics,
+    pub(crate) draining: Arc<AtomicBool>,
+    pub(crate) mine_threads: usize,
+    pub(crate) stats_extra: Vec<String>,
+    pub(crate) manifest: Option<PathBuf>,
 }
 
-/// One logical server over N TID-range shards.
-pub struct Router<N: Node> {
-    nodes: Vec<N>,
-    faults: Vec<Arc<ShardFaults>>,
-    metrics: Arc<ServerMetrics>,
-    scatter: ScatterMetrics,
-    draining: AtomicBool,
-    mine_threads: usize,
-    stats_extra: Vec<String>,
-}
-
-impl<N: Node> Router<N> {
-    /// Builds a router over `nodes` (shard order) and their fault
-    /// counters.  `mine_threads` is the default worker count for `mine`
-    /// requests that ask for `0`; `stats_extra` are fixed `"key":value`
-    /// fragments the caller contributes to the stats document.
-    pub fn new(
-        nodes: Vec<N>,
-        faults: Vec<Arc<ShardFaults>>,
-        mine_threads: usize,
-        stats_extra: Vec<String>,
-    ) -> Self {
-        assert_eq!(nodes.len(), faults.len());
-        Router {
-            nodes,
-            faults,
-            metrics: Arc::new(ServerMetrics::new()),
-            scatter: ScatterMetrics::default(),
-            draining: AtomicBool::new(false),
-            mine_threads,
-            stats_extra,
+impl Front {
+    /// Executes one decoded request over `nodes`: the one `match` over
+    /// [`Request`] that every server runs.
+    pub(crate) fn dispatch<N: Node>(&self, nodes: &[N], req: &Request) -> Response {
+        match req {
+            Request::CountMany { itemsets } | Request::CountManyAt { itemsets, .. }
+                if !admit_count_many(&self.metrics, itemsets) =>
+            {
+                Response::Overloaded
+            }
+            Request::Ping => Response::Ok(Reply::Pong),
+            Request::CountMany { itemsets } => match self.count_many(nodes, itemsets) {
+                Ok((supports, epoch, rows)) => Response::Ok(Reply::CountMany {
+                    supports,
+                    epoch,
+                    rows,
+                }),
+                Err(e) => self.fail(nodes, "count_many", e),
+            },
+            Request::Insert { req_id, txns } => self.write(
+                nodes,
+                req,
+                &self.scatter.insert,
+                txns,
+                |(tid, _)| *tid,
+                |txns| Request::Insert {
+                    req_id: *req_id,
+                    txns,
+                },
+                |epoch, rows| Reply::Insert {
+                    first_row: rows,
+                    appended: 0,
+                    epoch,
+                    deduped: false,
+                },
+            ),
+            Request::Delete { req_id, tids } => self.write(
+                nodes,
+                req,
+                &self.scatter.delete,
+                tids,
+                |tid| *tid,
+                |tids| Request::Delete {
+                    req_id: *req_id,
+                    tids,
+                },
+                |epoch, _| Reply::Delete {
+                    deleted: 0,
+                    epoch,
+                    deduped: false,
+                },
+            ),
+            Request::Maintain { .. } => self.maintain(nodes, req),
+            Request::Mine {
+                scheme,
+                threshold,
+                threads,
+            } => match self.mine(nodes, *scheme, *threshold, usize::from(*threads)) {
+                Ok((result, epoch, rows)) => Response::Ok(mine_reply(&result, epoch, rows)),
+                Err(e) => self.fail(nodes, "mine", e),
+            },
+            Request::Probe { row } => match self.probe(nodes, *row) {
+                Ok(txn) => Response::Ok(Reply::Probe { txn }),
+                Err(e) => self.fail(nodes, "probe", e),
+            },
+            Request::Stats => Response::Ok(Reply::Stats {
+                json: self.stats_json(nodes),
+            }),
+            Request::Shutdown => {
+                self.begin_drain(nodes);
+                Response::Ok(Reply::ShuttingDown)
+            }
+            Request::Replicate { .. }
+            | Request::Promote
+            | Request::CountManyAt { .. }
+            | Request::Rows { .. } => match nodes {
+                [node] => node.scoped(req),
+                _ => Response::Err(REFUSED.into()),
+            },
         }
-    }
-
-    /// The shards, in shard order.
-    pub fn nodes(&self) -> &[N] {
-        &self.nodes
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The router's scatter-gather latency histograms.
-    pub fn scatter_metrics(&self) -> &ScatterMetrics {
-        &self.scatter
-    }
-
-    /// The per-shard fault counters, in shard order.
-    pub fn shard_faults(&self) -> &[Arc<ShardFaults>] {
-        &self.faults
     }
 
     /// A failed read: the typed `SHARD_UNAVAILABLE` naming the first
     /// shard that is marked unreachable, else a plain server error.
-    fn fail(&self, what: &str, e: io::Error) -> Response {
-        for (shard, node) in self.nodes.iter().enumerate() {
+    fn fail<N: Node>(&self, nodes: &[N], what: &str, e: io::Error) -> Response {
+        for (shard, node) in nodes.iter().enumerate() {
             if let Some(msg) = node.unavailable() {
                 return Response::ShardUnavailable(shard as u32, msg);
             }
@@ -286,26 +325,36 @@ impl<N: Node> Router<N> {
         Response::Err(format!("{what} failed: {e}"))
     }
 
-    /// Pins every shard: see [`cut`].
-    fn pins(&self) -> io::Result<(Vec<N::Pin<'_>>, u64, u64)> {
-        cut(&self.nodes, &self.faults)
+    /// Pins every node and returns the pins with the epoch and row count
+    /// of the cut: the epoch is the sum of per-shard epochs (monotonic —
+    /// any shard commit bumps it), the rows the total across shards.
+    fn cut<'a, N: Node>(&'a self, nodes: &'a [N]) -> io::Result<(Vec<N::Pin<'a>>, u64, u64)> {
+        let pins = N::pin_all(nodes, &self.faults)?;
+        let epoch = pins.iter().map(N::epoch).sum();
+        let rows = pins.iter().map(N::rows).sum();
+        Ok((pins, epoch, rows))
     }
 
-    /// Exact batched counting: the whole batch goes to every shard's
-    /// latest snapshot ([`Node::count_latest`]), one shard after another on
-    /// the calling thread, and the supports, epochs and rows are summed.
-    /// Returns `(supports, epoch, rows)`.
-    pub fn count_many(&self, itemsets: &[Vec<u32>]) -> io::Result<(Vec<u64>, u64, u64)> {
+    /// Exact batched counting: every node's latest snapshot answers the
+    /// whole batch ([`Node::count_latest`]) on the calling thread, summed
+    /// into the first node's answer, which one node's passes through as
+    /// is.  Returns `(supports, epoch, rows)`.
+    fn count_many<N: Node>(
+        &self,
+        nodes: &[N],
+        itemsets: &[Vec<u32>],
+    ) -> io::Result<(Vec<u64>, u64, u64)> {
         let start = Instant::now();
-        let mut supports = vec![0u64; itemsets.len()];
-        let (mut epoch, mut rows) = (0, 0);
-        for (node, faults) in self.nodes.iter().zip(&self.faults) {
-            let (shard, e, r) = node.count_latest(faults, itemsets)?;
-            for (sum, s) in supports.iter_mut().zip(shard) {
-                *sum += s;
-            }
-            epoch += e;
-            rows += r;
+        let mut counted: Option<(Vec<u64>, u64, u64)> = None;
+        for (node, faults) in nodes.iter().zip(&self.faults) {
+            let (supports, epoch, rows) = node.count_latest(faults, itemsets)?;
+            counted = Some(match counted {
+                None => (supports, epoch, rows),
+                Some((mut sum, e, r)) => {
+                    sum.iter_mut().zip(supports).for_each(|(s, x)| *s += x);
+                    (sum, e + epoch, r + rows)
+                }
+            });
         }
         let hist = if itemsets.len() == 1 {
             &self.scatter.count
@@ -313,14 +362,14 @@ impl<N: Node> Router<N> {
             &self.scatter.count_many
         };
         hist.record(micros_since(start));
-        Ok((supports, epoch, rows))
+        Ok(counted.unwrap_or_default())
     }
 
     /// Probes one row of the concatenated row space: rows `0..r0` live on
     /// shard 0, `r0..r0+r1` on shard 1, and so on, against one cut.
-    pub fn probe(&self, row: u64) -> io::Result<Option<(u64, Vec<u32>)>> {
+    fn probe<N: Node>(&self, nodes: &[N], row: u64) -> io::Result<Option<(u64, Vec<u32>)>> {
         let start = Instant::now();
-        let (pins, ..) = self.pins()?;
+        let (pins, ..) = self.cut(nodes)?;
         let mut local = row;
         let mut found = Ok(None);
         for pin in &pins {
@@ -334,30 +383,42 @@ impl<N: Node> Router<N> {
         found
     }
 
-    /// Runs one write leg per job, concurrently, in job order.  A leg
-    /// that reached its shard and failed there counts as a scatter error
-    /// (one that never arrived is tallied by the node itself).
-    fn legs(&self, jobs: &[(usize, Request)]) -> Vec<(usize, Response)> {
-        scatter(jobs, |_, (shard, req)| {
-            let resp = self.nodes[*shard].leg(req);
+    /// Runs one write: a lone node answers `req` as it would alone; else
+    /// the legs of `jobs` run concurrently and their receipts merge.  A leg
+    /// that failed at its shard counts as a scatter error (one that never
+    /// arrived is tallied by the node itself).
+    fn fan_out<N: Node>(
+        &self,
+        nodes: &[N],
+        req: &Request,
+        jobs: impl FnOnce() -> Vec<(usize, Request)>,
+    ) -> Response {
+        let leg = |shard: usize, req: &Request| {
+            let resp = nodes[shard].leg(req);
             if matches!(resp, Response::Err(_)) {
-                self.faults[*shard]
+                self.faults[shard]
                     .scatter_errors
                     .fetch_add(1, Ordering::Relaxed);
             }
-            Ok((*shard, resp))
-        })
-        .expect("write legs answer with a response, never an io error")
+            resp
+        };
+        if nodes.len() == 1 {
+            return leg(0, req);
+        }
+        let legs = scatter(&jobs(), |_, (shard, req)| Ok((*shard, leg(*shard, req))))
+            .expect("write legs answer with a response, never an io error");
+        merge_receipts(legs)
     }
 
     /// The one partitioned write path: splits `items` by the TID residue
-    /// `tid` reads off each, forwards every non-empty part as the request
-    /// `leg` builds around it, and merges the per-shard receipts.  An
-    /// empty write commits nothing and is answered by `empty` from the
-    /// current cut's `(epoch, rows)`.
-    fn write<T: Clone>(
+    /// `tid` reads off each and forwards every non-empty part as the
+    /// request `leg` builds around it.  An empty write to N > 1 nodes is
+    /// answered by `empty` from the current cut's `(epoch, rows)`.
+    #[allow(clippy::too_many_arguments)]
+    fn write<N: Node, T: Clone>(
         &self,
-        what: &str,
+        nodes: &[N],
+        req: &Request,
         hist: &Histogram,
         items: &[T],
         tid: impl Fn(&T) -> u64,
@@ -365,88 +426,62 @@ impl<N: Node> Router<N> {
         empty: impl FnOnce(u64, u64) -> Reply,
     ) -> Response {
         let start = Instant::now();
-        if self.is_draining() {
-            self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
-            return Response::Overloaded;
-        }
-        if items.is_empty() {
-            return match self.pins() {
+        let resp = if nodes.len() > 1 && items.is_empty() {
+            match self.cut(nodes) {
                 Ok((_, epoch, rows)) => Response::Ok(empty(epoch, rows)),
-                Err(e) => self.fail(what, e),
-            };
-        }
-        let n = self.nodes.len();
-        let mut parts: Vec<Vec<T>> = vec![Vec::new(); n];
-        for item in items {
-            parts[route(tid(item), n)].push(item.clone());
-        }
-        let jobs: Vec<(usize, Request)> = parts
-            .into_iter()
-            .enumerate()
-            .filter(|(_, part)| !part.is_empty())
-            .map(|(shard, part)| (shard, leg(part)))
-            .collect();
-        let resp = merge_receipts(self.legs(&jobs));
+                Err(e) => self.fail(nodes, "write", e),
+            }
+        } else {
+            self.fan_out(nodes, req, || {
+                let mut parts: Vec<Vec<T>> = vec![Vec::new(); nodes.len()];
+                for item in items {
+                    parts[route(tid(item), nodes.len())].push(item.clone());
+                }
+                parts
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, part)| !part.is_empty())
+                    .map(|(shard, part)| (shard, leg(part)))
+                    .collect()
+            })
+        };
         hist.record(micros_since(start));
         resp
     }
 
-    /// Routes an insert batch to the shards that own its TIDs.
-    pub fn insert(&self, req_id: u64, txns: &[(u64, Vec<u32>)]) -> Response {
-        self.write(
-            "insert",
-            &self.scatter.insert,
-            txns,
-            |(tid, _)| *tid,
-            |txns| Request::Insert { req_id, txns },
-            |epoch, rows| Reply::Insert {
-                first_row: rows,
-                appended: 0,
-                epoch,
-                deduped: false,
-            },
-        )
+    /// Fans one maintenance action out to every node, merged into one
+    /// health report; a `MANIFEST` width follows re-sized files.
+    fn maintain<N: Node>(&self, nodes: &[N], req: &Request) -> Response {
+        let resp = self.fan_out(nodes, req, || {
+            (0..nodes.len()).map(|shard| (shard, req.clone())).collect()
+        });
+        if let (Some(dir), Response::Ok(Reply::Maintain { action_taken, .. })) =
+            (&self.manifest, &resp)
+        {
+            if *action_taken != maintain_action::PROBE_FPR {
+                if let Err(e) = sync_manifest_width(nodes, dir) {
+                    return Response::Err(format!(
+                        "maintenance applied but manifest update failed: {e}"
+                    ));
+                }
+            }
+        }
+        resp
     }
 
-    /// Routes a tombstone delete to the shards that own the named TIDs.
-    pub fn delete(&self, req_id: u64, tids: &[u64]) -> Response {
-        self.write(
-            "delete",
-            &self.scatter.delete,
-            tids,
-            |tid| *tid,
-            |tids| Request::Delete { req_id, tids },
-            |epoch, _| Reply::Delete {
-                deleted: 0,
-                epoch,
-                deduped: false,
-            },
-        )
-    }
-
-    /// Fans one maintenance action out to every shard and merges the
-    /// replies into one health report (see [`merge_receipts`]).
-    pub fn maintain(&self, req: &Request) -> Response {
-        let jobs: Vec<(usize, Request)> = (0..self.nodes.len())
-            .map(|shard| (shard, req.clone()))
-            .collect();
-        merge_receipts(self.legs(&jobs))
-    }
-
-    /// Mines the union of one cut of every shard: every pin's
-    /// [`MineView`] goes to [`mine_views`], so the patterns, supports and
-    /// approx markers are bit-for-bit what one unsharded engine returns
-    /// over the same transactions.  Returns the result with the cut's
-    /// epoch and its live rows.
-    pub fn mine(
+    /// Mines the union of one cut of every node: every pin's [`MineView`]
+    /// goes to [`mine_views`], bit for bit what one unsharded engine
+    /// returns.  Returns the result with the cut's epoch and live rows.
+    fn mine<N: Node>(
         &self,
+        nodes: &[N],
         scheme: Scheme,
         threshold: SupportThreshold,
         threads: usize,
     ) -> io::Result<(MineResult, u64, u64)> {
         let start = Instant::now();
         let threads = resolve_threads(threads, self.mine_threads);
-        let (pins, epoch, _) = self.pins()?;
+        let (pins, epoch, _) = self.cut(nodes)?;
         let views = scatter(&pins, |_, pin| N::mine_view(pin))?;
         let rows = views.iter().map(MineView::live_rows).sum();
         let result = mine_views(&views, scheme, threshold, threads)?;
@@ -454,15 +489,19 @@ impl<N: Node> Router<N> {
         Ok((result, epoch, rows))
     }
 
-    /// Renders the stats document: router wire metrics, the shard table
-    /// (count, per-shard rows and widths, whatever columns the node kind
-    /// adds), the scatter-gather latency histograms and the per-shard
-    /// fault counters.
-    pub fn stats_json(&self) -> String {
-        let gauges: Vec<Gauge> = self.nodes.iter().map(Node::gauge).collect();
+    /// Renders the one stats document: the wire metrics with the nodes'
+    /// write-side counters summed, the shard table and the keys the node
+    /// kind adds, the scatter histograms and the per-shard faults.
+    fn stats_json<N: Node>(&self, nodes: &[N]) -> String {
+        let gauges: Vec<Gauge> = nodes.iter().map(Node::gauge).collect();
+        let writes: Vec<_> = nodes
+            .iter()
+            .filter_map(N::own_metrics)
+            .map(|m| &**m)
+            .collect();
         let mut extra = self.stats_extra.clone();
         extra.extend([
-            format!("\"shards\":{}", self.nodes.len()),
+            format!("\"shards\":{}", nodes.len()),
             format!(
                 "\"width\":{}",
                 gauges.iter().map(|g| g.width).max().unwrap_or(0)
@@ -472,71 +511,124 @@ impl<N: Node> Router<N> {
             json_column("shard_rows", gauges.iter().map(|g| g.rows)),
             json_column("shard_width", gauges.iter().map(|g| g.width)),
         ]);
-        extra.extend(N::stats_columns(&self.nodes));
+        extra.extend(N::stats_columns(nodes));
         extra.push(format!("\"scatter_us\":{}", self.scatter.to_json()));
-        extra.push(format!("\"draining\":{}", self.is_draining()));
+        extra.push(format!(
+            "\"draining\":{}",
+            self.draining.load(Ordering::Acquire)
+        ));
         extra.extend(ShardFaults::to_json_arrays(&self.faults));
-        self.metrics.to_json(&extra)
+        self.metrics.to_json_with(&writes, &extra)
+    }
+
+    /// Starts a drain, which reaches every node.
+    pub(crate) fn begin_drain<N: Node>(&self, nodes: &[N]) {
+        self.draining.store(true, Ordering::Release);
+        nodes.iter().for_each(Node::begin_drain);
     }
 }
 
-impl<N: Node> RequestHandler for Router<N> {
+/// Re-pins the `MANIFEST` width at `dir` to the nodes' live width after a
+/// compaction or fold re-sized the files, so offline tools and fresh opens
+/// agree with the disk; a no-op while the nodes disagree (a fan-out that
+/// failed partway leaves the old pin).
+fn sync_manifest_width<N: Node>(nodes: &[N], dir: &Path) -> io::Result<()> {
+    let width = nodes[0].gauge().width;
+    if nodes.iter().any(|n| n.gauge().width != width) {
+        return Ok(());
+    }
+    let mut manifest = Manifest::read(dir)?;
+    if manifest.width != width {
+        manifest.width = width;
+        manifest.write(dir)?;
+    }
+    Ok(())
+}
+
+/// One logical server over N TID-range shards.
+pub struct Router<N: Node> {
+    pub(crate) nodes: Vec<N>,
+    pub(crate) front: Front,
+}
+
+impl<N: Node> Router<N> {
+    /// Builds a router over `nodes` (shard order) and their fault
+    /// counters.  `mine_threads` is the default worker count for `mine`
+    /// requests that ask for `0`; `stats_extra` are fixed `"key":value`
+    /// fragments of the stats document.  Over one node that keeps metrics
+    /// the router records into the node's.
+    pub fn new(
+        nodes: Vec<N>,
+        faults: Vec<Arc<ShardFaults>>,
+        mine_threads: usize,
+        stats_extra: Vec<String>,
+    ) -> Self {
+        assert_eq!(nodes.len(), faults.len());
+        let metrics = match &nodes[..] {
+            [node] => node.own_metrics().cloned(),
+            _ => None,
+        };
+        let front = Front {
+            faults,
+            metrics: metrics.unwrap_or_default(),
+            mine_threads,
+            stats_extra,
+            ..Front::default()
+        };
+        Router { nodes, front }
+    }
+
+    /// The shards, in shard order.
+    pub fn nodes(&self) -> &[N] {
+        &self.nodes
+    }
+
+    /// The router's scatter-gather latency histograms.
+    pub fn scatter_metrics(&self) -> &ScatterMetrics {
+        &self.front.scatter
+    }
+
+    /// The per-shard fault counters, in shard order.
+    pub fn shard_faults(&self) -> &[Arc<ShardFaults>] {
+        &self.front.faults
+    }
+
+    /// Exact batched counting over every shard's latest snapshot, summed.
+    /// Returns `(supports, epoch, rows)`.
+    pub fn count_many(&self, itemsets: &[Vec<u32>]) -> io::Result<(Vec<u64>, u64, u64)> {
+        self.front.count_many(&self.nodes, itemsets)
+    }
+
+    /// Routes an insert batch to the shards that own its TIDs.
+    pub fn insert(&self, req_id: u64, txns: &[(u64, Vec<u32>)]) -> Response {
+        let txns = txns.to_vec();
+        self.front
+            .dispatch(&self.nodes, &Request::Insert { req_id, txns })
+    }
+
+    /// Mines the union of one cut of every shard; returns the result with
+    /// the cut's epoch and its live rows.
+    pub fn mine(
+        &self,
+        scheme: Scheme,
+        threshold: SupportThreshold,
+        threads: usize,
+    ) -> io::Result<(MineResult, u64, u64)> {
+        self.front.mine(&self.nodes, scheme, threshold, threads)
+    }
+}
+
+impl<N: Node + 'static> RequestHandler for Router<N> {
     fn dispatch(&self, req: &Request) -> Response {
-        match req {
-            Request::Ping => Response::Ok(Reply::Pong),
-            Request::CountMany { itemsets } => {
-                if !admit_count_many(&self.metrics, itemsets) {
-                    return Response::Overloaded;
-                }
-                match self.count_many(itemsets) {
-                    Ok((supports, epoch, rows)) => Response::Ok(Reply::CountMany {
-                        supports,
-                        epoch,
-                        rows,
-                    }),
-                    Err(e) => self.fail("count_many", e),
-                }
-            }
-            Request::Insert { req_id, txns } => self.insert(*req_id, txns),
-            Request::Delete { req_id, tids } => self.delete(*req_id, tids),
-            Request::Maintain { .. } => self.maintain(req),
-            Request::Mine {
-                scheme,
-                threshold,
-                threads,
-            } => match self.mine(*scheme, *threshold, usize::from(*threads)) {
-                Ok((result, epoch, rows)) => Response::Ok(mine_reply(&result, epoch, rows)),
-                Err(e) => self.fail("mine", e),
-            },
-            Request::Probe { row } => match self.probe(*row) {
-                Ok(txn) => Response::Ok(Reply::Probe { txn }),
-                Err(e) => self.fail("probe", e),
-            },
-            Request::Stats => Response::Ok(Reply::Stats {
-                json: self.stats_json(),
-            }),
-            Request::Shutdown => {
-                self.begin_drain();
-                Response::Ok(Reply::ShuttingDown)
-            }
-            Request::Replicate { .. }
-            | Request::Promote
-            | Request::CountManyAt { .. }
-            | Request::Rows { .. } => Response::Err(
-                "replication and snapshot-pin endpoints are served by each shard's own server, \
-                 not by a router; address the shards individually"
-                    .into(),
-            ),
-        }
+        self.front.dispatch(&self.nodes, req)
     }
 
     fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
+        self.front.draining.load(Ordering::Acquire)
     }
 
     fn begin_drain(&self) {
-        self.draining.store(true, Ordering::Release);
-        self.nodes.iter().for_each(Node::begin_drain);
+        self.front.begin_drain(&self.nodes);
     }
 
     fn join(&self) {
@@ -545,7 +637,7 @@ impl<N: Node> RequestHandler for Router<N> {
     }
 
     fn metrics(&self) -> &Arc<ServerMetrics> {
-        &self.metrics
+        &self.front.metrics
     }
 }
 

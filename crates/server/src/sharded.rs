@@ -1,43 +1,81 @@
-//! The local shard router: [`ShardedEngine`], a [`Router`] whose nodes
-//! are N complete [`Engine`]s over the partitions of a
-//! [`bbs_storage::Deployment`] directory.
-//!
-//! Every shard owns its full stack — pager, commit record, dedup window,
-//! replication log, **and its own committer thread** — so the router's
-//! write path is N independent group-commit pipelines, and that
-//! concurrency is the ingest win.  Everything the router does with those
-//! shards is [`crate::router`]; this module is what is particular to
-//! shards that live in this process: a pin is the engine's published
-//! [`Snapshot`] — the same [`LocalPin`] a lone engine mines, here with the
-//! shard's fault counters — mined in place (its own cursors and heap scan,
-//! nothing is loaded), a write leg is a call, a drain reaches the engines,
-//! and the directory's `MANIFEST` follows the shards' width.
+//! The local node: an [`Engine`] as one partition of a [`Router`], and
+//! [`ShardedEngine`], the router `bbs serve --base` serves over a
+//! deployment's partitions, one for a plain base.  Every partition owns
+//! its full stack — pager, commit record, dedup window, replication log
+//! and committer thread — so the write path is N independent group-commit
+//! pipelines.  A pin is the engine's published [`Snapshot`]
+//! ([`LocalPin`]), mined in place; a write leg is the engine's typed call.
 
-use crate::engine::{wire_txn, Engine, InsertOutcome, LocalPin, ServerConfig};
+use crate::engine::{wire_txn, Engine, InsertOutcome, ServerConfig};
 use crate::metrics::ServerMetrics;
 use crate::net::RequestHandler;
-use crate::proto::{maintain_action, Reply, Request, Response};
+use crate::proto::{Reply, Request, Response};
 use crate::router::{json_column, Gauge, Node, Router, ShardFaults};
-use bbs_core::scatter;
-use bbs_hash::{ItemHasher, Md5BloomHasher};
+use bbs_core::{scatter, MineView};
 use bbs_storage::snapshot::Snapshot;
-use bbs_storage::{shard_base, Manifest};
-use bbs_tdb::Transaction;
+use bbs_storage::{shard_base, DiskCounter, Manifest};
+use bbs_tdb::{ItemId, Itemset, Transaction};
+use std::collections::HashMap;
 use std::io;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-impl Node for Arc<Engine> {
-    type Pin<'a> = LocalPin<'a>;
-    type View<'a> = LocalPin<'a>;
+/// An engine's published snapshot pinned for one request, and its mining
+/// view; failed reads are tallied into the shard's fault counters.
+#[derive(Clone)]
+pub struct LocalPin<'a> {
+    snap: Arc<Snapshot>,
+    metrics: &'a ServerMetrics,
+    faults: &'a ShardFaults,
+}
+
+impl MineView for LocalPin<'_> {
+    type Counter<'a>
+        = DiskCounter
+    where
+        Self: 'a;
+
+    fn live_rows(&self) -> u64 {
+        self.snap.live_rows()
+    }
+
+    fn item_counts(&self) -> &HashMap<ItemId, u64> {
+        self.snap.item_counts()
+    }
+
+    fn counter(&self) -> io::Result<DiskCounter> {
+        self.faults.noting(self.snap.counter())
+    }
+
+    fn tally(&self, cands: &[Itemset]) -> io::Result<Vec<u64>> {
+        self.faults.noting(self.snap.tally(cands))
+    }
+
+    /// What the reader did goes into the engine's `mine_cursor` metrics.
+    fn retire(&self, counter: &DiskCounter) {
+        self.metrics.mine_cursor.record(counter);
+    }
+}
+
+/// An engine as a node: the router's `Arc<Engine>`, or the `&Engine` a
+/// lone engine dispatches over.
+impl<E: Deref<Target = Engine> + Send + Sync> Node for E {
+    type Pin<'a>
+        = LocalPin<'a>
+    where
+        Self: 'a;
+    type View<'a>
+        = LocalPin<'a>
+    where
+        Self: 'a;
 
     fn pin<'a>(&'a self, faults: &'a ShardFaults) -> io::Result<LocalPin<'a>> {
         Ok(LocalPin {
             snap: self.snapshot(),
-            engine: self,
-            faults: Some(faults),
+            metrics: Engine::metrics(self),
+            faults,
         })
     }
 
@@ -55,9 +93,7 @@ impl Node for Arc<Engine> {
         faults: &ShardFaults,
         itemsets: &[Vec<u32>],
     ) -> io::Result<(Vec<u64>, u64, u64)> {
-        let (supports, snap) = self.count_many(itemsets).inspect_err(|_| {
-            faults.scatter_errors.fetch_add(1, Ordering::Relaxed);
-        })?;
+        let (supports, snap) = faults.noting(self.count_many(itemsets))?;
         Ok((supports, snap.epoch(), snap.rows()))
     }
 
@@ -72,8 +108,35 @@ impl Node for Arc<Engine> {
         Ok(pin.snap.probe(row)?.as_ref().map(wire_txn))
     }
 
+    /// The engine's own typed write call (see [`Engine::insert_with_id`]).
     fn leg(&self, req: &Request) -> Response {
-        self.handle(req)
+        match req {
+            Request::Insert { req_id, txns } => self.insert_with_id(*req_id, txns),
+            Request::Delete { req_id, tids } => self.delete_tids(*req_id, tids),
+            Request::Maintain { action, arg } => self.serve_maintain(*action, *arg),
+            _ => Response::Err("not a write leg".into()),
+        }
+    }
+
+    fn scoped(&self, req: &Request) -> Response {
+        match req {
+            Request::Replicate {
+                from_row,
+                from_dseq,
+                max_entries,
+            } => self.serve_replicate(*from_row, *from_dseq, *max_entries),
+            Request::Promote => {
+                let (epoch, rows) = self.promote();
+                Response::Ok(Reply::Promoted { epoch, rows })
+            }
+            Request::CountManyAt { epoch, itemsets } => self.counts_at(*epoch, itemsets),
+            Request::Rows { epoch, from, limit } => self.rows_at(*epoch, *from, *limit),
+            _ => Response::Err("not a node-scoped request".into()),
+        }
+    }
+
+    fn own_metrics(&self) -> Option<&Arc<ServerMetrics>> {
+        Some(Engine::metrics(self))
     }
 
     fn gauge(&self) -> Gauge {
@@ -85,6 +148,7 @@ impl Node for Arc<Engine> {
         }
     }
 
+    /// The shard columns, live and tombstoned totals, a lone engine's keys.
     fn stats_columns(nodes: &[Self]) -> Vec<String> {
         let snaps: Vec<Arc<Snapshot>> = nodes.iter().map(|e| e.snapshot()).collect();
         let gauge = |pick: fn(&ServerMetrics) -> &AtomicU64| {
@@ -95,7 +159,7 @@ impl Node for Arc<Engine> {
         let deleted = || snaps.iter().map(|s| s.deleted_rows());
         let live: u64 = snaps.iter().map(|s| s.live_rows()).sum();
         let fpr = gauge(|m| &m.last_measured_fpr_bits).map(|b| format!("{:.6}", f64::from_bits(b)));
-        vec![
+        let mut columns = vec![
             json_column("shard_lag", gauge(|m| &m.replication_lag_rows)),
             json_column("shard_queue_depth", gauge(|m| &m.queue_depth)),
             json_column("shard_deleted_rows", deleted()),
@@ -106,81 +170,64 @@ impl Node for Arc<Engine> {
             ),
             format!("\"deleted_rows\":{}", deleted().sum::<u64>()),
             format!("\"live_rows\":{live}"),
-        ]
+        ];
+        if let [engine] = nodes {
+            columns.extend(engine.own_stats());
+        }
+        columns
     }
 
     fn begin_drain(&self) {
-        Engine::begin_drain(self)
+        RequestHandler::begin_drain(&**self)
     }
 
     fn join(&self) {
-        Engine::join(self)
+        RequestHandler::join(&**self)
     }
 }
 
-/// One logical server over the N TID-range shards of a shard directory,
-/// each a complete [`Engine`] with its own committer pipeline.
-pub struct ShardedEngine {
-    router: Router<Arc<Engine>>,
-    dir: PathBuf,
-}
-
-impl Deref for ShardedEngine {
-    type Target = Router<Arc<Engine>>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.router
-    }
-}
+/// One logical server over the partitions of a deployment, each a
+/// complete [`Engine`] with its own committer pipeline.
+pub type ShardedEngine = Router<Arc<Engine>>;
 
 impl ShardedEngine {
-    /// Opens (crash-recovering, in parallel) every shard of the sharded
-    /// deployment at `dir` with the default MD5 Bloom hasher.
-    pub fn open(dir: &Path, cfg: ServerConfig) -> io::Result<Arc<ShardedEngine>> {
-        let hasher: Arc<dyn ItemHasher> = Arc::new(Md5BloomHasher::new(4));
-        ShardedEngine::open_with(dir, cfg, hasher)
-    }
-
-    /// [`ShardedEngine::open`] with an explicit hash family.
-    pub fn open_with(
-        dir: &Path,
-        cfg: ServerConfig,
-        hasher: Arc<dyn ItemHasher>,
-    ) -> io::Result<Arc<ShardedEngine>> {
-        if cfg.follow.is_some() {
+    /// The served open: every partition at `path`, recovered in parallel —
+    /// a plain base (created if missing) or each shard of a directory at
+    /// its `MANIFEST` width.  Only one partition may follow a primary.
+    pub fn open(path: &Path, mut cfg: ServerConfig) -> io::Result<Arc<ShardedEngine>> {
+        let manifest = Manifest::exists(path)
+            .then(|| Manifest::read(path))
+            .transpose()?;
+        let bases: Vec<PathBuf> = match &manifest {
+            Some(m) => {
+                cfg.width = m.width;
+                (0..m.shards).map(|i| shard_base(path, i)).collect()
+            }
+            None => vec![path.to_path_buf()],
+        };
+        if cfg.follow.is_some() && bases.len() > 1 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "a sharded deployment cannot follow a primary; replicate shards individually",
             ));
         }
-        let manifest = Manifest::read(dir)?;
-        let cfg = ServerConfig {
-            width: manifest.width,
-            ..cfg
-        };
-        let indices: Vec<usize> = (0..manifest.shards).collect();
-        let engines = scatter(&indices, |_, &i| {
-            Engine::open_with(&shard_base(dir, i), cfg.clone(), Arc::clone(&hasher))
-        })?;
-        let faults = (0..manifest.shards)
-            .map(|_| Arc::new(ShardFaults::default()))
-            .collect();
-        Ok(Arc::new(ShardedEngine {
-            router: Router::new(engines, faults, cfg.mine_threads, Vec::new()),
-            dir: dir.to_path_buf(),
-        }))
+        let engines = scatter(&bases, |_, base| Engine::open(base, cfg.clone()))?;
+        let faults = engines.iter().map(|_| Arc::default()).collect();
+        let mut router = Router::new(engines, faults, cfg.mine_threads, Vec::new());
+        router.front.manifest = manifest.map(|_| path.to_path_buf());
+        Ok(Arc::new(router))
     }
 
-    /// The per-shard engines, in shard order.
+    /// The per-partition engines, in shard order.
     pub fn engines(&self) -> &[Arc<Engine>] {
-        self.router.nodes()
+        self.nodes()
     }
 
     /// [`Router::insert`] for in-process callers that hold transactions
     /// and want the engine-level outcome rather than a wire response.
     pub fn insert_with_id(&self, req_id: u64, txns: Vec<Transaction>) -> InsertOutcome {
-        let txns: Vec<(u64, Vec<u32>)> = txns.iter().map(wire_txn).collect();
-        match self.router.insert(req_id, &txns) {
+        let txns: Vec<_> = txns.iter().map(wire_txn).collect();
+        match self.insert(req_id, &txns) {
             Response::Ok(Reply::Insert {
                 first_row,
                 appended,
@@ -198,56 +245,5 @@ impl ShardedEngine {
             Response::Err(msg) => InsertOutcome::Failed(msg),
             other => InsertOutcome::Failed(format!("unexpected insert response {other:?}")),
         }
-    }
-
-    /// Re-pins the on-disk `MANIFEST` width to the shards' live slice
-    /// width after a fan-out compaction or fold re-sized the files, so
-    /// offline tools (`bbs ingest`/`mine-deployment`) and fresh opens
-    /// agree with what is actually on disk.  A no-op while the shards
-    /// disagree (a fan-out that failed partway leaves the old pin).
-    fn sync_manifest_width(&self) -> io::Result<()> {
-        let engines = self.engines();
-        let width = engines[0].width();
-        if engines.iter().any(|e| e.width() != width) {
-            return Ok(());
-        }
-        let mut manifest = Manifest::read(&self.dir)?;
-        if manifest.width != width {
-            manifest.width = width;
-            manifest.write(&self.dir)?;
-        }
-        Ok(())
-    }
-}
-
-impl RequestHandler for ShardedEngine {
-    fn dispatch(&self, req: &Request) -> Response {
-        let resp = self.router.dispatch(req);
-        if let Response::Ok(Reply::Maintain { action_taken, .. }) = &resp {
-            if *action_taken != maintain_action::PROBE_FPR {
-                if let Err(e) = self.sync_manifest_width() {
-                    return Response::Err(format!(
-                        "maintenance applied but manifest update failed: {e}"
-                    ));
-                }
-            }
-        }
-        resp
-    }
-
-    fn is_draining(&self) -> bool {
-        self.router.is_draining()
-    }
-
-    fn begin_drain(&self) {
-        self.router.begin_drain()
-    }
-
-    fn join(&self) {
-        self.router.join()
-    }
-
-    fn metrics(&self) -> &Arc<ServerMetrics> {
-        self.router.metrics()
     }
 }
