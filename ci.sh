@@ -55,11 +55,16 @@ done
 # as files are formatted.
 rustfmt --check --edition 2021 \
   crates/server/src/frames.rs \
+  crates/server/src/metrics.rs \
   crates/server/src/router.rs \
   crates/server/src/sharded.rs \
   crates/remote/src/coordinator.rs \
   crates/server/tests/served_shape.rs \
-  crates/server/tests/wire_golden.rs
+  crates/server/tests/stats_merge.rs \
+  crates/server/tests/wire_golden.rs \
+  crates/remote/tests/stats_keys.rs \
+  crates/remote/tests/stats_merge.rs \
+  crates/cli/tests/cursor_line.rs
 
 cargo build --release
 cargo test -q

@@ -334,10 +334,10 @@ pub fn mine_deployment(flags: &Flags) -> CmdResult {
     let open_secs = start.elapsed().as_secs_f64();
 
     let mine_start = Instant::now();
-    let (result, disk_stats) = match threads {
+    let (result, disk_stats, cursor) = match threads {
         Some(threads) => {
             let (result, stats) = bbs_storage::mine_deployment(&mut dep, scheme, threshold, threads)?;
-            (result, Some(stats))
+            (result, Some(stats), (stats.cursor, stats.readers))
         }
         None => {
             let [one] = dep.shards_mut() else {
@@ -348,7 +348,9 @@ pub fn mine_deployment(flags: &Flags) -> CmdResult {
                 );
             };
             let (db, bbs) = one.load()?;
-            (BbsMiner::with_index(scheme, bbs).mine(&db, threshold), None)
+            let mut miner = BbsMiner::with_index(scheme, bbs);
+            let result = miner.mine(&db, threshold);
+            (result, None, (miner.cursor_stats(), 1))
         }
     };
     let mine_secs = mine_start.elapsed().as_secs_f64();
@@ -374,6 +376,11 @@ pub fn mine_deployment(flags: &Flags) -> CmdResult {
     if let Some(stats) = disk_stats {
         print_disk_stats(&stats);
     }
+    let (cursor, readers) = cursor;
+    eprintln!(
+        "# cursor: {} extends, {} tau exits, {} chunks skipped, {} sparse ands ({readers} reader(s))",
+        cursor.extends, cursor.tau_exits, cursor.chunks_skipped, cursor.sparse_ands,
+    );
     Ok(())
 }
 
@@ -393,7 +400,7 @@ fn print_patterns(result: &MineResult, top: usize) {
     }
 }
 
-/// Prints the aggregated read-side counters of an in-place mining run.
+/// Prints the aggregated page counters of an in-place mining run.
 fn print_disk_stats(stats: &bbs_storage::DiskMineStats) {
     eprintln!(
         "# cache: {} hits, {} misses, {} evictions, hit rate {}",
@@ -408,14 +415,6 @@ fn print_disk_stats(stats: &bbs_storage::DiskMineStats) {
     eprintln!(
         "# pager: {} page reads, {} checksum-page reads, {} pages checksum-verified",
         stats.pager.reads, stats.pager.checksum_reads, stats.pager.verified,
-    );
-    eprintln!(
-        "# cursor: {} extends, {} tau exits, {} chunks skipped, {} sparse ands ({} reader(s))",
-        stats.cursor.extends,
-        stats.cursor.tau_exits,
-        stats.cursor.chunks_skipped,
-        stats.cursor.sparse_ands,
-        stats.readers,
     );
 }
 

@@ -149,6 +149,16 @@ pub struct CursorStats {
     pub sparse_ands: u64,
 }
 
+impl CursorStats {
+    /// Adds what another walk did.
+    pub fn absorb(&mut self, other: CursorStats) {
+        self.extends += other.extends;
+        self.tau_exits += other.tau_exits;
+        self.chunks_skipped += other.chunks_skipped;
+        self.sparse_ands += other.sparse_ands;
+    }
+}
+
 /// A cursor into the enumeration tree over the slices of a
 /// [`SliceSource`].
 ///

@@ -24,7 +24,7 @@
 //! [`Cursor`] on the loaded index.
 
 use crate::bbs::Bbs;
-use crate::cursor::Cursor;
+use crate::cursor::{Cursor, CursorStats};
 use bbs_tdb::{IoStats, ItemId, Itemset, MineResult, MineStats, PatternSet, TransactionDb};
 use std::collections::HashMap;
 use std::io;
@@ -77,6 +77,9 @@ pub struct FilterOutput {
     /// Filter-phase statistics (BBS counts, candidates, certified patterns,
     /// probe I/O for integrated runs, false drops discovered so far).
     pub stats: MineStats,
+    /// What the walk's cursors did, summed over its workers (left zero by
+    /// [`run_filter_source_threaded`], whose sources report their own).
+    pub cursor: CursorStats,
 }
 
 impl FilterOutput {
@@ -473,7 +476,8 @@ pub fn run_filter(
 }
 
 /// [`run_filter`] on `threads` workers: [`run_filter_source_threaded`]
-/// with one [`Cursor::resident`] per worker.
+/// with one [`Cursor::resident`] per worker, whose walks are summed into
+/// [`FilterOutput::cursor`].
 pub fn run_filter_threaded(
     bbs: &Bbs,
     kind: FilterKind,
@@ -482,8 +486,10 @@ pub fn run_filter_threaded(
     threads: usize,
 ) -> FilterOutput {
     let make_source = || Ok(Cursor::resident(bbs, db));
-    let (out, _) = run_filter_source_threaded(make_source, bbs.item_counts(), kind, tau, threads)
-        .expect("the memory-resident index cannot fail a count");
+    let (mut out, cursors) =
+        run_filter_source_threaded(make_source, bbs.item_counts(), kind, tau, threads)
+            .expect("the memory-resident index cannot fail a count");
+    cursors.iter().for_each(|c| out.cursor.absorb(c.stats()));
     out
 }
 

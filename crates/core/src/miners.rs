@@ -3,6 +3,7 @@
 
 use crate::adaptive::{adaptive_filter, slices_for_budget};
 use crate::bbs::Bbs;
+use crate::cursor::CursorStats;
 use crate::filter::{run_filter_threaded, FilterKind};
 use crate::refine::{probe_candidates, sequential_scan};
 use bbs_hash::ItemHasher;
@@ -109,6 +110,8 @@ pub struct BbsMiner {
     /// I/O spent building/maintaining the index, reported separately from
     /// per-mine I/O.
     maintenance_io: IoStats,
+    /// What the cursors of the last mine's filter walk did.
+    walked: CursorStats,
 }
 
 impl BbsMiner {
@@ -127,6 +130,7 @@ impl BbsMiner {
             budget: MemoryBudget::unlimited(),
             threads: 1,
             maintenance_io: io,
+            walked: CursorStats::default(),
         }
     }
 
@@ -138,6 +142,7 @@ impl BbsMiner {
             budget: MemoryBudget::unlimited(),
             threads: 1,
             maintenance_io: IoStats::new(),
+            walked: CursorStats::default(),
         }
     }
 
@@ -180,6 +185,12 @@ impl BbsMiner {
         self.maintenance_io
     }
 
+    /// What the cursors of the last mine's filter walk did, summed over
+    /// its workers (zero after a memory-constrained, adaptive run).
+    pub fn cursor_stats(&self) -> CursorStats {
+        self.walked
+    }
+
     fn mine_inner(&mut self, db: &TransactionDb, tau: u64) -> MineResult {
         assert_eq!(
             self.bbs.rows(),
@@ -210,6 +221,7 @@ impl BbsMiner {
             // Memory-resident run: one cold sequential load of the index.
             self.bbs.charge_cold_load(&mut filter_out.stats.io);
         }
+        self.walked = filter_out.cursor;
 
         let mut result = MineResult::default();
         result.stats.candidates = filter_out.stats.candidates;

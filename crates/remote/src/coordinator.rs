@@ -81,7 +81,7 @@ impl CoordinatorEngine {
             .map(|_| Arc::new(ShardFaults::default()))
             .collect();
         let handles = scatter(&topology.nodes, |i, node| {
-            let handle = RemoteShardHandle::connect(
+            let mut handle = RemoteShardHandle::connect(
                 node.id,
                 &node.primary,
                 node.follower.as_deref(),
@@ -106,14 +106,11 @@ impl CoordinatorEngine {
             if pin.hasher != topology.hasher {
                 return refuse("hasher", &pin.hasher, &topology.hasher);
             }
+            handle.topology_version = topology.version;
             Ok(handle)
         })?;
-        let stats_extra = vec![
-            "\"coordinator\":true".to_string(),
-            format!("\"topology_version\":{}", topology.version),
-        ];
         Ok(Arc::new(CoordinatorEngine {
-            router: Router::new(handles, faults, opts.mine_threads, stats_extra),
+            router: Router::new(handles, faults, opts.mine_threads),
             topology,
         }))
     }

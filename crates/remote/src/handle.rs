@@ -39,7 +39,7 @@
 use bbs_core::{scatter, tally_subsets, Bbs, Cursor, MineView, Resident};
 use bbs_hash::{ItemHasher, Md5BloomHasher, ModuloHasher};
 use bbs_server::{
-    json_column, maintain_action, ClientError, ClientResult, CountsAtReply, Gauge, Node, Reply,
+    maintain_action, ClientError, ClientResult, CountsAtReply, Gauge, Node, NodeStats, Reply,
     Request, Response, RetryClient, RetryPolicy, ServerAddr, ShardFaults,
 };
 use bbs_tdb::{IoStats, ItemId, Itemset, Transaction, TransactionDb};
@@ -111,6 +111,9 @@ pub struct RemoteShardHandle {
     /// Set when the coordinator drains: its write legs are then refused
     /// here, while the shard's own server keeps serving its other clients.
     draining: AtomicBool,
+    /// The version of the topology the coordinator that connected this
+    /// handle serves (0 for a handle connected on its own).
+    pub(crate) topology_version: u32,
 }
 
 impl RemoteShardHandle {
@@ -138,6 +141,7 @@ impl RemoteShardHandle {
             unavailable: Mutex::new(None),
             gauge: Mutex::new(Gauge::default()),
             draining: AtomicBool::new(false),
+            topology_version: 0,
         };
         let pin = handle.repin().map_err(|e| {
             io::Error::new(
@@ -537,8 +541,7 @@ impl Node for RemoteShardHandle {
         *self.gauge.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn stats_columns(nodes: &[Self]) -> Vec<String> {
-        let addrs = nodes.iter().map(|h| format!("\"{}\"", h.addr()));
-        vec![json_column("shard_addrs", addrs)]
+    fn stats(&self) -> NodeStats<'_> {
+        NodeStats::Remote(self.addr(), self.topology_version)
     }
 }

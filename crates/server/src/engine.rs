@@ -42,7 +42,7 @@
 //! transport-agnostic and unit-testable without a socket.
 
 use crate::client::Client;
-use crate::metrics::{micros_since, ServerMetrics};
+use crate::metrics::{micros_since, MineCursorMetrics, ServerMetrics};
 use crate::net::RequestHandler;
 use crate::proto::{maintain_action, LogEntry, Reply, Request, Response};
 use crate::router::Front;
@@ -55,7 +55,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -79,12 +79,11 @@ const COUNT_MANY_MAX_WORK: usize = 1 << 16;
 
 /// Admission control for one `count_many` batch, shared by every engine:
 /// charges the batch by its total item count (an empty itemset charges
-/// one unit), rejecting — and counting as overloaded — anything past
-/// [`COUNT_MANY_MAX_WORK`]; an admitted batch's size is recorded.
+/// one unit), rejecting anything past [`COUNT_MANY_MAX_WORK`]; an
+/// admitted batch's size is recorded.
 pub(crate) fn admit_count_many(metrics: &ServerMetrics, itemsets: &[Vec<u32>]) -> bool {
     let work: usize = itemsets.iter().map(|s| s.len().max(1)).sum();
     if work > COUNT_MANY_MAX_WORK {
-        metrics.overloaded.fetch_add(1, Ordering::Relaxed);
         return false;
     }
     metrics.count_many_batch.record(itemsets.len() as u64);
@@ -286,8 +285,10 @@ pub enum InsertOutcome {
 
 /// The server's request engine (transport-agnostic).
 pub struct Engine {
-    shared: Arc<SharedDeployment>,
+    pub(crate) shared: Arc<SharedDeployment>,
     metrics: Arc<ServerMetrics>,
+    /// What the cursors of the MINE requests this engine served did.
+    pub(crate) mine_cursor: MineCursorMetrics,
     ingest: SyncSender<IngestJob>,
     committer: Mutex<Option<JoinHandle<()>>>,
     /// What this engine answers through when it serves alone; its drain
@@ -296,7 +297,7 @@ pub struct Engine {
     role: Arc<RwLock<Role>>,
     applier: Mutex<Option<JoinHandle<()>>>,
     applier_stop: Arc<AtomicBool>,
-    cfg: ServerConfig,
+    pub(crate) cfg: ServerConfig,
     /// Bounded pin table for the remote-shard read contract: epoch →
     /// snapshot, oldest evicted beyond [`MAX_PINS`].
     pins: Mutex<Vec<(u64, Arc<Snapshot>)>>,
@@ -378,6 +379,7 @@ impl Engine {
         let engine = Arc::new(Engine {
             shared,
             metrics,
+            mine_cursor: MineCursorMetrics::default(),
             ingest: tx,
             committer: Mutex::new(Some(committer)),
             front,
@@ -530,7 +532,6 @@ impl Engine {
             return Response::NotPrimary(primary);
         }
         if self.is_draining() {
-            self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
             return Response::Overloaded;
         }
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
@@ -542,15 +543,10 @@ impl Engine {
                 .collect(),
             reply: reply_tx,
         };
-        match self.ingest.try_send(job) {
-            Ok(()) => {
-                self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
-                return Response::Overloaded;
-            }
+        if self.ingest.try_send(job).is_err() {
+            return Response::Overloaded;
         }
+        self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
         match reply_rx.recv_timeout(self.cfg.insert_timeout) {
             Ok(outcome) => outcome,
             Err(_) => Response::Err(format!(
@@ -585,7 +581,6 @@ impl Engine {
             return Response::NotPrimary(primary);
         }
         if self.is_draining() {
-            self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
             return Response::Overloaded;
         }
         if req_id != 0 {
@@ -627,9 +622,7 @@ impl Engine {
         };
         let seed = FPR_SEED ^ self.fpr_probes.fetch_add(1, Ordering::Relaxed);
         let fpr = self.shared.snapshot().measure_fpr(samples, seed)?;
-        self.metrics
-            .last_measured_fpr_bits
-            .store(fpr.to_bits(), Ordering::Relaxed);
+        self.metrics.last_measured_fpr.set(fpr);
         Ok(fpr)
     }
 
@@ -744,46 +737,6 @@ impl Engine {
             return Ok((maintain_action::FOLD, fpr));
         }
         Ok((maintain_action::PROBE_FPR, fpr))
-    }
-
-    /// The stats-document keys of a lone engine's role, configuration and
-    /// writer state (the router renders the rest).
-    pub(crate) fn own_stats(&self) -> Vec<String> {
-        let profile = self.shared.writer_profile();
-        let (role_name, primary_addr) = match self.role() {
-            Role::Primary => ("primary", String::new()),
-            Role::Follower { primary } => ("follower", primary),
-        };
-        vec![
-            format!("\"role\":\"{role_name}\""),
-            format!("\"primary_addr\":\"{primary_addr}\""),
-            format!("\"committed_seq\":{}", self.shared.committed_seq()),
-            format!("\"queue_capacity\":{}", self.cfg.queue_capacity),
-            format!("\"batch_max\":{}", self.cfg.batch_max),
-            format!(
-                "\"commit_window_ms\":{}",
-                self.cfg.commit_window.as_millis()
-            ),
-            format!("\"dedup_window\":{}", self.cfg.dedup_window),
-            format!("\"writer_poisoned\":{}", self.shared.writer_poisoned()),
-            format!("\"writer_heals\":{}", self.shared.writer_heals()),
-            format!("\"mine_cursor\":{}", self.metrics.mine_cursor.to_json()),
-            format!("\"commits\":{}", profile.commits),
-            format!("\"appended\":{}", profile.appended),
-            format!("\"committed_rows\":{}", profile.committed_rows),
-            format!("\"deletes\":{}", profile.deletes),
-            format!(
-                "\"writer_pager\":{{\"reads\":{},\"writes\":{},\"checksum_reads\":{},\"checksum_writes\":{}}}",
-                profile.pager.reads,
-                profile.pager.writes,
-                profile.pager.checksum_reads,
-                profile.pager.checksum_writes
-            ),
-            format!(
-                "\"writer_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{}}}",
-                profile.cache.hits, profile.cache.misses, profile.cache.evictions
-            ),
-        ]
     }
 
     /// Serves one decoded request alone, recording per-endpoint metrics:
@@ -1527,7 +1480,10 @@ mod tests {
         let outcome = engine.insert_with_id(0, &wire(vec![Transaction::new(0, Itemset::from_values(&[9]))]));
         assert!(matches!(outcome, Response::Ok(Reply::Insert { .. })));
         engine.begin_drain();
-        let outcome = engine.insert_with_id(0, &wire(vec![Transaction::new(1, Itemset::from_values(&[9]))]));
+        let outcome = engine.handle(&Request::Insert {
+            req_id: 0,
+            txns: wire(vec![Transaction::new(1, Itemset::from_values(&[9]))]),
+        });
         assert_eq!(outcome, Response::Overloaded);
         assert!(engine.metrics().overloaded.load(Ordering::Relaxed) >= 1);
         engine.join();

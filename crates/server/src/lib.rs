@@ -17,7 +17,9 @@
 //!   threads, interruptible frame reads, request deadlines, and graceful
 //!   drain (in-flight requests answered, queued ingest committed).
 //! * [`metrics`] — lock-free per-endpoint counters and log2 latency
-//!   histograms, served as JSON by the `stats` endpoint.
+//!   histograms, and the stats registry: every key of the JSON document
+//!   the `stats` endpoint serves, declared once with the rule that merges
+//!   it across a router's nodes.
 //! * [`router`] — the one request dispatcher and the scatter-gather
 //!   [`Router`] over any N ≥ 1 [`Node`]s (inserts route by TID, reads
 //!   scatter-gather and sum), and [`sharded`] — the engine as a node, and
@@ -55,8 +57,10 @@ pub use client::{
     RetryPolicy, RetryStats, RowsReply, ServerAddr,
 };
 pub use engine::{resolve_threads, Engine, InsertOutcome, Role, ServerConfig};
-pub use metrics::{Endpoint, Histogram, MineCursorMetrics, ServerMetrics};
+pub use metrics::{
+    Endpoint, Histogram, MineCursorMetrics, NodeStats, ScatterMetrics, ServerMetrics, ShardFaults,
+};
 pub use net::{serve, Bind, RequestHandler, ServerHandle};
 pub use proto::{maintain_action, LogEntry, Reply, Request, Response};
-pub use router::{json_column, merge_receipts, Gauge, Node, Router, ScatterMetrics, ShardFaults};
+pub use router::{merge_receipts, Gauge, Node, Router};
 pub use sharded::ShardedEngine;

@@ -59,14 +59,19 @@ pub trait RequestHandler: Send + Sync + 'static {
     fn dispatch(&self, req: &Request) -> Response;
 
     /// Serves one decoded request, recording its endpoint metrics: the
-    /// request count, the handler latency, and whether it failed.
+    /// request count, the handler latency, and whether it failed.  A
+    /// refusal is counted here, once, as the client's `Overloaded`.
     fn handle(&self, req: &Request) -> Response {
         let start = Instant::now();
-        let endpoint = self.metrics().endpoint(req.opcode());
+        let metrics = self.metrics();
+        let endpoint = metrics.endpoint(req.opcode());
         if let Some(ep) = endpoint {
             ep.requests.fetch_add(1, Ordering::Relaxed);
         }
         let resp = self.dispatch(req);
+        if matches!(resp, Response::Overloaded) {
+            metrics.overloaded.fetch_add(1, Ordering::Relaxed);
+        }
         if let Some(ep) = endpoint {
             ep.latency_us.record(micros_since(start));
             if matches!(resp, Response::Err(_) | Response::ShardUnavailable(..)) {

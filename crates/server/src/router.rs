@@ -25,7 +25,9 @@
 //! never asks which kind it is.
 
 use crate::engine::{admit_count_many, mine_reply, resolve_threads};
-use crate::metrics::{micros_since, Histogram, ServerMetrics};
+use crate::metrics::{
+    micros_since, Histogram, NodeStats, ScatterMetrics, ServerMetrics, ShardFaults,
+};
 use crate::net::RequestHandler;
 use crate::proto::{maintain_action, Reply, Request, Response};
 use bbs_core::{mine_views, scatter, MineView, Scheme};
@@ -33,87 +35,9 @@ use bbs_storage::{route, Manifest};
 use bbs_tdb::{MineResult, SupportThreshold};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Scatter-gather latency (µs) per fan-out endpoint: the time from
-/// dispatching a request to every shard until the gathered answer is
-/// assembled.  Rendered in the stats document as `"scatter_us"`.
-#[derive(Default)]
-pub struct ScatterMetrics {
-    /// Insert fan-out: partition + N parallel group commits + merge.
-    pub insert: Histogram,
-    /// Single-count fan-out.
-    pub count: Histogram,
-    /// Batched-count fan-out (whole batch to every shard).
-    pub count_many: Histogram,
-    /// Mine fan-out: mining views + filter + cross-shard refinement.
-    pub mine: Histogram,
-    /// Probe routing (single-shard, but addressed globally).
-    pub probe: Histogram,
-    /// Delete fan-out: partition + N parallel tombstone commits + merge.
-    pub delete: Histogram,
-}
-
-impl ScatterMetrics {
-    /// Renders the histograms as the stats document's `scatter_us` value.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"insert\":{},\"count\":{},\"count_many\":{},\"mine\":{},\"probe\":{},\"delete\":{}}}",
-            self.insert.to_json(),
-            self.count.to_json(),
-            self.count_many.to_json(),
-            self.mine.to_json(),
-            self.probe.to_json(),
-            self.delete.to_json()
-        )
-    }
-}
-
-/// Per-shard fault counters, rendered next to the `scatter_us`
-/// histograms in the stats document.  A local shard only ever bumps
-/// `scatter_errors` (there is no wire to time out on and no follower to
-/// fail over to); a remote one bumps all three.
-#[derive(Default)]
-pub struct ShardFaults {
-    /// Scatter legs that returned an error for this shard.
-    pub scatter_errors: AtomicU64,
-    /// Scatter legs that exhausted their per-request timeout waiting on
-    /// this shard.
-    pub timeouts: AtomicU64,
-    /// Times this shard's handle was re-pointed at its replication
-    /// follower after the primary went silent.
-    pub failovers: AtomicU64,
-}
-
-impl ShardFaults {
-    /// Counts a failed read as a scatter error.
-    pub(crate) fn noting<T>(&self, result: io::Result<T>) -> io::Result<T> {
-        result.inspect_err(|_| {
-            self.scatter_errors.fetch_add(1, Ordering::Relaxed);
-        })
-    }
-
-    /// Renders the three per-shard arrays as stats-document fragments:
-    /// `"scatter_errors":[..]`, `"timeouts":[..]`, `"failovers":[..]`.
-    pub fn to_json_arrays(faults: &[Arc<ShardFaults>]) -> Vec<String> {
-        let column = |name: &str, pick: fn(&ShardFaults) -> &AtomicU64| {
-            json_column(name, faults.iter().map(|f| pick(f).load(Ordering::Relaxed)))
-        };
-        vec![
-            column("scatter_errors", |f| &f.scatter_errors),
-            column("timeouts", |f| &f.timeouts),
-            column("failovers", |f| &f.failovers),
-        ]
-    }
-}
-
-/// Renders one per-shard stats column, `"name":[v0,v1,…]`.
-pub fn json_column<T: ToString>(name: &str, values: impl Iterator<Item = T>) -> String {
-    let cells: Vec<String> = values.map(|v| v.to_string()).collect();
-    format!("\"{name}\":[{}]", cells.join(","))
-}
 
 /// A node's committed state as the stats document reports it, read
 /// without blocking on the node.
@@ -206,9 +130,8 @@ pub trait Node: Send + Sync + Sized {
     /// The node's committed state for the stats document.
     fn gauge(&self) -> Gauge;
 
-    /// The stats-document keys only this kind of node has, as rendered
-    /// `"key":value` fragments: per-shard columns, and a lone node's own.
-    fn stats_columns(nodes: &[Self]) -> Vec<String>;
+    /// What this kind of node adds to the stats document.
+    fn stats(&self) -> NodeStats<'_>;
 
     /// Propagates a router drain: a draining node refuses writes.
     fn begin_drain(&self) {}
@@ -228,7 +151,6 @@ pub(crate) struct Front {
     pub(crate) scatter: ScatterMetrics,
     pub(crate) draining: Arc<AtomicBool>,
     pub(crate) mine_threads: usize,
-    pub(crate) stats_extra: Vec<String>,
     pub(crate) manifest: Option<PathBuf>,
 }
 
@@ -298,7 +220,7 @@ impl Front {
                 Err(e) => self.fail(nodes, "probe", e),
             },
             Request::Stats => Response::Ok(Reply::Stats {
-                json: self.stats_json(nodes),
+                json: crate::metrics::document(self, nodes),
             }),
             Request::Shutdown => {
                 self.begin_drain(nodes);
@@ -489,38 +411,6 @@ impl Front {
         Ok((result, epoch, rows))
     }
 
-    /// Renders the one stats document: the wire metrics with the nodes'
-    /// write-side counters summed, the shard table and the keys the node
-    /// kind adds, the scatter histograms and the per-shard faults.
-    fn stats_json<N: Node>(&self, nodes: &[N]) -> String {
-        let gauges: Vec<Gauge> = nodes.iter().map(Node::gauge).collect();
-        let writes: Vec<_> = nodes
-            .iter()
-            .filter_map(N::own_metrics)
-            .map(|m| &**m)
-            .collect();
-        let mut extra = self.stats_extra.clone();
-        extra.extend([
-            format!("\"shards\":{}", nodes.len()),
-            format!(
-                "\"width\":{}",
-                gauges.iter().map(|g| g.width).max().unwrap_or(0)
-            ),
-            format!("\"rows\":{}", gauges.iter().map(|g| g.rows).sum::<u64>()),
-            format!("\"epoch\":{}", gauges.iter().map(|g| g.epoch).sum::<u64>()),
-            json_column("shard_rows", gauges.iter().map(|g| g.rows)),
-            json_column("shard_width", gauges.iter().map(|g| g.width)),
-        ]);
-        extra.extend(N::stats_columns(nodes));
-        extra.push(format!("\"scatter_us\":{}", self.scatter.to_json()));
-        extra.push(format!(
-            "\"draining\":{}",
-            self.draining.load(Ordering::Acquire)
-        ));
-        extra.extend(ShardFaults::to_json_arrays(&self.faults));
-        self.metrics.to_json_with(&writes, &extra)
-    }
-
     /// Starts a drain, which reaches every node.
     pub(crate) fn begin_drain<N: Node>(&self, nodes: &[N]) {
         self.draining.store(true, Ordering::Release);
@@ -554,15 +444,9 @@ pub struct Router<N: Node> {
 impl<N: Node> Router<N> {
     /// Builds a router over `nodes` (shard order) and their fault
     /// counters.  `mine_threads` is the default worker count for `mine`
-    /// requests that ask for `0`; `stats_extra` are fixed `"key":value`
-    /// fragments of the stats document.  Over one node that keeps metrics
-    /// the router records into the node's.
-    pub fn new(
-        nodes: Vec<N>,
-        faults: Vec<Arc<ShardFaults>>,
-        mine_threads: usize,
-        stats_extra: Vec<String>,
-    ) -> Self {
+    /// requests that ask for `0`.  Over one node that keeps metrics the
+    /// router records into the node's.
+    pub fn new(nodes: Vec<N>, faults: Vec<Arc<ShardFaults>>, mine_threads: usize) -> Self {
         assert_eq!(nodes.len(), faults.len());
         let metrics = match &nodes[..] {
             [node] => node.own_metrics().cloned(),
@@ -572,7 +456,6 @@ impl<N: Node> Router<N> {
             faults,
             metrics: metrics.unwrap_or_default(),
             mine_threads,
-            stats_extra,
             ..Front::default()
         };
         Router { nodes, front }

@@ -7,10 +7,10 @@
 //! ([`LocalPin`]), mined in place; a write leg is the engine's typed call.
 
 use crate::engine::{wire_txn, Engine, InsertOutcome, ServerConfig};
-use crate::metrics::ServerMetrics;
+use crate::metrics::{MineCursorMetrics, NodeStats, ServerMetrics, ShardFaults};
 use crate::net::RequestHandler;
 use crate::proto::{Reply, Request, Response};
-use crate::router::{json_column, Gauge, Node, Router, ShardFaults};
+use crate::router::{Gauge, Node, Router};
 use bbs_core::{scatter, MineView};
 use bbs_storage::snapshot::Snapshot;
 use bbs_storage::{shard_base, DiskCounter, Manifest};
@@ -19,7 +19,6 @@ use std::collections::HashMap;
 use std::io;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// An engine's published snapshot pinned for one request, and its mining
@@ -27,7 +26,7 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub struct LocalPin<'a> {
     snap: Arc<Snapshot>,
-    metrics: &'a ServerMetrics,
+    cursor: &'a MineCursorMetrics,
     faults: &'a ShardFaults,
 }
 
@@ -55,7 +54,7 @@ impl MineView for LocalPin<'_> {
 
     /// What the reader did goes into the engine's `mine_cursor` metrics.
     fn retire(&self, counter: &DiskCounter) {
-        self.metrics.mine_cursor.record(counter);
+        self.cursor.record(counter);
     }
 }
 
@@ -74,7 +73,7 @@ impl<E: Deref<Target = Engine> + Send + Sync> Node for E {
     fn pin<'a>(&'a self, faults: &'a ShardFaults) -> io::Result<LocalPin<'a>> {
         Ok(LocalPin {
             snap: self.snapshot(),
-            metrics: Engine::metrics(self),
+            cursor: &self.mine_cursor,
             faults,
         })
     }
@@ -148,33 +147,8 @@ impl<E: Deref<Target = Engine> + Send + Sync> Node for E {
         }
     }
 
-    /// The shard columns, live and tombstoned totals, a lone engine's keys.
-    fn stats_columns(nodes: &[Self]) -> Vec<String> {
-        let snaps: Vec<Arc<Snapshot>> = nodes.iter().map(|e| e.snapshot()).collect();
-        let gauge = |pick: fn(&ServerMetrics) -> &AtomicU64| {
-            nodes
-                .iter()
-                .map(move |e| pick(e.metrics()).load(Ordering::Relaxed))
-        };
-        let deleted = || snaps.iter().map(|s| s.deleted_rows());
-        let live: u64 = snaps.iter().map(|s| s.live_rows()).sum();
-        let fpr = gauge(|m| &m.last_measured_fpr_bits).map(|b| format!("{:.6}", f64::from_bits(b)));
-        let mut columns = vec![
-            json_column("shard_lag", gauge(|m| &m.replication_lag_rows)),
-            json_column("shard_queue_depth", gauge(|m| &m.queue_depth)),
-            json_column("shard_deleted_rows", deleted()),
-            json_column("shard_fpr", fpr),
-            json_column(
-                "shard_mine_cursor",
-                nodes.iter().map(|e| e.metrics().mine_cursor.to_json()),
-            ),
-            format!("\"deleted_rows\":{}", deleted().sum::<u64>()),
-            format!("\"live_rows\":{live}"),
-        ];
-        if let [engine] = nodes {
-            columns.extend(engine.own_stats());
-        }
-        columns
+    fn stats(&self) -> NodeStats<'_> {
+        NodeStats::local(self)
     }
 
     fn begin_drain(&self) {
@@ -213,7 +187,7 @@ impl ShardedEngine {
         }
         let engines = scatter(&bases, |_, base| Engine::open(base, cfg.clone()))?;
         let faults = engines.iter().map(|_| Arc::default()).collect();
-        let mut router = Router::new(engines, faults, cfg.mine_threads, Vec::new());
+        let mut router = Router::new(engines, faults, cfg.mine_threads);
         router.front.manifest = manifest.map(|_| path.to_path_buf());
         Ok(Arc::new(router))
     }

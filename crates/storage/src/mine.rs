@@ -51,11 +51,7 @@ impl DiskMineStats {
         self.pager.checksum_reads += p.checksum_reads;
         self.pager.checksum_writes += p.checksum_writes;
         self.pager.verified += p.verified;
-        let w = reader.cursor_stats();
-        self.cursor.extends += w.extends;
-        self.cursor.tau_exits += w.tau_exits;
-        self.cursor.chunks_skipped += w.chunks_skipped;
-        self.cursor.sparse_ands += w.sparse_ands;
+        self.cursor.absorb(reader.cursor_stats());
         self.readers += 1;
     }
 
