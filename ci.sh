@@ -54,11 +54,18 @@ done
 # Formatting, checked on the files already rustfmt-clean; the list grows
 # as files are formatted.
 rustfmt --check --edition 2021 \
+  crates/hash/src/family.rs \
+  crates/storage/src/slicefile.rs \
   crates/server/src/frames.rs \
   crates/server/src/metrics.rs \
   crates/server/src/router.rs \
   crates/server/src/sharded.rs \
   crates/remote/src/coordinator.rs \
+  crates/remote/src/topology.rs \
+  crates/storage/tests/family.rs \
+  crates/server/tests/family.rs \
+  crates/remote/tests/family.rs \
+  crates/cli/tests/family.rs \
   crates/server/tests/served_shape.rs \
   crates/server/tests/stats_merge.rs \
   crates/server/tests/wire_golden.rs \

@@ -55,14 +55,6 @@ pub fn and_count(a: &[u64], b: &[u64]) -> usize {
     ops_simd::and_all_count_bounded(&[a, b], a.len().min(b.len()), None)
 }
 
-/// ANDs every slice in `srcs` into `dst` (which must be pre-filled, e.g. with
-/// all-ones or with the first operand).  Short sources zero-extend.
-pub fn and_all_into(dst: &mut [u64], srcs: &[&[u64]]) {
-    for src in srcs {
-        and_assign(dst, src);
-    }
-}
-
 /// Fused multi-way AND + popcount: returns `popcount(srcs[0] & … & srcs[k-1])`
 /// over the first `words` words, without writing an output vector.
 ///

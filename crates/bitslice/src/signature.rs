@@ -102,16 +102,6 @@ impl Signature {
     pub fn iter_ones(&self) -> OnesIter<'_> {
         self.bits.iter_ones()
     }
-
-    /// Borrow the underlying bit vector.
-    pub fn as_bitvec(&self) -> &BitVec {
-        &self.bits
-    }
-
-    /// Consume into the underlying bit vector.
-    pub fn into_bitvec(self) -> BitVec {
-        self.bits
-    }
 }
 
 impl fmt::Debug for Signature {

@@ -5,7 +5,7 @@ use bbs_apriori::AprioriMiner;
 use bbs_core::{AdhocEngine, Bbs, BbsMiner, Scheme};
 use bbs_datagen::QuestConfig;
 use bbs_fptree::FpGrowthMiner;
-use bbs_hash::{ItemHasher, Md5BloomHasher};
+use bbs_hash::{hasher_for_id, ItemHasher, Md5BloomHasher};
 use bbs_tdb::{
     read_transactions_path, write_transactions_path, FrequentPatternMiner, IoStats, Itemset,
     MineResult, TidModulo, TransactionDb,
@@ -27,12 +27,19 @@ fn load_db(flags: &Flags) -> Result<TransactionDb, Box<dyn Error>> {
     Ok(db)
 }
 
-fn hasher(flags: &Flags) -> Result<Arc<dyn ItemHasher>, Box<dyn Error>> {
-    let k: usize = flags.get_parsed_or("hash-k", 4usize)?;
-    if k == 0 {
-        return Err("--hash-k must be at least 1".into());
+/// The hash family `--hash-k K` names, `md5/K`, when the flag is given.
+fn hash_k(flags: &Flags) -> Result<Option<Arc<dyn ItemHasher>>, Box<dyn Error>> {
+    if flags.get("hash-k").is_none() {
+        return Ok(None);
     }
-    Ok(Arc::new(Md5BloomHasher::new(k)))
+    let k: usize = flags.require_parsed("hash-k")?;
+    Ok(Some(hasher_for_id(&format!("md5/{k}"))?))
+}
+
+/// The hash family a new index or base is laid out with: `--hash-k`'s,
+/// else the paper's `md5/4`.
+fn hasher(flags: &Flags) -> Result<Arc<dyn ItemHasher>, Box<dyn Error>> {
+    Ok(hash_k(flags)?.unwrap_or_else(|| Arc::new(Md5BloomHasher::default())))
 }
 
 /// Builds the index of `--db` in memory; a durable one is a deployment
@@ -238,20 +245,22 @@ pub fn create(flags: &Flags) -> CmdResult {
 
 /// The one open of `--base`: a plain `<base>.*` deployment is one
 /// partition, a directory made by `bbs create --shards N` is N, each at
-/// the width its own slice file holds.  A base that does not exist is
-/// refused, unless `create` lays it down at `--width`.  A `--width` that
-/// is given must be every partition's.
+/// the width and hash family its own slice file records.  A base that
+/// does not exist is refused, unless `create` lays it down at `--width`
+/// and `--hash-k`.  A `--width` or `--hash-k` that is given must be every
+/// partition's.
 fn open_base(flags: &Flags, create: bool) -> Result<Deployment, Box<dyn Error>> {
     let path = Path::new(flags.require("base")?);
     let width = flags.get("width").map(|_| flags.require_parsed("width")).transpose()?;
     let cache_pages: usize = flags.get_parsed_or("cache-pages", 4096usize)?;
+    let family = hash_k(flags)?.map(|h| h.id());
     let hasher = hasher(flags)?;
     let dep = if create {
         Deployment::open_or_create(path, width.unwrap_or(DEFAULT_WIDTH), hasher, cache_pages)?
     } else {
         Deployment::open(path, hasher, cache_pages)?
     };
-    dep.check_width(width)?;
+    dep.check_layout(width, family.as_deref())?;
     Ok(dep)
 }
 
@@ -421,10 +430,10 @@ fn print_disk_stats(stats: &bbs_storage::DiskMineStats) {
 /// `bbs compact` — offline maintenance of a durable deployment: rewrite
 /// every shard without its tombstoned rows (at `--width M`, or else at the
 /// sharded directory's MANIFEST width, which finishes a width change left
-/// half done), or halve each shard's width in place with `--fold`.  Each
-/// shard runs behind the atomic epoch-swap protocol, so a crash at any
-/// point leaves it either old or new; the MANIFEST follows once every
-/// shard ends at one width.
+/// half done), or halve each shard's width in place with `--fold`, each
+/// under the hash family it records.  Each shard runs behind the atomic
+/// epoch-swap protocol, so a crash at any point leaves it either old or
+/// new; the MANIFEST follows once every shard ends at one width.
 pub fn compact(flags: &Flags) -> CmdResult {
     let base = flags.require("base")?;
     let cache_pages: usize = flags.get_parsed_or("cache-pages", 4096usize)?;
@@ -433,8 +442,7 @@ pub fn compact(flags: &Flags) -> CmdResult {
     if fold && width.is_some() {
         return Err("--fold and --width conflict: fold always halves the width".into());
     }
-    let (reports, manifest_width) =
-        Deployment::compact(Path::new(base), width, fold, hasher(flags)?, cache_pages)?;
+    let (reports, manifest_width) = Deployment::compact(Path::new(base), width, fold, cache_pages)?;
     if let [report] = &reports[..] {
         println!(
             "{}: width {} ({} -> {} rows, {} tombstoned row(s) reclaimed, commit seq {})",

@@ -64,7 +64,8 @@ USAGE:
   bbs create   --base DIR --shards N [--width M] [--hash-k K]
                [--cache-pages P]   (sharded deployment: TID-range shards,
                each with its own pager, commit record and dedup window)
-  bbs ingest   --base PATH --db FILE [--width M] [--cache-pages N]
+  bbs ingest   --base PATH --db FILE [--width M] [--hash-k K]
+               [--cache-pages N]
   bbs mine-deployment --base PATH --min-support N|P%
                [--scheme sfs|sfp|dfs|dfp] [--width M] [--top N]
                [--threads N]   (in-place workers; 0 or absent = all cores)
@@ -98,7 +99,7 @@ USAGE:
                 --tid-file FILE, and/or --db FILE [--batch N]; maintain:
                 [--action probe|compact|fold|auto]
                 [--samples N] [--width M])
-  bbs compact  --base PATH [--width M | --fold] [--hash-k K]
+  bbs compact  --base PATH [--width M | --fold]
                [--cache-pages N]   (rewrite minus tombstoned rows behind
                an atomic epoch swap; --width M re-hashes to width M,
                --fold halves the width by OR-ing slice halves)
@@ -109,9 +110,11 @@ USAGE:
 
 Every `--base` also accepts a sharded directory made by `bbs create
 --shards N`: inserts route by TID to per-shard commit pipelines, counts
-and mining scatter-gather.  Each shard is read at the width its own
-slice file holds; `--width` lays out new files (`create`, a first
-`ingest`, `compact`) and is otherwise only checked against them.
+and mining scatter-gather.  Each shard is read at the width and hash
+family its own slice file records; `--width` lays out new files
+(`create`, a first `ingest`, `compact`) and `--hash-k K` (family
+`md5/K`, default 4) a new base (`create`, a first `ingest`), and each is
+otherwise only checked against them.
 `compact --base DIR` moves every shard to the MANIFEST width unless
 `--width` or `--fold` is given.
 

@@ -37,7 +37,7 @@
 //!    total.
 
 use bbs_core::{scatter, tally_subsets, Bbs, Cursor, MineView, Resident};
-use bbs_hash::{ItemHasher, Md5BloomHasher, ModuloHasher};
+use bbs_hash::hasher_for_id;
 use bbs_server::{
     maintain_action, ClientError, ClientResult, CountsAtReply, Gauge, Node, NodeStats, Reply,
     Request, Response, RetryClient, RetryPolicy, ServerAddr, ShardFaults,
@@ -48,17 +48,6 @@ use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
-
-/// Reconstructs the hash family an identity string names (`md5/K`,
-/// `mod/1`): re-indexing a shard's rows for mining needs the actual
-/// functions, not just their name.
-pub fn hasher_for_id(id: &str) -> Option<Arc<dyn ItemHasher>> {
-    if id == "mod/1" {
-        return Some(Arc::new(ModuloHasher));
-    }
-    let k: usize = id.strip_prefix("md5/")?.parse().ok()?;
-    (k > 0).then(|| Arc::new(Md5BloomHasher::new(k)) as Arc<dyn ItemHasher>)
-}
 
 /// Connection knobs for one remote shard.
 #[derive(Debug, Clone)]
@@ -458,15 +447,8 @@ impl Node for RemoteShardHandle {
         Self: 'a,
     {
         let (width, hasher_id) = &pin.handle.shape;
-        let hasher = hasher_for_id(hasher_id).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "cannot mine through hasher {hasher_id:?}: no local construction for this \
-                     identity"
-                ),
-            )
-        })?;
+        let hasher = hasher_for_id(hasher_id)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let mut db = TransactionDb::new();
         let mut bbs = Bbs::new(*width, hasher);
         let mut stats = IoStats::new();

@@ -28,5 +28,5 @@ pub mod handle;
 pub mod topology;
 
 pub use coordinator::{CoordinatorEngine, CoordinatorOptions};
-pub use handle::{hasher_for_id, RemoteOptions, RemoteShardHandle};
+pub use handle::{RemoteOptions, RemoteShardHandle};
 pub use topology::{NodeSpec, Topology, TOPOLOGY_VERSION};

@@ -32,6 +32,7 @@
 //! ignored, so a typo'd `"folower"` fails loudly at startup instead of
 //! silently disabling failover.
 
+use bbs_server::json_string;
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -228,30 +229,16 @@ impl fmt::Display for Topology {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// The JSON subset a topology file may use.
+/// A parsed JSON document.  A topology holds only objects, arrays,
+/// strings and non-negative integers; every other value is `Other`, so
+/// that a field holding one is refused by name.
 enum Json {
     Object(Vec<(String, Json)>),
     Array(Vec<Json>),
     String(String),
     Number(u64),
+    /// `true`, `false`, `null`, or a negative or fractional number.
+    Other,
 }
 
 impl Json {
@@ -307,11 +294,7 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
         *pos += 1;
         Ok(())
     } else {
-        Err(format!(
-            "expected {:?} at byte {}",
-            char::from(byte),
-            *pos
-        ))
+        Err(format!("expected {:?} at byte {}", char::from(byte), *pos))
     }
 }
 
@@ -321,13 +304,17 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         Some(b'{') => parse_object(bytes, pos),
         Some(b'[') => parse_array(bytes, pos),
         Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
-        Some(b'0'..=b'9') => parse_number(bytes, pos),
-        Some(&other) => Err(format!(
-            "unexpected {:?} at byte {} (a topology holds only objects, arrays, \
-             strings and non-negative integers)",
-            char::from(other),
-            *pos
-        )),
+        Some(b'0'..=b'9' | b'-') => parse_number(bytes, pos),
+        Some(_) => {
+            let literal = [&b"true"[..], b"false", b"null"]
+                .into_iter()
+                .find(|word| bytes[*pos..].starts_with(word))
+                .ok_or_else(|| {
+                    format!("unexpected {:?} at byte {}", char::from(bytes[*pos]), *pos)
+                })?;
+            *pos += literal.len();
+            Ok(Json::Other)
+        }
         None => Err("unexpected end of document".into()),
     }
 }
@@ -404,6 +391,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'n') => out.push(b'\n'),
                     Some(b't') => out.push(b'\t'),
                     Some(b'r') => out.push(b'\r'),
+                    Some(b'u') => {
+                        let c = bytes
+                            .get(*pos + 1..*pos + 5)
+                            .and_then(|hex| std::str::from_utf8(hex).ok())
+                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                            .and_then(char::from_u32)
+                            .ok_or_else(|| format!("unsupported \\u escape at byte {}", *pos))?;
+                        out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                        *pos += 4;
+                    }
                     _ => return Err(format!("unsupported escape at byte {}", *pos)),
                 }
                 *pos += 1;
@@ -418,20 +415,85 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
+    let digits = |pos: &mut usize| {
+        let start = *pos;
+        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
+            *pos += 1;
+        }
+        if *pos == start {
+            return Err(format!("expected a digit at byte {start}"));
+        }
+        Ok(std::str::from_utf8(&bytes[start..*pos]).expect("digits are ascii"))
+    };
+    let negative = bytes.get(*pos) == Some(&b'-');
+    *pos += usize::from(negative);
+    let whole = digits(pos)?;
+    let mut integer = !negative;
+    if bytes.get(*pos) == Some(&b'.') {
         *pos += 1;
+        digits(pos)?;
+        integer = false;
     }
-    let digits = std::str::from_utf8(&bytes[start..*pos]).expect("digits are ascii");
-    digits
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        *pos += usize::from(matches!(bytes.get(*pos), Some(b'+' | b'-')));
+        digits(pos)?;
+        integer = false;
+    }
+    if !integer {
+        return Ok(Json::Other);
+    }
+    whole
         .parse::<u64>()
         .map(Json::Number)
-        .map_err(|_| format!("number {digits:?} does not fit in 64 bits"))
+        .map_err(|_| format!("number {whole:?} does not fit in 64 bits"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A one-partition follower's stats document is JSON whatever its
+    /// primary's address holds, and `primary_addr` reads back as given.
+    #[test]
+    fn a_followers_stats_document_is_json_for_a_quoted_primary() {
+        use bbs_server::{Reply, Request, RequestHandler, Response, ServerConfig, ShardedEngine};
+        let base = std::env::temp_dir().join(format!("bbs_quoted_primary_{}", std::process::id()));
+        let primary = "127.0.0.1:1\"x\\y\u{1}";
+        let cfg = ServerConfig {
+            width: 64,
+            cache_pages: 64,
+            follow: Some(primary.into()),
+            ..ServerConfig::default()
+        };
+        let server = ShardedEngine::open(&base, cfg).expect("a follower opens");
+        let json = match server.handle(&Request::Stats) {
+            Response::Ok(Reply::Stats { json }) => json,
+            other => panic!("stats: {other:?}"),
+        };
+        server.join();
+        bbs_storage::DiskDeployment::remove_files(&base).ok();
+        let doc = Json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        let fields = doc.object("stats").expect("an object");
+        let (_, addr) = fields
+            .iter()
+            .find(|(key, _)| key == "primary_addr")
+            .expect("primary_addr");
+        assert_eq!(addr.string("primary_addr").expect("a string"), primary);
+    }
+
+    #[test]
+    fn the_parser_reads_every_json_value_and_every_escape_the_writer_makes() {
+        let doc = r#"{"a": [true, false, null, -1, 0.5, 1e3, 7], "b": "q\"\\\u0001"}"#;
+        let fields = Json::parse(doc).expect("parse");
+        let fields = fields.object("doc").expect("object");
+        let items = fields[0].1.array("a").expect("array");
+        assert!(items[..6].iter().all(|v| matches!(v, Json::Other)));
+        assert_eq!(items[6].number("a").expect("integer"), 7);
+        let s = "q\"\\\u{1}\n\u{1f}";
+        let round = Json::parse(&json_string(s)).expect("parse");
+        assert_eq!(round.string("s").expect("string"), s);
+    }
 
     fn two_shard_doc() -> String {
         r#"{
@@ -492,7 +554,10 @@ mod tests {
             ),
             (
                 Box::new(|d: &str| {
-                    d.replace("\"follower\": \"127.0.0.1:7101\"", "\"follower\": \"127.0.0.1:7001\"")
+                    d.replace(
+                        "\"follower\": \"127.0.0.1:7101\"",
+                        "\"follower\": \"127.0.0.1:7001\"",
+                    )
                 }),
                 "follower must differ from the primary",
             ),

@@ -308,13 +308,17 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Opens (creating or crash-recovering) the deployment at `base` with
-    /// the served MD5 Bloom hasher and spawns the committer thread.
+    /// Opens (creating or crash-recovering) the deployment at `base` and
+    /// spawns the committer thread.  An existing deployment is served
+    /// under the hash family its slice header records; a new one is laid
+    /// out with the paper's default family.
     pub fn open(base: &Path, cfg: ServerConfig) -> io::Result<Arc<Engine>> {
-        Engine::open_with(base, cfg, Arc::new(Md5BloomHasher::new(4)))
+        Engine::open_with(base, cfg, Arc::new(Md5BloomHasher::default()))
     }
 
-    /// [`Engine::open`] with an explicit hash family.
+    /// [`Engine::open`] that lays a new deployment out with `hasher`; an
+    /// existing one keeps its recorded family, as `cfg.width` gives way
+    /// to its recorded width.
     pub fn open_with(
         base: &Path,
         cfg: ServerConfig,

@@ -58,7 +58,8 @@ pub use client::{
 };
 pub use engine::{resolve_threads, Engine, InsertOutcome, Role, ServerConfig};
 pub use metrics::{
-    Endpoint, Histogram, MineCursorMetrics, NodeStats, ScatterMetrics, ServerMetrics, ShardFaults,
+    json_string, Endpoint, Histogram, MineCursorMetrics, NodeStats, ScatterMetrics, ServerMetrics,
+    ShardFaults,
 };
 pub use net::{serve, Bind, RequestHandler, ServerHandle};
 pub use proto::{maintain_action, LogEntry, Reply, Request, Response};

@@ -179,6 +179,27 @@ impl Object<'_> {
     }
 }
 
+/// `s` as a JSON string literal: quoted, with `"`, `\` and every control
+/// character escaped.  The one escaping rule of every document this
+/// workspace writes by hand — the stats document and the topology file.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Implements [`Value`] for each type, `|v, out|` naming the value and
 /// the output.
 macro_rules! values {
@@ -200,8 +221,7 @@ values! {
     bool: |v, out| out.push_str(&v.to_string());
     // Six decimals, the precision an FPR is reported at.
     f64: |v, out| out.push_str(&format!("{v:.6}"));
-    // Stats strings are role names and addresses: quoted, never escaped.
-    str: |v, out| out.push_str(&format!("\"{v}\""));
+    str: |v, out| out.push_str(&json_string(v));
     String: |v, out| v.as_str().write(out);
     AtomicU64: |v, out| v.load(Ordering::Relaxed).write(out);
     F64Gauge: |v, out| v.get().write(out);
@@ -900,6 +920,32 @@ mod tests {
         });
         let coordinator = render(&front, &[], shards.collect());
         assert_eq!(keys(&coordinator), but(&[&local, &lone]));
+    }
+
+    /// Addresses are outside input: a quote or a backslash in one is
+    /// escaped, not written raw into the document.
+    #[test]
+    fn shard_addresses_are_escaped() {
+        let front = Front {
+            faults: vec![Arc::default(), Arc::default()],
+            ..Front::default()
+        };
+        let addrs = ["127.0.0.1:1\"x", "/tmp/a\\b.sock"];
+        let shards = front
+            .faults
+            .iter()
+            .zip(addrs)
+            .map(|(faults, addr)| NodeReading {
+                gauge: Gauge::default(),
+                faults,
+                stats: NodeStats::Remote(addr.into(), 1),
+            });
+        let doc = render(&front, &[], shards.collect());
+        assert!(
+            doc.contains(r#""shard_addrs":["127.0.0.1:1\"x","/tmp/a\\b.sock"]"#),
+            "{doc}"
+        );
+        assert_eq!(json_string("a\"b\\c\u{1}\n"), r#""a\"b\\c\u0001\n""#);
     }
 
     #[test]

@@ -5,21 +5,24 @@
 //! [`DiskDeployment`], so recovery, flushing and verifying stay per
 //! partition and run in parallel; mining is [`crate::mine_deployment`].
 //!
-//! Each partition opens at the width its own slice-file header holds, as
-//! the served open does.  The MANIFEST width is a *target*: new partitions
-//! are laid out at it, [`Deployment::verify`] names a partition at any
-//! other width, and [`Deployment::compact`] moves partitions to it.  So a
-//! width change interrupted between partitions opens and mines: each
-//! partition's estimate bounds its own rows' support from above at any
-//! width, so their sum bounds the support, and refinement keeps every
-//! pattern exact.
+//! Each partition opens at the width and hash family its own slice-file
+//! header records, as the served open does.  The family is chosen once,
+//! when a partition is laid out ([`Deployment::create`], or the first
+//! ingest of a plain base), and nothing changes it after that, so the
+//! MANIFEST does not name it.  The MANIFEST width is a *target*: new
+//! partitions are laid out at it, [`Deployment::verify`] names a
+//! partition at any other width, and [`Deployment::compact`] moves
+//! partitions to it.  So a width change interrupted between partitions
+//! opens and mines: each partition's estimate bounds its own rows'
+//! support from above at any width, so their sum bounds the support, and
+//! refinement keeps every pattern exact.
 
 use crate::diskbbs::{deployment_paths, DiskDeployment, VerifyReport};
 use crate::maintain::{compact_deployment, fold_deployment, MaintainReport};
 use crate::manifest::{route, shard_base, Manifest, MANIFEST_VERSION};
 use crate::slicefile::header_width;
 use bbs_core::{scatter, sum_columns};
-use bbs_hash::ItemHasher;
+use bbs_hash::{ItemHasher, Md5BloomHasher};
 use bbs_tdb::{Itemset, Transaction};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -78,7 +81,8 @@ impl Deployment {
     /// Opens the deployment at `path`, running each partition's crash
     /// recovery in parallel (per-partition commit records make the
     /// recoveries independent).  A path with neither a manifest nor a
-    /// commit record is refused, and nothing is created there.
+    /// commit record is refused, and nothing is created there.  `hasher`
+    /// only lays out a partition whose files are missing.
     pub fn open(path: &Path, hasher: Arc<dyn ItemHasher>, cache_pages: usize) -> io::Result<Self> {
         let (manifest, bases) = locate(path)?;
         let width = manifest.map_or(DEFAULT_WIDTH, |m| m.width);
@@ -124,16 +128,17 @@ impl Deployment {
     }
 
     /// Refuses the deployment unless every partition's slice file is at
-    /// `width`, when one is given.
-    pub fn check_width(&self, width: Option<usize>) -> io::Result<()> {
-        let Some(width) = width else { return Ok(()) };
-        match self.shards.iter().map(|s| s.index.width()).find(|&w| w != width) {
-            Some(stored) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("slice file width {stored} != requested {width}"),
-            )),
-            None => Ok(()),
+    /// `width` and records the hash family `family` names, for whichever
+    /// is given.
+    pub fn check_layout(&self, width: Option<usize>, family: Option<&str>) -> io::Result<()> {
+        for shard in &self.shards {
+            let stored = shard.index.header();
+            stored.check(
+                width.unwrap_or(stored.width),
+                family.unwrap_or(&stored.family),
+            )?;
         }
+        Ok(())
     }
 
     /// The partitions, in shard order.
@@ -255,18 +260,21 @@ impl Deployment {
     /// behind the atomic epoch-swap protocol: rewrite it without its
     /// tombstoned rows at `width` — by default the MANIFEST width, which
     /// also finishes a half-done width change, or a plain base's own — or,
-    /// with `fold`, halve its own width in place.  Returns one report per
-    /// partition, and the MANIFEST's new width when the run moved it:
-    /// only once every partition ends at one width.
+    /// with `fold`, halve its own width in place, each under its own hash
+    /// family.  Returns one report per partition, and the MANIFEST's new
+    /// width when the run moved it: only once every partition ends at one
+    /// width.
     pub fn compact(
         path: &Path,
         width: Option<usize>,
         fold: bool,
-        hasher: Arc<dyn ItemHasher>,
         cache_pages: usize,
     ) -> io::Result<(Vec<MaintainReport>, Option<usize>)> {
         let (manifest, bases) = locate(path)?;
         let target = width.or(manifest.map(|m| m.width));
+        // Each partition keeps the family its header records; this one
+        // would only lay out a partition that has no slice file.
+        let hasher: Arc<dyn ItemHasher> = Arc::new(Md5BloomHasher::default());
         let mut reports = Vec::with_capacity(bases.len());
         for base in &bases {
             let report = if fold {

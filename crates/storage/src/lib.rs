@@ -88,5 +88,5 @@ pub use pager::{
     PAGE_SIZE,
 };
 pub use replog::{read_entries, ReplEntry, ReplLog, ReplRead};
-pub use slicefile::{HotStats, SliceFile, CHUNK_ROWS};
+pub use slicefile::{unrecorded_family, HotStats, SliceFile, SliceHeader, UnrecordedFamily, CHUNK_ROWS};
 pub use snapshot::{BackendFactory, CommitReceipt, SharedDeployment, Snapshot, WriterProfile};

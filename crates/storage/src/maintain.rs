@@ -285,9 +285,10 @@ fn remap_receipt(rank: &DeadRank, r: DedupReceipt) -> DedupReceipt {
 /// at a different slice width), then atomically swaps the rewrite in.
 /// See the module docs for the crash-safety argument.
 ///
-/// `width_hint` is the width to open the source at when its slice file
-/// has no header yet (an empty deployment); an on-disk header always
-/// wins.  `target_width` defaults to the source width.
+/// `width_hint` and `hasher` lay the source out when its slice file has
+/// no header yet (an empty deployment); an on-disk header always wins,
+/// and the rewrite re-hashes every row under the source's own family.
+/// `target_width` defaults to the source width.
 pub fn compact_deployment(
     base: &Path,
     width_hint: usize,
@@ -319,7 +320,7 @@ pub fn compact_deployment_hooked(
         return Err(invalid("compact: target width must be positive"));
     }
     let staging = staging_base(base);
-    let mut src = DiskDeployment::open_at(base, width_hint, hasher.clone(), cache_pages, |_, path| {
+    let mut src = DiskDeployment::open_at(base, width_hint, hasher, cache_pages, |_, path| {
         FileBackend::open(path)
     })?;
     let new_width = target_width.unwrap_or(src.index.width());
@@ -337,7 +338,8 @@ pub fn compact_deployment_hooked(
     // path, batch by batch: the heap, index, counts, and replication log
     // are all rebuilt from first principles, and the staged log doubles
     // as the bootstrap stream a wiped follower resyncs from.
-    let mut dst = DiskDeployment::open(&staging, new_width, hasher, cache_pages)?;
+    let family = Arc::clone(src.index.hasher());
+    let mut dst = DiskDeployment::open(&staging, new_width, family, cache_pages)?;
     let mut batch: Vec<Transaction> = Vec::with_capacity(COMPACT_BATCH);
     let mut deferred: Option<io::Error> = None;
     {
@@ -387,7 +389,9 @@ pub fn compact_deployment_hooked(
 /// slice `j + m/2` — bit-for-bit what re-hashing every row at `m/2`
 /// would build (both hash families position by `value % m`) — and swaps
 /// in the folded file plus its successor commit.  Rows, the heap, the
-/// tombstone log, and the replication log are untouched.
+/// tombstone log, and the replication log are untouched, and the folded
+/// header records the hash family the deployment's header records,
+/// whatever `hasher` is.
 pub fn fold_deployment(
     base: &Path,
     hasher: Arc<dyn ItemHasher>,
@@ -417,10 +421,11 @@ pub fn fold_deployment_hooked(
     // debris *on disk*, so the page pass below reads exactly the committed
     // bits, and the flush stamps the commit record the staged successor
     // record (seq + 1) chains from.
-    let parent = {
-        let mut dep = DiskDeployment::open(base, width, hasher, cache_pages)?;
+    let (parent, family) = {
+        let mut dep = DiskDeployment::open_adopting(base, width, hasher, cache_pages)?;
         dep.flush()?;
-        dep.last_commit().expect("flush wrote a commit")
+        let family = dep.index.hasher().id();
+        (dep.last_commit().expect("flush wrote a commit"), family)
     };
     let rows = parent.rows;
     let staging = staging_base(base);
@@ -428,7 +433,7 @@ pub fn fold_deployment_hooked(
 
     let mut src = Pager::new(FileBackend::open(&paths.slices)?)?;
     let mut dst = Pager::new(FileBackend::open(&spaths.slices)?)?;
-    dst.write_page(PageId(0), &slicefile::encoded_header(half, rows))?;
+    dst.write_page(PageId(0), &slicefile::encoded_header(half, rows, &family))?;
     let chunks = (rows as usize).div_ceil(CHUNK_ROWS) as u64;
     let within = rows % CHUNK_ROWS as u64;
     let boundary_chunk = (within != 0).then(|| rows / CHUNK_ROWS as u64);

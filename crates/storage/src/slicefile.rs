@@ -8,7 +8,7 @@
 //! (= 4096·8) rows, and within a chunk each slice owns one whole page:
 //!
 //! ```text
-//! page 0                  header (magic, width, rows)
+//! page 0                  header (magic, width, rows, hash family)
 //! page 1 + c·m + j        bits of slice j for rows [c·32768, (c+1)·32768)
 //! ```
 //!
@@ -40,41 +40,115 @@ use crate::pager::{
 };
 use bbs_bitslice::{ops, BitVec};
 use bbs_core::SliceSource;
+use bbs_hash::{ItemHasher, Md5BloomHasher};
 use std::io;
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 
 const MAGIC: u64 = 0x4242_5353_4c49_4345; // "BBSSLICE"
+/// Header byte holding the length of the hash-family identity, which
+/// follows it.
+const FAMILY_AT: usize = 24;
+/// Longest hash-family identity a header records.
+const FAMILY_MAX: usize = 64;
 
-/// Reads the width field of an existing slice file's header page without
-/// opening the file as a deployment (`Ok(None)` = absent, empty, or not a
-/// slice file).  This is how reopen paths adopt the on-disk width after a
-/// fold halved it, instead of failing the width check against a stale
-/// configured value.
-pub fn header_width(path: &Path) -> io::Result<Option<usize>> {
+/// What page 0 of a slice file records besides its row count: the width
+/// `m` its rows are laid out at and the identity of the hash family
+/// ([`bbs_hash::ItemHasher::id`]) that chose each row's bits.  A reader
+/// that hashes an item with another family looks at other slices, and
+/// may undercount.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SliceHeader {
+    /// Signature width `m`.
+    pub width: usize,
+    /// Hash-family identity, e.g. `md5/4`.
+    pub family: String,
+}
+
+/// The slice file was written before headers recorded the hash family,
+/// so nothing says which positions its rows set.  Wrapped inside an
+/// [`io::Error`] of kind [`io::ErrorKind::InvalidData`] by every open and
+/// by `verify`, before any file is changed; retrieve it with
+/// [`unrecorded_family`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnrecordedFamily;
+
+impl std::fmt::Display for UnrecordedFamily {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(
+            "slice file records no hash family (written before headers recorded one); \
+             rebuild with `bbs ingest`",
+        )
+    }
+}
+
+impl std::error::Error for UnrecordedFamily {}
+
+/// Extracts the typed [`UnrecordedFamily`] from an I/O error, if that is
+/// what it carries.
+pub fn unrecorded_family(e: &io::Error) -> Option<&UnrecordedFamily> {
+    e.get_ref().and_then(|inner| inner.downcast_ref())
+}
+
+/// Decodes a header page: `Ok(None)` when it is not a slice header at
+/// all (wrong magic, or a width no file is laid out at).
+fn decode_header(page: &[u8]) -> io::Result<Option<SliceHeader>> {
+    let magic = le_word(&page[0..8]);
+    let width = le_word(&page[8..16]);
+    if magic != MAGIC || width == 0 || width >= u32::MAX as u64 {
+        return Ok(None);
+    }
+    let len = usize::from(page[FAMILY_AT]);
+    if len == 0 {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, UnrecordedFamily));
+    }
+    let family = page
+        .get(FAMILY_AT + 1..FAMILY_AT + 1 + len)
+        .filter(|_| len <= FAMILY_MAX)
+        .and_then(|bytes| std::str::from_utf8(bytes).ok())
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "slice file header holds a malformed hash family",
+            )
+        })?;
+    Ok(Some(SliceHeader {
+        width: width as usize,
+        family: family.to_string(),
+    }))
+}
+
+/// Reads the header page of an existing slice file without opening the
+/// file as a deployment (`Ok(None)` = absent, empty, or not a slice
+/// file).  This is how reopen paths adopt the on-disk width and hash
+/// family — after a fold halved the width, or when the caller was
+/// configured with another family — instead of failing the checks
+/// against stale configured values.  A header that records no family is
+/// refused with [`UnrecordedFamily`].
+pub fn read_header(path: &Path) -> io::Result<Option<SliceHeader>> {
     use std::io::{Read, Seek, SeekFrom};
     let mut f = match std::fs::File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    let mut head = [0u8; 16];
+    let mut head = [0u8; FAMILY_AT + 1 + FAMILY_MAX];
     let off = crate::pager::phys_of(0) * PAGE_SIZE as u64;
     if f.seek(SeekFrom::Start(off)).is_err() {
         return Ok(None);
     }
     match f.read_exact(&mut head) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+        Ok(()) => decode_header(&head),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
+        Err(e) => Err(e),
     }
-    let magic = u64::from_le_bytes(head[0..8].try_into().expect("8 bytes"));
-    let width = u64::from_le_bytes(head[8..16].try_into().expect("8 bytes"));
-    if magic != MAGIC || width == 0 || width >= u32::MAX as u64 {
-        return Ok(None);
-    }
-    Ok(Some(width as usize))
 }
+
+/// The width field of an existing slice file's header ([`read_header`]).
+pub fn header_width(path: &Path) -> io::Result<Option<usize>> {
+    Ok(read_header(path)?.map(|h| h.width))
+}
+
 /// Rows per chunk: one page of bits.
 pub const CHUNK_ROWS: usize = PAGE_SIZE * 8;
 pub use bbs_bitslice::PAGE_WORDS;
@@ -135,9 +209,15 @@ pub struct SliceFile<B: StorageBackend = FileBackend> {
 impl SliceFile<FileBackend> {
     /// Opens (creating if absent) a slice file of signature width `width`.
     ///
-    /// An existing file must have been created with the same width.
+    /// An existing file must have been created with the same width, and
+    /// keeps the hash family its header records; a new one records the
+    /// paper's default family.
     pub fn open(path: &Path, width: usize, cache_pages: usize) -> io::Result<Self> {
-        SliceFile::open_with(FileBackend::open(path)?, width, cache_pages, None)
+        let family = match read_header(path)? {
+            Some(header) => header.family,
+            None => Md5BloomHasher::default().id(),
+        };
+        SliceFile::open_with(FileBackend::open(path)?, width, &family, cache_pages, None)
     }
 }
 
@@ -170,6 +250,7 @@ pub(crate) fn clear_uncommitted_bits(page: &mut [u8; PAGE_SIZE], within: u64) {
 fn recover<B: StorageBackend>(
     pager: &mut Pager<B>,
     width: usize,
+    family: &str,
     rows: u64,
     slices_digest: u64,
 ) -> io::Result<()> {
@@ -210,21 +291,56 @@ fn recover<B: StorageBackend>(
     }
 
     // Rebuild the header from the commit record rather than trusting disk.
-    pager.write_page(PageId(0), &encoded_header(width, rows))?;
+    pager.write_page(PageId(0), &encoded_header(width, rows, family))?;
     // The repair is complete on the file, digests included: independent
     // readers of a just-recovered deployment (in-place mining opens one
     // per worker) verify its pages without a flush in between.
     pager.write_checksums()
 }
 
-/// Encodes a slice-file header page (magic, width, rows) — shared by
-/// recovery and the offline fold, which stages a new file directly.
-pub(crate) fn encoded_header(width: usize, rows: u64) -> crate::pager::PageBuf {
+/// Encodes a slice-file header page (magic, width, rows, family) —
+/// shared by creation, recovery and the offline fold, which stages a new
+/// file directly.  `family` is a checked identity ([`check_family`]).
+pub(crate) fn encoded_header(width: usize, rows: u64, family: &str) -> crate::pager::PageBuf {
     let mut header = zeroed_page();
     header[0..8].copy_from_slice(&MAGIC.to_le_bytes());
     header[8..16].copy_from_slice(&(width as u64).to_le_bytes());
     header[16..24].copy_from_slice(&rows.to_le_bytes());
+    header[FAMILY_AT] = family.len() as u8;
+    header[FAMILY_AT + 1..FAMILY_AT + 1 + family.len()].copy_from_slice(family.as_bytes());
     header
+}
+
+/// Refuses a hash-family identity a header cannot record.
+fn check_family(family: &str) -> io::Result<()> {
+    if family.is_empty() || family.len() > FAMILY_MAX {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("hash family identity {family:?} must be 1 to {FAMILY_MAX} bytes"),
+        ));
+    }
+    Ok(())
+}
+
+impl SliceHeader {
+    /// Refuses a slice file whose header says other than the caller
+    /// asked, naming both values.
+    pub(crate) fn check(&self, width: usize, family: &str) -> io::Result<()> {
+        let refuse = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+        if self.width != width {
+            return refuse(format!(
+                "slice file width {} != requested {width}",
+                self.width
+            ));
+        }
+        if self.family != family {
+            return refuse(format!(
+                "slice file hash family {} != requested {family}",
+                self.family
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl<B: StorageBackend> SliceFile<B> {
@@ -236,55 +352,43 @@ impl<B: StorageBackend> SliceFile<B> {
     pub fn open_with(
         backend: B,
         width: usize,
+        family: &str,
         cache_pages: usize,
         recover_to: Option<(u64, u64)>,
     ) -> io::Result<Self> {
         assert!(width > 0, "width must be positive");
+        check_family(family)?;
         let mut pager = Pager::new(backend)?;
-        // A width mismatch must be reported as such, not as the boundary
-        // digest mismatch recovery would trip over — but only when the
-        // header page actually verifies (a torn header is rebuilt by
-        // recovery and cannot be trusted to hold anything).
+        // A width or family mismatch must be reported as such, not as the
+        // boundary digest mismatch recovery would trip over nor rewritten
+        // into the header recovery rebuilds — but only when the header
+        // page actually verifies (a torn header is rebuilt by recovery and
+        // cannot be trusted to hold anything).
         if pager.page_count() > 0 {
-            if let Ok(header) = pager.read_page(PageId(0)) {
-                let stored = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-                let magic = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
-                if magic == MAGIC && stored != width as u64 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("slice file width {stored} != requested {width}"),
-                    ));
+            if let Ok(page) = pager.read_page(PageId(0)) {
+                if let Some(stored) = decode_header(&page[..])? {
+                    stored.check(width, family)?;
                 }
             }
         }
         if let Some((rows, slices_digest)) = recover_to {
-            recover(&mut pager, width, rows, slices_digest)?;
+            recover(&mut pager, width, family, rows, slices_digest)?;
         }
         let mut cache = PageCache::new(pager, cache_pages);
-        let (stored_width, rows) = if cache.page_count() == 0 {
-            crate::bytes::write_u64(&mut cache, 0, MAGIC)?;
-            crate::bytes::write_u64(&mut cache, 8, width as u64)?;
-            crate::bytes::write_u64(&mut cache, 16, 0)?;
-            (width as u64, 0)
+        let rows = if cache.page_count() == 0 {
+            let header = encoded_header(width, 0, family);
+            cache.update(PageId(0), |page| *page = *header)?;
+            0
         } else {
-            let magic = crate::bytes::read_u64(&mut cache, 0)?;
-            if magic != MAGIC {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "not a BBS slice file",
-                ));
-            }
-            (
-                crate::bytes::read_u64(&mut cache, 8)?,
-                crate::bytes::read_u64(&mut cache, 16)?,
-            )
+            let (stored, rows) = cache.with_page(PageId(0), |page| {
+                (decode_header(&page[..]), le_word(&page[16..24]))
+            })?;
+            let stored = stored?.ok_or_else(|| {
+                io::Error::new(io::ErrorKind::InvalidData, "not a BBS slice file")
+            })?;
+            stored.check(width, family)?;
+            rows
         };
-        if stored_width != width as u64 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("slice file width {stored_width} != requested {width}"),
-            ));
-        }
         Ok(SliceFile {
             cache: Mutex::new(cache),
             width,
@@ -487,7 +591,11 @@ mod tests {
 
     fn path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
-        p.push(format!("bbs_slicefile_{}_{}.bbsx", std::process::id(), name));
+        p.push(format!(
+            "bbs_slicefile_{}_{}.bbsx",
+            std::process::id(),
+            name
+        ));
         p
     }
 
@@ -518,15 +626,24 @@ mod tests {
         f.append_row(&[0, 15]).expect("row 2");
         assert_eq!(f.rows(), 3);
         assert_eq!(
-            f.load_slice(0).expect("slice 0").iter_ones().collect::<Vec<_>>(),
+            f.load_slice(0)
+                .expect("slice 0")
+                .iter_ones()
+                .collect::<Vec<_>>(),
             vec![0, 2]
         );
         assert_eq!(
-            f.load_slice(3).expect("slice 3").iter_ones().collect::<Vec<_>>(),
+            f.load_slice(3)
+                .expect("slice 3")
+                .iter_ones()
+                .collect::<Vec<_>>(),
             vec![0, 1]
         );
         assert_eq!(
-            f.load_slice(15).expect("slice 15").iter_ones().collect::<Vec<_>>(),
+            f.load_slice(15)
+                .expect("slice 15")
+                .iter_ones()
+                .collect::<Vec<_>>(),
             vec![2]
         );
         assert_eq!(f.load_slice(7).expect("slice 7").count_ones(), 0);
@@ -683,7 +800,9 @@ mod tests {
             (vec![3], Some(u64::MAX)),
             (vec![1, 2, 3, 4, 5, 6, 7], Some(1)),
         ];
-        let batched = f.count_selected_many_masked(&queries, None).expect("batched");
+        let batched = f
+            .count_selected_many_masked(&queries, None)
+            .expect("batched");
         for (i, (slices, tau)) in queries.iter().enumerate() {
             let solo = count_one(&f, slices, *tau, None).expect("solo");
             assert_eq!(batched[i], solo, "query {i} {slices:?} tau {tau:?}");
@@ -692,7 +811,9 @@ mod tests {
         for _ in 0..5 {
             count_one(&f, &[0, 1], None, None).expect("repeat");
         }
-        let batched2 = f.count_selected_many_masked(&queries, None).expect("batched again");
+        let batched2 = f
+            .count_selected_many_masked(&queries, None)
+            .expect("batched again");
         assert_eq!(batched, batched2);
         // A batch whose queries all select slices 1 and 2: answers still
         // equal counting each query alone, including for the query that
@@ -703,7 +824,9 @@ mod tests {
             (vec![1, 2], None),
             (vec![1, 2, 7], Some(u64::MAX)),
         ];
-        let hoisted = f.count_selected_many_masked(&common, None).expect("hoisted");
+        let hoisted = f
+            .count_selected_many_masked(&common, None)
+            .expect("hoisted");
         for (i, (slices, tau)) in common.iter().enumerate() {
             let solo = count_one(&f, slices, *tau, None).expect("solo");
             assert_eq!(hoisted[i], solo, "hoisted query {i} {slices:?} tau {tau:?}");
@@ -719,9 +842,7 @@ mod tests {
         let mut f = SliceFile::open(&p, 8, 64).expect("open");
         // Rows cross a chunk boundary; tombstone a scattered third of them.
         let n = CHUNK_ROWS + 321;
-        let rows: Vec<Vec<usize>> = (0..n)
-            .map(|i| vec![i % 8, (i * 5 + 1) % 8])
-            .collect();
+        let rows: Vec<Vec<usize>> = (0..n).map(|i| vec![i % 8, (i * 5 + 1) % 8]).collect();
         for r in &rows {
             f.append_row(r).expect("append");
         }

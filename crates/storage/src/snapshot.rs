@@ -359,7 +359,10 @@ pub struct SharedDeployment {
 
 impl SharedDeployment {
     /// Opens (creating or crash-recovering as needed) the deployment at
-    /// `base` and publishes the initial snapshot (epoch 0).
+    /// `base` and publishes the initial snapshot (epoch 0).  `width` and
+    /// `hasher` lay out a deployment that does not exist yet; an existing
+    /// one is served at the width and hash family its slice header
+    /// records.
     ///
     /// The deployment is flushed once on open so the on-disk files are in
     /// a committed state before the first snapshot reader touches them.
@@ -399,8 +402,7 @@ impl SharedDeployment {
         cache_pages: usize,
         factory: BackendFactory,
     ) -> io::Result<Arc<Self>> {
-        let mut dep =
-            DiskDeployment::open_at(base, width, Arc::clone(&hasher), cache_pages, &*factory)?;
+        let mut dep = DiskDeployment::open_at(base, width, hasher, cache_pages, &*factory)?;
         dep.flush()?;
         let io = Arc::new(RwLock::new(()));
         let mut profile = WriterProfile::default();
@@ -414,7 +416,9 @@ impl SharedDeployment {
             // A fold may have halved the on-disk width since this
             // deployment was configured: the slice-file header wins.
             width: AtomicUsize::new(dep.index.width()),
-            hasher,
+            // Likewise the hash family the header records, whatever the
+            // caller passed: every heal and reopen then agrees with it.
+            hasher: Arc::clone(dep.index.hasher()),
             cache_pages,
             dedup_window: AtomicUsize::new(DEFAULT_DEDUP_WINDOW),
             writer_heals: AtomicU64::new(0),

@@ -127,7 +127,7 @@ fn on_disk_formats_are_frozen() {
     let frozen: [(&str, u64, u64); 8] = [
         ("dat", 8192, 0xdf6bc26994f34cfa),
         ("idx", 12288, 0x525262251a1a34c8),
-        ("slices", 258048, 0xc3ddcd5030869799),
+        ("slices", 258048, 0x11710fc5d9a83458),
         ("counts", 220, 0x4996803fe14f1d31),
         ("commit", 128, 0x2aea8c9a68e4145a),
         ("dedup", 160, 0x8bba3125a605532d),
